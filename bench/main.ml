@@ -911,20 +911,8 @@ let transport_bench () =
   section "TRANSPORT - in-process vs loopback TCP (writes BENCH_transport.json)";
   let module T = Vuvuzela_telemetry in
   let module Addr = Vuvuzela_transport.Addr in
-  let sockets_allowed () =
-    match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error _ -> false
-    | fd -> (
-        match Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) with
-        | () -> Unix.close fd; true
-        | exception Unix.Unix_error _ -> Unix.close fd; false)
-  in
-  let server_bin =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      "bin/server_main.exe"
-  in
-  if not (sockets_allowed ()) then
+  let server_bin = Daemon_spawn.server_bin () in
+  if not (Daemon_spawn.sockets_allowed ()) then
     Printf.printf "  skipped: sandbox forbids loopback sockets\n"
   else if not (Sys.file_exists server_bin) then
     Printf.printf "  skipped: %s not built (run dune build first)\n" server_bin
@@ -932,51 +920,10 @@ let transport_bench () =
     let n_clients = 24 and rounds = 6 in
     let noise = Laplace.params ~mu:4. ~b:1. in
     let dial_noise = Laplace.params ~mu:1. ~b:1. in
-    let free_port () =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-      let port =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> assert false
-      in
-      Unix.close fd;
-      port
-    in
     let spawn_daemon ~jobs ~seed ~ports index =
-      let args =
-        [| server_bin; "--listen"; Printf.sprintf ":%d" ports.(index);
-           "--index"; string_of_int index; "--chain-len"; "3";
-           "--seed"; seed; "--mu"; "4"; "--noise-b"; "1";
-           "--dial-mu"; "1"; "--dial-b"; "1"; "--deterministic-noise";
-           "--jobs"; string_of_int jobs; "--quiet" |]
-      in
-      let args =
-        if index = 2 then args
-        else
-          Array.append args
-            [| "--next"; Printf.sprintf ":%d" ports.(index + 1) |]
-      in
-      Unix.create_process server_bin args Unix.stdin Unix.stdout Unix.stderr
-    in
-    let stop_pid pid =
-      let deadline = Unix.gettimeofday () +. 3.0 in
-      let rec wait () =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ ->
-            if Unix.gettimeofday () > deadline then begin
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              ignore (Unix.waitpid [] pid)
-            end
-            else begin
-              Unix.sleepf 0.02;
-              wait ()
-            end
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-      in
-      wait ()
+      Daemon_spawn.spawn_server ~bin:server_bin ~ports ~index ~seed
+        [ "--mu"; "4"; "--noise-b"; "1"; "--dial-mu"; "1"; "--dial-b"; "1";
+          "--deterministic-noise"; "--jobs"; string_of_int jobs ]
     in
     let connect_clients net =
       let clients =
@@ -1018,10 +965,10 @@ let transport_bench () =
     in
     let over_tcp ~jobs f =
       let seed = "bench-tcp" in
-      let ports = Array.init 3 (fun _ -> free_port ()) in
+      let ports = Array.init 3 (fun _ -> Daemon_spawn.free_port ()) in
       let pids = ref (List.map (spawn_daemon ~jobs ~seed ~ports) [ 2; 1; 0 ]) in
       Fun.protect
-        ~finally:(fun () -> List.iter stop_pid !pids)
+        ~finally:(fun () -> List.iter Daemon_spawn.stop_pid !pids)
         (fun () ->
           match
             Network.of_config_tcp
@@ -1118,20 +1065,8 @@ let churn_bench () =
   let module T = Vuvuzela_telemetry in
   let module Addr = Vuvuzela_transport.Addr in
   let module Shaper = Vuvuzela_transport.Shaper in
-  let sockets_allowed () =
-    match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error _ -> false
-    | fd -> (
-        match Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) with
-        | () -> Unix.close fd; true
-        | exception Unix.Unix_error _ -> Unix.close fd; false)
-  in
-  let server_bin =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      "bin/server_main.exe"
-  in
-  if not (sockets_allowed ()) then
+  let server_bin = Daemon_spawn.server_bin () in
+  if not (Daemon_spawn.sockets_allowed ()) then
     Printf.printf "  skipped: sandbox forbids loopback sockets\n"
   else if not (Sys.file_exists server_bin) then
     Printf.printf "  skipped: %s not built (run dune build first)\n" server_bin
@@ -1139,63 +1074,18 @@ let churn_bench () =
     let n_clients = 16 and rounds = 4 in
     let noise = Laplace.params ~mu:4. ~b:1. in
     let dial_noise = Laplace.params ~mu:1. ~b:1. in
-    let free_port () =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-      let port =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> assert false
-      in
-      Unix.close fd;
-      port
-    in
     let spawn_daemon ~jobs ~seed ~ports ?link_latency ?fault_plan index =
-      let args =
-        [| server_bin; "--listen"; Printf.sprintf ":%d" ports.(index);
-           "--index"; string_of_int index; "--chain-len"; "3";
-           "--seed"; seed; "--mu"; "4"; "--noise-b"; "1";
-           "--dial-mu"; "1"; "--dial-b"; "1"; "--deterministic-noise";
-           "--jobs"; string_of_int jobs; "--flap-grace-ms"; "5000";
-           "--quiet" |]
-      in
-      let args =
-        if index = 2 then args
-        else
-          Array.append args
-            [| "--next"; Printf.sprintf ":%d" ports.(index + 1) |]
-      in
-      let args =
-        match link_latency with
-        | None -> args
-        | Some lat -> Array.append args [| "--link-latency"; lat |]
-      in
-      let args =
+      Daemon_spawn.spawn_server ~bin:server_bin ~ports ~index ~seed
+        ([ "--mu"; "4"; "--noise-b"; "1"; "--dial-mu"; "1"; "--dial-b"; "1";
+           "--deterministic-noise"; "--jobs"; string_of_int jobs;
+           "--flap-grace-ms"; "5000" ]
+        @ (match link_latency with
+          | None -> []
+          | Some lat -> [ "--link-latency"; lat ])
+        @
         match fault_plan with
-        | Some (j, plan) when j = index ->
-            Array.append args [| "--fault-plan"; plan |]
-        | _ -> args
-      in
-      Unix.create_process server_bin args Unix.stdin Unix.stdout Unix.stderr
-    in
-    let stop_pid pid =
-      let deadline = Unix.gettimeofday () +. 3.0 in
-      let rec wait () =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ ->
-            if Unix.gettimeofday () > deadline then begin
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              ignore (Unix.waitpid [] pid)
-            end
-            else begin
-              Unix.sleepf 0.02;
-              wait ()
-            end
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-      in
-      wait ()
+        | Some (j, plan) when j = index -> [ "--fault-plan"; plan ]
+        | _ -> [])
     in
     let connect_clients net =
       let clients =
@@ -1230,7 +1120,7 @@ let churn_bench () =
     in
     let over_tcp ~jobs ?link_latency ?fault_plan f =
       let seed = "bench-churn" in
-      let ports = Array.init 3 (fun _ -> free_port ()) in
+      let ports = Array.init 3 (fun _ -> Daemon_spawn.free_port ()) in
       let pids =
         ref
           (List.map
@@ -1238,7 +1128,7 @@ let churn_bench () =
              [ 2; 1; 0 ])
       in
       Fun.protect
-        ~finally:(fun () -> List.iter stop_pid !pids)
+        ~finally:(fun () -> List.iter Daemon_spawn.stop_pid !pids)
         (fun () ->
           let cfg =
             Network.Config.(
@@ -1435,67 +1325,13 @@ let scale_bench () =
         in
         Fun.protect ~finally:(fun () -> close_in ic) scan
   in
-  let sockets_allowed () =
-    match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error _ -> false
-    | fd -> (
-        match Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) with
-        | () -> Unix.close fd; true
-        | exception Unix.Unix_error _ -> Unix.close fd; false)
-  in
-  let server_bin =
-    Filename.concat
-      (Filename.dirname (Filename.dirname Sys.executable_name))
-      "bin/server_main.exe"
-  in
-  let free_port () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let port =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> assert false
-    in
-    Unix.close fd;
-    port
-  in
+  let server_bin = Daemon_spawn.server_bin () in
   let spawn_daemon ~jobs ~seed ~ports index =
-    let args =
-      [| server_bin; "--listen"; Printf.sprintf ":%d" ports.(index);
-         "--index"; string_of_int index; "--chain-len"; "3";
-         "--seed"; seed; "--mu"; "4"; "--noise-b"; "1";
-         "--dial-mu"; "1"; "--dial-b"; "1"; "--deterministic-noise";
-         "--jobs"; string_of_int jobs;
-         "--deaddrop-shards"; string_of_int shards;
-         "--pipeline"; "--pipeline-chunk"; string_of_int chunk; "--quiet" |]
-    in
-    let args =
-      if index = 2 then args
-      else
-        Array.append args
-          [| "--next"; Printf.sprintf ":%d" ports.(index + 1) |]
-    in
-    Unix.create_process server_bin args Unix.stdin Unix.stdout Unix.stderr
-  in
-  let stop_pid pid =
-    (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-    let deadline = Unix.gettimeofday () +. 3.0 in
-    let rec wait () =
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-          if Unix.gettimeofday () > deadline then begin
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid)
-          end
-          else begin
-            Unix.sleepf 0.02;
-            wait ()
-          end
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-    in
-    wait ()
+    Daemon_spawn.spawn_server ~bin:server_bin ~ports ~index ~seed
+      [ "--mu"; "4"; "--noise-b"; "1"; "--dial-mu"; "1"; "--dial-b"; "1";
+        "--deterministic-noise"; "--jobs"; string_of_int jobs;
+        "--deaddrop-shards"; string_of_int shards;
+        "--pipeline"; "--pipeline-chunk"; string_of_int chunk ]
   in
   (* One cell: [rounds] verified conversation rounds of [n] clients
      through [round_streamed]; reports (ms/round, msgs/sec, delivered,
@@ -1553,10 +1389,10 @@ let scale_bench () =
   in
   let tcp_cell ~n ~jobs =
     let seed = "bench-scale" in
-    let ports = Array.init 3 (fun _ -> free_port ()) in
+    let ports = Array.init 3 (fun _ -> Daemon_spawn.free_port ()) in
     let pids = List.map (spawn_daemon ~jobs ~seed ~ports) [ 2; 1; 0 ] in
     Fun.protect
-      ~finally:(fun () -> List.iter stop_pid pids)
+      ~finally:(fun () -> List.iter Daemon_spawn.stop_pid pids)
       (fun () ->
         match
           Remote.connect ~handshake_timeout_ms:30_000.
@@ -1607,7 +1443,8 @@ let scale_bench () =
         row ~n ~jobs ~server_rss:(vm_hwm_kb (Unix.getpid ())) cell)
   in
   let can_tcp =
-    transport = `Tcp && sockets_allowed () && Sys.file_exists server_bin
+    transport = `Tcp && Daemon_spawn.sockets_allowed ()
+    && Sys.file_exists server_bin
   in
   if transport = `Tcp && not can_tcp then
     Printf.printf

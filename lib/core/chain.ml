@@ -19,8 +19,8 @@ type t = {
           (post-tamper, pre-framing) — the tests' wiretap *)
   tel : Telemetry.t option;
       (** shared with the servers; [None] is the nil sink *)
-  pipeline : bool;  (** relay forward batches as streamed parts *)
-  chunk : int;  (** onions per part when pipelined *)
+  part_chunk : int option;
+      (** onions per part on a relay link; [None]: one part per batch *)
   mutable shut_down : bool;
   mutable delay_ms : float;
       (** virtual link stall accumulated by [Delay_ms] faults during the
@@ -71,35 +71,16 @@ let of_config (cfg : Config.t) =
     faults = Option.map Fault.injector cfg.fault_plan;
     tap = cfg.tap;
     tel = cfg.telemetry;
-    pipeline = cfg.pipeline;
-    chunk = max 1 cfg.pipeline_chunk;
+    part_chunk =
+      (if cfg.pipeline then Some (max 1 cfg.pipeline_chunk) else None);
     shut_down = false;
     delay_ms = 0.;
   }
-
-let create ?seed ?(dial_kind = Dialing.Plain) ?(jobs = 1) ?fault_plan ?tap
-    ?telemetry ~n_servers ~noise ~dial_noise ~noise_mode () =
-  of_config
-    {
-      Config.default with
-      seed;
-      n_servers;
-      noise;
-      dial_noise;
-      noise_mode;
-      dial_kind;
-      jobs;
-      fault_plan;
-      tap;
-      telemetry;
-    }
 
 let length t = Array.length t.servers
 let server t i = t.servers.(i)
 let last t = t.servers.(length t - 1)
 let jobs t = match t.pool with Some p -> Pool.jobs p | None -> 1
-let pipelined t = t.pipeline
-let pipeline_chunk t = t.chunk
 
 let shutdown t =
   t.shut_down <- true;
@@ -117,7 +98,7 @@ let public_keys t =
 
 (* Every batch that crosses a link is routed through the Rpc codec, so
    the in-process chain exchanges exactly the bytes a networked
-   deployment would (framing, versioning, fixed item sizes).  A batch
+   deployment would (framing, versioning, fixed item sizes).  A frame
    the codec rejects becomes a typed [Rpc.status] error — itself pushed
    through the codec, since a real deployment would send the failure as
    a frame too. *)
@@ -126,25 +107,12 @@ let status_frame st =
   | Ok (Rpc.Status st) -> st
   | Ok _ | Error _ -> assert false (* the codec round-trips its own frames *)
 
-let through ~round ~server ~stage codec_encode codec_decode payload =
-  match codec_decode (codec_encode payload) with
-  | Ok v -> Ok v
-  | Error detail ->
-      Error (status_frame { Rpc.round; server; stage; detail })
-
 let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection at forward links                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A forward batch crossing the link into [server]: fire the faults
-   scheduled for this (round, server) site, then frame, then decode at
-   the receiver.  Control faults (crash/drop) abort with a typed status;
-   [Delay_ms] accumulates virtual stall time for the supervisor's
-   deadline check; [Tamper_slot] flips a byte of one onion (the §2.1
-   active adversary — framing survives, authentication at the receiver
-   does not). *)
 (* Short tag for a fault kind — the metric label and span annotation. *)
 let fault_tag = function
   | Fault.Crash -> "crash"
@@ -191,442 +159,194 @@ let record_faults t ~server kinds =
           | _ -> ())
         kinds
 
-(* The fault/tap prelude of a link crossing, shared by the lockstep and
-   pipelined relays: faults fire once per (round, server) site against
-   the WHOLE logical batch — a crash kills the entire batch, a
-   [Tamper_slot] indexes into the full batch, and the tap observes the
-   batch exactly once — so fault semantics are identical in both relay
-   modes by construction.  Returns the (possibly tampered) batch plus
-   any frame-level faults left to apply at the framing stage. *)
-let apply_link_faults t ~round ~server ~stage (batch : bytes array) =
-  let kinds =
-    match t.faults with
-    | None -> []
-    | Some inj -> Fault.fire inj ~round ~server
-  in
-  record_faults t ~server kinds;
-  let batch = ref batch in
-  let frame_faults = ref [] in
-  let fatal = ref None in
-  List.iter
-    (fun k ->
-      if !fatal = None then
-        match k with
-        | Fault.Crash -> fatal := Some "server crashed (injected fault)"
-        | Fault.Drop_link -> fatal := Some "link dropped (injected fault)"
-        | Fault.Delay_ms ms -> t.delay_ms <- t.delay_ms +. float_of_int ms
-        | Fault.Slow_link ms ->
-            (* Congested link: the batch arrives intact, late. *)
-            t.delay_ms <- t.delay_ms +. float_of_int ms
-        | Fault.Flap ms ->
-            (* A reset that heals: the in-process link has no socket to
-               reset, so only the outage's stall is observable. *)
-            t.delay_ms <- t.delay_ms +. float_of_int ms
-        | Fault.Partition ms ->
-            (* A cut link: the batch is lost and the heal takes [ms]. *)
-            t.delay_ms <- t.delay_ms +. float_of_int ms;
-            fatal := Some "link partitioned (injected fault)"
-        | Fault.Tamper_slot s -> batch := Fault.apply_tamper !batch s
-        | (Fault.Corrupt_frame _ | Fault.Truncate_frame _ | Fault.Extend_frame _)
-          as k -> frame_faults := k :: !frame_faults)
-    kinds;
-  match !fatal with
-  | Some detail -> Error (status_frame { Rpc.round; server; stage; detail })
-  | None ->
-      let batch = !batch in
-      Option.iter (fun tap -> tap ~round ~server batch) t.tap;
-      Ok (batch, List.rev !frame_faults)
-
-let forward_send t ~round ~server ~stage encode decode (batch : bytes array) =
-  let* batch, frame_faults =
-    apply_link_faults t ~round ~server ~stage batch
-  in
-  let frame = List.fold_left Fault.apply_frame (encode batch) frame_faults in
-  match decode frame with
-  | Ok v -> Ok v
-  | Error detail -> Error (status_frame { Rpc.round; server; stage; detail })
-
-(* The pipelined relay for one link: split the batch into ≤[chunk]-sized
-   parts, push each through the part codec, and feed the decoded onions
-   straight into the receiver's stream.  Frame-level faults corrupt the
-   first part's frame (the lockstep relay corrupts its single frame, so
-   "the frame on this link is damaged" maps to "the first part frame is
-   damaged"). *)
-let forward_send_parts t ~round ~server ~stage encode_part decode_part feed
-    (batch : bytes array) =
-  let* batch, frame_faults =
-    apply_link_faults t ~round ~server ~stage batch
-  in
-  let parts = Rpc.split_parts ~chunk:t.chunk batch in
-  let n_parts = Array.length parts in
-  let rec loop seq =
-    if seq >= n_parts then Ok ()
-    else begin
-      let frame = encode_part ~seq ~last:(seq = n_parts - 1) parts.(seq) in
-      let frame =
-        if seq = 0 then List.fold_left Fault.apply_frame frame frame_faults
-        else frame
-      in
-      match decode_part frame with
-      | Ok onions ->
-          feed onions;
-          loop (seq + 1)
-      | Error detail ->
-          Error (status_frame { Rpc.round; server; stage; detail })
-    end
-  in
-  loop 0
-
-let send_conv_batch t ~round ~server onions =
-  forward_send t ~round ~server ~stage:"conv-batch"
-    (fun o -> Rpc.encode (Rpc.Conv_batch { round; onions = o }))
-    (fun b ->
-      match Rpc.decode b with
-      | Ok (Rpc.Conv_batch { onions; _ }) -> Ok onions
-      | Ok _ -> Error "unexpected message"
-      | Error e -> Error e)
-    onions
-
-let send_conv_results ~round ~server replies =
-  through ~round ~server ~stage:"conv-results"
-    (fun r -> Rpc.encode (Rpc.Conv_results { round; replies = r }))
-    (fun b ->
-      match Rpc.decode b with
-      | Ok (Rpc.Conv_results { replies; _ }) -> Ok replies
-      | Ok _ -> Error "unexpected message"
-      | Error e -> Error e)
-    replies
-
-let send_dial_results ~round ~server replies =
-  through ~round ~server ~stage:"dial-results"
-    (fun r -> Rpc.encode (Rpc.Dial_results { round; replies = r }))
-    (fun b ->
-      match Rpc.decode b with
-      | Ok (Rpc.Dial_results { replies; _ }) -> Ok replies
-      | Ok _ -> Error "unexpected message"
-      | Error e -> Error e)
-    replies
-
-let send_dial_batch t ~round ~m ~server onions =
-  forward_send t ~round ~server ~stage:"dial-batch"
-    (fun o -> Rpc.encode (Rpc.Dial_batch { round; m; onions = o }))
-    (fun b ->
-      match Rpc.decode b with
-      | Ok (Rpc.Dial_batch { onions; _ }) -> Ok onions
-      | Ok _ -> Error "unexpected message"
-      | Error e -> Error e)
-    onions
-
-(* Entry-server ingress policy: the framed batches require uniform item
-   sizes, so a wrong-sized client request is replaced with random bytes
-   of the correct size.  Its slot (and reply) survive; the garbage fails
-   authentication at the first server and earns a dummy reply. *)
-let normalize ~expected requests =
-  Array.map
-    (fun r ->
-      if Bytes.length r = expected then r
-      else Vuvuzela_crypto.Drbg.bytes expected)
-    requests
-
-(* The conversation descent from server [i] down: forward through each
-   mixing server, exchange at the last, results back up.  Shared by the
-   materializing round (which starts at server 0) and the streamed-entry
-   round (which hand-feeds server 0 and descends from server 1). *)
-let rec conv_go t ~round i batch =
-  let n = length t in
-  let srv = t.servers.(i) in
-  let* peeled =
-    if t.pipeline then begin
-      (* Streamed relay: the batch crosses the link as ordered
-         [Conv_batch_part] frames and the receiver peels each part
-         as it lands — the same code path a pipelined TCP
-         deployment runs, so its determinism is tested here. *)
-      let stream = Server.conv_stream srv ~round in
-      let* () =
-        forward_send_parts t ~round ~server:i ~stage:"conv-batch"
-          (fun ~seq ~last onions ->
-            Rpc.encode (Rpc.Conv_batch_part { round; seq; last; onions }))
-          (fun b ->
-            match Rpc.decode b with
-            | Ok (Rpc.Conv_batch_part { onions; _ }) -> Ok onions
-            | Ok _ -> Error "unexpected message"
-            | Error e -> Error e)
-          (fun onions -> Server.stream_feed srv stream onions)
-          batch
-      in
-      Ok (`Stream stream)
-    end
-    else
-      let* batch = send_conv_batch t ~round ~server:i batch in
-      Ok (`Batch batch)
-  in
-  if i = n - 1 then
-    Ok
-      (match peeled with
-      | `Stream stream -> Server.conv_finish_exchange srv stream
-      | `Batch batch -> Server.conv_exchange srv ~round batch)
-  else begin
-    let forwarded =
-      match peeled with
-      | `Stream stream -> Server.conv_finish_forward srv stream
-      | `Batch batch -> Server.conv_forward srv ~round batch
-    in
-    let* below = conv_go t ~round (i + 1) forwarded in
-    let* results = send_conv_results ~round ~server:i below in
-    Ok (Server.conv_backward srv ~round results)
-  end
-
-(* One conversation round: forward through each mixing server, exchange
-   at the last, then backward.  [requests] are the clients' onions in
-   slot order; the result array is aligned with it. *)
-let conversation_round t ~round requests =
-  if t.shut_down then Error (status_frame (Rpc.chain_shutdown ~round))
-  else begin
-    t.delay_ms <- 0.;
-    let n = length t in
-    let requests =
-      normalize
-        ~expected:
-          (Vuvuzela_mixnet.Onion.request_size ~chain_len:n
-             ~payload_len:Types.exchange_payload_len)
-        requests
-    in
-    Telemetry.span t.tel ~name:"conv-round" ~round (fun () ->
-        conv_go t ~round 0 requests)
-  end
-
-(* The dialing descent from server [i] down (see [conv_go]). *)
-let rec dial_go t ~round ~m i batch =
-  let n = length t in
-  let srv = t.servers.(i) in
-  let* peeled =
-    if t.pipeline then begin
-      let stream = Server.dial_stream srv ~round in
-      let* () =
-        forward_send_parts t ~round ~server:i ~stage:"dial-batch"
-          (fun ~seq ~last onions ->
-            Rpc.encode (Rpc.Dial_batch_part { round; m; seq; last; onions }))
-          (fun b ->
-            match Rpc.decode b with
-            | Ok (Rpc.Dial_batch_part { onions; _ }) -> Ok onions
-            | Ok _ -> Error "unexpected message"
-            | Error e -> Error e)
-          (fun onions -> Server.stream_feed srv stream onions)
-          batch
-      in
-      Ok (`Stream stream)
-    end
-    else
-      let* batch = send_dial_batch t ~round ~m ~server:i batch in
-      Ok (`Batch batch)
-  in
-  if i = n - 1 then
-    Ok
-      (match peeled with
-      | `Stream stream -> Server.dial_finish_deliver srv stream ~m
-      | `Batch batch -> Server.dial_deliver srv ~round ~m batch)
-  else begin
-    let forwarded =
-      match peeled with
-      | `Stream stream -> Server.dial_finish_forward srv stream ~m
-      | `Batch batch -> Server.dial_forward srv ~round ~m batch
-    in
-    let* below = dial_go t ~round ~m (i + 1) forwarded in
-    let* results = send_dial_results ~round ~server:i below in
-    Ok (Server.dial_backward srv ~round results)
-  end
-
-(* One dialing round with [m] invitation drops. *)
-let dialing_round t ~round ~m requests =
-  if t.shut_down then Error (status_frame (Rpc.chain_shutdown ~round))
-  else begin
-    t.delay_ms <- 0.;
-    let n = length t in
-    let requests =
-      normalize
-        ~expected:
-          (Vuvuzela_mixnet.Onion.request_size ~chain_len:n
-             ~payload_len:(Dialing.payload_len (Server.dial_kind t.servers.(0))))
-        requests
-    in
-    Telemetry.span t.tel ~name:"dial-round" ~round ~dialing:true (fun () ->
-        dial_go t ~round ~m 0 requests)
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Streamed-entry rounds (scale plane)                                 *)
+(* The relay                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The streamed-entry ingress into server 0: the producer pushes the
-   batch in slot-ordered chunks (the streaming [Entry] collector's
-   sink), each crossing the link as a [*_batch_part] frame, so neither
-   the entry tier nor server 0 ever holds the whole onion batch.
+(* One round's crossing of the link into [server]: the batch goes over
+   as ordered [*_batch_part] frames, each peeled into the receiver's
+   stream as it lands — the same code path a TCP deployment runs.
 
-   Fault semantics stay lockstep-equivalent, mirroring the daemon's
-   part-stream ingress: the (round, server 0) site fires once before
-   the first chunk against the logical batch — crash/drop kill the
-   whole round, frame faults damage the first part's frame, and
-   [Tamper_slot] is applied to whichever chunk carries its absolute
-   slot.  The tap observes each chunk as it crosses the link (same
-   bytes in the same order as the lockstep tap, just chunked). *)
-type entry_ingress = {
-  mutable in_off : int;  (** onions fed so far = absolute slot offset *)
-  mutable in_seq : int;
-  mutable in_tampers : int list;  (** absolute slots not yet applied *)
-  mutable in_err : Rpc.status option;
+   Faults fire once per (round, server) site, when the link opens,
+   against the whole logical batch, so they behave the same at any part
+   size: crash/drop/partition kill the round before any part crosses,
+   [Delay_ms] and the churn stalls accumulate virtual stall time for the
+   supervisor's deadline check, frame faults damage the first part's
+   frame (the typed rejection is what the receiver produces), and
+   [Tamper_slot] flips a byte of the onion at that absolute slot of the
+   batch (the §2.1 active adversary — framing survives, authentication
+   at the receiver does not), in whichever part carries it.  The tap
+   observes each part exactly as it crosses: post-tamper, pre-framing. *)
+type link = {
+  kind : Round.kind;
+  round : int;
+  m : int;  (** dialing rounds; [0] for conversation *)
+  server : int;
+  stream : Server.stream;
+  frame_faults : Fault.kind list;
+  mutable tampers : int list;  (** absolute slots not yet reached *)
+  mutable off : int;  (** onions sent so far = absolute slot offset *)
+  mutable seq : int;
 }
 
-let stream_entry_prelude t ~round ~stage =
+let link_status ~kind ~round ~server what detail =
+  status_frame { Rpc.round; server; stage = Rpc.stage kind what; detail }
+
+let open_link t ~kind ~round ~m ~server =
   let kinds =
-    match t.faults with
-    | None -> []
-    | Some inj -> Fault.fire inj ~round ~server:0
+    match t.faults with None -> [] | Some inj -> Fault.fire inj ~round ~server
   in
-  record_faults t ~server:0 kinds;
-  let fatal = ref None in
-  let tampers = ref [] in
-  let frame_faults = ref [] in
+  record_faults t ~server kinds;
+  let fatal = ref None and tampers = ref [] and frame_faults = ref [] in
+  let stall ms = t.delay_ms <- t.delay_ms +. float_of_int ms in
   List.iter
     (fun k ->
       if !fatal = None then
         match k with
         | Fault.Crash -> fatal := Some "server crashed (injected fault)"
         | Fault.Drop_link -> fatal := Some "link dropped (injected fault)"
-        | Fault.Delay_ms ms | Fault.Slow_link ms | Fault.Flap ms ->
-            t.delay_ms <- t.delay_ms +. float_of_int ms
+        (* A congested link, or a reset that heals: the in-process link
+           has no socket to reset, so only the stall is observable. *)
+        | Fault.Delay_ms ms | Fault.Slow_link ms | Fault.Flap ms -> stall ms
         | Fault.Partition ms ->
-            t.delay_ms <- t.delay_ms +. float_of_int ms;
+            (* A cut link: the batch is lost and the heal takes [ms]. *)
+            stall ms;
             fatal := Some "link partitioned (injected fault)"
         | Fault.Tamper_slot s -> tampers := s :: !tampers
         | (Fault.Corrupt_frame _ | Fault.Truncate_frame _ | Fault.Extend_frame _)
           as k -> frame_faults := k :: !frame_faults)
     kinds;
+  let link =
+    {
+      kind; round; m; server;
+      stream = Server.stream t.servers.(server) ~kind ~round;
+      frame_faults = List.rev !frame_faults;
+      tampers = List.rev !tampers;
+      off = 0;
+      seq = 0;
+    }
+  in
   match !fatal with
-  | Some detail -> Error (status_frame { Rpc.round; server = 0; stage; detail })
-  | None -> Ok (List.rev !tampers, List.rev !frame_faults)
+  | Some detail -> Error (link_status ~kind ~round ~server "batch" detail)
+  | None -> Ok link
 
-(* Feed one producer chunk through the part codec into server 0's
-   stream, applying any pending absolute-slot tampers and (on the first
-   part) the frame faults. *)
-let stream_entry_feed t ~round ~stage ~expected ~encode_part ~decode_part
-    ~frame_faults ingress feed_server chunk =
-  if ingress.in_err = None then begin
-    let onions = normalize ~expected chunk in
-    let len = Array.length onions in
-    let onions =
-      List.fold_left
-        (fun o s ->
-          if s >= ingress.in_off && s < ingress.in_off + len then
-            Fault.apply_tamper o (s - ingress.in_off)
-          else o)
-        onions ingress.in_tampers
-    in
-    ingress.in_tampers <-
-      List.filter (fun s -> s >= ingress.in_off + len) ingress.in_tampers;
-    Option.iter (fun tap -> tap ~round ~server:0 onions) t.tap;
-    let frame = encode_part ~seq:ingress.in_seq onions in
-    let frame =
-      if ingress.in_seq = 0 then
-        List.fold_left Fault.apply_frame frame frame_faults
-      else frame
-    in
-    match decode_part frame with
-    | Ok onions ->
-        feed_server onions;
-        ingress.in_off <- ingress.in_off + len;
-        ingress.in_seq <- ingress.in_seq + 1
-    | Error detail ->
-        ingress.in_err <-
-          Some (status_frame { Rpc.round; server = 0; stage; detail })
+(* Send [batch] across the link as parts of the chain's part size;
+   [last] marks whether the final one closes the batch.  Each part is
+   framed, decoded at the receiver and peeled into its stream. *)
+let send t link ~last batch =
+  let parts =
+    Rpc.split_parts
+      ~chunk:(Option.value t.part_chunk ~default:(Array.length batch))
+      batch
+  in
+  let n = Array.length parts in
+  let fail detail =
+    Error
+      (link_status ~kind:link.kind ~round:link.round ~server:link.server
+         "batch" detail)
+  in
+  let rec go p =
+    if p = n then Ok ()
+    else begin
+      let len = Array.length parts.(p) in
+      let onions, pending =
+        Fault.tamper_part ~off:link.off link.tampers parts.(p)
+      in
+      link.tampers <- pending;
+      Option.iter
+        (fun tap -> tap ~round:link.round ~server:link.server onions)
+        t.tap;
+      let frame =
+        Rpc.encode
+          (Rpc.part link.kind ~round:link.round ~m:link.m ~seq:link.seq
+             ~last:(last && p = n - 1) onions)
+      in
+      let frame =
+        if link.seq = 0 then
+          List.fold_left Fault.apply_frame frame link.frame_faults
+        else frame
+      in
+      match (link.kind, Rpc.decode frame) with
+      | Round.Conversation, Ok (Rpc.Conv_batch_part { onions; _ })
+      | Round.Dialing, Ok (Rpc.Dial_batch_part { onions; _ }) ->
+          Server.stream_feed t.servers.(link.server) link.stream onions;
+          link.off <- link.off + len;
+          link.seq <- link.seq + 1;
+          go (p + 1)
+      | _, Ok _ -> fail "unexpected message"
+      | _, Error detail -> fail detail
+    end
+  in
+  go 0
+
+(* The results frame coming back up to [server]. *)
+let send_results ~kind ~round ~server replies =
+  match (kind, Rpc.decode (Rpc.encode (Rpc.results kind ~round replies))) with
+  | Round.Conversation, Ok (Rpc.Conv_results { replies; _ })
+  | Round.Dialing, Ok (Rpc.Dial_results { replies; _ }) ->
+      Ok replies
+  | _, Ok _ ->
+      Error (link_status ~kind ~round ~server "results" "unexpected message")
+  | _, Error detail -> Error (link_status ~kind ~round ~server "results" detail)
+
+(* Everything from [link]'s receiver down: it finishes its peeled
+   stream; a mixing server sends its batch across the next link and
+   seals the results that come back, the last server answers. *)
+let rec descend t link =
+  let srv = t.servers.(link.server) in
+  let out = Server.finish srv link.stream ~m:link.m in
+  if link.server = length t - 1 then Ok out
+  else begin
+    let { kind; round; m; server; _ } = link in
+    let* next = open_link t ~kind ~round ~m ~server:(server + 1) in
+    let* () = send t next ~last:true out in
+    let* below = descend t next in
+    let* results = send_results ~kind ~round ~server below in
+    Ok (Server.backward srv ~kind ~round results)
   end
 
-(* A conversation round whose entry batch arrives as a stream:
-   [produce feed] must call [feed chunk] with slot-ordered chunks (the
-   streaming [Entry] collector does exactly this) and return once the
-   round's intake is complete.  Decoded onions, and therefore results,
-   are bit-identical to [conversation_round] on the concatenation of
-   the chunks. *)
+(* The one round path.  [produce feed] must call [feed chunk] with the
+   round's requests in slot-ordered chunks (the streaming [Entry]
+   collector does exactly this) and return once intake is complete;
+   each chunk is normalized by the entry ingress policy and crosses the
+   link into server 0 as it is fed, so neither the entry tier nor
+   server 0 ever holds the whole onion batch.  Once the link has failed,
+   later chunks are dropped. *)
+let round_streamed t ~kind ~m ~round ~produce =
+  if t.shut_down then Error (status_frame (Rpc.chain_shutdown ~round))
+  else begin
+    t.delay_ms <- 0.;
+    let expected =
+      Entry.request_len ~chain_len:(length t)
+        ~dial_kind:(Server.dial_kind t.servers.(0)) kind
+    in
+    let dialing = Round.is_dialing kind in
+    Telemetry.span t.tel
+      ~name:(if dialing then "dial-round" else "conv-round")
+      ~round ~dialing
+      (fun () ->
+        let* link = open_link t ~kind ~round ~m ~server:0 in
+        let failed = ref None in
+        produce (fun chunk ->
+            if !failed = None then
+              let chunk = Entry.normalize ~expected chunk in
+              match send t link ~last:false chunk with
+              | Ok () -> ()
+              | Error st -> failed := Some st);
+        match !failed with Some st -> Error st | None -> descend t link)
+  end
+
 let conversation_round_streamed t ~round ~produce =
-  if t.shut_down then Error (status_frame (Rpc.chain_shutdown ~round))
-  else begin
-    t.delay_ms <- 0.;
-    let n = length t in
-    let stage = "conv-batch" in
-    let expected =
-      Vuvuzela_mixnet.Onion.request_size ~chain_len:n
-        ~payload_len:Types.exchange_payload_len
-    in
-    Telemetry.span t.tel ~name:"conv-round" ~round (fun () ->
-        let srv0 = t.servers.(0) in
-        let* tampers, frame_faults = stream_entry_prelude t ~round ~stage in
-        let stream = Server.conv_stream srv0 ~round in
-        let ingress =
-          { in_off = 0; in_seq = 0; in_tampers = tampers; in_err = None }
-        in
-        produce
-          (stream_entry_feed t ~round ~stage ~expected
-             ~encode_part:(fun ~seq onions ->
-               Rpc.encode (Rpc.Conv_batch_part { round; seq; last = false; onions }))
-             ~decode_part:(fun b ->
-               match Rpc.decode b with
-               | Ok (Rpc.Conv_batch_part { onions; _ }) -> Ok onions
-               | Ok _ -> Error "unexpected message"
-               | Error e -> Error e)
-             ~frame_faults ingress
-             (fun onions -> Server.stream_feed srv0 stream onions));
-        match ingress.in_err with
-        | Some st -> Error st
-        | None ->
-            if n = 1 then Ok (Server.conv_finish_exchange srv0 stream)
-            else begin
-              let forwarded = Server.conv_finish_forward srv0 stream in
-              let* below = conv_go t ~round 1 forwarded in
-              let* results = send_conv_results ~round ~server:0 below in
-              Ok (Server.conv_backward srv0 ~round results)
-            end)
-  end
+  round_streamed t ~kind:Round.Conversation ~m:0 ~round ~produce
 
-(* Streamed-entry dialing round (see [conversation_round_streamed]). *)
 let dialing_round_streamed t ~round ~m ~produce =
-  if t.shut_down then Error (status_frame (Rpc.chain_shutdown ~round))
-  else begin
-    t.delay_ms <- 0.;
-    let n = length t in
-    let stage = "dial-batch" in
-    let expected =
-      Vuvuzela_mixnet.Onion.request_size ~chain_len:n
-        ~payload_len:(Dialing.payload_len (Server.dial_kind t.servers.(0)))
-    in
-    Telemetry.span t.tel ~name:"dial-round" ~round ~dialing:true (fun () ->
-        let srv0 = t.servers.(0) in
-        let* tampers, frame_faults = stream_entry_prelude t ~round ~stage in
-        let stream = Server.dial_stream srv0 ~round in
-        let ingress =
-          { in_off = 0; in_seq = 0; in_tampers = tampers; in_err = None }
-        in
-        produce
-          (stream_entry_feed t ~round ~stage ~expected
-             ~encode_part:(fun ~seq onions ->
-               Rpc.encode
-                 (Rpc.Dial_batch_part { round; m; seq; last = false; onions }))
-             ~decode_part:(fun b ->
-               match Rpc.decode b with
-               | Ok (Rpc.Dial_batch_part { onions; _ }) -> Ok onions
-               | Ok _ -> Error "unexpected message"
-               | Error e -> Error e)
-             ~frame_faults ingress
-             (fun onions -> Server.stream_feed srv0 stream onions));
-        match ingress.in_err with
-        | Some st -> Error st
-        | None ->
-            if n = 1 then Ok (Server.dial_finish_deliver srv0 stream ~m)
-            else begin
-              let forwarded = Server.dial_finish_forward srv0 stream ~m in
-              let* below = dial_go t ~round ~m 1 forwarded in
-              let* results = send_dial_results ~round ~server:0 below in
-              Ok (Server.dial_backward srv0 ~round results)
-            end)
-  end
+  round_streamed t ~kind:Round.Dialing ~m ~round ~produce
+
+let conversation_round t ~round requests =
+  conversation_round_streamed t ~round ~produce:(fun feed -> feed requests)
+
+let dialing_round t ~round ~m requests =
+  dialing_round_streamed t ~round ~m ~produce:(fun feed -> feed requests)
 
 (* Convenience for callers (benchmarks, attack harnesses) that treat a
    framing failure as fatal. *)

@@ -6,15 +6,17 @@ val of_config : Config.t -> t
 (** Build a chain from a {!Config.t}.  With [seed] the whole deployment
     (keys, noise, shuffles) is deterministic, for tests.  [jobs] sets
     the domain count for the per-onion crypto; the servers share one
-    pool.  [pipeline] relays forward batches between servers as streamed
-    [*_batch_part] frames of [pipeline_chunk] onions each, the same code
-    path a pipelined TCP deployment runs.  Round results are
-    bit-identical at any job count, pipelined or lockstep.
+    pool.  Every batch crosses every link as [*_batch_part] frames, the
+    same code path a TCP deployment runs: with [pipeline] each part
+    holds at most [pipeline_chunk] onions, without it a link carries
+    one part per batch (per producer chunk at the entry link).  Round
+    results are bit-identical at any job count and any part size.
 
     [fault_plan] arms deterministic fault injection at the forward link
     boundaries (each fault fires once at its (round, server) site,
-    against the whole logical batch — identically in both relay modes).
-    [tap] observes every forward batch exactly as it crosses a link —
+    against the whole logical batch — [Tamper_slot] at an absolute slot,
+    frame faults on the first part — so identically at any part size).
+    [tap] observes every forward part exactly as it crosses a link —
     after any [Tamper_slot] fault, before framing — so tests can assert
     wire-level invariants such as "no onion ciphertext crosses twice".
 
@@ -26,29 +28,6 @@ val of_config : Config.t -> t
     on the innermost open span.  Instrumentation never draws from the
     RNG — rounds are bit-identical with telemetry on or off.
     @raise Invalid_argument on [n_servers < 1] or [jobs < 1]. *)
-
-val create :
-  ?seed:string ->
-  ?dial_kind:Dialing.kind ->
-  ?jobs:int ->
-  ?fault_plan:Vuvuzela_faults.Fault.plan ->
-  ?tap:(round:int -> server:int -> bytes array -> unit) ->
-  ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
-  n_servers:int ->
-  noise:Vuvuzela_dp.Laplace.params ->
-  dial_noise:Vuvuzela_dp.Laplace.params ->
-  noise_mode:Vuvuzela_dp.Noise.mode ->
-  unit ->
-  t
-[@@ocaml.deprecated "use Chain.of_config with a Config.t"]
-(** @deprecated The keyword-argument constructor; equivalent to
-    {!of_config} on {!Config.default} with the given fields. *)
-
-val pipelined : t -> bool
-(** Whether forward batches are relayed as streamed parts. *)
-
-val pipeline_chunk : t -> int
-(** Onions per streamed part (meaningful when {!pipelined}). *)
 
 val length : t -> int
 val server : t -> int -> Server.t
@@ -79,25 +58,36 @@ val public_keys : t -> bytes list
 
 val conversation_round :
   t -> round:int -> bytes array -> (bytes array, Rpc.status) result
-(** Run a complete conversation round; the result array is slot-aligned
-    with [requests].  [Error] carries the typed status frame of the
-    first link whose batch failed to decode. *)
+(** Run a complete conversation round on a materialized batch (one
+    producer chunk); the result array is slot-aligned with [requests].
+    [Error] carries the typed status frame of the first link whose
+    batch failed to decode. *)
 
 val dialing_round :
   t -> round:int -> m:int -> bytes array -> (bytes array, Rpc.status) result
+
+val round_streamed :
+  t ->
+  kind:Round.kind ->
+  m:int ->
+  round:int ->
+  produce:((bytes array -> unit) -> unit) ->
+  (bytes array, Rpc.status) result
+(** The one round path, for either kind ([m] invitation drops; ignored
+    for conversation rounds): [produce feed] pushes the batch as
+    slot-ordered chunks (a streaming {!Entry} collector's sink) and
+    returns when the intake is complete.  Each chunk is normalized by
+    {!Entry.normalize} and crosses into server 0 as it is fed, so no
+    tier materializes the whole onion batch.  Results depend only on
+    the chunk concatenation.  Faults for the entry link fire once
+    against the logical batch, like every other link's. *)
 
 val conversation_round_streamed :
   t ->
   round:int ->
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
-(** Streamed-entry conversation round: [produce feed] pushes the batch
-    as slot-ordered chunks (a streaming {!Entry} collector's sink) and
-    returns when the intake is complete; server 0 peels each chunk as
-    it lands, so no tier materializes the whole onion batch.  Results
-    are bit-identical to {!conversation_round} on the chunk
-    concatenation; faults for the entry link keep lockstep semantics
-    (fire once against the logical batch, absolute tamper slots). *)
+(** {!round_streamed} for a conversation round. *)
 
 val dialing_round_streamed :
   t ->

@@ -1,6 +1,5 @@
-(* Deployment configuration; see the interface.  One record replaces
-   the optional-argument sprawl that accreted on [Chain.create],
-   [Network.create] and [Network.create_tcp]. *)
+(* Deployment configuration; see the interface.  One record behind
+   every constructor, instead of a keyword argument per knob on each. *)
 
 type t = {
   seed : string option;

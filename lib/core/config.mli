@@ -5,11 +5,7 @@
     {[
       Config.(default |> with_seed "demo" |> with_jobs 4
               |> with_pipeline true)
-    ]}
-
-    The legacy keyword-argument constructors ([Chain.create],
-    [Network.create], [Network.create_tcp]) survive one release as
-    deprecated wrappers over this record. *)
+    ]} *)
 
 type t = {
   seed : string option;
@@ -22,11 +18,13 @@ type t = {
   dial_kind : Dialing.kind;
   jobs : int;  (** domains for the per-onion crypto; [1] = sequential *)
   pipeline : bool;
-      (** stream forward batches between servers as chunked
-          [*_batch_part] frames so a receiver peels while the rest of
-          the batch is still in flight; results are bit-identical to
-          lockstep *)
-  pipeline_chunk : int;  (** onions per streamed part (≥ 1) *)
+      (** relay batches between servers as parts of [pipeline_chunk]
+          onions so a receiver peels while the rest of the batch is
+          still in flight; without it a link carries one part per batch.
+          Results are bit-identical either way *)
+  pipeline_chunk : int;
+      (** onions per relay part when [pipeline] is set, and per streamed
+          entry chunk either way (≥ 1) *)
   deaddrop_shards : int;
       (** conversation dead-drop store shards (≥ 1): drops are routed
           by id prefix and [exchange] pair-matches per shard over the
@@ -44,7 +42,7 @@ type t = {
           false negative); [None] keeps the exact-index fetch *)
   fault_plan : Vuvuzela_faults.Fault.plan option;
   tap : (round:int -> server:int -> bytes array -> unit) option;
-      (** observes every forward batch as it crosses a link
+      (** observes every forward part as it crosses a link
           (post-tamper, pre-framing) *)
   telemetry : Vuvuzela_telemetry.Telemetry.t option;
   budget_warn : float option;  (** ledger cumulative-ε′ warning threshold *)
@@ -81,7 +79,7 @@ type t = {
 
 val default : t
 (** Test-sized defaults: 3 servers, tiny sampled noise, sequential,
-    lockstep relay, no faults, no telemetry, 2 retries. *)
+    one whole-batch part per link, no faults, no telemetry, 2 retries. *)
 
 (** Functional updates, pipeline-friendly (value first, record last). *)
 
@@ -94,7 +92,7 @@ val with_dial_kind : Dialing.kind -> t -> t
 val with_jobs : int -> t -> t
 
 val with_pipeline : ?chunk:int -> bool -> t -> t
-(** Enable/disable the streamed relay; [chunk] (default
+(** Enable/disable chunked relay parts; [chunk] (default
     {!default}[.pipeline_chunk], clamped ≥ 1) sets the onions per part. *)
 
 val with_deaddrop_shards : int -> t -> t

@@ -2,9 +2,10 @@
    the handshake cascade.
 
    Concurrency shape: everything runs on the transport's event loop in
-   one thread.  The round protocol is lockstep per link, so the daemon
-   is a state machine over four events — upstream frame, downstream
-   frame, downstream drop, upstream accept — plus the fault injector. *)
+   one thread.  Each link carries one round at a time (its batch as
+   ordered parts down, one results frame up), so the daemon is a state
+   machine over four events — upstream frame, downstream frame,
+   downstream drop, upstream accept — plus the fault injector. *)
 
 module Transport = Vuvuzela_transport.Transport
 module Conn = Vuvuzela_transport.Conn
@@ -30,9 +31,8 @@ type config = {
   jobs : int;
   deaddrop_shards : int;
   pipeline_chunk : int option;
-      (** [Some chunk]: forward batches downstream as streamed
-          [*_batch_part] frames of [chunk] onions.  Ingress always
-          accepts both framings. *)
+      (** [Some chunk]: forward batches downstream as parts of at most
+          [chunk] onions; [None]: one part per batch *)
   fault_plan : Vuvuzela_faults.Fault.plan option;
   link : Shaper.config option;
       (** emulated WAN characteristics of the downstream link *)
@@ -47,12 +47,12 @@ type config = {
       (** write this daemon's span trace (JSONL) here on shutdown *)
 }
 
-(* The ingress state of one pipelined round: parts are peeled into the
-   server's stream as they arrive; the faults of this (round, server)
-   site fired once, at part 0, against the logical whole batch. *)
+(* The ingress state of one round: parts are peeled into the server's
+   stream as they arrive; the faults of this (round, server) site fired
+   once, at part 0, against the logical whole batch. *)
 type part_stream = {
   ps_round : int;
-  ps_dialing : bool;
+  ps_kind : Round.kind;
   ps_m : int;  (** dial rounds; [0] for conversation *)
   ps_stream : Server.stream;
   mutable ps_seq : int;  (** next expected part sequence number *)
@@ -61,8 +61,7 @@ type part_stream = {
       (** [Tamper_slot] absolute slots not yet applied *)
   mutable ps_poisoned : bool;
       (** a crash/drop fault consumed this round: swallow its remaining
-          parts silently, exactly as the lockstep wire loses the whole
-          batch *)
+          parts silently — the whole batch is lost *)
 }
 
 type st = {
@@ -81,9 +80,9 @@ type st = {
   mutable inflight : (int * bool) option;
       (** (round, dialing) forwarded downstream, results still owed *)
   mutable stream : part_stream option;
-      (** at most one pipelined round assembles at a time (the protocol
-          is lockstep per link; a part for a different round supersedes
-          the stale stream) *)
+      (** at most one round assembles at a time (a link carries one
+          round at a time; a part for a different round supersedes the
+          stale stream) *)
   outbox : bytes Queue.t;
       (** upstream frames owed while the upstream link is down; flushed
           (after the Chain_info reply) when the peer reconnects — a
@@ -189,11 +188,10 @@ let open_hop st ~round ~dialing =
       let s = Transport.stats st.tp in
       st.hop <- Some (span, (s.Conn.shaped_delay_ms, s.Conn.outages))
 
-(* Forward a processed batch to the next hop — as one frame, or as
-   streamed parts when this daemon pipelines, so the next server starts
-   peeling while we are still queueing the rest. *)
-let forward_downstream st ~round ~dialing ~m onions =
-  st.inflight <- Some (round, dialing);
+(* Forward a processed batch to the next hop as part frames, so the
+   next server starts peeling while we are still queueing the rest. *)
+let forward_downstream st ~kind ~round ~m onions =
+  st.inflight <- Some (round, Round.is_dialing kind);
   (* Re-stamp the trace context per hop: downstream parents into our
      hop span (transitively into the coordinator's round root).  With
      tracing off, the upstream context passes through unchanged so the
@@ -213,24 +211,21 @@ let forward_downstream st ~round ~dialing ~m onions =
           st.ctx <- None;
           send_downstream st (Rpc.Trace_ctx { ctx = Trace.encode_context c })
       | None -> ()));
-  match st.cfg.pipeline_chunk with
-  | None ->
-      if dialing then send_downstream st (Rpc.Dial_batch { round; m; onions })
-      else send_downstream st (Rpc.Conv_batch { round; onions })
-  | Some chunk ->
-      let parts = Rpc.split_parts ~chunk onions in
-      let n = Array.length parts in
-      for seq = 0 to n - 1 do
-        let last = seq = n - 1 in
-        let onions = parts.(seq) in
-        if dialing then
-          send_downstream st (Rpc.Dial_batch_part { round; m; seq; last; onions })
-        else send_downstream st (Rpc.Conv_batch_part { round; seq; last; onions })
-      done
+  let parts =
+    Rpc.split_parts
+      ~chunk:(Option.value st.cfg.pipeline_chunk ~default:(Array.length onions))
+      onions
+  in
+  let n = Array.length parts in
+  Array.iteri
+    (fun seq onions ->
+      send_downstream st
+        (Rpc.part kind ~round ~m ~seq ~last:(seq = n - 1) onions))
+    parts
 
 (* Create the Server once the downstream suffix is known — immediately
    for the last server, after the first successful handshake otherwise.
-   The rng-seed derivation matches Chain.create byte for byte: that is
+   The rng-seed derivation matches Chain.of_config byte for byte: that is
    the whole determinism argument for the multi-process deployment. *)
 let ensure_server ?telemetry ?on_ready st =
   if st.server = None then begin
@@ -339,25 +334,26 @@ let inject st ~round raw msg =
           else Some (Ok msg, List.rev !tampers))
 
 (* ------------------------------------------------------------------ *)
-(* Pipelined ingress                                                   *)
+(* Batch ingress                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One [*_batch_part] frame.  The faults of this (round, server) site
-   fire once, at part 0, with lockstep semantics: crash/drop lose the
-   whole logical batch (remaining parts are swallowed silently), frame
-   faults damage the first part's frame, and [Tamper_slot] indexes the
-   logical batch — it is applied to whichever arriving part carries
-   that absolute slot. *)
+(* One [*_batch_part] frame — the only way a batch arrives.  The faults
+   of this (round, server) site fire once, at part 0, against the whole
+   logical batch: crash/drop lose all of it (remaining parts are
+   swallowed silently), frame faults damage the first part's frame, and
+   [Tamper_slot] indexes the logical batch — it is applied to whichever
+   arriving part carries that absolute slot. *)
 let handle_part st server ~raw msg =
-  let round, dialing, m, seq, last, onions =
+  let kind, round, m, seq, last, onions =
     match msg with
     | Rpc.Conv_batch_part { round; seq; last; onions } ->
-        (round, false, 0, seq, last, onions)
+        (Round.Conversation, round, 0, seq, last, onions)
     | Rpc.Dial_batch_part { round; m; seq; last; onions } ->
-        (round, true, m, seq, last, onions)
+        (Round.Dialing, round, m, seq, last, onions)
     | _ -> assert false
   in
-  let stage = if dialing then "dial-batch" else "conv-batch" in
+  let dialing = Round.is_dialing kind in
+  let stage = Rpc.stage kind "batch" in
   let fail detail =
     st.stream <- None;
     send_upstream st (Rpc.Status (status st ~round ~stage detail));
@@ -365,38 +361,21 @@ let handle_part st server ~raw msg =
   in
   let feed ps ~last onions =
     let len = Array.length onions in
-    let onions =
-      List.fold_left
-        (fun o s ->
-          if s >= ps.ps_off && s < ps.ps_off + len then
-            Fault.apply_tamper o (s - ps.ps_off)
-          else o)
-        onions ps.ps_tampers
+    let onions, pending =
+      Fault.tamper_part ~off:ps.ps_off ps.ps_tampers onions
     in
-    ps.ps_tampers <- List.filter (fun s -> s >= ps.ps_off + len) ps.ps_tampers;
+    ps.ps_tampers <- pending;
     match Server.stream_feed server ps.ps_stream onions with
     | () -> (
         ps.ps_off <- ps.ps_off + len;
         ps.ps_seq <- ps.ps_seq + 1;
         if last then begin
           st.stream <- None;
-          match
-            if dialing then
-              if is_last st then
-                `Reply (Server.dial_finish_deliver server ps.ps_stream ~m:ps.ps_m)
-              else
-                `Forward (Server.dial_finish_forward server ps.ps_stream ~m:ps.ps_m)
-            else if is_last st then
-              `Reply (Server.conv_finish_exchange server ps.ps_stream)
-            else `Forward (Server.conv_finish_forward server ps.ps_stream)
-          with
-          | `Reply replies ->
-              send_upstream st
-                (if dialing then Rpc.Dial_results { round; replies }
-                 else Rpc.Conv_results { round; replies });
+          match Server.finish server ps.ps_stream ~m:ps.ps_m with
+          | replies when is_last st ->
+              send_upstream st (Rpc.results kind ~round replies);
               close_hop st
-          | `Forward onions ->
-              forward_downstream st ~round ~dialing ~m:ps.ps_m onions
+          | onions -> forward_downstream st ~kind ~round ~m:ps.ps_m onions
           | exception e -> fail (Printexc.to_string e)
         end)
     | exception e -> fail (Printexc.to_string e)
@@ -404,7 +383,7 @@ let handle_part st server ~raw msg =
   (* A part for a different round supersedes the stale stream: the
      supervisor moved on (its abort may have been lost with a link). *)
   (match st.stream with
-  | Some ps when ps.ps_round <> round || ps.ps_dialing <> dialing ->
+  | Some ps when ps.ps_round <> round || ps.ps_kind <> kind ->
       st.stream <- None
   | _ -> ());
   if seq = 0 then begin
@@ -412,11 +391,9 @@ let handle_part st server ~raw msg =
     let ps =
       {
         ps_round = round;
-        ps_dialing = dialing;
+        ps_kind = kind;
         ps_m = m;
-        ps_stream =
-          (if dialing then Server.dial_stream server ~round
-           else Server.conv_stream server ~round);
+        ps_stream = Server.stream server ~kind ~round;
         ps_seq = 0;
         ps_off = 0;
         ps_tampers = [];
@@ -464,30 +441,22 @@ let handle_downstream st msg =
     | _ -> ()
   in
   match msg with
-  | Rpc.Conv_results { round; replies } -> (
+  | (Rpc.Conv_results { round; replies } | Rpc.Dial_results { round; replies })
+    as msg ->
+      let kind =
+        match msg with
+        | Rpc.Dial_results _ -> Round.Dialing
+        | _ -> Round.Conversation
+      in
       finish round;
-      match Server.conv_backward server ~round replies with
-      | replies ->
-          send_upstream st (Rpc.Conv_results { round; replies });
-          close_hop st
+      (match Server.backward server ~kind ~round replies with
+      | replies -> send_upstream st (Rpc.results kind ~round replies)
       | exception e ->
           send_upstream st
             (Rpc.Status
-               (status st ~round ~stage:"conv-results"
-                  (Printexc.to_string e)));
-          close_hop st)
-  | Rpc.Dial_results { round; replies } -> (
-      finish round;
-      match Server.dial_backward server ~round replies with
-      | replies ->
-          send_upstream st (Rpc.Dial_results { round; replies });
-          close_hop st
-      | exception e ->
-          send_upstream st
-            (Rpc.Status
-               (status st ~round ~stage:"dial-results"
-                  (Printexc.to_string e)));
-          close_hop st)
+               (status st ~round ~stage:(Rpc.stage kind "results")
+                  (Printexc.to_string e))));
+      close_hop st
   | Rpc.Drop_contents _ as m -> send_upstream st m
   | Rpc.Status s ->
       finish s.Rpc.round;
@@ -524,7 +493,8 @@ let handle_upstream st raw =
       | Some (r, d) when r = round && d = dialing -> st.inflight <- None
       | _ -> ());
       (match st.stream with
-      | Some ps when ps.ps_round = round && ps.ps_dialing = dialing ->
+      | Some ps
+        when ps.ps_round = round && Round.is_dialing ps.ps_kind = dialing ->
           st.stream <- None
       | _ -> ());
       send_downstream st (Rpc.Abort { round; dialing });
@@ -546,8 +516,6 @@ let handle_upstream st raw =
           | _ ->
               let round =
                 match msg with
-                | Rpc.Conv_batch { round; _ }
-                | Rpc.Dial_batch { round; _ }
                 | Rpc.Conv_batch_part { round; _ }
                 | Rpc.Dial_batch_part { round; _ } -> round
                 | _ -> 0
@@ -556,93 +524,22 @@ let handle_upstream st raw =
                 (Rpc.Status
                    (status st ~round ~stage:"transport" "server not ready")))
       | Some server -> (
-          let dispatch msg =
-            match msg with
-            | Rpc.Conv_batch { round; onions } -> (
-                match
-                  if is_last st then `Reply (Server.conv_exchange server ~round onions)
-                  else `Forward (Server.conv_forward server ~round onions)
-                with
-                | `Reply replies ->
-                    send_upstream st (Rpc.Conv_results { round; replies });
-                    close_hop st
-                | `Forward onions ->
-                    forward_downstream st ~round ~dialing:false ~m:0 onions
-                | exception e ->
-                    send_upstream st
-                      (Rpc.Status
-                         (status st ~round ~stage:"conv-batch"
-                            (Printexc.to_string e)));
-                    close_hop st)
-            | Rpc.Dial_batch { round; m; onions } -> (
-                match
-                  if is_last st then
-                    `Reply (Server.dial_deliver server ~round ~m onions)
-                  else `Forward (Server.dial_forward server ~round ~m onions)
-                with
-                | `Reply replies ->
-                    send_upstream st (Rpc.Dial_results { round; replies });
-                    close_hop st
-                | `Forward onions ->
-                    forward_downstream st ~round ~dialing:true ~m onions
-                | exception e ->
-                    send_upstream st
-                      (Rpc.Status
-                         (status st ~round ~stage:"dial-batch"
-                            (Printexc.to_string e)));
-                    close_hop st)
-            | Rpc.Fetch_drop { dial_round; index } -> (
-                if is_last st then
-                  match
-                    Server.fetch_invitations ~dial_round server ~index
-                  with
-                  | invitations ->
-                      send_upstream st
-                        (Rpc.Drop_contents { dial_round; index; invitations })
-                  | exception e ->
-                      send_upstream st
-                        (Rpc.Status
-                           (status st ~round:dial_round ~stage:"fetch-drop"
-                              (Printexc.to_string e)))
-                else send_downstream st (Rpc.Fetch_drop { dial_round; index }))
-            | _ -> ()
-          in
-          (* Socket-level fault injection happens on the received batch
-             frames, keyed like the in-process chain: (round, index). *)
           match msg with
-          | Rpc.Conv_batch { round; _ } | Rpc.Dial_batch { round; _ } -> (
-              let dialing =
-                match msg with Rpc.Dial_batch _ -> true | _ -> false
-              in
-              open_hop st ~round ~dialing;
-              match inject st ~round raw msg with
-              | None -> close_hop st (* dropped or crashed: nobody replies *)
-              | Some (Error e, _) ->
-                  (* a frame fault made the batch undecodable *)
-                  send_upstream st
-                    (Rpc.Status
-                       (status st ~round
-                          ~stage:(if dialing then "dial-batch" else "conv-batch")
-                          e));
-                  close_hop st
-              | Some (Ok msg, tampers) ->
-                  let msg =
-                    List.fold_left
-                      (fun msg slot ->
-                        match msg with
-                        | Rpc.Conv_batch { round; onions } ->
-                            Rpc.Conv_batch
-                              { round; onions = Fault.apply_tamper onions slot }
-                        | Rpc.Dial_batch { round; m; onions } ->
-                            Rpc.Dial_batch
-                              { round; m; onions = Fault.apply_tamper onions slot }
-                        | m -> m)
-                      msg tampers
-                  in
-                  dispatch msg)
-          | (Rpc.Conv_batch_part _ | Rpc.Dial_batch_part _) as msg ->
+          | Rpc.Conv_batch_part _ | Rpc.Dial_batch_part _ ->
               handle_part st server ~raw msg
-          | msg -> dispatch msg))
+          | Rpc.Fetch_drop { dial_round; index } -> (
+              if is_last st then
+                match Server.fetch_invitations ~dial_round server ~index with
+                | invitations ->
+                    send_upstream st
+                      (Rpc.Drop_contents { dial_round; index; invitations })
+                | exception e ->
+                    send_upstream st
+                      (Rpc.Status
+                         (status st ~round:dial_round ~stage:"fetch-drop"
+                            (Printexc.to_string e)))
+              else send_downstream st (Rpc.Fetch_drop { dial_round; index }))
+          | _ -> ()))
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)

@@ -36,8 +36,9 @@ type config = {
   index : int;  (** 0-based chain position *)
   chain_len : int;
   seed : string option;
-      (** same derivation as {!Chain.create}: a multi-process chain
-          with seed [s] is bit-identical to [Chain.create ~seed:s] *)
+      (** same derivation as {!Chain.of_config}: a multi-process chain
+          with seed [s] is bit-identical to an in-process chain built
+          from a {!Config.t} with [seed = Some s] *)
   noise : Vuvuzela_dp.Laplace.params;
   dial_noise : Vuvuzela_dp.Laplace.params;
   noise_mode : Vuvuzela_dp.Noise.mode;
@@ -47,11 +48,10 @@ type config = {
       (** conversation dead-drop store shards (last server; >= 1) *)
   pipeline_chunk : int option;
       (** [Some chunk]: forward batches leave for the next server as
-          streamed [*_batch_part] frames of [chunk] onions each, so the
+          [*_batch_part] frames of at most [chunk] onions each, so the
           successor peels early parts while later ones are still in
-          flight.  [None]: one whole-batch frame.  Ingress always
-          accepts both framings; results are bit-identical either
-          way. *)
+          flight.  [None]: one part holding the whole batch.  Results
+          are bit-identical at any part size. *)
   fault_plan : Vuvuzela_faults.Fault.plan option;
   link : Vuvuzela_transport.Shaper.config option;
       (** emulated WAN characteristics of the downstream link (jitter

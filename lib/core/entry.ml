@@ -19,7 +19,7 @@
      chunk size; whenever [chunk] onions are buffered they are flushed
      to the sink (in slot order) and the buffer drains, so the peak
      buffered onion count is bounded by the chunk size, not the
-     population.  The sink feeds the pipelined relay's part frames
+     population.  The sink feeds the relay's part frames
      ([Rpc.Conv_batch_part]), which is why the chunking matches
      [Rpc.split_parts] exactly. *)
 
@@ -110,6 +110,25 @@ let close_stream t =
       flush t sink;
       t.closed <- true;
       Array.of_list (List.rev t.ids_rev)
+
+(* Ingress policy, shared by every deployment so all of them put the
+   same bytes on the wire: every request of a round has the size a full
+   onion of its kind has, and a wrong-sized one is replaced with random
+   bytes of that size.  Its slot (and reply) survive; the garbage fails
+   authentication at the first server and earns a dummy reply. *)
+let request_len ~chain_len ~dial_kind (kind : Round.kind) =
+  Vuvuzela_mixnet.Onion.request_size ~chain_len
+    ~payload_len:
+      (match kind with
+      | Round.Conversation -> Types.exchange_payload_len
+      | Round.Dialing -> Dialing.payload_len dial_kind)
+
+let normalize ~expected requests =
+  Array.map
+    (fun r ->
+      if Bytes.length r = expected then r
+      else Vuvuzela_crypto.Drbg.bytes expected)
+    requests
 
 (* Route results back: pairs each slot's result with its client. *)
 let demux ~ids results =

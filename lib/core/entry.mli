@@ -47,6 +47,17 @@ val close_stream : 'id t -> 'id array
     ids (the requests already went to the sink).
     @raise Invalid_argument on a materializing collector. *)
 
+val request_len : chain_len:int -> dial_kind:Dialing.kind -> Round.kind -> int
+(** The size every request of a round of this kind must have: a full
+    onion for a [chain_len]-server chain. *)
+
+val normalize : expected:int -> bytes array -> bytes array
+(** The ingress policy every deployment applies before a chunk leaves
+    for server 0: a request that is not [expected] bytes long is
+    replaced with random bytes of that size.  Its slot and reply
+    survive; the garbage fails authentication at server 0 and earns a
+    dummy reply. *)
+
 val demux : ids:'id array -> bytes array -> ('id * bytes) list
 (** Pair each slot's result with its client.
     @raise Invalid_argument on size mismatch. *)

@@ -19,7 +19,7 @@
    bounded by [max_retries]; a round that still fails is reported with
    its full abort history and per-client [Round_failed] events.
 
-   [run_round ~blocked] additionally models the active network adversary
+   [run ~blocked] additionally models the active network adversary
    of §2.1 ("block network traffic from Alice") by suppressing chosen
    clients' requests for a round. *)
 
@@ -157,37 +157,12 @@ let of_config (cfg : Config.t) =
     obs = obs_of cfg;
   }
 
-let create ?seed ?(n_servers = 3)
-    ?(noise = Laplace.params ~mu:10. ~b:2.)
-    ?(dial_noise = Laplace.params ~mu:3. ~b:1.)
-    ?(noise_mode = Noise.Sampled) ?dial_kind ?jobs ?(cdn_edges = 0)
-    ?fault_plan ?tap ?telemetry ?budget_warn ?round_deadline_ms
-    ?(max_retries = 2) () =
-  of_config
-    {
-      Config.default with
-      seed;
-      n_servers;
-      noise;
-      dial_noise;
-      noise_mode;
-      dial_kind = Option.value ~default:Config.default.dial_kind dial_kind;
-      jobs = Option.value ~default:Config.default.jobs jobs;
-      cdn_edges;
-      fault_plan;
-      tap;
-      telemetry;
-      budget_warn;
-      round_deadline_ms;
-      max_retries;
-    }
-
 (* The coordinator of a multi-process deployment: same clients, same
    supervisor, but rounds cross a TCP connection to server 0.  [noise]
    and [dial_noise] only feed the privacy-budget ledger here (the
    daemons own the actual noise) — pass the daemons' parameters or the
-   ledger composes the wrong guarantee.  With [pipeline] set, entry
-   batches leave the coordinator as streamed [*_batch_part] frames. *)
+   ledger composes the wrong guarantee.  With [pipeline] set, no part
+   leaving the coordinator holds more than [pipeline_chunk] onions. *)
 let of_config_tcp (cfg : Config.t) ~addr =
   (* The coordinator → first-hop link gets the same WAN profile the
      daemons put on their inter-server links, with its own derived
@@ -238,26 +213,6 @@ let of_config_tcp (cfg : Config.t) ~addr =
           obs = obs_of cfg;
         }
 
-let create_tcp ?(noise = Laplace.params ~mu:10. ~b:2.)
-    ?(dial_noise = Laplace.params ~mu:3. ~b:1.) ?dial_kind ?telemetry
-    ?budget_warn ?round_deadline_ms ?(max_retries = 2)
-    ?handshake_timeout_ms ~addr () =
-  of_config_tcp
-    {
-      Config.default with
-      noise;
-      dial_noise;
-      dial_kind = Option.value ~default:Config.default.dial_kind dial_kind;
-      telemetry;
-      budget_warn;
-      round_deadline_ms;
-      max_retries;
-      handshake_timeout_ms =
-        Option.value ~default:Config.default.handshake_timeout_ms
-          handshake_timeout_ms;
-    }
-    ~addr
-
 let chain t =
   match t.backend with
   | Local c -> c
@@ -305,10 +260,12 @@ let effective_deadline_ms t =
    wraps the round trip itself and announces the span's wire context to
    the first hop ahead of the batch — at merge time every daemon hop
    span parents transitively into this root. *)
-let round_root t r ~name ~round ~dialing f =
+let round_root t r ~kind ~round f =
   match t.tel with
   | None -> f ()
   | Some tel ->
+      let dialing = Round.is_dialing kind in
+      let name = if dialing then "dial-round" else "conv-round" in
       let tr = Telemetry.trace tel in
       let span = Trace.begin_span tr ~name ~round ~dialing () in
       Remote.set_trace_ctx r (Some (Trace.context_of tr span));
@@ -318,47 +275,20 @@ let round_root t r ~name ~round ~dialing f =
           Trace.end_span tr span)
         f
 
-let chain_conversation_round t ~round requests =
+let chain_round t ~kind ~m ~round ~produce =
   match t.backend with
-  | Local c -> Chain.conversation_round c ~round requests
+  | Local c -> Chain.round_streamed c ~kind ~m ~round ~produce
   | Tcp r ->
       Remote.set_deadline_ms r (effective_deadline_ms t);
-      round_root t r ~name:"conv-round" ~round ~dialing:false (fun () ->
-          Remote.conversation_round r ~round requests)
+      round_root t r ~kind ~round (fun () ->
+          Remote.round_streamed r ~kind ~m ~round ~produce)
 
-let chain_conversation_round_streamed t ~round ~produce =
-  match t.backend with
-  | Local c -> Chain.conversation_round_streamed c ~round ~produce
-  | Tcp r ->
-      Remote.set_deadline_ms r (effective_deadline_ms t);
-      round_root t r ~name:"conv-round" ~round ~dialing:false (fun () ->
-          Remote.conversation_round_streamed r ~round ~produce)
-
-let chain_dialing_round t ~round ~m requests =
-  match t.backend with
-  | Local c -> Chain.dialing_round c ~round ~m requests
-  | Tcp r ->
-      Remote.set_deadline_ms r (effective_deadline_ms t);
-      round_root t r ~name:"dial-round" ~round ~dialing:true (fun () ->
-          Remote.dialing_round r ~round ~m requests)
-
-let chain_dialing_round_streamed t ~round ~m ~produce =
-  match t.backend with
-  | Local c -> Chain.dialing_round_streamed c ~round ~m ~produce
-  | Tcp r ->
-      Remote.set_deadline_ms r (effective_deadline_ms t);
-      round_root t r ~name:"dial-round" ~round ~dialing:true (fun () ->
-          Remote.dialing_round_streamed r ~round ~m ~produce)
-
-let chain_abort_round t ~round =
-  match t.backend with
-  | Local c -> Chain.abort_round c ~round
-  | Tcp r -> Remote.abort_round r ~round
-
-let chain_abort_dialing_round t ~round =
-  match t.backend with
-  | Local c -> Chain.abort_dialing_round c ~round
-  | Tcp r -> Remote.abort_dialing_round r ~round
+let chain_abort t ~(kind : Round.kind) ~round =
+  match (t.backend, kind) with
+  | Local c, Round.Conversation -> Chain.abort_round c ~round
+  | Local c, Round.Dialing -> Chain.abort_dialing_round c ~round
+  | Tcp r, Round.Conversation -> Remote.abort_round r ~round
+  | Tcp r, Round.Dialing -> Remote.abort_dialing_round r ~round
 
 let chain_fetch_invitations t ~dial_round ~index =
   match t.backend with
@@ -431,7 +361,9 @@ type round_report = {
       (** clients the last attempt excluded as stragglers: their onions
           reached the closed collector, earned the typed
           [Entry.Late] answer, and what they carried was requeued *)
-  wire_bytes : int;  (** size of the entry → first-server batch frame *)
+  wire_bytes : int;
+      (** batch bytes on the entry → first-server link: items plus one
+          batch header, whatever the part framing *)
   elapsed_ms : float;
       (** wall clock for the last attempt's chain round trip, plus any
           injected virtual link delay *)
@@ -593,8 +525,8 @@ let observe_admission t ~dialing ~admitted ~late =
    through the entry server, time the chain call, check the (hedged)
    deadline, and either finish or abort + retry (bounded, and only for
    retryable statuses).  The two kinds plug in their request builder,
-   chain call, abort propagation, per-client requeue, and success
-   handler; the supervisor proper exists exactly once. *)
+   per-client requeue and success handler; [kind] selects the chain
+   call and the abort, so the supervisor proper exists exactly once. *)
 (* One observability event per completed round report (success or
    failure), carrying the ledger's worst-case cumulative spend so the
    event log doubles as the privacy-budget curve. *)
@@ -618,8 +550,20 @@ let record_obs t (r : round_report) =
         ~aborts:(List.map (Format.asprintf "%a" Rpc.pp_status) r.aborts)
         ~failed:(r.failure <> None) ?budget ()
 
-let supervise t ~dialing ~late_pred ~participants ~next_round ~submit
-    ~wire_bytes_of ~call ~call_streamed ~abort ~requeue ~finish =
+(* Batch bytes on the entry → first-server link, for the reports: the
+   items plus one batch header (part framing adds 5 bytes per part). *)
+let wire_bytes t (kind : Round.kind) ~count =
+  let item_len =
+    Entry.request_len ~chain_len:(chain_length t) ~dial_kind:t.dial_kind kind
+  in
+  match kind with
+  | Round.Conversation -> Rpc.conv_batch_bytes ~count ~item_len
+  | Round.Dialing -> Rpc.dial_batch_bytes ~count ~item_len
+
+let supervise t ~kind ~m ~late_pred ~participants ~next_round ~submit ~requeue
+    ~finish =
+  let dialing = Round.is_dialing kind in
+  let call ~round ~produce = chain_round t ~kind ~m ~round ~produce in
   let aborts = ref [] in
   let rec attempt n =
     let round = next_round () in
@@ -650,11 +594,11 @@ let supervise t ~dialing ~late_pred ~participants ~next_round ~submit
         ids := i;
         batch_size := Array.length requests;
         peak := Entry.peak_buffered entry;
-        timed (fun () -> call ~round requests)
+        timed (fun () -> call ~round ~produce:(fun feed -> feed requests))
       end
       else
         timed (fun () ->
-            call_streamed ~round ~produce:(fun feed ->
+            call ~round ~produce:(fun feed ->
                 let entry =
                   Entry.create_streaming ~round ~chunk:t.entry_chunk
                     ~sink:feed ()
@@ -688,7 +632,7 @@ let supervise t ~dialing ~late_pred ~participants ~next_round ~submit
     let ids = !ids in
     let batch_size = !batch_size in
     let peak_buffered = !peak in
-    let wire_bytes = wire_bytes_of ~count:batch_size in
+    let wire_bytes = wire_bytes t kind ~count:batch_size in
     let elapsed_ms = wall_ms +. chain_last_round_delay_ms t in
     observe_attempt t ~dialing ~wall_ms ~wire_bytes;
     let report failure ~confirmed_acks events =
@@ -703,7 +647,7 @@ let supervise t ~dialing ~late_pred ~participants ~next_round ~submit
            redrawn on retry), admitted clients drop its reply secrets
            and requeue what the round carried.  Stragglers were already
            requeued above. *)
-        abort ~round;
+        chain_abort t ~kind ~round;
         List.iter (fun c -> requeue c ~round) admitted;
         aborts := st :: !aborts;
         if n <= t.max_retries && Rpc.retryable st then begin
@@ -729,7 +673,7 @@ let supervise t ~dialing ~late_pred ~participants ~next_round ~submit
   r
 
 let run_conversation ?late ~participants (t : t) =
-  supervise t ~dialing:false ~late_pred:late ~participants
+  supervise t ~kind:Round.Conversation ~m:0 ~late_pred:late ~participants
     ~next_round:(fun () ->
       let round = t.round in
       t.round <- round + 1;
@@ -744,15 +688,6 @@ let run_conversation ?late ~participants (t : t) =
                   : Entry.submit_status))
             (Client.conversation_requests c ~round))
         cs)
-    ~wire_bytes_of:(fun ~count ->
-      Rpc.conv_batch_bytes ~count
-        ~item_len:
-          (Vuvuzela_mixnet.Onion.request_size ~chain_len:(chain_length t)
-             ~payload_len:Types.exchange_payload_len))
-    ~call:(fun ~round requests -> chain_conversation_round t ~round requests)
-    ~call_streamed:(fun ~round ~produce ->
-      chain_conversation_round_streamed t ~round ~produce)
-    ~abort:(fun ~round -> chain_abort_round t ~round)
     ~requeue:(fun c ~round -> Client.abort_round c ~round)
     ~finish:(fun ~round ~ids results ->
       (* Group each client's slot replies back together, in slot order. *)
@@ -814,14 +749,14 @@ let download_invitations t c =
   Hashtbl.replace t.last_fetched pk upto;
   !events
 
-(* One dialing round, supervised like [run_round]: every participating
+(* One dialing round, supervised like a conversation round: every participating
    client sends an invitation or no-op, confirms the chain's ack, then
    downloads and scans the invitation drops it has not seen yet.  An
    aborted attempt requeues each client's invitation (the retry builds a
    fresh one) and discards the last server's partial invitation store. *)
 let run_dialing ?late ~participants (t : t) =
   let m = t.m in
-  supervise t ~dialing:true ~late_pred:late ~participants
+  supervise t ~kind:Round.Dialing ~m ~late_pred:late ~participants
     ~next_round:(fun () ->
       let dial_round = t.dial_round in
       t.dial_round <- dial_round + 1;
@@ -834,15 +769,6 @@ let run_dialing ?late ~participants (t : t) =
                (Client.dialing_request c ~dial_round:round ~m)
               : Entry.submit_status))
         cs)
-    ~wire_bytes_of:(fun ~count ->
-      Rpc.dial_batch_bytes ~count
-        ~item_len:
-          (Vuvuzela_mixnet.Onion.request_size ~chain_len:(chain_length t)
-             ~payload_len:(Dialing.payload_len t.dial_kind)))
-    ~call:(fun ~round requests -> chain_dialing_round t ~round ~m requests)
-    ~call_streamed:(fun ~round ~produce ->
-      chain_dialing_round_streamed t ~round ~m ~produce)
-    ~abort:(fun ~round -> chain_abort_dialing_round t ~round)
     ~requeue:(fun c ~round -> Client.abort_dial_round c ~dial_round:round)
     ~finish:(fun ~round ~ids acks ->
       (* Route each slot's ack back to its client; a confirmed ack
@@ -887,9 +813,6 @@ let run ?(blocked = fun _ -> false) ?late ~kind (t : t) =
   match (kind : Round.kind) with
   | Round.Conversation -> run_conversation ?late ~participants t
   | Round.Dialing -> run_dialing ?late ~participants t
-
-let run_round ?blocked t = run ?blocked ~kind:Round.Conversation t
-let run_dialing_round ?blocked t = run ?blocked ~kind:Round.Dialing t
 
 (* Convenience: run n conversation rounds, collecting the reports. *)
 let run_rounds ?blocked ?late t n =

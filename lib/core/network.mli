@@ -12,9 +12,9 @@ val of_config : Config.t -> t
 (** An in-process deployment from a {!Config.t}.  Defaults are sized for
     tests (tiny noise); production parameters come from
     {!Vuvuzela_dp.Composition.noise_for_target}.  [jobs] sets the
-    chain's crypto parallelism and [pipeline] relays forward batches
-    between servers as streamed parts; results are bit-identical at any
-    job count, pipelined or lockstep.
+    chain's crypto parallelism and [pipeline] caps every relay part at
+    [pipeline_chunk] onions (without it each link carries one part per
+    batch); results are bit-identical at any job count and part size.
 
     [fault_plan] arms deterministic fault injection at the chain's link
     boundaries and [tap] observes every forward batch on the wire (see
@@ -48,55 +48,17 @@ val of_config_tcp : Config.t -> addr:Unix.sockaddr -> (t, string) result
     protocol does not carry the last server's §5.4 recommendation); and
     [round_deadline_ms] additionally bounds the wait for each results
     frame, so a dead link surfaces as a retryable transport status
-    instead of blocking.  With [pipeline] set, entry batches leave the
-    coordinator as streamed [*_batch_part] frames of [pipeline_chunk]
-    onions.  [Error] if the chain cannot be reached within
-    [handshake_timeout_ms]. *)
-
-val create :
-  ?seed:string ->
-  ?n_servers:int ->
-  ?noise:Vuvuzela_dp.Laplace.params ->
-  ?dial_noise:Vuvuzela_dp.Laplace.params ->
-  ?noise_mode:Vuvuzela_dp.Noise.mode ->
-  ?dial_kind:Dialing.kind ->
-  ?jobs:int ->
-  ?cdn_edges:int ->
-  ?fault_plan:Vuvuzela_faults.Fault.plan ->
-  ?tap:(round:int -> server:int -> bytes array -> unit) ->
-  ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
-  ?budget_warn:float ->
-  ?round_deadline_ms:float ->
-  ?max_retries:int ->
-  unit ->
-  t
-[@@ocaml.deprecated "use Network.of_config with a Network.Config.t"]
-(** @deprecated The keyword-argument constructor; equivalent to
-    {!of_config} on {!Config.default} with the given fields. *)
-
-val create_tcp :
-  ?noise:Vuvuzela_dp.Laplace.params ->
-  ?dial_noise:Vuvuzela_dp.Laplace.params ->
-  ?dial_kind:Dialing.kind ->
-  ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
-  ?budget_warn:float ->
-  ?round_deadline_ms:float ->
-  ?max_retries:int ->
-  ?handshake_timeout_ms:float ->
-  addr:Unix.sockaddr ->
-  unit ->
-  (t, string) result
-[@@ocaml.deprecated "use Network.of_config_tcp with a Network.Config.t"]
-(** @deprecated The keyword-argument constructor; equivalent to
-    {!of_config_tcp} on {!Config.default} with the given fields. *)
+    instead of blocking.  With [pipeline] set, no part leaving the
+    coordinator holds more than [pipeline_chunk] onions.  [Error] if the
+    chain cannot be reached within [handshake_timeout_ms]. *)
 
 val chain : t -> Chain.t
 (** The in-process chain.
-    @raise Invalid_argument on a {!create_tcp} deployment — the servers
-    live in other processes. *)
+    @raise Invalid_argument on an {!of_config_tcp} deployment — the
+    servers live in other processes. *)
 
 val is_remote : t -> bool
-(** [true] iff this deployment came from {!create_tcp}. *)
+(** [true] iff this deployment came from {!of_config_tcp}. *)
 
 val telemetry : t -> Vuvuzela_telemetry.Telemetry.t option
 (** The sink the deployment was created with, if any. *)
@@ -159,11 +121,11 @@ val cdn_stats : t -> Cdn.stats option
 val set_entry_streaming : t -> bool -> unit
 (** Scale plane: collect each round's requests through a streaming
     {!Entry} collector that feeds the chain in chunks of
-    {!entry_chunk} onions (in-process: {!Chain}'s streamed-entry
-    rounds; TCP: streamed [*_batch_part] frames with one chunk of
-    lookahead), so no tier ever materializes the whole batch.  Results
-    and transcripts are bit-identical to the materializing path; the
-    report's [peak_buffered] shows the bound.  Defaults to
+    {!entry_chunk} onions ({!Chain.round_streamed} or
+    {!Remote.round_streamed}), so no tier ever materializes the whole
+    batch.  The materializing path feeds its closed batch to the same
+    call as one chunk, so results and transcripts are bit-identical;
+    the report's [peak_buffered] shows the bound.  Defaults to
     [Config.entry_streaming]. *)
 
 val entry_streaming : t -> bool
@@ -204,7 +166,10 @@ type round_report = {
   late : int;
       (** clients excluded as stragglers on the last attempt; each got
           a [Round_late] event and its payload was requeued *)
-  wire_bytes : int;  (** size of the entry → first-server batch frame *)
+  wire_bytes : int;
+      (** batch bytes on the entry → first-server link
+          ({!Rpc.conv_batch_bytes}/{!Rpc.dial_batch_bytes}): items plus
+          one batch header, whatever the part framing *)
   elapsed_ms : float;
       (** wall clock for the last attempt's chain round trip, plus any
           injected virtual link delay *)
@@ -265,14 +230,6 @@ val run :
     a client blocked across dialing rounds still receives its
     invitations later.  An aborted attempt requeues each participant's
     invitation for the retry. *)
-
-val run_round : ?blocked:(Client.t -> bool) -> t -> round_report
-[@@ocaml.deprecated "use Network.run ~kind:Round.Conversation"]
-(** @deprecated Alias for {!run}[ ~kind:Round.Conversation]. *)
-
-val run_dialing_round : ?blocked:(Client.t -> bool) -> t -> round_report
-[@@ocaml.deprecated "use Network.run ~kind:Round.Dialing"]
-(** @deprecated Alias for {!run}[ ~kind:Round.Dialing]. *)
 
 val run_rounds :
   ?blocked:(Client.t -> bool) ->

@@ -1,10 +1,10 @@
 (* Coordinator-side remote chain; see the interface.
 
-   The protocol is lockstep — one request, one matching reply — so the
-   only asynchrony to handle is stale frames: a results frame for a
-   round the supervisor already abandoned (it timed out, aborted,
-   retried) can still arrive and must be discarded by round number, or
-   it would be taken for the retry's results. *)
+   One round at a time: the batch leaves as part frames and one results
+   frame comes back, so the only asynchrony to handle is stale frames: a
+   results frame for a round the supervisor already abandoned (it timed
+   out, aborted, retried) can still arrive and must be discarded by
+   round number, or it would be taken for the retry's results. *)
 
 module Transport = Vuvuzela_transport.Transport
 module Trace = Vuvuzela_telemetry.Trace
@@ -16,9 +16,9 @@ type t = {
   dial_kind : Dialing.kind;
   mutable deadline_ms : float option;
   mutable pipeline : int option;
-      (** [Some chunk]: entry batches leave as streamed [*_batch_part]
-          frames of [chunk] onions, so server 0 peels while the rest of
-          the batch is still crossing the wire *)
+      (** [Some chunk]: no part leaving for server 0 holds more than
+          [chunk] onions, so it peels while the rest of the batch is
+          still crossing the wire; [None]: one part per producer chunk *)
   mutable flap_grace_ms : float;
       (** on a mid-round drop, keep pumping this long for the healed
           link to re-deliver the reply (the daemon's outbox holds it) *)
@@ -74,22 +74,6 @@ let connect ?telemetry ?(dial_kind = Dialing.Plain) ?deadline_ms
           Transport.close_client tp client;
           Error "remote chain: malformed handshake reply")
 
-(* Entry-server ingress policy, duplicated from the in-process chain so
-   both deployments put the same bytes on the wire: a wrong-sized
-   request is replaced with random bytes of the correct size (the
-   garbage fails authentication downstream and earns a dummy reply). *)
-let normalize ~expected requests =
-  Array.map
-    (fun r ->
-      if Bytes.length r = expected then r
-      else Vuvuzela_crypto.Drbg.bytes expected)
-    requests
-
-(* Send the request frame(s) and pump until the matching reply.
-   [expect] filters: [Some] for the reply (or a status) of *this*
-   round, [None] for anything stale.  A pipelined round queues several
-   part frames at once; the transport's write path drains them in
-   order while the first hop starts peeling the earliest parts. *)
 (* The trace context precedes the batch on the same ordered link, so
    the first hop reads it before opening its hop span.  It is a pure
    control frame: digests cover request/reply bytes only, so presence
@@ -101,6 +85,8 @@ let send_trace_ctx t =
         (Rpc.encode (Rpc.Trace_ctx { ctx = Trace.encode_context c }))
   | None -> ()
 
+(* Pump until the matching reply.  [expect] filters: [Some] for the
+   reply (or a status) of *this* round, [None] for anything stale. *)
 let await_reply t ~round ~expect =
   let grace_ms = if t.flap_grace_ms > 0. then Some t.flap_grace_ms else None in
   let rec await () =
@@ -127,133 +113,68 @@ let await_reply t ~round ~expect =
   in
   await ()
 
-let exchange t ~round ~send_frames ~expect =
-  send_trace_ctx t;
-  List.iter (fun frame -> Transport.send_batch t.client frame) send_frames;
-  await_reply t ~round ~expect
-
-(* Streamed-entry send: each producer chunk leaves as one [*_batch_part]
-   frame as soon as it exists, with one chunk of lookahead so the final
-   part carries [last = true] (the daemon finishes the round on it).
-   The coordinator therefore holds at most two chunks of onions, and the
-   first hop peels early parts while later ones are still being built.
-   Zero chunks degrade to one empty [last] part — the same framing
-   [Rpc.split_parts] gives an empty batch. *)
+(* The round's parts leave as soon as they exist, with one part of
+   lookahead so the final one carries [last = true] (the daemon finishes
+   the round on it).  The coordinator therefore holds at most two
+   chunks of onions, and the first hop peels early parts while later
+   ones are still being built.  Zero chunks degrade to one empty [last]
+   part — the same framing [Rpc.split_parts] gives an empty batch. *)
 let stream_parts t ~encode_part ~produce =
   send_trace_ctx t;
   let held = ref None in
   let seq = ref 0 in
+  let push part =
+    (match !held with
+    | Some prev ->
+        Transport.send_batch t.client (encode_part ~seq:!seq ~last:false prev);
+        incr seq;
+        (* Opportunistically drain the socket so parts cross the wire
+           (and the first hop starts peeling) while the producer is
+           still wrapping later chunks. *)
+        Transport.run_once ~max_wait_ms:0. t.tp
+    | None -> ());
+    held := Some part
+  in
   produce (fun chunk ->
-      (match !held with
-      | Some prev ->
-          Transport.send_batch t.client
-            (encode_part ~seq:!seq ~last:false prev);
-          incr seq;
-          (* Opportunistically drain the socket so parts cross the wire
-             (and the first hop starts peeling) while the producer is
-             still wrapping later chunks. *)
-          Transport.run_once ~max_wait_ms:0. t.tp
-      | None -> ());
-      held := Some chunk);
+      match t.pipeline with
+      | None -> push chunk
+      | Some chunk_len ->
+          Array.iter push (Rpc.split_parts ~chunk:chunk_len chunk));
   let final = Option.value !held ~default:[||] in
   Transport.send_batch t.client (encode_part ~seq:!seq ~last:true final)
 
-let conversation_round_streamed t ~round ~produce =
+let round_streamed t ~kind ~m ~round ~produce =
   if t.shut_down then Error (Rpc.chain_shutdown ~round)
   else begin
     let expected =
-      Vuvuzela_mixnet.Onion.request_size ~chain_len:(length t)
-        ~payload_len:Types.exchange_payload_len
+      Entry.request_len ~chain_len:(length t) ~dial_kind:t.dial_kind kind
     in
     stream_parts t
       ~encode_part:(fun ~seq ~last onions ->
-        Rpc.encode (Rpc.Conv_batch_part { round; seq; last; onions }))
-      ~produce:(fun feed -> produce (fun chunk -> feed (normalize ~expected chunk)));
-    await_reply t ~round
-      ~expect:(function
-        | Rpc.Conv_results { round = r; replies } when r = round ->
+        Rpc.encode (Rpc.part kind ~round ~m ~seq ~last onions))
+      ~produce:(fun feed ->
+        produce (fun chunk -> feed (Entry.normalize ~expected chunk)));
+    await_reply t ~round ~expect:(fun msg ->
+        match (kind, msg) with
+        | Round.Conversation, Rpc.Conv_results { round = r; replies }
+        | Round.Dialing, Rpc.Dial_results { round = r; replies }
+          when r = round ->
             Some (Ok replies)
-        | Rpc.Status st when st.Rpc.round = round -> Some (Error st)
+        | _, Rpc.Status st when st.Rpc.round = round -> Some (Error st)
         | _ -> None)
   end
+
+let conversation_round_streamed t ~round ~produce =
+  round_streamed t ~kind:Round.Conversation ~m:0 ~round ~produce
 
 let dialing_round_streamed t ~round ~m ~produce =
-  if t.shut_down then Error (Rpc.chain_shutdown ~round)
-  else begin
-    let expected =
-      Vuvuzela_mixnet.Onion.request_size ~chain_len:(length t)
-        ~payload_len:(Dialing.payload_len t.dial_kind)
-    in
-    stream_parts t
-      ~encode_part:(fun ~seq ~last onions ->
-        Rpc.encode (Rpc.Dial_batch_part { round; m; seq; last; onions }))
-      ~produce:(fun feed -> produce (fun chunk -> feed (normalize ~expected chunk)));
-    await_reply t ~round
-      ~expect:(function
-        | Rpc.Dial_results { round = r; replies } when r = round ->
-            Some (Ok replies)
-        | Rpc.Status st when st.Rpc.round = round -> Some (Error st)
-        | _ -> None)
-  end
+  round_streamed t ~kind:Round.Dialing ~m ~round ~produce
 
 let conversation_round t ~round requests =
-  if t.shut_down then Error (Rpc.chain_shutdown ~round)
-  else begin
-    let requests =
-      normalize
-        ~expected:
-          (Vuvuzela_mixnet.Onion.request_size ~chain_len:(length t)
-             ~payload_len:Types.exchange_payload_len)
-        requests
-    in
-    let send_frames =
-      match t.pipeline with
-      | None -> [ Rpc.encode (Rpc.Conv_batch { round; onions = requests }) ]
-      | Some chunk ->
-          let parts = Rpc.split_parts ~chunk requests in
-          let n = Array.length parts in
-          List.init n (fun seq ->
-              Rpc.encode
-                (Rpc.Conv_batch_part
-                   { round; seq; last = seq = n - 1; onions = parts.(seq) }))
-    in
-    exchange t ~round ~send_frames
-      ~expect:(function
-        | Rpc.Conv_results { round = r; replies } when r = round ->
-            Some (Ok replies)
-        | Rpc.Status st when st.Rpc.round = round -> Some (Error st)
-        | _ -> None)
-  end
+  conversation_round_streamed t ~round ~produce:(fun feed -> feed requests)
 
 let dialing_round t ~round ~m requests =
-  if t.shut_down then Error (Rpc.chain_shutdown ~round)
-  else begin
-    let requests =
-      normalize
-        ~expected:
-          (Vuvuzela_mixnet.Onion.request_size ~chain_len:(length t)
-             ~payload_len:(Dialing.payload_len t.dial_kind))
-        requests
-    in
-    let send_frames =
-      match t.pipeline with
-      | None ->
-          [ Rpc.encode (Rpc.Dial_batch { round; m; onions = requests }) ]
-      | Some chunk ->
-          let parts = Rpc.split_parts ~chunk requests in
-          let n = Array.length parts in
-          List.init n (fun seq ->
-              Rpc.encode
-                (Rpc.Dial_batch_part
-                   { round; m; seq; last = seq = n - 1; onions = parts.(seq) }))
-    in
-    exchange t ~round ~send_frames
-      ~expect:(function
-        | Rpc.Dial_results { round = r; replies } when r = round ->
-            Some (Ok replies)
-        | Rpc.Status st when st.Rpc.round = round -> Some (Error st)
-        | _ -> None)
-  end
+  dialing_round_streamed t ~round ~m ~produce:(fun feed -> feed requests)
 
 let abort_round t ~round =
   if not t.shut_down then
@@ -267,18 +188,19 @@ let abort_dialing_round t ~round =
 
 let fetch_invitations t ~dial_round ~index =
   if t.shut_down then []
-  else
+  else begin
+    Transport.send_batch t.client
+      (Rpc.encode (Rpc.Fetch_drop { dial_round; index }));
     match
-      exchange t ~round:dial_round
-        ~send_frames:[ Rpc.encode (Rpc.Fetch_drop { dial_round; index }) ]
-        ~expect:(function
-          | Rpc.Drop_contents { dial_round = r; index = i; invitations }
-            when r = dial_round && i = index -> Some (Ok invitations)
-          | Rpc.Status st when st.Rpc.round = dial_round -> Some (Error st)
-          | _ -> None)
+      await_reply t ~round:dial_round ~expect:(function
+        | Rpc.Drop_contents { dial_round = r; index = i; invitations }
+          when r = dial_round && i = index -> Some (Ok invitations)
+        | Rpc.Status st when st.Rpc.round = dial_round -> Some (Error st)
+        | _ -> None)
     with
     | Ok invitations -> invitations
     | Error _ -> []
+  end
 
 let shutdown t =
   if not t.shut_down then begin

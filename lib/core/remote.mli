@@ -5,9 +5,9 @@
     The coordinator dials server 0 ([Hello] with index -1), learns the
     full public-key list from the handshake reply ([Chain_info] — each
     server learned its suffix the same way from its successor), then
-    drives lockstep rounds: send a batch frame, pump the event loop
-    until the results frame (or a typed [Status], or the deadline)
-    comes back.  Connection loss is never fatal here — the transport
+    drives one round at a time: send the batch as part frames, pump the
+    event loop until the results frame (or a typed [Status], or the
+    deadline) comes back.  Connection loss is never fatal here — the transport
     redials under backoff while failures surface per round as retryable
     {!Rpc.transport_error} statuses for the supervisor's existing
     abort/retry machinery. *)
@@ -44,11 +44,12 @@ val set_deadline_ms : t -> float option -> unit
 val deadline_ms : t -> float option
 
 val set_pipeline : t -> int option -> unit
-(** [Some chunk] (clamped ≥ 1): send entry batches as streamed
-    [*_batch_part] frames of [chunk] onions each, so the first hop
+(** [Some chunk] (clamped ≥ 1): no part leaving for the first hop holds
+    more than [chunk] onions (larger producer chunks are split), so it
     peels early parts while later ones are still crossing the wire.
-    [None] (the default) sends one whole-batch frame.  The daemons
-    accept both framings on any round; results are bit-identical. *)
+    [None] (the default) sends one part per producer chunk — a
+    materialized batch as one whole-batch part.  Results are
+    bit-identical at any part size. *)
 
 val pipeline : t -> int option
 
@@ -65,29 +66,27 @@ val set_trace_ctx : t -> Vuvuzela_telemetry.Trace.context option -> unit
     [None] stops announcing.  Pure control plane: transcripts cover
     request/reply bytes only, so this never perturbs a digest. *)
 
-val conversation_round :
-  t -> round:int -> bytes array -> (bytes array, Rpc.status) result
-(** Same contract as {!Chain.conversation_round}, including the
-    entry-server ingress policy (wrong-sized requests replaced with
-    random bytes of the right size).  [Error] is a typed status: one a
-    server sent in place of results, or a local
+val round_streamed :
+  t ->
+  kind:Round.kind ->
+  m:int ->
+  round:int ->
+  produce:((bytes array -> unit) -> unit) ->
+  (bytes array, Rpc.status) result
+(** Same contract as {!Chain.round_streamed}, including the entry
+    ingress policy ({!Entry.normalize}): each producer chunk leaves as
+    part frames (see {!set_pipeline}) with one part of lookahead, so the
+    final part carries [last] and the coordinator buffers at most two
+    chunks while the first hop peels early parts.  [Error] is a typed
+    status: one a server sent in place of results, or a local
     {!Rpc.transport_error}/deadline for a link that failed silently. *)
-
-val dialing_round :
-  t -> round:int -> m:int -> bytes array -> (bytes array, Rpc.status) result
 
 val conversation_round_streamed :
   t ->
   round:int ->
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
-(** Streamed-entry variant (same contract as
-    {!Chain.conversation_round_streamed}): each producer chunk leaves
-    as one [Conv_batch_part] frame with one chunk of lookahead (so the
-    final part carries [last]), bounding the coordinator's buffered
-    onions at two chunks while the first hop peels early parts.
-    Results are bit-identical to {!conversation_round} on the chunk
-    concatenation. *)
+(** {!round_streamed} for a conversation round. *)
 
 val dialing_round_streamed :
   t ->
@@ -95,6 +94,13 @@ val dialing_round_streamed :
   m:int ->
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
+
+val conversation_round :
+  t -> round:int -> bytes array -> (bytes array, Rpc.status) result
+(** A materialized batch fed as one producer chunk. *)
+
+val dialing_round :
+  t -> round:int -> m:int -> bytes array -> (bytes array, Rpc.status) result
 
 val abort_round : t -> round:int -> unit
 (** Best-effort [Abort] frame, forwarded hop to hop; a link that is

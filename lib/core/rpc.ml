@@ -10,7 +10,9 @@
    Frame layout:  magic (u32) | version (u8) | tag (u8) | body
 
    Batches carry a fixed per-item length so a malformed item cannot
-   desynchronize the stream. *)
+   desynchronize the stream.  A batch only ever crosses a link as
+   [*_batch_part] frames: a relay that does not pipeline sends one part
+   holding the whole batch. *)
 
 open Vuvuzela_mixnet
 
@@ -32,11 +34,8 @@ type message =
   | Dial_announce of { dial_round : int; m : int }
       (** first server → clients: dialing round parameters, including
           the §5.4-tuned drop count *)
-  | Conv_batch of { round : int; onions : bytes array }
-      (** entry → server 1, or server i → server i+1 (forward) *)
   | Conv_results of { round : int; replies : bytes array }
       (** backward pass *)
-  | Dial_batch of { round : int; m : int; onions : bytes array }
   | Dial_results of { round : int; replies : bytes array }
   | Fetch_drop of { dial_round : int; index : int }
       (** client → last server (or CDN): download an invitation drop *)
@@ -61,20 +60,19 @@ type message =
       last : bool;
       onions : bytes array;
     }
-      (** pipelined relay: one contiguous chunk of a [Conv_batch], sent
-          as soon as the upstream server has produced it so the receiver
-          peels while the rest of the batch is still being computed.
-          Parts arrive in [seq] order on a single ordered link; the part
-          with [last = true] closes the batch.  Reassembling the parts
-          of a round yields exactly the [Conv_batch] the lockstep relay
-          would have sent. *)
+      (** one contiguous chunk of a conversation batch (entry → server
+          0, or server i → server i+1), sent as soon as the upstream hop
+          has produced it so the receiver peels while the rest of the
+          batch is still being computed.  Parts arrive in [seq] order on
+          a single ordered link; the part with [last = true] closes the
+          batch. *)
   | Dial_batch_part of {
       round : int;
       m : int;
       seq : int;
       last : bool;
       onions : bytes array;
-    }  (** pipelined chunk of a [Dial_batch]; [m] repeats on every part *)
+    }  (** one chunk of a dialing batch; [m] repeats on every part *)
   | Trace_ctx of { ctx : bytes }
       (** observability control frame, sent immediately before a batch:
           an opaque [Trace.context] blob naming the sender's open span so
@@ -86,9 +84,7 @@ type message =
 let tag_of = function
   | Round_announce _ -> 1
   | Dial_announce _ -> 2
-  | Conv_batch _ -> 3
   | Conv_results _ -> 4
-  | Dial_batch _ -> 5
   | Dial_results _ -> 6
   | Fetch_drop _ -> 7
   | Drop_contents _ -> 8
@@ -141,16 +137,9 @@ let encode msg =
       | Dial_announce { dial_round; m } ->
           Wire.Writer.u64 w dial_round;
           Wire.Writer.u32 w m
-      | Conv_batch { round; onions } ->
-          Wire.Writer.u64 w round;
-          write_batch w onions
       | Conv_results { round; replies } ->
           Wire.Writer.u64 w round;
           write_batch w replies
-      | Dial_batch { round; m; onions } ->
-          Wire.Writer.u64 w round;
-          Wire.Writer.u32 w m;
-          write_batch w onions
       | Dial_results { round; replies } ->
           Wire.Writer.u64 w round;
           write_batch w replies
@@ -212,16 +201,12 @@ let decode b =
           let dial_round = Wire.Reader.u64 r in
           let m = Wire.Reader.u32 r in
           Dial_announce { dial_round; m }
-      | 3 ->
-          let round = Wire.Reader.u64 r in
-          Conv_batch { round; onions = read_batch r }
+      | (3 | 5) as t ->
+          (* Retired whole-batch frames; the tags stay reserved. *)
+          raise (Wire.Error (Printf.sprintf "Rpc.decode: retired tag %d" t))
       | 4 ->
           let round = Wire.Reader.u64 r in
           Conv_results { round; replies = read_batch r }
-      | 5 ->
-          let round = Wire.Reader.u64 r in
-          let m = Wire.Reader.u32 r in
-          Dial_batch { round; m; onions = read_batch r }
       | 6 ->
           let round = Wire.Reader.u64 r in
           Dial_results { round; replies = read_batch r }
@@ -281,10 +266,7 @@ let equal_message a b =
       Round_announce { round = r2; deadline_ms = d2 } ) -> r1 = r2 && d1 = d2
   | ( Dial_announce { dial_round = r1; m = m1 },
       Dial_announce { dial_round = r2; m = m2 } ) -> r1 = r2 && m1 = m2
-  | Conv_batch x, Conv_batch y -> x.round = y.round && x.onions = y.onions
   | Conv_results x, Conv_results y -> x.round = y.round && x.replies = y.replies
-  | Dial_batch x, Dial_batch y ->
-      x.round = y.round && x.m = y.m && x.onions = y.onions
   | Dial_results x, Dial_results y -> x.round = y.round && x.replies = y.replies
   | ( Fetch_drop { dial_round = r1; index = i1 },
       Fetch_drop { dial_round = r2; index = i2 } ) -> r1 = r2 && i1 = i2
@@ -306,9 +288,24 @@ let equal_message a b =
   | Trace_ctx { ctx = c1 }, Trace_ctx { ctx = c2 } -> c1 = c2
   | _ -> false
 
-(* Split a logical batch into the contiguous slices the pipelined relay
-   ships as [*_batch_part] frames.  An empty batch is one empty part so
-   a [last = true] frame always closes the round. *)
+(* The frames of a round of either kind, so relays are written once. *)
+let part (kind : Round.kind) ~round ~m ~seq ~last onions =
+  match kind with
+  | Round.Conversation -> Conv_batch_part { round; seq; last; onions }
+  | Round.Dialing -> Dial_batch_part { round; m; seq; last; onions }
+
+let results (kind : Round.kind) ~round replies =
+  match kind with
+  | Round.Conversation -> Conv_results { round; replies }
+  | Round.Dialing -> Dial_results { round; replies }
+
+let stage (kind : Round.kind) what =
+  (match kind with Round.Conversation -> "conv-" | Round.Dialing -> "dial-")
+  ^ what
+
+(* Split a logical batch into the contiguous slices a relay ships as
+   [*_batch_part] frames.  An empty batch is one empty part so a
+   [last = true] frame always closes the round. *)
 let split_parts ~chunk onions =
   let n = Array.length onions in
   if n = 0 then [| onions |]
@@ -318,11 +315,13 @@ let split_parts ~chunk onions =
     Array.init parts (fun p ->
         Array.sub onions (p * chunk) (min chunk (n - (p * chunk))))
 
-(* Byte size of a message on the wire without building it (used by the
-   cost model's bandwidth accounting and the round reports). *)
+(* Byte size of a batch on the wire without building it (used by the
+   cost model's bandwidth accounting and the round reports): frame
+   header, round and batch header plus the items.  The part frame that
+   carries it adds its u32 [seq] and u8 [last]. *)
 let conv_batch_bytes ~count ~item_len = 4 + 1 + 1 + 8 + 4 + 4 + (count * item_len)
 
-(* A [Dial_batch] additionally carries the u32 drop count [m]. *)
+(* A dialing batch additionally carries the u32 drop count [m]. *)
 let dial_batch_bytes ~count ~item_len = conv_batch_bytes ~count ~item_len + 4
 
 let pp_status ppf { round; server; stage; detail } =

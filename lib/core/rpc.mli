@@ -1,6 +1,7 @@
 (** The inter-server wire protocol: framed messages between clients, the
     entry server, and the chain (§3.1 round coordination, §7
-    architecture).  Versioned, fixed-item-size batches. *)
+    architecture).  Versioned, fixed-item-size batches, which cross every
+    link as [*_batch_part] frames. *)
 
 type status = {
   round : int;
@@ -16,9 +17,7 @@ type status = {
 type message =
   | Round_announce of { round : int; deadline_ms : int }
   | Dial_announce of { dial_round : int; m : int }
-  | Conv_batch of { round : int; onions : bytes array }
   | Conv_results of { round : int; replies : bytes array }
-  | Dial_batch of { round : int; m : int; onions : bytes array }
   | Dial_results of { round : int; replies : bytes array }
   | Fetch_drop of { dial_round : int; index : int }
   | Drop_contents of {
@@ -44,19 +43,21 @@ type message =
       last : bool;
       onions : bytes array;
     }
-      (** pipelined relay: one contiguous chunk of a [Conv_batch], sent
-          as soon as the upstream hop has produced it.  Parts of a round
-          arrive in [seq] order on a single ordered link; [last = true]
-          closes the batch.  Concatenating a round's parts yields
-          exactly the [Conv_batch] the lockstep relay would have sent,
-          which is why the pipelined mode is bit-identical. *)
+      (** one contiguous chunk of a conversation batch, sent as soon as
+          the upstream hop has produced it.  Parts of a round arrive in
+          [seq] order on a single ordered link; [last = true] closes the
+          batch.  This is the only way a batch crosses a link: a relay
+          that does not pipeline sends one part holding the whole batch,
+          so any part size yields the same concatenation.  Tags 3 and 5
+          (the retired whole-batch frames) stay reserved and decode to
+          [Error]. *)
   | Dial_batch_part of {
       round : int;
       m : int;
       seq : int;
       last : bool;
       onions : bytes array;
-    }  (** pipelined chunk of a [Dial_batch]; [m] repeats on every part *)
+    }  (** one chunk of a dialing batch; [m] repeats on every part *)
   | Trace_ctx of { ctx : bytes }
       (** observability control frame (tag 16), sent immediately before
           a batch: an opaque {!Vuvuzela_telemetry.Trace.context} blob
@@ -75,17 +76,38 @@ val decode : bytes -> (message, string) result
 
 val equal_message : message -> message -> bool
 
+val part :
+  Round.kind ->
+  round:int ->
+  m:int ->
+  seq:int ->
+  last:bool ->
+  bytes array ->
+  message
+(** The [*_batch_part] frame of a round of this kind ([m] is ignored
+    for conversation rounds). *)
+
+val results : Round.kind -> round:int -> bytes array -> message
+(** The [*_results] frame of a round of this kind. *)
+
+val stage : Round.kind -> string -> string
+(** [stage kind what] names a link stage in a {!status}:
+    ["conv-" ^ what] or ["dial-" ^ what]. *)
+
 val split_parts : chunk:int -> bytes array -> bytes array array
-(** Split a logical batch into the ≤[chunk]-sized contiguous slices the
-    pipelined relay ships as [*_batch_part] frames ([chunk] clamped
-    ≥ 1).  An empty batch yields one empty part, so every round is
-    closed by a [last = true] frame. *)
+(** Split a logical batch into the ≤[chunk]-sized contiguous slices a
+    relay ships as [*_batch_part] frames ([chunk] clamped ≥ 1; pass the
+    batch length for one whole-batch part).  An empty batch yields one
+    empty part, so every round is closed by a [last = true] frame. *)
 
 val conv_batch_bytes : count:int -> item_len:int -> int
-(** Exact wire size of a [Conv_batch], for bandwidth accounting. *)
+(** Wire size of a conversation batch of [count] items, for bandwidth
+    accounting.  The [Conv_batch_part] frame carrying those items is
+    exactly 5 bytes longer (its [seq] and [last] fields). *)
 
 val dial_batch_bytes : count:int -> item_len:int -> int
-(** Exact wire size of a [Dial_batch]. *)
+(** Wire size of a dialing batch: {!conv_batch_bytes} plus the u32 [m].
+    The [Dial_batch_part] frame is likewise 5 bytes longer. *)
 
 val pp_status : Format.formatter -> status -> unit
 

@@ -158,12 +158,11 @@ let downstream t = t.cfg.chain_len - t.cfg.position - 1
 (* Streaming peel                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* A round's ingress is a stream: the pipelined relay feeds the batch in
-   contiguous chunks as they come off the wire, and the expensive peel
-   happens per chunk — so this server overlaps its DH + AEAD work with
-   the upstream server still producing the rest of the batch.  The
-   lockstep path uses the same machinery with a single chunk, so the two
-   modes share every line of ingress logic.
+(* A round's ingress is a stream: the relay feeds the batch in
+   contiguous parts as they come off the wire, and the expensive peel
+   happens per part — so this server overlaps its DH + AEAD work with
+   the upstream server still producing the rest of the batch.  A relay
+   that does not pipeline feeds a single part.
 
    Determinism: chunks arrive in slot order on one ordered link, the
    dedup table and valid-index counter persist across feeds, and the
@@ -213,6 +212,11 @@ let conv_stream t ~round =
 
 let dial_stream t ~round =
   make_stream ~round ~dialing:true ~expected_len:(dial_request_len t)
+
+let stream t ~(kind : Round.kind) ~round =
+  match kind with
+  | Round.Conversation -> conv_stream t ~round
+  | Round.Dialing -> dial_stream t ~round
 
 (* Peel one chunk of the round's ingress.
 
@@ -408,7 +412,7 @@ let conv_noise t ~round =
    thunk runs exactly once, in place, so the DRBG stream is identical
    with telemetry on or off, pipelined or not. *)
 let conv_finish_forward t st =
-  if is_last t then invalid_arg "Server.conv_forward: last server";
+  if is_last t then invalid_arg "Server.conv_finish_forward: last server";
   if st.s_dialing then
     invalid_arg "Server.conv_finish_forward: dialing stream";
   let round = st.s_round in
@@ -430,18 +434,14 @@ let conv_finish_forward t st =
       shuffle_and_record t t.conv_rounds ~round ~slots ~reply_payload_len
         (Array.append inners noise))
 
-let conv_forward t ~round onions =
-  let st = conv_stream t ~round in
-  stream_feed t st onions;
-  conv_finish_forward t st
-
 let conv_backward t ~round results =
   unshuffle_and_reply t t.conv_rounds ~round ~dialing:false results
 
 (* The last server: dead-drop matching over the streamed ingress, record
    the observable histogram, seal results (Algorithm 2 steps 3b/4). *)
 let conv_finish_exchange t st =
-  if not (is_last t) then invalid_arg "Server.conv_exchange: not last server";
+  if not (is_last t) then
+    invalid_arg "Server.conv_finish_exchange: not last server";
   if st.s_dialing then
     invalid_arg "Server.conv_finish_exchange: dialing stream";
   let round = st.s_round in
@@ -493,11 +493,6 @@ let conv_finish_exchange t st =
       | Invalid -> dummies.(i))
     slots
 
-let conv_exchange t ~round onions =
-  let st = conv_stream t ~round in
-  stream_feed t st onions;
-  conv_finish_exchange t st
-
 (* ------------------------------------------------------------------ *)
 (* Dialing protocol                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -522,7 +517,7 @@ let dial_noise t ~round ~m =
   wrap_noise_specs t ~round (Array.of_list !out)
 
 let dial_finish_forward t st ~m =
-  if is_last t then invalid_arg "Server.dial_forward: last server";
+  if is_last t then invalid_arg "Server.dial_finish_forward: last server";
   if not st.s_dialing then
     invalid_arg "Server.dial_finish_forward: conversation stream";
   let round = st.s_round in
@@ -541,11 +536,6 @@ let dial_finish_forward t st ~m =
       shuffle_and_record t t.dial_rounds ~round ~slots ~reply_payload_len
         (Array.append inners noise))
 
-let dial_forward t ~round ~m onions =
-  let st = dial_stream t ~round in
-  stream_feed t st onions;
-  dial_finish_forward t st ~m
-
 let dial_backward t ~round results =
   unshuffle_and_reply t t.dial_rounds ~round ~dialing:true results
 
@@ -554,7 +544,8 @@ let dial_ack = Bytes.make Types.dial_result_len '\x01'
 (* Last server: file invitations into drops, add its own per-drop noise
    (the last server's noise need not transit the mixnet), ack. *)
 let dial_finish_deliver t st ~m =
-  if not (is_last t) then invalid_arg "Server.dial_deliver: not last server";
+  if not (is_last t) then
+    invalid_arg "Server.dial_finish_deliver: not last server";
   if not st.s_dialing then
     invalid_arg "Server.dial_finish_deliver: conversation stream";
   let round = st.s_round in
@@ -630,10 +621,19 @@ let dial_finish_deliver t st ~m =
       | Invalid -> dummies.(i))
     slots
 
-let dial_deliver t ~round ~m onions =
-  let st = dial_stream t ~round in
-  stream_feed t st onions;
-  dial_finish_deliver t st ~m
+(* Either kind, either position: what a relay calls once a round's
+   last part has been fed. *)
+let finish t st ~m =
+  match (st.s_dialing, is_last t) with
+  | false, false -> conv_finish_forward t st
+  | false, true -> conv_finish_exchange t st
+  | true, false -> dial_finish_forward t st ~m
+  | true, true -> dial_finish_deliver t st ~m
+
+let backward t ~(kind : Round.kind) ~round results =
+  match kind with
+  | Round.Conversation -> conv_backward t ~round results
+  | Round.Dialing -> dial_backward t ~round results
 
 (* Clients download invitation drops directly (§5.5: fetches need no
    mixing or noising, and would be served by a CDN at scale).  Without

@@ -72,14 +72,14 @@ val last_histogram : t -> Deaddrop.histogram option
 
 (** {2 Streamed ingress}
 
-    The pipelined relay feeds a round's batch to a server in contiguous
-    chunks as they come off the wire, so the expensive per-onion peel
-    overlaps with the upstream server still producing the rest of the
-    batch.  Start a stream, feed it every chunk in slot order, then call
-    the matching [*_finish_*] exactly once.  The one-shot entry points
-    below ({!conv_forward} etc.) are these three steps with a single
-    chunk, so lockstep and pipelined relays share every line of ingress
-    logic and produce bit-identical results. *)
+    The relay feeds a round's batch to a server in contiguous parts as
+    they come off the wire, so the expensive per-onion peel overlaps
+    with the upstream server still producing the rest of the batch.
+    Start a stream, feed it every part in slot order, then call the
+    matching [*_finish_*] (or {!finish}) exactly once.  The result
+    depends only on the concatenation of the parts, so a relay that
+    sends the whole batch as one part is bit-identical to one that
+    pipelines. *)
 
 type stream
 (** Incremental peel state for one round on one server: the dedup table,
@@ -87,6 +87,9 @@ type stream
 
 val conv_stream : t -> round:int -> stream
 val dial_stream : t -> round:int -> stream
+
+val stream : t -> kind:Round.kind -> round:int -> stream
+(** {!conv_stream} or {!dial_stream}, by [kind]. *)
 
 val stream_feed : t -> stream -> bytes array -> unit
 (** Peel one contiguous chunk (size-check, dedup against the whole
@@ -96,38 +99,39 @@ val stream_feed : t -> stream -> bytes array -> unit
 val stream_round : stream -> int
 val stream_dialing : stream -> bool
 
+(** {2 Conversation rounds} *)
+
 val conv_finish_forward : t -> stream -> bytes array
-(** Mixing server: noise + shuffle over everything fed so far; returns
-    the outgoing batch.  Equals [conv_forward] on the concatenation of
-    the fed chunks. *)
+(** Mixing server: add cover traffic and shuffle everything fed so far;
+    returns the outgoing batch.  Invalid onions are dropped from it but
+    keep their reply slot. *)
 
 val conv_finish_exchange : t -> stream -> bytes array
 (** Last server: dead-drop matching + reseal over everything fed. *)
-
-val dial_finish_forward : t -> stream -> m:int -> bytes array
-val dial_finish_deliver : t -> stream -> m:int -> bytes array
-
-(** {2 Conversation rounds} *)
-
-val conv_forward : t -> round:int -> bytes array -> bytes array
-(** Mixing server: peel, add cover traffic, shuffle.  Invalid onions are
-    dropped from the forwarded batch but keep their reply slot. *)
 
 val conv_backward : t -> round:int -> bytes array -> bytes array
 (** Mixing server: unshuffle, discard own noise, seal replies.
     @raise Invalid_argument for an unknown round or wrong batch size. *)
 
-val conv_exchange : t -> round:int -> bytes array -> bytes array
-(** Last server: peel, match dead drops, seal results. *)
-
 (** {2 Dialing rounds} *)
 
-val dial_forward : t -> round:int -> m:int -> bytes array -> bytes array
-val dial_backward : t -> round:int -> bytes array -> bytes array
+val dial_finish_forward : t -> stream -> m:int -> bytes array
 
-val dial_deliver : t -> round:int -> m:int -> bytes array -> bytes array
+val dial_finish_deliver : t -> stream -> m:int -> bytes array
 (** Last server: file invitations into the [m] drops, add its own noise,
     return fixed-size acks. *)
+
+val dial_backward : t -> round:int -> bytes array -> bytes array
+
+(** {2 Either kind} *)
+
+val finish : t -> stream -> m:int -> bytes array
+(** The [*_finish_*] for the stream's kind and this server's position:
+    the outgoing batch at a mixing server, the replies at the last one
+    ([m] is ignored for conversation streams). *)
+
+val backward : t -> kind:Round.kind -> round:int -> bytes array -> bytes array
+(** {!conv_backward} or {!dial_backward}, by [kind]. *)
 
 val proposed_m : t -> int
 (** The last server's §5.4 recommendation for the next dialing round's

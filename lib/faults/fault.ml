@@ -65,15 +65,26 @@ let apply_frame frame = function
 
 (* Likewise the batch-level semantics of the §2.1 active adversary:
    flip one byte of one onion so framing survives but authentication at
-   the receiving server does not. *)
-let apply_tamper batch slot =
-  let batch = Array.map Bytes.copy batch in
-  if Array.length batch > 0 then begin
-    let item = batch.(slot mod Array.length batch) in
-    if Bytes.length item > 0 then
-      Bytes.set item 0 (Char.chr (Char.code (Bytes.get item 0) lxor 0xff))
-  end;
-  batch
+   the receiving server does not.  A batch crosses a link as parts, so
+   slots are absolute: each part takes the slots that fall inside it and
+   hands the rest on; a slot past the end of the batch tampers nothing. *)
+let tamper_part ~off slots part =
+  let here, pending =
+    List.partition (fun s -> s < off + Array.length part) slots
+  in
+  if here = [] then (part, pending)
+  else begin
+    let part = Array.map Bytes.copy part in
+    List.iter
+      (fun s ->
+        if s >= off then begin
+          let item = part.(s - off) in
+          if Bytes.length item > 0 then
+            Bytes.set item 0 (Char.chr (Char.code (Bytes.get item 0) lxor 0xff))
+        end)
+      here;
+    (part, pending)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Grammar                                                             *)

@@ -28,9 +28,10 @@ type kind =
       (** the link stalls: virtual delay added to the round's elapsed
           time, for exercising deadlines deterministically *)
   | Tamper_slot of int
-      (** the §2.1 active adversary: flip a byte of onion
-          [slot mod batch size]; framing survives but that request fails
-          authentication at the receiving server *)
+      (** the §2.1 active adversary: flip a byte of the onion at
+          absolute batch position [slot] (none if the batch is shorter);
+          framing survives but that request fails authentication at the
+          receiving server *)
   | Slow_link of int
       (** the link is congested for [ms]: the batch arrives intact but
           late (virtual stall in-process, a real stall on daemons) —
@@ -80,10 +81,15 @@ val apply_frame : bytes -> kind -> bytes
     frame unchanged.  Shared by the in-process chain and the TCP
     daemons so both deployments fail identically. *)
 
-val apply_tamper : bytes array -> int -> bytes array
-(** The §2.1 active adversary on a batch: flip byte 0 of onion
-    [slot mod batch size] (in a copy).  Framing survives;
-    authentication at the receiving server does not. *)
+val tamper_part : off:int -> int list -> bytes array -> bytes array * int list
+(** The §2.1 active adversary on one part of a batch: [tamper_part ~off
+    slots part], where [part] holds the batch's onions [off] to
+    [off + Array.length part - 1], flips byte 0 of each onion whose
+    absolute slot is in [slots] (in a copy) and returns the slots past
+    the part, still pending for later ones.  A slot past the end of the
+    batch tampers nothing.  Framing survives; authentication at the
+    receiving server does not.  Shared by the in-process chain and the
+    TCP daemons. *)
 
 val random_plan :
   rng:Vuvuzela_crypto.Drbg.t ->

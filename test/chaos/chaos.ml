@@ -49,11 +49,14 @@ let normalize_report (r : Network.round_report) =
 
 (* One full chaos run: returns the normalized reports plus everything
    the invariants need. *)
-let scenario ?pipeline_chunk ~seed ~jobs () =
+let scenario ?pipeline_chunk ?(entry_streaming = false) ?plan ~seed ~jobs () =
   let plan =
-    Fault.random_plan
-      ~rng:(Drbg.of_string ("chaos-plan-" ^ seed))
-      ~rounds:10 ~n_servers:3 ~faults:6 ()
+    match plan with
+    | Some plan -> plan
+    | None ->
+        Fault.random_plan
+          ~rng:(Drbg.of_string ("chaos-plan-" ^ seed))
+          ~rounds:10 ~n_servers:3 ~faults:6 ()
   in
   let wire = Hashtbl.create 4096 in
   let duplicates = ref 0 in
@@ -76,6 +79,7 @@ let scenario ?pipeline_chunk ~seed ~jobs () =
         |> with_fault_plan plan |> with_tap tap
         |> with_round_deadline_ms 60_000.
         |> with_max_retries max_retries
+        |> with_entry_streaming entry_streaming
         |>
         match pipeline_chunk with
         | None -> Fun.id
@@ -170,24 +174,51 @@ let test_chaos_deterministic_across_jobs () =
         true (recv1 = recvj))
     [ 2; 4 ]
 
-let test_chaos_pipelined_matches_lockstep () =
-  (* The streamed relay under the same crash/tamper/delay schedule:
-     every fault still fires against the whole logical batch, so the
-     pipelined transcript — reports, aborts, retries, deliveries — is
-     byte-identical to the lockstep one. *)
-  let norm, _, _, recv = scenario ~seed:"s1" ~jobs:1 () in
+(* Tampers on both sides of a chunk-4 part boundary (slots 3 and 4) and
+   past the end of the entry batch, on every server, plus frame faults
+   that land in the part header. *)
+let boundary_plan =
+  Result.get_ok
+    (Fault.parse
+       "tamper(3)@1:0;tamper(4)@1:1;tamper(4)@2:0;tamper(3)@2:2;\
+        tamper(9)@3:0;corrupt(4)@4:1;truncate(20)@5:2;pad(3)@6:0;\
+        tamper(0)@7:1;tamper(5)@7:1")
+
+let test_chaos_chunked_parts_match_whole_batch () =
+  (* Every fault fires once against the whole logical batch — a tamper
+     at its absolute slot in whichever part carries it, a frame fault on
+     the first part — so cutting the batch into parts of k onions cannot
+     change the transcript: reports, aborts, retries and deliveries are
+     byte-identical to one whole-batch part per link, with the entry
+     tier materializing or streaming. *)
   List.iter
-    (fun (jobs, chunk) ->
-      let normp, _, dupp, recvp =
-        scenario ~pipeline_chunk:chunk ~seed:"s1" ~jobs ()
-      in
-      let label = Printf.sprintf "jobs=%d chunk=%d" jobs chunk in
-      Alcotest.(check (list string))
-        (label ^ " reports match lockstep") norm normp;
-      Alcotest.(check int) (label ^ " no duplicate onions") 0 dupp;
-      Alcotest.(check bool)
-        (label ^ " deliveries match lockstep") true (recv = recvp))
-    [ (1, 1); (1, 4); (2, 3); (4, 16) ]
+    (fun (plan_name, plan, cases) ->
+      let norm, _, _, recv = scenario ?plan ~seed:"s1" ~jobs:1 () in
+      List.iter
+        (fun (jobs, chunk, entry_streaming) ->
+          let normp, _, dupp, recvp =
+            scenario ~pipeline_chunk:chunk ~entry_streaming ?plan ~seed:"s1"
+              ~jobs ()
+          in
+          let label =
+            Printf.sprintf "%s plan, jobs=%d chunk=%d%s" plan_name jobs chunk
+              (if entry_streaming then " streamed entry" else "")
+          in
+          Alcotest.(check (list string))
+            (label ^ " reports match whole-batch parts") norm normp;
+          Alcotest.(check int) (label ^ " no duplicate onions") 0 dupp;
+          Alcotest.(check bool)
+            (label ^ " deliveries match whole-batch parts") true (recv = recvp))
+        cases)
+    [
+      ( "random",
+        None,
+        [ (1, 1, false); (1, 4, false); (2, 3, false); (4, 16, false);
+          (1, 4, true) ] );
+      ( "boundary",
+        Some boundary_plan,
+        [ (1, 1, false); (1, 4, false); (1, 4, true) ] );
+    ]
 
 let test_noise_redrawn_across_attempts () =
   (* Deterministic two-attempt round: a crash at the last server's link
@@ -228,8 +259,8 @@ let () =
             test_chaos_invariants;
           Alcotest.test_case "bit-deterministic at jobs 1/2/4" `Quick
             test_chaos_deterministic_across_jobs;
-          Alcotest.test_case "pipelined relay matches lockstep under faults"
-            `Quick test_chaos_pipelined_matches_lockstep;
+          Alcotest.test_case "chunk k = whole-batch part under faults"
+            `Quick test_chaos_chunked_parts_match_whole_batch;
           Alcotest.test_case "noise redrawn across attempts" `Quick
             test_noise_redrawn_across_attempts;
         ] );

@@ -4,8 +4,8 @@
    The checks mirror the ISSUE's acceptance gate:
    - a seeded 3-server deployment runs 3 conversation rounds and a
      dialing round whose wire transcript digest is bit-identical to the
-     in-process chain's (and to the pinned constant) — lockstep, and
-     again with every link streaming chunked batch parts;
+     in-process chain's (and to the pinned constant) — with one
+     whole-batch part per link, and again with parts of 4 onions;
    - a full [Network.of_config_tcp] deployment delivers messages and
      confirms dialing acks over the supervisor;
    - a crash fault at a middle server is survived by the supervisor's
@@ -41,33 +41,6 @@ let check_str name expected got =
 (* ------------------------------------------------------------------ *)
 (* Process plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let sockets_allowed () =
-  match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> false
-  | fd -> (
-      match Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) with
-      | () ->
-          Unix.close fd;
-          true
-      | exception Unix.Unix_error _ ->
-          Unix.close fd;
-          false)
-
-(* Bind port 0, read the assignment, release it.  The daemon rebinds
-   moments later under SO_REUSEADDR; collisions on loopback in a test
-   sandbox are vanishingly rare. *)
-let free_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  Unix.close fd;
-  port
 
 let chain_len = 3
 
@@ -119,25 +92,6 @@ let fork_daemon cfg =
       Unix._exit 0
   | pid -> pid
 
-(* Reap a daemon: give the Bye a moment to land, then force. *)
-let stop_pid pid =
-  let deadline = Unix.gettimeofday () +. 3.0 in
-  let rec wait () =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with
-    | 0, _ ->
-        if Unix.gettimeofday () > deadline then begin
-          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-          ignore (Unix.waitpid [] pid)
-        end
-        else begin
-          Unix.sleepf 0.02;
-          wait ()
-        end
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-  in
-  wait ()
-
 let spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed
     ports =
   Array.to_list
@@ -155,13 +109,13 @@ let spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed
               ?deaddrop_shards ())))
 
 let with_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed f =
-  let ports = Array.init chain_len (fun _ -> free_port ()) in
+  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
   let pids =
     spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed
       ports
   in
   Fun.protect
-    ~finally:(fun () -> List.iter stop_pid pids)
+    ~finally:(fun () -> List.iter Daemon_spawn.stop_pid pids)
     (fun () -> f ports)
 
 (* ------------------------------------------------------------------ *)
@@ -216,7 +170,7 @@ let test_transcript_parity () =
           Remote.shutdown remote)
 
 (* ------------------------------------------------------------------ *)
-(* 1b. Same parity with every link streaming chunked batch parts       *)
+(* 1b. Same parity with every link carrying parts of 4 onions          *)
 (* ------------------------------------------------------------------ *)
 
 let test_transcript_parity_pipelined () =
@@ -417,10 +371,10 @@ let test_crash_retry () =
 let test_kill_restart () =
   print_endline "kill -9 the middle server, restart it, keep running:";
   let seed = "net-restart" in
-  let ports = Array.init chain_len (fun _ -> free_port ()) in
+  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
   let pids = ref (spawn_chain ~seed ports) in
   Fun.protect
-    ~finally:(fun () -> List.iter stop_pid !pids)
+    ~finally:(fun () -> List.iter Daemon_spawn.stop_pid !pids)
     (fun () ->
       match
         Network.of_config_tcp
@@ -509,7 +463,7 @@ let test_flap_survival () =
 let test_shaped_links () =
   print_endline "emulated 10 ms links on every hop (digest must not move):";
   let link = Vuvuzela_transport.Shaper.config ~latency_ms:10. () in
-  let ports = Array.init chain_len (fun _ -> free_port ()) in
+  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
   let pids =
     Array.to_list
       (Array.init chain_len (fun i ->
@@ -518,7 +472,7 @@ let test_shaped_links () =
              (daemon_cfg ~seed:Transcript_pin.seed ~ports ~index ~link ())))
   in
   Fun.protect
-    ~finally:(fun () -> List.iter stop_pid pids)
+    ~finally:(fun () -> List.iter Daemon_spawn.stop_pid pids)
     (fun () ->
       match
         Remote.connect ~handshake_timeout_ms:20_000.
@@ -589,8 +543,8 @@ let spawn_obs_chain ?(jobs = 1) ~seed ~ports ~mports () =
    cross-process parent links, then the rendered digest. *)
 let test_observability () =
   print_endline "observability plane (scrape endpoints + merged trace + digest):";
-  let ports = Array.init chain_len (fun _ -> free_port ()) in
-  let mports = Array.init chain_len (fun _ -> free_port ()) in
+  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+  let mports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
   let pids = spawn_obs_chain ~seed:"net-obs" ~ports ~mports () in
   let dir =
     Filename.concat
@@ -598,7 +552,7 @@ let test_observability () =
       (Printf.sprintf "vuvuzela-obs-%d" (Unix.getpid ()))
   in
   Fun.protect
-    ~finally:(fun () -> List.iter stop_pid pids)
+    ~finally:(fun () -> List.iter Daemon_spawn.stop_pid pids)
     (fun () ->
       let telemetry = T.Telemetry.create () in
       match
@@ -752,13 +706,13 @@ let test_obs_transcript_parity () =
     "transcript parity with observability on (jobs 1 and 4, pipelined):";
   List.iter
     (fun jobs ->
-      let ports = Array.init chain_len (fun _ -> free_port ()) in
-      let mports = Array.init chain_len (fun _ -> free_port ()) in
+      let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+      let mports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
       let pids =
         spawn_obs_chain ~jobs ~seed:Transcript_pin.seed ~ports ~mports ()
       in
       Fun.protect
-        ~finally:(fun () -> List.iter stop_pid pids)
+        ~finally:(fun () -> List.iter Daemon_spawn.stop_pid pids)
         (fun () ->
           let tel = T.Telemetry.create () in
           match
@@ -820,7 +774,7 @@ let test_obs_transcript_parity () =
     [ 1; 4 ]
 
 let () =
-  if not (sockets_allowed ()) then begin
+  if not (Daemon_spawn.sockets_allowed ()) then begin
     print_endline
       "net: SKIPPED — this sandbox forbids loopback TCP (socket/bind on \
        127.0.0.1 failed), so the multi-process deployment cannot run; \

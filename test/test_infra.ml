@@ -20,10 +20,16 @@ let test_rpc_roundtrips () =
   let batch n len = Array.init n (fun _ -> Drbg.generate rng len) in
   roundtrip (Rpc.Round_announce { round = 42; deadline_ms = 10_000 });
   roundtrip (Rpc.Dial_announce { dial_round = 7; m = 4 });
-  roundtrip (Rpc.Conv_batch { round = 3; onions = batch 5 416 });
-  roundtrip (Rpc.Conv_batch { round = 3; onions = [||] });
+  let conv_part ~seq ~last onions =
+    Rpc.Conv_batch_part { round = 3; seq; last; onions }
+  in
+  roundtrip (conv_part ~seq:0 ~last:true (batch 5 416));
+  roundtrip (conv_part ~seq:0 ~last:true [||]);
+  roundtrip (conv_part ~seq:7 ~last:false (batch 2 416));
   roundtrip (Rpc.Conv_results { round = 3; replies = batch 5 304 });
-  roundtrip (Rpc.Dial_batch { round = 1; m = 2; onions = batch 3 226 });
+  roundtrip
+    (Rpc.Dial_batch_part
+       { round = 1; m = 2; seq = 0; last = true; onions = batch 3 226 });
   roundtrip (Rpc.Dial_results { round = 1; replies = batch 3 49 });
   roundtrip (Rpc.Fetch_drop { dial_round = 9; index = 1 });
   roundtrip
@@ -71,10 +77,27 @@ let test_rpc_rejections () =
     (try
        ignore
          (Rpc.encode
-            (Rpc.Conv_batch
-               { round = 1; onions = [| Bytes.make 3 'a'; Bytes.make 4 'b' |] }));
+            (Rpc.Conv_batch_part
+               {
+                 round = 1;
+                 seq = 0;
+                 last = true;
+                 onions = [| Bytes.make 3 'a'; Bytes.make 4 'b' |];
+               }));
        false
-     with Vuvuzela_mixnet.Wire.Error _ -> true)
+     with Vuvuzela_mixnet.Wire.Error _ -> true);
+  (* The retired whole-batch tags stay reserved: a frame carrying one
+     decodes to a clean [Error], never a raise. *)
+  List.iter
+    (fun tag ->
+      let frame = Bytes.copy good in
+      Bytes.set frame 5 (Char.chr tag);
+      match Rpc.decode frame with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "retired tag %d accepted" tag
+      | exception e ->
+          Alcotest.failf "retired tag %d raised %s" tag (Printexc.to_string e))
+    [ 3; 5 ]
 
 let test_rpc_fuzz () =
   (* Random byte strings never crash the decoder. *)
@@ -142,16 +165,35 @@ let test_trace_ctx_wire () =
     ignore (Trace.decode_context flipped : Trace.context option)
   done
 
+(* The identity the byte accounting (and the benchmark's per-frame
+   check) relies on: a part frame of k items is exactly 5 bytes longer
+   than the batch accounting of k items — its [seq] and [last]. *)
 let test_rpc_batch_bytes () =
-  let onions = Array.init 7 (fun _ -> Bytes.make 416 'x') in
-  let encoded = Rpc.encode (Rpc.Conv_batch { round = 1; onions }) in
-  Alcotest.(check int) "conv_batch_bytes exact"
-    (Bytes.length encoded)
-    (Rpc.conv_batch_bytes ~count:7 ~item_len:416);
-  let encoded = Rpc.encode (Rpc.Dial_batch { round = 1; m = 4; onions }) in
-  Alcotest.(check int) "dial_batch_bytes exact"
-    (Bytes.length encoded)
-    (Rpc.dial_batch_bytes ~count:7 ~item_len:416)
+  List.iter
+    (fun k ->
+      let onions = Array.init k (fun _ -> Bytes.make 416 'x') in
+      let item_len = if k = 0 then 0 else 416 in
+      let encoded =
+        Rpc.encode
+          (Rpc.Conv_batch_part { round = 1; seq = 0; last = true; onions })
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "conv part of %d = 5 + conv_batch_bytes" k)
+        (5 + Rpc.conv_batch_bytes ~count:k ~item_len)
+        (Bytes.length encoded);
+      let encoded =
+        Rpc.encode
+          (Rpc.Dial_batch_part
+             { round = 1; m = 4; seq = 3; last = false; onions })
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "dial part of %d = 5 + dial_batch_bytes" k)
+        (5 + Rpc.dial_batch_bytes ~count:k ~item_len)
+        (Bytes.length encoded);
+      Alcotest.(check int) "dialing adds the u32 m"
+        (Rpc.conv_batch_bytes ~count:k ~item_len + 4)
+        (Rpc.dial_batch_bytes ~count:k ~item_len))
+    [ 0; 1; 7 ]
 
 let test_rpc_status_pp () =
   let st = { Rpc.round = 3; server = 1; stage = "conv-batch"; detail = "x" } in
@@ -330,15 +372,17 @@ let test_address_book_rename () =
      point at the newest record; size counts names. *)
   Alcotest.(check int) "two names" 2 (Address_book.size book)
 
-(* Hand-assemble a [Conv_batch] frame whose batch header lies about its
-   contents, bypassing the encoder's own checks. *)
+(* Hand-assemble a [Conv_batch_part] frame whose batch header lies about
+   its contents, bypassing the encoder's own checks. *)
 let raw_conv_batch_frame ~count ~item_len ~body_len =
   let module Wire = Vuvuzela_mixnet.Wire in
   Wire.encode (fun w ->
       Wire.Writer.u32 w 0x56555655 (* magic *);
       Wire.Writer.u8 w 1 (* version *);
-      Wire.Writer.u8 w 3 (* Conv_batch *);
+      Wire.Writer.u8 w 14 (* Conv_batch_part *);
       Wire.Writer.u64 w 1 (* round *);
+      Wire.Writer.u32 w 0 (* seq *);
+      Wire.Writer.u8 w 1 (* last *);
       Wire.Writer.u32 w count;
       Wire.Writer.u32 w item_len;
       Wire.Writer.raw w (Bytes.make body_len 'x'))
@@ -380,9 +424,11 @@ let qcheck_props =
         || (try
               ignore
                 (Rpc.encode
-                   (Rpc.Conv_batch
+                   (Rpc.Conv_batch_part
                       {
                         round = 1;
+                        seq = 0;
+                        last = true;
                         onions = [| Bytes.make la 'a'; Bytes.make lb 'b' |];
                       }));
               false

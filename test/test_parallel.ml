@@ -134,8 +134,8 @@ let test_deployment_determinism () =
   (* The conversation actually happened... *)
   Alcotest.(check bool) "events occurred" true
     (List.exists (fun line -> String.length line > 60) ref_t);
-  (* ...and replays bit-identically under 2 and 4 domains, lockstep or
-     with the relay streaming chunked batch parts. *)
+  (* ...and replays bit-identically under 2 and 4 domains, with one
+     whole-batch part per link or parts of a few onions. *)
   List.iter
     (fun (jobs, pipeline_chunk) ->
       let h, t = run_deployment ?pipeline_chunk ~jobs () in

@@ -41,7 +41,7 @@ let test_transcript_deterministic () =
   let d2 = with_in_process Transcript_pin.full_digest in
   Alcotest.(check string) "transcript reproducible" d1 d2
 
-(* The engine knobs — worker domains, streamed relay, chunk size — are
+(* The engine knobs — worker domains, relay part size — are
    pure scheduling: any combination must reproduce the pinned bytes. *)
 let test_transcript_engine_invariant () =
   List.iter

@@ -145,10 +145,14 @@ let test_rpc_batch_limit () =
   (* magic *)
   Wire.Writer.u8 w 1;
   (* version *)
-  Wire.Writer.u8 w 3;
-  (* Conv_batch tag *)
-  Wire.Writer.u32 w 1;
+  Wire.Writer.u8 w 14;
+  (* Conv_batch_part tag *)
+  Wire.Writer.u64 w 1;
   (* round *)
+  Wire.Writer.u32 w 0;
+  (* seq *)
+  Wire.Writer.u8 w 1;
+  (* last *)
   Wire.Writer.u32 w 70_000;
   (* count *)
   Wire.Writer.u32 w 70_000;

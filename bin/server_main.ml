@@ -71,26 +71,26 @@ let run listen next index chain_len seed mu b dial_mu dial_b det_noise
               | None -> c.Vuvuzela_transport.Shaper.bandwidth_bytes_per_sec);
           }
   in
+  let deployment =
+    Config.(
+      {
+        default with
+        seed;
+        n_servers = chain_len;
+        noise = Laplace.params ~mu ~b;
+        dial_noise = Laplace.params ~mu:dial_mu ~b:dial_b;
+        noise_mode = (if det_noise then Noise.Deterministic else Noise.Sampled);
+        dial_kind = (if certified then Dialing.Certified else Dialing.Plain);
+        jobs;
+        fault_plan;
+        link;
+        flap_grace_ms;
+      }
+      |> with_deaddrop_shards deaddrop_shards
+      |> with_pipeline ~chunk:pipeline_chunk pipeline)
+  in
   let cfg =
-    {
-      Daemon.listen;
-      next;
-      index;
-      chain_len;
-      seed;
-      noise = Laplace.params ~mu ~b;
-      dial_noise = Laplace.params ~mu:dial_mu ~b:dial_b;
-      noise_mode = (if det_noise then Noise.Deterministic else Noise.Sampled);
-      dial_kind = (if certified then Dialing.Certified else Dialing.Plain);
-      jobs;
-      deaddrop_shards = max 1 deaddrop_shards;
-      pipeline_chunk = (if pipeline then Some (max 1 pipeline_chunk) else None);
-      fault_plan;
-      link;
-      flap_grace_ms;
-      metrics_listen;
-      trace_out;
-    }
+    { Daemon.listen; next; index; deployment; metrics_listen; trace_out }
   in
   match Daemon.run ~log cfg with
   | Ok () -> `Ok ()

@@ -12,13 +12,15 @@ val of_config : Config.t -> t
     one part per batch (per producer chunk at the entry link).  Round
     results are bit-identical at any job count and any part size.
 
-    [fault_plan] arms deterministic fault injection at the forward link
-    boundaries (each fault fires once at its (round, server) site,
-    against the whole logical batch — [Tamper_slot] at an absolute slot,
-    frame faults on the first part — so identically at any part size).
-    [tap] observes every forward part exactly as it crosses a link —
-    after any [Tamper_slot] fault, before framing — so tests can assert
-    wire-level invariants such as "no onion ciphertext crosses twice".
+    Each server is driven through its {!Hop}, the state machine a daemon
+    runs too, so [fault_plan] faults behave as they do over TCP: each
+    fires once at its (round, server) site against the whole logical
+    batch, and the receiver acts on the frame it decoded.  In process a
+    stall is virtual delay ({!last_round_delay_ms}), a lost batch is an
+    [Error] status, and a reset has no socket to close.  [tap] observes
+    every forward part as the receiver decoded it, after any
+    [Tamper_slot] fault, so tests can assert wire-level invariants such
+    as "no onion ciphertext crosses twice".
 
     [telemetry] (default: the nil sink) is shared with every server: each
     round gets a root span ([conv-round] / [dial-round]) with the
@@ -31,7 +33,6 @@ val of_config : Config.t -> t
 
 val length : t -> int
 val server : t -> int -> Server.t
-val last : t -> Server.t
 
 val jobs : t -> int
 (** The chain's configured degree of parallelism. *)
@@ -45,8 +46,8 @@ val shutdown : t -> unit
 val is_shut_down : t -> bool
 
 val last_round_delay_ms : t -> float
-(** Virtual link stall accumulated by [Delay_ms] faults during the most
-    recent round (0 when no delay fault fired).  The supervisor adds
+(** Virtual link stall accumulated by fired faults ([Delay_ms] and the
+    churn kinds) during the most recent round (0 when none fired).  The supervisor adds
     this to the measured wall-clock time before its deadline check, so
     deadline misses are deterministic under a fixed seed. *)
 
@@ -60,8 +61,8 @@ val conversation_round :
   t -> round:int -> bytes array -> (bytes array, Rpc.status) result
 (** Run a complete conversation round on a materialized batch (one
     producer chunk); the result array is slot-aligned with [requests].
-    [Error] carries the typed status frame of the first link whose
-    batch failed to decode. *)
+    [Error] carries the typed status of the first link whose batch
+    failed. *)
 
 val dialing_round :
   t -> round:int -> m:int -> bytes array -> (bytes array, Rpc.status) result
@@ -77,10 +78,11 @@ val round_streamed :
     for conversation rounds): [produce feed] pushes the batch as
     slot-ordered chunks (a streaming {!Entry} collector's sink) and
     returns when the intake is complete.  Each chunk is normalized by
-    {!Entry.normalize} and crosses into server 0 as it is fed, so no
-    tier materializes the whole onion batch.  Results depend only on
-    the chunk concatenation.  Faults for the entry link fire once
-    against the logical batch, like every other link's. *)
+    {!Entry.normalize} and crosses into server 0 as it is fed (with one
+    part of lookahead, so the final part carries [last]), so no tier
+    materializes the whole onion batch.  Results depend only on the
+    chunk concatenation.  Faults for the entry link fire once against
+    the logical batch, like every other link's. *)
 
 val conversation_round_streamed :
   t ->
@@ -105,13 +107,10 @@ val fetch_invitations : ?dial_round:int -> t -> index:int -> bytes list
 (** Defaults to the most recent dialing round's store; [?dial_round]
     reaches any round inside the last server's retention window. *)
 
-val abort_round : t -> round:int -> unit
-(** Discard a failed conversation round's state on every server, so the
-    supervisor's retry (under a fresh round number, with freshly drawn
-    noise) starts clean. *)
-
-val abort_dialing_round : t -> round:int -> unit
-(** Same for a dialing round; also discards its invitation store. *)
+val abort : t -> kind:Round.kind -> round:int -> unit
+(** Discard a failed round's state on every server, so the supervisor's
+    retry (under a fresh round number, with freshly drawn noise) starts
+    clean; a dialing round also loses its invitation store. *)
 
 val proposed_m : t -> int
 (** The last server's recommended invitation-drop count (§5.4). *)

@@ -69,6 +69,7 @@ let with_dial_kind dial_kind t = { t with dial_kind }
 let with_jobs jobs t = { t with jobs }
 let with_pipeline ?(chunk = default.pipeline_chunk) pipeline t =
   { t with pipeline; pipeline_chunk = max 1 chunk }
+let part_chunk t = if t.pipeline then Some (max 1 t.pipeline_chunk) else None
 let with_deaddrop_shards shards t = { t with deaddrop_shards = max 1 shards }
 let with_entry_streaming entry_streaming t = { t with entry_streaming }
 let with_cdn_edges cdn_edges t = { t with cdn_edges }

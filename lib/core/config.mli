@@ -95,6 +95,11 @@ val with_pipeline : ?chunk:int -> bool -> t -> t
 (** Enable/disable chunked relay parts; [chunk] (default
     {!default}[.pipeline_chunk], clamped ≥ 1) sets the onions per part. *)
 
+val part_chunk : t -> int option
+(** The relay part size every tier uses: [Some pipeline_chunk] with
+    [pipeline], [None] (one part per batch, or per producer chunk on
+    the entry link) without. *)
+
 val with_deaddrop_shards : int -> t -> t
 (** Shard count for the conversation dead-drop store (clamped ≥ 1). *)
 

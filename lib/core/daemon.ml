@@ -5,7 +5,8 @@
    one thread.  Each link carries one round at a time (its batch as
    ordered parts down, one results frame up), so the daemon is a state
    machine over four events — upstream frame, downstream frame,
-   downstream drop, upstream accept — plus the fault injector. *)
+   downstream drop, upstream accept — and batches arrive through its
+   {!Hop}, the state machine the in-process chain drives too. *)
 
 module Transport = Vuvuzela_transport.Transport
 module Conn = Vuvuzela_transport.Conn
@@ -22,46 +23,13 @@ type config = {
   listen : Unix.sockaddr;
   next : Unix.sockaddr option;
   index : int;
-  chain_len : int;
-  seed : string option;
-  noise : Vuvuzela_dp.Laplace.params;
-  dial_noise : Vuvuzela_dp.Laplace.params;
-  noise_mode : Vuvuzela_dp.Noise.mode;
-  dial_kind : Dialing.kind;
-  jobs : int;
-  deaddrop_shards : int;
-  pipeline_chunk : int option;
-      (** [Some chunk]: forward batches downstream as parts of at most
-          [chunk] onions; [None]: one part per batch *)
-  fault_plan : Vuvuzela_faults.Fault.plan option;
-  link : Shaper.config option;
-      (** emulated WAN characteristics of the downstream link *)
-  flap_grace_ms : float;
-      (** how long a lost downstream link may stay down mid-round before
-          the round is abandoned with a [Status] *)
+  deployment : Config.t;
   metrics_listen : Unix.sockaddr option;
       (** mount the scrape endpoints ([/metrics], [/healthz], [/trace])
-          on this address; a telemetry sink is created if none is
-          supplied *)
+          on this address; a telemetry sink is created if the deployment
+          has none *)
   trace_out : string option;
       (** write this daemon's span trace (JSONL) here on shutdown *)
-}
-
-(* The ingress state of one round: parts are peeled into the server's
-   stream as they arrive; the faults of this (round, server) site fired
-   once, at part 0, against the logical whole batch. *)
-type part_stream = {
-  ps_round : int;
-  ps_kind : Round.kind;
-  ps_m : int;  (** dial rounds; [0] for conversation *)
-  ps_stream : Server.stream;
-  mutable ps_seq : int;  (** next expected part sequence number *)
-  mutable ps_off : int;  (** onions received so far = absolute slot offset *)
-  mutable ps_tampers : int list;
-      (** [Tamper_slot] absolute slots not yet applied *)
-  mutable ps_poisoned : bool;
-      (** a crash/drop fault consumed this round: swallow its remaining
-          parts silently — the whole batch is lost *)
 }
 
 type st = {
@@ -70,19 +38,14 @@ type st = {
   log : string -> unit;
   tel : Telemetry.t option;
   started_ms : float;
-  faults : Fault.injector option;
-  mutable server : Server.t option;
+  mutable hop : Hop.t option;  (** once the downstream keys are known *)
   mutable suffix : bytes list;  (** downstream public keys, chain order *)
   mutable upstream : Conn.t option;
   mutable downstream : Conn.t option;
   mutable hello_pending : bool;
       (** upstream said Hello before our own keys existed *)
-  mutable inflight : (int * bool) option;
-      (** (round, dialing) forwarded downstream, results still owed *)
-  mutable stream : part_stream option;
-      (** at most one round assembles at a time (a link carries one
-          round at a time; a part for a different round supersedes the
-          stale stream) *)
+  mutable inflight : (int * Round.kind) option;
+      (** round forwarded downstream, results still owed *)
   outbox : bytes Queue.t;
       (** upstream frames owed while the upstream link is down; flushed
           (after the Chain_info reply) when the peer reconnects — a
@@ -91,7 +54,7 @@ type st = {
   mutable ctx : Trace.context option;
       (** trace context announced by the upstream peer for the next
           batch; consumed when the hop span opens *)
-  mutable hop : (Trace.span * (float * int)) option;
+  mutable span : (Trace.span * (float * int)) option;
       (** the open per-round hop span, with the (shaped delay, outage
           count) transport-stats snapshot taken when it opened *)
   mutable last_round : int;
@@ -148,10 +111,10 @@ let status st ~round ~stage detail =
    virtual-delay exclusion rule on the daemon side. *)
 
 let close_hop st =
-  match st.hop with
+  match st.span with
   | None -> ()
   | Some (span, (shaped0, outages0)) ->
-      st.hop <- None;
+      st.span <- None;
       (match st.tel with
       | None -> ()
       | Some tel ->
@@ -186,17 +149,17 @@ let open_hop st ~round ~dialing =
       in
       st.ctx <- None;
       let s = Transport.stats st.tp in
-      st.hop <- Some (span, (s.Conn.shaped_delay_ms, s.Conn.outages))
+      st.span <- Some (span, (s.Conn.shaped_delay_ms, s.Conn.outages))
 
 (* Forward a processed batch to the next hop as part frames, so the
    next server starts peeling while we are still queueing the rest. *)
 let forward_downstream st ~kind ~round ~m onions =
-  st.inflight <- Some (round, Round.is_dialing kind);
+  st.inflight <- Some (round, kind);
   (* Re-stamp the trace context per hop: downstream parents into our
      hop span (transitively into the coordinator's round root).  With
      tracing off, the upstream context passes through unchanged so the
      hops beyond us still link up. *)
-  (match st.tel, st.hop with
+  (match st.tel, st.span with
   | Some tel, Some (span, _) ->
       send_downstream st
         (Rpc.Trace_ctx
@@ -211,256 +174,93 @@ let forward_downstream st ~kind ~round ~m onions =
           st.ctx <- None;
           send_downstream st (Rpc.Trace_ctx { ctx = Trace.encode_context c })
       | None -> ()));
-  let parts =
-    Rpc.split_parts
-      ~chunk:(Option.value st.cfg.pipeline_chunk ~default:(Array.length onions))
-      onions
-  in
-  let n = Array.length parts in
-  Array.iteri
-    (fun seq onions ->
-      send_downstream st
-        (Rpc.part kind ~round ~m ~seq ~last:(seq = n - 1) onions))
-    parts
+  Rpc.send_parts
+    ?chunk:(Config.part_chunk st.cfg.deployment)
+    ~emit:(fun ~seq ~last onions ->
+      send_downstream st (Rpc.part kind ~round ~m ~seq ~last onions))
+    (fun push -> push onions)
 
-(* Create the Server once the downstream suffix is known — immediately
-   for the last server, after the first successful handshake otherwise.
-   The rng-seed derivation matches Chain.of_config byte for byte: that is
-   the whole determinism argument for the multi-process deployment. *)
-let ensure_server ?telemetry ?on_ready st =
-  if st.server = None then begin
+(* What fired faults ask of a daemon: over sockets a stall is real time,
+   and a reset closes the upstream connection (the peer's reconnect
+   finds us again; after a [Flap] the round's reply waits in the
+   outbox). *)
+let on_fire st ~round (f : Hop.fired) =
+  st.log
+    (Printf.sprintf "round %d: firing %s" round
+       (String.concat "," (List.map (Format.asprintf "%a" Fault.pp_kind) f.kinds)));
+  if f.reset then begin
+    Option.iter Conn.close st.upstream;
+    st.upstream <- None
+  end;
+  if f.stall_ms > 0 then Unix.sleepf (float_of_int f.stall_ms /. 1000.)
+
+(* Create the hop once the downstream suffix is known — immediately for
+   the last server, after the first successful handshake otherwise. *)
+let ensure_hop st =
+  if st.hop = None then begin
     let cfg = st.cfg in
-    let rng_seed =
-      Option.map
-        (fun s ->
-          Bytes.cat (Bytes.of_string s)
-            (Bytes.of_string (Printf.sprintf "-server-%d" cfg.index)))
-        cfg.seed
+    let faults = Option.map Fault.injector cfg.deployment.fault_plan in
+    let hop =
+      Hop.create ?faults
+        ~on_fire:(fun f -> on_fire st ~round:st.last_round f)
+        cfg.deployment ~position:cfg.index ~suffix_pks:st.suffix
     in
-    let server =
-      Server.create ?rng_seed ?telemetry
-        ~cfg:
-          {
-            Server.position = cfg.index;
-            chain_len = cfg.chain_len;
-            noise = cfg.noise;
-            dial_noise = cfg.dial_noise;
-            noise_mode = cfg.noise_mode;
-            dial_kind = cfg.dial_kind;
-            jobs = cfg.jobs;
-            deaddrop_shards = cfg.deaddrop_shards;
-          }
-        ~suffix_pks:st.suffix ()
-    in
-    st.server <- Some server;
+    st.hop <- Some hop;
     st.log
       (Printf.sprintf "server %d/%d ready (%d downstream key(s))" cfg.index
-         cfg.chain_len (List.length st.suffix));
-    Option.iter (fun f -> f ()) on_ready;
+         cfg.deployment.n_servers (List.length st.suffix));
     if st.hello_pending then begin
       st.hello_pending <- false;
       send_upstream st
-        (Rpc.Chain_info { pks = Server.public_key server :: st.suffix });
+        (Rpc.Chain_info
+           { pks = Server.public_key (Hop.server hop) :: st.suffix });
       flush_outbox st
     end
   end
 
-(* ------------------------------------------------------------------ *)
-(* Socket-level fault injection                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The in-process chain injects faults as a batch crosses the link into
-   server i; here the same plan entry fires as daemon i receives the
-   batch.  Returns what the faulty wire delivered: [None] means the
-   batch never arrives (drop, crash). *)
-let inject st ~round raw msg =
-  match st.faults with
-  | None -> Some (Ok msg, [])
-  | Some inj -> (
-      match Fault.fire inj ~round ~server:st.cfg.index with
-      | [] -> Some (Ok msg, [])
-      | kinds ->
-          st.log
-            (Printf.sprintf "round %d: firing %s" round
-               (String.concat ","
-                  (List.map (Format.asprintf "%a" Fault.pp_kind) kinds)));
-          let dropped = ref false in
-          let tampers = ref [] in
-          let frame_faults = ref [] in
-          List.iter
-            (fun k ->
-              match k with
-              | Fault.Crash ->
-                  (* The receiving server "crashes": reset the upstream
-                     connection; the peer's in-flight round dies with
-                     it and its reconnect finds us again. *)
-                  dropped := true;
-                  Option.iter Conn.close st.upstream;
-                  st.upstream <- None
-              | Fault.Drop_link -> dropped := true
-              | Fault.Delay_ms ms ->
-                  (* A real stall: over sockets there is no virtual
-                     clock to account it to. *)
-                  Unix.sleepf (float_of_int ms /. 1000.)
-              | Fault.Slow_link ms ->
-                  (* Congested link: the batch arrived, late. *)
-                  Unix.sleepf (float_of_int ms /. 1000.)
-              | Fault.Flap ms ->
-                  (* A reset that heals: drop the socket but keep the
-                     batch — the round's reply waits in the outbox for
-                     the peer's reconnect. *)
-                  Option.iter Conn.close st.upstream;
-                  st.upstream <- None;
-                  if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.)
-              | Fault.Partition ms ->
-                  (* A cut link: batch lost, socket reset, slow heal. *)
-                  dropped := true;
-                  Option.iter Conn.close st.upstream;
-                  st.upstream <- None;
-                  if ms > 0 then Unix.sleepf (float_of_int ms /. 1000.)
-              | Fault.Tamper_slot s -> tampers := s :: !tampers
-              | Fault.Corrupt_frame _ | Fault.Truncate_frame _
-              | Fault.Extend_frame _ -> frame_faults := k :: !frame_faults)
-            kinds;
-          if !dropped then None
-          else if !frame_faults <> [] then
-            (* Mutate the received frame, then decode what's left: the
-               typed rejection is exactly what the in-process receiver
-               produces. *)
-            let raw =
-              List.fold_left Fault.apply_frame raw (List.rev !frame_faults)
-            in
-            Some (Rpc.decode raw, [])
-          else Some (Ok msg, List.rev !tampers))
-
-(* ------------------------------------------------------------------ *)
-(* Batch ingress                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* One [*_batch_part] frame — the only way a batch arrives.  The faults
-   of this (round, server) site fire once, at part 0, against the whole
-   logical batch: crash/drop lose all of it (remaining parts are
-   swallowed silently), frame faults damage the first part's frame, and
-   [Tamper_slot] indexes the logical batch — it is applied to whichever
-   arriving part carries that absolute slot. *)
-let handle_part st server ~raw msg =
-  let kind, round, m, seq, last, onions =
-    match msg with
-    | Rpc.Conv_batch_part { round; seq; last; onions } ->
-        (Round.Conversation, round, 0, seq, last, onions)
-    | Rpc.Dial_batch_part { round; m; seq; last; onions } ->
-        (Round.Dialing, round, m, seq, last, onions)
-    | _ -> assert false
-  in
-  let dialing = Round.is_dialing kind in
-  let stage = Rpc.stage kind "batch" in
-  let fail detail =
-    st.stream <- None;
-    send_upstream st (Rpc.Status (status st ~round ~stage detail));
-    close_hop st
-  in
-  let feed ps ~last onions =
-    let len = Array.length onions in
-    let onions, pending =
-      Fault.tamper_part ~off:ps.ps_off ps.ps_tampers onions
-    in
-    ps.ps_tampers <- pending;
-    match Server.stream_feed server ps.ps_stream onions with
-    | () -> (
-        ps.ps_off <- ps.ps_off + len;
-        ps.ps_seq <- ps.ps_seq + 1;
-        if last then begin
-          st.stream <- None;
-          match Server.finish server ps.ps_stream ~m:ps.ps_m with
-          | replies when is_last st ->
-              send_upstream st (Rpc.results kind ~round replies);
-              close_hop st
-          | onions -> forward_downstream st ~kind ~round ~m:ps.ps_m onions
-          | exception e -> fail (Printexc.to_string e)
-        end)
-    | exception e -> fail (Printexc.to_string e)
-  in
-  (* A part for a different round supersedes the stale stream: the
-     supervisor moved on (its abort may have been lost with a link). *)
-  (match st.stream with
-  | Some ps when ps.ps_round <> round || ps.ps_kind <> kind ->
-      st.stream <- None
-  | _ -> ());
-  if seq = 0 then begin
-    open_hop st ~round ~dialing;
-    let ps =
-      {
-        ps_round = round;
-        ps_kind = kind;
-        ps_m = m;
-        ps_stream = Server.stream server ~kind ~round;
-        ps_seq = 0;
-        ps_off = 0;
-        ps_tampers = [];
-        ps_poisoned = false;
-      }
-    in
-    st.stream <- Some ps;
-    match inject st ~round raw msg with
-    | None ->
-        ps.ps_poisoned <- true (* the whole batch never arrives *);
-        close_hop st
-    | Some (Error e, _) ->
-        ps.ps_poisoned <- true;
-        send_upstream st (Rpc.Status (status st ~round ~stage e));
-        close_hop st
-    | Some (Ok msg, tampers) ->
-        ps.ps_tampers <- tampers;
-        (* A [Corrupt_frame] can re-decode to different content. *)
-        let last, onions =
-          match msg with
-          | Rpc.Conv_batch_part { last; onions; _ }
-          | Rpc.Dial_batch_part { last; onions; _ } -> (last, onions)
-          | _ -> (last, onions)
-        in
-        feed ps ~last onions
-  end
-  else
-    match st.stream with
-    | None -> () (* stale tail of an abandoned round *)
-    | Some ps when ps.ps_poisoned -> ()
-    | Some ps when ps.ps_seq = seq -> feed ps ~last onions
-    | Some ps ->
-        (* Ordered link: a sequence gap is a protocol violation. *)
-        fail (Printf.sprintf "part %d arrived, expected %d" seq ps.ps_seq)
+(* One [*_batch_part] frame — the only way a batch arrives — through the
+   hop state machine.  A fault that loses the batch is swallowed: the
+   coordinator's deadline notices. *)
+let handle_part st hop ~raw msg (kind, round, m, seq) =
+  if seq = 0 then open_hop st ~round ~dialing:(Round.is_dialing kind);
+  match Hop.arrive hop ~msg raw with
+  | Hop.Absorbed | Hop.Ignored -> ()
+  | Hop.Finished replies when is_last st ->
+      send_upstream st (Rpc.results kind ~round replies);
+      close_hop st
+  | Hop.Finished onions -> forward_downstream st ~kind ~round ~m onions
+  | Hop.Rejected s ->
+      send_upstream st (Rpc.Status s);
+      close_hop st
+  | Hop.Dropped _ -> close_hop st
 
 (* ------------------------------------------------------------------ *)
 (* Frame handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let handle_downstream st msg =
-  let server = Option.get st.server in
-  let finish round =
+let handle_downstream st hop ~raw msg =
+  let settle round =
     match st.inflight with
     | Some (r, _) when r = round -> st.inflight <- None
     | _ -> ()
   in
   match msg with
-  | (Rpc.Conv_results { round; replies } | Rpc.Dial_results { round; replies })
-    as msg ->
+  | Rpc.Conv_results { round; _ } | Rpc.Dial_results { round; _ } ->
       let kind =
         match msg with
         | Rpc.Dial_results _ -> Round.Dialing
         | _ -> Round.Conversation
       in
-      finish round;
-      (match Server.backward server ~kind ~round replies with
-      | replies -> send_upstream st (Rpc.results kind ~round replies)
-      | exception e ->
-          send_upstream st
-            (Rpc.Status
-               (status st ~round ~stage:(Rpc.stage kind "results")
-                  (Printexc.to_string e))));
+      settle round;
+      send_upstream st
+        (match Hop.backward hop ~kind ~round ~msg raw with
+        | Ok replies -> Rpc.results kind ~round replies
+        | Error s -> Rpc.Status s);
       close_hop st
-  | Rpc.Drop_contents _ as m -> send_upstream st m
+  | Rpc.Drop_contents _ -> send_upstream st msg
   | Rpc.Status s ->
-      finish s.Rpc.round;
-      send_upstream st (Rpc.Status s);
+      settle s.Rpc.round;
+      send_upstream st msg;
       close_hop st
   | _ -> ()
 
@@ -470,10 +270,11 @@ let handle_upstream st raw =
       send_upstream st
         (Rpc.Status (status st ~round:0 ~stage:"frame" e))
   | Ok (Rpc.Hello _) -> (
-      match st.server with
-      | Some server ->
+      match st.hop with
+      | Some hop ->
           send_upstream st
-            (Rpc.Chain_info { pks = Server.public_key server :: st.suffix });
+            (Rpc.Chain_info
+               { pks = Server.public_key (Hop.server hop) :: st.suffix });
           (* Frames owed from before the flap follow the handshake
              reply, in order: the reconnected peer's pending round can
              still complete. *)
@@ -487,82 +288,63 @@ let handle_upstream st raw =
       close_hop st;
       send_downstream st Rpc.Bye;
       st.stop <- true
-  | Ok (Rpc.Abort { round; dialing }) -> (
+  | Ok (Rpc.Abort { round; dialing }) ->
+      let kind = if dialing then Round.Dialing else Round.Conversation in
       close_hop st;
-      (match st.inflight with
-      | Some (r, d) when r = round && d = dialing -> st.inflight <- None
-      | _ -> ());
-      (match st.stream with
-      | Some ps
-        when ps.ps_round = round && Round.is_dialing ps.ps_kind = dialing ->
-          st.stream <- None
-      | _ -> ());
+      if st.inflight = Some (round, kind) then st.inflight <- None;
       send_downstream st (Rpc.Abort { round; dialing });
-      match st.server with
-      | None -> ()
-      | Some server ->
-          if dialing then Server.abort_dial_round server ~round
-          else Server.abort_conv_round server ~round)
+      Option.iter (fun hop -> Hop.abort hop ~kind ~round) st.hop
   | Ok msg -> (
-      match st.server with
-      | None -> (
+      match (st.hop, Rpc.part_header msg, msg) with
+      | Some hop, Some header, _ -> handle_part st hop ~raw msg header
+      | None, Some (_, _, _, seq), _ when seq > 0 -> ()
+      | None, header, _ ->
           (* A batch before our keys exist can only mean the chain is
              still assembling; the peer's supervisor will retry.  A
-             streamed round answers once, at its first part. *)
-          match msg with
-          | Rpc.Conv_batch_part { seq; _ } | Rpc.Dial_batch_part { seq; _ }
-            when seq > 0 ->
-              ()
-          | _ ->
-              let round =
-                match msg with
-                | Rpc.Conv_batch_part { round; _ }
-                | Rpc.Dial_batch_part { round; _ } -> round
-                | _ -> 0
-              in
-              send_upstream st
-                (Rpc.Status
-                   (status st ~round ~stage:"transport" "server not ready")))
-      | Some server -> (
-          match msg with
-          | Rpc.Conv_batch_part _ | Rpc.Dial_batch_part _ ->
-              handle_part st server ~raw msg
-          | Rpc.Fetch_drop { dial_round; index } -> (
-              if is_last st then
-                match Server.fetch_invitations ~dial_round server ~index with
-                | invitations ->
-                    send_upstream st
-                      (Rpc.Drop_contents { dial_round; index; invitations })
-                | exception e ->
-                    send_upstream st
-                      (Rpc.Status
-                         (status st ~round:dial_round ~stage:"fetch-drop"
-                            (Printexc.to_string e)))
-              else send_downstream st (Rpc.Fetch_drop { dial_round; index }))
-          | _ -> ()))
+             round answers once, at its first part. *)
+          let round = match header with Some (_, r, _, _) -> r | None -> 0 in
+          send_upstream st
+            (Rpc.Status (status st ~round ~stage:"transport" "server not ready"))
+      | Some hop, None, Rpc.Fetch_drop { dial_round; index } -> (
+          if is_last st then
+            match
+              Server.fetch_invitations ~dial_round (Hop.server hop) ~index
+            with
+            | invitations ->
+                send_upstream st
+                  (Rpc.Drop_contents { dial_round; index; invitations })
+            | exception e ->
+                send_upstream st
+                  (Rpc.Status
+                     (status st ~round:dial_round ~stage:"fetch-drop"
+                        (Printexc.to_string e)))
+          else send_downstream st msg)
+      | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
-  if cfg.index < 0 || cfg.index >= cfg.chain_len then
+let run ?(log = fun _ -> ()) cfg =
+  let chain_len = cfg.deployment.n_servers in
+  if cfg.index < 0 || cfg.index >= chain_len then
     Error
       (Printf.sprintf "daemon: index %d outside chain of %d" cfg.index
-         cfg.chain_len)
-  else if (cfg.next = None) <> (cfg.index = cfg.chain_len - 1) then
+         chain_len)
+  else if (cfg.next = None) <> (cfg.index = chain_len - 1) then
     Error "daemon: exactly the last server runs without --next"
   else begin
     (* Scrape endpoints imply a sink: a daemon asked to expose /metrics
-       self-instruments even when the embedder passed none.  Origin
+       self-instruments even when the deployment carries none.  Origin
        [index + 1] is the merge convention (0 is the coordinator). *)
     let telemetry =
-      match telemetry with
-      | Some _ -> telemetry
+      match cfg.deployment.telemetry with
+      | Some _ as tel -> tel
       | None when cfg.metrics_listen <> None || cfg.trace_out <> None ->
           Some (Telemetry.create ~origin:(cfg.index + 1) ())
       | None -> None
     in
+    let cfg = { cfg with deployment = { cfg.deployment with telemetry } } in
     let tp = Transport.create ?telemetry () in
     let st =
       {
@@ -571,17 +353,15 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
         log;
         tel = telemetry;
         started_ms = Unix.gettimeofday () *. 1000.;
-        faults = Option.map Fault.injector cfg.fault_plan;
-        server = None;
+        hop = None;
         suffix = [];
         upstream = None;
         downstream = None;
         hello_pending = false;
         inflight = None;
-        stream = None;
         outbox = Queue.create ();
         ctx = None;
-        hop = None;
+        span = None;
         last_round = 0;
         hops_done = 0;
         stop = false;
@@ -628,9 +408,9 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
             (Json.Obj
                [
                  ( "status",
-                   Json.Str (if st.server <> None then "ok" else "starting") );
+                   Json.Str (if st.hop <> None then "ok" else "starting") );
                  ("index", Json.Num (float_of_int cfg.index));
-                 ("chain_len", Json.Num (float_of_int cfg.chain_len));
+                 ("chain_len", Json.Num (float_of_int chain_len));
                  ("last", Json.Bool (is_last st));
                  ("round", Json.Num (float_of_int st.last_round));
                  ("hops_done", Json.Num (float_of_int st.hops_done));
@@ -679,23 +459,23 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
         | Ok httpd ->
         (match cfg.next with
         | None ->
-            ensure_server ?telemetry ?on_ready st (* last server: no suffix *)
+            ensure_hop st (* last server: no suffix *)
         | Some next_addr ->
             let backoff_seed =
               Option.map
                 (fun s -> Printf.sprintf "%s-backoff-%d" s cfg.index)
-                cfg.seed
+                cfg.deployment.seed
             in
             let shaper =
               Option.map
                 (fun link ->
-                  match cfg.seed with
+                  match cfg.deployment.seed with
                   | Some s ->
                       Shaper.with_seed
                         (Printf.sprintf "%s-link-%d" s cfg.index)
                         link
                   | None -> link)
-                cfg.link
+                cfg.deployment.link
             in
             let down =
               Transport.dial tp ~addr:next_addr
@@ -704,16 +484,16 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
                 ~on_established:(fun _ payload ->
                   match Rpc.decode payload with
                   | Ok (Rpc.Chain_info { pks }) ->
-                      if st.server = None then begin
+                      if st.hop = None then begin
                         st.suffix <- pks;
-                        ensure_server ?telemetry ?on_ready st
+                        ensure_hop st
                       end
                   | Ok _ | Error _ ->
                       st.log "malformed downstream handshake reply")
                 ~on_frame:(fun _ raw ->
-                  match Rpc.decode raw with
-                  | Ok msg when st.server <> None -> handle_downstream st msg
-                  | Ok _ | Error _ -> ())
+                  match (st.hop, Rpc.decode raw) with
+                  | Some hop, Ok msg -> handle_downstream st hop ~raw msg
+                  | _ -> ())
                 ~on_drop:(fun conn ->
                   st.log "downstream link lost";
                   (* Grace, not instant abort: the connection redials on
@@ -722,31 +502,24 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
                      [flap_grace_ms] lets the round complete.  Only a
                      link still down (for the same in-flight round) when
                      the grace expires abandons the round. *)
-                  match st.inflight with
-                  | Some (round, dialing) when cfg.flap_grace_ms > 0. ->
-                      ignore
-                        (Evloop.after (Transport.loop tp)
-                           ~ms:cfg.flap_grace_ms (fun () ->
-                             match st.inflight with
-                             | Some (r, d)
-                               when r = round && d = dialing
-                                    && not (Conn.established conn) ->
-                                 st.inflight <- None;
-                                 send_upstream st
-                                   (Rpc.Status
-                                      (status st ~round
-                                         ~stage:
-                                           (if dialing then "dial-batch"
-                                            else "conv-batch")
-                                         "downstream link lost"))
-                             | _ -> ()))
-                  | Some (round, dialing) ->
+                  let abandon inflight =
+                    if st.inflight = Some inflight then begin
+                      let round, kind = inflight in
                       st.inflight <- None;
                       send_upstream st
                         (Rpc.Status
-                           (status st ~round
-                              ~stage:(if dialing then "dial-batch" else "conv-batch")
+                           (status st ~round ~stage:(Rpc.stage kind "batch")
                               "downstream link lost"))
+                    end
+                  in
+                  let grace = cfg.deployment.flap_grace_ms in
+                  match st.inflight with
+                  | Some inflight when grace > 0. ->
+                      ignore
+                        (Evloop.after (Transport.loop tp) ~ms:grace (fun () ->
+                             if not (Conn.established conn) then
+                               abandon inflight))
+                  | Some inflight -> abandon inflight
                   | None -> ())
                 ()
             in
@@ -768,6 +541,6 @@ let run ?telemetry ?(log = fun _ -> ()) ?on_ready cfg =
         Option.iter (fun h -> Httpd.close h) httpd;
         Option.iter Conn.close st.downstream;
         Option.iter Conn.close st.upstream;
-        Option.iter Server.shutdown st.server;
+        Option.iter (fun hop -> Server.shutdown (Hop.server hop)) st.hop;
         Ok ())
   end

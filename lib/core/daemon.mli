@@ -19,47 +19,35 @@
     to heal before the in-flight round is abandoned — so a connection
     flap that recovers inside the grace costs latency, not the round.
 
-    A [fault_plan] arms the socket-level counterparts of the in-process
-    link faults, fired at this daemon's incoming link (plan entries
-    must name [server = index]): [Crash] resets the upstream
-    connection, [Drop_link] swallows the batch (the coordinator's
-    deadline catches it), frame faults mutate the received frame before
-    decoding (the typed rejection crosses the wire as a [Status]),
-    [Delay_ms] and [Slow_link] stall the process for real,
-    [Tamper_slot] flips an onion byte, [Flap] resets the upstream
-    socket but keeps the batch (the reply waits in the outbox),
-    [Partition] drops the batch and resets the socket. *)
+    Batches arrive through the same {!Hop} state machine the in-process
+    {!Chain} drives, so a [fault_plan] (entries must name
+    [server = index]) fires with the same semantics at this daemon's
+    incoming link; only the mapping onto sockets is the daemon's own.
+    A stall ([Delay_ms], [Slow_link], a [Flap] or [Partition] outage)
+    sleeps for real, a reset ([Crash], [Flap], [Partition]) closes the
+    upstream connection (after a [Flap] the reply waits in the outbox),
+    a lost batch ([Crash], [Drop_link], [Partition]) is swallowed for
+    the coordinator's deadline to notice, and a rejected part (frame
+    faults that break decoding, a [seq] gap) answers upstream with its
+    [Status].  Fired faults are counted in [/metrics]. *)
 
 type config = {
   listen : Unix.sockaddr;
   next : Unix.sockaddr option;  (** [None] for the last server *)
   index : int;  (** 0-based chain position *)
-  chain_len : int;
-  seed : string option;
-      (** same derivation as {!Chain.of_config}: a multi-process chain
-          with seed [s] is bit-identical to an in-process chain built
-          from a {!Config.t} with [seed = Some s] *)
-  noise : Vuvuzela_dp.Laplace.params;
-  dial_noise : Vuvuzela_dp.Laplace.params;
-  noise_mode : Vuvuzela_dp.Noise.mode;
-  dial_kind : Dialing.kind;
-  jobs : int;
-  deaddrop_shards : int;
-      (** conversation dead-drop store shards (last server; >= 1) *)
-  pipeline_chunk : int option;
-      (** [Some chunk]: forward batches leave for the next server as
-          [*_batch_part] frames of at most [chunk] onions each, so the
-          successor peels early parts while later ones are still in
-          flight.  [None]: one part holding the whole batch.  Results
-          are bit-identical at any part size. *)
-  fault_plan : Vuvuzela_faults.Fault.plan option;
-  link : Vuvuzela_transport.Shaper.config option;
-      (** emulated WAN characteristics of the downstream link (jitter
-          seed derived per link from [seed] when present) *)
-  flap_grace_ms : float;
-      (** grace for a lost downstream link to heal before the in-flight
-          round is abandoned with a [Status]; [0.] restores the old
-          abort-on-drop behaviour *)
+  deployment : Config.t;
+      (** the deployment this daemon is one position of, read as
+          {!Chain.of_config} reads it: [n_servers] is the chain length,
+          and seed, noise, dialing kind, jobs, dead-drop shards and the
+          part size ({!Config.part_chunk}) derive this position's
+          server, so a multi-process chain with seed [s] is
+          bit-identical to an in-process chain from the same
+          [Config.t].  The daemon also reads [fault_plan], [link] (the
+          emulated WAN profile of the downstream link, jitter seeded per
+          link from [seed]), [flap_grace_ms] (grace for a lost
+          downstream link to heal before the in-flight round is
+          abandoned with a [Status]; [0.] aborts on the drop) and
+          [telemetry]. *)
   metrics_listen : Unix.sockaddr option;
       (** mount the scrape endpoints on this address (the
           [--metrics-listen] flag): [/metrics] is the daemon's own
@@ -69,21 +57,15 @@ type config = {
           coordinator's merge.  Served from the daemon's own select
           loop; requests never block the round pipeline.  When set (or
           when [trace_out] is), a telemetry sink with merge origin
-          [index + 1] is created if the embedder passed none. *)
+          [index + 1] is created if the deployment carries none. *)
   trace_out : string option;
       (** write the daemon's span trace (JSONL, one span per line) to
           this path on shutdown *)
 }
 
-val run :
-  ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
-  ?log:(string -> unit) ->
-  ?on_ready:(unit -> unit) ->
-  config ->
-  (unit, string) result
+val run : ?log:(string -> unit) -> config -> (unit, string) result
 (** Run until a [Bye] arrives from upstream (forwarded down the chain
     first), then shut the server down and return.  [Error] only for
     startup failures (bad config, cannot bind [listen]) — runtime link
     failures are survived: upstream may disconnect and re-accept,
-    downstream redials under backoff.  [on_ready] fires once the
-    server exists and handshakes can be answered. *)
+    downstream redials under backoff. *)

@@ -12,8 +12,8 @@
    stores exactly those plus an access count; the count transitions also
    maintain the (m1, m2, m_more) histogram incrementally, making
    [histogram] O(1) instead of a List.length walk per drop.  The seed
-   implementation survives verbatim as {!Deaddrop_ref}, the differential
-   oracle for [test/prop/prop_deaddrop.ml].
+   implementation survives verbatim as [Deaddrop_ref] (test/oracles), the
+   differential oracle for [test/prop/prop_deaddrop.ml].
 
    Invitation drops (§5): a small fixed number m of large drops, each
    accumulating all invitations (real + noise) for the public keys that

@@ -33,7 +33,7 @@ val pp_histogram : Format.formatter -> histogram -> unit
     shards by drop-id prefix, so [resolve] parallelizes per shard over
     the domain pool.  Observationally identical to the monolithic store
     for any shard count — gated by [test/prop/prop_deaddrop.ml] against
-    the retained seed oracle {!Deaddrop_ref}. *)
+    the retained seed oracle [Deaddrop_ref] (test/oracles). *)
 module Sharded : sig
   type t
 

@@ -119,21 +119,11 @@ let install_ledger (cfg : Config.t) =
            ~dial:(Mechanism.dialing cfg.dial_noise) ()))
     cfg.telemetry
 
-let of_config (cfg : Config.t) =
-  let chain = Chain.of_config cfg in
+(* The one constructor behind both backends. *)
+let make (cfg : Config.t) backend ~server_pks ~cdn =
   install_ledger cfg;
-  let cdn =
-    if cfg.cdn_edges > 0 then
-      Some
-        (Cdn.create ~edges:cfg.cdn_edges ~history:Server.invitation_history
-           ?bloom_fp:cfg.cdn_bloom_fp
-           ~fetch:(fun ~dial_round ~index ->
-             Chain.fetch_invitations chain ~dial_round ~index)
-           ())
-    else None
-  in
   {
-    backend = Local chain;
+    backend;
     entry_streaming = cfg.entry_streaming;
     entry_chunk = max 1 cfg.pipeline_chunk;
     admission_rng = admission_rng_of cfg;
@@ -141,7 +131,7 @@ let of_config (cfg : Config.t) =
     client_latency = cfg.client_latency;
     link = cfg.link;
     tel = cfg.telemetry;
-    server_pks = Chain.public_keys chain;
+    server_pks;
     clients = Hashtbl.create 64;
     order = [];
     round = 1;
@@ -156,6 +146,20 @@ let of_config (cfg : Config.t) =
     last_fetched = Hashtbl.create 64;
     obs = obs_of cfg;
   }
+
+let of_config (cfg : Config.t) =
+  let chain = Chain.of_config cfg in
+  let cdn =
+    if cfg.cdn_edges > 0 then
+      Some
+        (Cdn.create ~edges:cfg.cdn_edges ~history:Server.invitation_history
+           ?bloom_fp:cfg.cdn_bloom_fp
+           ~fetch:(fun ~dial_round ~index ->
+             Chain.fetch_invitations chain ~dial_round ~index)
+           ())
+    else None
+  in
+  make cfg (Local chain) ~server_pks:(Chain.public_keys chain) ~cdn
 
 (* The coordinator of a multi-process deployment: same clients, same
    supervisor, but rounds cross a TCP connection to server 0.  [noise]
@@ -184,34 +188,8 @@ let of_config_tcp (cfg : Config.t) ~addr =
   with
   | Error e -> Error e
   | Ok remote ->
-      install_ledger cfg;
-      Remote.set_pipeline remote
-        (if cfg.pipeline then Some (max 1 cfg.pipeline_chunk) else None);
-      Ok
-        {
-          backend = Tcp remote;
-          entry_streaming = cfg.entry_streaming;
-          entry_chunk = max 1 cfg.pipeline_chunk;
-          admission_rng = admission_rng_of cfg;
-          admission_ms = cfg.admission_ms;
-          client_latency = cfg.client_latency;
-          link = cfg.link;
-          tel = cfg.telemetry;
-          server_pks = Remote.public_keys remote;
-          clients = Hashtbl.create 64;
-          order = [];
-          round = 1;
-          dial_round = 1;
-          m = 1;
-          auto_tune_m = false;
-          dial_kind = cfg.dial_kind;
-          cdn = None;
-          round_deadline_ms = cfg.round_deadline_ms;
-          max_retries = max 0 cfg.max_retries;
-          m_history = [];
-          last_fetched = Hashtbl.create 64;
-          obs = obs_of cfg;
-        }
+      Remote.set_pipeline remote (Config.part_chunk cfg);
+      Ok (make cfg (Tcp remote) ~server_pks:(Remote.public_keys remote) ~cdn:None)
 
 let chain t =
   match t.backend with
@@ -283,12 +261,10 @@ let chain_round t ~kind ~m ~round ~produce =
       round_root t r ~kind ~round (fun () ->
           Remote.round_streamed r ~kind ~m ~round ~produce)
 
-let chain_abort t ~(kind : Round.kind) ~round =
-  match (t.backend, kind) with
-  | Local c, Round.Conversation -> Chain.abort_round c ~round
-  | Local c, Round.Dialing -> Chain.abort_dialing_round c ~round
-  | Tcp r, Round.Conversation -> Remote.abort_round r ~round
-  | Tcp r, Round.Dialing -> Remote.abort_dialing_round r ~round
+let chain_abort t ~kind ~round =
+  match t.backend with
+  | Local c -> Chain.abort c ~kind ~round
+  | Tcp r -> Remote.abort r ~kind ~round
 
 let chain_fetch_invitations t ~dial_round ~index =
   match t.backend with
@@ -560,6 +536,22 @@ let wire_bytes t (kind : Round.kind) ~count =
   | Round.Conversation -> Rpc.conv_batch_bytes ~count ~item_len
   | Round.Dialing -> Rpc.dial_batch_bytes ~count ~item_len
 
+(* A first hop that is hostile or confused can answer with the wrong
+   number of results; routing them back would be a crash, so it is a
+   failed (and retryable) attempt like any other link fault. *)
+let check_results ~kind ~round ~batch_size = function
+  | Ok results when Array.length results <> batch_size ->
+      Error
+        {
+          Rpc.round;
+          server = 0;
+          stage = Rpc.stage kind "results";
+          detail =
+            Printf.sprintf "%d results for a batch of %d"
+              (Array.length results) batch_size;
+        }
+  | outcome -> outcome
+
 let supervise t ~kind ~m ~late_pred ~participants ~next_round ~submit ~requeue
     ~finish =
   let dialing = Round.is_dialing kind in
@@ -641,7 +633,10 @@ let supervise t ~kind ~m ~late_pred ~participants ~next_round ~submit ~requeue
         wire_bytes; elapsed_ms; confirmed_acks; attempts = n;
         aborts = List.rev !aborts; failure }
     in
-    match check_deadline t ~round ~elapsed_ms outcome with
+    match
+      check_deadline t ~round ~elapsed_ms
+        (check_results ~kind ~round ~batch_size outcome)
+    with
     | Error st ->
         (* Abort everywhere: servers drop the round's state (noise is
            redrawn on retry), admitted clients drop its reply secrets

@@ -219,7 +219,9 @@ val run :
     failed attempt is aborted on every server and client, then retried
     under a fresh round number with freshly built requests (fresh
     ephemeral keys — a stored onion is never re-submitted) and freshly
-    drawn noise, at most [max_retries] times.
+    drawn noise, at most [max_retries] times.  A results batch of the
+    wrong length fails the attempt with a [*-results] status from
+    server 0; it never raises.
 
     [Conversation]: each client submits [max_conversations] exchange
     requests (one slot each, §9) and decrypts the slot replies.

@@ -19,7 +19,7 @@ type t = {
       (** [Some chunk]: no part leaving for server 0 holds more than
           [chunk] onions, so it peels while the rest of the batch is
           still crossing the wire; [None]: one part per producer chunk *)
-  mutable flap_grace_ms : float;
+  flap_grace_ms : float;
       (** on a mid-round drop, keep pumping this long for the healed
           link to re-deliver the reply (the daemon's outbox holds it) *)
   mutable trace_ctx : Trace.context option;
@@ -31,13 +31,8 @@ type t = {
 let length t = List.length t.pks
 let public_keys t = t.pks
 let set_deadline_ms t d = t.deadline_ms <- d
-let deadline_ms t = t.deadline_ms
 let set_pipeline t p = t.pipeline <- Option.map (max 1) p
-let pipeline t = t.pipeline
-let set_flap_grace_ms t g = t.flap_grace_ms <- Float.max 0. g
-let flap_grace_ms t = t.flap_grace_ms
 let stats t = Transport.stats t.tp
-let is_shut_down t = t.shut_down
 let set_trace_ctx t c = t.trace_ctx <- c
 
 let connect ?telemetry ?(dial_kind = Dialing.Plain) ?deadline_ms
@@ -113,47 +108,23 @@ let await_reply t ~round ~expect =
   in
   await ()
 
-(* The round's parts leave as soon as they exist, with one part of
-   lookahead so the final one carries [last = true] (the daemon finishes
-   the round on it).  The coordinator therefore holds at most two
-   chunks of onions, and the first hop peels early parts while later
-   ones are still being built.  Zero chunks degrade to one empty [last]
-   part — the same framing [Rpc.split_parts] gives an empty batch. *)
-let stream_parts t ~encode_part ~produce =
-  send_trace_ctx t;
-  let held = ref None in
-  let seq = ref 0 in
-  let push part =
-    (match !held with
-    | Some prev ->
-        Transport.send_batch t.client (encode_part ~seq:!seq ~last:false prev);
-        incr seq;
-        (* Opportunistically drain the socket so parts cross the wire
-           (and the first hop starts peeling) while the producer is
-           still wrapping later chunks. *)
-        Transport.run_once ~max_wait_ms:0. t.tp
-    | None -> ());
-    held := Some part
-  in
-  produce (fun chunk ->
-      match t.pipeline with
-      | None -> push chunk
-      | Some chunk_len ->
-          Array.iter push (Rpc.split_parts ~chunk:chunk_len chunk));
-  let final = Option.value !held ~default:[||] in
-  Transport.send_batch t.client (encode_part ~seq:!seq ~last:true final)
-
 let round_streamed t ~kind ~m ~round ~produce =
   if t.shut_down then Error (Rpc.chain_shutdown ~round)
   else begin
     let expected =
       Entry.request_len ~chain_len:(length t) ~dial_kind:t.dial_kind kind
     in
-    stream_parts t
-      ~encode_part:(fun ~seq ~last onions ->
-        Rpc.encode (Rpc.part kind ~round ~m ~seq ~last onions))
-      ~produce:(fun feed ->
-        produce (fun chunk -> feed (Entry.normalize ~expected chunk)));
+    send_trace_ctx t;
+    (* The coordinator holds at most two chunks of onions: parts leave as
+       soon as the next one exists, and between parts the socket is
+       drained so the first hop peels early parts while the producer is
+       still wrapping later ones. *)
+    Rpc.send_parts ?chunk:t.pipeline
+      ~emit:(fun ~seq ~last onions ->
+        Transport.send_batch t.client
+          (Rpc.encode (Rpc.part kind ~round ~m ~seq ~last onions));
+        if not last then Transport.run_once ~max_wait_ms:0. t.tp)
+      (fun push -> produce (fun chunk -> push (Entry.normalize ~expected chunk)));
     await_reply t ~round ~expect:(fun msg ->
         match (kind, msg) with
         | Round.Conversation, Rpc.Conv_results { round = r; replies }
@@ -176,15 +147,10 @@ let conversation_round t ~round requests =
 let dialing_round t ~round ~m requests =
   dialing_round_streamed t ~round ~m ~produce:(fun feed -> feed requests)
 
-let abort_round t ~round =
+let abort t ~kind ~round =
   if not t.shut_down then
     Transport.send_batch t.client
-      (Rpc.encode (Rpc.Abort { round; dialing = false }))
-
-let abort_dialing_round t ~round =
-  if not t.shut_down then
-    Transport.send_batch t.client
-      (Rpc.encode (Rpc.Abort { round; dialing = true }))
+      (Rpc.encode (Rpc.Abort { round; dialing = Round.is_dialing kind }))
 
 let fetch_invitations t ~dial_round ~index =
   if t.shut_down then []

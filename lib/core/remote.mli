@@ -41,7 +41,6 @@ val length : t -> int
 val public_keys : t -> bytes list
 
 val set_deadline_ms : t -> float option -> unit
-val deadline_ms : t -> float option
 
 val set_pipeline : t -> int option -> unit
 (** [Some chunk] (clamped ≥ 1): no part leaving for the first hop holds
@@ -50,14 +49,6 @@ val set_pipeline : t -> int option -> unit
     [None] (the default) sends one part per producer chunk — a
     materialized batch as one whole-batch part.  Results are
     bit-identical at any part size. *)
-
-val pipeline : t -> int option
-
-val set_flap_grace_ms : t -> float -> unit
-(** Change the mid-round flap tolerance (clamped ≥ 0; [0.] restores
-    fail-on-drop). *)
-
-val flap_grace_ms : t -> float
 
 val set_trace_ctx : t -> Vuvuzela_telemetry.Trace.context option -> unit
 (** Announce this context to the first hop ahead of the next round's
@@ -102,12 +93,10 @@ val conversation_round :
 val dialing_round :
   t -> round:int -> m:int -> bytes array -> (bytes array, Rpc.status) result
 
-val abort_round : t -> round:int -> unit
+val abort : t -> kind:Round.kind -> round:int -> unit
 (** Best-effort [Abort] frame, forwarded hop to hop; a link that is
     down simply misses it (stale round state on a server is inert —
     every retry uses a fresh round number). *)
-
-val abort_dialing_round : t -> round:int -> unit
 
 val fetch_invitations : t -> dial_round:int -> index:int -> bytes list
 (** Download one invitation drop from the last server (relayed down the
@@ -120,5 +109,3 @@ val stats : t -> Vuvuzela_transport.Conn.stats
 
 val shutdown : t -> unit
 (** Send [Bye] down the chain and close.  Idempotent. *)
-
-val is_shut_down : t -> bool

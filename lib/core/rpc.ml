@@ -303,6 +303,11 @@ let stage (kind : Round.kind) what =
   (match kind with Round.Conversation -> "conv-" | Round.Dialing -> "dial-")
   ^ what
 
+let part_header = function
+  | Conv_batch_part { round; seq; _ } -> Some (Round.Conversation, round, 0, seq)
+  | Dial_batch_part { round; m; seq; _ } -> Some (Round.Dialing, round, m, seq)
+  | _ -> None
+
 (* Split a logical batch into the contiguous slices a relay ships as
    [*_batch_part] frames.  An empty batch is one empty part so a
    [last = true] frame always closes the round. *)
@@ -314,6 +319,25 @@ let split_parts ~chunk onions =
     let parts = (n + chunk - 1) / chunk in
     Array.init parts (fun p ->
         Array.sub onions (p * chunk) (min chunk (n - (p * chunk))))
+
+(* The one sender every link uses.  Parts leave as soon as they exist,
+   with one part of lookahead so the final one carries [last = true];
+   pushing nothing still closes the batch with one empty [last] part. *)
+let send_parts ?chunk ~emit fill =
+  let held = ref None and seq = ref 0 in
+  let push part =
+    Option.iter
+      (fun prev ->
+        emit ~seq:!seq ~last:false prev;
+        incr seq)
+      !held;
+    held := Some part
+  in
+  fill (fun onions ->
+      match chunk with
+      | None -> push onions
+      | Some chunk -> Array.iter push (split_parts ~chunk onions));
+  emit ~seq:!seq ~last:true (Option.value !held ~default:[||])
 
 (* Byte size of a batch on the wire without building it (used by the
    cost model's bandwidth accounting and the round reports): frame

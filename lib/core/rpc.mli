@@ -94,11 +94,27 @@ val stage : Round.kind -> string -> string
 (** [stage kind what] names a link stage in a {!status}:
     ["conv-" ^ what] or ["dial-" ^ what]. *)
 
+val part_header : message -> (Round.kind * int * int * int) option
+(** [(kind, round, m, seq)] of a [*_batch_part] frame ([m = 0] for
+    conversation parts); [None] for every other message. *)
+
 val split_parts : chunk:int -> bytes array -> bytes array array
 (** Split a logical batch into the ≤[chunk]-sized contiguous slices a
     relay ships as [*_batch_part] frames ([chunk] clamped ≥ 1; pass the
     batch length for one whole-batch part).  An empty batch yields one
     empty part, so every round is closed by a [last = true] frame. *)
+
+val send_parts :
+  ?chunk:int ->
+  emit:(seq:int -> last:bool -> bytes array -> unit) ->
+  ((bytes array -> unit) -> unit) ->
+  unit
+(** [send_parts ?chunk ~emit fill] is how every link sends a batch:
+    [fill push] pushes it in slot-ordered chunks, each cut into parts of
+    at most [chunk] onions (without [chunk], each chunk is one part),
+    and [emit] receives the parts numbered from 0 as soon as the next
+    one exists, the final one with [last = true].  Pushing nothing emits
+    one empty [last] part. *)
 
 val conv_batch_bytes : count:int -> item_len:int -> int
 (** Wire size of a conversation batch of [count] items, for bandwidth

@@ -180,9 +180,6 @@ type stream = {
   mutable s_n_in : int;
 }
 
-let stream_round st = st.s_round
-let stream_dialing st = st.s_dialing
-
 (* Expected request size arriving at this server: the payload plus one
    onion layer per remaining server. *)
 let conv_request_len t =

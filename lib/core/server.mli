@@ -96,9 +96,6 @@ val stream_feed : t -> stream -> bytes array -> unit
     round so far, fan the DH + AEAD out over the pool).  Chunks must
     arrive in slot order. *)
 
-val stream_round : stream -> int
-val stream_dialing : stream -> bool
-
 (** {2 Conversation rounds} *)
 
 val conv_finish_forward : t -> stream -> bytes array

@@ -4,7 +4,7 @@
    from the RFC quarter-round schedule), and keystream is combined with
    the buffer eight bytes at a time through the word helpers in
    {!Bytes_util}.  The seed implementation survives verbatim as
-   {!Chacha20_ref} and is the differential oracle for this module
+   [Chacha20_ref] (test/oracles) and is the differential oracle for this module
    (test/prop/prop_chacha.ml); wire bytes are bit-identical by
    construction and by pinned transcript digests. *)
 
@@ -58,7 +58,7 @@ let init_state ~key ~nonce ~counter =
      primitives that truncate in hardware ({!Bytes_util}).
 
    The tagged values never exceed 2^49, and the serialized keystream is
-   bit-identical to {!Chacha20_ref} (gated by test/prop/prop_chacha.ml). *)
+   bit-identical to [Chacha20_ref] (gated by test/prop/prop_chacha.ml). *)
 let block_words st ctr ws =
   let x0 = Array.unsafe_get st 0 in
   let x1 = Array.unsafe_get st 1 in

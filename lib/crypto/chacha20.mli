@@ -2,8 +2,9 @@
 
     The 16-word state lives in unboxed native-int locals with fully
     unrolled double-rounds, and keystream is combined with buffers eight
-    bytes at a time.  Wire bytes are bit-identical to {!Chacha20_ref}
-    (the seed implementation, retained as a differential oracle),
+    bytes at a time.  Wire bytes are bit-identical to [Chacha20_ref]
+    (the seed implementation, retained in test/oracles as a
+    differential oracle),
     enforced by [test/prop/prop_chacha.ml] and the RFC 8439 vector
     tables in [test/test_crypto.ml]. *)
 

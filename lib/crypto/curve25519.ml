@@ -6,7 +6,7 @@
    scalar multiplication (§8.2, "each 36-core machine can perform about
    340,000 Curve25519 Diffie-Hellman operations per second").  The field
    is the 51-bit-limb Fe25519; the seed ladder is retained verbatim in
-   Curve25519_ref as the differential-testing oracle.
+   test/oracles/curve25519_ref as the differential-testing oracle.
 
    Two multiplications per ladder step involve a constant: x1 (the input
    u-coordinate) and (A-2)/4 = 121665.  The 121665 step always uses the

@@ -1,6 +1,7 @@
 (** X25519 Diffie-Hellman scalar multiplication (RFC 7748), pure OCaml
     over the 51-bit-limb {!Fe25519} (the seed's 16-bit-limb ladder lives
-    on in {!Curve25519_ref} as the differential-testing oracle).
+    on in [Curve25519_ref], test/oracles, as the differential-testing
+    oracle).
 
     This is the dominant CPU cost of Vuvuzela's servers (§8.2 of the
     paper); the simulator's cost model is calibrated against this module's

@@ -21,7 +21,7 @@
    argument must therefore be carried.  Every call site in Curve25519 and
    Ed25519 satisfies this (subtrahends are always fresh mul/square
    outputs or constants), and test/prop/ checks the resulting values
-   differentially against the seed implementation (Fe25519_ref).
+   differentially against the seed implementation (test/oracles/fe25519_ref).
 
    Multiplication on 63-bit ints
    -----------------------------

@@ -3,7 +3,7 @@
     mul/square working on radix-2^25.5 half-limbs because a 51×51-bit
     product overflows a native int).  Shared by {!Curve25519} and
     {!Ed25519}; differentially tested against the retained seed
-    implementation {!Fe25519_ref} in [test/prop/].
+    implementation [Fe25519_ref] (test/oracles) in [test/prop/].
 
     Operations write their result into the first argument; aliasing
     between output and inputs is allowed everywhere.

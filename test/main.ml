@@ -18,6 +18,7 @@ let () =
       Test_certified.suite;
       Test_infra.suite;
       Test_faults.suite;
+      Test_hop.suite;
       Test_parallel.suite;
       Test_telemetry.suite;
       Test_sim.suite;

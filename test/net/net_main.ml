@@ -47,24 +47,23 @@ let chain_len = 3
 let daemon_cfg ~seed ~ports ~index ?fault_plan ?pipeline_chunk ?link
     ?(flap_grace_ms = 2000.) ?(jobs = 1) ?(deaddrop_shards = 1) ?metrics_port
     () =
+  let opt f v cfg = match v with None -> cfg | Some v -> f v cfg in
   {
     Daemon.listen = Addr.loopback ~port:ports.(index);
     next =
       (if index = chain_len - 1 then None
        else Some (Addr.loopback ~port:ports.(index + 1)));
     index;
-    chain_len;
-    seed = Some seed;
-    noise = Transcript_pin.noise;
-    dial_noise = Transcript_pin.dial_noise;
-    noise_mode = Noise.Deterministic;
-    dial_kind = Dialing.Plain;
-    jobs;
-    deaddrop_shards;
-    pipeline_chunk;
-    fault_plan;
-    link;
-    flap_grace_ms;
+    deployment =
+      Config.(
+        default |> with_seed seed |> with_n_servers chain_len
+        |> with_noise Transcript_pin.noise
+        |> with_dial_noise Transcript_pin.dial_noise
+        |> with_noise_mode Noise.Deterministic |> with_jobs jobs
+        |> with_deaddrop_shards deaddrop_shards
+        |> with_flap_grace_ms flap_grace_ms
+        |> opt with_fault_plan fault_plan |> opt with_link link
+        |> opt (fun chunk -> with_pipeline ~chunk true) pipeline_chunk);
     metrics_listen = Option.map (fun port -> Addr.loopback ~port) metrics_port;
     trace_out = None;
   }
@@ -529,23 +528,33 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
-let spawn_obs_chain ?(jobs = 1) ~seed ~ports ~mports () =
+let spawn_obs_chain ?(jobs = 1) ?fault_plan_for ~seed ~ports ~mports () =
   Array.to_list
     (Array.init chain_len (fun i ->
          let index = chain_len - 1 - i in
+         let fault_plan =
+           match fault_plan_for with
+           | Some (j, plan) when j = index -> Some plan
+           | _ -> None
+         in
          fork_daemon
-           (daemon_cfg ~seed ~ports ~index ~pipeline_chunk:4 ~jobs
+           (daemon_cfg ~seed ~ports ~index ~pipeline_chunk:4 ~jobs ?fault_plan
               ~metrics_port:mports.(index) ())))
 
 (* A full [--obs-dir] deployment: daemons expose scrape endpoints, the
    coordinator traces its rounds, and shutdown collects everything.
-   Checks the live /metrics + /healthz answers, then the merged trace's
-   cross-process parent links, then the rendered digest. *)
+   Checks the live /metrics + /healthz answers (the middle daemon has a
+   1 ms slow-link fault in round 1, which its registry must count), then
+   the merged trace's cross-process parent links, then the rendered
+   digest. *)
 let test_observability () =
   print_endline "observability plane (scrape endpoints + merged trace + digest):";
   let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
   let mports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
-  let pids = spawn_obs_chain ~seed:"net-obs" ~ports ~mports () in
+  let slow = [ { Fault.round = 1; server = 1; kind = Fault.Slow_link 1 } ] in
+  let pids =
+    spawn_obs_chain ~fault_plan_for:(1, slow) ~seed:"net-obs" ~ports ~mports ()
+  in
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -587,7 +596,10 @@ let test_observability () =
               check "/metrics serves the hop counter"
                 (contains body "vuvuzela_daemon_hops_total");
               check "/metrics serves net gauges"
-                (contains body "vuvuzela_net_frames_in")
+                (contains body "vuvuzela_net_frames_in");
+              check "/metrics counts the fired fault"
+                (contains body
+                   "vuvuzela_faults_injected_total{kind=\"slow-link\"}")
           | Ok (status, _) ->
               check (Printf.sprintf "/metrics answered %d" status) false
           | Error e -> check ("/metrics: " ^ e) false);
@@ -773,6 +785,166 @@ let test_obs_transcript_parity () =
               Remote.shutdown remote))
     [ 1; 4 ]
 
+
+(* ------------------------------------------------------------------ *)
+(* 8. Cross-tier fault parity: both tiers drive the same hop           *)
+(* ------------------------------------------------------------------ *)
+
+let parity_config =
+  Config.(
+    default |> with_seed "net-parity" |> with_n_servers chain_len
+    |> with_noise Transcript_pin.noise
+    |> with_dial_noise Transcript_pin.dial_noise
+    |> with_noise_mode Noise.Deterministic |> with_pipeline ~chunk:2 true
+    |> with_round_deadline_ms 30_000. |> with_max_retries 2
+    |> with_handshake_timeout_ms 20_000.)
+
+(* 8 clients in 4 pairs, one message per pair, 2 conversation rounds:
+   the attempts, the aborts (stage and server) and the deliveries. *)
+let parity_run net =
+  let clients =
+    Array.init 8 (fun i ->
+        Network.connect ~seed:(Printf.sprintf "parity-%d" i) net)
+  in
+  for p = 0 to 3 do
+    let a = clients.(2 * p) and b = clients.((2 * p) + 1) in
+    Client.start_conversation a ~peer_pk:(Client.public_key b);
+    Client.start_conversation b ~peer_pk:(Client.public_key a);
+    Client.send a (Printf.sprintf "pair %d" p)
+  done;
+  let reports = Network.run_rounds net 2 in
+  Network.shutdown net;
+  let delivered =
+    List.concat_map
+      (fun (_, evs) ->
+        List.filter (function Client.Delivered _ -> true | _ -> false) evs)
+      (Network.events_of reports)
+  in
+  Printf.sprintf "attempts=[%s] aborts=[%s] delivered=%d"
+    (String.concat ";"
+       (List.map (fun r -> string_of_int r.Network.attempts) reports))
+    (String.concat ";"
+       (List.concat_map
+          (fun r ->
+            List.map
+              (fun st -> Printf.sprintf "%s@%d" st.Rpc.stage st.Rpc.server)
+              r.Network.aborts)
+          reports))
+    (List.length delivered)
+
+let test_fault_parity () =
+  print_endline "cross-tier fault parity (8 clients, parts of 2):";
+  let clean = parity_run (Network.of_config parity_config) in
+  List.iter
+    (fun (name, plan_s) ->
+      let plan = Result.get_ok (Fault.parse plan_s) in
+      let name = Printf.sprintf "(%s) %s" name (String.sub plan_s 0 (min 16 (String.length plan_s))) in
+      let local =
+        try parity_run (Network.of_config (Config.with_fault_plan plan parity_config))
+        with e -> "raised " ^ Printexc.to_string e
+      in
+      let site = (List.hd plan).Fault.server in
+      let tcp =
+        with_chain ~pipeline_chunk:2 ~seed:"net-parity"
+          ~fault_plan_for:(site, plan) (fun ports ->
+            match
+              Network.of_config_tcp parity_config
+                ~addr:(Addr.loopback ~port:ports.(0))
+            with
+            | Error e -> "of_config_tcp: " ^ e
+            | Ok net -> (
+                try parity_run net with e -> "raised " ^ Printexc.to_string e))
+      in
+      check (Printf.sprintf "%s bites: %s" name local) (local <> clean);
+      check_str (name ^ ": daemons = in process") local tcp)
+    [
+      ("a", "corrupt(18)@1:1");
+      ("b", "corrupt(18)@1:0");
+      ( "c",
+        "pad(0)@1:1;"
+        ^ String.concat ";"
+            (List.init 12 (fun i -> Printf.sprintf "tamper(%d)@1:1" i)) );
+      ("d", "corrupt(5)@1:1");
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* 9. A hostile first hop cannot crash the coordinator                 *)
+(* ------------------------------------------------------------------ *)
+
+module Transport = Vuvuzela_transport.Transport
+module Conn = Vuvuzela_transport.Conn
+
+(* Answers the handshake like a 3-server chain, then every closing part
+   with an empty results batch. *)
+let fork_hostile_hop port =
+  match Unix.fork () with
+  | 0 ->
+      let tp = Transport.create () in
+      let pks =
+        List.init chain_len (fun i ->
+            (Types.identity_of_seed
+               (Bytes.of_string (Printf.sprintf "hostile-%d" i)))
+              .Types.public)
+      in
+      let stop = ref false in
+      let on_frame conn raw =
+        let reply msg = Conn.send conn (Rpc.encode msg) in
+        match Rpc.decode raw with
+        | Ok (Rpc.Hello _) -> reply (Rpc.Chain_info { pks })
+        | Ok (Rpc.Conv_batch_part { round; last = true; _ }) ->
+            reply (Rpc.Conv_results { round; replies = [||] })
+        | Ok Rpc.Bye -> stop := true
+        | _ -> ()
+      in
+      (match
+         Transport.listen tp (Addr.loopback ~port)
+           ~on_accept:(fun fd _ ->
+             ignore
+               (Conn.of_fd ~loop:(Transport.loop tp) ~fd ~on_frame
+                  ~on_drop:(fun _ -> stop := true)
+                  ()))
+           ()
+       with
+      | Ok _ ->
+          while not !stop do
+            Transport.run_once ~max_wait_ms:50. tp
+          done
+      | Error _ -> ());
+      Unix._exit 0
+  | pid -> pid
+
+let test_hostile_first_hop () =
+  print_endline "hostile first hop answering empty results:";
+  let port = Daemon_spawn.free_port () in
+  let pid = fork_hostile_hop port in
+  Fun.protect
+    ~finally:(fun () -> Daemon_spawn.stop_pid pid)
+    (fun () ->
+      match
+        Network.of_config_tcp
+          Config.(
+            tcp_config |> with_round_deadline_ms 10_000. |> with_max_retries 2)
+          ~addr:(Addr.loopback ~port)
+      with
+      | Error e -> check ("of_config_tcp: " ^ e) false
+      | Ok net ->
+          let a = Network.connect ~seed:"hostile-a" net in
+          let b = Network.connect ~seed:"hostile-b" net in
+          Client.start_conversation a ~peer_pk:(Client.public_key b);
+          Client.start_conversation b ~peer_pk:(Client.public_key a);
+          (match Network.run ~kind:Round.Conversation net with
+          | r ->
+              check "the round failed" (r.Network.failure <> None);
+              check "after 1 + max_retries attempts" (r.Network.attempts = 3);
+              check "a typed results status from server 0"
+                (List.for_all
+                   (fun st -> st.Rpc.stage = "conv-results" && st.Rpc.server = 0)
+                   r.Network.aborts
+                && List.length r.Network.aborts = 3)
+          | exception e ->
+              check ("Network.run raised " ^ Printexc.to_string e) false);
+          Network.shutdown net)
+
 let () =
   if not (Daemon_spawn.sockets_allowed ()) then begin
     print_endline
@@ -796,6 +968,8 @@ let () =
   run "shaped" test_shaped_links;
   run "obs" test_observability;
   run "obs-parity" test_obs_transcript_parity;
+  run "fault-parity" test_fault_parity;
+  run "hostile" test_hostile_first_hop;
   if !failures > 0 then begin
     Printf.printf "net: %d failure(s)\n%!" !failures;
     exit 1

@@ -16,7 +16,6 @@
 
 open Vuvuzela_crypto
 module Deaddrop = Vuvuzela.Deaddrop
-module Deaddrop_ref = Vuvuzela.Deaddrop_ref
 module Stable_bloom = Vuvuzela.Stable_bloom
 module Pool = Vuvuzela_parallel.Pool
 

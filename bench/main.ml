@@ -511,8 +511,9 @@ let round_stage_export () =
 (* Crypto: 51-bit field rewrite vs the retained seed implementation    *)
 (* ------------------------------------------------------------------ *)
 
-(* Throughput of the rewritten X25519 (5×51-bit limbs) against the
-   retained seed ladder (Curve25519_ref, 16×16-bit limbs), AEAD seal/open
+(* Throughput of the rewritten X25519 (5×51-bit limbs; the fixed base via
+   the Edwards comb) against the retained seed ladder (Curve25519_ref,
+   16×16-bit limbs), AEAD seal/open
    throughput, the chunked-vs-per-item pool dispatch cost, and the
    end-to-end round cost at jobs ∈ {1, 2, 4} plus a pipelined run —
    written to BENCH_crypto.json so the numbers are diffable run-to-run.

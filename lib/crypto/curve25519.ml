@@ -1,6 +1,7 @@
 (* X25519 scalar multiplication (RFC 7748) over the shared Fe25519 field
-   arithmetic (Montgomery ladder, constant sequence of field operations
-   per scalar bit).
+   arithmetic: a Montgomery ladder (constant sequence of field operations
+   per scalar bit) for a variable base, and Edwards25519's constant-time
+   comb for the fixed base.
 
    This is the paper's dominant cost: every onion layer wrap/unwrap is one
    scalar multiplication (§8.2, "each 36-core machine can perform about
@@ -8,11 +9,13 @@
    is the 51-bit-limb Fe25519; the seed ladder is retained verbatim in
    test/oracles/curve25519_ref as the differential-testing oracle.
 
-   Two multiplications per ladder step involve a constant: x1 (the input
-   u-coordinate) and (A-2)/4 = 121665.  The 121665 step always uses the
-   small-constant path; scalarmult_base additionally specialises the x1
-   step, since the base point's u-coordinate is just 9 — the fixed-base
-   path every client hits once per round for its ephemeral keys. *)
+   scalarmult_base — every fresh ephemeral key: clients' onion layers,
+   servers' noise onions, dialing's sealed boxes, key generation — works
+   on the birationally equivalent Edwards curve instead: the clamped
+   scalar times the Edwards base point by the comb (~750 field
+   multiplications and squarings against the ladder's ~2,560), mapped to
+   u = (1 + y)/(1 - y).  The clamped scalar has bit 255 clear, as the
+   comb requires, and the output is the same canonical encoding. *)
 
 let key_len = 32
 let scalar_len = 32
@@ -23,10 +26,9 @@ let clamp scalar =
   Bytes_util.set_u8 z 31 ((Bytes_util.get_u8 z 31 land 127) lor 64);
   z
 
-(* The ladder proper.  [x] seeds the second ladder point; [mul_x1]
-   multiplies by the input u-coordinate ([mul] by the unpacked point in
-   general, [mul_small] by 9 on the fixed-base path). *)
-let ladder z (x : Fe25519.t) (mul_x1 : Fe25519.t -> Fe25519.t -> unit) =
+(* The ladder proper over the clamped scalar [z] and input
+   u-coordinate [x]. *)
+let ladder z (x : Fe25519.t) =
   let open Fe25519 in
   let a = create ()
   and b = copy x
@@ -56,7 +58,7 @@ let ladder z (x : Fe25519.t) (mul_x1 : Fe25519.t -> Fe25519.t -> unit) =
     add a a d;
     mul c c a;
     mul a d f;
-    mul_x1 d b;
+    mul d b x;
     square b e;
     cswap a b r;
     cswap c d r
@@ -74,7 +76,7 @@ let scalarmult ~scalar ~point =
     invalid_arg "Curve25519: bad point length";
   let z = clamp scalar in
   let x = Fe25519.unpack point in
-  ladder z x (fun o b -> Fe25519.mul o b x)
+  ladder z x
 
 let base_point =
   let b = Bytes.make 32 '\000' in
@@ -84,10 +86,7 @@ let base_point =
 let scalarmult_base scalar =
   if Bytes.length scalar <> scalar_len then
     invalid_arg "Curve25519: bad scalar length";
-  let z = clamp scalar in
-  let x = Fe25519.create () in
-  x.(0) <- 9;
-  ladder z x (fun o b -> Fe25519.mul_small o b 9)
+  Edwards25519.(montgomery_u (scalarmult_base (clamp scalar)))
 
 (* Diffie-Hellman: the raw shared point is passed through HKDF before use
    as a symmetric key (see Box), matching best practice. *)

@@ -1,40 +1,14 @@
-(* Ed25519 signatures (RFC 8032), following TweetNaCl's structure over
-   the shared Fe25519 field arithmetic.
+(* Ed25519 signatures (RFC 8032), following TweetNaCl's structure; the
+   curve arithmetic is Edwards25519's (its comb computes every base
+   multiplication: the public key, R = rB and verification's sB).
 
    Vuvuzela's core protocols need no signatures, but its PKI story does
    (§2.3 assumes signature schemes; §9 "the caller can supply a
-   certificate along with the invitation") — see {!Vuvuzela.Certificate}.
-
-   Points are held in extended coordinates (X, Y, Z, T) with
-   x = X/Z, y = Y/Z, xy = T/Z. *)
+   certificate along with the invitation") — see {!Vuvuzela.Certificate}. *)
 
 let public_key_len = 32
 let secret_key_len = 32
 let signature_len = 64
-
-type point = Fe25519.t array (* 4 coordinates *)
-
-(* Curve constants, given as their canonical little-endian encodings so
-   they are independent of Fe25519's limb representation: d, 2d, the base
-   point (X, Y), and I = sqrt(-1).  These bytes are exactly the packed
-   form of TweetNaCl's limb tables (the seed implementation's constants);
-   the property harness re-checks d and I algebraically. *)
-let fe_of_hex h = Fe25519.unpack (Bytes_util.of_hex h)
-
-let const_d =
-  fe_of_hex "a3785913ca4deb75abd841414d0a700098e879777940c78c73fe6f2bee6c0352"
-
-let const_d2 =
-  fe_of_hex "59f1b226949bd6eb56b183829a14e00030d1f3eef2808e19e7fcdf56dcd90624"
-
-let const_x =
-  fe_of_hex "1ad5258f602d56c9b2a7259560c72c695cdcd6fd31e2a4c0fe536ecdd3366921"
-
-let const_y =
-  fe_of_hex "5866666666666666666666666666666666666666666666666666666666666666"
-
-let const_i =
-  fe_of_hex "b0a00e4a271beec478e42fad0618432fa7d7fb3d99004d2b0bdfc14f8024832b"
 
 (* The group order L = 2^252 + 27742317777372353535851937790883648493,
    as 32 little-endian bytes. *)
@@ -44,117 +18,6 @@ let order_l =
     0xa2; 0xde; 0xf9; 0xde; 0x14; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
     0; 0; 0x10;
   |]
-
-(* Extended-coordinate point addition: p <- p + q. *)
-let point_add (p : point) (q : point) =
-  let open Fe25519 in
-  let a = create ()
-  and b = create ()
-  and c = create ()
-  and d = create ()
-  and t = create ()
-  and e = create ()
-  and f = create ()
-  and g = create ()
-  and h = create () in
-  sub a p.(1) p.(0);
-  sub t q.(1) q.(0);
-  mul a a t;
-  add b p.(0) p.(1);
-  add t q.(0) q.(1);
-  mul b b t;
-  mul c p.(3) q.(3);
-  mul c c const_d2;
-  mul d p.(2) q.(2);
-  add d d d;
-  sub e b a;
-  sub f d c;
-  add g d c;
-  add h b a;
-  mul p.(0) e f;
-  mul p.(1) h g;
-  mul p.(2) g f;
-  mul p.(3) e h
-
-let point_cswap (p : point) (q : point) b =
-  for i = 0 to 3 do
-    Fe25519.cswap p.(i) q.(i) b
-  done
-
-(* Compress: 32-byte y with the sign of x in the top bit. *)
-let point_pack (p : point) =
-  let open Fe25519 in
-  let zi = create () and tx = create () and ty = create () in
-  invert zi p.(2);
-  mul tx p.(0) zi;
-  mul ty p.(1) zi;
-  let r = pack ty in
-  Bytes_util.set_u8 r 31 (Bytes_util.get_u8 r 31 lxor (parity tx lsl 7));
-  r
-
-let identity_point () =
-  [| Fe25519.zero (); Fe25519.one (); Fe25519.one (); Fe25519.zero () |]
-
-(* Constant-time double-and-add ladder over the 256-bit scalar encoding
-   (TweetNaCl's cswap ladder). *)
-let point_scalarmult (q : point) (s : bytes) : point =
-  let p = identity_point () in
-  let q = Array.map Fe25519.copy q in
-  for i = 255 downto 0 do
-    let b = (Bytes_util.get_u8 s (i lsr 3) lsr (i land 7)) land 1 in
-    point_cswap p q b;
-    point_add q p;
-    point_add p p;
-    point_cswap p q b
-  done;
-  p
-
-let base_point () =
-  let t = Fe25519.create () in
-  Fe25519.mul t const_x const_y;
-  [| Fe25519.copy const_x; Fe25519.copy const_y; Fe25519.one (); t |]
-
-let point_scalarmult_base s = point_scalarmult (base_point ()) s
-
-(* Decompress a public key / R value; fails on non-curve points.
-   Returns the point with x NEGATED (TweetNaCl's unpackneg), which is
-   what verification wants: it computes R' = sB + h·(-A). *)
-let point_unpack_neg (p : bytes) : point option =
-  let open Fe25519 in
-  let r = [| create (); unpack p; one (); create () |] in
-  let num = create ()
-  and den = create ()
-  and t = create ()
-  and chk = create ()
-  and den2 = create ()
-  and den4 = create ()
-  and den6 = create () in
-  square num r.(1);
-  mul den num const_d;
-  sub num num r.(2);
-  add den r.(2) den;
-  square den2 den;
-  square den4 den2;
-  mul den6 den4 den2;
-  mul t den6 num;
-  mul t t den;
-  pow2523 t t;
-  mul t t num;
-  mul t t den;
-  mul t t den;
-  mul r.(0) t den;
-  square chk r.(0);
-  mul chk chk den;
-  if not (equal chk num) then mul r.(0) r.(0) const_i;
-  square chk r.(0);
-  mul chk chk den;
-  if not (equal chk num) then None
-  else begin
-    if parity r.(0) = Bytes_util.get_u8 p 31 lsr 7 then
-      sub r.(0) (zero ()) r.(0);
-    mul r.(3) r.(0) r.(1);
-    Some r
-  end
 
 (* Reduce a 64-byte (or zero-padded) little-endian value modulo L
    (TweetNaCl's modL). *)
@@ -206,7 +69,7 @@ let public_key seed =
   if Bytes.length seed <> secret_key_len then
     invalid_arg "Ed25519.public_key: bad seed length";
   let scalar, _ = expand_secret seed in
-  point_pack (point_scalarmult_base scalar)
+  Edwards25519.(encode (scalarmult_base scalar))
 
 let keypair ?rng () =
   let seed = Drbg.bytes ?rng 32 in
@@ -216,10 +79,10 @@ let sign ~secret:seed message =
   if Bytes.length seed <> secret_key_len then
     invalid_arg "Ed25519.sign: bad seed length";
   let scalar, prefix = expand_secret seed in
-  let pk = point_pack (point_scalarmult_base scalar) in
+  let pk = Edwards25519.(encode (scalarmult_base scalar)) in
   (* r = H(prefix || M) mod L;  R = rB. *)
   let r = reduce_64 (Sha512.digest_list [ prefix; message ]) in
-  let r_enc = point_pack (point_scalarmult_base r) in
+  let r_enc = Edwards25519.(encode (scalarmult_base r)) in
   (* h = H(R || A || M) mod L;  S = (r + h·a) mod L. *)
   let h = reduce_64 (Sha512.digest_list [ r_enc; pk; message ]) in
   let x = Array.make 64 0 in
@@ -241,8 +104,12 @@ let verify ~public:pk ~signature message =
     || Bytes.length signature <> signature_len
   then false
   else begin
-    match point_unpack_neg pk with
+    (* A must decode strictly and must not be a torsion point: under a
+       small-order key one forged signature verifies many messages (all
+       of them, for the identity). *)
+    match Edwards25519.decode_neg pk with
     | None -> false
+    | Some neg_a when Edwards25519.has_small_order neg_a -> false
     | Some neg_a ->
         let r_enc = Bytes.sub signature 0 32 in
         let s = Bytes.sub signature 32 32 in
@@ -259,9 +126,8 @@ let verify ~public:pk ~signature message =
         else begin
           let h = reduce_64 (Sha512.digest_list [ r_enc; pk; message ]) in
           (* R' = sB + h·(-A); valid iff R' = R. *)
-          let p = point_scalarmult neg_a h in
-          let q = point_scalarmult_base s in
-          point_add p q;
-          Bytes_util.ct_equal (point_pack p) r_enc
+          let p = Edwards25519.scalarmult_vartime neg_a h in
+          Edwards25519.add p (Edwards25519.scalarmult_base s);
+          Bytes_util.ct_equal (Edwards25519.encode p) r_enc
         end
   end

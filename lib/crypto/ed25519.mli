@@ -22,5 +22,6 @@ val sign : secret:bytes -> bytes -> bytes
 (** Deterministic 64-byte signature (R || S). *)
 
 val verify : public:bytes -> signature:bytes -> bytes -> bool
-(** Strict verification: rejects bad lengths, off-curve keys, and
-    non-canonical S. *)
+(** Strict verification: rejects bad lengths; keys that are off the
+    curve, non-canonical (y >= p, or x = 0 with the sign bit set) or of
+    small order; and non-canonical S. *)

@@ -1,0 +1,370 @@
+(* The twisted Edwards curve -x^2 + y^2 = 1 + d x^2 y^2 over Fe25519
+   (edwards25519, RFC 8032 §5.1), birationally equivalent to X25519's
+   Montgomery curve.  Shared by Ed25519 and by Curve25519's fixed-base
+   path, so it sits below both and depends only on the field.
+
+   Points are held in extended coordinates (X, Y, Z, T) with x = X/Z,
+   y = Y/Z, xy = T/Z.  Addition, mixed addition and doubling follow ref10
+   (Hisil-Wong-Carter-Dawson 2008 with a = -1); the addition is complete
+   on this curve, so it also doubles and accepts the identity.
+
+   Fixed-base comb (ref10's ge_scalarmult_base)
+   --------------------------------------------
+   A scalar k < 2^255 is recoded into 64 signed radix-16 digits
+   -8 <= e_i <= 8 with k = sum e_i 16^i, and
+
+     kB = 16 * sum_i e_(2i+1) 256^i B  +  sum_i e_(2i) 256^i B.
+
+   [table] row i holds j * 256^i * B for j = 1..8 in affine
+   (y+x, y-x, 2dxy) form, so each digit costs one mixed addition of a
+   row entry (negated for a negative digit), and the whole multiplication
+   64 mixed additions and 4 doublings: with the final inversion, ~750
+   field multiplications and squarings against the ladder's ~2,560.
+
+   Constant time: the recoding is arithmetic only, every row is scanned
+   in full and the entry is picked with masks (the row index is public),
+   and negation is a masked swap.  The table is built eagerly at module
+   initialisation, never lazily: OCaml 5 raises CamlinternalLazy.Undefined
+   when two domains force one lazy value, and servers wrap noise onions
+   from pool domains.  It is read-only afterwards.
+
+   Carry discipline (Fe25519): [sub]'s second argument is always carried
+   (a mul/square output, a table entry, or an explicitly [carry]ed sum),
+   and at most one lazy add/sub precedes a multiplication — except
+   G = D + C in [add] and [madd], two stacked adds whose limbs stay below
+   3 (2^51 + 2^15) < 2^52.6, inside the 2^53.1 input bound [mul] is
+   sized for. *)
+
+type point = { x : Fe25519.t; y : Fe25519.t; z : Fe25519.t; t : Fe25519.t }
+
+(* Curve constants as canonical little-endian encodings, independent of
+   Fe25519's limb representation: d = -121665/121666, 2d, I = sqrt(-1),
+   and the base point B = (x, 4/5).  test/prop re-derives them
+   algebraically. *)
+let fe_of_hex h = Fe25519.unpack (Bytes_util.of_hex h)
+
+let d =
+  fe_of_hex "a3785913ca4deb75abd841414d0a700098e879777940c78c73fe6f2bee6c0352"
+
+let d2 =
+  fe_of_hex "59f1b226949bd6eb56b183829a14e00030d1f3eef2808e19e7fcdf56dcd90624"
+
+let sqrt_m1 =
+  fe_of_hex "b0a00e4a271beec478e42fad0618432fa7d7fb3d99004d2b0bdfc14f8024832b"
+
+let base_x =
+  fe_of_hex "1ad5258f602d56c9b2a7259560c72c695cdcd6fd31e2a4c0fe536ecdd3366921"
+
+let base_y =
+  fe_of_hex "5866666666666666666666666666666666666666666666666666666666666666"
+
+let fe_zero = Fe25519.zero ()
+let fe_one = Fe25519.one ()
+
+let identity () =
+  Fe25519.{ x = zero (); y = one (); z = one (); t = zero () }
+
+let base_point () =
+  let t = Fe25519.create () in
+  Fe25519.mul t base_x base_y;
+  Fe25519.{ x = copy base_x; y = copy base_y; z = one (); t }
+
+let copy_point p =
+  Fe25519.{ x = copy p.x; y = copy p.y; z = copy p.z; t = copy p.t }
+
+(* Temporaries of the point formulas, and the comb entry [select] picks
+   (yp, ym, xy2d = y+x, y-x, 2dxy; [neg] holds -xy2d).  Allocated once
+   per scalar multiplication, so the per-digit loop allocates nothing. *)
+type scratch = {
+  a : Fe25519.t;
+  b : Fe25519.t;
+  c : Fe25519.t;
+  e : Fe25519.t;
+  f : Fe25519.t;
+  g : Fe25519.t;
+  h : Fe25519.t;
+  yp : Fe25519.t;
+  ym : Fe25519.t;
+  xy2d : Fe25519.t;
+  neg : Fe25519.t;
+}
+
+let scratch () =
+  Fe25519.
+    {
+      a = create ();
+      b = create ();
+      c = create ();
+      e = create ();
+      f = create ();
+      g = create ();
+      h = create ();
+      yp = create ();
+      ym = create ();
+      xy2d = create ();
+      neg = create ();
+    }
+
+(* o <- (EF, GH, FG, EH): the last step every formula below shares.
+   Reads only the scratch, so [o] may alias the inputs. *)
+let finish s o =
+  Fe25519.mul o.x s.e s.f;
+  Fe25519.mul o.y s.g s.h;
+  Fe25519.mul o.z s.f s.g;
+  Fe25519.mul o.t s.e s.h
+
+(* p <- p + q. *)
+let add_with s p q =
+  let open Fe25519 in
+  sub s.a p.y p.x;
+  sub s.e q.y q.x;
+  mul s.a s.a s.e (* A = (Y1-X1)(Y2-X2) *);
+  add s.b p.y p.x;
+  add s.e q.y q.x;
+  mul s.b s.b s.e (* B = (Y1+X1)(Y2+X2) *);
+  mul s.c p.t q.t;
+  mul s.c s.c d2 (* C = 2d T1 T2 *);
+  mul s.g p.z q.z;
+  add s.g s.g s.g (* D = 2 Z1 Z2 *);
+  sub s.e s.b s.a (* E = B - A *);
+  add s.h s.b s.a (* H = B + A *);
+  sub s.f s.g s.c (* F = D - C *);
+  add s.g s.g s.c (* G = D + C *);
+  finish s p
+
+(* o <- p + q for the affine comb entry q = (s.yp, s.ym, s.xy2d). *)
+let madd s o p =
+  let open Fe25519 in
+  add s.a p.y p.x;
+  mul s.a s.a s.yp (* A = (Y+X)(y+x) *);
+  sub s.b p.y p.x;
+  mul s.b s.b s.ym (* B = (Y-X)(y-x) *);
+  mul s.c s.xy2d p.t (* C = 2dxy T *);
+  sub s.e s.a s.b (* E = A - B *);
+  add s.h s.a s.b (* H = A + B *);
+  add s.g p.z p.z (* D = 2Z *);
+  sub s.f s.g s.c (* F = D - C *);
+  add s.g s.g s.c (* G = D + C *);
+  finish s o
+
+(* o <- 2p. *)
+let double s o p =
+  let open Fe25519 in
+  square s.a p.x (* A = X^2 *);
+  square s.b p.y (* B = Y^2 *);
+  square s.c p.z;
+  add s.c s.c s.c (* C = 2Z^2 *);
+  add s.h s.a s.b;
+  carry s.h (* H = A + B, carried: E subtracts it *);
+  add s.e p.x p.y;
+  square s.e s.e;
+  sub s.e s.e s.h (* E = (X+Y)^2 - H *);
+  sub s.g s.b s.a;
+  carry s.g (* G = B - A, carried: F subtracts it *);
+  sub s.f s.c s.g (* F = C - G *);
+  finish s o
+
+(* The comb table: entry j of row i, (j+1) 256^i B as carried
+   (y+x, y-x, 2dxy), is 15 ints at [entry_off i j].  Built with one
+   batched inversion of the 256 Z coordinates (Montgomery's trick). *)
+let entry_off row j = 15 * ((8 * row) + j)
+
+let table =
+  let open Fe25519 in
+  let n = 32 * 8 in
+  let s = scratch () in
+  let pts = Array.make n (identity ()) in
+  let row_base = base_point () in
+  for row = 0 to 31 do
+    pts.(8 * row) <- copy_point row_base;
+    for j = 1 to 7 do
+      let p = copy_point pts.((8 * row) + j - 1) in
+      add_with s p row_base;
+      pts.((8 * row) + j) <- p
+    done;
+    for _ = 1 to 8 do
+      double s row_base row_base
+    done
+  done;
+  (* prefix.(i) = Z_0 ... Z_i *)
+  let prefix = Array.init n (fun _ -> create ()) in
+  blit ~src:pts.(0).z ~dst:prefix.(0);
+  for i = 1 to n - 1 do
+    mul prefix.(i) prefix.(i - 1) pts.(i).z
+  done;
+  let inv = create () in
+  invert inv prefix.(n - 1);
+  let tbl = Array.make (15 * n) 0 in
+  let zi = create () and x = create () and y = create () and v = create () in
+  let store off =
+    carry v;
+    Array.blit v 0 tbl off 5
+  in
+  for i = n - 1 downto 0 do
+    (* inv = 1 / (Z_0 ... Z_i) *)
+    if i = 0 then blit ~src:inv ~dst:zi
+    else begin
+      mul zi inv prefix.(i - 1);
+      mul inv inv pts.(i).z
+    end;
+    mul x pts.(i).x zi;
+    mul y pts.(i).y zi;
+    let off = 15 * i in
+    add v y x;
+    store off;
+    sub v y x;
+    store (off + 5);
+    mul v x y;
+    mul v v d2;
+    store (off + 10)
+  done;
+  tbl
+
+(* Constant time: s.(yp, ym, xy2d) <- b 256^row B for a signed digit
+   -8 <= b <= 8 (the identity (1, 1, 0) for b = 0).  All eight entries
+   of the row are read; the match is a mask. *)
+let select s row b =
+  let neg = b lsr 62 (* 1 iff b < 0 *) in
+  let babs = b - ((-neg land b) lsl 1) in
+  Fe25519.blit ~src:fe_one ~dst:s.yp;
+  Fe25519.blit ~src:fe_one ~dst:s.ym;
+  Fe25519.blit ~src:fe_zero ~dst:s.xy2d;
+  for j = 0 to 7 do
+    (* All ones iff babs = j + 1: (0 - 1) lsr 62 = 1, (1..15 - 1) lsr 62 = 0. *)
+    let m = -(((babs lxor (j + 1)) - 1) lsr 62) in
+    let off = entry_off row j in
+    for k = 0 to 4 do
+      s.yp.(k) <- s.yp.(k) lxor (m land (s.yp.(k) lxor table.(off + k)));
+      s.ym.(k) <- s.ym.(k) lxor (m land (s.ym.(k) lxor table.(off + 5 + k)));
+      s.xy2d.(k) <-
+        s.xy2d.(k) lxor (m land (s.xy2d.(k) lxor table.(off + 10 + k)))
+    done
+  done;
+  (* -(x, y) = (-x, y): swap y+x and y-x, negate 2dxy. *)
+  Fe25519.cswap s.yp s.ym neg;
+  Fe25519.sub s.neg fe_zero s.xy2d;
+  Fe25519.cswap s.xy2d s.neg neg
+
+let scalarmult_base k =
+  (* Bit 255 is clear for every caller (clamped scalars, scalars reduced
+     mod L), so this check branches on no bit a valid scalar can vary. *)
+  if Bytes.length k <> 32 || Bytes_util.get_u8 k 31 > 127 then
+    invalid_arg "Edwards25519.scalarmult_base: scalar must be < 2^255";
+  let e = Array.make 64 0 in
+  for i = 0 to 31 do
+    let v = Bytes_util.get_u8 k i in
+    e.(2 * i) <- v land 15;
+    e.((2 * i) + 1) <- v lsr 4
+  done;
+  (* Signed recoding: carry (e_i + 8) / 16 into the next digit, leaving
+     -8 <= e_i <= 7; the top digit ends at most 7 + 1 = 8. *)
+  for i = 0 to 62 do
+    let c = (e.(i) + 8) asr 4 in
+    e.(i) <- e.(i) - (c lsl 4);
+    e.(i + 1) <- e.(i + 1) + c
+  done;
+  let s = scratch () and p = identity () in
+  let digits parity =
+    for i = 0 to 31 do
+      select s i e.((2 * i) + parity);
+      madd s p p
+    done
+  in
+  digits 1;
+  for _ = 1 to 4 do
+    double s p p
+  done;
+  digits 0;
+  p
+
+(* Variable time: for public scalars only (verification). *)
+let scalarmult_vartime q k =
+  let s = scratch () and p = identity () in
+  for i = (8 * Bytes.length k) - 1 downto 0 do
+    double s p p;
+    if (Bytes_util.get_u8 k (i lsr 3) lsr (i land 7)) land 1 = 1 then
+      add_with s p q
+  done;
+  p
+
+let add p q = add_with (scratch ()) p q
+
+(* u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y). *)
+let montgomery_u p =
+  let open Fe25519 in
+  let n = create () and m = create () in
+  add n p.z p.y;
+  sub m p.z p.y;
+  invert m m;
+  mul n n m;
+  pack n
+
+(* Compress: 32-byte y with the sign of x in the top bit. *)
+let encode p =
+  let open Fe25519 in
+  let zi = create () and x = create () and y = create () in
+  invert zi p.z;
+  mul x p.x zi;
+  mul y p.y zi;
+  let r = pack y in
+  Bytes_util.set_u8 r 31 (Bytes_util.get_u8 r 31 lor (parity x lsl 7));
+  r
+
+(* RFC 8032 §5.1.3 decoding (TweetNaCl's unpackneg), returning -P:
+   x^2 = (y^2 - 1) / (d y^2 + 1), x = u v^3 (u v^7)^((p-5)/8), times
+   sqrt(-1) when that squares to -u/v. *)
+let decode_neg (enc : bytes) : point option =
+  let open Fe25519 in
+  let y = unpack enc in
+  let sign = Bytes_util.get_u8 enc 31 lsr 7 in
+  let masked = Bytes.copy enc in
+  Bytes_util.set_u8 masked 31 (Bytes_util.get_u8 enc 31 land 0x7f);
+  if not (Bytes.equal (pack y) masked) then None (* y >= p *)
+  else begin
+    let x = create ()
+    and num = create ()
+    and den = create ()
+    and t = create ()
+    and chk = create ()
+    and den2 = create ()
+    and den4 = create ()
+    and den6 = create () in
+    square num y;
+    mul den num d;
+    sub num num (one ());
+    add den (one ()) den;
+    square den2 den;
+    square den4 den2;
+    mul den6 den4 den2;
+    mul t den6 num;
+    mul t t den;
+    pow2523 t t;
+    mul t t num;
+    mul t t den;
+    mul t t den;
+    mul x t den;
+    square chk x;
+    mul chk chk den;
+    if not (equal chk num) then mul x x sqrt_m1;
+    square chk x;
+    mul chk chk den;
+    if not (equal chk num) then None (* not on the curve *)
+    else if sign = 1 && equal x fe_zero then None (* x = 0 has no -0 *)
+    else begin
+      if parity x = sign then begin
+        sub x fe_zero x;
+        carry x
+      end;
+      let xy = create () in
+      mul xy x y;
+      Some { x; y; z = one (); t = xy }
+    end
+  end
+
+let has_small_order p =
+  let s = scratch () and q = copy_point p in
+  for _ = 1 to 3 do
+    double s q q
+  done;
+  (* [8]P is the identity (0 : Z : Z : 0). *)
+  Fe25519.equal q.x fe_zero && Fe25519.equal q.y q.z

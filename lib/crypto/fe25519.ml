@@ -1,9 +1,12 @@
 (* Field arithmetic modulo 2^255 - 19 on 5 limbs of 51 bits in native
    OCaml ints (curve25519-donna's radix-2^51 representation), with lazy
-   carries.  Shared by X25519 (Montgomery ladder) and Ed25519
-   (Edwards-curve signatures); this is the hottest code in the system —
-   every onion layer costs one scalar multiplication, i.e. ~2550 calls
-   into [mul]/[square] below.
+   carries.  Shared by X25519's Montgomery ladder and the Edwards-curve
+   arithmetic (Edwards25519: Ed25519 and the fixed-base comb); this is
+   the hottest code in the system — every onion layer costs one
+   variable-base scalar multiplication, i.e. ~2,560 calls into
+   [mul]/[square] below (2,295 in the ladder, 265 in [invert]), and a
+   freshly wrapped layer one fixed-base multiplication on top (~750
+   calls, see Edwards25519).
 
    Representation and carry discipline
    -----------------------------------
@@ -19,9 +22,10 @@
    [sub] keeps limbs nonnegative by adding 2p limb-wise (limb 0 of 2p is
    2^52 - 38, the rest are 2^52 - 2) before subtracting; its SECOND
    argument must therefore be carried.  Every call site in Curve25519 and
-   Ed25519 satisfies this (subtrahends are always fresh mul/square
-   outputs or constants), and test/prop/ checks the resulting values
-   differentially against the seed implementation (test/oracles/fe25519_ref).
+   Edwards25519 satisfies this (subtrahends are always fresh mul/square
+   outputs, explicitly [carry]ed sums, or constants), and test/prop/
+   checks the resulting values differentially against the seed
+   implementation (test/oracles/fe25519_ref).
 
    Multiplication on 63-bit ints
    -----------------------------
@@ -308,10 +312,10 @@ let square (o : t) (a : t) =
   in
   reduce10 o h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
 
-(* Multiply by a small nonnegative constant (c < 2^17 covers both users:
-   the curve constant 121665 = (A-2)/4 and the base-point u-coordinate
-   9).  A direct limb product could reach 2^54 * 2^17 = 2^71, so this
-   also goes through half-limbs. *)
+(* Multiply by a small nonnegative constant (c < 2^17 covers the
+   ladder's curve constant 121665 = (A-2)/4).  A direct limb product
+   could reach 2^54 * 2^17 = 2^71, so this also goes through
+   half-limbs. *)
 let mul_small (o : t) (a : t) c =
   let a0 = a.(0) and a1 = a.(1) and a2 = a.(2) and a3 = a.(3) and a4 = a.(4) in
   reduce10 o
@@ -326,26 +330,55 @@ let mul_small (o : t) (a : t) c =
     ((a4 land mask26) * c)
     ((a4 asr 26) * c)
 
-(* Inversion by Fermat: a^(p-2).  Same square-and-multiply schedule as
-   the seed implementation (p-2 has zero bits only at positions 2 and
-   4). *)
-let invert (o : t) (i : t) =
-  let c = Array.copy i in
-  for a = 253 downto 0 do
-    square c c;
-    if a <> 2 && a <> 4 then mul c c i
-  done;
-  Array.blit c 0 o 0 5
+(* [o <- a^(2^n)], n >= 1. *)
+let square_n (o : t) (a : t) n =
+  square o a;
+  for _ = 2 to n do
+    square o o
+  done
 
-(* a^((p-5)/8), the square-root helper used when decompressing Edwards
-   points (RFC 8032 §5.1.3). *)
-let pow2523 (o : t) (i : t) =
-  let c = Array.copy i in
-  for a = 250 downto 0 do
-    square c c;
-    if a <> 1 then mul c c i
-  done;
-  Array.blit c 0 o 0 5
+(* The addition-chain prefix ref10's fe_invert and fe_pow22523 share:
+   [o <- z^(2^250 - 1)] and [z11 <- z^11], in 249 squarings and 10
+   multiplications.  [z] is read only before [z11] and [o] are written. *)
+let pow_2_250_1 (o : t) (z11 : t) (z : t) =
+  let t0 = create () and t1 = create () and t2 = create () in
+  square t0 z (* z^2 *);
+  square_n t1 t0 2 (* z^8 *);
+  mul t1 z t1 (* z^9 *);
+  mul z11 t0 t1 (* z^11 *);
+  square t0 z11 (* z^22 *);
+  mul t1 t1 t0 (* z^(2^5 - 1) *);
+  square_n t0 t1 5;
+  mul t1 t0 t1 (* z^(2^10 - 1) *);
+  square_n t0 t1 10;
+  mul t0 t0 t1 (* z^(2^20 - 1) *);
+  square_n t2 t0 20;
+  mul t0 t2 t0 (* z^(2^40 - 1) *);
+  square_n t0 t0 10;
+  mul t1 t0 t1 (* z^(2^50 - 1) *);
+  square_n t0 t1 50;
+  mul t0 t0 t1 (* z^(2^100 - 1) *);
+  square_n t2 t0 100;
+  mul t0 t2 t0 (* z^(2^200 - 1) *);
+  square_n t0 t0 50;
+  mul o t0 t1 (* z^(2^250 - 1) *)
+
+(* Inversion by Fermat, a^(p-2) = a^(2^255 - 21): 254 squarings and 11
+   multiplications (0 maps to 0). *)
+let invert (o : t) (a : t) =
+  let t = create () and a11 = create () in
+  pow_2_250_1 t a11 a;
+  square_n t t 5 (* a^(2^255 - 32) *);
+  mul o t a11
+
+(* a^((p-5)/8) = a^(2^252 - 3), the square-root helper used when
+   decompressing Edwards points (RFC 8032 §5.1.3): 251 squarings and 11
+   multiplications. *)
+let pow2523 (o : t) (a : t) =
+  let t = create () in
+  pow_2_250_1 t (create ()) a;
+  square_n t t 2 (* a^(2^252 - 4) *);
+  mul o t a
 
 (* Parity of the canonical representation. *)
 let parity (a : t) = Bytes_util.get_u8 (pack a) 0 land 1

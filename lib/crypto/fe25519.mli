@@ -2,7 +2,7 @@
     63-bit ints (curve25519-donna's radix-2^51 representation, with
     mul/square working on radix-2^25.5 half-limbs because a 51×51-bit
     product overflows a native int).  Shared by {!Curve25519} and
-    {!Ed25519}; differentially tested against the retained seed
+    {!Edwards25519}; differentially tested against the retained seed
     implementation [Fe25519_ref] (test/oracles) in [test/prop/].
 
     Operations write their result into the first argument; aliasing
@@ -46,13 +46,15 @@ val square : t -> t -> unit
 
 val mul_small : t -> t -> int -> unit
 (** [mul_small o a c] is [o <- a * c] for a small constant
-    [0 <= c < 2^17] (used for 121665 and the base point's u = 9). *)
+    [0 <= c < 2^17] (the ladder's 121665). *)
 
 val invert : t -> t -> unit
-(** [a^(p-2)] by Fermat. *)
+(** [a^(p-2)] by Fermat (so 0 maps to 0), along ref10's addition chain:
+    254 squarings and 11 multiplications. *)
 
 val pow2523 : t -> t -> unit
-(** [a^((p-5)/8)], the Edwards decompression square-root helper. *)
+(** [a^((p-5)/8)], the Edwards decompression square-root helper; shares
+    [invert]'s chain up to [a^(2^250-1)]. *)
 
 val parity : t -> int
 val equal : t -> t -> bool

@@ -1,7 +1,8 @@
 (* Ed25519 over the 51-bit field: RFC 8032 §7.1 vectors, algebraic
-   re-derivation of the curve constants (which ed25519.ml now states as
-   canonical byte encodings), and rejection tests for non-canonical s
-   and wrong-length inputs. *)
+   re-derivation of the curve constants (which edwards25519.ml states as
+   canonical byte encodings), the fixed-base comb against double-and-add,
+   and rejection tests for non-canonical s, small-order and
+   non-canonical public keys, and wrong-length inputs. *)
 
 open Vuvuzela_crypto
 
@@ -38,6 +39,53 @@ let add_l_to_s signature =
   done;
   if !carry = 0 then Some forged else None
 
+(* The eight torsion points of edwards25519, canonically encoded: the
+   identity, the order-2 point (0, -1), the two order-4 points (y = 0)
+   and the four order-8 points. *)
+let torsion_points =
+  [
+    "0100000000000000000000000000000000000000000000000000000000000000";
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+    "0000000000000000000000000000000000000000000000000000000000000000";
+    "0000000000000000000000000000000000000000000000000000000000000080";
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05";
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85";
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a";
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa";
+  ]
+
+(* The identity's three encodings: canonical, y = p + 1, and x = 0 with
+   the sign bit set. *)
+let identity_encodings =
+  [
+    "0100000000000000000000000000000000000000000000000000000000000000";
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+    "0100000000000000000000000000000000000000000000000000000000000080";
+  ]
+
+(* Further non-canonical encodings: y = p (= 0), and (0, -1) with the
+   sign bit set. *)
+let noncanonical_encodings =
+  [
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff";
+  ]
+
+(* R = B, s = 1.  Under a key A of small order, R' = sB + h(-A) = B = R
+   whenever h(-A) is the identity: for every message when A is the
+   identity, for one in eight when A has order 8. *)
+let forged_signature =
+  of_hex
+    ("5866666666666666666666666666666666666666666666666666666666666666"
+   ^ "0100000000000000000000000000000000000000000000000000000000000000")
+
+let comb_agrees k =
+  let open Edwards25519 in
+  Prop.check_hex
+    ~what:(Printf.sprintf "scalarmult_base(%s)" (hex k))
+    (hex (encode (scalarmult_vartime (base_point ()) k)))
+    (hex (encode (scalarmult_base k)))
+
 let run () =
   Prop.suite "ed25519 (rfc 8032 vectors + rejections)";
   rfc8032_vector ~name:"rfc8032 test 1 (empty message)"
@@ -65,7 +113,7 @@ let run () =
       "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
     ~signature:
       "dc2a4459e7369633a52b1bf277839a00201009a3efbf3ecb69bea2186c26b58909351fc9ac90b3ecfdfbc7c66431e0303dca179c138ac17ad9bef1177331a704";
-  (* The curve constants stated as byte encodings in ed25519.ml, checked
+  (* The curve constants stated as byte encodings in edwards25519.ml, checked
      algebraically over Fe25519: d = -121665/121666, 2d = d + d,
      I^2 = -1, and the base point satisfies the curve equation
      -x^2 + y^2 = 1 + d x^2 y^2. *)
@@ -174,4 +222,76 @@ let run () =
           Prop.require
             (not (Ed25519.verify ~public:(Bytes.make n 'k') ~signature msg))
             "length-%d public key accepted" n)
-        [ 0; 31; 33 ])
+        [ 0; 31; 33 ]);
+  (* The comb (every base multiplication: public keys, R = rB, sB) must
+     equal double-and-add on B for any scalar below 2^255 — not only
+     clamped ones — including 0, 1, L - 1, L, L + 1, 2^255 - 1 and every
+     nibble 8 below the top one. *)
+  Prop.check ~name:"comb = double-and-add on B" ~count:200 (Prop.gen_bytes 32)
+    (fun k ->
+      Bytes_util.set_u8 k 31 (Bytes_util.get_u8 k 31 land 0x7f);
+      comb_agrees k);
+  Prop.vector ~name:"comb edge scalars" (fun () ->
+      let of_le f = Bytes.init 32 (fun i -> Char.chr (f i)) in
+      let l_plus c =
+        let carry = ref c in
+        of_le (fun i ->
+            let v = order_l.(i) + !carry in
+            carry := v asr 8;
+            v land 0xff)
+      in
+      List.iter comb_agrees
+        [
+          of_le (fun _ -> 0); of_le (fun i -> if i = 0 then 1 else 0);
+          l_plus (-1); l_plus 0; l_plus 1;
+          of_le (fun i -> if i = 31 then 0x7f else 0xff);
+          of_le (fun i -> if i = 31 then 0x78 else 0x88);
+        ];
+      match Edwards25519.scalarmult_base (Bytes.make 32 '\xff') with
+      | _ -> Prop.fail "scalar with bit 255 set accepted"
+      | exception Invalid_argument _ -> ());
+  (* Strict decoding and the small-order check: every torsion point
+     decodes and is flagged, real keys are not, and the non-canonical
+     encodings do not decode. *)
+  Prop.vector ~name:"torsion points flagged, non-canonical undecodable"
+    (fun () ->
+      List.iter
+        (fun enc ->
+          match Edwards25519.decode_neg (of_hex enc) with
+          | None -> Prop.fail "torsion point %s does not decode" enc
+          | Some p ->
+              Prop.require
+                (Edwards25519.has_small_order p)
+                "torsion point %s not flagged" enc)
+        torsion_points;
+      List.iter
+        (fun pk ->
+          match Edwards25519.decode_neg (of_hex pk) with
+          | None -> Prop.fail "key %s does not decode" pk
+          | Some p ->
+              Prop.require
+                (not (Edwards25519.has_small_order p))
+                "key %s flagged as small-order" pk)
+        [
+          "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a";
+          "5866666666666666666666666666666666666666666666666666666666666666";
+        ];
+      List.iter
+        (fun enc ->
+          Prop.require
+            (Option.is_none (Edwards25519.decode_neg (of_hex enc)))
+            "non-canonical %s decodes" enc)
+        (List.tl identity_encodings @ noncanonical_encodings));
+  (* One forged signature under a small-order or non-canonical key must
+     verify no message (RFC 8032 §5.1.3 decoding; libsodium's
+     small-order rule). *)
+  Prop.check ~name:"small-order / non-canonical keys rejected" ~count:50
+    (Prop.gen_bytes 32) (fun msg ->
+      List.iter
+        (fun pk ->
+          Prop.require
+            (not
+               (Ed25519.verify ~public:(of_hex pk) ~signature:forged_signature
+                  msg))
+            "forged signature verifies %s under key %s" (hex msg) pk)
+        (identity_encodings @ torsion_points @ noncanonical_encodings))

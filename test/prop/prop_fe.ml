@@ -43,9 +43,57 @@ let run () =
     (differential1 ~what:"square" Fe25519.square Fe25519_ref.square);
   Prop.check ~name:"fe invert" Prop.gen_fe_bytes
     (differential1 ~what:"invert" Fe25519.invert Fe25519_ref.invert);
+  (* The addition chain on fixed edges: 0, 1, p - 1, the non-canonical
+     p (= 0) and p + 1 (= 1), with 0 and p mapping to 0; and
+     lazily-carried add/sub outputs (limbs above 2^51), which the chain's
+     first squaring must absorb. *)
+  Prop.vector ~name:"fe invert edge inputs" (fun () ->
+      let near_p low =
+        let b = Bytes.make 32 '\xff' in
+        Bytes_util.set_u8 b 0 low;
+        Bytes_util.set_u8 b 31 0x7f;
+        b
+      in
+      let small v =
+        let b = Bytes.make 32 '\000' in
+        Bytes_util.set_u8 b 0 v;
+        b
+      in
+      let p_minus_1 = near_p 0xec and p = near_p 0xed in
+      List.iter
+        (differential1 ~what:"invert" Fe25519.invert Fe25519_ref.invert)
+        [ small 0; small 1; p_minus_1; p; near_p 0xee ];
+      List.iter
+        (fun b ->
+          let o = Fe25519.create () in
+          Fe25519.invert o (Fe25519.unpack b);
+          Prop.check_hex ~what:(Printf.sprintf "invert(%s)" (hex b))
+            (hex (small 0)) (hex (Fe25519.pack o)))
+        [ small 0; p ];
+      let top = Bytes.make 32 '\xff' in
+      List.iter
+        (fun (ba, bb) ->
+          List.iter
+            (fun (what, op_new, op_ref) ->
+              let o = Fe25519.create () and lazy_new = Fe25519.create () in
+              op_new lazy_new (Fe25519.unpack ba) (Fe25519.unpack bb);
+              Fe25519.invert o lazy_new;
+              let o' = Fe25519_ref.create ()
+              and lazy_ref = Fe25519_ref.create () in
+              op_ref lazy_ref (Fe25519_ref.unpack ba) (Fe25519_ref.unpack bb);
+              Fe25519_ref.invert o' lazy_ref;
+              Prop.check_hex
+                ~what:
+                  (Printf.sprintf "invert(%s(%s, %s))" what (hex ba) (hex bb))
+                (hex (Fe25519_ref.pack o'))
+                (hex (Fe25519.pack o)))
+            [ ("add", Fe25519.add, Fe25519_ref.add);
+              ("sub", Fe25519.sub, Fe25519_ref.sub) ])
+        [ (top, top); (top, small 1); (small 0, p_minus_1); (p_minus_1, top) ]);
   Prop.check ~name:"fe pow2523" Prop.gen_fe_bytes
     (differential1 ~what:"pow2523" Fe25519.pow2523 Fe25519_ref.pow2523);
-  (* mul by the ladder's small constants must equal the general mul. *)
+  (* mul by small constants (the ladder's 121665 among them) must equal
+     the general mul. *)
   Prop.check ~name:"fe mul_small = mul (121665, 9)" Prop.gen_fe_bytes
     (fun ba ->
       List.iter

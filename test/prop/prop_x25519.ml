@@ -1,8 +1,9 @@
-(* X25519: full-ladder differential agreement against the seed
-   implementation, plus Wycheproof-style edge-case vectors and the
-   RFC 7748 iterated test. *)
+(* X25519: full-ladder and fixed-base differential agreement against the
+   seed implementation, the fixed-base path across domains, plus
+   Wycheproof-style edge-case vectors and the RFC 7748 iterated test. *)
 
 open Vuvuzela_crypto
+module Pool = Vuvuzela_parallel.Pool
 
 let hex = Bytes_util.to_hex
 let of_hex = Bytes_util.of_hex
@@ -22,8 +23,36 @@ let low_order_points =
     "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
   ]
 
+let fixed_base_agrees scalar =
+  let fixed = Curve25519.scalarmult_base scalar in
+  Prop.check_hex
+    ~what:(Printf.sprintf "scalarmult_base(%s) vs ref" (hex scalar))
+    (hex (Curve25519_ref.scalarmult_base scalar))
+    (hex fixed);
+  Prop.check_hex
+    ~what:(Printf.sprintf "scalarmult_base(%s) vs general" (hex scalar))
+    (hex (Curve25519.scalarmult ~scalar ~point:Curve25519.base_point))
+    (hex fixed)
+
+(* Scalars (before clamping) whose digits hit the recoding's corners:
+   every nibble 8 (a carry through all 64 digits), all ones (clamped to
+   a top byte 0x7f whose top digit recodes to 8), all zeros (only the
+   clamp bit 254), the two clamped top bytes 0x7f and 0x40 over zeros,
+   and a top byte 0x78 over zeros (low nibble 8 carries, top digit 8). *)
+let recoding_edges =
+  let top b =
+    let s = Bytes.make 32 '\000' in
+    Bytes_util.set_u8 s 31 b;
+    s
+  in
+  [
+    Bytes.make 32 '\x88'; Bytes.make 32 '\xff'; Bytes.make 32 '\000';
+    top 0x7f; top 0x40; top 0x78;
+  ]
+
 let run () =
-  Prop.suite "x25519 (51-bit ladder) vs curve25519_ref (seed ladder)";
+  Prop.suite
+    "x25519 (51-bit ladder, Edwards comb) vs curve25519_ref (seed ladder)";
   (* ≥200 full ladder agreements over arbitrary scalar/point bytes. *)
   Prop.check ~name:"x25519 ladder agreement" ~count:200
     Prop.(gen_pair (gen_bytes 32) (gen_bytes 32))
@@ -33,20 +62,33 @@ let run () =
           (Printf.sprintf "scalarmult(%s, %s)" (hex scalar) (hex point))
         (hex (Curve25519_ref.scalarmult ~scalar ~point))
         (hex (Curve25519.scalarmult ~scalar ~point)));
-  (* The fixed-base (keygen) path must agree with both the reference
-     ladder and our own variable-base ladder. *)
-  Prop.check ~name:"x25519 fixed-base = ref and general" ~count:100
-    (Prop.gen_bytes 32) (fun scalar ->
-      let fixed = Curve25519.scalarmult_base scalar in
-      Prop.check_hex
-        ~what:(Printf.sprintf "scalarmult_base(%s) vs ref" (hex scalar))
-        (hex (Curve25519_ref.scalarmult_base scalar))
-        (hex fixed);
-      Prop.check_hex
-        ~what:(Printf.sprintf "scalarmult_base(%s) vs general" (hex scalar))
-        (hex
-           (Curve25519.scalarmult ~scalar ~point:Curve25519.base_point))
-        (hex fixed));
+  (* The fixed-base path (the Edwards comb) must agree with both the
+     reference ladder and our own variable-base ladder: over random
+     scalars, and over fixed ones that stress the signed radix-16
+     recoding. *)
+  Prop.check ~name:"x25519 fixed-base = ref and general" ~count:1000
+    (Prop.gen_bytes 32) fixed_base_agrees;
+  Prop.vector ~name:"x25519 fixed-base recoding edges" (fun () ->
+      List.iter fixed_base_agrees recoding_edges);
+  (* The comb table is built once at module initialisation and shared
+     read-only by every domain. *)
+  Prop.vector ~name:"x25519 fixed-base across 2 domains = sequential"
+    (fun () ->
+      let rng = Drbg.of_string "prop-x25519-domains" in
+      let scalars = Array.init 256 (fun _ -> Drbg.generate rng 32) in
+      let pool = Pool.create ~jobs:2 in
+      let parallel =
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () -> Pool.map_array pool Curve25519.scalarmult_base scalars)
+      in
+      Array.iteri
+        (fun i scalar ->
+          Prop.check_hex
+            ~what:(Printf.sprintf "scalar %d (%s)" i (hex scalar))
+            (hex (Curve25519.scalarmult_base scalar))
+            (hex parallel.(i)))
+        scalars);
   (* Wycheproof-style edges. *)
   Prop.check ~name:"low-order points map to zero" ~count:25
     (Prop.gen_bytes 32) (fun scalar ->

@@ -39,7 +39,12 @@ type st = {
   tel : Telemetry.t option;
   started_ms : float;
   mutable hop : Hop.t option;  (** once the downstream keys are known *)
-  mutable suffix : bytes list;  (** downstream public keys, chain order *)
+  mutable suffix : bytes list;
+      (** downstream public keys in use, chain order: the hop wraps its
+          noise to them, and the Chain_info reply announces them *)
+  mutable key_change : string option;
+      (** set while the latest downstream handshake announced keys other
+          than [suffix]: rounds are answered with {!Rpc.key_change} *)
   mutable upstream : Conn.t option;
   mutable downstream : Conn.t option;
   mutable hello_pending : bool;
@@ -218,21 +223,48 @@ let ensure_hop st =
     end
   end
 
+(* Every downstream handshake after the first announces the suffix again
+   ([Conn] re-runs it on each reconnect).  A successor restarted without
+   its seed comes back with a fresh key, and onions wrapped to the old
+   one — our noise, the coordinator's clients' — would fail to
+   authenticate there and vanish as invalid.  So a changed suffix stops
+   this hop from running rounds until a handshake announces the keys in
+   use again. *)
+let check_suffix st pks =
+  let was = st.key_change in
+  st.key_change <-
+    Rpc.changed_keys ~first:(st.cfg.index + 1) ~in_use:st.suffix pks;
+  match (was, st.key_change) with
+  | None, Some detail ->
+      st.log ("downstream handshake: " ^ detail);
+      Telemetry.add_counter st.tel "vuvuzela_daemon_key_changes_total"
+  | Some _, None -> st.log "downstream keys back to those in use"
+  | _ -> ()
+
+let key_change_status st ~round detail =
+  Rpc.Status (Rpc.key_change ~round ~server:st.cfg.index ~detail)
+
 (* One [*_batch_part] frame — the only way a batch arrives — through the
    hop state machine.  A fault that loses the batch is swallowed: the
-   coordinator's deadline notices. *)
+   coordinator's deadline notices.  While the downstream keys have
+   changed, a new round is answered at its first part and never run; the
+   hop ignores the parts after it, since no round of theirs is open. *)
 let handle_part st hop ~raw msg (kind, round, m, seq) =
-  if seq = 0 then open_hop st ~round ~dialing:(Round.is_dialing kind);
-  match Hop.arrive hop ~msg raw with
-  | Hop.Absorbed | Hop.Ignored -> ()
-  | Hop.Finished replies when is_last st ->
-      send_upstream st (Rpc.results kind ~round replies);
-      close_hop st
-  | Hop.Finished onions -> forward_downstream st ~kind ~round ~m onions
-  | Hop.Rejected s ->
-      send_upstream st (Rpc.Status s);
-      close_hop st
-  | Hop.Dropped _ -> close_hop st
+  match st.key_change with
+  | Some detail when seq = 0 ->
+      send_upstream st (key_change_status st ~round detail)
+  | _ -> (
+      if seq = 0 then open_hop st ~round ~dialing:(Round.is_dialing kind);
+      match Hop.arrive hop ~msg raw with
+      | Hop.Absorbed | Hop.Ignored -> ()
+      | Hop.Finished replies when is_last st ->
+          send_upstream st (Rpc.results kind ~round replies);
+          close_hop st
+      | Hop.Finished onions -> forward_downstream st ~kind ~round ~m onions
+      | Hop.Rejected s ->
+          send_upstream st (Rpc.Status s);
+          close_hop st
+      | Hop.Dropped _ -> close_hop st)
 
 (* ------------------------------------------------------------------ *)
 (* Frame handling                                                      *)
@@ -252,10 +284,14 @@ let handle_downstream st hop ~raw msg =
         | _ -> Round.Conversation
       in
       settle round;
+      (* Results that crossed a successor whose key changed mid-round
+         carry nothing: every onion wrapped to the old key failed
+         there. *)
       send_upstream st
-        (match Hop.backward hop ~kind ~round ~msg raw with
-        | Ok replies -> Rpc.results kind ~round replies
-        | Error s -> Rpc.Status s);
+        (match (st.key_change, Hop.backward hop ~kind ~round ~msg raw) with
+        | Some detail, _ -> key_change_status st ~round detail
+        | None, Ok replies -> Rpc.results kind ~round replies
+        | None, Error s -> Rpc.Status s);
       close_hop st
   | Rpc.Drop_contents _ -> send_upstream st msg
   | Rpc.Status s ->
@@ -355,6 +391,7 @@ let run ?(log = fun _ -> ()) cfg =
         started_ms = Unix.gettimeofday () *. 1000.;
         hop = None;
         suffix = [];
+        key_change = None;
         upstream = None;
         downstream = None;
         hello_pending = false;
@@ -488,6 +525,7 @@ let run ?(log = fun _ -> ()) cfg =
                         st.suffix <- pks;
                         ensure_hop st
                       end
+                      else check_suffix st pks
                   | Ok _ | Error _ ->
                       st.log "malformed downstream handshake reply")
                 ~on_frame:(fun _ raw ->

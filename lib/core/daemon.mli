@@ -13,6 +13,15 @@
     re-derives everything from its seed and rejoins the same way, which
     is what lets the supervisor's retry outlast a crash.
 
+    A server restarted from another seed (or from none) rejoins with
+    another key, which every onion already wrapped to the old one fails
+    against.  Each downstream re-handshake is therefore compared with
+    the keys in use: on a change the daemon logs it, counts it in
+    [vuvuzela_daemon_key_changes_total], and answers every later round
+    (and any round in flight) with the non-retryable {!Rpc.key_change}
+    instead of running it, until a handshake announces the keys in use
+    again.
+
     Churn resilience: frames owed upstream while that link is down wait
     in a bounded outbox and are flushed (after the handshake reply) when
     the peer reconnects, and a lost downstream link gets [flap_grace_ms]

@@ -8,11 +8,22 @@
 
 module Transport = Vuvuzela_transport.Transport
 module Trace = Vuvuzela_telemetry.Trace
+module Telemetry = Vuvuzela_telemetry.Telemetry
+
+let log_src =
+  Logs.Src.create "vuvuzela.remote" ~doc:"Coordinator side of a TCP chain"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type t = {
   tp : Transport.t;
   client : Transport.client;
-  pks : bytes list;
+  pks : bytes list;  (** the keys in use: clients wrap onions to them *)
+  telemetry : Telemetry.t option;
+  mutable handshake : bytes;  (** the reply [key_change] was read from *)
+  mutable key_change : string option;
+      (** set while the latest handshake announced keys other than
+          [pks]: rounds fail with {!Rpc.key_change} *)
   dial_kind : Dialing.kind;
   mutable deadline_ms : float option;
   mutable pipeline : int option;
@@ -58,6 +69,9 @@ let connect ?telemetry ?(dial_kind = Dialing.Plain) ?deadline_ms
               tp;
               client;
               pks;
+              telemetry;
+              handshake = payload;
+              key_change = None;
               dial_kind;
               deadline_ms;
               pipeline = None;
@@ -68,6 +82,33 @@ let connect ?telemetry ?(dial_kind = Dialing.Plain) ?deadline_ms
       | Ok _ | Error _ ->
           Transport.close_client tp client;
           Error "remote chain: malformed handshake reply")
+
+(* The transport re-runs the handshake on every reconnect, and the first
+   hop's reply lists the chain's keys again.  A first hop restarted
+   without its seed announces a key nobody wrapped to: every onion of a
+   round would fail to authenticate there.  So each new reply is
+   compared with the keys in use, and a change fails rounds until one
+   announces them again. *)
+let check_keys t =
+  match Transport.last_handshake t.client with
+  | Some payload when payload != t.handshake -> (
+      t.handshake <- payload;
+      match Rpc.decode payload with
+      | Ok (Rpc.Chain_info { pks }) -> (
+          let was = t.key_change in
+          t.key_change <- Rpc.changed_keys ~first:0 ~in_use:t.pks pks;
+          match (was, t.key_change) with
+          | None, Some detail ->
+              Log.warn (fun m -> m "first-hop handshake: %s" detail);
+              Telemetry.add_counter t.telemetry
+                "vuvuzela_remote_key_changes_total"
+          | _ -> ())
+      | Ok _ | Error _ -> ())
+  | _ -> ()
+
+let key_change_status t ~round =
+  check_keys t;
+  Option.map (fun detail -> Rpc.key_change ~round ~server:0 ~detail) t.key_change
 
 (* The trace context precedes the batch on the same ordered link, so
    the first hop reads it before opening its hop span.  It is a pure
@@ -109,31 +150,43 @@ let await_reply t ~round ~expect =
   await ()
 
 let round_streamed t ~kind ~m ~round ~produce =
-  if t.shut_down then Error (Rpc.chain_shutdown ~round)
-  else begin
-    let expected =
-      Entry.request_len ~chain_len:(length t) ~dial_kind:t.dial_kind kind
-    in
-    send_trace_ctx t;
-    (* The coordinator holds at most two chunks of onions: parts leave as
-       soon as the next one exists, and between parts the socket is
-       drained so the first hop peels early parts while the producer is
-       still wrapping later ones. *)
-    Rpc.send_parts ?chunk:t.pipeline
-      ~emit:(fun ~seq ~last onions ->
-        Transport.send_batch t.client
-          (Rpc.encode (Rpc.part kind ~round ~m ~seq ~last onions));
-        if not last then Transport.run_once ~max_wait_ms:0. t.tp)
-      (fun push -> produce (fun chunk -> push (Entry.normalize ~expected chunk)));
-    await_reply t ~round ~expect:(fun msg ->
-        match (kind, msg) with
-        | Round.Conversation, Rpc.Conv_results { round = r; replies }
-        | Round.Dialing, Rpc.Dial_results { round = r; replies }
-          when r = round ->
-            Some (Ok replies)
-        | _, Rpc.Status st when st.Rpc.round = round -> Some (Error st)
-        | _ -> None)
-  end
+  let refused =
+    if t.shut_down then Some (Rpc.chain_shutdown ~round)
+    else key_change_status t ~round
+  in
+  match refused with
+  | Some st -> Error st
+  | None -> (
+      let expected =
+        Entry.request_len ~chain_len:(length t) ~dial_kind:t.dial_kind kind
+      in
+      send_trace_ctx t;
+      (* The coordinator holds at most two chunks of onions: parts leave
+         as soon as the next one exists, and between parts the socket is
+         drained so the first hop peels early parts while the producer is
+         still wrapping later ones. *)
+      Rpc.send_parts ?chunk:t.pipeline
+        ~emit:(fun ~seq ~last onions ->
+          Transport.send_batch t.client
+            (Rpc.encode (Rpc.part kind ~round ~m ~seq ~last onions));
+          if not last then Transport.run_once ~max_wait_ms:0. t.tp)
+        (fun push ->
+          produce (fun chunk -> push (Entry.normalize ~expected chunk)));
+      let outcome =
+        await_reply t ~round ~expect:(fun msg ->
+            match (kind, msg) with
+            | Round.Conversation, Rpc.Conv_results { round = r; replies }
+            | Round.Dialing, Rpc.Dial_results { round = r; replies }
+              when r = round ->
+                Some (Ok replies)
+            | _, Rpc.Status st when st.Rpc.round = round -> Some (Error st)
+            | _ -> None)
+      in
+      (* A reconnect mid-round to a first hop with a new key: whatever
+         came back crossed a server that could peel none of it. *)
+      match key_change_status t ~round with
+      | Some st -> Error st
+      | None -> outcome)
 
 let conversation_round_streamed t ~round ~produce =
   round_streamed t ~kind:Round.Conversation ~m:0 ~round ~produce

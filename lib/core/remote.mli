@@ -10,7 +10,15 @@
     deadline) comes back.  Connection loss is never fatal here — the transport
     redials under backoff while failures surface per round as retryable
     {!Rpc.transport_error} statuses for the supervisor's existing
-    abort/retry machinery. *)
+    abort/retry machinery.
+
+    A re-handshake whose key list differs from the one learned at
+    connect (the first hop restarted from another seed) is a key
+    change: it is logged, counted in [vuvuzela_remote_key_changes_total],
+    and fails every later round, and the one in flight, with the
+    non-retryable {!Rpc.key_change}, until a handshake announces the old
+    keys again.  A change further down the chain is the first hop's to
+    report. *)
 
 type t
 

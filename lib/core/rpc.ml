@@ -381,7 +381,34 @@ let deadline_exceeded ~round ~deadline_ms =
 
 let is_chain_shutdown st = st.stage = shutdown_stage
 
-(* A shut-down chain stays shut down; everything else (framing faults,
-   crashes, deadline misses) is transient under the paper's model — a
-   crashed server restarts, so a fresh attempt can succeed. *)
-let retryable st = not (is_chain_shutdown st)
+(* Unlike the statuses above, a key change does cross links: the daemon
+   that saw its successor's handshake change answers upstream with it. *)
+let key_change_stage = "key-change"
+
+let key_change ~round ~server ~detail =
+  { round; server; stage = key_change_stage; detail }
+
+let is_key_change st = st.stage = key_change_stage
+
+let changed_keys ~first ~in_use handshake =
+  let rec go i = function
+    | a :: rest, b :: rest' ->
+        if Bytes.equal a b then go (i + 1) (rest, rest')
+        else
+          Some
+            (Printf.sprintf "server %d's public key changed on reconnect" i)
+    | [], [] -> None
+    | _ ->
+        Some
+          (Printf.sprintf "chain length changed on reconnect (%d -> %d servers)"
+             (first + List.length in_use)
+             (first + List.length handshake))
+  in
+  go first (in_use, handshake)
+
+(* A shut-down chain stays shut down, and a changed key stays changed
+   until the deployment reconnects and clients wrap to the new one;
+   everything else (framing faults, crashes, deadline misses) is
+   transient under the paper's model — a crashed server restarts, so a
+   fresh attempt can succeed. *)
+let retryable st = not (is_chain_shutdown st || is_key_change st)

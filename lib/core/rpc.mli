@@ -146,9 +146,28 @@ val transport_error : round:int -> server:int -> detail:string -> status
     transport's reconnect machinery restores the link while the
     supervisor retries the round. *)
 
+val key_change : round:int -> server:int -> detail:string -> status
+(** A server came back from a reconnect with a different public key
+    (stage ["key-change"]; [detail] names it, see {!changed_keys}).
+    Onions wrapped to the keys in use — clients' and upstream servers'
+    noise alike — would fail to authenticate there, so the reporting
+    tier answers rounds with this status instead of running them.
+    [server] is the reporting daemon's position (0 when the coordinator
+    saw the first hop's handshake change). *)
+
+val changed_keys :
+  first:int -> in_use:bytes list -> bytes list -> string option
+(** [changed_keys ~first ~in_use handshake] compares the keys of a
+    re-handshake with the keys in use, both listing chain positions from
+    [first] on: [None] when they are equal, otherwise the detail of a
+    {!key_change} naming the first position that differs. *)
+
 val is_chain_shutdown : status -> bool
+val is_key_change : status -> bool
 
 val retryable : status -> bool
 (** Whether a fresh attempt can succeed: true for every status except
-    {!chain_shutdown} (a shut-down chain stays down; link faults,
-    crashes, and deadline misses are transient under §7's model). *)
+    {!chain_shutdown} (a shut-down chain stays down) and {!key_change}
+    (the keys stay changed until the deployment reconnects); link
+    faults, crashes, and deadline misses are transient under §7's
+    model. *)

@@ -14,9 +14,13 @@ let anonymous_overhead = Curve25519.key_len + Aead.tag_len
 (* Shared symmetric key for the (secret, public) pair.  Both directions of
    a DH pair derive the same key, so callers must domain-separate nonces
    (Vuvuzela derives direction from public-key order; see Conversation). *)
-let precompute ~secret ~public =
-  let raw = Curve25519.shared ~secret ~public in
+let derive raw =
   Hkdf.derive ~ikm:raw ~info:(Bytes.of_string "vuvuzela-box-v1") Aead.key_len
+
+let precompute ~secret ~public = derive (Curve25519.shared ~secret ~public)
+
+let precompute_static ~secret ~public =
+  derive (Curve25519.shared_static ~secret ~public)
 
 let seal ~key ~nonce ?aad pt = Aead.seal ~key ~nonce ?aad pt
 let open_ ~key ~nonce ?aad ct = Aead.open_ ~key ~nonce ?aad ct

@@ -1,7 +1,7 @@
 (* X25519 scalar multiplication (RFC 7748) over the shared Fe25519 field
    arithmetic: a Montgomery ladder (constant sequence of field operations
    per scalar bit) for a variable base, and Edwards25519's constant-time
-   comb for the fixed base.
+   comb for a fixed one.
 
    This is the paper's dominant cost: every onion layer wrap/unwrap is one
    scalar multiplication (§8.2, "each 36-core machine can perform about
@@ -9,13 +9,20 @@
    is the 51-bit-limb Fe25519; the seed ladder is retained verbatim in
    test/oracles/curve25519_ref as the differential-testing oracle.
 
-   scalarmult_base — every fresh ephemeral key: clients' onion layers,
-   servers' noise onions, dialing's sealed boxes, key generation — works
-   on the birationally equivalent Edwards curve instead: the clamped
-   scalar times the Edwards base point by the comb (~750 field
-   multiplications and squarings against the ladder's ~2,560), mapped to
-   u = (1 + y)/(1 - y).  The clamped scalar has bit 255 clear, as the
-   comb requires, and the output is the same canonical encoding. *)
+   Two kinds of point are fixed, and both work on the birationally
+   equivalent Edwards curve by the comb (~750 field multiplications and
+   squarings against the ladder's ~2,560), mapped back to
+   u = (1 + y)/(1 - y) with the same canonical encoding:
+
+   - scalarmult_base, the base point — every fresh ephemeral key:
+     clients' onion layers, servers' noise onions, dialing's sealed
+     boxes, key generation;
+   - shared_static, a server's long-lived public key — the other DH of
+     every wrapped onion layer, over a table memoised per key.
+
+   So a wrapped layer costs two comb operations and no ladder; peels,
+   sealed boxes and conversation keys stay on the ladder.  Clamped
+   scalars have bit 255 clear, as the comb requires. *)
 
 let key_len = 32
 let scalar_len = 32
@@ -69,13 +76,32 @@ let ladder z (x : Fe25519.t) =
   mul out a inv_c;
   pack out
 
-let scalarmult ~scalar ~point =
+(* Operations by kind, for tests and accounting; an uncontended atomic
+   increment is noise beside a ~100 us scalar multiplication. *)
+let ladder_ops = Atomic.make 0
+let base_ops = Atomic.make 0
+let keyed_ops = Atomic.make 0
+
+type op_counts = { ladder : int; base : int; keyed : int }
+
+let op_counts () =
+  {
+    ladder = Atomic.get ladder_ops;
+    base = Atomic.get base_ops;
+    keyed = Atomic.get keyed_ops;
+  }
+
+let check_lengths ~scalar ~point =
   if Bytes.length scalar <> scalar_len then
     invalid_arg "Curve25519: bad scalar length";
   if Bytes.length point <> key_len then
-    invalid_arg "Curve25519: bad point length";
+    invalid_arg "Curve25519: bad point length"
+
+let scalarmult ~scalar ~point =
+  check_lengths ~scalar ~point;
   let z = clamp scalar in
   let x = Fe25519.unpack point in
+  Atomic.incr ladder_ops;
   ladder z x
 
 let base_point =
@@ -86,8 +112,65 @@ let base_point =
 let scalarmult_base scalar =
   if Bytes.length scalar <> scalar_len then
     invalid_arg "Curve25519: bad scalar length";
+  Atomic.incr base_ops;
   Edwards25519.(montgomery_u (scalarmult_base (clamp scalar)))
 
 (* Diffie-Hellman: the raw shared point is passed through HKDF before use
    as a symmetric key (see Box), matching best practice. *)
 let shared ~secret ~public = scalarmult ~scalar:secret ~point:public
+
+(* Comb tables for long-lived public keys, memoised by their encoding.
+   [table = None] marks a key with no Edwards point (the twist), which
+   stays on the ladder; whether a key has a table depends on the public
+   key alone.
+
+   Bounded: every deployment wraps toward at most 3 keys per process (a
+   client or the load generator toward the chain's 3, a mixing server
+   toward its suffix, which is a subset of them), so 8 entries (~240 KB)
+   never evict in steady state.  Past the cap the oldest entry goes, and
+   a thrashing caller pays one table build (~3 ladders) per miss: a
+   chain longer than 8 servers would pay it on every layer.
+
+   Shared across domains without a lock: the memo is an immutable list
+   in an [Atomic.t], so a hit is a read and a scan of at most 8 keys.
+   A miss builds its table outside the atomic and inserts it with
+   compare-and-set; two domains that miss on one key both build it, and
+   the first insert wins.  No [lazy]: two domains forcing one lazy value
+   raise CamlinternalLazy.Undefined. *)
+type static_key = { pk : bytes; table : Edwards25519.table option }
+
+let static_keys_cap = 8
+let static_keys : static_key list Atomic.t = Atomic.make []
+let no_key = { pk = Bytes.empty; table = None }
+
+let rec find pk = function
+  | [] -> no_key
+  | k :: rest -> if Bytes.equal k.pk pk then k else find pk rest
+
+let rec insert key =
+  let cur = Atomic.get static_keys in
+  if find key.pk cur == no_key then begin
+    let kept = List.filteri (fun i _ -> i < static_keys_cap - 1) cur in
+    if not (Atomic.compare_and_set static_keys cur (key :: kept)) then
+      insert key
+  end
+
+let static_table pk =
+  let k = find pk (Atomic.get static_keys) in
+  if k != no_key then k.table
+  else begin
+    let pk = Bytes.copy pk in
+    let table =
+      Option.map Edwards25519.table_of_point (Edwards25519.of_montgomery_u pk)
+    in
+    insert { pk; table };
+    table
+  end
+
+let shared_static ~secret ~public =
+  check_lengths ~scalar:secret ~point:public;
+  match static_table public with
+  | Some table ->
+      Atomic.incr keyed_ops;
+      Edwards25519.(montgomery_u (comb table (clamp secret)))
+  | None -> scalarmult ~scalar:secret ~point:public

@@ -7,9 +7,13 @@
     paper); the simulator's cost model is calibrated against this module's
     measured throughput and against the paper's reported 340K ops/s per
     36-core server.  [scalarmult_base] — every fresh ephemeral key, on
-    clients and servers alike — is {!Edwards25519}'s constant-time
-    fixed-base comb mapped to the Montgomery u-coordinate: ~750 field
-    multiplications against the ladder's ~2,560. *)
+    clients and servers alike — and [shared_static] — the DH of every
+    wrapped onion layer toward a server's long-lived key — are
+    {!Edwards25519}'s constant-time comb mapped to the Montgomery
+    u-coordinate: ~750 field multiplications against the ladder's
+    ~2,560.  A wrapped layer therefore costs two comb operations and no
+    ladder; everything else (peels, sealed boxes, conversation keys)
+    runs the ladder. *)
 
 val key_len : int
 (** 32. *)
@@ -33,3 +37,26 @@ val scalarmult_base : bytes -> bytes
 
 val shared : secret:bytes -> public:bytes -> bytes
 (** Raw shared point; derive symmetric keys via {!Hkdf} (see {!Box}). *)
+
+val shared_static : secret:bytes -> public:bytes -> bytes
+(** [shared], bit for bit, for a [public] key that is used many times (a
+    server's long-term key): the comb over a table built on the key's
+    first use and memoised by its bytes, or the ladder for a key with no
+    Edwards point (the twist).  The memo holds at most
+    {!static_keys_cap} keys, evicting the oldest; it is safe to share
+    across domains and takes no lock on a hit.  Constant time in
+    [secret]; whether a table exists depends on [public] alone.  Do not
+    use it for one-off keys (ephemeral keys, dialing recipients): each
+    would evict a server key and cost a table build. *)
+
+val static_keys_cap : int
+(** 8: the most keys {!shared_static} keeps tables for (~30 KB each). *)
+
+type op_counts = {
+  ladder : int;  (** {!scalarmult}, {!shared}, and [shared_static]'s fall-back *)
+  base : int;  (** {!scalarmult_base} *)
+  keyed : int;  (** {!shared_static} over a memoised table *)
+}
+
+val op_counts : unit -> op_counts
+(** X25519 operations by kind since start-up, summed over all domains. *)

@@ -8,25 +8,28 @@
    (Hisil-Wong-Carter-Dawson 2008 with a = -1); the addition is complete
    on this curve, so it also doubles and accepts the identity.
 
-   Fixed-base comb (ref10's ge_scalarmult_base)
-   --------------------------------------------
+   Comb (ref10's ge_scalarmult_base, over any fixed point)
+   -------------------------------------------------------
    A scalar k < 2^255 is recoded into 64 signed radix-16 digits
    -8 <= e_i <= 8 with k = sum e_i 16^i, and
 
-     kB = 16 * sum_i e_(2i+1) 256^i B  +  sum_i e_(2i) 256^i B.
+     kP = 16 * sum_i e_(2i+1) 256^i P  +  sum_i e_(2i) 256^i P.
 
-   [table] row i holds j * 256^i * B for j = 1..8 in affine
+   Row i of P's table holds j * 256^i * P for j = 1..8 in affine
    (y+x, y-x, 2dxy) form, so each digit costs one mixed addition of a
    row entry (negated for a negative digit), and the whole multiplication
    64 mixed additions and 4 doublings: with the final inversion, ~750
    field multiplications and squarings against the ladder's ~2,560.
+   Building a table costs about three ladders, so it pays for a point
+   that is multiplied many times: the base point B, and (Curve25519) a
+   server's long-lived public key.
 
    Constant time: the recoding is arithmetic only, every row is scanned
    in full and the entry is picked with masks (the row index is public),
-   and negation is a masked swap.  The table is built eagerly at module
+   and negation is a masked swap.  B's table is built eagerly at module
    initialisation, never lazily: OCaml 5 raises CamlinternalLazy.Undefined
    when two domains force one lazy value, and servers wrap noise onions
-   from pool domains.  It is read-only afterwards.
+   from pool domains.  Every table is read-only once built.
 
    Carry discipline (Fe25519): [sub]'s second argument is always carried
    (a mul/square output, a table entry, or an explicitly [carry]ed sum),
@@ -164,17 +167,19 @@ let double s o p =
   sub s.f s.c s.g (* F = C - G *);
   finish s o
 
-(* The comb table: entry j of row i, (j+1) 256^i B as carried
+(* P's comb table: entry j of row i, (j+1) 256^i P as carried
    (y+x, y-x, 2dxy), is 15 ints at [entry_off i j].  Built with one
    batched inversion of the 256 Z coordinates (Montgomery's trick). *)
+type table = int array
+
 let entry_off row j = 15 * ((8 * row) + j)
 
-let table =
+let table_of_point p : table =
   let open Fe25519 in
   let n = 32 * 8 in
   let s = scratch () in
   let pts = Array.make n (identity ()) in
-  let row_base = base_point () in
+  let row_base = copy_point p in
   for row = 0 to 31 do
     pts.(8 * row) <- copy_point row_base;
     for j = 1 to 7 do
@@ -220,10 +225,12 @@ let table =
   done;
   tbl
 
-(* Constant time: s.(yp, ym, xy2d) <- b 256^row B for a signed digit
+let base_table = table_of_point (base_point ())
+
+(* Constant time: s.(yp, ym, xy2d) <- b 256^row P for a signed digit
    -8 <= b <= 8 (the identity (1, 1, 0) for b = 0).  All eight entries
    of the row are read; the match is a mask. *)
-let select s row b =
+let select table s row b =
   let neg = b lsr 62 (* 1 iff b < 0 *) in
   let babs = b - ((-neg land b) lsl 1) in
   Fe25519.blit ~src:fe_one ~dst:s.yp;
@@ -245,11 +252,11 @@ let select s row b =
   Fe25519.sub s.neg fe_zero s.xy2d;
   Fe25519.cswap s.xy2d s.neg neg
 
-let scalarmult_base k =
+let comb table k =
   (* Bit 255 is clear for every caller (clamped scalars, scalars reduced
      mod L), so this check branches on no bit a valid scalar can vary. *)
   if Bytes.length k <> 32 || Bytes_util.get_u8 k 31 > 127 then
-    invalid_arg "Edwards25519.scalarmult_base: scalar must be < 2^255";
+    invalid_arg "Edwards25519.comb: scalar must be < 2^255";
   let e = Array.make 64 0 in
   for i = 0 to 31 do
     let v = Bytes_util.get_u8 k i in
@@ -266,7 +273,7 @@ let scalarmult_base k =
   let s = scratch () and p = identity () in
   let digits parity =
     for i = 0 to 31 do
-      select s i e.((2 * i) + parity);
+      select table s i e.((2 * i) + parity);
       madd s p p
     done
   in
@@ -276,6 +283,8 @@ let scalarmult_base k =
   done;
   digits 0;
   p
+
+let scalarmult_base k = comb base_table k
 
 (* Variable time: for public scalars only (verification). *)
 let scalarmult_vartime q k =
@@ -310,9 +319,48 @@ let encode p =
   Bytes_util.set_u8 r 31 (Bytes_util.get_u8 r 31 lor (parity x lsl 7));
   r
 
-(* RFC 8032 §5.1.3 decoding (TweetNaCl's unpackneg), returning -P:
-   x^2 = (y^2 - 1) / (d y^2 + 1), x = u v^3 (u v^7)^((p-5)/8), times
-   sqrt(-1) when that squares to -u/v. *)
+(* A root of the curve equation solved for x, x^2 = num/den with
+   num = y^2 - 1 and den = d y^2 + 1: x = num den^3 (num den^7)^((p-5)/8),
+   times sqrt(-1) when that squares to -num/den (RFC 8032 §5.1.3,
+   TweetNaCl's unpackneg).  Either root may come back; [None] when
+   num/den is not a square, i.e. no point has this y. *)
+let recover_x y =
+  let open Fe25519 in
+  let x = create ()
+  and num = create ()
+  and den = create ()
+  and t = create ()
+  and chk = create ()
+  and den2 = create ()
+  and den4 = create ()
+  and den6 = create () in
+  square num y;
+  mul den num d;
+  sub num num (one ());
+  add den (one ()) den;
+  square den2 den;
+  square den4 den2;
+  mul den6 den4 den2;
+  mul t den6 num;
+  mul t t den;
+  pow2523 t t;
+  mul t t num;
+  mul t t den;
+  mul t t den;
+  mul x t den;
+  square chk x;
+  mul chk chk den;
+  if not (equal chk num) then mul x x sqrt_m1;
+  square chk x;
+  mul chk chk den;
+  if equal chk num then Some x else None
+
+let of_affine x y =
+  let t = Fe25519.create () in
+  Fe25519.mul t x y;
+  { x; y; z = Fe25519.one (); t }
+
+(* RFC 8032 §5.1.3 decoding, returning -P. *)
 let decode_neg (enc : bytes) : point option =
   let open Fe25519 in
   let y = unpack enc in
@@ -320,45 +368,33 @@ let decode_neg (enc : bytes) : point option =
   let masked = Bytes.copy enc in
   Bytes_util.set_u8 masked 31 (Bytes_util.get_u8 enc 31 land 0x7f);
   if not (Bytes.equal (pack y) masked) then None (* y >= p *)
+  else
+    match recover_x y with
+    | None -> None (* not on the curve *)
+    | Some x when sign = 1 && equal x fe_zero -> None (* x = 0 has no -0 *)
+    | Some x ->
+        if parity x = sign then begin
+          sub x fe_zero x;
+          carry x
+        end;
+        Some (of_affine x y)
+
+(* The inverse of [montgomery_u] up to sign: y = (u - 1) / (u + 1), and
+   x a root of the curve equation.  Either root serves, because
+   u([k]P) = u([k](-P)).  [None] on the quadratic twist: there
+   (y^2 - 1) / (d y^2 + 1) is a non-square, and u = -1, which has no y,
+   lies on it too. *)
+let of_montgomery_u (enc : bytes) : point option =
+  let open Fe25519 in
+  let u = unpack enc in
+  let y = create () and den = create () in
+  add den u fe_one;
+  if equal den fe_zero then None
   else begin
-    let x = create ()
-    and num = create ()
-    and den = create ()
-    and t = create ()
-    and chk = create ()
-    and den2 = create ()
-    and den4 = create ()
-    and den6 = create () in
-    square num y;
-    mul den num d;
-    sub num num (one ());
-    add den (one ()) den;
-    square den2 den;
-    square den4 den2;
-    mul den6 den4 den2;
-    mul t den6 num;
-    mul t t den;
-    pow2523 t t;
-    mul t t num;
-    mul t t den;
-    mul t t den;
-    mul x t den;
-    square chk x;
-    mul chk chk den;
-    if not (equal chk num) then mul x x sqrt_m1;
-    square chk x;
-    mul chk chk den;
-    if not (equal chk num) then None (* not on the curve *)
-    else if sign = 1 && equal x fe_zero then None (* x = 0 has no -0 *)
-    else begin
-      if parity x = sign then begin
-        sub x fe_zero x;
-        carry x
-      end;
-      let xy = create () in
-      mul xy x y;
-      Some { x; y; z = one (); t = xy }
-    end
+    invert den den;
+    sub y u fe_one;
+    mul y y den;
+    Option.map (fun x -> of_affine x y) (recover_x y)
   end
 
 let has_small_order p =

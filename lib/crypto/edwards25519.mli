@@ -1,6 +1,6 @@
 (** The edwards25519 curve (RFC 8032 §5.1) over {!Fe25519}: point
-    formulas, encoding, and the constant-time fixed-base comb that both
-    {!Ed25519} and {!Curve25519.scalarmult_base} use.
+    formulas, encoding, and the constant-time comb that {!Ed25519},
+    {!Curve25519.scalarmult_base} and {!Curve25519.shared_static} use.
 
     Scalars are 32-byte little-endian strings. *)
 
@@ -13,11 +13,24 @@ val base_point : unit -> point
 val add : point -> point -> unit
 (** [add p q] is [p <- p + q] (complete: any points, [p == q] allowed). *)
 
-val scalarmult_base : bytes -> point
-(** [kB] in constant time by the signed radix-16 comb over a table built
-    at module initialisation.  The scalar must be below 2^255 (bit 255
-    clear), as clamped and mod-L-reduced scalars are; otherwise
+type table
+(** A point's comb table: [j * 256^i * P] for [j = 1..8], [i = 0..31],
+    in affine form (30 KB).  Read-only once built, so it may be shared
+    across domains. *)
+
+val table_of_point : point -> table
+(** Build [P]'s table: ~15 additions per row and one batched inversion,
+    taking about as long as three ladders. *)
+
+val comb : table -> bytes -> point
+(** [kP] for [P]'s table, in constant time in [k], by the signed
+    radix-16 comb.  The scalar must be below 2^255 (bit 255 clear), as
+    clamped and mod-L-reduced scalars are; otherwise
     [Invalid_argument]. *)
+
+val scalarmult_base : bytes -> point
+(** [kB]: {!comb} over the base point's table, built at module
+    initialisation. *)
 
 val scalarmult_vartime : point -> bytes -> point
 (** Double-and-add in variable time: public scalars only. *)
@@ -25,6 +38,12 @@ val scalarmult_vartime : point -> bytes -> point
 val montgomery_u : point -> bytes
 (** The birationally equivalent Montgomery (X25519) u-coordinate,
     u = (1 + y) / (1 - y), canonically encoded. *)
+
+val of_montgomery_u : bytes -> point option
+(** A point whose {!montgomery_u} is this u (the top bit of the encoding
+    is ignored): y = (u - 1) / (u + 1) and either root of x, which is
+    all a caller that maps [kP] back to u needs.  [None] for
+    u + 1 = 0 and for u on the quadratic twist. *)
 
 val encode : point -> bytes
 (** Compressed 32-byte encoding: y with the sign of x in the top bit. *)

@@ -1,12 +1,13 @@
 (* Field arithmetic modulo 2^255 - 19 on 5 limbs of 51 bits in native
    OCaml ints (curve25519-donna's radix-2^51 representation), with lazy
    carries.  Shared by X25519's Montgomery ladder and the Edwards-curve
-   arithmetic (Edwards25519: Ed25519 and the fixed-base comb); this is
-   the hottest code in the system — every onion layer costs one
-   variable-base scalar multiplication, i.e. ~2,560 calls into
-   [mul]/[square] below (2,295 in the ladder, 265 in [invert]), and a
-   freshly wrapped layer one fixed-base multiplication on top (~750
-   calls, see Edwards25519).
+   arithmetic (Edwards25519: Ed25519 and the comb); this is the hottest
+   code in the system — every peeled onion layer costs one variable-base
+   scalar multiplication, i.e. ~2,560 calls into [mul]/[square] below
+   (2,295 in the ladder, 265 in [invert]), and a freshly wrapped layer
+   two comb multiplications and no ladder (~750 calls each: the fresh
+   key on the base point's table, the DH on the server key's; see
+   Edwards25519 and Curve25519.shared_static).
 
    Representation and carry discipline
    -----------------------------------

@@ -35,9 +35,12 @@ type wrapped = {
 }
 
 (* Wrap [payload] under pre-drawn ephemeral secrets, [eph_sks.(i)] for
-   layer i (raw 32-byte strings; clamped here).  Pure — no RNG — so
-   batches of wraps can fan out across domains while the coordinating
-   domain keeps the single RNG stream. *)
+   layer i (raw 32-byte strings; clamped here).  No RNG, so batches of
+   wraps can fan out across domains while the coordinating domain keeps
+   the single RNG stream.  Each layer costs two comb operations: the
+   fresh key on the base point's table, the DH on the server key's
+   (Curve25519.shared_static's memo, the one piece of shared state,
+   safe across domains). *)
 let wrap_with ~eph_sks ~server_pks ~round payload =
   let n = List.length server_pks in
   if n = 0 then invalid_arg "Onion.wrap: empty chain";
@@ -54,7 +57,7 @@ let wrap_with ~eph_sks ~server_pks ~round payload =
         let inner = go (i + 1) rest acc in
         let esk = Curve25519.clamp eph_sks.(i) in
         let epk = Curve25519.scalarmult_base esk in
-        let s = Box.precompute ~secret:esk ~public:spk in
+        let s = Box.precompute_static ~secret:esk ~public:spk in
         secrets.(i) <- s;
         let ilen = Bytes.length inner in
         let out = Bytes.create (Curve25519.key_len + ilen + Aead.tag_len) in

@@ -31,7 +31,10 @@ val draw_eph_sks :
 val wrap_with :
   eph_sks:bytes array -> server_pks:bytes list -> round:int -> bytes -> wrapped
 (** [wrap] with the per-layer ephemeral secrets supplied by the caller
-    (see {!draw_eph_sks}).  Pure — safe to fan out across domains.
+    (see {!draw_eph_sks}).  Deterministic in its arguments and safe to
+    fan out across domains: its one piece of shared state is the memo of
+    server-key comb tables behind {!Vuvuzela_crypto.Curve25519.shared_static},
+    which takes no lock on a hit and never changes the output.
     [wrap ?rng ... p] ≡
     [wrap_with ~eph_sks:(draw_eph_sks ?rng ~chain_len ()) ... p]. *)
 

@@ -134,6 +134,7 @@ let connect t ~addr ~hello ?max_backoff_ms ?backoff_seed ?shaper () =
   Lazy.force client
 
 let client_conn c = c.conn
+let last_handshake c = c.last_handshake
 
 let handshake ?deadline_ms t c =
   if

@@ -95,6 +95,11 @@ val handshake : ?deadline_ms:float -> t -> client -> (bytes, [ `Timeout ]) resul
     handshake reply payload (the most recent one, if it re-established
     meanwhile). *)
 
+val last_handshake : client -> bytes option
+(** The peer's most recent handshake reply payload.  The connection
+    re-runs the handshake on every reconnect, and each reply is a fresh
+    value, so a caller can tell a new one by physical inequality. *)
+
 val send_batch : client -> bytes -> unit
 (** Queue one payload toward the peer (sent once established). *)
 

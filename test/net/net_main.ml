@@ -11,7 +11,9 @@
    - a crash fault at a middle server is survived by the supervisor's
      retry path within [max_retries];
    - a middle server killed with SIGKILL and restarted from its seed is
-     survived the same way.
+     survived the same way;
+   - a middle or first server restarted from another seed (so with
+     another key) fails the next round with the key-change status.
 
    Plain executable: forking is only safe in a process that never
    spawned a domain, so this cannot live inside the alcotest binary. *)
@@ -945,6 +947,84 @@ let test_hostile_first_hop () =
               check ("Network.run raised " ^ Printexc.to_string e) false);
           Network.shutdown net)
 
+(* ------------------------------------------------------------------ *)
+(* 10. Restart from another seed: the server's key changes             *)
+(* ------------------------------------------------------------------ *)
+
+(* A server restarted from another seed comes back with another key.
+   Onions wrapped to the old one (the coordinator's clients', and the
+   upstream servers' noise) cannot be peeled there, so the tier that
+   reads the new key in its re-handshake — the upstream daemon for the
+   middle server, the coordinator for the first — must answer the next
+   round with the non-retryable key-change status instead of running
+   it.  For the middle server the round waits until daemon 0's /metrics
+   has counted the change: a round whose parts left before daemon 0
+   noticed the dead link would be lost with it and only end at the
+   deadline. *)
+let test_key_change ~victim () =
+  Printf.printf "restart server %d from another seed (new key):\n%!" victim;
+  let seed = "net-rekey" in
+  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+  let mport = Daemon_spawn.free_port () in
+  let spawn ~seed index =
+    fork_daemon
+      (daemon_cfg ~seed ~ports ~index
+         ?metrics_port:(if index = 0 then Some mport else None)
+         ())
+  in
+  (* Last server first; [pids] keeps that order. *)
+  let pids = ref (List.init chain_len (fun i -> spawn ~seed (chain_len - 1 - i))) in
+  Fun.protect
+    ~finally:(fun () -> List.iter Daemon_spawn.stop_pid !pids)
+    (fun () ->
+      match
+        Network.of_config_tcp
+          Network.Config.(
+            tcp_config |> with_round_deadline_ms 15_000. |> with_max_retries 4)
+          ~addr:(Addr.loopback ~port:ports.(0))
+      with
+      | Error e -> check ("of_config_tcp: " ^ e) false
+      | Ok net ->
+          let a = Network.connect ~seed:"rekey-a" net in
+          let b = Network.connect ~seed:"rekey-b" net in
+          Client.start_conversation a ~peer_pk:(Client.public_key b);
+          Client.start_conversation b ~peer_pk:(Client.public_key a);
+          let r1 = Network.run ~kind:Round.Conversation net in
+          check "round before the restart" (r1.Network.failure = None);
+          let slot = chain_len - 1 - victim in
+          let pid = List.nth !pids slot in
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          pids :=
+            List.mapi
+              (fun i p -> if i = slot then spawn ~seed:"net-rekey-other" victim else p)
+              !pids;
+          if victim > 0 then begin
+            let counted () =
+              match Httpd.get (Addr.loopback ~port:mport) "/metrics" with
+              | Ok (200, body) ->
+                  contains body "vuvuzela_daemon_key_changes_total 1"
+              | _ -> false
+            in
+            let rec wait n =
+              counted () || (n > 0 && (Unix.sleepf 0.05; wait (n - 1)))
+            in
+            check "daemon 0 counted the key change" (wait 200)
+          end;
+          Client.send a "wrapped to the old key";
+          let r2 = Network.run ~kind:Round.Conversation net in
+          (match r2.Network.failure with
+          | Some st ->
+              check "round answered with the key-change status"
+                (Rpc.is_key_change st);
+              check "key change is not retryable" (not (Rpc.retryable st));
+              check "status names the restarted server"
+                (st.Rpc.detail
+                = Printf.sprintf "server %d's public key changed on reconnect"
+                    victim)
+          | None -> check "round refused after the key change" false);
+          Network.shutdown net)
+
 let () =
   if not (Daemon_spawn.sockets_allowed ()) then begin
     print_endline
@@ -964,6 +1044,8 @@ let () =
   run "smoke" test_network_smoke;
   run "crash" test_crash_retry;
   run "restart" test_kill_restart;
+  run "rekey-middle" (test_key_change ~victim:1);
+  run "rekey-first" (test_key_change ~victim:0);
   run "flap" test_flap_survival;
   run "shaped" test_shaped_links;
   run "obs" test_observability;

@@ -1,6 +1,7 @@
-(* X25519: full-ladder and fixed-base differential agreement against the
-   seed implementation, the fixed-base path across domains, plus
-   Wycheproof-style edge-case vectors and the RFC 7748 iterated test. *)
+(* X25519: full-ladder, fixed-base and keyed (memoised server-key comb)
+   differential agreement against the seed implementation, the comb paths
+   across domains, plus Wycheproof-style edge-case vectors and the
+   RFC 7748 iterated test. *)
 
 open Vuvuzela_crypto
 module Pool = Vuvuzela_parallel.Pool
@@ -50,6 +51,110 @@ let recoding_edges =
     top 0x7f; top 0x40; top 0x78;
   ]
 
+(* [shared_static] must equal the seed ladder on every key, whether it
+   runs the comb over the key's table or falls back to the ladder. *)
+let keyed_agrees ~scalar ~point =
+  Prop.check_hex
+    ~what:(Printf.sprintf "shared_static(%s, %s) vs ref" (hex scalar) (hex point))
+    (hex (Curve25519_ref.scalarmult ~scalar ~point))
+    (hex (Curve25519.shared_static ~secret:scalar ~public:point))
+
+let on_curve_key rng = Curve25519.scalarmult_base (Drbg.generate rng 32)
+
+let run_keyed () =
+  Prop.check ~name:"x25519 keyed comb = ref (on-curve keys)" ~count:1000
+    Prop.(gen_pair (gen_bytes 32) on_curve_key)
+    (fun (scalar, point) -> keyed_agrees ~scalar ~point);
+  (* Random u: about half lie on the twist and must take the ladder,
+     the rest the comb; the counters say which ran. *)
+  let twist = ref 0 and curve = ref 0 in
+  Prop.check ~name:"x25519 keyed = ref (random u, twist -> ladder)" ~count:200
+    Prop.(gen_pair (gen_bytes 32) (gen_bytes 32))
+    (fun (scalar, point) ->
+      let before = Curve25519.op_counts () in
+      keyed_agrees ~scalar ~point;
+      let after = Curve25519.op_counts () in
+      let on_twist = Edwards25519.of_montgomery_u point = None in
+      if on_twist then incr twist else incr curve;
+      Prop.require
+        (after.Curve25519.ladder - before.Curve25519.ladder
+         = Bool.to_int on_twist
+        && after.keyed - before.keyed = Bool.to_int (not on_twist))
+        "u %s (twist: %b) ran %d ladder, %d keyed" (hex point) on_twist
+        (after.ladder - before.ladder)
+        (after.keyed - before.keyed));
+  Prop.vector ~name:"x25519 keyed random u hit both paths" (fun () ->
+      Prop.require (!twist > 50 && !curve > 50)
+        "%d twist, %d on-curve of 200" !twist !curve);
+  Prop.check ~name:"x25519 keyed = ref (low-order, top bit, u + p)" ~count:25
+    (Prop.gen_bytes 33) (fun b ->
+      let scalar = Bytes.sub b 0 32 in
+      List.iter
+        (fun p_hex -> keyed_agrees ~scalar ~point:(of_hex p_hex))
+        low_order_points;
+      let key = on_curve_key (Drbg.of_string (hex b)) in
+      let top = Bytes.copy key in
+      Bytes_util.set_u8 top 31 (Bytes_util.get_u8 top 31 lor 0x80);
+      keyed_agrees ~scalar ~point:top;
+      (* u + p = u - 19 + 2^255, for u < 19 *)
+      let u = Bytes_util.get_u8 b 32 mod 19 in
+      let small = Bytes.make 32 '\000' in
+      Bytes_util.set_u8 small 0 u;
+      let shifted = Bytes.make 32 '\xff' in
+      Bytes_util.set_u8 shifted 0 (0xed + u);
+      Bytes_util.set_u8 shifted 31 0x7f;
+      keyed_agrees ~scalar ~point:small;
+      keyed_agrees ~scalar ~point:shifted);
+  Prop.check ~name:"x25519 of_montgomery_u inverts montgomery_u" ~count:1000
+    (Prop.gen_bytes 32) (fun scalar ->
+      let u = Curve25519.scalarmult_base scalar in
+      match Edwards25519.of_montgomery_u u with
+      | None -> Prop.fail "no Edwards point for u %s" (hex u)
+      | Some p ->
+          Prop.check_hex ~what:"montgomery_u (of_montgomery_u u)" (hex u)
+            (hex (Edwards25519.montgomery_u p)));
+  (* Two domains miss on the same fresh key at once: both may build its
+     table, one insert wins, and every result still equals the
+     sequential one. *)
+  Prop.vector ~name:"x25519 keyed first use across 2 domains" (fun () ->
+      let rng = Drbg.of_string "prop-x25519-keyed-domains" in
+      let key = on_curve_key rng in
+      let scalars = Array.init 256 (fun _ -> Drbg.generate rng 32) in
+      let pool = Pool.create ~jobs:2 in
+      let parallel =
+        Fun.protect
+          ~finally:(fun () -> Pool.shutdown pool)
+          (fun () ->
+            Pool.map_array pool
+              (fun secret -> Curve25519.shared_static ~secret ~public:key)
+              scalars)
+      in
+      Array.iteri
+        (fun i scalar ->
+          Prop.check_hex
+            ~what:(Printf.sprintf "scalar %d (%s)" i (hex scalar))
+            (hex (Curve25519.shared ~secret:scalar ~public:key))
+            (hex parallel.(i)))
+        scalars);
+  (* More keys than the memo holds, cycled twice: every lookup after the
+     first pass misses and rebuilds, and still equals the ladder. *)
+  Prop.vector ~name:"x25519 keyed memo overflow (cap + 2 keys, twice)"
+    (fun () ->
+      let rng = Drbg.of_string "prop-x25519-keyed-overflow" in
+      let keys =
+        List.init (Curve25519.static_keys_cap + 2) (fun _ -> on_curve_key rng)
+      in
+      for pass = 1 to 2 do
+        List.iteri
+          (fun i public ->
+            let secret = Drbg.generate rng 32 in
+            Prop.check_hex
+              ~what:(Printf.sprintf "pass %d, key %d" pass i)
+              (hex (Curve25519.shared ~secret ~public))
+              (hex (Curve25519.shared_static ~secret ~public)))
+          keys
+      done)
+
 let run () =
   Prop.suite
     "x25519 (51-bit ladder, Edwards comb) vs curve25519_ref (seed ladder)";
@@ -89,6 +194,7 @@ let run () =
             (hex (Curve25519.scalarmult_base scalar))
             (hex parallel.(i)))
         scalars);
+  run_keyed ();
   (* Wycheproof-style edges. *)
   Prop.check ~name:"low-order points map to zero" ~count:25
     (Prop.gen_bytes 32) (fun scalar ->

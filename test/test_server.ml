@@ -229,6 +229,53 @@ let test_dialing_out_of_range_index_dropped () =
   let acks = Chain.dialing_round_exn chain ~round:1 ~m [| onion |] in
   Alcotest.(check int) "still acked (uniform replies)" 1 (Array.length acks)
 
+(* X25519 operations by kind over one round: every wrapped layer runs
+   two combs (its fresh key on the base point, its DH on the server key's
+   memoised table) and no ladder; every peel runs one ladder.  Hop 0
+   adds nu0 two-layer noise onions and hop 1 nu1 one-layer ones. *)
+let test_x25519_ops_by_kind () =
+  let chain = make_chain () in
+  let round = 1 in
+  let n = 6 in
+  let rng = Drbg.of_string "t-ops-by-kind" in
+  let payloads =
+    Array.init n (fun i ->
+        let session =
+          Conversation.fake ~rng
+            ~identity:(if i mod 2 = 0 then alice else bob)
+            ()
+        in
+        Conversation.exchange_payload session ~round
+          (Message.Empty { ack = 0 }))
+  in
+  let delta (a : Curve25519.op_counts) (b : Curve25519.op_counts) =
+    (b.ladder - a.ladder, b.base - a.base, b.keyed - a.keyed)
+  in
+  let ops = Alcotest.(triple int int int) in
+  let c0 = Curve25519.op_counts () in
+  let onions =
+    Array.map
+      (fun p ->
+        (Vuvuzela_mixnet.Onion.wrap ~rng ~server_pks:(Chain.public_keys chain)
+           ~round p)
+          .Vuvuzela_mixnet.Onion.onion)
+      payloads
+  in
+  let c1 = Curve25519.op_counts () in
+  Alcotest.check ops "client wraps: (ladder, base, keyed)"
+    (0, 3 * n, 3 * n) (delta c0 c1);
+  ignore (Chain.conversation_round_exn chain ~round onions);
+  let c2 = Curve25519.op_counts () in
+  let noise i =
+    let m = Server.metrics (Chain.server chain i) in
+    m.Server.noise_singles + (2 * m.Server.noise_pairs)
+  in
+  let nu0 = noise 0 and nu1 = noise 1 in
+  Alcotest.(check bool) "both mixing hops add noise" true (nu0 > 0 && nu1 > 0);
+  Alcotest.check ops "chain round: (ladder, base, keyed)"
+    ((3 * n) + (2 * nu0) + nu1, (2 * nu0) + nu1, (2 * nu0) + nu1)
+    (delta c1 c2)
+
 let suite =
   let tc = Alcotest.test_case in
   ( "server",
@@ -245,6 +292,7 @@ let suite =
       tc "dialing end to end" `Quick test_dialing_end_to_end;
       tc "dialing noop not delivered" `Quick test_dialing_noop_not_delivered;
       tc "dialing out-of-range index" `Quick test_dialing_out_of_range_index_dropped;
+      tc "x25519 operations by kind per round" `Quick test_x25519_ops_by_kind;
     ] )
 
 (* The replay/tagging attack and its defense: duplicating a victim's

@@ -69,6 +69,28 @@ type st = {
 
 let is_last st = st.cfg.next = None
 
+(* X25519 operations by kind, at scrape time: the counter family gains
+   what [Curve25519.op_counts] gained since the previous scrape. *)
+let publish_x25519_ops reg published =
+  let module C = Vuvuzela_crypto.Curve25519 in
+  let now = C.op_counts () and prev = !published in
+  List.iter
+    (fun (kind, n, p) ->
+      Metrics.inc
+        ~by:(float_of_int (n - p))
+        (Metrics.counter reg ~labels:[ ("kind", kind) ]
+           ~help:
+             "X25519 operations of this process by kind (in a daemon: its \
+              server's peels and sealed boxes on the ladder, noise wraps on \
+              the base and keyed combs)"
+           "vuvuzela_x25519_ops_total"))
+    [
+      ("ladder", now.C.ladder, prev.C.ladder);
+      ("base", now.C.base, prev.C.base);
+      ("keyed", now.C.keyed, prev.C.keyed);
+    ];
+  published := now
+
 (* Bounded so a peer that never returns cannot pin unbounded replies;
    drop-oldest, because the supervisor has certainly abandoned the
    oldest round first. *)
@@ -459,6 +481,9 @@ let run ?(log = fun _ -> ()) cfg =
                ])
           ^ "\n"
         in
+        let x25519_published =
+          ref Vuvuzela_crypto.Curve25519.{ ladder = 0; base = 0; keyed = 0 }
+        in
         let routes path =
           match (path, st.tel) with
           | "/healthz", _ -> Some ("application/json", healthz ())
@@ -466,6 +491,7 @@ let run ?(log = fun _ -> ()) cfg =
               (* Refresh the liveness gauges at scrape time so the
                  exposition is never empty: a freshly started daemon
                  already reports uptime, position, and queue depth. *)
+              publish_x25519_ops (Telemetry.metrics tel) x25519_published;
               Telemetry.set_gauge st.tel "vuvuzela_daemon_uptime_ms"
                 ((Unix.gettimeofday () *. 1000.) -. st.started_ms);
               Telemetry.set_gauge st.tel "vuvuzela_daemon_chain_index"

@@ -13,6 +13,10 @@ val precompute : secret:bytes -> public:bytes -> bytes
 (** Symmetric key derived from the X25519 shared point via HKDF.  Both
     sides of the DH pair obtain the same key. *)
 
+val derive : bytes -> bytes
+(** The HKDF step of {!precompute}: [precompute ~secret ~public] is
+    [derive (Curve25519.shared ~secret ~public)]. *)
+
 val precompute_static : secret:bytes -> public:bytes -> bytes
 (** [precompute], bit for bit, through {!Curve25519.shared_static}: for
     a [public] key that is a server's long-lived key. *)

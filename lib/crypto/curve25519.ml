@@ -34,7 +34,9 @@ let clamp scalar =
   z
 
 (* The ladder proper over the clamped scalar [z] and input
-   u-coordinate [x]. *)
+   u-coordinate [x].  As in RFC 7748 §5, the pairs stay swapped between
+   bits and are swapped on [prev lxor r], the change in bit, with one
+   final swap after the loop. *)
 let ladder z (x : Fe25519.t) =
   let open Fe25519 in
   let a = create ()
@@ -45,10 +47,12 @@ let ladder z (x : Fe25519.t) =
   and f = create () in
   a.(0) <- 1;
   d.(0) <- 1;
+  let prev = ref 0 in
   for i = 254 downto 0 do
     let r = (Bytes_util.get_u8 z (i lsr 3) lsr (i land 7)) land 1 in
-    cswap a b r;
-    cswap c d r;
+    cswap a b (!prev lxor r);
+    cswap c d (!prev lxor r);
+    prev := r;
     add e a c;
     sub a a c;
     add c b d;
@@ -66,10 +70,10 @@ let ladder z (x : Fe25519.t) =
     mul c c a;
     mul a d f;
     mul d b x;
-    square b e;
-    cswap a b r;
-    cswap c d r
+    square b e
   done;
+  cswap a b !prev;
+  cswap c d !prev;
   let inv_c = create () in
   invert inv_c c;
   let out = create () in

@@ -31,12 +31,13 @@
    when two domains force one lazy value, and servers wrap noise onions
    from pool domains.  Every table is read-only once built.
 
-   Carry discipline (Fe25519): [sub]'s second argument is always carried
-   (a mul/square output, a table entry, or an explicitly [carry]ed sum),
-   and at most one lazy add/sub precedes a multiplication — except
-   G = D + C in [add] and [madd], two stacked adds whose limbs stay below
-   3 (2^51 + 2^15) < 2^52.6, inside the 2^53.1 input bound [mul] is
-   sized for. *)
+   Carry discipline: the contract in fe25519.mli.  [sub]'s second
+   argument is always carried (a mul/square output, a table entry, or an
+   explicitly [carry]ed sum), and every multiplication's operands stay
+   inside Fe25519's input bound (limbs < 2^53.1).  Most are at most one
+   lazy add/sub away from carried values; the exception is G = D + C in
+   [add] and [madd], two stacked adds with D = 2Z lazy, whose limbs stay
+   below 3 (2^51 + 2^36) < 2^52.6. *)
 
 type point = { x : Fe25519.t; y : Fe25519.t; z : Fe25519.t; t : Fe25519.t }
 

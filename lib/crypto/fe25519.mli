@@ -1,19 +1,37 @@
 (** Field arithmetic modulo [2^255 - 19] on 5×51-bit limbs in native
-    63-bit ints (curve25519-donna's radix-2^51 representation, with
-    mul/square working on radix-2^25.5 half-limbs because a 51×51-bit
-    product overflows a native int).  Shared by {!Curve25519} and
-    {!Edwards25519}; differentially tested against the retained seed
-    implementation [Fe25519_ref] (test/oracles) in [test/prop/].
+    ints (curve25519-donna's radix-2^51 representation, with
+    mul/square working on radix-2^25.5 half-limbs in untagged machine
+    words, because a 51×51-bit product overflows any word).  Shared by
+    {!Curve25519} and {!Edwards25519}; differentially tested against the
+    retained seed implementation [Fe25519_ref] (test/oracles) in
+    [test/prop/].
 
     Operations write their result into the first argument; aliasing
-    between output and inputs is allowed everywhere.
+    between output and inputs is allowed everywhere.  [mul], [square],
+    [mul_small], [add], [sub] and [cswap] check that each of their
+    arrays has at least 5 limbs, by one bounds-checked access per
+    array, before they write anything.
 
-    Carry discipline: [add] and [sub] are lazy (no carry propagation);
-    [mul], [square] and [mul_small] accept such lazy inputs and return
-    carried values (limbs < 2^51 + 2^15).  [sub]'s second argument must
-    be carried.  At most one lazy [add]/[sub] may be stacked before the
-    value re-enters a multiplication — the op sequences in the ladder
-    and the Edwards formulas all satisfy this. *)
+    {2 Carry contract}
+
+    - {e Carried} values have limbs in [\[0, 2^51 + 2^36)]: every output
+      of [mul], [square], [mul_small] and [carry], and of [unpack].
+      Limbs 1–4 of a product are below 2^51; limb 0 also takes the
+      final carry, and with lazy inputs it reaches 2^51 + 2^33.9.
+    - [add] and [sub] are lazy (no carry propagation).  [sub] adds 2p
+      limb-wise to stay nonnegative, so its {e second} argument must be
+      carried.
+    - {b Input bound.}  [mul], [square] and [mul_small] accept operands
+      whose limbs are in [\[0, 2^53.1)], and return carried values.
+      That covers a lazy [add] of two carried values (< 2^52 + 2^37), a
+      [sub] whose minuend is carried (< 2^52.6) or is such an [add]
+      (< 2^53 + 2^37), and {!Edwards25519}'s two stacked adds
+      G = D + C with D = 2Z (< 3 (2^51 + 2^36) < 2^52.6).  Every op
+      sequence in the ladder and the Edwards formulas stays inside it.
+    - {b Accumulator bound.}  At that input bound every half-limb
+      accumulator of [mul]/[square] is below 2^61.9 < 2^62, so a 63-bit
+      int and a 64-bit word compute the same integers.  The untagged
+      kernels' exactness rests on exactly this bound. *)
 
 type t = int array
 

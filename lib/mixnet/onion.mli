@@ -38,6 +38,9 @@ val wrap_with :
     [wrap ?rng ... p] ≡
     [wrap_with ~eph_sks:(draw_eph_sks ?rng ~chain_len ()) ... p]. *)
 
+val request_nonce : round:int -> bytes
+(** The AEAD nonce of every request layer of [round]. *)
+
 val peel : server_sk:bytes -> round:int -> bytes -> (bytes * bytes) option
 (** Server side: strip one layer, returning [(inner, layer_secret)], or
     [None] if the layer fails to authenticate. *)

@@ -530,6 +530,17 @@ let contains hay needle =
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
 
+(* The value of one series ([name{labels}]) in a Prometheus exposition. *)
+let series_value body series =
+  List.find_map
+    (fun line ->
+      match String.index_opt line ' ' with
+      | Some i when String.sub line 0 i = series ->
+          float_of_string_opt
+            (String.sub line (i + 1) (String.length line - i - 1))
+      | _ -> None)
+    (String.split_on_char '\n' body)
+
 let spawn_obs_chain ?(jobs = 1) ?fault_plan_for ~seed ~ports ~mports () =
   Array.to_list
     (Array.init chain_len (fun i ->
@@ -601,7 +612,17 @@ let test_observability () =
                 (contains body "vuvuzela_net_frames_in");
               check "/metrics counts the fired fault"
                 (contains body
-                   "vuvuzela_faults_injected_total{kind=\"slow-link\"}")
+                   "vuvuzela_faults_injected_total{kind=\"slow-link\"}");
+              let x25519 kind =
+                series_value body
+                  (Printf.sprintf "vuvuzela_x25519_ops_total{kind=\"%s\"}" kind)
+              in
+              check "/metrics serves X25519 operations by kind"
+                (List.for_all
+                   (fun k -> x25519 k <> None)
+                   [ "ladder"; "base"; "keyed" ]);
+              check "/metrics counts the middle server's peels on the ladder"
+                (match x25519 "ladder" with Some n -> n > 0. | None -> false)
           | Ok (status, _) ->
               check (Printf.sprintf "/metrics answered %d" status) false
           | Error e -> check ("/metrics: " ^ e) false);

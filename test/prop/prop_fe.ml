@@ -31,6 +31,82 @@ let differential1 ~what op_new op_ref ba =
 
 let gen2 = Prop.(gen_pair gen_fe_bytes gen_fe_bytes)
 
+(* Operands at the input bound the multiplication kernels are sized for
+   (fe25519.mli's carry contract): limbs up to 2^53.1, where an
+   accumulator comes closest to 2^62, so where a 63-bit int and a 64-bit
+   word could first disagree and a retagged limb could drop a bit. *)
+let sub_bound = int_of_float (2. ** 53.1) - 2 (* just below 2^53.1 *)
+let carried_bound = (1 lsl 51) + (1 lsl 36)
+let g_bound = 3 * carried_bound (* G = D + C, D = 2Z *)
+
+let limbs_hex (a : Fe25519.t) =
+  String.concat "," (Array.to_list (Array.map (Printf.sprintf "%x") a))
+
+(* One operand: every limb just below 2^53.1, every limb at the stacked
+   G bound, a lazy add or sub of carried values (a sub's minuend may be
+   a lazy add, its subtrahend is carried), G = (Z + Z) + C itself, or a
+   carried value, so that pairs mix lazy and carried operands. *)
+let gen_operand rng =
+  let fe () = Fe25519.unpack (Prop.gen_fe_bytes rng) in
+  let lazy_op op a b =
+    let o = Fe25519.create () in
+    op o a b;
+    o
+  in
+  match Drbg.uniform ~rng 7 with
+  | 0 -> Array.init 5 (fun _ -> sub_bound - Drbg.uniform ~rng (1 lsl 30))
+  | 1 -> Array.make 5 g_bound
+  | 2 -> lazy_op Fe25519.add (fe ()) (fe ())
+  | 3 -> lazy_op Fe25519.sub (fe ()) (fe ())
+  | 4 -> lazy_op Fe25519.sub (lazy_op Fe25519.add (fe ()) (fe ())) (fe ())
+  | 5 ->
+      let z = fe () in
+      lazy_op Fe25519.add (lazy_op Fe25519.add z z) (fe ())
+  | _ -> fe ()
+
+(* [mul], [square] and [mul_small] of raw operands against the same
+   operation on [carry]ed copies and against Fe25519_ref on the packed
+   values; every output limb must be carried. *)
+let check_at_bound (x, y) =
+  let carried v =
+    let c = Fe25519.copy v in
+    Fe25519.carry c;
+    c
+  in
+  let to_ref v = Fe25519_ref.unpack (Fe25519.pack v) in
+  let check op kernel oracle =
+    let what = Printf.sprintf "%s(%s; %s)" op (limbs_hex x) (limbs_hex y) in
+    let o = Fe25519.create () and oc = Fe25519.create () in
+    kernel o x y;
+    kernel oc (carried x) (carried y);
+    Array.iter
+      (fun l ->
+        Prop.require
+          (0 <= l && l < carried_bound)
+          "%s: output limb %x is not carried" what l)
+      o;
+    Prop.check_hex ~what:(what ^ " vs carried operands")
+      (hex (Fe25519.pack oc))
+      (hex (Fe25519.pack o));
+    Prop.check_hex ~what:(what ^ " vs oracle") (hex (oracle ()))
+      (hex (Fe25519.pack o))
+  in
+  let oracle2 op a b () =
+    let o = Fe25519_ref.create () in
+    op o (to_ref a) (to_ref b);
+    Fe25519_ref.pack o
+  in
+  check "mul" Fe25519.mul (oracle2 Fe25519_ref.mul x y);
+  check "square" (fun o a _ -> Fe25519.square o a)
+    (oracle2 (fun o a _ -> Fe25519_ref.square o a) x x);
+  List.iter
+    (fun c ->
+      check
+        (Printf.sprintf "mul_small %d" c)
+        (fun o _ b -> Fe25519.mul_small o b c)
+        (oracle2 Fe25519_ref.mul y (Fe25519.of_limbs [| c; 0; 0; 0; 0 |])))
+    [ 121665; (1 lsl 17) - 1 ]
+
 let run () =
   Prop.suite "fe25519 (51-bit limbs) vs fe25519_ref (seed, 16-bit limbs)";
   Prop.check ~name:"fe add" gen2
@@ -41,6 +117,19 @@ let run () =
     (differential2 ~what:"mul" Fe25519.mul Fe25519_ref.mul);
   Prop.check ~name:"fe square" Prop.gen_fe_bytes
     (differential1 ~what:"square" Fe25519.square Fe25519_ref.square);
+  Prop.check ~name:"fe mul/square/mul_small at the input bound"
+    (Prop.gen_pair gen_operand gen_operand)
+    check_at_bound;
+  Prop.vector ~name:"fe kernels at the limb maxima" (fun () ->
+      let carried_max = Fe25519.unpack (Bytes.make 32 '\xff') in
+      List.iter
+        (fun (l, r) -> check_at_bound (Array.make 5 l, r))
+        [ (sub_bound, Array.make 5 sub_bound);
+          (g_bound, Array.make 5 g_bound);
+          (3 * ((1 lsl 51) + (1 lsl 15)), Array.make 5 sub_bound);
+          (sub_bound, carried_max);
+          (g_bound, carried_max) ];
+      check_at_bound (carried_max, Array.make 5 sub_bound));
   Prop.check ~name:"fe invert" Prop.gen_fe_bytes
     (differential1 ~what:"invert" Fe25519.invert Fe25519_ref.invert);
   (* The addition chain on fixed edges: 0, 1, p - 1, the non-canonical

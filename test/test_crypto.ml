@@ -544,6 +544,53 @@ let test_x25519_iterated () =
   check_hex "after 1000 iterations"
     "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51" !k
 
+(* The field kernels allocate nothing, and a scalar multiplication only
+   its scratch (108 words for the ladder, 245 for a comb, as measured).
+   A word boxed in an untagged kernel — [reduce10] called out of line,
+   or a local that escapes — shows here before it shows in round times. *)
+let test_x25519_allocation () =
+  let words_per_call n f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  let rng = Drbg.of_string "alloc" in
+  let fe () = Fe25519.unpack (Drbg.generate rng 32) in
+  let a = fe () and b = fe () and o = Fe25519.create () in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.)) (name ^ " minor words per call") 0.
+        (words_per_call 1000 f))
+    [
+      ("mul", fun () -> Fe25519.mul o a b);
+      ("square", fun () -> Fe25519.square o a);
+      ("mul_small", fun () -> Fe25519.mul_small o a 121665);
+      ("add", fun () -> Fe25519.add o a b);
+      ("sub", fun () -> Fe25519.sub o a b);
+      ("cswap", fun () -> Fe25519.cswap o a 1);
+    ];
+  let sk, _ = Drbg.keypair ~rng () and _, pk = Drbg.keypair ~rng () in
+  List.iter
+    (fun (name, most, f) ->
+      let w = words_per_call 20 f in
+      if w > most then
+        Alcotest.failf "%s allocates %.1f minor words per call, over %.0f" name
+          w most)
+    [
+      ( "scalarmult",
+        108.,
+        fun () -> ignore (Curve25519.scalarmult ~scalar:sk ~point:pk) );
+      ( "scalarmult_base",
+        245.,
+        fun () -> ignore (Curve25519.scalarmult_base sk) );
+      ( "shared_static",
+        245.,
+        fun () -> ignore (Curve25519.shared_static ~secret:sk ~public:pk) );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* DRBG                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -807,4 +854,12 @@ let fe_suite =
   ]
   |> List.map (QCheck_alcotest.to_alcotest ~long:false)
 
-let suite = (fst suite, snd suite @ fe_suite)
+(* Appended after the field properties so the earlier cases keep their
+   positions in the suite. *)
+let suite =
+  ( fst suite,
+    snd suite @ fe_suite
+    @ [
+        Alcotest.test_case "x25519 kernels allocate nothing" `Quick
+          test_x25519_allocation;
+      ] )

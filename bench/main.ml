@@ -24,6 +24,26 @@ let section title =
   Printf.printf "%s\n" title;
   line ()
 
+(* Every BENCH_<benchmark>.json opens with one header: the section that
+   wrote it, the schema version, and the cores this host reports (a
+   [jobs] above it measures scheduling overhead, not a speedup). *)
+let write_artifact ~benchmark fields =
+  let module Json = Vuvuzela_telemetry.Json in
+  let path = Printf.sprintf "BENCH_%s.json" benchmark in
+  let cores = Vuvuzela_parallel.Pool.default_jobs () in
+  let doc =
+    Json.Obj
+      (("benchmark", Json.Str benchmark)
+      :: ("schema", Json.Num 1.)
+      :: ("host_cores", Json.Num (float_of_int cores))
+      :: fields)
+  in
+  let oc = open_out path in
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "  wrote %s\n" path
+
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
@@ -323,191 +343,6 @@ let posteriors () =
     cases
 
 (* ------------------------------------------------------------------ *)
-(* Live round measurement                                              *)
-(* ------------------------------------------------------------------ *)
-
-let live_round_scaling () =
-  section "LIVE IMPLEMENTATION - measured round cost vs batch size";
-  Printf.printf
-    "  (real crypto end to end; noise deterministic mu=4; 3 servers)\n";
-  List.iter
-    (fun n_clients ->
-      let noise = Laplace.params ~mu:4. ~b:1. in
-      let net =
-        Network.of_config
-          Network.Config.(
-            default |> with_seed "bench-live" |> with_noise noise
-            |> with_dial_noise (Laplace.params ~mu:1. ~b:1.)
-            |> with_noise_mode Noise.Deterministic)
-      in
-      let clients =
-        List.init n_clients (fun i ->
-            Network.connect ~seed:(Printf.sprintf "lc%d" i) net)
-      in
-      let rec pair = function
-        | a :: b :: rest ->
-            Client.start_conversation a ~peer_pk:(Client.public_key b);
-            Client.start_conversation b ~peer_pk:(Client.public_key a);
-            pair rest
-        | _ -> ()
-      in
-      pair clients;
-      let t0 = Unix.gettimeofday () in
-      let rounds = 3 in
-      for _ = 1 to rounds do
-        ignore (Network.run ~kind:Round.Conversation net)
-      done;
-      let dt = (Unix.gettimeofday () -. t0) /. float_of_int rounds in
-      Printf.printf
-        "  %4d clients: %8.1f ms/round  (%6.0f exchanges/s sustainable)\n"
-        n_clients (1000. *. dt)
-        (float_of_int n_clients /. dt))
-    [ 4; 16; 64 ]
-
-(* ------------------------------------------------------------------ *)
-(* Parallel round engine                                               *)
-(* ------------------------------------------------------------------ *)
-
-let parallel_scaling () =
-  section "PARALLEL - multicore round engine (client onions/s vs jobs)";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf
-    "  (this host reports %d core(s); round outputs are bit-identical at \
-     every job count)\n"
-    cores;
-  let job_counts = List.sort_uniq compare [ 1; 2; 4; cores ] in
-  let n_clients = 48 in
-  let baseline = ref None in
-  List.iter
-    (fun jobs ->
-      let noise = Laplace.params ~mu:4. ~b:1. in
-      let net =
-        Network.of_config
-          Network.Config.(
-            default |> with_seed "bench-par" |> with_noise noise
-            |> with_dial_noise (Laplace.params ~mu:1. ~b:1.)
-            |> with_noise_mode Noise.Deterministic |> with_jobs jobs)
-      in
-      let clients =
-        List.init n_clients (fun i ->
-            Network.connect ~seed:(Printf.sprintf "pc%d" i) net)
-      in
-      let rec pair = function
-        | a :: b :: rest ->
-            Client.start_conversation a ~peer_pk:(Client.public_key b);
-            Client.start_conversation b ~peer_pk:(Client.public_key a);
-            pair rest
-        | _ -> ()
-      in
-      pair clients;
-      ignore (Network.run ~kind:Round.Conversation net) (* warm-up: spin up the domains *);
-      let rounds = 3 in
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to rounds do
-        ignore (Network.run ~kind:Round.Conversation net)
-      done;
-      let dt = (Unix.gettimeofday () -. t0) /. float_of_int rounds in
-      Network.shutdown net;
-      let onions_s = float_of_int n_clients /. dt in
-      let speedup =
-        match !baseline with
-        | None ->
-            baseline := Some dt;
-            1.
-        | Some b -> b /. dt
-      in
-      Printf.printf
-        "  jobs=%-3d %8.1f ms/round  %8.0f onions/s  speedup %.2fx\n" jobs
-        (1000. *. dt) onions_s speedup)
-    job_counts
-
-(* ------------------------------------------------------------------ *)
-(* Telemetry: machine-readable per-stage latency export                *)
-(* ------------------------------------------------------------------ *)
-
-(* Instrumented rounds at jobs ∈ {1, 2, 4}; the registry's stage
-   histograms become BENCH_round_stages.json — per-stage p50/p95/p99 and
-   wire bytes per round — so perf regressions are diffable run-to-run
-   without scraping stdout. *)
-let round_stage_export () =
-  section "TELEMETRY - per-stage round latency (writes BENCH_round_stages.json)";
-  let module T = Vuvuzela_telemetry in
-  let rounds = 8 and n_clients = 24 in
-  let per_jobs jobs =
-    let tel = T.Telemetry.create () in
-    let net =
-      Network.of_config
-        Network.Config.(
-          default |> with_seed "bench-stages"
-          |> with_noise (Laplace.params ~mu:4. ~b:1.)
-          |> with_dial_noise (Laplace.params ~mu:1. ~b:1.)
-          |> with_noise_mode Noise.Deterministic |> with_jobs jobs
-          |> with_telemetry tel)
-    in
-    let clients =
-      List.init n_clients (fun i ->
-          Network.connect ~seed:(Printf.sprintf "sc%d" i) net)
-    in
-    let rec pair = function
-      | a :: b :: rest ->
-          Client.start_conversation a ~peer_pk:(Client.public_key b);
-          Client.start_conversation b ~peer_pk:(Client.public_key a);
-          pair rest
-      | _ -> ()
-    in
-    pair clients;
-    let reports = Network.run_rounds net rounds in
-    Network.shutdown net;
-    let reg = T.Telemetry.metrics tel in
-    let wire_per_round =
-      List.fold_left (fun acc r -> acc + r.Network.wire_bytes) 0 reports
-      / rounds
-    in
-    Printf.printf "  jobs=%-3d %8d B/round on the wire;" jobs wire_per_round;
-    let stages =
-      List.map
-        (fun stage ->
-          let h =
-            T.Metrics.histogram reg ~labels:[ ("stage", stage) ]
-              "vuvuzela_stage_ms"
-          in
-          if stage = "peel" || stage = "reseal" then
-            Printf.printf "  %s p95 %.2f ms" stage (T.Metrics.quantile h 0.95);
-          T.Json.Obj
-            [
-              ("stage", T.Json.Str stage);
-              ("count", T.Json.Num (float_of_int (T.Metrics.hist_count h)));
-              ("p50_ms", T.Json.Num (T.Metrics.quantile h 0.50));
-              ("p95_ms", T.Json.Num (T.Metrics.quantile h 0.95));
-              ("p99_ms", T.Json.Num (T.Metrics.quantile h 0.99));
-            ])
-        T.Telemetry.server_stages
-    in
-    print_newline ();
-    T.Json.Obj
-      [
-        ("jobs", T.Json.Num (float_of_int jobs));
-        ("wire_bytes_per_round", T.Json.Num (float_of_int wire_per_round));
-        ("stages", T.Json.List stages);
-      ]
-  in
-  let doc =
-    T.Json.Obj
-      [
-        ("benchmark", T.Json.Str "round-stages");
-        ("servers", T.Json.Num 3.);
-        ("clients", T.Json.Num (float_of_int n_clients));
-        ("rounds_per_job_count", T.Json.Num (float_of_int rounds));
-        ("job_counts", T.Json.List (List.map per_jobs [ 1; 2; 4 ]));
-      ]
-  in
-  let oc = open_out "BENCH_round_stages.json" in
-  output_string oc (T.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_round_stages.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* Crypto: 51-bit field rewrite vs the retained seed implementation    *)
 (* ------------------------------------------------------------------ *)
 
@@ -776,59 +611,49 @@ let crypto_bench () =
     "  pool 256x sha256: chunked %8.0f batches/s, per-item %8.0f batches/s \
      (%.2fx) at jobs=%d\n"
     chunked_ops per_item_ops (chunked_ops /. per_item_ops) pool_jobs;
-  let doc =
-    T.Json.Obj
-      [
-        ("benchmark", T.Json.Str "crypto");
-        ("schema", T.Json.Num 1.);
-        ("host_cores", T.Json.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())));
-        ( "x25519",
-          T.Json.Obj
-            [
-              ("ops_per_sec", T.Json.Num x_new);
-              ("seed_ops_per_sec", T.Json.Num x_ref);
-              ("fixed_base_ops_per_sec", T.Json.Num x_base);
-              ("keyed_ops_per_sec", T.Json.Num x_keyed);
-              ("keyed_table_ms", T.Json.Num table_ms);
-              ("peel_us", T.Json.Num peel_us);
-              ("peel_ladder_us", T.Json.Num peel_ladder_us);
-              ("peel_hkdf_us", T.Json.Num peel_hkdf_us);
-              ("peel_aead_us", T.Json.Num peel_aead_us);
-              ("fe_mul_ns", T.Json.Num fe_mul_ns);
-              ("fe_square_ns", T.Json.Num fe_square_ns);
-              ("speedup_vs_seed", T.Json.Num speedup);
-            ] );
-        ( "aead_1kib",
-          T.Json.Obj
-            [
-              ("seal_mb_per_sec", T.Json.Num (mb seal_ops));
-              ("open_mb_per_sec", T.Json.Num (mb open_ops));
-              ("seal_into_mb_per_sec", T.Json.Num (mb seal_into_ops));
-            ] );
-        ( "chacha20_16kib",
-          T.Json.Obj
-            [
-              ("fast_mb_per_sec", T.Json.Num (mb16 chacha_fast));
-              ("seed_mb_per_sec", T.Json.Num (mb16 chacha_ref));
-              ("speedup_vs_seed", T.Json.Num (chacha_fast /. chacha_ref));
-            ] );
-        ( "pool_dispatch_256x_sha256",
-          T.Json.Obj
-            [
-              ("jobs", T.Json.Num (float_of_int pool_jobs));
-              ("chunked_batches_per_sec", T.Json.Num chunked_ops);
-              ("per_item_batches_per_sec", T.Json.Num per_item_ops);
-              ( "chunked_speedup_vs_per_item",
-                T.Json.Num (chunked_ops /. per_item_ops) );
-            ] );
-        ("round", T.Json.List rounds);
-      ]
-  in
-  let oc = open_out "BENCH_crypto.json" in
-  output_string oc (T.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_crypto.json\n"
+  write_artifact ~benchmark:"crypto"
+    [
+      ( "x25519",
+        T.Json.Obj
+          [
+            ("ops_per_sec", T.Json.Num x_new);
+            ("seed_ops_per_sec", T.Json.Num x_ref);
+            ("fixed_base_ops_per_sec", T.Json.Num x_base);
+            ("keyed_ops_per_sec", T.Json.Num x_keyed);
+            ("keyed_table_ms", T.Json.Num table_ms);
+            ("peel_us", T.Json.Num peel_us);
+            ("peel_ladder_us", T.Json.Num peel_ladder_us);
+            ("peel_hkdf_us", T.Json.Num peel_hkdf_us);
+            ("peel_aead_us", T.Json.Num peel_aead_us);
+            ("fe_mul_ns", T.Json.Num fe_mul_ns);
+            ("fe_square_ns", T.Json.Num fe_square_ns);
+            ("speedup_vs_seed", T.Json.Num speedup);
+          ] );
+      ( "aead_1kib",
+        T.Json.Obj
+          [
+            ("seal_mb_per_sec", T.Json.Num (mb seal_ops));
+            ("open_mb_per_sec", T.Json.Num (mb open_ops));
+            ("seal_into_mb_per_sec", T.Json.Num (mb seal_into_ops));
+          ] );
+      ( "chacha20_16kib",
+        T.Json.Obj
+          [
+            ("fast_mb_per_sec", T.Json.Num (mb16 chacha_fast));
+            ("seed_mb_per_sec", T.Json.Num (mb16 chacha_ref));
+            ("speedup_vs_seed", T.Json.Num (chacha_fast /. chacha_ref));
+          ] );
+      ( "pool_dispatch_256x_sha256",
+        T.Json.Obj
+          [
+            ("jobs", T.Json.Num (float_of_int pool_jobs));
+            ("chunked_batches_per_sec", T.Json.Num chunked_ops);
+            ("per_item_batches_per_sec", T.Json.Num per_item_ops);
+            ( "chunked_speedup_vs_per_item",
+              T.Json.Num (chunked_ops /. per_item_ops) );
+          ] );
+      ("round", T.Json.List rounds);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Faults: retry overhead under the round supervisor                   *)
@@ -1005,160 +830,6 @@ let workload_summary () =
   in
   Format.printf "  stress mix (churn+outages),   20 rounds: %a@."
     Vuvuzela_sim.Workload.pp_summary st
-
-(* ------------------------------------------------------------------ *)
-(* Transport: in-process chain vs real loopback-TCP daemons            *)
-(* ------------------------------------------------------------------ *)
-
-(* What the multi-process deployment costs over function calls: the same
-   seeded rounds through 3 [vuvuzela-server] daemons on 127.0.0.1 —
-   framing, syscalls and loopback hops included — at jobs ∈ {1, 4},
-   plus how long the supervisor takes to recover from the middle server
-   being SIGKILLed and restarted (the reconnect storm).  Daemons are
-   separate processes via [create_process] (never [fork]: this process
-   has spawned domains by now). *)
-let transport_bench () =
-  section "TRANSPORT - in-process vs loopback TCP (writes BENCH_transport.json)";
-  let module T = Vuvuzela_telemetry in
-  let module Addr = Vuvuzela_transport.Addr in
-  let server_bin = Daemon_spawn.server_bin () in
-  if not (Daemon_spawn.sockets_allowed ()) then
-    Printf.printf "  skipped: sandbox forbids loopback sockets\n"
-  else if not (Sys.file_exists server_bin) then
-    Printf.printf "  skipped: %s not built (run dune build first)\n" server_bin
-  else begin
-    let n_clients = 24 and rounds = 6 in
-    let noise = Laplace.params ~mu:4. ~b:1. in
-    let dial_noise = Laplace.params ~mu:1. ~b:1. in
-    let spawn_daemon ~jobs ~seed ~ports index =
-      Daemon_spawn.spawn_server ~bin:server_bin ~ports ~index ~seed
-        [ "--mu"; "4"; "--noise-b"; "1"; "--dial-mu"; "1"; "--dial-b"; "1";
-          "--deterministic-noise"; "--jobs"; string_of_int jobs ]
-    in
-    let connect_clients net =
-      let clients =
-        List.init n_clients (fun i ->
-            Network.connect ~seed:(Printf.sprintf "tc%d" i) net)
-      in
-      let rec pair = function
-        | a :: b :: rest ->
-            Client.start_conversation a ~peer_pk:(Client.public_key b);
-            Client.start_conversation b ~peer_pk:(Client.public_key a);
-            pair rest
-        | _ -> ()
-      in
-      pair clients
-    in
-    (* ms/round and wire MB/s over [rounds] supervised rounds *)
-    let measure net =
-      ignore (Network.run ~kind:Round.Conversation net) (* warm-up *);
-      let t0 = Unix.gettimeofday () in
-      let reports = Network.run_rounds net rounds in
-      let dt = Unix.gettimeofday () -. t0 in
-      let wire =
-        List.fold_left (fun acc r -> acc + r.Network.wire_bytes) 0 reports
-      in
-      (1000. *. dt /. float_of_int rounds, float_of_int wire /. dt /. 1e6)
-    in
-    let in_process ~jobs =
-      let net =
-        Network.of_config
-          Network.Config.(
-            default |> with_seed "bench-tcp" |> with_noise noise
-            |> with_dial_noise dial_noise
-            |> with_noise_mode Noise.Deterministic |> with_jobs jobs)
-      in
-      connect_clients net;
-      let r = measure net in
-      Network.shutdown net;
-      r
-    in
-    let over_tcp ~jobs f =
-      let seed = "bench-tcp" in
-      let ports = Array.init 3 (fun _ -> Daemon_spawn.free_port ()) in
-      let pids = ref (List.map (spawn_daemon ~jobs ~seed ~ports) [ 2; 1; 0 ]) in
-      Fun.protect
-        ~finally:(fun () -> List.iter Daemon_spawn.stop_pid !pids)
-        (fun () ->
-          match
-            Network.of_config_tcp
-              Network.Config.(
-                default |> with_noise noise |> with_dial_noise dial_noise
-                |> with_round_deadline_ms 60_000.
-                |> with_handshake_timeout_ms 30_000.
-                |> with_max_retries 4)
-              ~addr:(Addr.loopback ~port:ports.(0))
-          with
-          | Error e -> failwith ("of_config_tcp: " ^ e)
-          | Ok net ->
-              connect_clients net;
-              let r = f ~seed ~ports ~pids net in
-              Network.shutdown net;
-              r)
-    in
-    let per_jobs jobs =
-      let local_ms, local_mb = in_process ~jobs in
-      let tcp_ms, tcp_mb =
-        over_tcp ~jobs (fun ~seed:_ ~ports:_ ~pids:_ net -> measure net)
-      in
-      Printf.printf
-        "  jobs=%-3d in-process %7.1f ms/round %6.2f MB/s   loopback-TCP \
-         %7.1f ms/round %6.2f MB/s  (%.2fx)\n"
-        jobs local_ms local_mb tcp_ms tcp_mb (tcp_ms /. local_ms);
-      T.Json.Obj
-        [
-          ("jobs", T.Json.Num (float_of_int jobs));
-          ("in_process_ms_per_round", T.Json.Num local_ms);
-          ("in_process_wire_mb_per_sec", T.Json.Num local_mb);
-          ("loopback_tcp_ms_per_round", T.Json.Num tcp_ms);
-          ("loopback_tcp_wire_mb_per_sec", T.Json.Num tcp_mb);
-          ("tcp_overhead_x", T.Json.Num (tcp_ms /. local_ms));
-        ]
-    in
-    let job_rows = List.map per_jobs [ 1; 4 ] in
-    (* Reconnect storm: SIGKILL the middle daemon, restart it, and time
-       the first supervised round completed after the kill. *)
-    let recovery_ms =
-      over_tcp ~jobs:1 (fun ~seed ~ports ~pids net ->
-          ignore (Network.run ~kind:Round.Conversation net);
-          let victim = List.nth !pids 1 in
-          Unix.kill victim Sys.sigkill;
-          ignore (Unix.waitpid [] victim);
-          let t0 = Unix.gettimeofday () in
-          pids :=
-            List.mapi
-              (fun i pid ->
-                if i = 1 then spawn_daemon ~jobs:1 ~seed ~ports 1 else pid)
-              !pids;
-          let r = Network.run ~kind:Round.Conversation net in
-          let dt = 1000. *. (Unix.gettimeofday () -. t0) in
-          if r.Network.failure <> None then
-            failwith "reconnect storm: round did not recover";
-          Printf.printf
-            "  reconnect storm: middle server killed + restarted, next round \
-             completed in %.0f ms (%d attempt(s))\n"
-            dt r.Network.attempts;
-          dt)
-    in
-    let doc =
-      T.Json.Obj
-        [
-          ("benchmark", T.Json.Str "transport");
-          ("schema", T.Json.Num 1.);
-          ("host_cores", T.Json.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())));
-          ("servers", T.Json.Num 3.);
-          ("clients", T.Json.Num (float_of_int n_clients));
-          ("rounds_per_config", T.Json.Num (float_of_int rounds));
-          ("job_counts", T.Json.List job_rows);
-          ("reconnect_recovery_ms", T.Json.Num recovery_ms);
-        ]
-    in
-    let oc = open_out "BENCH_transport.json" in
-    output_string oc (T.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "  wrote BENCH_transport.json\n"
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Churn: rounds over emulated WAN links, flap rates, reconnect storm  *)
@@ -1350,25 +1021,15 @@ let churn_bench () =
             dt r.Network.attempts;
           dt)
     in
-    let doc =
-      T.Json.Obj
-        [
-          ("benchmark", T.Json.Str "churn");
-          ("schema", T.Json.Num 1.);
-          ("host_cores", T.Json.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())));
-          ("servers", T.Json.Num 3.);
-          ("clients", T.Json.Num (float_of_int n_clients));
-          ("rounds_per_config", T.Json.Num (float_of_int rounds));
-          ("wan_rows", T.Json.List wan_rows);
-          ("flap_rows", T.Json.List flap_rows);
-          ("reconnect_recovery_ms", T.Json.Num recovery_ms);
-        ]
-    in
-    let oc = open_out "BENCH_churn.json" in
-    output_string oc (T.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "  wrote BENCH_churn.json\n"
+    write_artifact ~benchmark:"churn"
+      [
+        ("servers", T.Json.Num 3.);
+        ("clients", T.Json.Num (float_of_int n_clients));
+        ("rounds_per_config", T.Json.Num (float_of_int rounds));
+        ("wan_rows", T.Json.List wan_rows);
+        ("flap_rows", T.Json.List flap_rows);
+        ("reconnect_recovery_ms", T.Json.Num recovery_ms);
+      ]
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1575,35 +1236,20 @@ let scale_bench () =
           jobs_list)
       pops
   in
-  let doc =
-    T.Json.Obj
-      [
-        ("benchmark", T.Json.Str "scale");
-        ("schema", T.Json.Num 1.);
-        ( "host_cores",
-          T.Json.Num (float_of_int (Vuvuzela_parallel.Pool.default_jobs ())) );
-        ("transport", T.Json.Str transport_name);
-        ("servers", T.Json.Num 3.);
-        ("deaddrop_shards", T.Json.Num (float_of_int shards));
-        ("entry_chunk", T.Json.Num (float_of_int chunk));
-        ("rounds_per_cell", T.Json.Num (float_of_int rounds));
-        ("paper_msgs_per_sec", T.Json.Num 68_000.);
-        ("rows", T.Json.List rows);
-      ]
-  in
-  let oc = open_out "BENCH_scale.json" in
-  output_string oc (T.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_scale.json\n"
+  write_artifact ~benchmark:"scale"
+    [
+      ("transport", T.Json.Str transport_name);
+      ("servers", T.Json.Num 3.);
+      ("deaddrop_shards", T.Json.Num (float_of_int shards));
+      ("entry_chunk", T.Json.Num (float_of_int chunk));
+      ("rounds_per_cell", T.Json.Num (float_of_int rounds));
+      ("paper_msgs_per_sec", T.Json.Num 68_000.);
+      ("rows", T.Json.List rows);
+    ]
 
 let () =
-  (* BENCH_ONLY=transport: just the daemon round-trip section (used by
-     CI smoke; the full run takes minutes). *)
-  if Sys.getenv_opt "BENCH_ONLY" = Some "transport" then begin
-    transport_bench ();
-    exit 0
-  end;
+  (* BENCH_ONLY=crypto|churn|scale: just that section (used by the CI
+     smokes; the full run takes minutes). *)
   if Sys.getenv_opt "BENCH_ONLY" = Some "crypto" then begin
     crypto_bench ();
     exit 0
@@ -1629,12 +1275,8 @@ let () =
   ablation_noise ();
   ablation_m_tuning ();
   baseline_comparison ();
-  live_round_scaling ();
-  parallel_scaling ();
-  round_stage_export ();
   crypto_bench ();
   faults_overhead ();
-  transport_bench ();
   churn_bench ();
   scale_bench ();
   workload_summary ();

@@ -19,9 +19,9 @@ let write_file path s =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
-let demo users rounds mu seed jobs pipeline deaddrop_shards entry_streaming
-    fault_plan round_deadline_ms max_retries admission_ms client_latency
-    metrics_out trace_out budget_warn obs_dir =
+let demo users rounds mu seed jobs pipeline deaddrop_shards fault_plan
+    round_deadline_ms max_retries admission_ms client_latency metrics_out
+    trace_out budget_warn obs_dir =
   let noise = Laplace.params ~mu ~b:(Float.max 1. (mu /. 21.7)) in
   (* Any observability flag turns the sink on; without one the nil sink
      keeps the demo on the exact zero-cost path the tests pin. *)
@@ -42,7 +42,6 @@ let demo users rounds mu seed jobs pipeline deaddrop_shards entry_streaming
         |> with_noise_mode Noise.Sampled |> with_jobs jobs
         |> with_pipeline pipeline
         |> with_deaddrop_shards deaddrop_shards
-        |> with_entry_streaming entry_streaming
         |> with_max_retries max_retries
         |> opt with_fault_plan fault_plan
         |> opt with_telemetry telemetry
@@ -195,16 +194,6 @@ let demo_cmd =
              id prefix and the exchange pair-matches per shard over the \
              worker domains (results are identical at any count).")
   in
-  let entry_streaming =
-    Arg.(
-      value & flag
-      & info [ "entry-streaming" ]
-          ~doc:
-            "Stream admitted requests into the chain in chunk-sized parts \
-             instead of materializing the whole batch at the entry tier — \
-             peak buffered onions bounded by the pipeline chunk, not the \
-             population (results are identical either way).")
-  in
   let fault_plan =
     let plan_conv =
       let parse s =
@@ -322,9 +311,9 @@ let demo_cmd =
     (Cmd.info "demo" ~doc:"run an in-process Vuvuzela deployment")
     Term.(
       const demo $ users $ rounds $ mu $ seed $ jobs $ pipeline
-      $ deaddrop_shards $ entry_streaming $ fault_plan $ round_deadline_ms
-      $ max_retries $ admission_ms $ client_latency $ metrics_out $ trace_out
-      $ budget_warn $ obs_dir)
+      $ deaddrop_shards $ fault_plan $ round_deadline_ms $ max_retries
+      $ admission_ms $ client_latency $ metrics_out $ trace_out $ budget_warn
+      $ obs_dir)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)

@@ -12,7 +12,6 @@ type t = {
   pipeline : bool;
   pipeline_chunk : int;
   deaddrop_shards : int;
-  entry_streaming : bool;
   cdn_edges : int;
   cdn_bloom_fp : float option;
   fault_plan : Vuvuzela_faults.Fault.plan option;
@@ -42,7 +41,6 @@ let default =
     pipeline = false;
     pipeline_chunk = 16;
     deaddrop_shards = 1;
-    entry_streaming = false;
     cdn_edges = 0;
     cdn_bloom_fp = None;
     fault_plan = None;
@@ -71,7 +69,7 @@ let with_pipeline ?(chunk = default.pipeline_chunk) pipeline t =
   { t with pipeline; pipeline_chunk = max 1 chunk }
 let part_chunk t = if t.pipeline then Some (max 1 t.pipeline_chunk) else None
 let with_deaddrop_shards shards t = { t with deaddrop_shards = max 1 shards }
-let with_entry_streaming entry_streaming t = { t with entry_streaming }
+let with_entry_streaming (_ : bool) t = t
 let with_cdn_edges cdn_edges t = { t with cdn_edges }
 let with_cdn_bloom_fp fp t = { t with cdn_bloom_fp = Some fp }
 let with_fault_plan plan t = { t with fault_plan = Some plan }

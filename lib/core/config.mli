@@ -23,17 +23,12 @@ type t = {
           still in flight; without it a link carries one part per batch.
           Results are bit-identical either way *)
   pipeline_chunk : int;
-      (** onions per relay part when [pipeline] is set, and per streamed
-          entry chunk either way (≥ 1) *)
+      (** onions per relay part when [pipeline] is set, and per entry
+          chunk always (≥ 1) *)
   deaddrop_shards : int;
       (** conversation dead-drop store shards (≥ 1): drops are routed
           by id prefix and [exchange] pair-matches per shard over the
           domain pool; results are bit-identical for any count *)
-  entry_streaming : bool;
-      (** stream client onions through the entry tier in
-          [pipeline_chunk]-sized chunks instead of materializing the
-          whole batch — peak buffered onions are bounded by the chunk
-          size, not the population; transcripts are bit-identical *)
   cdn_edges : int;  (** §5.5 invitation-drop distribution; [0] = none *)
   cdn_bloom_fp : float option;
       (** stable-bloom invitation prefilter at the CDN edges: clients
@@ -104,7 +99,9 @@ val with_deaddrop_shards : int -> t -> t
 (** Shard count for the conversation dead-drop store (clamped ≥ 1). *)
 
 val with_entry_streaming : bool -> t -> t
-(** Chunked entry-tier intake (see {!type-t.entry_streaming}). *)
+(** The identity: the entry tier always streams, in [pipeline_chunk]
+    chunks.  Kept for its one caller, [benchmark/run.ml]; do not add
+    new ones. *)
 
 val with_cdn_edges : int -> t -> t
 

@@ -9,43 +9,26 @@ type submit_status =
 
 type 'id t
 
-val create : ?round:int -> unit -> 'id t
-(** A fresh materializing collector for [round] (default [0]): all
-    requests are buffered until {!close_round}. *)
-
 val create_streaming :
   ?round:int -> chunk:int -> sink:(bytes array -> unit) -> unit -> 'id t
-(** A streaming collector: every time [chunk] requests are buffered
-    they are flushed to [sink] as one slot-ordered chunk, so the peak
-    buffered onion count is bounded by [chunk], not the population
-    (checked by {!peak_buffered}).  Close with {!close_stream}.
+(** The collector for [round] (default [0]): every time [chunk] requests
+    are buffered they are flushed to [sink] as one slot-ordered chunk,
+    so the peak buffered onion count is bounded by [chunk], not the
+    population (checked by {!peak_buffered}).  Close with
+    {!close_stream}.
     @raise Invalid_argument if [chunk < 1]. *)
 
-val round : 'id t -> int
-
 val submit : 'id t -> 'id -> bytes -> submit_status
-(** Before the round freezes: record the request, [Accepted].  After:
-    record the straggler in {!late} and answer [Late] — never raises. *)
-
-val size : 'id t -> int
-(** Admitted requests so far; O(1). *)
-
-val late : 'id t -> 'id list
-(** Clients that submitted after the round froze, in arrival order. *)
+(** Before the round closes: record the request, [Accepted].  After:
+    answer [Late] — never raises. *)
 
 val peak_buffered : 'id t -> int
-(** High-water mark of simultaneously buffered requests.  Equals
-    {!size} for a materializing collector; at most the chunk size for a
-    streaming one. *)
-
-val close_round : 'id t -> bytes array * 'id array
-(** Slot-ordered request batch and the matching client ids.
-    @raise Invalid_argument on a streaming collector. *)
+(** High-water mark of simultaneously buffered requests: at most the
+    chunk size. *)
 
 val close_stream : 'id t -> 'id array
-(** Flush the tail chunk to the sink and return the slot-ordered client
-    ids (the requests already went to the sink).
-    @raise Invalid_argument on a materializing collector. *)
+(** Flush the tail chunk to the sink, close the round, and return the
+    slot-ordered client ids (the requests already went to the sink). *)
 
 val request_len : chain_len:int -> dial_kind:Dialing.kind -> Round.kind -> int
 (** The size every request of a round of this kind must have: a full

@@ -54,25 +54,18 @@ type t = {
   mutable auto_tune_m : bool;
   dial_kind : Dialing.kind;
   cdn : Cdn.t option;  (** §5.5 distribution of invitation drops *)
-  mutable entry_streaming : bool;
-      (** scale plane: collect entry requests through a streaming
-          {!Entry} collector feeding the chain in chunks, so no tier
-          materializes the whole onion batch *)
-  entry_chunk : int;  (** onions per streamed entry chunk *)
-  mutable round_deadline_ms : float option;
-      (** supervisor deadline per attempt; [None] disables the check *)
-  mutable max_retries : int;  (** extra attempts after the first *)
+  entry_chunk : int;  (** onions per entry chunk *)
+  deadline_ms : float option;
+      (** supervisor deadline per attempt, hedged by the link profile
+          (see {!hedged_deadline_ms}); [None] disables the check *)
+  max_retries : int;  (** extra attempts after the first *)
   admission_rng : Drbg.t;
       (** arrival-latency draws for the admission check, derived from
           the deployment seed so admission outcomes replay *)
   mutable admission_ms : float option;
       (** entry-server admission window; [None] admits everyone *)
-  mutable client_latency : (float * float) option;
+  client_latency : (float * float) option;
       (** [(base_ms, jitter_ms)] emulated client → entry arrival *)
-  link : Shaper.config option;
-      (** emulated WAN link profile: widens the effective deadline by
-          the chain's RTT budget so shaped links aren't misread as
-          failures *)
   mutable m_history : (int * int) list;
       (** completed dialing rounds and their [m], newest first, bounded
           by the last server's invitation retention — the download
@@ -119,17 +112,29 @@ let install_ledger (cfg : Config.t) =
            ~dial:(Mechanism.dialing cfg.dial_noise) ()))
     cfg.telemetry
 
+(* Hedged deadline (§WAN): an emulated link adds a predictable RTT to
+   every round, so the effective deadline is the configured one widened
+   by the link's round-trip budget across the chain's hops — a shaped
+   link costs latency without being misread as a failure, while a link
+   that is genuinely stuck still trips the (widened) deadline. *)
+let hedged_deadline_ms (cfg : Config.t) ~hops =
+  Option.map
+    (fun d ->
+      match cfg.link with
+      | Some link -> d +. Shaper.rtt_budget_ms link ~hops
+      | None -> d)
+    cfg.round_deadline_ms
+
 (* The one constructor behind both backends. *)
 let make (cfg : Config.t) backend ~server_pks ~cdn =
   install_ledger cfg;
   {
     backend;
-    entry_streaming = cfg.entry_streaming;
     entry_chunk = max 1 cfg.pipeline_chunk;
+    deadline_ms = hedged_deadline_ms cfg ~hops:(List.length server_pks);
     admission_rng = admission_rng_of cfg;
     admission_ms = cfg.admission_ms;
     client_latency = cfg.client_latency;
-    link = cfg.link;
     tel = cfg.telemetry;
     server_pks;
     clients = Hashtbl.create 64;
@@ -140,7 +145,6 @@ let make (cfg : Config.t) backend ~server_pks ~cdn =
     auto_tune_m = false;
     dial_kind = cfg.dial_kind;
     cdn;
-    round_deadline_ms = cfg.round_deadline_ms;
     max_retries = max 0 cfg.max_retries;
     m_history = [];
     last_fetched = Hashtbl.create 64;
@@ -188,8 +192,15 @@ let of_config_tcp (cfg : Config.t) ~addr =
   with
   | Error e -> Error e
   | Ok remote ->
+      let t =
+        make cfg (Tcp remote) ~server_pks:(Remote.public_keys remote) ~cdn:None
+      in
+      (* Over TCP the deadline also bounds the wait for each results
+         frame, so a silently dead link surfaces as a retryable
+         transport status instead of blocking forever. *)
+      Remote.set_deadline_ms remote t.deadline_ms;
       Remote.set_pipeline remote (Config.part_chunk cfg);
-      Ok (make cfg (Tcp remote) ~server_pks:(Remote.public_keys remote) ~cdn:None)
+      Ok t
 
 let chain t =
   match t.backend with
@@ -210,27 +221,7 @@ let shutdown t =
   | Local c -> Chain.shutdown c
   | Tcp r -> Remote.shutdown r
 
-(* Backend dispatch for the round operations.  The per-round deadline is
-   synced into the remote before each call: over TCP the deadline also
-   bounds the wait for the results frame itself (a silently dead link
-   otherwise blocks forever), surfacing as a retryable transport
-   status. *)
-let chain_length t =
-  match t.backend with Local c -> Chain.length c | Tcp r -> Remote.length r
-
-(* Hedged deadline (§WAN): an emulated link adds a predictable RTT to
-   every round, so the effective deadline is the configured one widened
-   by the link's round-trip budget across the chain's hops — a shaped
-   link costs latency without being misread as a failure, while a link
-   that is genuinely stuck still trips the (widened) deadline. *)
-let effective_deadline_ms t =
-  match t.round_deadline_ms with
-  | None -> None
-  | Some d ->
-      Some
-        (match t.link with
-        | Some link -> d +. Shaper.rtt_budget_ms link ~hops:(chain_length t)
-        | None -> d)
+let chain_length t = List.length t.server_pks
 
 (* The TCP counterpart of the chain's per-round root span
    ([conv-round] / [dial-round], opened inside {!Chain} in-process):
@@ -253,11 +244,11 @@ let round_root t r ~kind ~round f =
           Trace.end_span tr span)
         f
 
+(* Backend dispatch for the round operations. *)
 let chain_round t ~kind ~m ~round ~produce =
   match t.backend with
   | Local c -> Chain.round_streamed c ~kind ~m ~round ~produce
   | Tcp r ->
-      Remote.set_deadline_ms r (effective_deadline_ms t);
       round_root t r ~kind ~round (fun () ->
           Remote.round_streamed r ~kind ~m ~round ~produce)
 
@@ -284,17 +275,8 @@ let set_invitation_drops t m = t.m <- max 1 m
 let set_auto_tune_drops t flag = t.auto_tune_m <- flag
 let cdn_stats t = Option.map Cdn.stats t.cdn
 let invitation_drops t = t.m
-let set_round_deadline_ms t d = t.round_deadline_ms <- d
-let round_deadline_ms t = t.round_deadline_ms
-let set_max_retries t n = t.max_retries <- max 0 n
-let max_retries t = t.max_retries
-let set_entry_streaming t flag = t.entry_streaming <- flag
-let entry_streaming t = t.entry_streaming
 let entry_chunk t = t.entry_chunk
 let set_admission_ms t w = t.admission_ms <- w
-let admission_ms t = t.admission_ms
-let set_client_latency t l = t.client_latency <- l
-let client_latency t = t.client_latency
 
 let connect ?seed ?window ?rtt ?max_conversations ?certified t =
   let identity =
@@ -325,24 +307,24 @@ type round_report = {
   events : (Client.t * Client.event list) list;
       (** per participating client, in connection order; on a failed
           report these are the [Round_failed] notifications *)
-  batch_size : int;  (** requests the entry server forwarded *)
+  batch_size : int;
+      (** requests the admitted clients built for the last attempt *)
   peak_buffered : int;
-      (** most onions the entry server held at once: [batch_size] when
-          it materialized the batch, at most the configured chunk when
-          it streamed (the scale plane's memory bound) *)
+      (** most onions the entry server held at once: at most
+          [entry_chunk]; [0] when the attempt failed before intake *)
   admitted : int;
       (** clients inside the last attempt's admission window (= all
           participants when no window is configured) *)
   late : int;
-      (** clients the last attempt excluded as stragglers: their onions
-          reached the closed collector, earned the typed
-          [Entry.Late] answer, and what they carried was requeued *)
+      (** clients the last attempt excluded as stragglers: their
+          requests arrived after the round closed, and what they carried
+          was requeued *)
   wire_bytes : int;
       (** batch bytes on the entry → first-server link: items plus one
           batch header, whatever the part framing *)
   elapsed_ms : float;
       (** wall clock for the last attempt's chain round trip, plus any
-          injected virtual link delay *)
+          injected virtual link delay; the clients' build is not in it *)
   confirmed_acks : int;
       (** dialing rounds: acks that unwrapped to the expected fixed
           plaintext; [0] for conversation rounds *)
@@ -395,7 +377,7 @@ let timed = Vuvuzela_transport.Clock.timed
    sleeping), so the effective round time is wall clock plus virtual
    delay — which keeps deadline misses deterministic under a seed. *)
 let check_deadline t ~round ~elapsed_ms outcome =
-  match (outcome, effective_deadline_ms t) with
+  match (outcome, t.deadline_ms) with
   | Ok _, Some deadline_ms when elapsed_ms > deadline_ms ->
       Error (Rpc.deadline_exceeded ~round ~deadline_ms)
   | _ -> outcome
@@ -494,15 +476,6 @@ let observe_admission t ~dialing ~admitted ~late =
         Telemetry.add_counter t.tel ~labels:kind ~by:(float_of_int late)
           "vuvuzela_late_onions_total"
 
-(* The attempt loop shared by both round kinds: bump the round counter,
-   split the participants at the admission window, charge the ledger
-   (admitted only — stragglers publish nothing, and the redrawn noise
-   of the retried/naturally-next round covers them), collect requests
-   through the entry server, time the chain call, check the (hedged)
-   deadline, and either finish or abort + retry (bounded, and only for
-   retryable statuses).  The two kinds plug in their request builder,
-   per-client requeue and success handler; [kind] selects the chain
-   call and the abort, so the supervisor proper exists exactly once. *)
 (* One observability event per completed round report (success or
    failure), carrying the ledger's worst-case cumulative spend so the
    event log doubles as the privacy-budget curve. *)
@@ -552,10 +525,19 @@ let check_results ~kind ~round ~batch_size = function
         }
   | outcome -> outcome
 
-let supervise t ~kind ~m ~late_pred ~participants ~next_round ~submit ~requeue
+(* The attempt loop shared by both round kinds: bump the round counter,
+   split the participants at the admission window, charge the ledger
+   (admitted only — stragglers publish nothing, and the redrawn noise
+   of the retried/naturally-next round covers them), build every
+   participant's requests, time the chain call that streams the
+   admitted ones through the entry server, check the (hedged) deadline,
+   and either finish or abort + retry (bounded, and only for retryable
+   statuses).  The two kinds plug in their per-client request builder,
+   requeue and success handler; [kind] selects the chain call and the
+   abort, so the supervisor proper exists exactly once. *)
+let supervise t ~kind ~m ~late_pred ~participants ~next_round ~build ~requeue
     ~finish =
   let dialing = Round.is_dialing kind in
-  let call ~round ~produce = chain_round t ~kind ~m ~round ~produce in
   let aborts = ref [] in
   let rec attempt n =
     let round = next_round () in
@@ -563,66 +545,47 @@ let supervise t ~kind ~m ~late_pred ~participants ~next_round ~submit ~requeue
     charge_attempt t ~participants:admitted ~dialing;
     observe_admission t ~dialing ~admitted:(List.length admitted)
       ~late:(List.length stragglers);
-    (* Collect requests and run the chain call.  Materializing (the
-       default): close the round first, then time the chain trip alone.
-       Streaming (scale plane): the chain call's [produce] hook owns the
-       collector — clients submit into a streaming {!Entry} whose sink
-       is the chain's chunk feed, so the entry tier never holds more
-       than [entry_chunk] onions while server 0 peels earlier chunks.
-       Building then overlaps the wire, so the timed window includes
-       it.  Either way the chain sees the same slot-ordered request
-       bytes, so transcripts are bit-identical. *)
-    let collector = ref None in
-    let ids = ref [||] in
-    let batch_size = ref 0 in
+    (* Clients build their requests before the round, as real clients
+       do (§7).  Stragglers build too — they sent, only too late — so
+       every participant's client state moves the same way; theirs are
+       turned away below. *)
+    let requests =
+      Telemetry.span t.tel ~name:"client-build" ~round ~dialing (fun () ->
+          let requests = List.concat_map (build ~round) admitted in
+          List.iter (fun c -> ignore (build ~round c)) stragglers;
+          requests)
+    in
+    let ids = Array.of_list (List.map fst requests) in
+    let batch_size = Array.length ids in
+    (* The timed window is the chain's alone: the [produce] hook streams
+       the built requests through one {!Entry} collector whose sink is
+       the chain's chunk feed, so the entry tier never holds more than
+       [entry_chunk] onions while server 0 peels earlier chunks. *)
     let peak = ref 0 in
     let outcome, wall_ms =
-      if not t.entry_streaming then begin
-        let entry = Entry.create ~round () in
-        collector := Some entry;
-        Telemetry.span t.tel ~name:"client-build" ~round ~dialing (fun () ->
-            submit entry ~round admitted);
-        let requests, i = Entry.close_round entry in
-        ids := i;
-        batch_size := Array.length requests;
-        peak := Entry.peak_buffered entry;
-        timed (fun () -> call ~round ~produce:(fun feed -> feed requests))
-      end
-      else
-        timed (fun () ->
-            call ~round ~produce:(fun feed ->
-                let entry =
-                  Entry.create_streaming ~round ~chunk:t.entry_chunk
-                    ~sink:feed ()
-                in
-                collector := Some entry;
-                Telemetry.span t.tel ~name:"client-build" ~round ~dialing
-                  (fun () -> submit entry ~round admitted);
-                ids := Entry.close_stream entry;
-                batch_size := Array.length !ids;
-                peak := Entry.peak_buffered entry))
+      timed (fun () ->
+          chain_round t ~kind ~m ~round ~produce:(fun feed ->
+              let entry =
+                Entry.create_streaming ~round ~chunk:t.entry_chunk ~sink:feed ()
+              in
+              List.iter
+                (fun (id, r) ->
+                  ignore (Entry.submit entry id r : Entry.submit_status))
+                requests;
+              ignore (Entry.close_stream entry : _ array);
+              peak := Entry.peak_buffered entry))
     in
-    (* Stragglers still sent: their onions reach the closed collector,
-       earn the typed [Entry.Late] answer (onions are round-keyed, so
-       joining a sealed round is impossible), and what they carried is
-       requeued for the round the entry server named.  A streamed call
-       that failed before opening its collector answers from the round
-       number alone. *)
+    (* Stragglers arrived after the round closed: onions are
+       round-keyed, so joining a sealed round is impossible.  What they
+       carried is requeued, and they are told to re-wrap for the next
+       round, as {!Entry.submit} answers a request past the close. *)
     let late_events =
       List.map
         (fun c ->
-          Option.iter (fun entry -> submit entry ~round [ c ]) !collector;
           requeue c ~round;
-          let next_round =
-            match !collector with
-            | Some entry -> Entry.round entry + 1
-            | None -> round + 1
-          in
-          (c, [ Client.Round_late { round; next_round; dialing } ]))
+          (c, [ Client.Round_late { round; next_round = round + 1; dialing } ]))
         stragglers
     in
-    let ids = !ids in
-    let batch_size = !batch_size in
     let peak_buffered = !peak in
     let wire_bytes = wire_bytes t kind ~count:batch_size in
     let elapsed_ms = wall_ms +. chain_last_round_delay_ms t in
@@ -673,16 +636,10 @@ let run_conversation ?late ~participants (t : t) =
       let round = t.round in
       t.round <- round + 1;
       round)
-    ~submit:(fun entry ~round cs ->
-      List.iter
-        (fun c ->
-          List.iteri
-            (fun slot onion ->
-              ignore
-                (Entry.submit entry (Client.public_key c, slot) onion
-                  : Entry.submit_status))
-            (Client.conversation_requests c ~round))
-        cs)
+    ~build:(fun ~round c ->
+      List.mapi
+        (fun slot onion -> ((Client.public_key c, slot), onion))
+        (Client.conversation_requests c ~round))
     ~requeue:(fun c ~round -> Client.abort_round c ~round)
     ~finish:(fun ~round ~ids results ->
       (* Group each client's slot replies back together, in slot order. *)
@@ -756,14 +713,8 @@ let run_dialing ?late ~participants (t : t) =
       let dial_round = t.dial_round in
       t.dial_round <- dial_round + 1;
       dial_round)
-    ~submit:(fun entry ~round cs ->
-      List.iter
-        (fun c ->
-          ignore
-            (Entry.submit entry (Client.public_key c)
-               (Client.dialing_request c ~dial_round:round ~m)
-              : Entry.submit_status))
-        cs)
+    ~build:(fun ~round c ->
+      [ (Client.public_key c, Client.dialing_request c ~dial_round:round ~m) ])
     ~requeue:(fun c ~round -> Client.abort_dial_round c ~dial_round:round)
     ~finish:(fun ~round ~ids acks ->
       (* Route each slot's ack back to its client; a confirmed ack

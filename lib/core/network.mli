@@ -19,18 +19,21 @@ val of_config : Config.t -> t
     [fault_plan] arms deterministic fault injection at the chain's link
     boundaries and [tap] observes every forward batch on the wire (see
     {!Chain.of_config}).  [round_deadline_ms] ([None]: no deadline)
-    bounds each round attempt — wall clock plus any injected virtual
-    delay — and [max_retries] bounds how many times the supervisor
-    retries an aborted round before giving up.
+    bounds each round attempt — the chain's wall clock plus any
+    injected virtual delay — and [max_retries] bounds how many times the
+    supervisor retries an aborted round before giving up.  The record
+    fixes the supervisor for the deployment's lifetime; only the
+    admission window can change later ({!set_admission_ms}).
 
     [telemetry] (default: the nil sink) is shared down the stack (chain,
     servers): per-stage spans, round spans, client-build/client-decrypt
     spans, round latency/wire-byte/outcome metrics — latency histograms
-    record wall-clock only, with injected virtual delay kept in its own
-    counter — and a privacy-budget ledger composing the deployment's
-    per-round guarantees under Theorem 2, charged per client per
-    attempt.  [budget_warn] sets the ledger's cumulative-ε′ warning
-    threshold.  Instrumentation never draws from the RNG: a seeded
+    record the chain's wall clock only: the clients' [client-build]
+    span ends before the round span starts, and injected virtual delay
+    is kept in its own counter — and a privacy-budget ledger composing
+    the deployment's per-round guarantees under Theorem 2, charged per
+    client per attempt.  [budget_warn] sets the ledger's cumulative-ε′
+    warning threshold.  Instrumentation never draws from the RNG: a seeded
     deployment is bit-identical with telemetry on or off. *)
 
 val of_config_tcp : Config.t -> addr:Unix.sockaddr -> (t, string) result
@@ -87,51 +90,24 @@ val set_auto_tune_drops : t -> bool -> unit
 (** Adopt the last server's §5.4 m-recommendation after each dialing
     round. *)
 
-val set_round_deadline_ms : t -> float option -> unit
-(** Change the supervisor's per-attempt deadline; [None] disables it. *)
-
-val round_deadline_ms : t -> float option
-
-val set_max_retries : t -> int -> unit
-(** Retries after the first attempt of a round (clamped to >= 0). *)
-
-val max_retries : t -> int
-
 val set_admission_ms : t -> float option -> unit
-(** Entry-server admission window per attempt: participants whose
-    emulated arrival (see {!set_client_latency}) exceeds it are
-    excluded from the round — their onions meet the closed collector,
-    earn the typed {!Entry.Late} answer, and what they carried is
-    requeued for the next round with a [Round_late] event.  [None]
-    (the default) admits everyone. *)
-
-val admission_ms : t -> float option
-
-val set_client_latency : t -> (float * float) option -> unit
-(** [(base_ms, jitter_ms)] emulated client → entry arrival latency
-    feeding the admission check; one seeded draw per participant per
-    attempt, in connection order, so admission outcomes replay under a
-    deployment seed. *)
-
-val client_latency : t -> (float * float) option
+(** Replace the entry-server admission window ({!Config.t.admission_ms})
+    for later attempts: participants whose emulated arrival
+    ({!Config.t.client_latency}, one seeded draw per participant per
+    attempt, in connection order) exceeds it are excluded from the
+    round — their requests arrive after it closed, and what they
+    carried is requeued for the next round with a [Round_late] event.
+    [None] admits everyone. *)
 
 val cdn_stats : t -> Cdn.stats option
 (** Present when the deployment was created with [cdn_edges > 0]. *)
 
-val set_entry_streaming : t -> bool -> unit
-(** Scale plane: collect each round's requests through a streaming
-    {!Entry} collector that feeds the chain in chunks of
-    {!entry_chunk} onions ({!Chain.round_streamed} or
-    {!Remote.round_streamed}), so no tier ever materializes the whole
-    batch.  The materializing path feeds its closed batch to the same
-    call as one chunk, so results and transcripts are bit-identical;
-    the report's [peak_buffered] shows the bound.  Defaults to
-    [Config.entry_streaming]. *)
-
-val entry_streaming : t -> bool
-
 val entry_chunk : t -> int
-(** Onions per streamed entry chunk (= [Config.pipeline_chunk]). *)
+(** Onions per entry chunk (= [Config.pipeline_chunk]): every round's
+    requests reach the chain through one streaming {!Entry} collector
+    that feeds it in chunks of this size ({!Chain.round_streamed} or
+    {!Remote.round_streamed}), so no tier ever holds the whole batch;
+    the report's [peak_buffered] shows the bound. *)
 
 val connect :
   ?seed:string ->
@@ -155,11 +131,13 @@ type round_report = {
           rounds, only clients with incoming calls appear.  On a failed
           report these are the per-client [Round_failed] notifications
           instead. *)
-  batch_size : int;  (** requests the entry server forwarded *)
+  batch_size : int;
+      (** requests the admitted clients built for the last attempt:
+          what the entry server forwarded, or would have *)
   peak_buffered : int;
-      (** most onions the entry server held at once: [batch_size] when
-          it materialized the batch, at most the configured chunk when
-          it streamed (the scale plane's memory bound) *)
+      (** most onions the entry server held at once: at most
+          {!entry_chunk} (the scale plane's memory bound); [0] when the
+          attempt failed before intake began *)
   admitted : int;
       (** clients inside the last attempt's admission window (= all
           participants when no window is configured) *)
@@ -172,7 +150,8 @@ type round_report = {
           one batch header, whatever the part framing *)
   elapsed_ms : float;
       (** wall clock for the last attempt's chain round trip, plus any
-          injected virtual link delay *)
+          injected virtual link delay; the clients' onion build comes
+          before it and is not counted *)
   confirmed_acks : int;
       (** dialing rounds: acks that unwrapped to the expected fixed
           plaintext; [0] for conversation rounds *)

@@ -16,9 +16,10 @@
     real per-onion cost.
 
     The population is deployment-agnostic: [feed_conversation] matches
-    the streamed-entry [produce] hook of {!Vuvuzela.Chain},
-    {!Vuvuzela.Remote} and the supervisor's streaming collector sink;
-    [conversation_onions] materializes the batch for the classic path. *)
+    the [produce] hook of {!Vuvuzela.Chain} and {!Vuvuzela.Remote} (and
+    so the entry collector's sink); [conversation_onions] builds the
+    whole batch at once, for callers that build before they time a
+    round. *)
 
 type t
 
@@ -55,7 +56,7 @@ val conversation_onions :
   server_pks:bytes list ->
   bytes array
 (** The whole batch at once (= the concatenation of
-    {!feed_conversation}'s chunks), for the materializing entry path. *)
+    {!feed_conversation}'s chunks). *)
 
 type delivery = {
   delivered : int;

@@ -20,9 +20,11 @@
    (the servers' [jobs] knob): per-onion DH+AEAD work scales with
    domains while RNG-dependent steps stay on one coordinating domain, so
    the parallel fraction here is the peel/reseal share of a round, not
-   the whole of [protocol_overhead].  `bench/main.exe` §Parallel measures
-   the live onions/s per job count against this model's per-core floor
-   (340K/36 ≈ 9.4K ops/s/core). *)
+   the whole of [protocol_overhead].  The repository benchmark's
+   per-layer table (`benchmark/`) measures the live chain the same way:
+   its DH operations priced at the measured X25519 rate per domain give
+   [dh.lower_bound_ms], and the measured round over that floor is the
+   overhead factor ([dh.overhead_x]). *)
 
 type t = {
   dh_ops_per_sec : float;  (** per server machine, all cores *)

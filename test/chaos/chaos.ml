@@ -49,7 +49,7 @@ let normalize_report (r : Network.round_report) =
 
 (* One full chaos run: returns the normalized reports plus everything
    the invariants need. *)
-let scenario ?pipeline_chunk ?(entry_streaming = false) ?plan ~seed ~jobs () =
+let scenario ?pipeline_chunk ?plan ~seed ~jobs () =
   let plan =
     match plan with
     | Some plan -> plan
@@ -79,7 +79,6 @@ let scenario ?pipeline_chunk ?(entry_streaming = false) ?plan ~seed ~jobs () =
         |> with_fault_plan plan |> with_tap tap
         |> with_round_deadline_ms 60_000.
         |> with_max_retries max_retries
-        |> with_entry_streaming entry_streaming
         |>
         match pipeline_chunk with
         | None -> Fun.id
@@ -189,20 +188,17 @@ let test_chaos_chunked_parts_match_whole_batch () =
      at its absolute slot in whichever part carries it, a frame fault on
      the first part — so cutting the batch into parts of k onions cannot
      change the transcript: reports, aborts, retries and deliveries are
-     byte-identical to one whole-batch part per link, with the entry
-     tier materializing or streaming. *)
+     byte-identical to one whole-batch part per link. *)
   List.iter
     (fun (plan_name, plan, cases) ->
       let norm, _, _, recv = scenario ?plan ~seed:"s1" ~jobs:1 () in
       List.iter
-        (fun (jobs, chunk, entry_streaming) ->
+        (fun (jobs, chunk) ->
           let normp, _, dupp, recvp =
-            scenario ~pipeline_chunk:chunk ~entry_streaming ?plan ~seed:"s1"
-              ~jobs ()
+            scenario ~pipeline_chunk:chunk ?plan ~seed:"s1" ~jobs ()
           in
           let label =
-            Printf.sprintf "%s plan, jobs=%d chunk=%d%s" plan_name jobs chunk
-              (if entry_streaming then " streamed entry" else "")
+            Printf.sprintf "%s plan, jobs=%d chunk=%d" plan_name jobs chunk
           in
           Alcotest.(check (list string))
             (label ^ " reports match whole-batch parts") norm normp;
@@ -211,13 +207,8 @@ let test_chaos_chunked_parts_match_whole_batch () =
             (label ^ " deliveries match whole-batch parts") true (recv = recvp))
         cases)
     [
-      ( "random",
-        None,
-        [ (1, 1, false); (1, 4, false); (2, 3, false); (4, 16, false);
-          (1, 4, true) ] );
-      ( "boundary",
-        Some boundary_plan,
-        [ (1, 1, false); (1, 4, false); (1, 4, true) ] );
+      ("random", None, [ (1, 1); (1, 4); (2, 3); (4, 16) ]);
+      ("boundary", Some boundary_plan, [ (1, 1); (1, 4) ]);
     ]
 
 let test_noise_redrawn_across_attempts () =

@@ -27,7 +27,7 @@ let pinned_full_digest =
   "29314874846a3d68a8bd449a79cc736a758e2ef32eeb722911ecb7b741700eab"
 
 let in_process ?telemetry ?(jobs = 1) ?pipeline_chunk ?(deaddrop_shards = 1)
-    ?(entry_streaming = false) () =
+    () =
   let chain =
     Chain.of_config
       Config.(
@@ -43,39 +43,10 @@ let in_process ?telemetry ?(jobs = 1) ?pipeline_chunk ?(deaddrop_shards = 1)
         | None -> Fun.id
         | Some chunk -> with_pipeline ~chunk true)
   in
-  (* Streamed-entry backends push the same slot-ordered requests as
-     chunks (an awkward size, to exercise uneven tails); the digests
-     must not move. *)
-  let chunk = Option.value pipeline_chunk ~default:3 in
-  let feed_chunks requests feed =
-    let n = Array.length requests in
-    let off = ref 0 in
-    while !off < n do
-      let len = min chunk (n - !off) in
-      feed (Array.sub requests !off len);
-      off := !off + len
-    done
-  in
-  let or_fail = function
-    | Ok replies -> replies
-    | Error st -> failwith (Format.asprintf "%a" Rpc.pp_status st)
-  in
   ( {
       pks = Chain.public_keys chain;
-      conversation_round =
-        (fun ~round requests ->
-          if entry_streaming then
-            or_fail
-              (Chain.conversation_round_streamed chain ~round
-                 ~produce:(feed_chunks requests))
-          else Chain.conversation_round_exn chain ~round requests);
-      dialing_round =
-        (fun ~round ~m requests ->
-          if entry_streaming then
-            or_fail
-              (Chain.dialing_round_streamed chain ~round ~m
-                 ~produce:(feed_chunks requests))
-          else Chain.dialing_round_exn chain ~round ~m requests);
+      conversation_round = Chain.conversation_round_exn chain;
+      dialing_round = Chain.dialing_round_exn chain;
     },
     fun () -> Chain.shutdown chain )
 

@@ -25,15 +25,13 @@ val in_process :
   ?jobs:int ->
   ?pipeline_chunk:int ->
   ?deaddrop_shards:int ->
-  ?entry_streaming:bool ->
   unit ->
   backend * (unit -> unit)
 (** The reference backend: [Chain.of_config] with [seed]; the thunk
     shuts the chain down.  [jobs], [pipeline_chunk] (which turns on
-    the streamed relay), [deaddrop_shards] (the sharded store),
-    [entry_streaming] (rounds pushed through the chunked streamed-entry
-    API) and [telemetry] (a live observability sink) must never change
-    the digests — that is the point of pinning them. *)
+    the streamed relay), [deaddrop_shards] (the sharded store) and
+    [telemetry] (a live observability sink) must never change the
+    digests — that is the point of pinning them. *)
 
 val conv_digest : backend -> string
 (** SHA-256 (hex) over: server public keys, then rounds 1..3 — every

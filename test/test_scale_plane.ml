@@ -2,9 +2,9 @@
    stable bloom filter's sizing and classic-mode behaviour, the O(1)
    dead-drop/invitation counters, and the vectorized load generator
    driven end to end through a real in-process chain.  The bit-parity
-   claims (sharded ≡ monolithic, streamed ≡ materialized) live in the
-   transcript pins and the property suite; here we check the resource
-   claims those planes exist for. *)
+   claims (sharded ≡ monolithic, chunked ≡ whole-batch parts) live in
+   the transcript pins and the property suite; here we check the
+   resource claims those planes exist for. *)
 
 open Vuvuzela_dp
 open Vuvuzela
@@ -45,15 +45,7 @@ let test_streaming_peak_bound () =
     (fun i b ->
       Alcotest.(check char) "slot order preserved"
         (Char.chr (i land 0xff)) (Bytes.get b 0))
-    flat;
-  (* A materializing collector's peak is its size: the thing the
-     streaming mode exists to avoid. *)
-  let mat = Entry.create ~round:1 () in
-  for i = 0 to n - 1 do
-    ignore (Entry.submit mat i (Bytes.create 4))
-  done;
-  Alcotest.(check int) "materializing peak = population" n
-    (Entry.peak_buffered mat)
+    flat
 
 (* The bound is population-independent: 10x the clients, same peak. *)
 let test_streaming_peak_population_independent () =
@@ -216,22 +208,27 @@ let test_loadgen_round_trip () =
         flat)
 
 (* ------------------------------------------------------------------ *)
-(* Network supervisor: streaming entry reports a chunk-bounded peak    *)
+(* Network supervisor: one entry path, clients build before the round  *)
 (* ------------------------------------------------------------------ *)
 
+(* Every deployment streams its requests through the entry tier in
+   [entry_chunk] parts, so the peak stays below the batch; and the
+   clients build before the round, so their span sits outside the
+   round root and the timed window. *)
 let test_network_streaming_round () =
+  let module Trace = Vuvuzela_telemetry.Trace in
+  let tel = Vuvuzela_telemetry.Telemetry.create () in
   let net =
     Network.of_config
       Network.Config.(
         default |> with_seed "net-streaming"
         |> with_noise (Laplace.params ~mu:3. ~b:1.)
         |> with_noise_mode Noise.Deterministic
-        |> with_pipeline ~chunk:2 true |> with_entry_streaming true)
+        |> with_pipeline ~chunk:2 true |> with_telemetry tel)
   in
   Fun.protect
     ~finally:(fun () -> Network.shutdown net)
     (fun () ->
-      Alcotest.(check bool) "streaming on" true (Network.entry_streaming net);
       let a = Network.connect ~seed:"sa" net in
       let b = Network.connect ~seed:"sb" net in
       let c = Network.connect ~seed:"sc" net in
@@ -244,11 +241,44 @@ let test_network_streaming_round () =
       let report = Network.run ~kind:Round.Conversation net in
       Alcotest.(check int) "all four in the round" 4
         report.Network.batch_size;
+      let peak = report.Network.peak_buffered
+      and chunk = Network.entry_chunk net in
       Alcotest.(check bool)
-        (Printf.sprintf "peak buffered (%d) <= entry chunk (%d)"
-           report.Network.peak_buffered (Network.entry_chunk net))
+        (Printf.sprintf "peak buffered (%d) <= entry chunk (%d) < batch (%d)"
+           peak chunk report.Network.batch_size)
         true
-        (report.Network.peak_buffered <= Network.entry_chunk net);
+        (peak <= chunk && chunk < report.Network.batch_size);
+      let spans = Trace.spans (Vuvuzela_telemetry.Telemetry.trace tel) in
+      let find name =
+        match
+          List.find_opt
+            (fun sp ->
+              sp.Trace.name = name && sp.Trace.round = report.Network.round)
+            spans
+        with
+        | Some sp -> sp
+        | None -> Alcotest.failf "no %s span for the round" name
+      in
+      let root = find "conv-round" and build = find "client-build" in
+      let rec under sp =
+        match sp.Trace.parent with
+        | None -> false
+        | Some p -> (
+            p = root.Trace.id
+            ||
+            match List.find_opt (fun s -> s.Trace.id = p) spans with
+            | Some parent -> under parent
+            | None -> false)
+      in
+      Alcotest.(check bool) "client-build is not under the round root" false
+        (under build);
+      Alcotest.(check bool)
+        (Printf.sprintf "client-build ends (%.3f ms) before the root starts \
+                         (%.3f ms)"
+           (build.Trace.start_ms +. build.Trace.dur_ms)
+           root.Trace.start_ms)
+        true
+        (build.Trace.start_ms +. build.Trace.dur_ms <= root.Trace.start_ms);
       let delivered =
         List.exists
           (fun (cl, evs) ->

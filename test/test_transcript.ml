@@ -13,10 +13,9 @@
    deployment test ([test/net]) checks its multi-process chain against
    literally the same digest computation. *)
 
-let with_in_process ?jobs ?pipeline_chunk ?deaddrop_shards ?entry_streaming f =
+let with_in_process ?jobs ?pipeline_chunk ?deaddrop_shards f =
   let backend, shutdown =
-    Transcript_pin.in_process ?jobs ?pipeline_chunk ?deaddrop_shards
-      ?entry_streaming ()
+    Transcript_pin.in_process ?jobs ?pipeline_chunk ?deaddrop_shards ()
   in
   Fun.protect ~finally:shutdown (fun () -> f backend)
 
@@ -64,29 +63,19 @@ let test_transcript_engine_invariant () =
       (4, Some 16);
     ]
 
-(* The scale plane — sharded dead-drop store, streamed entry tier — is
-   pure engine too: any shard count, at any job count, streamed or
-   materialized, must reproduce the pinned bytes.  (The TCP counterpart
-   of this matrix runs in [test/net].) *)
+(* The scale plane's sharded dead-drop store is pure engine too: any
+   shard count, at any job count, must reproduce the pinned bytes.
+   (The TCP counterpart of this matrix runs in [test/net].) *)
 let test_transcript_scale_plane_invariant () =
   List.iter
-    (fun (jobs, deaddrop_shards, entry_streaming) ->
+    (fun (jobs, deaddrop_shards) ->
       let digest =
-        with_in_process ~jobs ~deaddrop_shards ~entry_streaming
-          Transcript_pin.full_digest
+        with_in_process ~jobs ~deaddrop_shards Transcript_pin.full_digest
       in
       Alcotest.(check string)
-        (Printf.sprintf "jobs=%d shards=%d streaming=%b" jobs deaddrop_shards
-           entry_streaming)
+        (Printf.sprintf "jobs=%d shards=%d" jobs deaddrop_shards)
         Transcript_pin.pinned_full_digest digest)
-    [
-      (1, 4, false);
-      (4, 4, false);
-      (1, 16, true);
-      (4, 16, true);
-      (1, 1, true);
-      (4, 1, true);
-    ]
+    [ (1, 4); (4, 4); (1, 16); (4, 16) ]
 
 (* Observability is pure control plane: the same schedule with a live
    telemetry sink — spans, metrics and the budget ledger all recording

@@ -27,13 +27,6 @@ type status = {
 }
 
 type message =
-  | Round_announce of { round : int; deadline_ms : int }
-      (** first server → clients: a conversation round is open (§3.1
-          "announcing the start of a round ... waiting a fixed amount of
-          time") *)
-  | Dial_announce of { dial_round : int; m : int }
-      (** first server → clients: dialing round parameters, including
-          the §5.4-tuned drop count *)
   | Conv_results of { round : int; replies : bytes array }
       (** backward pass *)
   | Dial_results of { round : int; replies : bytes array }
@@ -82,8 +75,6 @@ type message =
           cross-process parent link. *)
 
 let tag_of = function
-  | Round_announce _ -> 1
-  | Dial_announce _ -> 2
   | Conv_results _ -> 4
   | Dial_results _ -> 6
   | Fetch_drop _ -> 7
@@ -97,7 +88,10 @@ let tag_of = function
   | Dial_batch_part _ -> 15
   | Trace_ctx _ -> 16
 
-(* Uniform-size batch: u32 count, u32 item length, then count items. *)
+(* Uniform-size batch: u32 count, u32 item length, then count items.
+   No real batch has empty items, and a count of them would cost the
+   reader an array that no frame bytes pay for, so neither side accepts
+   one. *)
 let write_batch w (items : bytes array) =
   let item_len =
     if Array.length items = 0 then 0 else Bytes.length items.(0)
@@ -107,6 +101,8 @@ let write_batch w (items : bytes array) =
       if Bytes.length b <> item_len then
         raise (Wire.Error "Rpc.write_batch: ragged batch"))
     items;
+  if Array.length items > 0 && item_len = 0 then
+    raise (Wire.Error "Rpc.write_batch: empty items");
   Wire.Writer.u32 w (Array.length items);
   Wire.Writer.u32 w item_len;
   Array.iter (fun b -> Wire.Writer.raw w b) items
@@ -115,6 +111,8 @@ let read_batch r =
   let count = Wire.Reader.u32 r in
   let item_len = Wire.Reader.u32 r in
   if count > 1 lsl 26 then raise (Wire.Error "Rpc.read_batch: absurd count");
+  if count > 0 && item_len = 0 then
+    raise (Wire.Error "Rpc.read_batch: empty items");
   (* The whole batch obeys the same ceiling as a frame, so a hostile
      (count, item_len) pair is rejected before any allocation. *)
   if item_len > Wire.max_frame_len || count * item_len > Wire.max_frame_len
@@ -131,12 +129,6 @@ let encode msg =
       Wire.Writer.u8 w version;
       Wire.Writer.u8 w (tag_of msg);
       match msg with
-      | Round_announce { round; deadline_ms } ->
-          Wire.Writer.u64 w round;
-          Wire.Writer.u32 w deadline_ms
-      | Dial_announce { dial_round; m } ->
-          Wire.Writer.u64 w dial_round;
-          Wire.Writer.u32 w m
       | Conv_results { round; replies } ->
           Wire.Writer.u64 w round;
           write_batch w replies
@@ -193,16 +185,10 @@ let decode b =
       if v <> version then
         raise (Wire.Error (Printf.sprintf "Rpc.decode: version %d" v));
       match Wire.Reader.u8 r with
-      | 1 ->
-          let round = Wire.Reader.u64 r in
-          let deadline_ms = Wire.Reader.u32 r in
-          Round_announce { round; deadline_ms }
-      | 2 ->
-          let dial_round = Wire.Reader.u64 r in
-          let m = Wire.Reader.u32 r in
-          Dial_announce { dial_round; m }
-      | (3 | 5) as t ->
-          (* Retired whole-batch frames; the tags stay reserved. *)
+      | (1 | 2 | 3 | 5) as t ->
+          (* Retired frames (the round announcements, which no tier
+             sent, and the whole-batch frames); the tags stay
+             reserved. *)
           raise (Wire.Error (Printf.sprintf "Rpc.decode: retired tag %d" t))
       | 4 ->
           let round = Wire.Reader.u64 r in
@@ -262,10 +248,6 @@ let decode b =
 
 let equal_message a b =
   match (a, b) with
-  | ( Round_announce { round = r1; deadline_ms = d1 },
-      Round_announce { round = r2; deadline_ms = d2 } ) -> r1 = r2 && d1 = d2
-  | ( Dial_announce { dial_round = r1; m = m1 },
-      Dial_announce { dial_round = r2; m = m2 } ) -> r1 = r2 && m1 = m2
   | Conv_results x, Conv_results y -> x.round = y.round && x.replies = y.replies
   | Dial_results x, Dial_results y -> x.round = y.round && x.replies = y.replies
   | ( Fetch_drop { dial_round = r1; index = i1 },

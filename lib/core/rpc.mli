@@ -15,8 +15,6 @@ type status = {
     the connection. *)
 
 type message =
-  | Round_announce of { round : int; deadline_ms : int }
-  | Dial_announce of { dial_round : int; m : int }
   | Conv_results of { round : int; replies : bytes array }
   | Dial_results of { round : int; replies : bytes array }
   | Fetch_drop of { dial_round : int; index : int }
@@ -48,9 +46,9 @@ type message =
           [seq] order on a single ordered link; [last = true] closes the
           batch.  This is the only way a batch crosses a link: a relay
           that does not pipeline sends one part holding the whole batch,
-          so any part size yields the same concatenation.  Tags 3 and 5
-          (the retired whole-batch frames) stay reserved and decode to
-          [Error]. *)
+          so any part size yields the same concatenation.  Tags 1 and 2
+          (the retired round announcements) and 3 and 5 (the retired
+          whole-batch frames) stay reserved and decode to [Error]. *)
   | Dial_batch_part of {
       round : int;
       m : int;
@@ -68,11 +66,12 @@ type message =
           ignored (never aborts a round). *)
 
 val encode : message -> bytes
-(** @raise Vuvuzela_mixnet.Wire.Error on ragged batches. *)
+(** @raise Vuvuzela_mixnet.Wire.Error on ragged batches and on batches
+    of empty items. *)
 
 val decode : bytes -> (message, string) result
-(** Rejects bad magic, unknown versions/tags, absurd counts, and
-    truncated or trailing bytes. *)
+(** Rejects bad magic, unknown versions/tags, absurd counts, batches of
+    empty items, and truncated or trailing bytes. *)
 
 val equal_message : message -> message -> bool
 

@@ -328,10 +328,31 @@ let shuffle_and_record t table ~round ~slots ~reply_payload_len batch =
   t.metrics.rounds <- t.metrics.rounds + 1;
   Shuffle.apply perm batch
 
+(* Seal one reply per incoming slot, the [reseal] stage of every
+   position and kind: a valid slot seals [payload index] under its
+   request's layer secret, an invalid slot gets a dummy of the same size
+   so batch alignment and sizes stay uniform.  Dummies consume the DRBG
+   in slot order on the coordinator (sealing draws nothing, so the
+   stream matches one interleaved loop); the AEAD seals then fan out. *)
+let reseal t ~round ~dialing ~payload_len slots payload =
+  Telemetry.stage t.tel ~name:"reseal" ~round ~server:t.cfg.position ~dialing
+  @@ fun () ->
+  let dummy_len = payload_len + Onion.reply_overhead in
+  let dummies =
+    Array.map
+      (function
+        | Valid _ -> Bytes.empty | Invalid -> Drbg.generate t.rng dummy_len)
+      slots
+  in
+  par_mapi t
+    (fun i -> function
+      | Valid { index; secret } ->
+          Onion.seal_reply ~secret ~round (payload index)
+      | Invalid -> dummies.(i))
+    slots
+
 (* Backward pass common to both protocols: unshuffle, keep the first
-   [n_valid] results (ours; noise occupied the tail), seal a reply per
-   incoming slot.  Invalid slots get a dummy of the correct size so batch
-   alignment and sizes stay uniform. *)
+   [n_valid] results (ours; noise occupied the tail), reseal. *)
 let unshuffle_and_reply t table ~round ~dialing (results : bytes array) =
   match Hashtbl.find_opt table round with
   | None -> invalid_arg "Server: backward pass for unknown round"
@@ -343,26 +364,8 @@ let unshuffle_and_reply t table ~round ~dialing (results : bytes array) =
         Telemetry.stage t.tel ~name:"unpeel" ~round ~server:t.cfg.position
           ~dialing (fun () -> Shuffle.unapply st.perm results)
       in
-      Telemetry.stage t.tel ~name:"reseal" ~round ~server:t.cfg.position
-        ~dialing
-      @@ fun () ->
-      let dummy_len = st.reply_payload_len + Onion.reply_overhead in
-      (* Dummies consume the DRBG in slot order on the coordinator
-         (sealing draws nothing, so the stream matches the old
-         interleaved loop); the AEAD seals then fan out. *)
-      let dummies =
-        Array.map
-          (function
-            | Valid _ -> Bytes.empty
-            | Invalid -> Drbg.generate t.rng dummy_len)
-          st.slots
-      in
-      par_mapi t
-        (fun i -> function
-          | Valid { index; secret } ->
-              Onion.seal_reply ~secret ~round unshuffled.(index)
-          | Invalid -> dummies.(i))
-        st.slots
+      reseal t ~round ~dialing ~payload_len:st.reply_payload_len st.slots
+        (Array.get unshuffled)
 
 (* ------------------------------------------------------------------ *)
 (* Conversation protocol                                               *)
@@ -402,34 +405,40 @@ let conv_noise t ~round =
   done;
   wrap_noise_specs t ~round (Array.of_list !out)
 
-(* Forward pass of a mixing server: peel (already done, chunk by chunk,
-   by [stream_feed]), add noise, shuffle.  The stage spans
+(* Forward pass of a mixing server, either kind: peel (already done,
+   chunk by chunk, by [stream_feed]), add the kind's noise
+   ([make_noise]), shuffle, and record the round in [table] for the
+   backward pass, whose results are [result_len] bytes at the last
+   server.  The stage spans
    ([noise]/[shuffle], plus a zero-duration [exchange] marker — mixing
    servers host no dead drops) wrap the work without reordering it: each
    thunk runs exactly once, in place, so the DRBG stream is identical
    with telemetry on or off, pipelined or not. *)
+let finish_forward t st table ~result_len make_noise =
+  let round = st.s_round and dialing = st.s_dialing in
+  let pos = t.cfg.position in
+  let slots, inners = stream_collect t st in
+  let noise =
+    Telemetry.stage t.tel ~name:"noise" ~round ~server:pos ~dialing (fun () ->
+        make_noise ~round)
+  in
+  Telemetry.mark t.tel ~name:"exchange" ~round ~server:pos ~dialing ();
+  Log.debug (fun m ->
+      m "server %d: %s round %d fwd: %d in, %d valid, %d noise"
+        t.cfg.position
+        (if dialing then "dial" else "conv")
+        round st.s_n_in (Array.length inners) (Array.length noise));
+  let reply_payload_len = result_len + (Onion.reply_overhead * downstream t) in
+  Telemetry.stage t.tel ~name:"shuffle" ~round ~server:pos ~dialing (fun () ->
+      shuffle_and_record t table ~round ~slots ~reply_payload_len
+        (Array.append inners noise))
+
 let conv_finish_forward t st =
   if is_last t then invalid_arg "Server.conv_finish_forward: last server";
   if st.s_dialing then
     invalid_arg "Server.conv_finish_forward: dialing stream";
-  let round = st.s_round in
-  let pos = t.cfg.position in
-  let slots, inners = stream_collect t st in
-  let noise =
-    Telemetry.stage t.tel ~name:"noise" ~round ~server:pos (fun () ->
-        conv_noise t ~round)
-  in
-  Telemetry.mark t.tel ~name:"exchange" ~round ~server:pos ();
-  Log.debug (fun m ->
-      m "server %d: round %d fwd: %d in, %d valid, %d noise"
-        t.cfg.position round st.s_n_in (Array.length inners)
-        (Array.length noise));
-  let reply_payload_len =
-    Types.exchange_result_len + (Onion.reply_overhead * downstream t)
-  in
-  Telemetry.stage t.tel ~name:"shuffle" ~round ~server:pos (fun () ->
-      shuffle_and_record t t.conv_rounds ~round ~slots ~reply_payload_len
-        (Array.append inners noise))
+  finish_forward t st t.conv_rounds ~result_len:Types.exchange_result_len
+    (conv_noise t)
 
 let conv_backward t ~round results =
   unshuffle_and_reply t t.conv_rounds ~round ~dialing:false results
@@ -473,22 +482,8 @@ let conv_finish_exchange t st =
         t.cfg.position round (Array.length inners) h.Deaddrop.m1
         h.Deaddrop.m2);
   Telemetry.mark t.tel ~name:"unpeel" ~round ~server:pos ();
-  Telemetry.stage t.tel ~name:"reseal" ~round ~server:pos
-  @@ fun () ->
-  (* Seal each result under the layer secret of its request.  Dummies
-     (RNG) first, in slot order; the seals fan out. *)
-  let dummy_len = Types.exchange_result_len + Onion.reply_overhead in
-  let dummies =
-    Array.map
-      (function
-        | Valid _ -> Bytes.empty | Invalid -> Drbg.generate t.rng dummy_len)
-      slots
-  in
-  par_mapi t
-    (fun i -> function
-      | Valid { index; secret } -> Onion.seal_reply ~secret ~round results.(index)
-      | Invalid -> dummies.(i))
-    slots
+  reseal t ~round ~dialing:false ~payload_len:Types.exchange_result_len slots
+    (Array.get results)
 
 (* ------------------------------------------------------------------ *)
 (* Dialing protocol                                                    *)
@@ -517,21 +512,8 @@ let dial_finish_forward t st ~m =
   if is_last t then invalid_arg "Server.dial_finish_forward: last server";
   if not st.s_dialing then
     invalid_arg "Server.dial_finish_forward: conversation stream";
-  let round = st.s_round in
-  let pos = t.cfg.position in
-  let slots, inners = stream_collect t st in
-  let noise =
-    Telemetry.stage t.tel ~name:"noise" ~round ~server:pos ~dialing:true
-      (fun () -> dial_noise t ~round ~m)
-  in
-  Telemetry.mark t.tel ~name:"exchange" ~round ~server:pos ~dialing:true ();
-  let reply_payload_len =
-    Types.dial_result_len + (Onion.reply_overhead * downstream t)
-  in
-  Telemetry.stage t.tel ~name:"shuffle" ~round ~server:pos ~dialing:true
-    (fun () ->
-      shuffle_and_record t t.dial_rounds ~round ~slots ~reply_payload_len
-        (Array.append inners noise))
+  finish_forward t st t.dial_rounds ~result_len:Types.dial_result_len
+    (dial_noise t ~m)
 
 let dial_backward t ~round results =
   unshuffle_and_reply t t.dial_rounds ~round ~dialing:true results
@@ -603,20 +585,8 @@ let dial_finish_deliver t st ~m =
     (round, store)
     :: List.filteri (fun i _ -> i < invitation_history - 1) t.invitations;
   t.metrics.rounds <- t.metrics.rounds + 1;
-  Telemetry.stage t.tel ~name:"reseal" ~round ~server:pos ~dialing:true
-  @@ fun () ->
-  let dummy_len = Types.dial_result_len + Onion.reply_overhead in
-  let dummies =
-    Array.map
-      (function
-        | Valid _ -> Bytes.empty | Invalid -> Drbg.generate t.rng dummy_len)
-      slots
-  in
-  par_mapi t
-    (fun i -> function
-      | Valid { secret; _ } -> Onion.seal_reply ~secret ~round dial_ack
-      | Invalid -> dummies.(i))
-    slots
+  reseal t ~round ~dialing:true ~payload_len:Types.dial_result_len slots
+    (fun _ -> dial_ack)
 
 (* Either kind, either position: what a relay calls once a round's
    last part has been fed. *)

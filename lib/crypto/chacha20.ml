@@ -1,12 +1,11 @@
 (* ChaCha20 stream cipher (RFC 8439), rewritten for throughput: the
-   16-word state lives in unboxed native-int locals, the ten double-rounds
-   are fully unrolled (the [block_words] body below is machine-generated
-   from the RFC quarter-round schedule), and keystream is combined with
-   the buffer eight bytes at a time through the word helpers in
-   {!Bytes_util}.  The seed implementation survives verbatim as
-   [Chacha20_ref] (test/oracles) and is the differential oracle for this module
-   (test/prop/prop_chacha.ml); wire bytes are bit-identical by
-   construction and by pinned transcript digests. *)
+   16-word state lives in unboxed native-int locals, one loop runs the
+   ten double rounds, and keystream is combined with the buffer eight
+   bytes at a time through the word helpers in {!Bytes_util}.  The seed
+   implementation survives verbatim as [Chacha20_ref] (test/oracles) and
+   is the differential oracle for this module (test/prop/prop_chacha.ml);
+   wire bytes are bit-identical by construction and by pinned transcript
+   digests. *)
 
 let mask32 = 0xffffffff
 let key_len = 32
@@ -36,1054 +35,139 @@ let init_state ~key ~nonce ~counter =
   done;
   st
 
+(* [x] rotated left by [k], as a 32-bit word.  Inlined with a constant
+   [k], the two masks fold to constants below 2^31, which fit an x86
+   imm32 even after OCaml's tag bit (a [land 0xffffffff] needs a 10-byte
+   movabs per occurrence).  The masks read only bits 0..31, so the
+   result is exactly rot32(x land 2^32-1) whatever lies above. *)
+let[@inline] rotl x k =
+  ((x land ((1 lsl (32 - k)) - 1)) lsl k)
+  lor ((x lsr (32 - k)) land ((1 lsl k) - 1))
+
 (* One block of keystream words for state [st] at block counter [ctr],
    written into [ws].(0..15).  [st].(12) is ignored in favour of [ctr] so
    the multi-block loops never write the state array back.
 
-   Machine-generated from the RFC 8439 quarter-round schedule, with two
-   codegen-driven twists (the hot loop is fetch-bound, so instruction
-   bytes matter as much as count):
+   The sixteen words are local refs, as in [Sha256.compress]: no closure
+   captures them, so they compile to unboxed native-int locals and the
+   loop allocates nothing.  Each pass of the loop is one double round,
+   the RFC 8439 quarter-rounds written out once: four column rounds,
+   then four diagonal rounds.
 
-   - Rotations are written [((x land lo_mask) lsl k) lor ((x lsr (32-k))
-     land hi_mask)] with sub-32-bit masks.  Both masks fit an x86 imm32
-     even after OCaml's tag bit (a [land 0xffffffff] needs a 10-byte
-     movabs per occurrence), and they make the rotation insensitive to
-     garbage above bit 31, so its output is exactly rot32(x land 2^32-1).
+   Additions are left unmasked, and no word is ever clamped.  The low 32
+   bits of a sum or an xor depend only on the low 32 bits of its
+   operands, and [rotl] reads nothing above them, so junk above bit 31
+   never reaches the keystream.  It stays small, too: the xor-rotate
+   steps hand back clean 32-bit words (x4..x7, x12..x15), so only the
+   add-accumulating words (x0..x3, x8..x11) grow, each by at most four
+   clean addends per double round.  Every word, the final state adds
+   included, stays below 42 * 2^32 < 2^38, far inside the 63-bit native
+   int.  Those final words stay dirty: every consumer of [ws] stores
+   through 16-bit primitives that truncate in hardware ({!Bytes_util}).
 
-   - Additions are therefore left unmasked: a quarter-round's xor-rotate
-     steps absorb dirty high bits, and only the add-accumulating words
-     (x0..x3, x8..x11) are clamped back to 32 bits twice per block to
-     stay far below the 63-bit native-int range.  The final state adds
-     stay dirty too — every consumer of [ws] stores through 16-bit
-     primitives that truncate in hardware ({!Bytes_util}).
-
-   The tagged values never exceed 2^49, and the serialized keystream is
-   bit-identical to [Chacha20_ref] (gated by test/prop/prop_chacha.ml). *)
+   The serialized keystream is bit-identical to [Chacha20_ref] (gated by
+   test/prop/prop_chacha.ml). *)
 let block_words st ctr ws =
-  let x0 = Array.unsafe_get st 0 in
-  let x1 = Array.unsafe_get st 1 in
-  let x2 = Array.unsafe_get st 2 in
-  let x3 = Array.unsafe_get st 3 in
-  let x4 = Array.unsafe_get st 4 in
-  let x5 = Array.unsafe_get st 5 in
-  let x6 = Array.unsafe_get st 6 in
-  let x7 = Array.unsafe_get st 7 in
-  let x8 = Array.unsafe_get st 8 in
-  let x9 = Array.unsafe_get st 9 in
-  let x10 = Array.unsafe_get st 10 in
-  let x11 = Array.unsafe_get st 11 in
-  let x12 = ctr in
-  let x13 = Array.unsafe_get st 13 in
-  let x14 = Array.unsafe_get st 14 in
-  let x15 = Array.unsafe_get st 15 in
-  (* double round 1 *)
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  (* double round 2 *)
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  (* double round 3 *)
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  (* double round 4 *)
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  (* re-mask the add-accumulating words: the a/c columns gain at most
-     four dirty high bits per double round, so clamping them here keeps
-     every intermediate below 2^48 << 2^62. *)
-  let x0 = x0 land mask32 in
-  let x1 = x1 land mask32 in
-  let x2 = x2 land mask32 in
-  let x3 = x3 land mask32 in
-  let x8 = x8 land mask32 in
-  let x9 = x9 land mask32 in
-  let x10 = x10 land mask32 in
-  let x11 = x11 land mask32 in
-  (* double round 5 *)
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  (* double round 6 *)
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  (* double round 7 *)
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  (* double round 8 *)
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  (* re-mask the add-accumulating words: the a/c columns gain at most
-     four dirty high bits per double round, so clamping them here keeps
-     every intermediate below 2^48 << 2^62. *)
-  let x0 = x0 land mask32 in
-  let x1 = x1 land mask32 in
-  let x2 = x2 land mask32 in
-  let x3 = x3 land mask32 in
-  let x8 = x8 land mask32 in
-  let x9 = x9 land mask32 in
-  let x10 = x10 land mask32 in
-  let x11 = x11 land mask32 in
-  (* double round 9 *)
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  (* double round 10 *)
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x0 = x0 + x4 in
-  let x12 = x12 lxor x0 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x8 = x8 + x12 in
-  let x4 = x4 lxor x8 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x1 = x1 + x5 in
-  let x13 = x13 lxor x1 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x9 = x9 + x13 in
-  let x5 = x5 lxor x9 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x2 = x2 + x6 in
-  let x14 = x14 lxor x2 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x10 = x10 + x14 in
-  let x6 = x6 lxor x10 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x3 = x3 + x7 in
-  let x15 = x15 lxor x3 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x11 = x11 + x15 in
-  let x7 = x7 lxor x11 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffff) lsl 16) lor ((x15 lsr 16) land 0xffff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0xfffff) lsl 12) lor ((x5 lsr 20) land 0xfff) in
-  let x0 = x0 + x5 in
-  let x15 = x15 lxor x0 in
-  let x15 = ((x15 land 0xffffff) lsl 8) lor ((x15 lsr 24) land 0xff) in
-  let x10 = x10 + x15 in
-  let x5 = x5 lxor x10 in
-  let x5 = ((x5 land 0x1ffffff) lsl 7) lor ((x5 lsr 25) land 0x7f) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffff) lsl 16) lor ((x12 lsr 16) land 0xffff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0xfffff) lsl 12) lor ((x6 lsr 20) land 0xfff) in
-  let x1 = x1 + x6 in
-  let x12 = x12 lxor x1 in
-  let x12 = ((x12 land 0xffffff) lsl 8) lor ((x12 lsr 24) land 0xff) in
-  let x11 = x11 + x12 in
-  let x6 = x6 lxor x11 in
-  let x6 = ((x6 land 0x1ffffff) lsl 7) lor ((x6 lsr 25) land 0x7f) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffff) lsl 16) lor ((x13 lsr 16) land 0xffff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0xfffff) lsl 12) lor ((x7 lsr 20) land 0xfff) in
-  let x2 = x2 + x7 in
-  let x13 = x13 lxor x2 in
-  let x13 = ((x13 land 0xffffff) lsl 8) lor ((x13 lsr 24) land 0xff) in
-  let x8 = x8 + x13 in
-  let x7 = x7 lxor x8 in
-  let x7 = ((x7 land 0x1ffffff) lsl 7) lor ((x7 lsr 25) land 0x7f) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffff) lsl 16) lor ((x14 lsr 16) land 0xffff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0xfffff) lsl 12) lor ((x4 lsr 20) land 0xfff) in
-  let x3 = x3 + x4 in
-  let x14 = x14 lxor x3 in
-  let x14 = ((x14 land 0xffffff) lsl 8) lor ((x14 lsr 24) land 0xff) in
-  let x9 = x9 + x14 in
-  let x4 = x4 lxor x9 in
-  let x4 = ((x4 land 0x1ffffff) lsl 7) lor ((x4 lsr 25) land 0x7f) in
-  Array.unsafe_set ws 0 (x0 + Array.unsafe_get st 0);
-  Array.unsafe_set ws 1 (x1 + Array.unsafe_get st 1);
-  Array.unsafe_set ws 2 (x2 + Array.unsafe_get st 2);
-  Array.unsafe_set ws 3 (x3 + Array.unsafe_get st 3);
-  Array.unsafe_set ws 4 (x4 + Array.unsafe_get st 4);
-  Array.unsafe_set ws 5 (x5 + Array.unsafe_get st 5);
-  Array.unsafe_set ws 6 (x6 + Array.unsafe_get st 6);
-  Array.unsafe_set ws 7 (x7 + Array.unsafe_get st 7);
-  Array.unsafe_set ws 8 (x8 + Array.unsafe_get st 8);
-  Array.unsafe_set ws 9 (x9 + Array.unsafe_get st 9);
-  Array.unsafe_set ws 10 (x10 + Array.unsafe_get st 10);
-  Array.unsafe_set ws 11 (x11 + Array.unsafe_get st 11);
-  Array.unsafe_set ws 12 (x12 + ctr);
-  Array.unsafe_set ws 13 (x13 + Array.unsafe_get st 13);
-  Array.unsafe_set ws 14 (x14 + Array.unsafe_get st 14);
-  Array.unsafe_set ws 15 (x15 + Array.unsafe_get st 15)
+  let x0 = ref (Array.unsafe_get st 0) in
+  let x1 = ref (Array.unsafe_get st 1) in
+  let x2 = ref (Array.unsafe_get st 2) in
+  let x3 = ref (Array.unsafe_get st 3) in
+  let x4 = ref (Array.unsafe_get st 4) in
+  let x5 = ref (Array.unsafe_get st 5) in
+  let x6 = ref (Array.unsafe_get st 6) in
+  let x7 = ref (Array.unsafe_get st 7) in
+  let x8 = ref (Array.unsafe_get st 8) in
+  let x9 = ref (Array.unsafe_get st 9) in
+  let x10 = ref (Array.unsafe_get st 10) in
+  let x11 = ref (Array.unsafe_get st 11) in
+  let x12 = ref ctr in
+  let x13 = ref (Array.unsafe_get st 13) in
+  let x14 = ref (Array.unsafe_get st 14) in
+  let x15 = ref (Array.unsafe_get st 15) in
+  for _ = 1 to 10 do
+    (* column rounds *)
+    x0 := !x0 + !x4;
+    x12 := rotl (!x12 lxor !x0) 16;
+    x8 := !x8 + !x12;
+    x4 := rotl (!x4 lxor !x8) 12;
+    x0 := !x0 + !x4;
+    x12 := rotl (!x12 lxor !x0) 8;
+    x8 := !x8 + !x12;
+    x4 := rotl (!x4 lxor !x8) 7;
+    x1 := !x1 + !x5;
+    x13 := rotl (!x13 lxor !x1) 16;
+    x9 := !x9 + !x13;
+    x5 := rotl (!x5 lxor !x9) 12;
+    x1 := !x1 + !x5;
+    x13 := rotl (!x13 lxor !x1) 8;
+    x9 := !x9 + !x13;
+    x5 := rotl (!x5 lxor !x9) 7;
+    x2 := !x2 + !x6;
+    x14 := rotl (!x14 lxor !x2) 16;
+    x10 := !x10 + !x14;
+    x6 := rotl (!x6 lxor !x10) 12;
+    x2 := !x2 + !x6;
+    x14 := rotl (!x14 lxor !x2) 8;
+    x10 := !x10 + !x14;
+    x6 := rotl (!x6 lxor !x10) 7;
+    x3 := !x3 + !x7;
+    x15 := rotl (!x15 lxor !x3) 16;
+    x11 := !x11 + !x15;
+    x7 := rotl (!x7 lxor !x11) 12;
+    x3 := !x3 + !x7;
+    x15 := rotl (!x15 lxor !x3) 8;
+    x11 := !x11 + !x15;
+    x7 := rotl (!x7 lxor !x11) 7;
+    (* diagonal rounds *)
+    x0 := !x0 + !x5;
+    x15 := rotl (!x15 lxor !x0) 16;
+    x10 := !x10 + !x15;
+    x5 := rotl (!x5 lxor !x10) 12;
+    x0 := !x0 + !x5;
+    x15 := rotl (!x15 lxor !x0) 8;
+    x10 := !x10 + !x15;
+    x5 := rotl (!x5 lxor !x10) 7;
+    x1 := !x1 + !x6;
+    x12 := rotl (!x12 lxor !x1) 16;
+    x11 := !x11 + !x12;
+    x6 := rotl (!x6 lxor !x11) 12;
+    x1 := !x1 + !x6;
+    x12 := rotl (!x12 lxor !x1) 8;
+    x11 := !x11 + !x12;
+    x6 := rotl (!x6 lxor !x11) 7;
+    x2 := !x2 + !x7;
+    x13 := rotl (!x13 lxor !x2) 16;
+    x8 := !x8 + !x13;
+    x7 := rotl (!x7 lxor !x8) 12;
+    x2 := !x2 + !x7;
+    x13 := rotl (!x13 lxor !x2) 8;
+    x8 := !x8 + !x13;
+    x7 := rotl (!x7 lxor !x8) 7;
+    x3 := !x3 + !x4;
+    x14 := rotl (!x14 lxor !x3) 16;
+    x9 := !x9 + !x14;
+    x4 := rotl (!x4 lxor !x9) 12;
+    x3 := !x3 + !x4;
+    x14 := rotl (!x14 lxor !x3) 8;
+    x9 := !x9 + !x14;
+    x4 := rotl (!x4 lxor !x9) 7
+  done;
+  Array.unsafe_set ws 0 (!x0 + Array.unsafe_get st 0);
+  Array.unsafe_set ws 1 (!x1 + Array.unsafe_get st 1);
+  Array.unsafe_set ws 2 (!x2 + Array.unsafe_get st 2);
+  Array.unsafe_set ws 3 (!x3 + Array.unsafe_get st 3);
+  Array.unsafe_set ws 4 (!x4 + Array.unsafe_get st 4);
+  Array.unsafe_set ws 5 (!x5 + Array.unsafe_get st 5);
+  Array.unsafe_set ws 6 (!x6 + Array.unsafe_get st 6);
+  Array.unsafe_set ws 7 (!x7 + Array.unsafe_get st 7);
+  Array.unsafe_set ws 8 (!x8 + Array.unsafe_get st 8);
+  Array.unsafe_set ws 9 (!x9 + Array.unsafe_get st 9);
+  Array.unsafe_set ws 10 (!x10 + Array.unsafe_get st 10);
+  Array.unsafe_set ws 11 (!x11 + Array.unsafe_get st 11);
+  Array.unsafe_set ws 12 (!x12 + ctr);
+  Array.unsafe_set ws 13 (!x13 + Array.unsafe_get st 13);
+  Array.unsafe_set ws 14 (!x14 + Array.unsafe_get st 14);
+  Array.unsafe_set ws 15 (!x15 + Array.unsafe_get st 15)
 
 (* Keystream words of the block in [ws], serialized into [buf] (>= 64
    bytes at [off], bounds already validated by the caller). *)

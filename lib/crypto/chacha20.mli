@@ -1,7 +1,7 @@
 (** ChaCha20 stream cipher (RFC 8439), optimized hot path.
 
-    The 16-word state lives in unboxed native-int locals with fully
-    unrolled double-rounds, and keystream is combined with buffers eight
+    The 16-word state lives in unboxed native-int locals, one loop runs
+    the ten double rounds, and keystream is combined with buffers eight
     bytes at a time.  Wire bytes are bit-identical to [Chacha20_ref]
     (the seed implementation, retained in test/oracles as a
     differential oracle),

@@ -1,4 +1,4 @@
-(* Differential suite gating the optimized ChaCha20: the unrolled
+(* Differential suite gating the optimized ChaCha20: the one-loop
    fast path against the retained seed oracle [Chacha20_ref], over
    random (key, nonce, counter, length) with lengths straddling every
    block boundary the 64-byte/8-byte loop structure cares about, and

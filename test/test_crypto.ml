@@ -544,19 +544,19 @@ let test_x25519_iterated () =
   check_hex "after 1000 iterations"
     "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51" !k
 
+let words_per_call n f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
 (* The field kernels allocate nothing, and a scalar multiplication only
    its scratch (108 words for the ladder, 245 for a comb, as measured).
    A word boxed in an untagged kernel — [reduce10] called out of line,
    or a local that escapes — shows here before it shows in round times. *)
 let test_x25519_allocation () =
-  let words_per_call n f =
-    f ();
-    let w0 = Gc.minor_words () in
-    for _ = 1 to n do
-      f ()
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int n
-  in
   let rng = Drbg.of_string "alloc" in
   let fe () = Fe25519.unpack (Drbg.generate rng 32) in
   let a = fe () and b = fe () and o = Fe25519.create () in
@@ -590,6 +590,26 @@ let test_x25519_allocation () =
         245.,
         fun () -> ignore (Curve25519.shared_static ~secret:sk ~public:pk) );
     ]
+
+(* The ChaCha20 core's sixteen state refs stay unboxed only while no
+   closure captures them: a block allocates nothing, and a 1 KiB XOR
+   only its 16-word scratch array (17 words with the header). *)
+let test_chacha20_allocation () =
+  let key = Bytes.make Chacha20.key_len 'k'
+  and nonce = Bytes.make Chacha20.nonce_len 'n' in
+  let st = Chacha20.init_state ~key ~nonce ~counter:1 in
+  let ws = Array.make 16 0 in
+  Alcotest.(check (float 0.)) "block_words minor words per call" 0.
+    (words_per_call 1000 (fun () -> Chacha20.block_words st 1 ws));
+  let src = Bytes.make 1024 's' and dst = Bytes.create 1024 in
+  let w =
+    words_per_call 1000 (fun () ->
+        Chacha20.xor_with_state st ~counter:1 ~src ~src_off:0 ~dst ~dst_off:0
+          ~len:1024)
+  in
+  if w > 17. then
+    Alcotest.failf
+      "xor_with_state (1 KiB) allocates %.1f minor words per call, over 17" w
 
 (* ------------------------------------------------------------------ *)
 (* DRBG                                                                *)
@@ -862,4 +882,6 @@ let suite =
     @ [
         Alcotest.test_case "x25519 kernels allocate nothing" `Quick
           test_x25519_allocation;
+        Alcotest.test_case "chacha20 core allocates nothing" `Quick
+          test_chacha20_allocation;
       ] )

@@ -18,8 +18,6 @@ let roundtrip msg =
 let test_rpc_roundtrips () =
   let rng = Drbg.of_string "rpc" in
   let batch n len = Array.init n (fun _ -> Drbg.generate rng len) in
-  roundtrip (Rpc.Round_announce { round = 42; deadline_ms = 10_000 });
-  roundtrip (Rpc.Dial_announce { dial_round = 7; m = 4 });
   let conv_part ~seq ~last onions =
     Rpc.Conv_batch_part { round = 3; seq; last; onions }
   in
@@ -49,7 +47,7 @@ let test_rpc_roundtrips () =
        })
 
 let test_rpc_rejections () =
-  let good = Rpc.encode (Rpc.Round_announce { round = 1; deadline_ms = 1 }) in
+  let good = Rpc.encode (Rpc.Fetch_drop { dial_round = 1; index = 1 }) in
   (* Bad magic. *)
   let bad = Bytes.copy good in
   Bytes.set bad 0 'X';
@@ -72,22 +70,44 @@ let test_rpc_rejections () =
   (match Rpc.decode (Bytes.cat good (Bytes.make 1 'z')) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing bytes accepted");
-  (* Ragged batch rejected at encode time. *)
-  Alcotest.(check bool) "ragged batch" true
-    (try
-       ignore
-         (Rpc.encode
-            (Rpc.Conv_batch_part
-               {
-                 round = 1;
-                 seq = 0;
-                 last = true;
-                 onions = [| Bytes.make 3 'a'; Bytes.make 4 'b' |];
-               }));
-       false
-     with Vuvuzela_mixnet.Wire.Error _ -> true);
-  (* The retired whole-batch tags stay reserved: a frame carrying one
-     decodes to a clean [Error], never a raise. *)
+  (* Ragged batches, and batches of empty items, rejected at encode
+     time. *)
+  List.iter
+    (fun (what, onions) ->
+      Alcotest.(check bool) what true
+        (try
+           ignore
+             (Rpc.encode
+                (Rpc.Conv_batch_part
+                   { round = 1; seq = 0; last = true; onions }));
+           false
+         with Vuvuzela_mixnet.Wire.Error _ -> true))
+    [
+      ("ragged batch", [| Bytes.make 3 'a'; Bytes.make 4 'b' |]);
+      ("empty items", [| Bytes.empty; Bytes.empty |]);
+    ];
+  (* A batch header of 2^26 empty items passes the count and total-size
+     checks; it must still decode to [Error], not to 2^26 items.  An
+     empty batch's frame ends with its u32 count and u32 item length. *)
+  List.iter
+    (fun msg ->
+      let frame = Rpc.encode msg in
+      let count_at = Bytes.length frame - 8 in
+      Bytes.set_int32_le frame count_at (Int32.of_int (1 lsl 26));
+      match Rpc.decode frame with
+      | Error _ -> ()
+      | Ok _ ->
+          Alcotest.failf "2^26 empty items accepted (tag %d)"
+            (Char.code (Bytes.get frame 5)))
+    [
+      Rpc.Conv_results { round = 1; replies = [||] };
+      Rpc.Conv_batch_part { round = 1; seq = 0; last = true; onions = [||] };
+      Rpc.Dial_batch_part
+        { round = 1; m = 1; seq = 0; last = true; onions = [||] };
+    ];
+  (* The retired tags (round announcements, whole-batch frames) stay
+     reserved: a frame carrying one decodes to a clean [Error], never a
+     raise. *)
   List.iter
     (fun tag ->
       let frame = Bytes.copy good in
@@ -97,7 +117,7 @@ let test_rpc_rejections () =
       | Ok _ -> Alcotest.failf "retired tag %d accepted" tag
       | exception e ->
           Alcotest.failf "retired tag %d raised %s" tag (Printexc.to_string e))
-    [ 3; 5 ]
+    [ 1; 2; 3; 5 ]
 
 let test_rpc_fuzz () =
   (* Random byte strings never crash the decoder. *)

@@ -1,18 +1,17 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (§6.4 Figures 7-8, §8 Figures 9-11, the §8.2/§8.3 headline
    numbers, and Figure 6's sensitivity table), and measures this
-   implementation's own primitive costs with Bechamel.
+   implementation's own primitive costs.
 
      dune exec bench/main.exe
 
    Paper numbers are printed beside ours.  Absolute performance numbers
    for the server figures come from the calibrated cost model (the
-   paper's testbed constants); the Bechamel section reports what this
-   machine's pure-OCaml crypto sustains and rescales the headline
-   prediction to it. *)
+   paper's testbed constants); the crypto section reports what this
+   machine's pure-OCaml crypto sustains, and the headline prediction is
+   rescaled to its X25519 ladder rate.  Round times are the repository
+   benchmark's (benchmark/), not this harness's. *)
 
-open Bechamel
-open Toolkit
 open Vuvuzela_crypto
 open Vuvuzela_dp
 open Vuvuzela
@@ -43,135 +42,6 @@ let write_artifact ~benchmark fields =
   output_char oc '\n';
   close_out oc;
   Printf.printf "  wrote %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let make_bench_tests () =
-  let rng = Drbg.of_string "bench" in
-  let sk, _pk = Drbg.keypair ~rng () in
-  let _peer_sk, peer_pk = Drbg.keypair ~rng () in
-  let key = Drbg.generate rng 32 in
-  let nonce = Aead.nonce_of ~domain:1 ~counter:1 in
-  let msg256 = Drbg.generate rng 240 in
-  let server_pks = List.init 3 (fun _ -> snd (Drbg.keypair ~rng ())) in
-  let payload = Drbg.generate rng Types.exchange_payload_len in
-  let alice = Types.identity_of_seed (Bytes.of_string "bench-alice") in
-  let session = Conversation.derive ~identity:alice ~peer_pk in
-  let shuffle_data = Array.init 4096 Fun.id in
-  let laplace = Laplace.params ~mu:300_000. ~b:13_800. in
-  [
-    Test.make ~name:"x25519/scalarmult"
-      (Staged.stage (fun () -> Curve25519.shared ~secret:sk ~public:peer_pk));
-    Test.make ~name:"crypto/aead-seal-240B"
-      (Staged.stage (fun () -> Aead.seal ~key ~nonce msg256));
-    Test.make ~name:"crypto/sha256-240B"
-      (Staged.stage (fun () -> Sha256.digest msg256));
-    Test.make ~name:"crypto/hmac-240B"
-      (Staged.stage (fun () -> Hmac.sha256 ~key msg256));
-    Test.make ~name:"onion/wrap-3-layers"
-      (Staged.stage (fun () ->
-           Vuvuzela_mixnet.Onion.wrap ~rng ~server_pks ~round:1 payload));
-    Test.make ~name:"mixnet/shuffle-4096"
-      (Staged.stage (fun () ->
-           Vuvuzela_mixnet.Shuffle.apply
-             (Vuvuzela_mixnet.Shuffle.random_permutation ~rng 4096)
-             shuffle_data));
-    Test.make ~name:"dp/laplace-truncated-sample"
-      (Staged.stage (fun () -> Laplace.truncated_sample ~rng laplace));
-    Test.make ~name:"protocol/exchange-payload"
-      (Staged.stage (fun () ->
-           Conversation.exchange_payload session ~round:1
-             (Message.Empty { ack = 0 })));
-    (let sk, _pk = Ed25519.keypair ~rng () in
-     let msg = Drbg.generate rng 200 in
-     Test.make ~name:"crypto/ed25519-sign"
-       (Staged.stage (fun () -> Ed25519.sign ~secret:sk msg)));
-    (let sk, pk = Ed25519.keypair ~rng () in
-     let msg = Drbg.generate rng 200 in
-     let signature = Ed25519.sign ~secret:sk msg in
-     Test.make ~name:"crypto/ed25519-verify"
-       (Staged.stage (fun () -> Ed25519.verify ~public:pk ~signature msg)));
-  ]
-
-(* A full conversation round, end to end, through a real 3-server chain
-   with 4 clients: one Bechamel sample = one complete round (client
-   wrapping, 3 peels + noise + shuffles, dead-drop matching, replies,
-   unwrapping). *)
-let make_round_bench () =
-  let noise = Laplace.params ~mu:2. ~b:1. in
-  let chain =
-    Chain.of_config
-      Config.(
-        default |> with_seed "bench-chain" |> with_noise noise
-        |> with_dial_noise (Laplace.params ~mu:1. ~b:1.)
-        |> with_noise_mode Noise.Deterministic)
-  in
-  let pks = Chain.public_keys chain in
-  let clients =
-    List.init 4 (fun i ->
-        let id =
-          Types.identity_of_seed
-            (Bytes.of_string (Printf.sprintf "bench-c%d" i))
-        in
-        Client.create ~seed:(Printf.sprintf "bench-c%d" i) ~identity:id
-          ~server_pks:pks ())
-  in
-  (match clients with
-  | a :: b :: _ ->
-      Client.start_conversation a ~peer_pk:(Client.public_key b);
-      Client.start_conversation b ~peer_pk:(Client.public_key a)
-  | _ -> ());
-  let round = ref 0 in
-  Test.make ~name:"round/full-3srv-4clients"
-    (Staged.stage (fun () ->
-         incr round;
-         let requests =
-           Array.of_list
-             (List.map
-                (fun c -> Client.conversation_request c ~round:!round)
-                clients)
-         in
-         let results = Chain.conversation_round_exn chain ~round:!round requests in
-         List.iteri
-           (fun i c ->
-             ignore (Client.handle_conversation_reply c ~round:!round results.(i)))
-           clients))
-
-let has_suffix ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  l >= ls && String.sub s (l - ls) ls = suffix
-
-let run_benchmarks () =
-  section "MICRO-BENCHMARKS (Bechamel, this machine, pure OCaml)";
-  let tests =
-    Test.make_grouped ~name:"vuvuzela" ~fmt:"%s %s"
-      (make_bench_tests () @ [ make_round_bench () ])
-  in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
-  let dh_ns = ref None in
-  List.iter
-    (fun (name, r) ->
-      match Analyze.OLS.estimates r with
-      | Some [ ns ] ->
-          if has_suffix ~suffix:"x25519/scalarmult" name then dh_ns := Some ns;
-          if ns > 1e6 then
-            Printf.printf "  %-42s %10.3f ms/op\n" name (ns /. 1e6)
-          else if ns > 1e3 then
-            Printf.printf "  %-42s %10.3f us/op\n" name (ns /. 1e3)
-          else Printf.printf "  %-42s %10.1f ns/op\n" name ns
-      | _ -> Printf.printf "  %-42s (no estimate)\n" name)
-    (List.sort compare rows);
-  !dh_ns
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6                                                            *)
@@ -270,7 +140,7 @@ let figure11 () =
 (* Headlines                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let headlines dh_ns =
+let headlines ~ladder_ops_per_sec =
   section "HEADLINE NUMBERS (§1, §8.2, §8.3)";
   let h = Vuvuzela_sim.Figures.headlines () in
   let row name ours paper =
@@ -303,26 +173,21 @@ let headlines dh_ns =
   row "client messages per minute"
     (Printf.sprintf "%.1f" h.messages_per_minute)
     "4";
-  match dh_ns with
-  | Some ns ->
-      let ours_rate = 1e9 /. ns in
-      let scaled =
-        {
-          Vuvuzela_sim.Cost_model.paper with
-          Vuvuzela_sim.Cost_model.dh_ops_per_sec = ours_rate *. 36.;
-        }
-      in
-      Printf.printf
-        "\n  this machine's X25519: %.0f ops/s/core (paper's testbed: \
-         340,000 ops/s on 36 cores = %.0f/core);\n"
-        ours_rate (340_000. /. 36.);
-      Printf.printf
-        "  a 36-core server running this OCaml stack would complete a \
-         1M-user round in ~%.0f s.\n"
-        (Vuvuzela_sim.Cost_model.conv_latency scaled ~users:1_000_000
-           ~servers:3
-           ~noise:(Vuvuzela_sim.Figures.conv_noise_of 300_000.))
-  | None -> ()
+  let scaled =
+    {
+      Vuvuzela_sim.Cost_model.paper with
+      Vuvuzela_sim.Cost_model.dh_ops_per_sec = ladder_ops_per_sec *. 36.;
+    }
+  in
+  Printf.printf
+    "\n  this machine's X25519: %.0f ops/s/core (paper's testbed: 340,000 \
+     ops/s on 36 cores = %.0f/core);\n"
+    ladder_ops_per_sec (340_000. /. 36.);
+  Printf.printf
+    "  a 36-core server running this OCaml stack would complete a 1M-user \
+     round in ~%.0f s.\n"
+    (Vuvuzela_sim.Cost_model.conv_latency scaled ~users:1_000_000 ~servers:3
+       ~noise:(Vuvuzela_sim.Figures.conv_noise_of 300_000.))
 
 (* ------------------------------------------------------------------ *)
 (* §6.4 posterior examples                                             *)
@@ -350,12 +215,11 @@ let posteriors () =
    memoised server keys via the Edwards comb, with the cost of one
    server-key table) against the retained seed ladder (Curve25519_ref,
    16×16-bit limbs), one onion peel split into its ladder, HKDF and AEAD
-   parts, the field kernels' call times, AEAD seal/open
-   throughput, the chunked-vs-per-item pool dispatch cost, and the
-   end-to-end round cost at jobs ∈ {1, 2, 4} plus a pipelined run —
-   written to BENCH_crypto.json so the numbers are diffable run-to-run.
-   The host core count is recorded alongside: on a 1-core container the
-   jobs > 1 rows measure scheduling overhead, not speedup. *)
+   parts, the field kernels' call times, AEAD seal/open and ChaCha20
+   throughput — written to BENCH_crypto.json so the numbers are diffable
+   run-to-run — and, printed only, the per-message primitives of a
+   client and a server.  Returns the ladder's rate, which the headline
+   section rescales the cost model to. *)
 let crypto_bench () =
   section
     "CRYPTO - 51-bit field + one-loop chacha vs seed (writes \
@@ -534,85 +398,48 @@ let crypto_bench () =
   Printf.printf "  chacha20 (16 KiB, seed) %10.1f MB/s (%.2fx)\n"
     (mb16 chacha_ref)
     (chacha_fast /. chacha_ref);
-  (* End-to-end conversation rounds (real crypto, 3 servers, 24 clients)
-     at jobs 1 and 4 — the consumer-visible effect of the field rewrite. *)
-  let round_ms ?pipeline_chunk jobs =
-    let net =
-      Network.of_config
-        Network.Config.(
-          default |> with_seed "bench-crypto-round"
-          |> with_noise (Laplace.params ~mu:4. ~b:1.)
-          |> with_dial_noise (Laplace.params ~mu:1. ~b:1.)
-          |> with_noise_mode Noise.Deterministic |> with_jobs jobs
-          |>
-          match pipeline_chunk with
-          | None -> Fun.id
-          | Some chunk -> with_pipeline ~chunk true)
-    in
-    let clients =
-      List.init 24 (fun i ->
-          Network.connect ~seed:(Printf.sprintf "cc%d" i) net)
-    in
-    let rec pair = function
-      | a :: b :: rest ->
-          Client.start_conversation a ~peer_pk:(Client.public_key b);
-          Client.start_conversation b ~peer_pk:(Client.public_key a);
-          pair rest
-      | _ -> ()
-    in
-    pair clients;
-    ignore (Network.run ~kind:Round.Conversation net) (* warm-up *);
-    let rounds = 4 in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to rounds do
-      ignore (Network.run ~kind:Round.Conversation net)
-    done;
-    let dt = (Unix.gettimeofday () -. t0) /. float_of_int rounds in
-    Network.shutdown net;
-    Printf.printf "  round (24 clients)      %10.1f ms at jobs=%d%s\n"
-      (1000. *. dt) jobs
-      (match pipeline_chunk with
-      | None -> ""
-      | Some c -> Printf.sprintf " pipelined chunk=%d" c);
-    T.Json.Obj
-      ([
-         ("jobs", T.Json.Num (float_of_int jobs));
-         ("ms_per_round", T.Json.Num (1000. *. dt));
-       ]
-      @
-      match pipeline_chunk with
-      | None -> []
-      | Some c -> [ ("pipeline_chunk", T.Json.Num (float_of_int c)) ])
+  (* The per-message primitives, one line each. *)
+  let msg240 = Drbg.generate rng 240 in
+  let server_pks = List.init 3 (fun _ -> snd (Drbg.keypair ~rng ())) in
+  let payload = Drbg.generate rng Types.exchange_payload_len in
+  let session =
+    Conversation.derive
+      ~identity:(Types.identity_of_seed (Bytes.of_string "bench-alice"))
+      ~peer_pk
   in
-  let rounds =
-    (* Bound one by one: list elements evaluate right-to-left, which
-       would print the rows bottom-up. *)
-    let r1 = round_ms 1 in
-    let r2 = round_ms 2 in
-    let r4 = round_ms 4 in
-    let rp = round_ms ~pipeline_chunk:16 4 in
-    [ r1; r2; r4; rp ]
-  in
-  (* Pool dispatch A/B: the same per-onion-sized crypto job fanned out
-     chunked (one task per domain) vs per-item (one queued closure per
-     element).  The gap is pure dispatch overhead. *)
-  let module Pool = Vuvuzela_parallel.Pool in
-  let pool_jobs = min 4 (Pool.default_jobs ()) in
-  let p = Pool.create ~jobs:pool_jobs in
-  let items = Array.init 256 (fun i -> Drbg.generate rng (240 + (i mod 16))) in
-  let work _ b = Sha256.digest b in
-  let chunked_ops =
-    ops_per_sec ~min_s:0.3 (fun () -> ignore (Pool.mapi_array p work items))
-  in
-  let per_item_ops =
-    ops_per_sec ~min_s:0.3 (fun () ->
-        ignore (Pool.mapi_array_per_item p work items))
-  in
-  Pool.shutdown p;
-  Printf.printf
-    "  pool 256x sha256: chunked %8.0f batches/s, per-item %8.0f batches/s \
-     (%.2fx) at jobs=%d\n"
-    chunked_ops per_item_ops (chunked_ops /. per_item_ops) pool_jobs;
+  let shuffled = Array.init 4096 Fun.id in
+  let laplace = Laplace.params ~mu:300_000. ~b:13_800. in
+  let ed_sk, ed_pk = Ed25519.keypair ~rng () in
+  let ed_msg = Drbg.generate rng 200 in
+  let signature = Ed25519.sign ~secret:ed_sk ed_msg in
+  List.iter
+    (fun (name, f) ->
+      let ops = ops_per_sec f in
+      Printf.printf "  %-23s %10.0f ops/s (%.1f us)\n" name ops (us ops))
+    [
+      ("sha256 (240 B)", fun () -> ignore (Sha256.digest msg240));
+      ("hmac-sha256 (240 B)", fun () -> ignore (Hmac.sha256 ~key msg240));
+      ( "onion wrap (3 layers)",
+        fun () ->
+          ignore
+            (Vuvuzela_mixnet.Onion.wrap ~rng ~server_pks ~round:1 payload) );
+      ( "shuffle (4096)",
+        fun () ->
+          ignore
+            (Vuvuzela_mixnet.Shuffle.apply
+               (Vuvuzela_mixnet.Shuffle.random_permutation ~rng 4096)
+               shuffled) );
+      ( "laplace truncated",
+        fun () -> ignore (Laplace.truncated_sample ~rng laplace) );
+      ( "exchange payload",
+        fun () ->
+          ignore
+            (Conversation.exchange_payload session ~round:1
+               (Message.Empty { ack = 0 })) );
+      ("ed25519 sign", fun () -> ignore (Ed25519.sign ~secret:ed_sk ed_msg));
+      ( "ed25519 verify",
+        fun () -> ignore (Ed25519.verify ~public:ed_pk ~signature ed_msg) );
+    ];
   write_artifact ~benchmark:"crypto"
     [
       ( "x25519",
@@ -645,17 +472,8 @@ let crypto_bench () =
             ("seed_mb_per_sec", T.Json.Num (mb16 chacha_ref));
             ("speedup_vs_seed", T.Json.Num (chacha_fast /. chacha_ref));
           ] );
-      ( "pool_dispatch_256x_sha256",
-        T.Json.Obj
-          [
-            ("jobs", T.Json.Num (float_of_int pool_jobs));
-            ("chunked_batches_per_sec", T.Json.Num chunked_ops);
-            ("per_item_batches_per_sec", T.Json.Num per_item_ops);
-            ( "chunked_speedup_vs_per_item",
-              T.Json.Num (chunked_ops /. per_item_ops) );
-          ] );
-      ("round", T.Json.List rounds);
-    ]
+    ];
+  x_new
 
 (* ------------------------------------------------------------------ *)
 (* Faults: retry overhead under the round supervisor                   *)
@@ -1253,7 +1071,7 @@ let () =
   (* BENCH_ONLY=crypto|churn|scale: just that section (used by the CI
      smokes; the full run takes minutes). *)
   if Sys.getenv_opt "BENCH_ONLY" = Some "crypto" then begin
-    crypto_bench ();
+    ignore (crypto_bench () : float);
     exit 0
   end;
   if Sys.getenv_opt "BENCH_ONLY" = Some "churn" then begin
@@ -1265,19 +1083,18 @@ let () =
     exit 0
   end;
   print_endline "VUVUZELA (SOSP 2015) - evaluation reproduction";
-  let dh_ns = run_benchmarks () in
+  let ladder_ops_per_sec = crypto_bench () in
   figure6 ();
   figure7 ();
   figure8 ();
   figure9 ();
   figure10 ();
   figure11 ();
-  headlines dh_ns;
+  headlines ~ladder_ops_per_sec;
   posteriors ();
   ablation_noise ();
   ablation_m_tuning ();
   baseline_comparison ();
-  crypto_bench ();
   faults_overhead ();
   churn_bench ();
   scale_bench ();

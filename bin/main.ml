@@ -15,21 +15,15 @@ open Vuvuzela
 (* demo                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let write_file path s =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
-
 let demo users rounds mu seed jobs pipeline deaddrop_shards fault_plan
-    round_deadline_ms max_retries admission_ms client_latency metrics_out
-    trace_out budget_warn obs_dir =
+    round_deadline_ms max_retries admission_ms client_latency budget_warn
+    obs_dir =
   let noise = Laplace.params ~mu ~b:(Float.max 1. (mu /. 21.7)) in
   (* Any observability flag turns the sink on; without one the nil sink
      keeps the demo on the exact zero-cost path the tests pin. *)
   let telemetry =
-    if
-      metrics_out <> None || trace_out <> None || budget_warn <> None
-      || obs_dir <> None
-    then Some (Vuvuzela_telemetry.Telemetry.create ())
+    if budget_warn <> None || obs_dir <> None then
+      Some (Vuvuzela_telemetry.Telemetry.create ())
     else None
   in
   let opt f v cfg = match v with None -> cfg | Some v -> f v cfg in
@@ -106,26 +100,11 @@ let demo users rounds mu seed jobs pipeline deaddrop_shards fault_plan
           h.Deaddrop.m1 h.Deaddrop.m2
     | None -> ()
   done;
-  (* Flush the sink to its files and print the budget ledger's verdict. *)
+  (* Print the budget ledger's verdict; --obs-dir's files are written
+     when the network shuts down. *)
   Option.iter
     (fun tel ->
       let module T = Vuvuzela_telemetry in
-      Option.iter
-        (fun path ->
-          let m = T.Telemetry.metrics tel in
-          (* .json gets the structured export (quantiles included); any
-             other extension gets Prometheus text exposition. *)
-          if Filename.check_suffix path ".json" then
-            write_file path (T.Json.to_string (T.Metrics.to_json m))
-          else write_file path (T.Metrics.to_prometheus m);
-          Printf.printf "metrics written to %s\n" path)
-        metrics_out;
-      Option.iter
-        (fun path ->
-          write_file path (T.Trace.to_jsonl (T.Telemetry.trace tel));
-          Printf.printf "trace written to %s (%d spans)\n" path
-            (T.Trace.span_count (T.Telemetry.trace tel)))
-        trace_out;
       Option.iter
         (fun ledger ->
           let worst = T.Ledger.worst ledger in
@@ -271,23 +250,6 @@ let demo_cmd =
              deployment seed; feeds the $(b,--admission-ms) check.  \
              Defaults to 5±10 when only the window is given.")
   in
-  let metrics_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the metrics registry on exit: Prometheus text \
-             exposition, or structured JSON (with quantile estimates) \
-             when FILE ends in .json.")
-  in
-  let trace_out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the span trace on exit, one JSON span per line \
-             (per-round, per-server pipeline stages with parent links).")
-  in
   let budget_warn =
     Arg.(
       value & opt (some float) None
@@ -295,7 +257,7 @@ let demo_cmd =
           ~doc:
             "Track each client's cumulative privacy spend (Theorem 2 \
              composition over attempted rounds) and warn when ε' crosses \
-             EPS.  Also enables the budget gauges in --metrics-out.")
+             EPS.  Also enables the budget gauges in $(b,--obs-dir)'s metrics.")
   in
   let obs_dir =
     Arg.(
@@ -312,8 +274,7 @@ let demo_cmd =
     Term.(
       const demo $ users $ rounds $ mu $ seed $ jobs $ pipeline
       $ deaddrop_shards $ fault_plan $ round_deadline_ms $ max_retries
-      $ admission_ms $ client_latency $ metrics_out $ trace_out $ budget_warn
-      $ obs_dir)
+      $ admission_ms $ client_latency $ budget_warn $ obs_dir)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)

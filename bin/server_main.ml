@@ -44,32 +44,10 @@ let link_conv =
 
 let run listen next index chain_len seed mu b dial_mu dial_b det_noise
     certified jobs deaddrop_shards pipeline pipeline_chunk fault_plan
-    link_latency link_jitter link_bw flap_grace_ms metrics_listen trace_out
-    quiet =
+    link flap_grace_ms metrics_listen trace_out quiet =
   let log =
     if quiet then fun _ -> ()
     else fun msg -> Printf.eprintf "[vuvuzela-server %d] %s\n%!" index msg
-  in
-  let link =
-    (* --link-latency LAT[±JIT][@BW] is the one-stop syntax; the split
-       flags override its fields for scripting convenience. *)
-    match (link_latency, link_jitter, link_bw) with
-    | None, None, None -> None
-    | base, jitter, bw ->
-        let c =
-          Option.value base
-            ~default:(Vuvuzela_transport.Shaper.config ())
-        in
-        Some
-          {
-            c with
-            Vuvuzela_transport.Shaper.jitter_ms =
-              Option.value jitter ~default:c.Vuvuzela_transport.Shaper.jitter_ms;
-            bandwidth_bytes_per_sec =
-              (match bw with
-              | Some bw -> Some bw
-              | None -> c.Vuvuzela_transport.Shaper.bandwidth_bytes_per_sec);
-          }
   in
   let deployment =
     Config.(
@@ -204,22 +182,6 @@ let cmd =
              in bytes/sec (k/m suffixes), e.g. '25', '25±5', '50±10\\@1m'. \
              Jitter is DRBG-seeded per link when $(b,--seed) is set.")
   in
-  let link_jitter =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "link-jitter" ] ~docv:"MS"
-          ~doc:"Override the jitter component of $(b,--link-latency).")
-  in
-  let link_bw =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "link-bw" ] ~docv:"BYTES/SEC"
-          ~doc:
-            "Override the bandwidth component of $(b,--link-latency) \
-             (token-bucket serialization limit).")
-  in
   let flap_grace_ms =
     Arg.(
       value & opt float 2000.
@@ -257,7 +219,7 @@ let cmd =
       ret
         (const run $ listen $ next $ index $ chain_len $ seed $ mu $ b
        $ dial_mu $ dial_b $ det_noise $ certified $ jobs $ deaddrop_shards
-       $ pipeline $ pipeline_chunk $ fault_plan $ link_latency $ link_jitter
-       $ link_bw $ flap_grace_ms $ metrics_listen $ trace_out $ quiet))
+       $ pipeline $ pipeline_chunk $ fault_plan $ link_latency $ flap_grace_ms
+       $ metrics_listen $ trace_out $ quiet))
 
 let () = exit (Cmd.eval cmd)

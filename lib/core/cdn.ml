@@ -190,13 +190,3 @@ let stats t =
     prefilter_served =
       Array.fold_left (fun a (e : edge) -> a + e.prefilter_served) 0 t.edges;
   }
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "{origin: %d reqs, %d B; edges: %d hits / %d misses (%.0f%%), %d B \
-     served%t}"
-    s.origin_requests s.origin_bytes s.edge_hits s.edge_misses
-    (100. *. s.hit_ratio) s.edge_bytes (fun fmt ->
-      if s.prefilter_tested > 0 then
-        Format.fprintf fmt "; prefilter: %d/%d matched" s.prefilter_served
-          s.prefilter_tested)

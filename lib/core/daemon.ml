@@ -58,10 +58,13 @@ type st = {
           results *)
   mutable ctx : Trace.context option;
       (** trace context announced by the upstream peer for the next
-          batch; consumed when the hop span opens *)
+          batch; taken when that batch's part 0 opens the hop *)
   mutable span : (Trace.span * (float * int)) option;
       (** the open per-round hop span, with the (shaped delay, outage
           count) transport-stats snapshot taken when it opened *)
+  mutable pass_ctx : Trace.context option;
+      (** untraced: the context that preceded the open round, sent
+          ahead of its batch downstream; dropped when the round ends *)
   mutable last_round : int;
   mutable hops_done : int;
   mutable stop : bool;
@@ -138,6 +141,7 @@ let status st ~round ~stage detail =
    virtual-delay exclusion rule on the daemon side. *)
 
 let close_hop st =
+  st.pass_ctx <- None;
   match st.span with
   | None -> ()
   | Some (span, (shaped0, outages0)) ->
@@ -166,10 +170,12 @@ let close_hop st =
 
 let open_hop st ~round ~dialing =
   st.last_round <- round;
+  close_hop st;
   match st.tel with
-  | None -> st.ctx <- None
+  | None ->
+      st.pass_ctx <- st.ctx;
+      st.ctx <- None
   | Some tel ->
-      close_hop st;
       let span =
         Trace.begin_remote_span (Telemetry.trace tel) ~name:"hop" ~round
           ~server:st.cfg.index ~dialing ?remote:st.ctx ()
@@ -184,23 +190,18 @@ let forward_downstream st ~kind ~round ~m onions =
   st.inflight <- Some (round, kind);
   (* Re-stamp the trace context per hop: downstream parents into our
      hop span (transitively into the coordinator's round root).  With
-     tracing off, the upstream context passes through unchanged so the
-     hops beyond us still link up. *)
-  (match st.tel, st.span with
-  | Some tel, Some (span, _) ->
-      send_downstream st
-        (Rpc.Trace_ctx
-           {
-             ctx =
-               Trace.encode_context
-                 (Trace.context_of (Telemetry.trace tel) span);
-           })
-  | _ -> (
-      match st.ctx with
-      | Some c ->
-          st.ctx <- None;
-          send_downstream st (Rpc.Trace_ctx { ctx = Trace.encode_context c })
-      | None -> ()));
+     tracing off, the context that preceded this round passes through
+     unchanged so the hops beyond us still link up. *)
+  let ctx =
+    match (st.tel, st.span) with
+    | Some tel, Some (span, _) ->
+        Some (Trace.context_of (Telemetry.trace tel) span)
+    | _ -> st.pass_ctx
+  in
+  Option.iter
+    (fun c ->
+      send_downstream st (Rpc.Trace_ctx { ctx = Trace.encode_context c }))
+    ctx;
   Rpc.send_parts
     ?chunk:(Config.part_chunk st.cfg.deployment)
     ~emit:(fun ~seq ~last onions ->
@@ -421,6 +422,7 @@ let run ?(log = fun _ -> ()) cfg =
         outbox = Queue.create ();
         ctx = None;
         span = None;
+        pass_ctx = None;
         last_round = 0;
         hops_done = 0;
         stop = false;

@@ -112,9 +112,6 @@ type histogram = { m1 : int; m2 : int; m_more : int }
 
 let histogram (t : t) = { m1 = t.m1; m2 = t.m2; m_more = t.m_more }
 
-let pp_histogram fmt { m1; m2; m_more } =
-  Format.fprintf fmt "{m1=%d; m2=%d; m>2=%d}" m1 m2 m_more
-
 (* ------------------------------------------------------------------ *)
 (* Sharded store (scale plane)                                         *)
 (* ------------------------------------------------------------------ *)
@@ -135,8 +132,6 @@ module Sharded = struct
   let create ?(shards = 1) () =
     let n = max 1 shards in
     { shards = Array.init n (fun _ -> create ()); n }
-
-  let shard_count t = t.n
 
   (* Big-endian prefix of the drop id mod shard count; ids are at least
      two bytes ({!Types.drop_id_len} = 16). *)
@@ -184,8 +179,6 @@ module Invitation = struct
   let create ~m =
     let m = max 1 m in
     { drops = Array.make m []; counts = Array.make m 0; total_invitations = 0 }
-
-  let drop_count s = Array.length s.drops
 
   let clear s =
     Array.fill s.drops 0 (Array.length s.drops) [];

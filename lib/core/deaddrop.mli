@@ -27,8 +27,6 @@ type histogram = { m1 : int; m2 : int; m_more : int }
 val histogram : t -> histogram
 (** O(1): the counts are maintained incrementally at {!put} time. *)
 
-val pp_histogram : Format.formatter -> histogram -> unit
-
 (** Sharded conversation store (scale plane): drops are routed to
     shards by drop-id prefix, so [resolve] parallelizes per shard over
     the domain pool.  Observationally identical to the monolithic store
@@ -39,11 +37,6 @@ module Sharded : sig
 
   val create : ?shards:int -> unit -> t
   (** [shards] defaults to 1; clamped to at least 1. *)
-
-  val shard_count : t -> int
-
-  val shard_of : t -> Types.drop_id -> int
-  (** Shard owning a drop id (big-endian 2-byte prefix mod shard count). *)
 
   val put : t -> slot:int -> drop_id:Types.drop_id -> sealed:bytes -> unit
   val clear : t -> unit
@@ -63,7 +56,6 @@ module Invitation : sig
   type store
 
   val create : m:int -> store
-  val drop_count : store -> int
   val clear : store -> unit
 
   val index_of : m:int -> bytes -> int

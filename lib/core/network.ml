@@ -185,7 +185,6 @@ let of_config_tcp (cfg : Config.t) ~addr =
   in
   match
     Remote.connect ?telemetry:cfg.telemetry ~dial_kind:cfg.dial_kind
-      ?deadline_ms:cfg.round_deadline_ms
       ~handshake_timeout_ms:cfg.handshake_timeout_ms
       ?backoff_seed:(Option.map (fun s -> s ^ "-backoff-coordinator") cfg.seed)
       ?link ~flap_grace_ms:cfg.flap_grace_ms ~addr ()

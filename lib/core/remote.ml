@@ -46,7 +46,7 @@ let set_pipeline t p = t.pipeline <- Option.map (max 1) p
 let stats t = Transport.stats t.tp
 let set_trace_ctx t c = t.trace_ctx <- c
 
-let connect ?telemetry ?(dial_kind = Dialing.Plain) ?deadline_ms
+let connect ?telemetry ?(dial_kind = Dialing.Plain)
     ?(handshake_timeout_ms = 30_000.) ?backoff_seed ?link
     ?(flap_grace_ms = 0.) ~addr () =
   let tp = Transport.create ?telemetry () in
@@ -73,7 +73,7 @@ let connect ?telemetry ?(dial_kind = Dialing.Plain) ?deadline_ms
               handshake = payload;
               key_change = None;
               dial_kind;
-              deadline_ms;
+              deadline_ms = None;
               pipeline = None;
               flap_grace_ms = Float.max 0. flap_grace_ms;
               trace_ctx = None;

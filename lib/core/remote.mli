@@ -25,7 +25,6 @@ type t
 val connect :
   ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
   ?dial_kind:Dialing.kind ->
-  ?deadline_ms:float ->
   ?handshake_timeout_ms:float ->
   ?backoff_seed:string ->
   ?link:Vuvuzela_transport.Shaper.config ->
@@ -36,8 +35,8 @@ val connect :
 (** Dial the first hop and wait (at most [handshake_timeout_ms],
     default 30s) for the chain to assemble — the handshake reply only
     arrives once every server downstream has its keys.  [dial_kind]
-    must match the daemons' (it sizes dialing batches).  [deadline_ms]
-    bounds each round's wait for results; [None] waits forever.
+    must match the daemons' (it sizes dialing batches).  Rounds wait
+    for results without a deadline until {!set_deadline_ms} sets one.
     [backoff_seed] makes the reconnect backoff's full jitter
     deterministic, [link] emulates WAN characteristics on the
     coordinator → first-hop link, and [flap_grace_ms] (default [0.])
@@ -49,6 +48,7 @@ val length : t -> int
 val public_keys : t -> bytes list
 
 val set_deadline_ms : t -> float option -> unit
+(** Bound each round's wait for results; [None] waits forever. *)
 
 val set_pipeline : t -> int option -> unit
 (** [Some chunk] (clamped ≥ 1): no part leaving for the first hop holds

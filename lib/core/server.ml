@@ -616,11 +616,6 @@ let fetch_invitations ?dial_round t ~index =
   | None -> []
   | Some store -> Deaddrop.Invitation.fetch store ~index
 
-let invitation_drop_size ?dial_round t ~index =
-  match invitation_store t dial_round with
-  | None -> 0
-  | Some store -> Deaddrop.Invitation.size store ~index
-
 (* ------------------------------------------------------------------ *)
 (* Round aborts                                                        *)
 (* ------------------------------------------------------------------ *)

@@ -141,8 +141,6 @@ val fetch_invitations : ?dial_round:int -> t -> index:int -> bytes list
     of the last {!invitation_history} rounds' stores, so a
     briefly-blocked client can catch up on the invitations it missed. *)
 
-val invitation_drop_size : ?dial_round:int -> t -> index:int -> int
-
 val invitation_history : int
 (** How many past dialing rounds' invitation stores the last server
     retains (older stores are dropped). *)

@@ -9,8 +9,6 @@ let params ~mu ~b =
   if b <= 0. then invalid_arg "Laplace.params: b must be positive";
   { mu; b }
 
-let pp_params fmt { mu; b } = Format.fprintf fmt "Laplace(µ=%g, b=%g)" mu b
-
 (* Inverse-CDF sampling: u uniform in (-1/2, 1/2],
    x = µ - b·sgn(u)·ln(1 - 2|u|). *)
 let sample ?rng { mu; b } =

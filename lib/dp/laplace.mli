@@ -6,8 +6,6 @@ type params = { mu : float; b : float }
 val params : mu:float -> b:float -> params
 (** @raise Invalid_argument if [b <= 0]. *)
 
-val pp_params : Format.formatter -> params -> unit
-
 val sample : ?rng:Vuvuzela_crypto.Drbg.t -> params -> float
 (** A raw Laplace(µ, b) variate via inverse-CDF sampling. *)
 

@@ -7,9 +7,6 @@
 
 type guarantee = { eps : float; delta : float }
 
-let pp_guarantee fmt { eps; delta } =
-  Format.fprintf fmt "(ε=%g, δ=%.3g)" eps delta
-
 (* Lemma 3: noise ⌈max(0, Laplace(µ, b))⌉ on a single counter with
    sensitivity t gives ε = t/b and δ = ½·exp((t − µ)/b). *)
 let lemma3 ~sensitivity:(t : float) (p : Laplace.params) =

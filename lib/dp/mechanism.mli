@@ -3,8 +3,6 @@
 
 type guarantee = { eps : float; delta : float }
 
-val pp_guarantee : Format.formatter -> guarantee -> unit
-
 val lemma3 : sensitivity:float -> Laplace.params -> guarantee
 (** Lemma 3: one counter with sensitivity [t] noised by
     [⌈max(0, Laplace(µ,b))⌉] is [(t/b, ½·e^{(t−µ)/b})]-DP. *)

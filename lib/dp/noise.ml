@@ -14,9 +14,6 @@ type mode =
 
 type plan = { singles : int; pairs : int }
 
-let pp_plan fmt { singles; pairs } =
-  Format.fprintf fmt "{singles=%d; pairs=%d}" singles pairs
-
 let total_requests { singles; pairs } = singles + (2 * pairs)
 
 let conversation ?rng ~mode (p : Laplace.params) =

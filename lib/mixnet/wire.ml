@@ -113,6 +113,3 @@ let decode f b =
     Reader.expect_end r;
     Ok v
   with Error msg -> Result.Error msg
-
-let decode_exn f b =
-  match decode f b with Ok v -> v | Result.Error msg -> raise (Error msg)

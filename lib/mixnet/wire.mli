@@ -50,5 +50,3 @@ val encode : (Writer.t -> unit) -> bytes
 
 val decode : (Reader.t -> 'a) -> bytes -> ('a, string) result
 (** Runs the decoder and checks all input was consumed. *)
-
-val decode_exn : (Reader.t -> 'a) -> bytes -> 'a

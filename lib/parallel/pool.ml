@@ -11,8 +11,7 @@
    The chunked combinators write straight into one preallocated result
    array: each domain owns a contiguous index range, so there are no
    per-chunk intermediate arrays, no concatenation copy, and no per-item
-   closure or option box.  (The per-item strategy is retained as
-   [mapi_array_per_item] purely as a benchmark baseline.) *)
+   closure or option box. *)
 
 type t = {
   jobs : int;
@@ -173,15 +172,3 @@ let iter_array t f a =
         for i = lo to hi - 1 do
           f a.(i)
         done)
-
-(* The naive strategy the chunked engine replaced: one closure and one
-   option box per item, all of it through the shared queue.  Kept only
-   so the benchmark can show the A/B delta; never used on a hot path. *)
-let mapi_array_per_item t f a =
-  let n = Array.length a in
-  if t.jobs = 1 || n < 2 then Array.mapi f a
-  else begin
-    let results = Array.make n None in
-    run_units t (Array.init n (fun i () -> results.(i) <- Some (f i a.(i))));
-    Array.map Option.get results
-  end

@@ -39,12 +39,6 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** Chunked parallel [Array.mapi]. *)
 
-val mapi_array_per_item : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** The naive one-task-per-item strategy (one closure and one option box
-    per element, all through the shared queue).  Semantically identical
-    to {!mapi_array}; kept only as the benchmark baseline that shows
-    what per-domain chunking buys.  Never use it on a hot path. *)
-
 val iter_array : t -> ('a -> unit) -> 'a array -> unit
 (** Chunked parallel [Array.iter].  Side effects of [f] run in no
     particular order across chunks; [f] must not touch shared mutable

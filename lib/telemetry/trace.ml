@@ -304,48 +304,6 @@ let merge_jsonl processes =
         entries;
       (match !err with Some e -> Error e | None -> Ok (Buffer.contents buf))
 
-(* Per (round, dialing): stage name -> total duration.  Root spans
-   (parent = None) are the enclosing round/coordinator spans; excluding
-   them keeps each millisecond attributed exactly once. *)
-let flame_summary t =
-  let rounds = Hashtbl.create 16 in
-  List.iter
-    (fun s ->
-      if s.parent <> None then begin
-        let key = (s.round, s.dialing) in
-        let stages =
-          match Hashtbl.find_opt rounds key with
-          | Some h -> h
-          | None ->
-              let h = Hashtbl.create 8 in
-              Hashtbl.replace rounds key h;
-              h
-        in
-        let prev = Option.value ~default:0. (Hashtbl.find_opt stages s.name) in
-        Hashtbl.replace stages s.name (prev +. s.dur_ms)
-      end)
-    (spans t);
-  Hashtbl.fold
-    (fun key stages acc ->
-      let entries =
-        List.sort compare (Hashtbl.fold (fun n d l -> (n, d) :: l) stages [])
-      in
-      (key, entries) :: acc)
-    rounds []
-  |> List.sort compare
-
-let pp_flame ppf t =
-  List.iter
-    (fun ((round, dialing), stages) ->
-      Format.fprintf ppf "%s %d:"
-        (if dialing then "dial" else "conv")
-        round;
-      List.iter
-        (fun (name, ms) -> Format.fprintf ppf " %s=%.2fms" name ms)
-        stages;
-      Format.fprintf ppf "@.")
-    (flame_summary t)
-
 (* ------------------------------------------------------------------ *)
 (* Schema checking                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -124,14 +124,6 @@ val merge_jsonl : (string * string) list -> (string, string) result
     {!validate_jsonl}: processes are emitted in the given order, so
     resolved parents always precede their children. *)
 
-val flame_summary : t -> ((int * bool) * (string * float) list) list
-(** Per (round, dialing): total duration by stage name (coordinator
-    root spans excluded so stages are not double-counted), rounds in
-    ascending order, stages sorted by name. *)
-
-val pp_flame : Format.formatter -> t -> unit
-(** The flame summary as one aligned line per round. *)
-
 val validate_jsonl : string -> (unit, string) result
 (** The smoke test's schema checker: every line must parse as a span
     object with the right field types, ids must be unique and parents

@@ -40,7 +40,7 @@ let publish t =
 (* Listening                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type listener = { lfd : Unix.file_descr; port : int }
+type listener = Unix.file_descr
 
 let listen t addr ?(backlog = 8) ~on_accept () =
   match
@@ -53,11 +53,6 @@ let listen t addr ?(backlog = 8) ~on_accept () =
      with e ->
        (try Unix.close lfd with Unix.Unix_error _ -> ());
        raise e);
-    let port =
-      match Unix.getsockname lfd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> 0
-    in
     Evloop.add_fd t.loop lfd
       ~on_readable:(fun () ->
         match Unix.accept lfd with
@@ -67,19 +62,13 @@ let listen t addr ?(backlog = 8) ~on_accept () =
             ()
         | exception Unix.Unix_error _ -> ())
       ~on_writable:(fun () -> ());
-    { lfd; port }
+    lfd
   with
   | l -> Ok l
   | exception Unix.Unix_error (err, fn, _) ->
       Error
         (Printf.sprintf "listen %s: %s in %s" (Addr.to_string addr)
            (Unix.error_message err) fn)
-
-let listener_port l = l.port
-
-let close_listener t l =
-  Evloop.remove_fd t.loop l.lfd;
-  try Unix.close l.lfd with Unix.Unix_error _ -> ()
 
 let dial t ~addr ~hello ?base_backoff_ms ?max_backoff_ms
     ?handshake_timeout_ms ?backoff_seed ?shaper ~on_established ~on_frame
@@ -133,7 +122,6 @@ let connect t ~addr ~hello ?max_backoff_ms ?backoff_seed ?shaper () =
   in
   Lazy.force client
 
-let client_conn c = c.conn
 let last_handshake c = c.last_handshake
 
 let handshake ?deadline_ms t c =

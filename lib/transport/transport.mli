@@ -50,11 +50,6 @@ val listen :
     framed world.  [Error] carries the bind/listen failure (the caller
     decides whether a sandbox without sockets is fatal). *)
 
-val listener_port : listener -> int
-(** The bound port (useful after binding port 0). *)
-
-val close_listener : t -> listener -> unit
-
 val dial :
   t ->
   addr:Unix.sockaddr ->
@@ -117,7 +112,5 @@ val recv_batch :
     by [deadline_ms]) before giving up — a peer that held our reply in
     an outbox re-delivers it over the healed link, and the round
     survives the flap. *)
-
-val client_conn : client -> Conn.t
 
 val close_client : t -> client -> unit

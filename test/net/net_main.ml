@@ -13,7 +13,8 @@
    - a middle server killed with SIGKILL and restarted from its seed is
      survived the same way;
    - a middle or first server restarted from another seed (so with
-     another key) fails the next round with the key-change status.
+     another key) fails the next round with the key-change status;
+   - a trace context crosses a middle daemon that does not trace.
 
    Plain executable: forking is only safe in a process that never
    spawned a domain, so this cannot live inside the alcotest binary. *)
@@ -541,6 +542,36 @@ let series_value body series =
       | _ -> None)
     (String.split_on_char '\n' body)
 
+(* A merged trace's spans as (id, parent, process, name), and the
+   (process, name) of the root a span id reaches through parent links. *)
+let merged_spans merged =
+  let spans =
+    String.split_on_char '\n' merged
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.filter_map (fun l ->
+           match T.Json.parse l with
+           | Error _ -> None
+           | Ok j ->
+               let get f k = Option.bind (T.Json.member k j) f in
+               Some
+                 ( Option.value ~default:(-1) (get T.Json.to_int "id"),
+                   get T.Json.to_int "parent",
+                   Option.value ~default:"?" (get T.Json.to_str "process"),
+                   Option.value ~default:"?" (get T.Json.to_str "name") ))
+  in
+  let tbl = Hashtbl.create 256 in
+  List.iter
+    (fun (id, parent, process, name) ->
+      Hashtbl.replace tbl id (parent, process, name))
+    spans;
+  let rec root_of id =
+    match Hashtbl.find_opt tbl id with
+    | None -> None
+    | Some (None, process, name) -> Some (process, name)
+    | Some (Some p, _, _) -> root_of p
+  in
+  (spans, root_of)
+
 let spawn_obs_chain ?(jobs = 1) ?fault_plan_for ~seed ~ports ~mports () =
   Array.to_list
     (Array.init chain_len (fun i ->
@@ -665,31 +696,7 @@ let test_observability () =
               (T.Trace.validate_jsonl merged = Ok ());
             (* Every daemon hop/stage span must reach a coordinator
                round root through parent links alone. *)
-            let spans =
-              String.split_on_char '\n' merged
-              |> List.filter (fun l -> String.trim l <> "")
-              |> List.filter_map (fun l ->
-                     match T.Json.parse l with
-                     | Error _ -> None
-                     | Ok j ->
-                         let get f k = Option.bind (T.Json.member k j) f in
-                         Some
-                           ( Option.value ~default:(-1) (get T.Json.to_int "id"),
-                             get T.Json.to_int "parent",
-                             Option.value ~default:"?" (get T.Json.to_str "process"),
-                             Option.value ~default:"?" (get T.Json.to_str "name") ))
-            in
-            let tbl = Hashtbl.create 256 in
-            List.iter
-              (fun (id, parent, process, name) ->
-                Hashtbl.replace tbl id (parent, process, name))
-              spans;
-            let rec root_of id =
-              match Hashtbl.find_opt tbl id with
-              | None -> None
-              | Some (None, process, name) -> Some (process, name)
-              | Some (Some p, _, _) -> root_of p
-            in
+            let spans, root_of = merged_spans merged in
             let daemon_work =
               List.filter
                 (fun (_, _, process, name) ->
@@ -808,6 +815,80 @@ let test_obs_transcript_parity () =
               Remote.shutdown remote))
     [ 1; 4 ]
 
+
+(* ------------------------------------------------------------------ *)
+(* 7c. A trace context crosses an untraced middle daemon               *)
+(* ------------------------------------------------------------------ *)
+
+(* Only daemons 0 and 2 have scrape endpoints, hence a trace; the middle
+   one has no sink.  It must pass each round's context on unchanged, or
+   server 2's hop spans land in the merged trace as roots of their own. *)
+let test_untraced_middle () =
+  print_endline "trace context across an untraced middle daemon:";
+  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+  let mports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+  let traced = [ 0; 2 ] in
+  let pids =
+    List.map
+      (fun index ->
+        fork_daemon
+          (daemon_cfg ~seed:"net-untraced" ~ports ~index ~pipeline_chunk:4
+             ?metrics_port:
+               (if List.mem index traced then Some mports.(index) else None)
+             ()))
+      [ 2; 1; 0 ]
+  in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "vuvuzela-untraced-%d" (Unix.getpid ()))
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Daemon_spawn.stop_pid pids)
+    (fun () ->
+      match
+        Network.of_config_tcp
+          Network.Config.(
+            tcp_config |> with_round_deadline_ms 30_000.
+            |> with_pipeline ~chunk:4 true
+            |> with_telemetry (T.Telemetry.create ())
+            |> with_obs_dir dir
+            |> with_obs_scrape
+                 (List.map
+                    (fun i -> (i, Addr.loopback ~port:mports.(i)))
+                    traced))
+          ~addr:(Addr.loopback ~port:ports.(0))
+      with
+      | Error e -> check ("of_config_tcp: " ^ e) false
+      | Ok net ->
+          let a = Network.connect ~seed:"untraced-a" net in
+          let b = Network.connect ~seed:"untraced-b" net in
+          Client.start_conversation a ~peer_pk:(Client.public_key b);
+          Client.start_conversation b ~peer_pk:(Client.public_key a);
+          let reports = Network.run_rounds net 2 in
+          check "2 rounds completed"
+            (List.for_all (fun r -> r.Network.failure = None) reports);
+          Network.shutdown net;
+          let merged_path = Filename.concat dir "merged-trace.jsonl" in
+          check "merged trace written" (Sys.file_exists merged_path);
+          if Sys.file_exists merged_path then begin
+            let spans, root_of = merged_spans (read_file merged_path) in
+            let hops =
+              List.filter
+                (fun (_, _, process, name) ->
+                  process = "server-2" && name = "hop")
+                spans
+            in
+            check "server 2 traced a hop span per round"
+              (List.length hops = 2);
+            check "every server-2 hop span has a parent"
+              (List.for_all (fun (_, parent, _, _) -> parent <> None) hops);
+            check "every server-2 hop span roots at a coordinator conv-round"
+              (List.for_all
+                 (fun (id, _, _, _) ->
+                   root_of id = Some ("coordinator", "conv-round"))
+                 hops)
+          end)
 
 (* ------------------------------------------------------------------ *)
 (* 8. Cross-tier fault parity: both tiers drive the same hop           *)
@@ -1071,6 +1152,7 @@ let () =
   run "shaped" test_shaped_links;
   run "obs" test_observability;
   run "obs-parity" test_obs_transcript_parity;
+  run "untraced-middle" test_untraced_middle;
   run "fault-parity" test_fault_parity;
   run "hostile" test_hostile_first_hop;
   if !failures > 0 then begin

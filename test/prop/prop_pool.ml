@@ -51,12 +51,6 @@ let run () =
       let got = Pool.map_array (pool ~jobs) g arr in
       Prop.require (got = expected) "jobs=%d n=%d: map_array diverged" jobs
         (Array.length arr));
-  Prop.check ~name:"per-item strategy = chunked strategy" ~count:40 gen_case
-    (fun (jobs, arr) ->
-      let chunked = Pool.mapi_array (pool ~jobs) f arr in
-      let per_item = Pool.mapi_array_per_item (pool ~jobs) f arr in
-      Prop.require (chunked = per_item)
-        "jobs=%d n=%d: strategies disagree" jobs (Array.length arr));
   Prop.check ~name:"iter_array visits every element once" ~count:40 gen_case
     (fun (jobs, arr) ->
       let n = Array.length arr in

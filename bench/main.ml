@@ -215,7 +215,8 @@ let posteriors () =
    memoised server keys via the Edwards comb, with the cost of one
    server-key table) against the retained seed ladder (Curve25519_ref,
    16×16-bit limbs), one onion peel split into its ladder, HKDF and AEAD
-   parts, the field kernels' call times, AEAD seal/open and ChaCha20
+   parts, a peel's share of a 128-onion batch and a 3-layer wrap, the
+   field kernels' call times, AEAD seal/open and ChaCha20
    throughput — written to BENCH_crypto.json so the numbers are diffable
    run-to-run — and, printed only, the per-message primitives of a
    client and a server.  Returns the ladder's rate, which the headline
@@ -295,15 +296,23 @@ let crypto_bench () =
                 (Option.get (Edwards25519.of_montgomery_u peer_pk))))
   in
   (* One peel of a 3-hop conversation onion, and its three parts on the
-     same inputs: the ladder, Box's HKDF step, and the AEAD open. *)
+     same inputs: the ladder, Box's HKDF step, and the AEAD open.  Beside
+     them, what a server and a client actually run: one onion's share of
+     a 128-onion [peel_many] (one field inversion for all 128), and one
+     3-layer [wrap_with] (one for its 6 operations). *)
   let us ops = 1e6 /. ops in
   let server_sk, server_pk = Drbg.keypair ~rng () in
   let chain = server_pk :: List.init 2 (fun _ -> snd (Drbg.keypair ~rng ())) in
-  let onion =
+  let wrap () =
     (Vuvuzela_mixnet.Onion.wrap ~rng ~server_pks:chain ~round:1
        (Drbg.generate rng Types.exchange_payload_len))
       .Vuvuzela_mixnet.Onion.onion
   in
+  let onion = wrap () in
+  let part = 128 in
+  let onions = Array.init part (fun _ -> wrap ()) in
+  let eph_sks = Vuvuzela_mixnet.Onion.draw_eph_sks ~rng ~chain_len:3 () in
+  let payload = Drbg.generate rng Types.exchange_payload_len in
   let epk = Bytes.sub onion 0 Curve25519.key_len in
   let raw = Curve25519.shared ~secret:server_sk ~public:epk in
   let layer_key = Box.derive raw in
@@ -325,10 +334,18 @@ let crypto_bench () =
                     ~src_off:Curve25519.key_len ~len:ct_len ~dst:inner
                     ~dst_off:0 ())
              then failwith "bench: the peeled layer does not authenticate");
+           (fun () ->
+             ignore
+               (Vuvuzela_mixnet.Onion.peel_many ~server_sk ~round:1 onions));
+           (fun () ->
+             ignore
+               (Vuvuzela_mixnet.Onion.wrap_with ~eph_sks ~server_pks:chain
+                  ~round:1 payload));
          |])
   in
   let peel_us = peel.(0) and peel_ladder_us = peel.(1) in
   let peel_hkdf_us = peel.(2) and peel_aead_us = peel.(3) in
+  let peel_part_us = peel.(4) /. float_of_int part and wrap_us = peel.(5) in
   (* The field kernels, 1000 dependent calls per sample. *)
   let fa = Fe25519.unpack (Drbg.generate rng 32)
   and fb = Fe25519.unpack (Drbg.generate rng 32) in
@@ -354,6 +371,11 @@ let crypto_bench () =
      %.1f us (parts %.1f%%)\n"
     peel_us peel_ladder_us peel_hkdf_us peel_aead_us
     (100. *. (peel_ladder_us +. peel_hkdf_us +. peel_aead_us) /. peel_us);
+  Printf.printf "  %-23s %10.1f us per onion (%.2fx onion peel)\n"
+    (Printf.sprintf "peel in a %d batch" part)
+    peel_part_us (peel_part_us /. peel_us);
+  Printf.printf "  onion wrap_with (3 hops) %9.1f us (%.2fx onion peel)\n"
+    wrap_us (wrap_us /. peel_us);
   Printf.printf "  fe mul / square         %10.1f / %.1f ns\n" fe_mul_ns
     fe_square_ns;
   Printf.printf "  speedup %.2fx %s\n" speedup
@@ -454,6 +476,8 @@ let crypto_bench () =
             ("peel_ladder_us", T.Json.Num peel_ladder_us);
             ("peel_hkdf_us", T.Json.Num peel_hkdf_us);
             ("peel_aead_us", T.Json.Num peel_aead_us);
+            ("peel_part_us", T.Json.Num peel_part_us);
+            ("wrap_us", T.Json.Num wrap_us);
             ("fe_mul_ns", T.Json.Num fe_mul_ns);
             ("fe_square_ns", T.Json.Num fe_square_ns);
             ("speedup_vs_seed", T.Json.Num speedup);

@@ -192,7 +192,7 @@ let demo_cmd =
       & info [ "fault-plan" ] ~docv:"PLAN"
           ~doc:
             "Inject deterministic faults at the chain's links, e.g. \
-             'crash\\@2;corrupt(3)\\@4:1' (kind\\@round:server, ';'-separated; \
+             'crash@2;corrupt(3)@4:1' (kind@round:server, ';'-separated; \
              kinds: crash, drop, corrupt(byte), truncate(n), pad(n), \
              delay(ms), tamper(slot)).")
   in

@@ -179,7 +179,7 @@ let cmd =
           ~doc:
             "Emulate WAN characteristics on the downstream link: one-way \
              latency in ms, optional ± jitter in ms, optional @ bandwidth \
-             in bytes/sec (k/m suffixes), e.g. '25', '25±5', '50±10\\@1m'. \
+             in bytes/sec (k/m suffixes), e.g. '25', '25±5', '50±10@1m'. \
              Jitter is DRBG-seeded per link when $(b,--seed) is set.")
   in
   let flap_grace_ms =

@@ -139,6 +139,10 @@ let shutdown t =
 let par_mapi t f a =
   match t.pool with Some p -> Pool.mapi_array p f a | None -> Array.mapi f a
 
+(* The same, for an [f] over a whole chunk: one call per domain. *)
+let par_chunks t f a =
+  match t.pool with Some p -> Pool.map_chunks p f a | None -> f a
+
 let proposed_m t = t.proposed_m
 let dial_kind t = t.cfg.dial_kind
 
@@ -233,6 +237,7 @@ let stream_feed t st (onions : bytes array) =
   @@ fun () ->
   (* Pass 1 (coordinator): the cheap ingress checks, in slot order —
      they share the round's dedup table. *)
+  let to_peel = ref [] in
   let admitted =
     Array.map
       (fun onion ->
@@ -242,24 +247,33 @@ let stream_feed t st (onions : bytes array) =
           if Hashtbl.mem st.s_seen key then `Duplicate
           else begin
             Hashtbl.replace st.s_seen key ();
+            to_peel := onion :: !to_peel;
             `Peel
           end
         end)
       onions
   in
-  (* Pass 2 (fan-out): the expensive DH + AEAD peel, pure per slot. *)
+  (* Pass 2 (fan-out): the expensive DH + AEAD peel of the admitted
+     onions, pure per onion, one batch (one field inversion) per
+     domain's chunk. *)
   let peeled =
-    par_mapi t
-      (fun i onion ->
-        match admitted.(i) with
-        | `Peel -> Onion.peel ~server_sk:t.secret ~round:st.s_round onion
-        | `Bad_size | `Duplicate -> None)
-      onions
+    par_chunks t
+      (Onion.peel_many ~server_sk:t.secret ~round:st.s_round)
+      (Array.of_list (List.rev !to_peel))
   in
   (* Pass 3 (coordinator): assign batch indices in slot order, count. *)
-  Array.iteri
-    (fun i admit ->
-      match (admit, peeled.(i)) with
+  let next = ref 0 in
+  Array.iter
+    (fun admit ->
+      let result =
+        match admit with
+        | `Peel ->
+            let r = peeled.(!next) in
+            incr next;
+            r
+        | `Bad_size | `Duplicate -> None
+      in
+      match (admit, result) with
       | `Peel, Some (inner, secret) ->
           st.s_slots_rev <-
             Valid { index = st.s_n_valid; secret } :: st.s_slots_rev;

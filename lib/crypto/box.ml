@@ -19,9 +19,6 @@ let derive raw =
 
 let precompute ~secret ~public = derive (Curve25519.shared ~secret ~public)
 
-let precompute_static ~secret ~public =
-  derive (Curve25519.shared_static ~secret ~public)
-
 let seal ~key ~nonce ?aad pt = Aead.seal ~key ~nonce ?aad pt
 let open_ ~key ~nonce ?aad ct = Aead.open_ ~key ~nonce ?aad ct
 

@@ -17,10 +17,6 @@ val derive : bytes -> bytes
 (** The HKDF step of {!precompute}: [precompute ~secret ~public] is
     [derive (Curve25519.shared ~secret ~public)]. *)
 
-val precompute_static : secret:bytes -> public:bytes -> bytes
-(** [precompute], bit for bit, through {!Curve25519.shared_static}: for
-    a [public] key that is a server's long-lived key. *)
-
 val seal : key:bytes -> nonce:bytes -> ?aad:bytes -> bytes -> bytes
 val open_ : key:bytes -> nonce:bytes -> ?aad:bytes -> bytes -> bytes option
 

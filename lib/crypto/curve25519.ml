@@ -22,7 +22,12 @@
 
    So a wrapped layer costs two comb operations and no ladder; peels,
    sealed boxes and conversation keys stay on the ladder.  Clamped
-   scalars have bit 255 clear, as the comb requires. *)
+   scalars have bit 255 clear, as the comb requires.
+
+   Every operation stops at its u-coordinate as a fraction X/Z, so a
+   [batch] (an onion's wrap, a server's chunk of peels) pays one field
+   inversion, ~265 multiplications and squarings, instead of one per
+   operation (Montgomery's trick, in Fe25519.batch_invert). *)
 
 let key_len = 32
 let scalar_len = 32
@@ -34,19 +39,20 @@ let clamp scalar =
   z
 
 (* The ladder proper over the clamped scalar [z] and input
-   u-coordinate [x].  As in RFC 7748 §5, the pairs stay swapped between
-   bits and are swapped on [prev lxor r], the change in bit, with one
-   final swap after the loop. *)
-let ladder z (x : Fe25519.t) =
+   u-coordinate [x], up to its projective result u = [x2] / [z2].  As in
+   RFC 7748 §5, the pairs stay swapped between bits and are swapped on
+   [prev lxor r], the change in bit, with one final swap after the
+   loop. *)
+let ladder z (x : Fe25519.t) ~x2 ~z2 =
   let open Fe25519 in
-  let a = create ()
+  let a = x2
   and b = copy x
-  and c = create ()
-  and d = create ()
+  and c = z2
+  and d = one ()
   and e = create ()
   and f = create () in
-  a.(0) <- 1;
-  d.(0) <- 1;
+  blit ~src:d ~dst:a;
+  Array.fill c 0 5 0;
   let prev = ref 0 in
   for i = 254 downto 0 do
     let r = (Bytes_util.get_u8 z (i lsr 3) lsr (i land 7)) land 1 in
@@ -73,12 +79,7 @@ let ladder z (x : Fe25519.t) =
     square b e
   done;
   cswap a b !prev;
-  cswap c d !prev;
-  let inv_c = create () in
-  invert inv_c c;
-  let out = create () in
-  mul out a inv_c;
-  pack out
+  cswap c d !prev
 
 (* Operations by kind, for tests and accounting; an uncontended atomic
    increment is noise beside a ~100 us scalar multiplication. *)
@@ -101,27 +102,10 @@ let check_lengths ~scalar ~point =
   if Bytes.length point <> key_len then
     invalid_arg "Curve25519: bad point length"
 
-let scalarmult ~scalar ~point =
-  check_lengths ~scalar ~point;
-  let z = clamp scalar in
-  let x = Fe25519.unpack point in
-  Atomic.incr ladder_ops;
-  ladder z x
-
 let base_point =
   let b = Bytes.make 32 '\000' in
   Bytes.set b 0 '\x09';
   b
-
-let scalarmult_base scalar =
-  if Bytes.length scalar <> scalar_len then
-    invalid_arg "Curve25519: bad scalar length";
-  Atomic.incr base_ops;
-  Edwards25519.(montgomery_u (scalarmult_base (clamp scalar)))
-
-(* Diffie-Hellman: the raw shared point is passed through HKDF before use
-   as a symmetric key (see Box), matching best practice. *)
-let shared ~secret ~public = scalarmult ~scalar:secret ~point:public
 
 (* Comb tables for long-lived public keys, memoised by their encoding.
    [table = None] marks a key with no Edwards point (the twist), which
@@ -171,10 +155,63 @@ let static_table pk =
     table
   end
 
-let shared_static ~secret ~public =
-  check_lengths ~scalar:secret ~point:public;
-  match static_table public with
-  | Some table ->
-      Atomic.incr keyed_ops;
-      Edwards25519.(montgomery_u (comb table (clamp secret)))
-  | None -> scalarmult ~scalar:secret ~point:public
+type op =
+  | Ladder of { scalar : bytes; point : bytes }
+  | Base of bytes
+  | Keyed of { secret : bytes; public : bytes }
+
+let run_ladder ~scalar ~point ~num ~den =
+  check_lengths ~scalar ~point;
+  Atomic.incr ladder_ops;
+  ladder (clamp scalar) (Fe25519.unpack point) ~x2:num ~z2:den
+
+(* Run [op] up to its u-coordinate as the fraction [num] / [den], and
+   count it by the kind that ran. *)
+let fraction op ~num ~den =
+  match op with
+  | Ladder { scalar; point } -> run_ladder ~scalar ~point ~num ~den
+  | Base scalar ->
+      if Bytes.length scalar <> scalar_len then
+        invalid_arg "Curve25519: bad scalar length";
+      Atomic.incr base_ops;
+      Edwards25519.(
+        montgomery_fraction (scalarmult_base (clamp scalar)) ~num ~den)
+  | Keyed { secret; public } -> (
+      check_lengths ~scalar:secret ~point:public;
+      match static_table public with
+      | Some table ->
+          Atomic.incr keyed_ops;
+          Edwards25519.(
+            montgomery_fraction (comb table (clamp secret)) ~num ~den)
+      | None -> run_ladder ~scalar:secret ~point:public ~num ~den)
+
+(* The batch: every fraction, then one inversion of all the
+   denominators (Montgomery's trick; a zero denominator, from a
+   low-order key, stays zero and spoils no other), then u = num / den. *)
+let batch ops =
+  let nums = Array.map (fun _ -> Fe25519.create ()) ops in
+  let dens = Array.map (fun _ -> Fe25519.create ()) ops in
+  Array.iteri (fun i op -> fraction op ~num:nums.(i) ~den:dens.(i)) ops;
+  Fe25519.batch_invert dens;
+  Array.mapi
+    (fun i num ->
+      Fe25519.mul num num dens.(i);
+      Fe25519.pack num)
+    nums
+
+(* The one-operation case of [batch], without its arrays: a scalar
+   multiplication allocates only its scratch. *)
+let single op =
+  let num = Fe25519.create () and den = Fe25519.create () in
+  fraction op ~num ~den;
+  Fe25519.invert den den;
+  Fe25519.mul num num den;
+  Fe25519.pack num
+
+let scalarmult ~scalar ~point = single (Ladder { scalar; point })
+let scalarmult_base scalar = single (Base scalar)
+
+(* Diffie-Hellman: the raw shared point is passed through HKDF before use
+   as a symmetric key (see Box), matching best practice. *)
+let shared ~secret ~public = scalarmult ~scalar:secret ~point:public
+let shared_static ~secret ~public = single (Keyed { secret; public })

@@ -52,6 +52,23 @@ val shared_static : secret:bytes -> public:bytes -> bytes
 val static_keys_cap : int
 (** 8: the most keys {!shared_static} keeps tables for (~30 KB each). *)
 
+(** One X25519 operation of a {!batch}, by the kind {!op_counts} counts
+    it under. *)
+type op =
+  | Ladder of { scalar : bytes; point : bytes }  (** {!scalarmult} *)
+  | Base of bytes  (** {!scalarmult_base} of this scalar *)
+  | Keyed of { secret : bytes; public : bytes }  (** {!shared_static} *)
+
+val batch : op array -> bytes array
+(** Each operation's encoding, bit for bit what it returns alone, for
+    one field inversion in all ({!Fe25519.batch_invert}) instead of one
+    each: every operation stops at its u-coordinate as a fraction, and
+    one batch inverts every denominator.  A low-order key's zero
+    denominator gives its own all-zero result, as alone, and leaves the
+    others intact.  Counted in {!op_counts} exactly as the operations
+    run one by one; [scalarmult], [scalarmult_base], [shared] and
+    [shared_static] are its one-operation case. *)
+
 type op_counts = {
   ladder : int;  (** {!scalarmult}, {!shared}, and [shared_static]'s fall-back *)
   base : int;  (** {!scalarmult_base} *)

@@ -26,10 +26,13 @@
 
    Constant time: the recoding is arithmetic only, every row is scanned
    in full and the entry is picked with masks (the row index is public),
-   and negation is a masked swap.  B's table is built eagerly at module
-   initialisation, never lazily: OCaml 5 raises CamlinternalLazy.Undefined
-   when two domains force one lazy value, and servers wrap noise onions
-   from pool domains.  Every table is read-only once built.
+   and negation is a masked swap.  The scan is the comb's inner loop, so
+   it computes its masks once per digit and reads the table unchecked
+   between two checked reads that bound the row.  B's table is built
+   eagerly at module initialisation, never lazily: OCaml 5 raises
+   CamlinternalLazy.Undefined when two domains force one lazy value,
+   and servers wrap noise onions from pool domains.  Every table is
+   read-only once built.
 
    Carry discipline: the contract in fe25519.mli.  [sub]'s second
    argument is always carried (a mul/square output, a table entry, or an
@@ -170,7 +173,7 @@ let double s o p =
 
 (* P's comb table: entry j of row i, (j+1) 256^i P as carried
    (y+x, y-x, 2dxy), is 15 ints at [entry_off i j].  Built with one
-   batched inversion of the 256 Z coordinates (Montgomery's trick). *)
+   batched inversion of the 256 Z coordinates (Fe25519.batch_invert). *)
 type table = int array
 
 let entry_off row j = 15 * ((8 * row) + j)
@@ -192,29 +195,17 @@ let table_of_point p : table =
       double s row_base row_base
     done
   done;
-  (* prefix.(i) = Z_0 ... Z_i *)
-  let prefix = Array.init n (fun _ -> create ()) in
-  blit ~src:pts.(0).z ~dst:prefix.(0);
-  for i = 1 to n - 1 do
-    mul prefix.(i) prefix.(i - 1) pts.(i).z
-  done;
-  let inv = create () in
-  invert inv prefix.(n - 1);
+  let zi = Array.map (fun p -> copy p.z) pts in
+  batch_invert zi;
   let tbl = Array.make (15 * n) 0 in
-  let zi = create () and x = create () and y = create () and v = create () in
+  let x = create () and y = create () and v = create () in
   let store off =
     carry v;
     Array.blit v 0 tbl off 5
   in
-  for i = n - 1 downto 0 do
-    (* inv = 1 / (Z_0 ... Z_i) *)
-    if i = 0 then blit ~src:inv ~dst:zi
-    else begin
-      mul zi inv prefix.(i - 1);
-      mul inv inv pts.(i).z
-    end;
-    mul x pts.(i).x zi;
-    mul y pts.(i).y zi;
+  for i = 0 to n - 1 do
+    mul x pts.(i).x zi.(i);
+    mul y pts.(i).y zi.(i);
     let off = 15 * i in
     add v y x;
     store off;
@@ -228,30 +219,55 @@ let table_of_point p : table =
 
 let base_table = table_of_point (base_point ())
 
+(* All ones iff a = b, for 0 <= a, b < 16: (0 - 1) lsr 62 = 1 and
+   (1..15 - 1) lsr 62 = 0. *)
+let[@inline] eq_mask a b = -(((a lxor b) - 1) lsr 62)
+
+(* Limb [off] of the one row entry whose mask is all ones (0 if none
+   is), reading all eight: entry j's limb sits 15 j ints further on. *)
+let[@inline] pick table off m1 m2 m3 m4 m5 m6 m7 m8 =
+  (m1 land Array.unsafe_get table off)
+  lor (m2 land Array.unsafe_get table (off + 15))
+  lor (m3 land Array.unsafe_get table (off + 30))
+  lor (m4 land Array.unsafe_get table (off + 45))
+  lor (m5 land Array.unsafe_get table (off + 60))
+  lor (m6 land Array.unsafe_get table (off + 75))
+  lor (m7 land Array.unsafe_get table (off + 90))
+  lor (m8 land Array.unsafe_get table (off + 105))
+
 (* Constant time: s.(yp, ym, xy2d) <- b 256^row P for a signed digit
    -8 <= b <= 8 (the identity (1, 1, 0) for b = 0).  All eight entries
-   of the row are read; the match is a mask. *)
+   of the row are read and the match is picked by mask; the masks are
+   computed once, and each limb is gathered in a local and stored once.
+   The row spans ints [off, off + 120): two checked reads, of its first
+   and its last, bound the unchecked ones. *)
 let select table s row b =
   let neg = b lsr 62 (* 1 iff b < 0 *) in
   let babs = b - ((-neg land b) lsl 1) in
-  Fe25519.blit ~src:fe_one ~dst:s.yp;
-  Fe25519.blit ~src:fe_one ~dst:s.ym;
-  Fe25519.blit ~src:fe_zero ~dst:s.xy2d;
-  for j = 0 to 7 do
-    (* All ones iff babs = j + 1: (0 - 1) lsr 62 = 1, (1..15 - 1) lsr 62 = 0. *)
-    let m = -(((babs lxor (j + 1)) - 1) lsr 62) in
-    let off = entry_off row j in
-    for k = 0 to 4 do
-      s.yp.(k) <- s.yp.(k) lxor (m land (s.yp.(k) lxor table.(off + k)));
-      s.ym.(k) <- s.ym.(k) lxor (m land (s.ym.(k) lxor table.(off + 5 + k)));
-      s.xy2d.(k) <-
-        s.xy2d.(k) lxor (m land (s.xy2d.(k) lxor table.(off + 10 + k)))
-    done
+  let m0 = eq_mask babs 0 and m1 = eq_mask babs 1 and m2 = eq_mask babs 2 in
+  let m3 = eq_mask babs 3 and m4 = eq_mask babs 4 and m5 = eq_mask babs 5 in
+  let m6 = eq_mask babs 6 and m7 = eq_mask babs 7 and m8 = eq_mask babs 8 in
+  let off = entry_off row 0 in
+  ignore (Sys.opaque_identity (table.(off) + table.(off + 119)));
+  for k = 0 to 4 do
+    let id = m0 land Bool.to_int (k = 0) (* limb k of the identity's 1 *) in
+    let o = off + k in
+    s.yp.(k) <- pick table o m1 m2 m3 m4 m5 m6 m7 m8 lor id;
+    s.ym.(k) <- pick table (o + 5) m1 m2 m3 m4 m5 m6 m7 m8 lor id;
+    s.xy2d.(k) <- pick table (o + 10) m1 m2 m3 m4 m5 m6 m7 m8
   done;
   (* -(x, y) = (-x, y): swap y+x and y-x, negate 2dxy. *)
   Fe25519.cswap s.yp s.ym neg;
   Fe25519.sub s.neg fe_zero s.xy2d;
   Fe25519.cswap s.xy2d s.neg neg
+
+(* p <- p + sum_i e_(2i + parity) 256^i P: a function, not a closure
+   in [comb], so a comb allocates only its scratch. *)
+let add_digits table s e p parity =
+  for i = 0 to 31 do
+    select table s i e.((2 * i) + parity);
+    madd s p p
+  done
 
 let comb table k =
   (* Bit 255 is clear for every caller (clamped scalars, scalars reduced
@@ -272,17 +288,11 @@ let comb table k =
     e.(i + 1) <- e.(i + 1) + c
   done;
   let s = scratch () and p = identity () in
-  let digits parity =
-    for i = 0 to 31 do
-      select table s i e.((2 * i) + parity);
-      madd s p p
-    done
-  in
-  digits 1;
+  add_digits table s e p 1;
   for _ = 1 to 4 do
     double s p p
   done;
-  digits 0;
+  add_digits table s e p 0;
   p
 
 let scalarmult_base k = comb base_table k
@@ -300,11 +310,14 @@ let scalarmult_vartime q k =
 let add p q = add_with (scratch ()) p q
 
 (* u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y). *)
+let montgomery_fraction p ~num ~den =
+  Fe25519.add num p.z p.y;
+  Fe25519.sub den p.z p.y
+
 let montgomery_u p =
   let open Fe25519 in
   let n = create () and m = create () in
-  add n p.z p.y;
-  sub m p.z p.y;
+  montgomery_fraction p ~num:n ~den:m;
   invert m m;
   mul n n m;
   pack n

@@ -39,6 +39,12 @@ val montgomery_u : point -> bytes
 (** The birationally equivalent Montgomery (X25519) u-coordinate,
     u = (1 + y) / (1 - y), canonically encoded. *)
 
+val montgomery_fraction : point -> num:Fe25519.t -> den:Fe25519.t -> unit
+(** [montgomery_u]'s u as the fraction num / den = (Z + Y) / (Z - Y),
+    written into [num] and [den] (lazy sums, inside {!Fe25519}'s input
+    bound), for a caller that inverts many denominators at once.  The
+    identity has den = 0, and maps to u = 0 as [montgomery_u] does. *)
+
 val of_montgomery_u : bytes -> point option
 (** A point whose {!montgomery_u} is this u (the top bit of the encoding
     is ignored): y = (u - 1) / (u + 1) and either root of x, which is

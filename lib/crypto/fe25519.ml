@@ -4,10 +4,11 @@
    arithmetic (Edwards25519: Ed25519 and the comb); this is the hottest
    code in the system — every peeled onion layer costs one variable-base
    scalar multiplication, i.e. ~2,560 calls into [mul]/[square] below
-   (2,295 in the ladder, 265 in [invert]), and a freshly wrapped layer
-   two comb multiplications and no ladder (~750 calls each: the fresh
-   key on the base point's table, the DH on the server key's; see
-   Edwards25519 and Curve25519.shared_static).
+   (2,295 in the ladder, 265 in [invert], which a batch of operations
+   shares: see [batch_invert]), and a freshly wrapped layer two comb
+   multiplications and no ladder (~750 calls each: the fresh key on the
+   base point's table, the DH on the server key's; see Edwards25519 and
+   Curve25519.shared_static).
 
    Representation and carry discipline
    -----------------------------------
@@ -91,6 +92,8 @@ let one () =
   let a = create () in
   a.(0) <- 1;
   a
+
+let fe_one = one ()
 
 (* One full reducing pass (arithmetic shifts, so mid-computation negative
    limbs propagate correctly): afterwards limbs 0 and 2-4 are < 2^51 and
@@ -442,6 +445,54 @@ let invert (o : t) (a : t) =
   pow_2_250_1 t a11 a;
   square_n t t 5 (* a^(2^255 - 32) *);
   mul o t a11
+
+(* Montgomery's trick: one [invert] of the product of all elements, then
+   three multiplications per element (the running product, and two on
+   the way back).  A zero would zero the product, so it is detected on
+   its canonical encoding (any limb representation of 0 or p), swapped
+   for 1 under a mask before the product, and its result masked back to
+   0 afterwards: one zero, say a hostile key's, spoils no other element.
+   No branch depends on a value. *)
+let batch_invert (a : t array) =
+  let n = Array.length a in
+  if n = 1 then invert a.(0) a.(0)
+  else if n > 1 then begin
+    let is_zero = Array.make n 0 and t = create () in
+    for i = 0 to n - 1 do
+      let enc = pack a.(i) and bits = ref 0 in
+      for j = 0 to 31 do
+        bits := !bits lor Bytes_util.get_u8 enc j
+      done;
+      (* (0 - 1) lsr 62 = 1; (1..255 - 1) lsr 62 = 0. *)
+      let z = (!bits - 1) lsr 62 in
+      is_zero.(i) <- z;
+      blit ~src:fe_one ~dst:t;
+      cswap a.(i) t z
+    done;
+    (* prefix.(i) = a_0 ... a_i *)
+    let prefix = Array.make n a.(0) in
+    for i = 1 to n - 1 do
+      let p = create () in
+      mul p prefix.(i - 1) a.(i);
+      prefix.(i) <- p
+    done;
+    let inv = create () in
+    invert inv prefix.(n - 1);
+    for i = n - 1 downto 1 do
+      (* inv = 1 / (a_0 ... a_i) *)
+      mul t inv prefix.(i - 1);
+      mul inv inv a.(i);
+      blit ~src:t ~dst:a.(i)
+    done;
+    blit ~src:inv ~dst:a.(0);
+    for i = 0 to n - 1 do
+      let keep = is_zero.(i) - 1 (* 0 for a zero, all ones otherwise *) in
+      let x = a.(i) in
+      for k = 0 to 4 do
+        x.(k) <- x.(k) land keep
+      done
+    done
+  end
 
 (* a^((p-5)/8) = a^(2^252 - 3), the square-root helper used when
    decompressing Edwards points (RFC 8032 §5.1.3): 251 squarings and 11

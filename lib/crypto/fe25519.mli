@@ -70,6 +70,14 @@ val invert : t -> t -> unit
 (** [a^(p-2)] by Fermat (so 0 maps to 0), along ref10's addition chain:
     254 squarings and 11 multiplications. *)
 
+val batch_invert : t array -> unit
+(** Replace each element by its inverse, in place, for one {!invert}
+    and three multiplications per element (Montgomery's trick).  As in
+    [invert], 0 maps to 0: a zero element (any encoding of 0, such as
+    p) is found on its canonical encoding and leaves the others intact.
+    Constant time in the values.  A one-element array just runs
+    [invert].  The elements must be distinct arrays. *)
+
 val pow2523 : t -> t -> unit
 (** [a^((p-5)/8)], the Edwards decompression square-root helper; shares
     [invert]'s chain up to [a^(2^250-1)]. *)

@@ -35,39 +35,43 @@ type wrapped = {
 }
 
 (* Wrap [payload] under pre-drawn ephemeral secrets, [eph_sks.(i)] for
-   layer i (raw 32-byte strings; clamped here).  No RNG, so batches of
-   wraps can fan out across domains while the coordinating domain keeps
-   the single RNG stream.  Each layer costs two comb operations: the
-   fresh key on the base point's table, the DH on the server key's
-   (Curve25519.shared_static's memo, the one piece of shared state,
-   safe across domains). *)
+   layer i (raw 32-byte strings; clamped by Curve25519).  No RNG, so
+   batches of wraps can fan out across domains while the coordinating
+   domain keeps the single RNG stream.  Each layer costs two comb
+   operations: the fresh key on the base point's table, the DH on the
+   server key's (Curve25519.shared_static's memo, the one piece of
+   shared state, safe across domains).  All 2n run as one batch, for
+   one field inversion. *)
 let wrap_with ~eph_sks ~server_pks ~round payload =
-  let n = List.length server_pks in
+  let pks = Array.of_list server_pks in
+  let n = Array.length pks in
   if n = 0 then invalid_arg "Onion.wrap: empty chain";
   if Array.length eph_sks <> n then
     invalid_arg "Onion.wrap_with: one ephemeral secret per layer";
+  (* dh.(2i) is layer i's public key, dh.(2i + 1) its shared point. *)
+  let dh =
+    Curve25519.batch
+      (Array.init (2 * n) (fun j ->
+           let secret = eph_sks.(j / 2) in
+           if j mod 2 = 0 then Curve25519.Base secret
+           else Curve25519.Keyed { secret; public = pks.(j / 2) }))
+  in
   let secrets = Array.make n Bytes.empty in
   let nonce = request_nonce ~round in
-  let rec go i pks acc =
-    match pks with
-    | [] -> acc
-    | spk :: rest ->
-        (* Innermost layer corresponds to the last server, so recurse
-           first, then seal for this (earlier) server. *)
-        let inner = go (i + 1) rest acc in
-        let esk = Curve25519.clamp eph_sks.(i) in
-        let epk = Curve25519.scalarmult_base esk in
-        let s = Box.precompute_static ~secret:esk ~public:spk in
-        secrets.(i) <- s;
-        let ilen = Bytes.length inner in
-        let out = Bytes.create (Curve25519.key_len + ilen + Aead.tag_len) in
-        Bytes.blit epk 0 out 0 Curve25519.key_len;
-        Aead.seal_into ~key:s ~nonce ~src:inner ~src_off:0 ~len:ilen ~dst:out
-          ~dst_off:Curve25519.key_len ();
-        out
-  in
-  let onion = go 0 server_pks payload in
-  { onion; secrets }
+  (* Innermost layer (the last server's) first. *)
+  let onion = ref payload in
+  for i = n - 1 downto 0 do
+    let s = Box.derive dh.((2 * i) + 1) in
+    secrets.(i) <- s;
+    let inner = !onion in
+    let ilen = Bytes.length inner in
+    let out = Bytes.create (Curve25519.key_len + ilen + Aead.tag_len) in
+    Bytes.blit dh.(2 * i) 0 out 0 Curve25519.key_len;
+    Aead.seal_into ~key:s ~nonce ~src:inner ~src_off:0 ~len:ilen ~dst:out
+      ~dst_off:Curve25519.key_len ();
+    onion := out
+  done;
+  { onion = !onion; secrets }
 
 (* Draw the per-layer ephemeral secrets for one onion.  Innermost layer
    first: that is the order the original recursive wrap consumed the
@@ -87,24 +91,43 @@ let wrap ?rng ~server_pks ~round payload =
   wrap_with ~eph_sks:(draw_eph_sks ?rng ~chain_len:n ()) ~server_pks ~round
     payload
 
-(* Server side: strip one layer.  Returns the inner onion and the layer
-   secret to seal the reply with. *)
+(* Server side: strip one layer from each onion, returning the inner
+   onion and the layer secret to seal the reply with.  The DHs of every
+   onion long enough to carry a layer run as one batch. *)
+let peel_many ~server_sk ~round onions =
+  let sized =
+    Array.of_seq
+      (Seq.filter
+         (fun onion -> Bytes.length onion >= layer_overhead)
+         (Array.to_seq onions))
+  in
+  let raw =
+    Curve25519.batch
+      (Array.map
+         (fun onion ->
+           Curve25519.Ladder
+             { scalar = server_sk; point = Bytes.sub onion 0 Curve25519.key_len })
+         sized)
+  in
+  let nonce = request_nonce ~round and next = ref 0 in
+  Array.map
+    (fun onion ->
+      let n = Bytes.length onion in
+      if n < layer_overhead then None
+      else begin
+        let s = Box.derive raw.(!next) in
+        incr next;
+        let inner = Bytes.create (n - layer_overhead) in
+        if
+          Aead.open_into ~key:s ~nonce ~src:onion ~src_off:Curve25519.key_len
+            ~len:(n - Curve25519.key_len) ~dst:inner ~dst_off:0 ()
+        then Some (inner, s)
+        else None
+      end)
+    onions
+
 let peel ~server_sk ~round onion =
-  let n = Bytes.length onion in
-  if n < layer_overhead then None
-  else begin
-    let epk = Bytes.sub onion 0 Curve25519.key_len in
-    let s = Box.precompute ~secret:server_sk ~public:epk in
-    let inner = Bytes.create (n - layer_overhead) in
-    if
-      Aead.open_into ~key:s
-        ~nonce:(request_nonce ~round)
-        ~src:onion ~src_off:Curve25519.key_len
-        ~len:(n - Curve25519.key_len)
-        ~dst:inner ~dst_off:0 ()
-    then Some (inner, s)
-    else None
-  end
+  (peel_many ~server_sk ~round [| onion |]).(0)
 
 let seal_reply ~secret ~round reply =
   let len = Bytes.length reply in

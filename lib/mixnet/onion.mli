@@ -34,7 +34,8 @@ val wrap_with :
     (see {!draw_eph_sks}).  Deterministic in its arguments and safe to
     fan out across domains: its one piece of shared state is the memo of
     server-key comb tables behind {!Vuvuzela_crypto.Curve25519.shared_static},
-    which takes no lock on a hit and never changes the output.
+    which takes no lock on a hit and never changes the output.  Its 2n
+    X25519 operations run as one {!Vuvuzela_crypto.Curve25519.batch}.
     [wrap ?rng ... p] ≡
     [wrap_with ~eph_sks:(draw_eph_sks ?rng ~chain_len ()) ... p]. *)
 
@@ -44,6 +45,17 @@ val request_nonce : round:int -> bytes
 val peel : server_sk:bytes -> round:int -> bytes -> (bytes * bytes) option
 (** Server side: strip one layer, returning [(inner, layer_secret)], or
     [None] if the layer fails to authenticate. *)
+
+val peel_many :
+  server_sk:bytes ->
+  round:int ->
+  bytes array ->
+  (bytes * bytes) option array
+(** [peel] of each onion, result [i] from onion [i], with the DHs of
+    every onion long enough to hold a layer run as one
+    {!Vuvuzela_crypto.Curve25519.batch}: one field inversion for them
+    all.  A hostile onion (say, keyed by a low-order point) fails alone.
+    [peel] is its one-onion case. *)
 
 val seal_reply : secret:bytes -> round:int -> bytes -> bytes
 (** Server side: add one reply layer under the stored layer secret. *)

@@ -134,16 +134,17 @@ let run t thunks =
 
 (* Contiguous chunks, one per domain: the per-item cost on our hot
    paths is uniform (fixed-size crypto), so equal splits balance well
-   and keep per-batch overhead at [jobs] closures. *)
+   and keep per-batch overhead at [jobs] closures.  [body c lo hi] fills
+   chunk [c] < [jobs], indices [lo, hi). *)
 let run_ranges t n body =
   if n > 0 then begin
     let chunks = min t.jobs n in
-    if chunks <= 1 then body 0 n
+    if chunks <= 1 then body 0 0 n
     else
       run_units t
         (Array.init chunks (fun c ->
              let lo = c * n / chunks and hi = (c + 1) * n / chunks in
-             fun () -> body lo hi))
+             fun () -> body c lo hi))
   end
 
 let mapi_array t f a =
@@ -155,7 +156,7 @@ let mapi_array t f a =
        chunk fill its own range in place — result [i] is written from
        input [i] whatever domain ran it. *)
     let out = Array.make n (f 0 a.(0)) in
-    run_ranges t n (fun lo hi ->
+    run_ranges t n (fun _ lo hi ->
         for i = max 1 lo to hi - 1 do
           out.(i) <- f i a.(i)
         done);
@@ -168,7 +169,18 @@ let iter_array t f a =
   let n = Array.length a in
   if t.jobs = 1 || n < 2 * t.jobs then Array.iter f a
   else
-    run_ranges t n (fun lo hi ->
+    run_ranges t n (fun _ lo hi ->
         for i = lo to hi - 1 do
           f a.(i)
         done)
+
+(* One call of [f] per chunk, for work that shares a cost across a
+   chunk (the peels' one field inversion). *)
+let map_chunks t f a =
+  let parts = Array.make t.jobs [||] in
+  run_ranges t (Array.length a) (fun c lo hi ->
+      let r = f (Array.sub a lo (hi - lo)) in
+      if Array.length r <> hi - lo then
+        invalid_arg "Pool.map_chunks: a chunk's result has the wrong length";
+      parts.(c) <- r);
+  Array.concat (Array.to_list parts)

@@ -7,12 +7,12 @@
     pool fans an array of such pure computations out over [jobs - 1]
     worker domains plus the calling domain.
 
-    Determinism contract: [map_array]/[mapi_array] write result [i]
-    from input [i] regardless of which domain computed it, so for a
-    pure [f] the output is bit-identical to [Array.map f] at every
-    [jobs] value.  Anything stateful — RNG draws, metrics, hash tables
-    — must stay on the coordinating domain; only pure per-item crypto
-    belongs in [f]. *)
+    Determinism contract: [map_array]/[mapi_array]/[map_chunks] write
+    result [i] from input [i] regardless of which domain computed it,
+    so for a pure [f] the output is bit-identical to [Array.map f] at
+    every [jobs] value.  Anything stateful — RNG draws, metrics, hash
+    tables — must stay on the coordinating domain; only pure per-item
+    crypto belongs in [f]. *)
 
 type t
 
@@ -38,6 +38,15 @@ val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** Chunked parallel [Array.mapi]. *)
+
+val map_chunks : t -> ('a array -> 'b array) -> 'a array -> 'b array
+(** [map_chunks t f a] splits [a] into at most [jobs] contiguous chunks
+    and calls [f] once per chunk, one chunk per domain, for work that
+    shares a cost across its items (one field inversion per chunk of
+    peels).  Output [i] comes from input [i]: for an [f] that maps each
+    element on its own, the result is [f a] at every [jobs].  A call of
+    [f] that returns an array of another length than its chunk raises
+    [Invalid_argument]; [f] is never called on an empty chunk. *)
 
 val iter_array : t -> ('a -> unit) -> 'a array -> unit
 (** Chunked parallel [Array.iter].  Side effects of [f] run in no

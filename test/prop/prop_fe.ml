@@ -107,6 +107,52 @@ let check_at_bound (x, y) =
         (oracle2 Fe25519_ref.mul y (Fe25519.of_limbs [| c; 0; 0; 0; 0 |])))
     [ 121665; (1 lsl 17) - 1 ]
 
+(* A batch of 1-40 elements for [batch_invert]: random values, lazy
+   operands up to the input bound, and encodings of zero (0, and p and
+   2p limb-wise), so that zeros sit anywhere, alone or in runs. *)
+let gen_batch rng =
+  let m51 = (1 lsl 51) - 1 and m52 = (1 lsl 52) - 2 in
+  let p_limbs = [| m51 - 18; m51; m51; m51; m51 |]
+  and two_p = [| m52 - 36; m52; m52; m52; m52 |] in
+  Array.init
+    (1 + Drbg.uniform ~rng 40)
+    (fun _ ->
+      match Drbg.uniform ~rng 8 with
+      | 0 -> Fe25519.create ()
+      | 1 -> Array.copy p_limbs
+      | 2 -> Array.copy two_p
+      | 3 | 4 -> gen_operand rng
+      | _ -> Fe25519.unpack (Prop.gen_fe_bytes rng))
+
+(* [batch_invert] against [invert] on each element alone and against
+   Fe25519_ref; every output is carried. *)
+let check_batch_invert xs =
+  let batch = Array.map Fe25519.copy xs in
+  Fe25519.batch_invert batch;
+  Array.iteri
+    (fun i x ->
+      let what =
+        Printf.sprintf "batch_invert element %d of %d (%s)" i
+          (Array.length xs) (limbs_hex x)
+      in
+      let alone = Fe25519.create () in
+      Fe25519.invert alone x;
+      let o' = Fe25519_ref.create () in
+      Fe25519_ref.invert o' (Fe25519_ref.unpack (Fe25519.pack x));
+      Array.iter
+        (fun l ->
+          Prop.require
+            (0 <= l && l < carried_bound)
+            "%s: output limb %x is not carried" what l)
+        batch.(i);
+      Prop.check_hex ~what:(what ^ " vs invert")
+        (hex (Fe25519.pack alone))
+        (hex (Fe25519.pack batch.(i)));
+      Prop.check_hex ~what:(what ^ " vs oracle")
+        (hex (Fe25519_ref.pack o'))
+        (hex (Fe25519.pack batch.(i))))
+    xs
+
 let run () =
   Prop.suite "fe25519 (51-bit limbs) vs fe25519_ref (seed, 16-bit limbs)";
   Prop.check ~name:"fe add" gen2
@@ -179,6 +225,8 @@ let run () =
             [ ("add", Fe25519.add, Fe25519_ref.add);
               ("sub", Fe25519.sub, Fe25519_ref.sub) ])
         [ (top, top); (top, small 1); (small 0, p_minus_1); (p_minus_1, top) ]);
+  Prop.check ~name:"fe batch_invert = invert and oracle (1-40, zeros)"
+    ~count:200 gen_batch check_batch_invert;
   Prop.check ~name:"fe pow2523" Prop.gen_fe_bytes
     (differential1 ~what:"pow2523" Fe25519.pow2523 Fe25519_ref.pow2523);
   (* mul by small constants (the ladder's 121665 among them) must equal

@@ -78,6 +78,30 @@ let run () =
         | _ -> Prop.fail "jobs=%d n=%d: exception swallowed" jobs n
         | exception Failure _ -> ()
       end);
+  (* A per-element [f] over chunks: equal to [f] over the whole array
+     at every job count and length, each element tagged with its index
+     so a chunk concatenated out of order shows; and a chunk result of
+     the wrong length raises. *)
+  Prop.vector ~name:"map_chunks = f on the whole array (jobs 1-4, n 0-40)"
+    (fun () ->
+      let per_element = Array.map (fun (i, x) -> (i, f i x)) in
+      List.iter
+        (fun jobs ->
+          for n = 0 to 40 do
+            let arr = Array.init n (fun i -> (i, (i * 7919) + jobs)) in
+            Prop.require
+              (Pool.map_chunks (pool ~jobs) per_element arr = per_element arr)
+              "jobs=%d n=%d: map_chunks diverged" jobs n;
+            if n > 0 then
+              List.iter
+                (fun (what, wrong) ->
+                  match Pool.map_chunks (pool ~jobs) wrong arr with
+                  | _ -> Prop.fail "jobs=%d n=%d: %s chunk accepted" jobs n what
+                  | exception Invalid_argument _ -> ())
+                [ ("short", fun c -> Array.sub c 0 (Array.length c - 1));
+                  ("long", fun c -> Array.append c c) ]
+          done)
+        [ 1; 2; 3; 4 ]);
   Prop.vector ~name:"empty array at every job count" (fun () ->
       List.iter
         (fun jobs ->

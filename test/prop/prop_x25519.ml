@@ -155,6 +155,98 @@ let run_keyed () =
           keys
       done)
 
+(* u + p = u - 19 + 2^255, a non-canonical encoding of u < 19. *)
+let u_plus_p u =
+  let b = Bytes.make 32 '\xff' in
+  Bytes_util.set_u8 b 0 (0xed + u);
+  Bytes_util.set_u8 b 31 0x7f;
+  b
+
+(* A batch of 1-12 operations of every kind: ladders over random u,
+   low-order points and u + p encodings; base combs; keyed combs toward
+   on-curve, twist and low-order keys.  Two keys of each of the first
+   two sorts keep the memo of comb tables from thrashing on every
+   case. *)
+let batch_keys =
+  let rng = Drbg.of_string "prop-x25519-batch-keys" in
+  let rec twist () =
+    let u = Drbg.generate rng 32 in
+    if Edwards25519.of_montgomery_u u = None then u else twist ()
+  in
+  Array.of_list
+    (List.init 2 (fun _ -> on_curve_key rng)
+    @ List.init 2 (fun _ -> twist ())
+    @ List.map of_hex low_order_points)
+
+let gen_ops rng =
+  let pick l = List.nth l (Drbg.uniform ~rng (List.length l)) in
+  Array.init
+    (1 + Drbg.uniform ~rng 12)
+    (fun _ ->
+      let scalar = Drbg.generate rng 32 in
+      match Drbg.uniform ~rng 3 with
+      | 0 ->
+          let point =
+            match Drbg.uniform ~rng 3 with
+            | 0 -> Drbg.generate rng 32
+            | 1 -> of_hex (pick low_order_points)
+            | _ -> u_plus_p (Drbg.uniform ~rng 19)
+          in
+          Curve25519.Ladder { scalar; point }
+      | 1 -> Curve25519.Base scalar
+      | _ ->
+          let public =
+            batch_keys.(Drbg.uniform ~rng (Array.length batch_keys))
+          in
+          Curve25519.Keyed { secret = scalar; public })
+
+let describe = function
+  | Curve25519.Ladder { scalar; point } ->
+      Printf.sprintf "ladder(%s, %s)" (hex scalar) (hex point)
+  | Base scalar -> Printf.sprintf "base(%s)" (hex scalar)
+  | Keyed { secret; public } ->
+      Printf.sprintf "keyed(%s, %s)" (hex secret) (hex public)
+
+(* The batch equals each operation run alone and the seed ladder, and
+   moves the counters by what the operations alone do. *)
+let check_batch ops =
+  let counts () = Curve25519.op_counts () in
+  let delta (a : Curve25519.op_counts) (b : Curve25519.op_counts) =
+    (b.ladder - a.ladder, b.base - a.base, b.keyed - a.keyed)
+  in
+  let c0 = counts () in
+  let batch = Curve25519.batch ops in
+  let c1 = counts () in
+  let alone =
+    Array.map
+      (function
+        | Curve25519.Ladder { scalar; point } ->
+            Curve25519.scalarmult ~scalar ~point
+        | Base scalar -> Curve25519.scalarmult_base scalar
+        | Keyed { secret; public } -> Curve25519.shared_static ~secret ~public)
+      ops
+  in
+  let c2 = counts () in
+  Array.iteri
+    (fun i op ->
+      let what = Printf.sprintf "op %d of %d, %s" i (Array.length ops) (describe op) in
+      let oracle =
+        match op with
+        | Curve25519.Ladder { scalar; point } ->
+            Curve25519_ref.scalarmult ~scalar ~point
+        | Base scalar -> Curve25519_ref.scalarmult_base scalar
+        | Keyed { secret; public } ->
+            Curve25519_ref.scalarmult ~scalar:secret ~point:public
+      in
+      Prop.check_hex ~what:(what ^ " vs alone") (hex alone.(i)) (hex batch.(i));
+      Prop.check_hex ~what:(what ^ " vs ref") (hex oracle) (hex batch.(i)))
+    ops;
+  let l, b, k = delta c0 c1 and l', b', k' = delta c1 c2 in
+  Prop.require
+    ((l, b, k) = (l', b', k'))
+    "batch of %d counted (ladder %d, base %d, keyed %d), alone (%d, %d, %d)"
+    (Array.length ops) l b k l' b' k'
+
 let run () =
   Prop.suite
     "x25519 (51-bit ladder, Edwards comb) vs curve25519_ref (seed ladder)";
@@ -195,6 +287,8 @@ let run () =
             (hex parallel.(i)))
         scalars);
   run_keyed ();
+  Prop.check ~name:"x25519 batch = alone and ref, same op counts" ~count:100
+    gen_ops check_batch;
   (* Wycheproof-style edges. *)
   Prop.check ~name:"low-order points map to zero" ~count:25
     (Prop.gen_bytes 32) (fun scalar ->

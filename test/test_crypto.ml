@@ -553,7 +553,7 @@ let words_per_call n f =
   (Gc.minor_words () -. w0) /. float_of_int n
 
 (* The field kernels allocate nothing, and a scalar multiplication only
-   its scratch (108 words for the ladder, 245 for a comb, as measured).
+   its scratch (at most 108 words for the ladder and 245 for a comb).
    A word boxed in an untagged kernel — [reduce10] called out of line,
    or a local that escapes — shows here before it shows in round times. *)
 let test_x25519_allocation () =

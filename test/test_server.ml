@@ -8,12 +8,13 @@ open Vuvuzela
 let tiny_noise = Laplace.params ~mu:5. ~b:1.
 let tiny_dial_noise = Laplace.params ~mu:2. ~b:1.
 
-let make_chain ?(n = 3) ?(noise = tiny_noise) ?(mode = Noise.Deterministic) () =
+let make_chain ?(n = 3) ?(noise = tiny_noise) ?(mode = Noise.Deterministic)
+    ?(jobs = 1) () =
   Chain.of_config
     Config.(
       default |> with_seed "test-chain" |> with_n_servers n
       |> with_noise noise |> with_dial_noise tiny_dial_noise
-      |> with_noise_mode mode)
+      |> with_noise_mode mode |> with_jobs jobs)
 
 let alice = Types.identity_of_seed (Bytes.of_string "srv-alice")
 let bob = Types.identity_of_seed (Bytes.of_string "srv-bob")
@@ -124,6 +125,70 @@ let test_invalid_onion_keeps_alignment () =
     (Bytes.length results.(1));
   Alcotest.(check int) "invalid metric" 1
     (Server.metrics (Chain.server chain 0)).Server.invalid_requests
+
+(* Curve25519's seven low-order points (libsodium's blacklist, as in
+   test/prop/prop_x25519.ml): u = 0, u = 1, the two order-8 points, and
+   p - 1, p, p + 1.  The ladder maps each to an all-zero shared point. *)
+let low_order_points =
+  [
+    "0000000000000000000000000000000000000000000000000000000000000000";
+    "0100000000000000000000000000000000000000000000000000000000000000";
+    "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800";
+    "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157";
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+  ]
+
+(* A server peels a chunk of onions as one batch with one field
+   inversion, so a low-order key's zero denominator must fail its own
+   onion alone.  Seven onions keyed by the seven low-order points sit
+   between a real pair: at jobs 1 all nine are one batch, at jobs 2 the
+   batch splits across two chunks. *)
+let test_low_order_keys_fail_alone () =
+  List.iter
+    (fun jobs ->
+      let chain = make_chain ~jobs () in
+      let rng = Drbg.of_string "t-low-order" in
+      let round = 2 in
+      let ma = Message.Data { seq = 1; ack = 0; text = "real" } in
+      let mb = Message.Data { seq = 1; ack = 0; text = "also real" } in
+      let sa, wa = request ~rng ~chain ~round ~peer:bob.Types.public alice ma in
+      let sb, wb = request ~rng ~chain ~round ~peer:alice.Types.public bob mb in
+      let hostile =
+        List.map
+          (fun u ->
+            let onion = Drbg.generate rng (Bytes.length wa.onion) in
+            Bytes.blit (Bytes_util.of_hex u) 0 onion 0 Curve25519.key_len;
+            onion)
+          low_order_points
+      in
+      let results =
+        Chain.conversation_round_exn chain ~round
+          (Array.of_list ((wa.onion :: hostile) @ [ wb.onion ]))
+      in
+      Chain.shutdown chain;
+      let what s = Printf.sprintf "jobs %d: %s" jobs s in
+      Alcotest.(check int) (what "nine results") 9 (Array.length results);
+      let got s (w : Vuvuzela_mixnet.Onion.wrapped) r =
+        match Vuvuzela_mixnet.Onion.unwrap_reply ~secrets:w.secrets ~round r with
+        | None -> Alcotest.fail (what "reply unwrap failed")
+        | Some result -> Conversation.read_result s ~round result
+      in
+      (match got sa wa results.(0) with
+      | Some m -> Alcotest.(check bool) (what "alice got bob") true (Message.equal m mb)
+      | None -> Alcotest.fail (what "alice got nothing"));
+      (match got sb wb results.(8) with
+      | Some m -> Alcotest.(check bool) (what "bob got alice") true (Message.equal m ma)
+      | None -> Alcotest.fail (what "bob got nothing"));
+      Array.iter
+        (fun r ->
+          Alcotest.(check int) (what "every reply the same size")
+            (Bytes.length results.(0)) (Bytes.length r))
+        results;
+      Alcotest.(check int) (what "hop 0 counts 7 invalid") 7
+        (Server.metrics (Chain.server chain 0)).Server.invalid_requests)
+    [ 1; 2 ]
 
 let test_empty_round () =
   let chain = make_chain () in
@@ -285,6 +350,8 @@ let suite =
       tc "histogram includes noise" `Quick test_histogram_includes_noise;
       tc "noise metrics per server" `Quick test_noise_metrics;
       tc "invalid onion keeps alignment" `Quick test_invalid_onion_keeps_alignment;
+      tc "low-order keys fail alone in a peel batch" `Quick
+        test_low_order_keys_fail_alone;
       tc "empty round" `Quick test_empty_round;
       tc "single-server chain" `Quick test_single_server_chain;
       tc "rounds are independent (replay)" `Quick test_rounds_are_independent;

@@ -123,9 +123,3 @@ let open_certified ~recipient_sk ~recipient_pk sealed =
       | Ok cert -> Some (caller_pk, cert)
       | Error _ -> None)
   | Some _ -> None
-
-(* A noise certified-invitation: same size, decryptable by nobody. *)
-let noise_certified ?rng () =
-  Box.seal_anonymous ?rng
-    ~recipient_pk:(Drbg.bytes ?rng 32)
-    (Drbg.bytes ?rng certified_plain_len)

@@ -53,6 +53,3 @@ val open_certified :
   recipient_sk:bytes -> recipient_pk:bytes -> bytes -> (bytes * t) option
 (** Trial-decrypt: [(caller_conversation_pk, certificate)].  The
     certificate still needs {!verify}. *)
-
-val noise_certified : ?rng:Vuvuzela_crypto.Drbg.t -> unit -> bytes
-(** Server cover traffic of the certified size. *)

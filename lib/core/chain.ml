@@ -157,25 +157,20 @@ let conversation_round_streamed t ~round ~produce =
 let dialing_round_streamed t ~round ~m ~produce =
   round_streamed t ~kind:Round.Dialing ~m ~round ~produce
 
-let conversation_round t ~round requests =
-  conversation_round_streamed t ~round ~produce:(fun feed -> feed requests)
-
-let dialing_round t ~round ~m requests =
-  dialing_round_streamed t ~round ~m ~produce:(fun feed -> feed requests)
-
-(* Convenience for callers (benchmarks, attack harnesses) that treat a
-   framing failure as fatal. *)
-let fail_status st = failwith (Format.asprintf "Chain: %a" Rpc.pp_status st)
+(* Convenience for callers that hold the whole batch and treat a framing
+   failure as fatal. *)
+let round_exn t ~kind ~m ~round requests =
+  match
+    round_streamed t ~kind ~m ~round ~produce:(fun feed -> feed requests)
+  with
+  | Ok replies -> replies
+  | Error st -> failwith (Format.asprintf "Chain: %a" Rpc.pp_status st)
 
 let conversation_round_exn t ~round requests =
-  match conversation_round t ~round requests with
-  | Ok replies -> replies
-  | Error st -> fail_status st
+  round_exn t ~kind:Round.Conversation ~m:0 ~round requests
 
 let dialing_round_exn t ~round ~m requests =
-  match dialing_round t ~round ~m requests with
-  | Ok replies -> replies
-  | Error st -> fail_status st
+  round_exn t ~kind:Round.Dialing ~m ~round requests
 
 let fetch_invitations ?dial_round t ~index =
   Server.fetch_invitations ?dial_round (last t) ~index

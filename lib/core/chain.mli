@@ -57,16 +57,6 @@ val pending_faults : t -> int
 val public_keys : t -> bytes list
 (** In chain order; clients wrap onions against these. *)
 
-val conversation_round :
-  t -> round:int -> bytes array -> (bytes array, Rpc.status) result
-(** Run a complete conversation round on a materialized batch (one
-    producer chunk); the result array is slot-aligned with [requests].
-    [Error] carries the typed status of the first link whose batch
-    failed. *)
-
-val dialing_round :
-  t -> round:int -> m:int -> bytes array -> (bytes array, Rpc.status) result
-
 val round_streamed :
   t ->
   kind:Round.kind ->
@@ -82,7 +72,9 @@ val round_streamed :
     part of lookahead, so the final part carries [last]), so no tier
     materializes the whole onion batch.  Results depend only on the
     chunk concatenation.  Faults for the entry link fire once against
-    the logical batch, like every other link's. *)
+    the logical batch, like every other link's.  The result array is
+    slot-aligned with the fed requests; [Error] carries the typed
+    status of the first link whose batch failed. *)
 
 val conversation_round_streamed :
   t ->
@@ -99,7 +91,8 @@ val dialing_round_streamed :
   (bytes array, Rpc.status) result
 
 val conversation_round_exn : t -> round:int -> bytes array -> bytes array
-(** [conversation_round], raising [Failure] on a status frame. *)
+(** A conversation round on a materialized batch (one producer chunk),
+    raising [Failure] on a status frame. *)
 
 val dialing_round_exn : t -> round:int -> m:int -> bytes array -> bytes array
 

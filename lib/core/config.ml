@@ -13,7 +13,6 @@ type t = {
   pipeline_chunk : int;
   deaddrop_shards : int;
   cdn_edges : int;
-  cdn_bloom_fp : float option;
   fault_plan : Vuvuzela_faults.Fault.plan option;
   tap : (round:int -> server:int -> bytes array -> unit) option;
   telemetry : Vuvuzela_telemetry.Telemetry.t option;
@@ -42,7 +41,6 @@ let default =
     pipeline_chunk = 16;
     deaddrop_shards = 1;
     cdn_edges = 0;
-    cdn_bloom_fp = None;
     fault_plan = None;
     tap = None;
     telemetry = None;
@@ -71,7 +69,6 @@ let part_chunk t = if t.pipeline then Some (max 1 t.pipeline_chunk) else None
 let with_deaddrop_shards shards t = { t with deaddrop_shards = max 1 shards }
 let with_entry_streaming (_ : bool) t = t
 let with_cdn_edges cdn_edges t = { t with cdn_edges }
-let with_cdn_bloom_fp fp t = { t with cdn_bloom_fp = Some fp }
 let with_fault_plan plan t = { t with fault_plan = Some plan }
 let with_tap tap t = { t with tap = Some tap }
 let with_telemetry tel t = { t with telemetry = Some tel }

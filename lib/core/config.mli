@@ -30,11 +30,6 @@ type t = {
           by id prefix and [exchange] pair-matches per shard over the
           domain pool; results are bit-identical for any count *)
   cdn_edges : int;  (** §5.5 invitation-drop distribution; [0] = none *)
-  cdn_bloom_fp : float option;
-      (** stable-bloom invitation prefilter at the CDN edges: clients
-          register subscription tags and edges serve every drop whose
-          tag matches, at the configured false-positive rate (never a
-          false negative); [None] keeps the exact-index fetch *)
   fault_plan : Vuvuzela_faults.Fault.plan option;
   tap : (round:int -> server:int -> bytes array -> unit) option;
       (** observes every forward part as it crosses a link
@@ -104,9 +99,6 @@ val with_entry_streaming : bool -> t -> t
     new ones. *)
 
 val with_cdn_edges : int -> t -> t
-
-val with_cdn_bloom_fp : float -> t -> t
-(** Enable the CDN stable-bloom prefilter at this false-positive rate. *)
 
 val with_fault_plan : Vuvuzela_faults.Fault.plan -> t -> t
 val with_tap : (round:int -> server:int -> bytes array -> unit) -> t -> t

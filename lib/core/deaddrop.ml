@@ -11,7 +11,7 @@
    Only the first two accesses ever matter to [resolve], so each drop
    stores exactly those plus an access count; the count transitions also
    maintain the (m1, m2, m_more) histogram incrementally, making
-   [histogram] O(1) instead of a List.length walk per drop.  The seed
+   [histogram] O(shards) instead of a List.length walk per drop.  The seed
    implementation survives verbatim as [Deaddrop_ref] (test/oracles), the
    differential oracle for [test/prop/prop_deaddrop.ml].
 
@@ -28,7 +28,7 @@ type cell = {
   mutable count : int;
 }
 
-type t = {
+type shard = {
   drops : (string, cell) Hashtbl.t;
   mutable total_accesses : int;
   mutable m1 : int;
@@ -36,41 +36,68 @@ type t = {
   mutable m_more : int;
 }
 
-let create () =
-  { drops = Hashtbl.create 1024; total_accesses = 0; m1 = 0; m2 = 0; m_more = 0 }
+(* Drops are routed to shards by drop-id prefix.  Drop ids are HMAC
+   outputs (uniform), so the prefix balances shards without touching
+   the histogram semantics: a drop's accesses all share the id, hence
+   the shard, so pair-matching inside each shard sees exactly the
+   accesses one table would.  Each batch slot belongs to exactly one
+   drop and therefore exactly one shard, which makes the per-shard
+   [resolve] writes into the shared results array disjoint: safe to fan
+   over the domain pool and bit-identical at any shard count. *)
+type t = shard array
 
-let clear t =
-  Hashtbl.reset t.drops;
-  t.total_accesses <- 0;
-  t.m1 <- 0;
-  t.m2 <- 0;
-  t.m_more <- 0
+let create ?(shards = 1) () =
+  Array.init (max 1 shards) (fun _ ->
+      { drops = Hashtbl.create 1024; total_accesses = 0; m1 = 0; m2 = 0;
+        m_more = 0 })
+
+let clear (t : t) =
+  Array.iter
+    (fun s ->
+      Hashtbl.reset s.drops;
+      s.total_accesses <- 0;
+      s.m1 <- 0;
+      s.m2 <- 0;
+      s.m_more <- 0)
+    t
+
+(* Big-endian prefix of the drop id mod shard count; ids are at least
+   two bytes ({!Types.drop_id_len} = 16). *)
+let shard_of (t : t) drop_id =
+  let prefix =
+    (Char.code (Bytes.get drop_id 0) lsl 8) lor Char.code (Bytes.get drop_id 1)
+  in
+  t.(prefix mod Array.length t)
 
 let no_sealed = Bytes.create 0
 
 (* Record one exchange request.  Each batch slot must be put at most
    once per round (the server enforces this upstream). *)
 let put t ~slot ~drop_id ~sealed =
+  let s = shard_of t drop_id in
   let key = Bytes.to_string drop_id in
-  (match Hashtbl.find_opt t.drops key with
+  (match Hashtbl.find_opt s.drops key with
   | None ->
-      Hashtbl.add t.drops key
+      Hashtbl.add s.drops key
         { a1_slot = slot; a1_sealed = sealed; a2_slot = -1;
           a2_sealed = no_sealed; count = 1 };
-      t.m1 <- t.m1 + 1
+      s.m1 <- s.m1 + 1
   | Some c ->
       (match c.count with
       | 1 ->
           c.a2_slot <- slot;
           c.a2_sealed <- sealed;
-          t.m1 <- t.m1 - 1;
-          t.m2 <- t.m2 + 1
+          s.m1 <- s.m1 - 1;
+          s.m2 <- s.m2 + 1
       | 2 ->
-          t.m2 <- t.m2 - 1;
-          t.m_more <- t.m_more + 1
+          s.m2 <- s.m2 - 1;
+          s.m_more <- s.m_more + 1
       | _ -> ());
       c.count <- c.count + 1);
-  t.total_accesses <- t.total_accesses + 1
+  s.total_accesses <- s.total_accesses + 1
+
+let total_accesses (t : t) =
+  Array.fold_left (fun acc s -> acc + s.total_accesses) 0 t
 
 let empty_result = Bytes.make Types.exchange_result_len '\000'
 
@@ -87,83 +114,39 @@ let resolve_into drops results =
       end)
     drops
 
-(* Every slot the pair-matching left untouched gets its own fresh
-   all-zero buffer: [empty_result] itself must never escape, or a caller
-   mutating one lone slot's result would corrupt every other's. *)
-let copy_lone_slots results =
-  Array.iteri
-    (fun i r -> if r == empty_result then results.(i) <- Bytes.copy empty_result)
-    results;
-  results
-
 (* Resolve all drops: returns the per-slot results.  [n_slots] is the
    batch size; every slot receives exactly [Types.exchange_result_len]
-   bytes, freshly allocated for lone/unused slots. *)
-let resolve t ~n_slots =
+   bytes.  Every slot the pair-matching left untouched gets its own
+   fresh all-zero buffer: [empty_result] itself must never escape, or a
+   caller mutating one lone slot's result would corrupt every other's. *)
+let resolve ?pool (t : t) ~n_slots =
   let results = Array.make n_slots empty_result in
-  resolve_into t.drops results;
-  copy_lone_slots results
+  (match pool with
+  | Some p when Array.length t > 1 ->
+      ignore
+        (Vuvuzela_parallel.Pool.run p
+           (Array.map (fun s () -> resolve_into s.drops results) t))
+  | _ -> Array.iter (fun s -> resolve_into s.drops results) t);
+  Array.iteri
+    (fun i r ->
+      if r == empty_result then results.(i) <- Bytes.copy empty_result)
+    results;
+  results
 
 (* Observable variables (§4.2): the histogram of access counts.  [m1] is
    the number of drops accessed once, [m2] accessed twice.  These two
    numbers are all an adversary controlling the last server learns
-   beyond what its own requests tell it. *)
+   beyond what its own requests tell it.  Each shard keeps its counts
+   at [put] time, so this is O(shards). *)
 type histogram = { m1 : int; m2 : int; m_more : int }
 
-let histogram (t : t) = { m1 = t.m1; m2 = t.m2; m_more = t.m_more }
-
-(* ------------------------------------------------------------------ *)
-(* Sharded store (scale plane)                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Drop ids are HMAC outputs (uniform), so routing on the id prefix
-   balances shards without touching the histogram semantics: a drop's
-   accesses all share the id, hence the shard, so pair-matching inside
-   each shard sees exactly the accesses the monolithic store would.
-   Each batch slot belongs to exactly one drop and therefore exactly one
-   shard, which makes the per-shard [resolve] writes into the shared
-   results array disjoint — safe to fan over the domain pool and
-   bit-identical to the sequential store regardless of shard count. *)
-module Sharded = struct
-  type monolithic = t
-
-  type t = { shards : monolithic array; n : int }
-
-  let create ?(shards = 1) () =
-    let n = max 1 shards in
-    { shards = Array.init n (fun _ -> create ()); n }
-
-  (* Big-endian prefix of the drop id mod shard count; ids are at least
-     two bytes ({!Types.drop_id_len} = 16). *)
-  let shard_of t drop_id =
-    ((Char.code (Bytes.get drop_id 0) lsl 8) lor Char.code (Bytes.get drop_id 1))
-    mod t.n
-
-  let put t ~slot ~drop_id ~sealed =
-    put t.shards.(shard_of t drop_id) ~slot ~drop_id ~sealed
-
-  let clear t = Array.iter clear t.shards
-
-  let total_accesses t =
-    Array.fold_left (fun acc s -> acc + s.total_accesses) 0 t.shards
-
-  let histogram t =
-    Array.fold_left
-      (fun acc (s : monolithic) ->
-        { m1 = acc.m1 + s.m1; m2 = acc.m2 + s.m2; m_more = acc.m_more + s.m_more })
-      { m1 = 0; m2 = 0; m_more = 0 }
-      t.shards
-
-  let resolve ?pool t ~n_slots =
-    let results = Array.make n_slots empty_result in
-    (match pool with
-    | Some p when t.n > 1 ->
-        ignore
-          (Vuvuzela_parallel.Pool.run p
-             (Array.map (fun s () -> resolve_into s.drops results) t.shards))
-    | _ -> Array.iter (fun s -> resolve_into s.drops results) t.shards);
-    copy_lone_slots results
-end
+let histogram (t : t) =
+  Array.fold_left
+    (fun acc (s : shard) ->
+      { m1 = acc.m1 + s.m1; m2 = acc.m2 + s.m2;
+        m_more = acc.m_more + s.m_more })
+    { m1 = 0; m2 = 0; m_more = 0 }
+    t
 
 (* ------------------------------------------------------------------ *)
 (* Invitation drops (dialing)                                          *)

@@ -31,6 +31,11 @@ val invite_certified :
   unit ->
   bytes
 
+val blob : ?rng:Vuvuzela_crypto.Drbg.t -> kind:kind -> unit -> bytes
+(** An invitation of [kind]'s size sealed to a random key: no client's
+    trial decryption ever opens it.  The body of {!noop} and {!noise},
+    and the last server's own noise, which it files directly. *)
+
 val noop : ?rng:Vuvuzela_crypto.Drbg.t -> ?kind:kind -> unit -> bytes
 (** An idle client's request to the no-op drop. *)
 

@@ -157,7 +157,6 @@ let of_config (cfg : Config.t) =
     if cfg.cdn_edges > 0 then
       Some
         (Cdn.create ~edges:cfg.cdn_edges ~history:Server.invitation_history
-           ?bloom_fp:cfg.cdn_bloom_fp
            ~fetch:(fun ~dial_round ~index ->
              Chain.fetch_invitations chain ~dial_round ~index)
            ())
@@ -684,14 +683,6 @@ let download_invitations t c =
         let index = Client.my_invitation_drop c ~m in
         let drop =
           match t.cdn with
-          | Some cdn when Cdn.has_prefilter cdn ->
-              (* Prefiltered download: the edge registers this client's
-                 subscription tag and serves every drop of the round its
-                 bloom filter matches — always including [index] (no
-                 false negatives), plus false-positive drops whose
-                 invitations simply fail trial decryption below. *)
-              List.concat_map snd
-                (Cdn.fetch_matched cdn ~client_pk:pk ~dial_round:r ~index ~m)
           | Some cdn -> Cdn.fetch cdn ~client_pk:pk ~dial_round:r ~index
           | None -> chain_fetch_invitations t ~dial_round:r ~index
         in

@@ -62,7 +62,7 @@ type t = {
   rng : Drbg.t;
   conv_rounds : (int, round_state) Hashtbl.t;
   dial_rounds : (int, round_state) Hashtbl.t;
-  drops : Deaddrop.Sharded.t;  (** last server only *)
+  drops : Deaddrop.t;  (** last server only *)
   mutable invitations : (int * Deaddrop.Invitation.store) list;
       (** last server only; newest round first, at most
           [invitation_history] rounds so briefly-blocked clients can
@@ -106,7 +106,7 @@ let create ?rng_seed ?pool ?telemetry ~cfg ~suffix_pks () =
     rng;
     conv_rounds = Hashtbl.create 8;
     dial_rounds = Hashtbl.create 8;
-    drops = Deaddrop.Sharded.create ~shards:cfg.deaddrop_shards ();
+    drops = Deaddrop.create ~shards:cfg.deaddrop_shards ();
     invitations = [];
     last_histogram = None;
     proposed_m = 1;
@@ -177,7 +177,8 @@ type stream = {
   s_round : int;
   s_dialing : bool;
   s_expected_len : int;
-  s_seen : (string, unit) Hashtbl.t;  (** dedup across the whole round *)
+  s_seen : (bytes, unit) Hashtbl.t;
+      (** layer secrets peeled so far: dedup across the whole round *)
   mutable s_slots_rev : slot list;
   mutable s_inners_rev : bytes list;
   mutable s_n_valid : int;
@@ -221,39 +222,37 @@ let stream t ~(kind : Round.kind) ~round =
 
 (* Peel one chunk of the round's ingress.
 
-   Two ingress defenses run before any request enters the mix:
+   Two ingress defenses keep a request out of the mix:
 
-   - size uniformity ([expected_len]): a wrong-sized request is dropped;
-     it could otherwise be traced by its size through every hop;
-   - deduplication: a byte-identical copy of an earlier request anywhere
-     in the round (the table spans chunks) is dropped.  Without this, an
-     adversary who replays a victim's onion makes her dead drop receive
-     three accesses — m_more is observable and NOT covered by the
-     (m1, m2) noise, so replay would reveal that the victim is in a
-     conversation. *)
+   - size uniformity ([expected_len]): a wrong-sized request is dropped
+     unpeeled; it could otherwise be traced by its size through every
+     hop;
+   - deduplication: a request whose layer secret an earlier request of
+     the round (the table spans chunks) already produced is dropped.
+     Without this, an adversary who replays a victim's onion makes her
+     dead drop receive three accesses — m_more is observable and NOT
+     covered by the (m1, m2) noise, so replay would reveal that the
+     victim is in a conversation.  Comparing onion bytes is not
+     enough: each onion has 16 encodings of its ephemeral key that peel
+     to the same inner onion under the same secret (see
+     {!Onion.peel_many}), and a server that forwarded two of them would
+     show the next hop which two of its outputs match.  Two honest
+     onions never share a secret. *)
 let stream_feed t st (onions : bytes array) =
   Telemetry.stage t.tel ~name:"peel" ~round:st.s_round
     ~server:t.cfg.position ~dialing:st.s_dialing
   @@ fun () ->
-  (* Pass 1 (coordinator): the cheap ingress checks, in slot order —
-     they share the round's dedup table. *)
+  (* Pass 1 (coordinator): the size check. *)
   let to_peel = ref [] in
-  let admitted =
+  let sized =
     Array.map
       (fun onion ->
-        if Bytes.length onion <> st.s_expected_len then `Bad_size
-        else begin
-          let key = Bytes.to_string onion in
-          if Hashtbl.mem st.s_seen key then `Duplicate
-          else begin
-            Hashtbl.replace st.s_seen key ();
-            to_peel := onion :: !to_peel;
-            `Peel
-          end
-        end)
+        let ok = Bytes.length onion = st.s_expected_len in
+        if ok then to_peel := onion :: !to_peel;
+        ok)
       onions
   in
-  (* Pass 2 (fan-out): the expensive DH + AEAD peel of the admitted
+  (* Pass 2 (fan-out): the expensive DH + AEAD peel of the right-sized
      onions, pure per onion, one batch (one field inversion) per
      domain's chunk. *)
   let peeled =
@@ -261,31 +260,34 @@ let stream_feed t st (onions : bytes array) =
       (Onion.peel_many ~server_sk:t.secret ~round:st.s_round)
       (Array.of_list (List.rev !to_peel))
   in
-  (* Pass 3 (coordinator): assign batch indices in slot order, count. *)
+  (* Pass 3 (coordinator): dedup, assign batch indices and count, in
+     slot order, sharing the round's table: the first onion to produce
+     a secret peels, later ones are duplicates. *)
   let next = ref 0 in
   Array.iter
-    (fun admit ->
+    (fun sized ->
       let result =
-        match admit with
-        | `Peel ->
-            let r = peeled.(!next) in
-            incr next;
-            r
-        | `Bad_size | `Duplicate -> None
+        if sized then begin
+          let r = peeled.(!next) in
+          incr next;
+          r
+        end
+        else None
       in
-      match (admit, result) with
-      | `Peel, Some (inner, secret) ->
+      match result with
+      | Some (_, secret) when Hashtbl.mem st.s_seen secret ->
+          t.metrics.duplicate_requests <- t.metrics.duplicate_requests + 1;
+          st.s_slots_rev <- Invalid :: st.s_slots_rev
+      | Some (inner, secret) ->
+          Hashtbl.replace st.s_seen secret ();
           st.s_slots_rev <-
             Valid { index = st.s_n_valid; secret } :: st.s_slots_rev;
           st.s_n_valid <- st.s_n_valid + 1;
           st.s_inners_rev <- inner :: st.s_inners_rev
-      | `Duplicate, _ ->
-          t.metrics.duplicate_requests <- t.metrics.duplicate_requests + 1;
-          st.s_slots_rev <- Invalid :: st.s_slots_rev
-      | (`Bad_size | `Peel), _ ->
+      | None ->
           t.metrics.invalid_requests <- t.metrics.invalid_requests + 1;
           st.s_slots_rev <- Invalid :: st.s_slots_rev)
-    admitted;
+    sized;
   st.s_n_in <- st.s_n_in + Array.length onions;
   t.metrics.requests_in <- t.metrics.requests_in + Array.length onions;
   match t.tel with
@@ -474,7 +476,7 @@ let conv_finish_exchange t st =
   Telemetry.mark t.tel ~name:"shuffle" ~round ~server:pos ();
   let results =
     Telemetry.stage t.tel ~name:"exchange" ~round ~server:pos (fun () ->
-        Deaddrop.Sharded.clear t.drops;
+        Deaddrop.clear t.drops;
         Array.iteri
           (fun slot payload ->
             if Bytes.length payload = Types.exchange_payload_len then begin
@@ -482,16 +484,16 @@ let conv_finish_exchange t st =
               let sealed =
                 Bytes.sub payload Types.drop_id_len Types.sealed_message_len
               in
-              Deaddrop.Sharded.put t.drops ~slot ~drop_id ~sealed
+              Deaddrop.put t.drops ~slot ~drop_id ~sealed
             end)
           inners;
-        t.last_histogram <- Some (Deaddrop.Sharded.histogram t.drops);
+        t.last_histogram <- Some (Deaddrop.histogram t.drops);
         t.metrics.rounds <- t.metrics.rounds + 1;
-        Deaddrop.Sharded.resolve ?pool:t.pool t.drops
+        Deaddrop.resolve ?pool:t.pool t.drops
           ~n_slots:(Array.length inners))
   in
   Log.debug (fun m ->
-      let h = Deaddrop.Sharded.histogram t.drops in
+      let h = Deaddrop.histogram t.drops in
       m "server %d: round %d exchange: %d requests, m1=%d m2=%d"
         t.cfg.position round (Array.length inners) h.Deaddrop.m1
         h.Deaddrop.m2);
@@ -585,12 +587,8 @@ let dial_finish_deliver t st ~m =
         in
         t.metrics.noise_invitations <- t.metrics.noise_invitations + n;
         for _ = 1 to n do
-          match
-            Dialing.decode_payload
-              (Dialing.noise ~rng:t.rng ~kind:t.cfg.dial_kind ~index ())
-          with
-          | Ok (_, invitation) -> Deaddrop.Invitation.put store ~index invitation
-          | Error _ -> assert false
+          Deaddrop.Invitation.put store ~index
+            (Dialing.blob ~rng:t.rng ~kind:t.cfg.dial_kind ())
         done
       done);
   Telemetry.mark t.tel ~name:"shuffle" ~round ~server:pos ~dialing:true ();

@@ -82,8 +82,8 @@ val last_histogram : t -> Deaddrop.histogram option
     pipelines. *)
 
 type stream
-(** Incremental peel state for one round on one server: the dedup table,
-    slot table, and peeled inners accumulated so far. *)
+(** Incremental peel state for one round on one server: the layer
+    secrets seen, slot table, and peeled inners accumulated so far. *)
 
 val conv_stream : t -> round:int -> stream
 val dial_stream : t -> round:int -> stream
@@ -92,9 +92,9 @@ val stream : t -> kind:Round.kind -> round:int -> stream
 (** {!conv_stream} or {!dial_stream}, by [kind]. *)
 
 val stream_feed : t -> stream -> bytes array -> unit
-(** Peel one contiguous chunk (size-check, dedup against the whole
-    round so far, fan the DH + AEAD out over the pool).  Chunks must
-    arrive in slot order. *)
+(** Peel one contiguous chunk (size-check, fan the DH + AEAD out over
+    the pool, then drop any onion whose layer secret an earlier one of
+    the round already produced).  Chunks must arrive in slot order. *)
 
 (** {2 Conversation rounds} *)
 

@@ -91,9 +91,13 @@ let wrap ?rng ~server_pks ~round payload =
   wrap_with ~eph_sks:(draw_eph_sks ?rng ~chain_len:n ()) ~server_pks ~round
     payload
 
+let zero_point = Bytes.make Curve25519.key_len '\000'
+
 (* Server side: strip one layer from each onion, returning the inner
    onion and the layer secret to seal the reply with.  The DHs of every
-   onion long enough to carry a layer run as one batch. *)
+   onion long enough to carry a layer run as one batch.  An all-zero DH
+   result means a low-order ephemeral key, and is rejected as RFC 7748
+   §6.1 recommends, in constant time. *)
 let peel_many ~server_sk ~round onions =
   let sized =
     Array.of_seq
@@ -115,14 +119,19 @@ let peel_many ~server_sk ~round onions =
       let n = Bytes.length onion in
       if n < layer_overhead then None
       else begin
-        let s = Box.derive raw.(!next) in
+        let dh = raw.(!next) in
         incr next;
-        let inner = Bytes.create (n - layer_overhead) in
-        if
-          Aead.open_into ~key:s ~nonce ~src:onion ~src_off:Curve25519.key_len
-            ~len:(n - Curve25519.key_len) ~dst:inner ~dst_off:0 ()
-        then Some (inner, s)
-        else None
+        if Bytes_util.ct_equal dh zero_point then None
+        else begin
+          let s = Box.derive dh in
+          let inner = Bytes.create (n - layer_overhead) in
+          if
+            Aead.open_into ~key:s ~nonce ~src:onion
+              ~src_off:Curve25519.key_len ~len:(n - Curve25519.key_len)
+              ~dst:inner ~dst_off:0 ()
+          then Some (inner, s)
+          else None
+        end
       end)
     onions
 

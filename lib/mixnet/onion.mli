@@ -54,8 +54,14 @@ val peel_many :
 (** [peel] of each onion, result [i] from onion [i], with the DHs of
     every onion long enough to hold a layer run as one
     {!Vuvuzela_crypto.Curve25519.batch}: one field inversion for them
-    all.  A hostile onion (say, keyed by a low-order point) fails alone.
-    [peel] is its one-onion case. *)
+    all.  A hostile onion fails alone; one keyed by a low-order point,
+    whose DH result is all zeros, fails before its AEAD is tried.
+    [peel] is its one-onion case.
+
+    The 16 encodings of a key (bit 255 set or clear, times the 8 points
+    of order dividing 8 added to it) peel to the same inner onion and
+    the same layer secret, so a server that drops replays must compare
+    layer secrets, not onion bytes. *)
 
 val seal_reply : secret:bytes -> round:int -> bytes -> bytes
 (** Server side: add one reply layer under the stored layer secret. *)

@@ -14,7 +14,6 @@ let () =
       Test_transcript.suite;
       Test_transport.suite;
       Test_evloop.suite;
-      Test_ratchet.suite;
       Test_certified.suite;
       Test_infra.suite;
       Test_faults.suite;

@@ -1,22 +1,15 @@
 (* Differential properties of the scale plane's dead-drop rewrite.
 
-   The sharded store (Deaddrop.Sharded) and the rewritten monolithic
-   store must be observationally identical to the retained seed oracle
+   The dead-drop store, at several shard counts and at its default one
+   shard, must be observationally identical to the retained seed oracle
    (Deaddrop_ref) on every observable the protocol has: per-slot
    resolve results, the (m1, m2, m_more) histogram, and the transcript
    digest over the whole result array — across shard counts, job
    counts, and adversarial access multiplicities (drop ids are drawn
-   from a small pool so 1-, 2- and >2-access drops all occur).
-
-   The stable-bloom prefilter's contract is also checked here: an
-   element queried right after its insert is always found (the CDN
-   registers a subscription and scans in the same call, so a real
-   invitation can never be filtered out), and the measured
-   false-positive rate stays within 2x the configured target. *)
+   from a small pool so 1-, 2- and >2-access drops all occur). *)
 
 open Vuvuzela_crypto
 module Deaddrop = Vuvuzela.Deaddrop
-module Stable_bloom = Vuvuzela.Stable_bloom
 module Pool = Vuvuzela_parallel.Pool
 
 let pools = Hashtbl.create 4
@@ -94,19 +87,19 @@ let run () =
   Prop.check ~name:"sharded resolve/histogram/digest = oracle" ~count:500
     gen_case (fun c ->
       let expected, ehist = oracle_run c in
-      let d = Deaddrop.Sharded.create ~shards:c.shards () in
+      let d = Deaddrop.create ~shards:c.shards () in
       Array.iter
         (fun (slot, drop_id, sealed) ->
-          Deaddrop.Sharded.put d ~slot ~drop_id ~sealed)
+          Deaddrop.put d ~slot ~drop_id ~sealed)
         c.puts;
       let pool = if c.jobs > 1 then Some (pool ~jobs:c.jobs) else None in
-      let actual = Deaddrop.Sharded.resolve ?pool d ~n_slots:c.n_slots in
+      let actual = Deaddrop.resolve ?pool d ~n_slots:c.n_slots in
       check_results ~what:"sharded" c expected actual;
-      check_histogram ~what:"sharded" c ehist (Deaddrop.Sharded.histogram d);
+      check_histogram ~what:"sharded" c ehist (Deaddrop.histogram d);
       Prop.require
-        (Deaddrop.Sharded.total_accesses d = Array.length c.puts)
+        (Deaddrop.total_accesses d = Array.length c.puts)
         "sharded total_accesses %d <> %d"
-        (Deaddrop.Sharded.total_accesses d)
+        (Deaddrop.total_accesses d)
         (Array.length c.puts));
   Prop.check ~name:"monolithic resolve/histogram = oracle" ~count:150 gen_case
     (fun c ->
@@ -124,12 +117,12 @@ let run () =
          over one lone slot's result must leave every other lone slot
          all-zero. *)
       if c.n_slots > 0 then begin
-        let d = Deaddrop.Sharded.create ~shards:c.shards () in
+        let d = Deaddrop.create ~shards:c.shards () in
         Array.iter
           (fun (slot, drop_id, sealed) ->
-            Deaddrop.Sharded.put d ~slot ~drop_id ~sealed)
+            Deaddrop.put d ~slot ~drop_id ~sealed)
           c.puts;
-        let results = Deaddrop.Sharded.resolve d ~n_slots:c.n_slots in
+        let results = Deaddrop.resolve d ~n_slots:c.n_slots in
         let zero = Bytes.make (Bytes.length Deaddrop.empty_result) '\000' in
         let lone = ref [] in
         Array.iteri
@@ -149,44 +142,4 @@ let run () =
               (Bytes.equal Deaddrop.empty_result zero)
               "mutating a returned result corrupted Deaddrop.empty_result"
       end);
-
-  Prop.suite "stable bloom prefilter";
-  Prop.check ~name:"insert-then-query never misses" ~count:200
-    (fun rng ->
-      let capacity = 8 + Drbg.uniform ~rng 256 in
-      let fp = 0.005 +. (Drbg.float_unit ~rng () *. 0.05) in
-      let n = 1 + Drbg.uniform ~rng (2 * capacity) in
-      let elements = Array.init n (fun _ -> Drbg.bytes ~rng 32) in
-      (capacity, fp, elements))
-    (fun (capacity, fp, elements) ->
-      (* The CDN's access pattern: register, then scan in the same
-         call.  Soundness must hold even past capacity, where decay is
-         actively evicting older elements. *)
-      let f = Stable_bloom.create ~capacity ~fp () in
-      Array.iteri
-        (fun i e ->
-          Stable_bloom.insert f e;
-          Prop.require (Stable_bloom.query f e)
-            "element %d/%d lost right after insert (capacity=%d fp=%g)" i
-            (Array.length elements) capacity fp)
-        elements);
-  Prop.vector ~name:"measured FP rate within 2x configured" (fun () ->
-      let capacity = 2000 and fp = 0.02 in
-      let f = Stable_bloom.create ~seed:"prop-fp" ~decay:0 ~capacity ~fp () in
-      let rng = Drbg.of_string "prop-deaddrop-fp-elements" in
-      for _ = 1 to capacity do
-        Stable_bloom.insert f (Drbg.bytes ~rng 32)
-      done;
-      (* Fresh 33-byte probes can never collide with the 32-byte
-         inserts, so every hit below is a false positive. *)
-      let probes = 20_000 in
-      let hits = ref 0 in
-      for _ = 1 to probes do
-        if Stable_bloom.query f (Drbg.bytes ~rng 33) then incr hits
-      done;
-      let measured = float_of_int !hits /. float_of_int probes in
-      Prop.require
-        (measured <= 2. *. fp)
-        "measured FP rate %.4f exceeds 2x configured %.3f" measured fp;
-      Prop.require (measured > 0.) "filter at capacity shows no FPs at all");
   shutdown_pools ()

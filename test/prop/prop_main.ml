@@ -13,4 +13,5 @@ let () =
   Prop_aead.run ();
   Prop_pool.run ();
   Prop_deaddrop.run ();
+  Prop_replay.run ();
   Prop.exit_summary ()

@@ -218,7 +218,7 @@ let test_certified_invitation () =
       | Error e -> Alcotest.failf "cert invalid: %a" Certificate.pp_error e)
   | None -> Alcotest.fail "certified invitation failed to open");
   (* Noise is the same size and opens for nobody. *)
-  let noise = Certificate.noise_certified ~rng () in
+  let noise = Dialing.blob ~rng ~kind:Dialing.Certified () in
   Alcotest.(check int) "noise same size" Certificate.certified_invitation_len
     (Bytes.length noise);
   Alcotest.(check bool) "noise unreadable" true

@@ -1,5 +1,4 @@
-(* Infrastructure tests: the RPC wire protocol, the §5.5 CDN, and the
-   §9 address book. *)
+(* Infrastructure tests: the RPC wire protocol and the §5.5 CDN. *)
 
 open Vuvuzela_crypto
 open Vuvuzela_dp
@@ -296,102 +295,6 @@ let test_cdn_against_live_chain () =
   Alcotest.(check int) "bob finds his call" 1
     (List.length (Dialing.scan ~identity:(Client.identity bob) via_cdn))
 
-(* ------------------------------------------------------------------ *)
-(* Address book                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let mk_contact ?signing name seed =
-  let id = Types.identity_of_seed (Bytes.of_string seed) in
-  {
-    Address_book.name;
-    conversation_pk = id.Types.public;
-    signing_pk = signing;
-  }
-
-let test_address_book_basics () =
-  let book = Address_book.create () in
-  Address_book.add book (mk_contact "alice" "ab-alice");
-  Address_book.add book (mk_contact "bob" "ab-bob");
-  Alcotest.(check int) "two contacts" 2 (Address_book.size book);
-  (match Address_book.find book ~name:"alice" with
-  | Some c -> Alcotest.(check string) "found" "alice" c.Address_book.name
-  | None -> Alcotest.fail "alice missing");
-  let alice_pk =
-    (Option.get (Address_book.find book ~name:"alice")).Address_book.conversation_pk
-  in
-  (match Address_book.find_by_key book ~conversation_pk:alice_pk with
-  | Some c -> Alcotest.(check string) "reverse lookup" "alice" c.Address_book.name
-  | None -> Alcotest.fail "reverse lookup failed");
-  Address_book.remove book ~name:"alice";
-  Alcotest.(check int) "one left" 1 (Address_book.size book);
-  Alcotest.(check bool) "reverse entry gone" true
-    (Address_book.find_by_key book ~conversation_pk:alice_pk = None)
-
-let test_address_book_serialization () =
-  let book = Address_book.create () in
-  let _, spk = Ed25519.keypair ~rng:(Drbg.of_string "ab-signer") () in
-  Address_book.add book (mk_contact ~signing:spk "carol" "ab-carol");
-  Address_book.add book (mk_contact "dave" "ab-dave");
-  match Address_book.deserialize (Address_book.serialize book) with
-  | Ok book' ->
-      Alcotest.(check int) "size preserved" 2 (Address_book.size book');
-      let c = Option.get (Address_book.find book' ~name:"carol") in
-      Alcotest.(check bool) "signing key preserved" true
-        (c.Address_book.signing_pk = Some spk);
-      Alcotest.(check bool) "trusts carol's signer" true
-        (Address_book.trusts book' spk)
-  | Error e -> Alcotest.fail e
-
-let test_address_book_vetting () =
-  let book = Address_book.create () in
-  let carol_sk, carol_spk = Ed25519.keypair ~rng:(Drbg.of_string "vet-carol") () in
-  let mallory_sk, _ = Ed25519.keypair ~rng:(Drbg.of_string "vet-mallory") () in
-  let carol_id = Types.identity_of_seed (Bytes.of_string "vet-carol-id") in
-  Address_book.add book
-    {
-      Address_book.name = "carol";
-      conversation_pk = carol_id.Types.public;
-      signing_pk = Some carol_spk;
-    };
-  (* Genuine call from carol. *)
-  let cert =
-    Certificate.self_signed ~signing_sk:carol_sk
-      ~conversation_pk:carol_id.Types.public ~name:"carol" ~expires:10
-  in
-  (match Address_book.vet book ~now:1 ~caller_pk:carol_id.Types.public cert with
-  | Address_book.Known c -> Alcotest.(check string) "vetted" "carol" c.Address_book.name
-  | _ -> Alcotest.fail "genuine call rejected");
-  (* Unknown signer. *)
-  let stranger =
-    Certificate.self_signed ~signing_sk:mallory_sk
-      ~conversation_pk:carol_id.Types.public ~name:"carol" ~expires:10
-  in
-  (match Address_book.vet book ~now:1 ~caller_pk:carol_id.Types.public stranger with
-  | Address_book.Unknown -> ()
-  | _ -> Alcotest.fail "unknown signer not flagged");
-  (* Carol's key signing a cert for a DIFFERENT conversation key than
-     the actual caller: invalid. *)
-  let other = Types.identity_of_seed (Bytes.of_string "vet-other") in
-  let misbound =
-    Certificate.self_signed ~signing_sk:carol_sk
-      ~conversation_pk:other.Types.public ~name:"carol" ~expires:10
-  in
-  (match Address_book.vet book ~now:1 ~caller_pk:carol_id.Types.public misbound with
-  | Address_book.Invalid _ -> ()
-  | _ -> Alcotest.fail "subject mismatch not flagged");
-  (* Expired. *)
-  match Address_book.vet book ~now:99 ~caller_pk:carol_id.Types.public cert with
-  | Address_book.Invalid (Certificate.Expired _) -> ()
-  | _ -> Alcotest.fail "expiry not flagged"
-
-let test_address_book_rename () =
-  let book = Address_book.create () in
-  Address_book.add book (mk_contact "al" "ab-rename");
-  Address_book.add book (mk_contact "albert" "ab-rename");
-  (* Same conversation key under a new name: old reverse entry must
-     point at the newest record; size counts names. *)
-  Alcotest.(check int) "two names" 2 (Address_book.size book)
-
 (* Hand-assemble a [Conv_batch_part] frame whose batch header lies about
    its contents, bypassing the encoder's own checks. *)
 let raw_conv_batch_frame ~count ~item_len ~body_len =
@@ -453,17 +356,6 @@ let qcheck_props =
                       }));
               false
             with Vuvuzela_mixnet.Wire.Error _ -> true));
-    Test.make ~name:"address book serialize roundtrip" ~count:30
-      (small_list (string_gen_of_size (Gen.int_range 1 20) Gen.printable))
-      (fun names ->
-        let book = Address_book.create () in
-        List.iteri
-          (fun i name ->
-            Address_book.add book (mk_contact name (Printf.sprintf "ab-p%d" i)))
-          names;
-        match Address_book.deserialize (Address_book.serialize book) with
-        | Ok book' -> Address_book.size book' = Address_book.size book
-        | Error _ -> false);
   ]
 
 let suite =
@@ -479,10 +371,6 @@ let suite =
       tc "cdn caching" `Quick test_cdn_caching;
       tc "cdn spread and eviction" `Quick test_cdn_spread_and_eviction;
       tc "cdn against live chain" `Quick test_cdn_against_live_chain;
-      tc "address book basics" `Quick test_address_book_basics;
-      tc "address book serialization" `Quick test_address_book_serialization;
-      tc "address book vetting" `Quick test_address_book_vetting;
-      tc "address book rename" `Quick test_address_book_rename;
     ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props )
 

@@ -1,6 +1,5 @@
 (* Scale-plane units: the streaming entry collector's memory bound, the
-   stable bloom filter's sizing and classic-mode behaviour, the O(1)
-   dead-drop/invitation counters, and the vectorized load generator
+   O(1) dead-drop/invitation counters, and the vectorized load generator
    driven end to end through a real in-process chain.  The bit-parity
    claims (sharded ≡ monolithic, chunked ≡ whole-batch parts) live in
    the transcript pins and the property suite; here we check the
@@ -63,36 +62,6 @@ let test_streaming_peak_population_independent () =
   Alcotest.(check bool) "peak <= chunk" true (p1 <= chunk)
 
 (* ------------------------------------------------------------------ *)
-(* Stable bloom filter: sizing, classic (decay 0) behaviour            *)
-(* ------------------------------------------------------------------ *)
-
-let test_bloom_sizing () =
-  let f = Stable_bloom.create ~capacity:1000 ~fp:0.01 () in
-  Alcotest.(check bool) "bits sized for capacity" true
-    (Stable_bloom.bits f >= 1000);
-  Alcotest.(check bool) "several hash functions" true
-    (Stable_bloom.hashes f >= 2);
-  Alcotest.(check (float 1e-9)) "fp echoed" 0.01 (Stable_bloom.fp_rate f);
-  Alcotest.(check int) "fresh filter has no inserts" 0
-    (Stable_bloom.inserts f)
-
-let test_bloom_classic_no_false_negatives () =
-  (* decay 0 = a classic Bloom filter: membership is permanent, so
-     every inserted element queries true however many follow it. *)
-  let f = Stable_bloom.create ~seed:"classic" ~decay:0 ~capacity:256 ~fp:0.01 () in
-  let elt i = Bytes.of_string (Printf.sprintf "member-%04d" i) in
-  for i = 0 to 255 do
-    Stable_bloom.insert f (elt i)
-  done;
-  Alcotest.(check int) "insert counter" 256 (Stable_bloom.inserts f);
-  for i = 0 to 255 do
-    Alcotest.(check bool)
-      (Printf.sprintf "member %d still present" i)
-      true
-      (Stable_bloom.query f (elt i))
-  done
-
-(* ------------------------------------------------------------------ *)
 (* O(1) counters agree with the data they summarize                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -112,10 +81,10 @@ let test_histogram_counts () =
   Alcotest.(check int) "m1" 1 h.Deaddrop.m1;
   Alcotest.(check int) "m2" 1 h.Deaddrop.m2;
   Alcotest.(check int) "m_more" 1 h.Deaddrop.m_more;
-  (* Sharded store sums per-shard counts to the same observables. *)
-  let s = Deaddrop.Sharded.create ~shards:4 () in
+  (* Four shards sum their per-shard counts to the same observables. *)
+  let s = Deaddrop.create ~shards:4 () in
   List.iter
-    (fun (slot, id, body) -> Deaddrop.Sharded.put s ~slot ~drop_id:id ~sealed:body)
+    (fun (slot, id, body) -> Deaddrop.put s ~slot ~drop_id:id ~sealed:body)
     [
       (0, drop_id 'a', sealed 'A');
       (1, drop_id 'b', sealed 'B');
@@ -124,12 +93,12 @@ let test_histogram_counts () =
       (4, drop_id 'c', sealed 'E');
       (5, drop_id 'c', sealed 'F');
     ];
-  let hs = Deaddrop.Sharded.histogram s in
+  let hs = Deaddrop.histogram s in
   Alcotest.(check int) "sharded m1" 1 hs.Deaddrop.m1;
   Alcotest.(check int) "sharded m2" 1 hs.Deaddrop.m2;
   Alcotest.(check int) "sharded m_more" 1 hs.Deaddrop.m_more;
   Alcotest.(check int) "sharded access count" 6
-    (Deaddrop.Sharded.total_accesses s)
+    (Deaddrop.total_accesses s)
 
 let test_invitation_size_counts () =
   let store = Deaddrop.Invitation.create ~m:8 in
@@ -293,53 +262,6 @@ let test_network_streaming_round () =
       Alcotest.(check bool) "message delivered through streamed entry" true
         delivered)
 
-(* ------------------------------------------------------------------ *)
-(* Bloom prefilter end to end: the real invitation still arrives       *)
-(* ------------------------------------------------------------------ *)
-
-let test_cdn_prefilter_delivery () =
-  let net =
-    Network.of_config
-      Network.Config.(
-        default |> with_seed "net-bloom"
-        |> with_noise (Laplace.params ~mu:2. ~b:1.)
-        |> with_dial_noise (Laplace.params ~mu:2. ~b:1.)
-        |> with_noise_mode Noise.Deterministic |> with_cdn_edges 2
-        |> with_cdn_bloom_fp 0.02)
-  in
-  Fun.protect
-    ~finally:(fun () -> Network.shutdown net)
-    (fun () ->
-      let a = Network.connect ~seed:"ba" net in
-      let b = Network.connect ~seed:"bb" net in
-      let _extras =
-        List.init 6 (fun i -> Network.connect ~seed:(Printf.sprintf "bx%d" i) net)
-      in
-      Network.set_invitation_drops net 4;
-      Client.dial a ~callee_pk:(Client.public_key b);
-      let events = (Network.run ~kind:Round.Dialing net).Network.events in
-      let called =
-        List.exists
-          (fun (c, evs) ->
-            c == b
-            && List.exists
-                 (function Client.Incoming_call _ -> true | _ -> false)
-                 evs)
-          events
-      in
-      Alcotest.(check bool) "call delivered through the prefilter" true called;
-      match Network.cdn_stats net with
-      | None -> Alcotest.fail "cdn stats missing"
-      | Some s ->
-          (* Every client probed all m=4 buckets through the filter; the
-             real subscription always matched (no false negatives by
-             construction), so at least one bucket was served per
-             client. *)
-          Alcotest.(check bool) "prefilter consulted" true
-            (s.Cdn.prefilter_tested > 0);
-          Alcotest.(check bool) "prefilter served every own bucket" true
-            (s.Cdn.prefilter_served >= 8))
-
 let suite =
   ( "scale-plane",
     [
@@ -347,9 +269,6 @@ let suite =
         test_streaming_peak_bound;
       Alcotest.test_case "streaming peak population-independent" `Quick
         test_streaming_peak_population_independent;
-      Alcotest.test_case "stable bloom sizing" `Quick test_bloom_sizing;
-      Alcotest.test_case "stable bloom classic mode" `Quick
-        test_bloom_classic_no_false_negatives;
       Alcotest.test_case "O(1) histogram counts" `Quick test_histogram_counts;
       Alcotest.test_case "O(1) invitation sizes" `Quick
         test_invitation_size_counts;
@@ -357,6 +276,4 @@ let suite =
         test_loadgen_round_trip;
       Alcotest.test_case "supervisor streaming round" `Quick
         test_network_streaming_round;
-      Alcotest.test_case "cdn bloom prefilter delivery" `Quick
-        test_cdn_prefilter_delivery;
     ] )

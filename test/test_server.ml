@@ -396,6 +396,58 @@ let test_replay_dedup () =
     (Bytes.length results.(0))
     (Bytes.length results.(2))
 
+(* The same replay through an alias of Alice's outer key.  X25519
+   ignores bit 255 of a u-coordinate, and a clamped scalar is a multiple
+   of 8, so P and P + T share every DH result for each point T of order
+   dividing 8; for T = (0, 0), u(P + T) = 1/u.  Either alias peels to
+   Alice's inner onion under her layer secret, so hop 0 must count it as
+   a duplicate.  Otherwise it forwards two identical inner onions, and
+   the next hop learns which two of hop 0's outputs belong together. *)
+let test_aliased_replay_dedup () =
+  let flip_top_bit u =
+    let a = Bytes.copy u in
+    Bytes_util.set_u8 a 31 (Bytes_util.get_u8 u 31 lxor 0x80);
+    a
+  in
+  let inverse u =
+    let o = Fe25519.create () in
+    Fe25519.invert o (Fe25519.unpack u);
+    Fe25519.pack o
+  in
+  List.iter
+    (fun (name, alias) ->
+      let chain = make_chain () in
+      let rng = Drbg.of_string "t-alias" in
+      let round = 4 in
+      let ma = Message.Data { seq = 1; ack = 0; text = "victim" } in
+      let mb = Message.Data { seq = 1; ack = 0; text = "partner" } in
+      let sa, wa = request ~rng ~chain ~round ~peer:bob.Types.public alice ma in
+      let _, wb = request ~rng ~chain ~round ~peer:alice.Types.public bob mb in
+      let copy = Bytes.copy wa.onion in
+      Bytes.blit (alias (Bytes.sub wa.onion 0 Curve25519.key_len)) 0 copy 0
+        Curve25519.key_len;
+      let results =
+        Chain.conversation_round_exn chain ~round [| wa.onion; wb.onion; copy |]
+      in
+      let count i =
+        (Server.metrics (Chain.server chain i)).Server.duplicate_requests
+      in
+      let what s = Printf.sprintf "%s alias: %s" name s in
+      Alcotest.(check int) (what "hop 0 counts a duplicate") 1 (count 0);
+      Alcotest.(check int) (what "hop 1 counts none") 0 (count 1);
+      match
+        Vuvuzela_mixnet.Onion.unwrap_reply ~secrets:wa.secrets ~round
+          results.(0)
+      with
+      | None -> Alcotest.fail (what "alice reply unwrap failed")
+      | Some result -> (
+          match Conversation.read_result sa ~round result with
+          | Some m ->
+              Alcotest.(check bool) (what "exchange intact") true
+                (Message.equal m mb)
+          | None -> Alcotest.fail (what "alice got nothing")))
+    [ ("bit-255", flip_top_bit); ("1/u", inverse) ]
+
 (* Wrong-sized onions are rejected at ingress before mixing. *)
 let test_size_uniformity_ingress () =
   let chain = make_chain () in
@@ -414,6 +466,8 @@ let suite =
     snd suite
     @ [
         Alcotest.test_case "replay attack deduplicated" `Quick test_replay_dedup;
+        Alcotest.test_case "aliased replay deduplicated" `Quick
+          test_aliased_replay_dedup;
         Alcotest.test_case "size uniformity at ingress" `Quick test_size_uniformity_ingress;
       ] )
 

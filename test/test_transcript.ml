@@ -107,6 +107,71 @@ let test_transcript_observability_invariant () =
         > 0))
     [ (1, None); (4, None); (1, Some 3); (4, Some 3) ]
 
+(* The pins above cover what crosses a link: requests and acks.  The
+   invitation drops clients download never do, so this pins them: one
+   seeded dialing round per invitation format, three callers among six
+   clients, every drop hashed as [Chain.fetch_invitations] serves it.
+   The mixing servers' noise reaches the store through the mix, the
+   last server files its own directly, so both builders are covered. *)
+let invitation_store_digest kind =
+  let open Vuvuzela in
+  let open Vuvuzela_crypto in
+  let chain =
+    Chain.of_config
+      Config.(
+        default |> with_seed "invitation-store-pin" |> with_n_servers 3
+        |> with_dial_noise (Vuvuzela_dp.Laplace.params ~mu:4. ~b:1.)
+        |> with_dial_kind kind)
+  in
+  Fun.protect ~finally:(fun () -> Chain.shutdown chain) @@ fun () ->
+  let m = 5 and dial_round = 1 in
+  let clients =
+    List.init 6 (fun i ->
+        let cseed = Printf.sprintf "store-pin-c%d" i in
+        let signing_sk, _ = Ed25519.keypair ~rng:(Drbg.of_string cseed) () in
+        Client.create ~seed:cseed ~dial_kind:kind
+          ~certified:{ Client.signing_sk; name = cseed; validity = 4 }
+          ~identity:(Types.identity_of_seed (Bytes.of_string cseed))
+          ~server_pks:(Chain.public_keys chain) ())
+  in
+  List.iteri
+    (fun i c ->
+      if i < 3 then
+        Client.dial c ~callee_pk:(Client.public_key (List.nth clients (i + 3))))
+    clients;
+  let requests =
+    Array.of_list
+      (List.map (fun c -> Client.dialing_request c ~dial_round ~m) clients)
+  in
+  ignore (Chain.dialing_round_exn chain ~round:dial_round ~m requests);
+  let h = Sha256.init () and filed = ref 0 in
+  for index = 0 to m - 1 do
+    let drop = Chain.fetch_invitations chain ~index in
+    filed := !filed + List.length drop;
+    Sha256.feed h
+      (Bytes.of_string
+         (Printf.sprintf "drop %d: %d\n" index (List.length drop)));
+    List.iter (Sha256.feed h) drop
+  done;
+  (!filed, Bytes_util.to_hex (Sha256.get h))
+
+let pinned_plain_store =
+  (78, "5e4cabd6ed09107c8fe259823c634d0245c4511345ff7be37fafcf2ac1d37a59")
+
+let pinned_certified_store =
+  (78, "9f7f553bc1b9062eae381786a7b3eb02c21d6ed5c68d7d60f59d5c98e8047c1c")
+
+let test_pinned_invitation_store () =
+  List.iter
+    (fun (what, kind, (filed, digest)) ->
+      let got_filed, got = invitation_store_digest kind in
+      Alcotest.(check int) (what ^ " invitations filed") filed got_filed;
+      Alcotest.(check string) (what ^ " store digest") digest got)
+    [
+      ("plain", Vuvuzela.Dialing.Plain, pinned_plain_store);
+      ("certified", Vuvuzela.Dialing.Certified, pinned_certified_store);
+    ]
+
 let suite =
   ( "transcript",
     [
@@ -122,4 +187,6 @@ let suite =
         test_transcript_scale_plane_invariant;
       Alcotest.test_case "pinned with observability on" `Quick
         test_transcript_observability_invariant;
+      Alcotest.test_case "pinned invitation store" `Quick
+        test_pinned_invitation_store;
     ] )

@@ -215,8 +215,9 @@ let posteriors () =
    memoised server keys via the Edwards comb, with the cost of one
    server-key table) against the retained seed ladder (Curve25519_ref,
    16×16-bit limbs), one onion peel split into its ladder, HKDF and AEAD
-   parts, a peel's share of a 128-onion batch and a 3-layer wrap, the
-   field kernels' call times, AEAD seal/open and ChaCha20
+   parts, a peel's share of a 128-onion batch and a 3-layer wrap, a
+   sealed box alone and its share of a 10-box batch, the field kernels'
+   call times, AEAD seal/open and ChaCha20
    throughput — written to BENCH_crypto.json so the numbers are diffable
    run-to-run — and, printed only, the per-message primitives of a
    client and a server.  Returns the ladder's rate, which the headline
@@ -298,8 +299,12 @@ let crypto_bench () =
   (* One peel of a 3-hop conversation onion, and its three parts on the
      same inputs: the ladder, Box's HKDF step, and the AEAD open.  Beside
      them, what a server and a client actually run: one onion's share of
-     a 128-onion [peel_many] (one field inversion for all 128), and one
-     3-layer [wrap_with] (one for its 6 operations). *)
+     a 128-onion [peel_many] (one field inversion for all 128), one
+     3-layer [wrap_with] (one for its 6 operations), one plain sealed
+     box alone (a client's invite or no-op: one inversion for its base
+     comb and ladder), and one box's share of a 10-box batch (a jobs-2
+     chunk of a hop's 20 noise invitations on [dial]: one for all 20
+     operations). *)
   let us ops = 1e6 /. ops in
   let server_sk, server_pk = Drbg.keypair ~rng () in
   let chain = server_pk :: List.init 2 (fun _ -> snd (Drbg.keypair ~rng ())) in
@@ -319,6 +324,10 @@ let crypto_bench () =
   let ct_len = Bytes.length onion - Curve25519.key_len in
   let inner = Bytes.create (ct_len - Aead.tag_len) in
   let request_nonce = Vuvuzela_mixnet.Onion.request_nonce ~round:1 in
+  let boxes = 10 in
+  let box_inputs =
+    Array.init boxes (fun _ -> Dialing.draw_blob ~rng ~kind:Dialing.Plain ())
+  in
   let peel =
     Array.map us
       (interleaved
@@ -341,11 +350,14 @@ let crypto_bench () =
              ignore
                (Vuvuzela_mixnet.Onion.wrap_with ~eph_sks ~server_pks:chain
                   ~round:1 payload));
+           (fun () -> ignore (Box.seal_anonymous_many [| box_inputs.(0) |]));
+           (fun () -> ignore (Box.seal_anonymous_many box_inputs));
          |])
   in
   let peel_us = peel.(0) and peel_ladder_us = peel.(1) in
   let peel_hkdf_us = peel.(2) and peel_aead_us = peel.(3) in
   let peel_part_us = peel.(4) /. float_of_int part and wrap_us = peel.(5) in
+  let box_us = peel.(6) and box_part_us = peel.(7) /. float_of_int boxes in
   (* The field kernels, 1000 dependent calls per sample. *)
   let fa = Fe25519.unpack (Drbg.generate rng 32)
   and fb = Fe25519.unpack (Drbg.generate rng 32) in
@@ -376,6 +388,10 @@ let crypto_bench () =
     peel_part_us (peel_part_us /. peel_us);
   Printf.printf "  onion wrap_with (3 hops) %9.1f us (%.2fx onion peel)\n"
     wrap_us (wrap_us /. peel_us);
+  Printf.printf "  sealed box alone        %10.1f us\n" box_us;
+  Printf.printf "  %-23s %10.1f us per box (%.2fx alone)\n"
+    (Printf.sprintf "box in a %d batch" boxes)
+    box_part_us (box_part_us /. box_us);
   Printf.printf "  fe mul / square         %10.1f / %.1f ns\n" fe_mul_ns
     fe_square_ns;
   Printf.printf "  speedup %.2fx %s\n" speedup
@@ -478,6 +494,8 @@ let crypto_bench () =
             ("peel_aead_us", T.Json.Num peel_aead_us);
             ("peel_part_us", T.Json.Num peel_part_us);
             ("wrap_us", T.Json.Num wrap_us);
+            ("box_us", T.Json.Num box_us);
+            ("box_part_us", T.Json.Num box_part_us);
             ("fe_mul_ns", T.Json.Num fe_mul_ns);
             ("fe_square_ns", T.Json.Num fe_square_ns);
             ("speedup_vs_seed", T.Json.Num speedup);
@@ -745,7 +763,7 @@ let churn_bench () =
     in
     let over_tcp ~jobs ?link_latency ?fault_plan f =
       let seed = "bench-churn" in
-      let ports = Array.init 3 (fun _ -> Daemon_spawn.free_port ()) in
+      let ports = Daemon_spawn.free_ports 3 in
       let pids =
         ref
           (List.map
@@ -1004,7 +1022,7 @@ let scale_bench () =
   in
   let tcp_cell ~n ~jobs =
     let seed = "bench-scale" in
-    let ports = Array.init 3 (fun _ -> Daemon_spawn.free_port ()) in
+    let ports = Daemon_spawn.free_ports 3 in
     let pids = List.map (spawn_daemon ~jobs ~seed ~ports) [ 2; 1; 0 ] in
     Fun.protect
       ~finally:(fun () -> List.iter Daemon_spawn.stop_pid pids)

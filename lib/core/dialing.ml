@@ -53,12 +53,19 @@ let invite_certified ?rng ~identity:(id : Types.identity) ~cert ~callee_pk ~m
   encode_payload ~index invitation
 
 (* An indistinguishable invitation-shaped blob sealed to a random key;
-   used for idle no-ops and server noise.  [kind] fixes the size. *)
+   used for idle no-ops and server noise.  [kind] fixes the size.  It is
+   planned in two stages, so a server's noise can seal on the pool: the
+   draw takes every random input from the DRBG — the plaintext, then
+   the recipient key, then the ephemeral secret, the order the one-shot
+   seal always consumed them in — and the pure batched seal runs
+   after. *)
+let draw_blob ?rng ~kind () =
+  let pt = Drbg.bytes ?rng (invitation_len kind - Box.anonymous_overhead) in
+  let recipient_pk = Drbg.bytes ?rng Curve25519.key_len in
+  (Drbg.bytes ?rng Curve25519.scalar_len, recipient_pk, pt)
+
 let blob ?rng ~kind () =
-  let plain_len = invitation_len kind - Box.anonymous_overhead in
-  Box.seal_anonymous ?rng
-    ~recipient_pk:(Drbg.bytes ?rng 32)
-    (Drbg.bytes ?rng plain_len)
+  (Box.seal_anonymous_many [| draw_blob ?rng ~kind () |]).(0)
 
 (* Idle clients write to the no-op drop (§5.2); byte-for-byte
    indistinguishable from a real invitation before the last server. *)

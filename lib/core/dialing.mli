@@ -33,8 +33,21 @@ val invite_certified :
 
 val blob : ?rng:Vuvuzela_crypto.Drbg.t -> kind:kind -> unit -> bytes
 (** An invitation of [kind]'s size sealed to a random key: no client's
-    trial decryption ever opens it.  The body of {!noop} and {!noise},
-    and the last server's own noise, which it files directly. *)
+    trial decryption ever opens it.  The body of {!noop} and {!noise}.
+    [blob ?rng ~kind ()] ≡
+    [(Box.seal_anonymous_many [| draw_blob ?rng ~kind () |]).(0)]. *)
+
+val draw_blob :
+  ?rng:Vuvuzela_crypto.Drbg.t ->
+  kind:kind ->
+  unit ->
+  bytes * bytes * bytes
+(** The random inputs of one {!blob}, as
+    {!Vuvuzela_crypto.Box.seal_anonymous_many} takes them: (ephemeral
+    secret, recipient key, plaintext), drawn plaintext first, then the
+    recipient key, then the secret.  A server draws its noise
+    invitations with it on the coordinating domain and seals them a
+    pool chunk at a time. *)
 
 val noop : ?rng:Vuvuzela_crypto.Drbg.t -> ?kind:kind -> unit -> bytes
 (** An idle client's request to the no-op drop. *)

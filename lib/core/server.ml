@@ -313,29 +313,25 @@ let stream_collect t st =
   (slots, inners)
 
 
-(* Noise onions are planned in two stages so the wrapping crypto can
-   fan out: the coordinator draws every random input (payload bytes and
-   per-layer ephemeral secrets — in exactly the order the one-shot
-   [Onion.wrap] would have consumed the DRBG), then the pure
-   [Onion.wrap_with] runs on the pool.  A spec is one pending noise
-   onion. *)
-type noise_spec = { payload : bytes; eph_sks : bytes array }
-
+(* Noise is planned in two stages so its crypto can fan out: the
+   coordinator draws every random input (payload bytes, a noise
+   invitation's sealed-box inputs, per-layer ephemeral secrets — in
+   exactly the order the one-shot [Dialing.noise] and [Onion.wrap]
+   would have consumed the DRBG), then each pool chunk seals its
+   invitations ([Box.seal_anonymous_many]) and wraps its onions
+   ([Onion.wrap_many]), one batch, and so one field inversion, each.  A
+   spec is one pending noise onion: its ephemeral secrets, drawn after
+   its payload, and the payload. *)
 let noise_spec t payload =
-  {
-    payload;
-    eph_sks =
-      Onion.draw_eph_sks ~rng:t.rng ~chain_len:(List.length t.suffix_pks) ();
-  }
+  ( Onion.draw_eph_sks ~rng:t.rng ~chain_len:(List.length t.suffix_pks) (),
+    payload )
 
-(* Wrap the planned noise for the downstream chain, exactly as client
-   requests arriving at the next server look. *)
-let wrap_noise_specs t ~round specs =
-  par_mapi t
-    (fun _ { payload; eph_sks } ->
-      (Onion.wrap_with ~eph_sks ~server_pks:t.suffix_pks ~round payload)
-        .Onion.onion)
-    specs
+(* Wrap a chunk of planned noise for the downstream chain, exactly as
+   client requests arriving at the next server look. *)
+let wrap_noise t ~round specs =
+  Array.map
+    (fun (w : Onion.wrapped) -> w.onion)
+    (Onion.wrap_many ~server_pks:t.suffix_pks ~round specs)
 
 let shuffle_and_record t table ~round ~slots ~reply_payload_len batch =
   let perm = Shuffle.random_permutation ~rng:t.rng (Array.length batch) in
@@ -419,7 +415,7 @@ let conv_noise t ~round =
     out := noise_spec t (noise_exchange_payload ~drop:(Some drop) t) :: !out;
     out := noise_spec t (noise_exchange_payload ~drop:(Some drop) t) :: !out
   done;
-  wrap_noise_specs t ~round (Array.of_list !out)
+  par_chunks t (wrap_noise t ~round) (Array.of_list !out)
 
 (* Forward pass of a mixing server, either kind: peel (already done,
    chunk by chunk, by [stream_feed]), add the kind's noise
@@ -505,24 +501,48 @@ let conv_finish_exchange t st =
 (* Dialing protocol                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Mixing-server noise: ⌈max(0, Laplace)⌉ noise invitations per drop
-   (§5.3: every server must noise every drop). *)
-let dial_noise t ~round ~m =
+(* Per-drop noise invitations (§5.3: every server must noise every
+   drop): ⌈max(0, Laplace)⌉ for each drop in turn, its count drawn
+   before its invitations.  [draw index] draws one invitation's inputs;
+   the result is newest first. *)
+let draw_dial_noise t ~m draw =
   let out = ref [] in
   for index = 0 to m - 1 do
-    let n = Noise.dialing_per_drop ~rng:t.rng ~mode:t.cfg.noise_mode t.cfg.dial_noise in
+    let n =
+      Noise.dialing_per_drop ~rng:t.rng ~mode:t.cfg.noise_mode
+        t.cfg.dial_noise
+    in
     t.metrics.noise_invitations <- t.metrics.noise_invitations + n;
     for _ = 1 to n do
-      out :=
-        noise_spec t (Dialing.noise ~rng:t.rng ~kind:t.cfg.dial_kind ~index ())
-        :: !out
+      out := draw index :: !out
     done
   done;
+  !out
+
+(* Mixing-server noise: each invitation's box inputs, then its onion's
+   ephemeral secrets, drawn on the coordinator; each pool chunk then
+   seals its boxes, frames them for their drops, and wraps them. *)
+let dial_noise t ~round ~m =
+  let specs =
+    draw_dial_noise t ~m (fun index ->
+        let box = Dialing.draw_blob ~rng:t.rng ~kind:t.cfg.dial_kind () in
+        (index, noise_spec t box))
+  in
   Telemetry.add_counter t.tel
     ~labels:[ ("kind", "invitation") ]
-    ~by:(float_of_int (List.length !out))
+    ~by:(float_of_int (List.length specs))
     "vuvuzela_noise_onions_total";
-  wrap_noise_specs t ~round (Array.of_list !out)
+  par_chunks t
+    (fun chunk ->
+      let sealed =
+        Box.seal_anonymous_many (Array.map (fun (_, (_, box)) -> box) chunk)
+      in
+      wrap_noise t ~round
+        (Array.mapi
+           (fun i (index, (eph_sks, _)) ->
+             (eph_sks, Dialing.encode_payload ~index sealed.(i)))
+           chunk))
+    (Array.of_list specs)
 
 let dial_finish_forward t st ~m =
   if is_last t then invalid_arg "Server.dial_finish_forward: last server";
@@ -580,17 +600,19 @@ let dial_finish_deliver t st ~m =
      it need not transit the mixnet (§5.3). *)
   Telemetry.stage t.tel ~name:"noise" ~round ~server:pos ~dialing:true
     (fun () ->
-      for index = 0 to m - 1 do
-        let n =
-          Noise.dialing_per_drop ~rng:t.rng ~mode:t.cfg.noise_mode
-            t.cfg.dial_noise
-        in
-        t.metrics.noise_invitations <- t.metrics.noise_invitations + n;
-        for _ = 1 to n do
-          Deaddrop.Invitation.put store ~index
-            (Dialing.blob ~rng:t.rng ~kind:t.cfg.dial_kind ())
-        done
-      done);
+      let draw index =
+        (index, Dialing.draw_blob ~rng:t.rng ~kind:t.cfg.dial_kind ())
+      in
+      let boxes = Array.of_list (List.rev (draw_dial_noise t ~m draw)) in
+      let sealed =
+        par_chunks t
+          (fun chunk -> Box.seal_anonymous_many (Array.map snd chunk))
+          boxes
+      in
+      (* Filed in draw order, the order [fetch] serves. *)
+      Array.iteri
+        (fun i (index, _) -> Deaddrop.Invitation.put store ~index sealed.(i))
+        boxes);
   Telemetry.mark t.tel ~name:"shuffle" ~round ~server:pos ~dialing:true ();
   Telemetry.mark t.tel ~name:"unpeel" ~round ~server:pos ~dialing:true ();
   t.invitations <-

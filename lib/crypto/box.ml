@@ -6,7 +6,10 @@
      partners' keys (message payloads);
    - [seal_anonymous]/[open_anonymous] for dialing invitations, where the
      recipient must not learn anything before trial decryption succeeds
-     and invitations from different senders must be indistinguishable. *)
+     and invitations from different senders must be indistinguishable;
+     [seal_anonymous_many] seals a batch of them under pre-drawn
+     ephemeral secrets (a server's noise invitations), with one field
+     inversion for the batch. *)
 
 let overhead = Aead.tag_len
 let anonymous_overhead = Curve25519.key_len + Aead.tag_len
@@ -34,16 +37,41 @@ let open_into ~key ~nonce ?aad ~src ~src_off ~len ~dst ~dst_off () =
 let anon_nonce ~epk ~pk =
   Bytes.sub (Sha256.digest_list [ epk; pk ]) 0 Aead.nonce_len
 
+(* Seal each (ephemeral secret, recipient key, plaintext) with no RNG,
+   so a server's noise boxes can fan out across domains while the
+   coordinating domain keeps the single RNG stream.  A box costs one
+   base comb (its ephemeral public key) and one ladder (its DH toward a
+   one-off recipient key); all of them run as one batch, for one field
+   inversion. *)
+let seal_anonymous_many boxes =
+  (* dh.(2i) is box i's ephemeral public key, dh.(2i + 1) its DH. *)
+  let dh =
+    Curve25519.batch
+      (Array.init
+         (2 * Array.length boxes)
+         (fun j ->
+           let esk, recipient_pk, _ = boxes.(j / 2) in
+           if j mod 2 = 0 then Curve25519.Base esk
+           else Curve25519.Ladder { scalar = esk; point = recipient_pk }))
+  in
+  Array.mapi
+    (fun i (_, recipient_pk, pt) ->
+      let epk = dh.(2 * i) in
+      let key = derive dh.((2 * i) + 1) in
+      let nonce = anon_nonce ~epk ~pk:recipient_pk in
+      let len = Bytes.length pt in
+      let out = Bytes.create (Curve25519.key_len + len + Aead.tag_len) in
+      Bytes.blit epk 0 out 0 Curve25519.key_len;
+      Aead.seal_into ~key ~nonce ~src:pt ~src_off:0 ~len ~dst:out
+        ~dst_off:Curve25519.key_len ();
+      out)
+    boxes
+
+(* The ephemeral secret is drawn as [Drbg.keypair] draws it, so the
+   stream and the bytes are those of a keypair-then-seal. *)
 let seal_anonymous ?rng ~recipient_pk pt =
-  let esk, epk = Drbg.keypair ?rng () in
-  let key = precompute ~secret:esk ~public:recipient_pk in
-  let nonce = anon_nonce ~epk ~pk:recipient_pk in
-  let len = Bytes.length pt in
-  let out = Bytes.create (Curve25519.key_len + len + Aead.tag_len) in
-  Bytes.blit epk 0 out 0 Curve25519.key_len;
-  Aead.seal_into ~key ~nonce ~src:pt ~src_off:0 ~len ~dst:out
-    ~dst_off:Curve25519.key_len ();
-  out
+  let esk = Drbg.bytes ?rng Curve25519.scalar_len in
+  (seal_anonymous_many [| (esk, recipient_pk, pt) |]).(0)
 
 let open_anonymous ~recipient_sk ~recipient_pk sealed =
   let n = Bytes.length sealed in

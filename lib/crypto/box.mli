@@ -49,7 +49,19 @@ val open_into :
 val seal_anonymous : ?rng:Drbg.t -> recipient_pk:bytes -> bytes -> bytes
 (** Sealed box: fresh ephemeral key per message; the recipient can open it
     but cannot identify the sender from the ciphertext, and third parties
-    learn nothing (used for dialing invitations). *)
+    learn nothing (used for dialing invitations).  It draws 32 bytes of
+    ephemeral secret, as {!Drbg.keypair} does, and is
+    {!seal_anonymous_many}'s one-box case. *)
+
+val seal_anonymous_many : (bytes * bytes * bytes) array -> bytes array
+(** [seal_anonymous_many [| (esk, recipient_pk, pt); ... |]]: box [i]
+    sealed to [recipient_pk] under the raw 32-byte ephemeral secret
+    [esk] (clamped inside), bit for bit what {!seal_anonymous} gives
+    when its RNG yields [esk].  No RNG, so batches can fan out across
+    domains.  The 2k X25519 operations of k boxes (a base comb and a
+    ladder each) run as one {!Curve25519.batch}: one field inversion in
+    all.  A low-order recipient key gives its box the all-zero DH, as
+    alone, and leaves every other box unchanged. *)
 
 val open_anonymous :
   recipient_sk:bytes -> recipient_pk:bytes -> bytes -> bytes option

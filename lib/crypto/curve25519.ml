@@ -20,14 +20,18 @@
    - shared_static, a server's long-lived public key — the other DH of
      every wrapped onion layer, over a table memoised per key.
 
-   So a wrapped layer costs two comb operations and no ladder; peels,
-   sealed boxes and conversation keys stay on the ladder.  Clamped
-   scalars have bit 255 clear, as the comb requires.
+   So a wrapped layer costs two comb operations and no ladder; a sealed
+   box costs a base comb and a ladder (its DH toward a one-off
+   recipient key); peels and conversation keys stay on the ladder.
+   Clamped scalars have bit 255 clear, as the comb requires.
 
    Every operation stops at its u-coordinate as a fraction X/Z, so a
-   [batch] (an onion's wrap, a server's chunk of peels) pays one field
-   inversion, ~265 multiplications and squarings, instead of one per
-   operation (Montgomery's trick, in Fe25519.batch_invert). *)
+   [batch] pays one field inversion, ~265 multiplications and
+   squarings, instead of one per operation (Montgomery's trick, in
+   Fe25519.batch_invert).  Three callers batch: Onion.wrap_many (a
+   client's onion, a server's or load generator's chunk of wraps),
+   Box.seal_anonymous_many (a sealed box, a server's chunk of noise
+   invitations) and Onion.peel_many (a server's chunk of peels). *)
 
 let key_len = 32
 let scalar_len = 32

@@ -12,8 +12,8 @@
     {!Edwards25519}'s constant-time comb mapped to the Montgomery
     u-coordinate: ~750 field multiplications against the ladder's
     ~2,560.  A wrapped layer therefore costs two comb operations and no
-    ladder; everything else (peels, sealed boxes, conversation keys)
-    runs the ladder. *)
+    ladder, and a sealed box a base comb and a ladder; peels and
+    conversation keys run the ladder. *)
 
 val key_len : int
 (** 32. *)

@@ -28,9 +28,9 @@
    it, skipping n key generations and n/2 DH handshakes that would
    otherwise dominate setup at 100k clients without changing a single
    byte the servers touch.  The onions themselves are the real thing —
-   full per-layer X25519 + AEAD via Onion.wrap_with, fanned over the
-   domain pool — because per-onion crypto is precisely the server-side
-   cost being measured. *)
+   full per-layer X25519 + AEAD via Onion.wrap_many, one batch per
+   domain pool chunk — because per-onion crypto is precisely the
+   server-side cost being measured. *)
 
 open Vuvuzela
 module Drbg = Vuvuzela_crypto.Drbg
@@ -139,14 +139,17 @@ let feed_conversation ?pool t ~round ~server_pks ~chunk ~sink =
        coordinator, in slot order; only the pure per-onion wrap fans
        out. *)
     let payloads = Array.init len (fun k -> payload t ~round (base + k)) in
-    let eph =
-      Array.init len (fun _ ->
-          Onion.draw_eph_sks ~rng:t.eph_rng ~chain_len ())
-    in
-    let wrapped =
-      map_slots ?pool
-        (fun k p -> Onion.wrap_with ~eph_sks:eph.(k) ~server_pks ~round p)
+    let specs =
+      Array.map
+        (fun p -> (Onion.draw_eph_sks ~rng:t.eph_rng ~chain_len (), p))
         payloads
+    in
+    (* One batch, and so one field inversion, per domain's chunk. *)
+    let wrap = Onion.wrap_many ~server_pks ~round in
+    let wrapped =
+      match pool with
+      | Some p -> Pool.map_chunks p wrap specs
+      | None -> wrap specs
     in
     Array.iteri
       (fun k (w : Onion.wrapped) -> t.secrets.(base + k) <- w.secrets)

@@ -45,7 +45,8 @@ val feed_conversation :
     reply secrets for {!verify}.  At no point do more than [chunk]
     onions exist on this side, so a streaming entry tier keeps the whole
     path population-independent.  DRBG draws happen on the calling
-    domain in slot order; the pure per-onion wrap fans over [pool] —
+    domain in slot order; the pure wrap fans over [pool], each domain's
+    share of a chunk as one {!Vuvuzela_mixnet.Onion.wrap_many} batch —
     chunks are bit-identical at every job count.
     @raise Invalid_argument if [chunk < 1]. *)
 

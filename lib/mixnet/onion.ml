@@ -34,44 +34,58 @@ type wrapped = {
           unwrap the reply *)
 }
 
-(* Wrap [payload] under pre-drawn ephemeral secrets, [eph_sks.(i)] for
-   layer i (raw 32-byte strings; clamped by Curve25519).  No RNG, so
-   batches of wraps can fan out across domains while the coordinating
-   domain keeps the single RNG stream.  Each layer costs two comb
-   operations: the fresh key on the base point's table, the DH on the
-   server key's (Curve25519.shared_static's memo, the one piece of
-   shared state, safe across domains).  All 2n run as one batch, for
-   one field inversion. *)
-let wrap_with ~eph_sks ~server_pks ~round payload =
+(* Wrap each (eph_sks, payload) under its pre-drawn ephemeral secrets,
+   [eph_sks.(i)] for layer i (raw 32-byte strings; clamped by
+   Curve25519).  No RNG, so batches of wraps can fan out across domains
+   while the coordinating domain keeps the single RNG stream.  Each
+   layer costs two comb operations: the fresh key on the base point's
+   table, the DH on the server key's (Curve25519.shared_static's memo,
+   the one piece of shared state, safe across domains).  All 2n per
+   onion, for every onion, run as one batch, for one field inversion. *)
+let wrap_many ~server_pks ~round specs =
   let pks = Array.of_list server_pks in
   let n = Array.length pks in
   if n = 0 then invalid_arg "Onion.wrap: empty chain";
-  if Array.length eph_sks <> n then
-    invalid_arg "Onion.wrap_with: one ephemeral secret per layer";
-  (* dh.(2i) is layer i's public key, dh.(2i + 1) its shared point. *)
+  Array.iter
+    (fun (eph_sks, _) ->
+      if Array.length eph_sks <> n then
+        invalid_arg "Onion.wrap_with: one ephemeral secret per layer")
+    specs;
+  (* For onion k's layer i at j = 2(nk + i), dh.(j) is the layer's
+     public key and dh.(j + 1) its shared point. *)
   let dh =
     Curve25519.batch
-      (Array.init (2 * n) (fun j ->
-           let secret = eph_sks.(j / 2) in
+      (Array.init
+         (2 * n * Array.length specs)
+         (fun j ->
+           let layer = j / 2 mod n in
+           let secret = (fst specs.(j / (2 * n))).(layer) in
            if j mod 2 = 0 then Curve25519.Base secret
-           else Curve25519.Keyed { secret; public = pks.(j / 2) }))
+           else Curve25519.Keyed { secret; public = pks.(layer) }))
   in
-  let secrets = Array.make n Bytes.empty in
   let nonce = request_nonce ~round in
-  (* Innermost layer (the last server's) first. *)
-  let onion = ref payload in
-  for i = n - 1 downto 0 do
-    let s = Box.derive dh.((2 * i) + 1) in
-    secrets.(i) <- s;
-    let inner = !onion in
-    let ilen = Bytes.length inner in
-    let out = Bytes.create (Curve25519.key_len + ilen + Aead.tag_len) in
-    Bytes.blit dh.(2 * i) 0 out 0 Curve25519.key_len;
-    Aead.seal_into ~key:s ~nonce ~src:inner ~src_off:0 ~len:ilen ~dst:out
-      ~dst_off:Curve25519.key_len ();
-    onion := out
-  done;
-  { onion = !onion; secrets }
+  Array.mapi
+    (fun k (_, payload) ->
+      let secrets = Array.make n Bytes.empty in
+      (* Innermost layer (the last server's) first. *)
+      let onion = ref payload in
+      for i = n - 1 downto 0 do
+        let j = 2 * ((n * k) + i) in
+        let s = Box.derive dh.(j + 1) in
+        secrets.(i) <- s;
+        let inner = !onion in
+        let ilen = Bytes.length inner in
+        let out = Bytes.create (Curve25519.key_len + ilen + Aead.tag_len) in
+        Bytes.blit dh.(j) 0 out 0 Curve25519.key_len;
+        Aead.seal_into ~key:s ~nonce ~src:inner ~src_off:0 ~len:ilen ~dst:out
+          ~dst_off:Curve25519.key_len ();
+        onion := out
+      done;
+      { onion = !onion; secrets })
+    specs
+
+let wrap_with ~eph_sks ~server_pks ~round payload =
+  (wrap_many ~server_pks ~round [| (eph_sks, payload) |]).(0)
 
 (* Draw the per-layer ephemeral secrets for one onion.  Innermost layer
    first: that is the order the original recursive wrap consumed the

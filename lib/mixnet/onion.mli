@@ -37,7 +37,20 @@ val wrap_with :
     which takes no lock on a hit and never changes the output.  Its 2n
     X25519 operations run as one {!Vuvuzela_crypto.Curve25519.batch}.
     [wrap ?rng ... p] ≡
-    [wrap_with ~eph_sks:(draw_eph_sks ?rng ~chain_len ()) ... p]. *)
+    [wrap_with ~eph_sks:(draw_eph_sks ?rng ~chain_len ()) ... p], and
+    [wrap_with] is {!wrap_many}'s one-onion case. *)
+
+val wrap_many :
+  server_pks:bytes list ->
+  round:int ->
+  (bytes array * bytes) array ->
+  wrapped array
+(** [wrap_many ~server_pks ~round [| (eph_sks, payload); ... |]]: result
+    [k] is [wrap_with ~eph_sks ~server_pks ~round payload] of spec [k],
+    bit for bit, with the 2n X25519 operations of every onion run as one
+    {!Vuvuzela_crypto.Curve25519.batch}: one field inversion for the
+    whole array (a server's chunk of noise onions, a load generator's
+    part). *)
 
 val request_nonce : round:int -> bytes
 (** The AEAD nonce of every request layer of [round]. *)

@@ -81,16 +81,16 @@ let fork_daemon cfg =
           Printf.eprintf "[daemon %d] %s\n%!" cfg.Daemon.index m
         else fun _ -> ()
       in
+      (* A failed start is printed whatever [debug] says, so a handshake
+         that times out later names its cause. *)
       (match Daemon.run ~log cfg with
       | Ok () -> ()
       | Error e ->
-          if debug then
-            Printf.eprintf "[daemon %d] startup error: %s\n%!"
-              cfg.Daemon.index e
+          Printf.eprintf "[daemon %d] startup error: %s\n%!" cfg.Daemon.index
+            e
       | exception e ->
-          if debug then
-            Printf.eprintf "[daemon %d] exception: %s\n%!" cfg.Daemon.index
-              (Printexc.to_string e));
+          Printf.eprintf "[daemon %d] exception: %s\n%!" cfg.Daemon.index
+            (Printexc.to_string e));
       Unix._exit 0
   | pid -> pid
 
@@ -111,7 +111,7 @@ let spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed
               ?deaddrop_shards ())))
 
 let with_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed f =
-  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+  let ports = Daemon_spawn.free_ports chain_len in
   let pids =
     spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed
       ports
@@ -373,7 +373,7 @@ let test_crash_retry () =
 let test_kill_restart () =
   print_endline "kill -9 the middle server, restart it, keep running:";
   let seed = "net-restart" in
-  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+  let ports = Daemon_spawn.free_ports chain_len in
   let pids = ref (spawn_chain ~seed ports) in
   Fun.protect
     ~finally:(fun () -> List.iter Daemon_spawn.stop_pid !pids)
@@ -465,7 +465,7 @@ let test_flap_survival () =
 let test_shaped_links () =
   print_endline "emulated 10 ms links on every hop (digest must not move):";
   let link = Vuvuzela_transport.Shaper.config ~latency_ms:10. () in
-  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+  let ports = Daemon_spawn.free_ports chain_len in
   let pids =
     Array.to_list
       (Array.init chain_len (fun i ->
@@ -593,8 +593,9 @@ let spawn_obs_chain ?(jobs = 1) ?fault_plan_for ~seed ~ports ~mports () =
    digest. *)
 let test_observability () =
   print_endline "observability plane (scrape endpoints + merged trace + digest):";
-  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
-  let mports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+  let all = Daemon_spawn.free_ports (2 * chain_len) in
+  let ports = Array.sub all 0 chain_len in
+  let mports = Array.sub all chain_len chain_len in
   let slow = [ { Fault.round = 1; server = 1; kind = Fault.Slow_link 1 } ] in
   let pids =
     spawn_obs_chain ~fault_plan_for:(1, slow) ~seed:"net-obs" ~ports ~mports ()
@@ -748,8 +749,9 @@ let test_obs_transcript_parity () =
     "transcript parity with observability on (jobs 1 and 4, pipelined):";
   List.iter
     (fun jobs ->
-      let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
-      let mports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+      let all = Daemon_spawn.free_ports (2 * chain_len) in
+      let ports = Array.sub all 0 chain_len in
+      let mports = Array.sub all chain_len chain_len in
       let pids =
         spawn_obs_chain ~jobs ~seed:Transcript_pin.seed ~ports ~mports ()
       in
@@ -825,8 +827,9 @@ let test_obs_transcript_parity () =
    server 2's hop spans land in the merged trace as roots of their own. *)
 let test_untraced_middle () =
   print_endline "trace context across an untraced middle daemon:";
-  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
-  let mports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
+  let all = Daemon_spawn.free_ports (2 * chain_len) in
+  let ports = Array.sub all 0 chain_len in
+  let mports = Array.sub all chain_len chain_len in
   let traced = [ 0; 2 ] in
   let pids =
     List.map
@@ -1019,7 +1022,7 @@ let fork_hostile_hop port =
 
 let test_hostile_first_hop () =
   print_endline "hostile first hop answering empty results:";
-  let port = Daemon_spawn.free_port () in
+  let port = (Daemon_spawn.free_ports 1).(0) in
   let pid = fork_hostile_hop port in
   Fun.protect
     ~finally:(fun () -> Daemon_spawn.stop_pid pid)
@@ -1066,8 +1069,9 @@ let test_hostile_first_hop () =
 let test_key_change ~victim () =
   Printf.printf "restart server %d from another seed (new key):\n%!" victim;
   let seed = "net-rekey" in
-  let ports = Array.init chain_len (fun _ -> Daemon_spawn.free_port ()) in
-  let mport = Daemon_spawn.free_port () in
+  let all = Daemon_spawn.free_ports (chain_len + 1) in
+  let ports = Array.sub all 0 chain_len in
+  let mport = all.(chain_len) in
   let spawn ~seed index =
     fork_daemon
       (daemon_cfg ~seed ~ports ~index

@@ -158,6 +158,98 @@ let run () =
                 "sealed box len %d: roundtrip mismatch" len
           | None -> Prop.fail "sealed box len %d: rejected" len)
         [ 0; 1; 63; 64; 65 ]);
+  (* The batched builders a server's noise runs on the pool: k boxes
+     sealed as one batch are the k boxes sealed one by one under the
+     same drawn secrets, k onions wrapped as one batch are the k wrapped
+     one by one, and a low-order recipient key in the middle of a batch
+     seals as it does alone and spoils no other box. *)
+  Prop.check ~name:"batched sealed boxes and onion wraps" ~count:8
+    (fun rng ->
+      let seed = Drbg.generate rng 16 in
+      let recipients = Array.init 8 (fun _ -> Drbg.keypair ~rng ()) in
+      let servers = Array.init 3 (fun _ -> snd (Drbg.keypair ~rng ())) in
+      let chain_len = 1 + Drbg.uniform ~rng 3 in
+      let low_order =
+        Bytes_util.of_hex
+          (List.nth Prop_x25519.low_order_points
+             (Drbg.uniform ~rng (List.length Prop_x25519.low_order_points)))
+      in
+      (seed, recipients, servers, chain_len, low_order))
+    (fun (seed, recipients, servers, chain_len, low_order) ->
+      let server_pks = Array.to_list (Array.sub servers 0 chain_len) in
+      for k = 0 to 8 do
+        (* One stream for the batch's draws, a copy of it for the boxes
+           sealed one by one: each [seal_anonymous] draws its secret. *)
+        let draws = Drbg.create ~seed and alone = Drbg.create ~seed in
+        let boxes =
+          Array.init k (fun i ->
+              let pk = snd recipients.(i) in
+              let pt = Bytes.make (i * 9) (Char.chr (65 + i)) in
+              (Drbg.bytes ~rng:draws 32, pk, pt))
+        in
+        let batched = Box.seal_anonymous_many boxes in
+        Array.iteri
+          (fun i (esk, pk, pt) ->
+            let one = Box.seal_anonymous ~rng:alone ~recipient_pk:pk pt in
+            Prop.check_hex
+              ~what:(Printf.sprintf "box %d of %d, batched vs alone" i k)
+              (Bytes_util.to_hex one)
+              (Bytes_util.to_hex batched.(i));
+            Prop.check_hex
+              ~what:(Printf.sprintf "box %d of %d, ephemeral key" i k)
+              (Bytes_util.to_hex (Curve25519.scalarmult_base esk))
+              (Bytes_util.to_hex (Bytes.sub batched.(i) 0 Curve25519.key_len));
+            match
+              Box.open_anonymous ~recipient_sk:(fst recipients.(i))
+                ~recipient_pk:pk batched.(i)
+            with
+            | Some pt' ->
+                Prop.require (Bytes.equal pt pt')
+                  "box %d of %d: roundtrip mismatch" i k
+            | None -> Prop.fail "box %d of %d: rejected" i k)
+          boxes;
+        if k > 0 then begin
+          let mid = k / 2 in
+          let esk, _, pt = boxes.(mid) in
+          let spoiled = Array.copy boxes in
+          spoiled.(mid) <- (esk, low_order, pt);
+          let got = Box.seal_anonymous_many spoiled in
+          let alone = Box.seal_anonymous_many [| spoiled.(mid) |] in
+          Array.iteri
+            (fun i _ ->
+              let want = if i = mid then alone.(0) else batched.(i) in
+              Prop.check_hex
+                ~what:
+                  (Printf.sprintf "box %d of %d, low-order key at %d" i k mid)
+                (Bytes_util.to_hex want) (Bytes_util.to_hex got.(i)))
+            spoiled
+        end;
+        let round = 7 + k in
+        let specs =
+          Array.init k (fun i ->
+              ( Onion.draw_eph_sks ~rng:draws ~chain_len (),
+                Bytes.make (i * 11) (Char.chr (97 + i)) ))
+        in
+        let wrapped = Onion.wrap_many ~server_pks ~round specs in
+        Prop.require (Array.length wrapped = k) "wrap_many of %d gave %d" k
+          (Array.length wrapped);
+        Array.iteri
+          (fun i (eph_sks, payload) ->
+            let one = Onion.wrap_with ~eph_sks ~server_pks ~round payload in
+            Prop.check_hex
+              ~what:(Printf.sprintf "onion %d of %d, batched vs alone" i k)
+              (Bytes_util.to_hex one.Onion.onion)
+              (Bytes_util.to_hex wrapped.(i).Onion.onion);
+            Array.iteri
+              (fun layer s ->
+                Prop.check_hex
+                  ~what:
+                    (Printf.sprintf "onion %d of %d, layer %d secret" i k layer)
+                  (Bytes_util.to_hex s)
+                  (Bytes_util.to_hex wrapped.(i).Onion.secrets.(layer)))
+              one.Onion.secrets)
+          specs
+      done);
   (* Full onion path over a 3-server chain: wrap, peel at each hop,
      seal the reply back up, unwrap at the client. *)
   Prop.check ~name:"onion wrap/peel/reply at boundaries" ~count:25

@@ -5,9 +5,13 @@
 val sockets_allowed : unit -> bool
 (** Whether this sandbox lets a process bind a loopback TCP socket. *)
 
-val free_port : unit -> int
-(** A loopback port the kernel just handed out for [bind(0)], released
-    again for a daemon to rebind moments later under [SO_REUSEADDR]. *)
+val free_ports : int -> int array
+(** [free_ports k]: [k] distinct loopback ports below the low end of the
+    kernel's ephemeral range ([ip_local_port_range]), so no outgoing
+    connection can take one as its local port before a daemon binds it.
+    Each was free a moment ago: a bind without [SO_REUSEADDR] took it
+    and released it.  A test takes every port it needs from one call.
+    @raise Failure after 1000 tries without [k] free ports. *)
 
 val server_bin : unit -> string
 (** Where the build puts [bin/server_main.exe], relative to the running

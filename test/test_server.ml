@@ -297,7 +297,10 @@ let test_dialing_out_of_range_index_dropped () =
 (* X25519 operations by kind over one round: every wrapped layer runs
    two combs (its fresh key on the base point, its DH on the server key's
    memoised table) and no ladder; every peel runs one ladder.  Hop 0
-   adds nu0 two-layer noise onions and hop 1 nu1 one-layer ones. *)
+   adds nu0 two-layer noise onions and hop 1 nu1 one-layer ones.  In a
+   dialing round every noise invitation is also a sealed box, one base
+   comb and one ladder, and the last server files nu2 boxes of its own
+   unwrapped; the counts hold at every job count. *)
 let test_x25519_ops_by_kind () =
   let chain = make_chain () in
   let round = 1 in
@@ -339,7 +342,42 @@ let test_x25519_ops_by_kind () =
   Alcotest.(check bool) "both mixing hops add noise" true (nu0 > 0 && nu1 > 0);
   Alcotest.check ops "chain round: (ladder, base, keyed)"
     ((3 * n) + (2 * nu0) + nu1, (2 * nu0) + nu1, (2 * nu0) + nu1)
-    (delta c1 c2)
+    (delta c1 c2);
+  List.iter
+    (fun jobs ->
+      let chain = make_chain ~jobs () in
+      Fun.protect ~finally:(fun () -> Chain.shutdown chain) @@ fun () ->
+      let n = 5 and m = 6 in
+      let onions =
+        Array.init n (fun i ->
+            let payload =
+              if i = 0 then
+                Dialing.invite ~rng ~identity:alice ~callee_pk:bob.Types.public
+                  ~m ()
+              else Dialing.noop ~rng ()
+            in
+            (Vuvuzela_mixnet.Onion.wrap ~rng
+               ~server_pks:(Chain.public_keys chain) ~round payload)
+              .Vuvuzela_mixnet.Onion.onion)
+      in
+      let c0 = Curve25519.op_counts () in
+      ignore (Chain.dialing_round_exn chain ~round ~m onions);
+      let c1 = Curve25519.op_counts () in
+      let nu i =
+        (Server.metrics (Chain.server chain i)).Server.noise_invitations
+      in
+      let nu0 = nu 0 and nu1 = nu 1 and nu2 = nu 2 in
+      Alcotest.(check bool)
+        (Printf.sprintf "every hop adds dialing noise at jobs=%d" jobs)
+        true
+        (nu0 > 0 && nu1 > 0 && nu2 > 0);
+      Alcotest.check ops
+        (Printf.sprintf "dialing round at jobs=%d: (ladder, base, keyed)" jobs)
+        ( (3 * n) + (3 * nu0) + (2 * nu1) + nu2,
+          (3 * nu0) + (2 * nu1) + nu2,
+          (2 * nu0) + nu1 )
+        (delta c0 c1))
+    [ 1; 2 ]
 
 let suite =
   let tc = Alcotest.test_case in

@@ -112,8 +112,10 @@ let test_transcript_observability_invariant () =
    seeded dialing round per invitation format, three callers among six
    clients, every drop hashed as [Chain.fetch_invitations] serves it.
    The mixing servers' noise reaches the store through the mix, the
-   last server files its own directly, so both builders are covered. *)
-let invitation_store_digest kind =
+   last server files its own directly, so both builders are covered;
+   the servers seal and wrap their noise a pool chunk at a time, so the
+   round runs at several job counts against the same digests. *)
+let invitation_store_digest ~jobs kind =
   let open Vuvuzela in
   let open Vuvuzela_crypto in
   let chain =
@@ -121,7 +123,7 @@ let invitation_store_digest kind =
       Config.(
         default |> with_seed "invitation-store-pin" |> with_n_servers 3
         |> with_dial_noise (Vuvuzela_dp.Laplace.params ~mu:4. ~b:1.)
-        |> with_dial_kind kind)
+        |> with_dial_kind kind |> with_jobs jobs)
   in
   Fun.protect ~finally:(fun () -> Chain.shutdown chain) @@ fun () ->
   let m = 5 and dial_round = 1 in
@@ -163,14 +165,18 @@ let pinned_certified_store =
 
 let test_pinned_invitation_store () =
   List.iter
-    (fun (what, kind, (filed, digest)) ->
-      let got_filed, got = invitation_store_digest kind in
-      Alcotest.(check int) (what ^ " invitations filed") filed got_filed;
-      Alcotest.(check string) (what ^ " store digest") digest got)
-    [
-      ("plain", Vuvuzela.Dialing.Plain, pinned_plain_store);
-      ("certified", Vuvuzela.Dialing.Certified, pinned_certified_store);
-    ]
+    (fun jobs ->
+      List.iter
+        (fun (what, kind, (filed, digest)) ->
+          let what = Printf.sprintf "%s at jobs=%d" what jobs in
+          let got_filed, got = invitation_store_digest ~jobs kind in
+          Alcotest.(check int) (what ^ " invitations filed") filed got_filed;
+          Alcotest.(check string) (what ^ " store digest") digest got)
+        [
+          ("plain", Vuvuzela.Dialing.Plain, pinned_plain_store);
+          ("certified", Vuvuzela.Dialing.Certified, pinned_certified_store);
+        ])
+    [ 1; 2; 4 ]
 
 let suite =
   ( "transcript",

@@ -701,7 +701,7 @@ let workload_summary () =
    behind the deterministic shaper — rounds/sec at ~50 ms and ~100 ms
    emulated RTT per link at jobs ∈ {1, 4}; how round latency degrades
    as the middle server's upstream link flaps more often (the daemon
-   outbox + coordinator flap grace absorbing each outage without a
+   outbox + the link end's flap grace absorbing each outage without a
    retry); and the reconnect-storm recovery time with latency applied. *)
 let churn_bench () =
   section "CHURN - emulated WAN links and flap rates (writes BENCH_churn.json)";

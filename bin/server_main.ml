@@ -187,8 +187,10 @@ let cmd =
       value & opt float 2000.
       & info [ "flap-grace-ms" ] ~docv:"MS"
           ~doc:
-            "How long a lost downstream link may stay down mid-round \
-             before the round is abandoned; 0 aborts on the first drop.")
+            "A round in flight when the downstream link drops survives if \
+             its reply arrives within $(docv) ms of the drop, and is \
+             otherwise answered upstream with a retryable status when the \
+             grace ends; 0 answers on the drop.")
   in
   let metrics_listen =
     Arg.(

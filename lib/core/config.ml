@@ -12,7 +12,6 @@ type t = {
   pipeline : bool;
   pipeline_chunk : int;
   deaddrop_shards : int;
-  cdn_edges : int;
   fault_plan : Vuvuzela_faults.Fault.plan option;
   tap : (round:int -> server:int -> bytes array -> unit) option;
   telemetry : Vuvuzela_telemetry.Telemetry.t option;
@@ -40,7 +39,6 @@ let default =
     pipeline = false;
     pipeline_chunk = 16;
     deaddrop_shards = 1;
-    cdn_edges = 0;
     fault_plan = None;
     tap = None;
     telemetry = None;
@@ -68,7 +66,6 @@ let with_pipeline ?(chunk = default.pipeline_chunk) pipeline t =
 let part_chunk t = if t.pipeline then Some (max 1 t.pipeline_chunk) else None
 let with_deaddrop_shards shards t = { t with deaddrop_shards = max 1 shards }
 let with_entry_streaming (_ : bool) t = t
-let with_cdn_edges cdn_edges t = { t with cdn_edges }
 let with_fault_plan plan t = { t with fault_plan = Some plan }
 let with_tap tap t = { t with tap = Some tap }
 let with_telemetry tel t = { t with telemetry = Some tel }

@@ -29,7 +29,6 @@ type t = {
       (** conversation dead-drop store shards (≥ 1): drops are routed
           by id prefix and [exchange] pair-matches per shard over the
           domain pool; results are bit-identical for any count *)
-  cdn_edges : int;  (** §5.5 invitation-drop distribution; [0] = none *)
   fault_plan : Vuvuzela_faults.Fault.plan option;
   tap : (round:int -> server:int -> bytes array -> unit) option;
       (** observes every forward part as it crosses a link
@@ -49,8 +48,11 @@ type t = {
           drawn per client per round from the deployment DRBG when
           [seed] is set, so admission outcomes replay bit-identically *)
   flap_grace_ms : float;
-      (** how long a dropped server link may stay down mid-round before
-          the attempt is abandoned; [0.] aborts on the first drop *)
+      (** a round in flight when a chain link drops survives if its
+          reply arrives within this many ms of the drop, and otherwise
+          gets a retryable status when the grace ends; the same rule at
+          the coordinator and at every daemon.  [0.] fails the round on
+          the drop *)
   link : Vuvuzela_transport.Shaper.config option;
       (** emulated WAN characteristics of every chain link; also widens
           the effective round deadline by the links' RTT budget *)
@@ -97,8 +99,6 @@ val with_entry_streaming : bool -> t -> t
 (** The identity: the entry tier always streams, in [pipeline_chunk]
     chunks.  Kept for its one caller, [benchmark/run.ml]; do not add
     new ones. *)
-
-val with_cdn_edges : int -> t -> t
 
 val with_fault_plan : Vuvuzela_faults.Fault.plan -> t -> t
 val with_tap : (round:int -> server:int -> bytes array -> unit) -> t -> t

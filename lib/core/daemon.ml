@@ -4,13 +4,14 @@
    Concurrency shape: everything runs on the transport's event loop in
    one thread.  Each link carries one round at a time (its batch as
    ordered parts down, one results frame up), so the daemon is a state
-   machine over four events — upstream frame, downstream frame,
-   downstream drop, upstream accept — and batches arrive through its
-   {!Hop}, the state machine the in-process chain drives too. *)
+   machine over three events — upstream accept, upstream frame, and a
+   reply from its downstream link — and batches arrive through its
+   {!Hop}, the state machine the in-process chain drives too.  The
+   downstream link is a {!Remote}, the coordinator's link end: it owns
+   the handshake's keys, the round in flight and the flap grace. *)
 
 module Transport = Vuvuzela_transport.Transport
 module Conn = Vuvuzela_transport.Conn
-module Evloop = Vuvuzela_transport.Evloop
 module Shaper = Vuvuzela_transport.Shaper
 module Httpd = Vuvuzela_transport.Httpd
 module Fault = Vuvuzela_faults.Fault
@@ -39,18 +40,10 @@ type st = {
   tel : Telemetry.t option;
   started_ms : float;
   mutable hop : Hop.t option;  (** once the downstream keys are known *)
-  mutable suffix : bytes list;
-      (** downstream public keys in use, chain order: the hop wraps its
-          noise to them, and the Chain_info reply announces them *)
-  mutable key_change : string option;
-      (** set while the latest downstream handshake announced keys other
-          than [suffix]: rounds are answered with {!Rpc.key_change} *)
   mutable upstream : Conn.t option;
-  mutable downstream : Conn.t option;
+  mutable downstream : Remote.t option;  (** [None] for the last server *)
   mutable hello_pending : bool;
       (** upstream said Hello before our own keys existed *)
-  mutable inflight : (int * Round.kind) option;
-      (** round forwarded downstream, results still owed *)
   outbox : bytes Queue.t;
       (** upstream frames owed while the upstream link is down; flushed
           (after the Chain_info reply) when the peer reconnects — a
@@ -71,6 +64,11 @@ type st = {
 }
 
 let is_last st = st.cfg.next = None
+
+(* The downstream public keys in use, chain order: the hop wraps its
+   noise to them, and the Chain_info reply announces them. *)
+let suffix st = Option.fold ~none:[] ~some:Remote.public_keys st.downstream
+let key_change st = Option.bind st.downstream Remote.key_change
 
 (* X25519 operations by kind, at scrape time: the counter family gains
    what [Curve25519.op_counts] gained since the previous scrape. *)
@@ -121,9 +119,7 @@ let flush_outbox st =
   outbox_gauge st
 
 let send_downstream st msg =
-  match st.downstream with
-  | Some down -> Conn.send down (Rpc.encode msg)
-  | None -> ()
+  Option.iter (fun down -> Remote.send down msg) st.downstream
 
 let status st ~round ~stage detail =
   { Rpc.round; server = st.cfg.index; stage; detail }
@@ -185,28 +181,20 @@ let open_hop st ~round ~dialing =
       st.span <- Some (span, (s.Conn.shaped_delay_ms, s.Conn.outages))
 
 (* Forward a processed batch to the next hop as part frames, so the
-   next server starts peeling while we are still queueing the rest. *)
+   next server starts peeling while we are still queueing the rest.
+   The trace context is re-stamped per hop: downstream parents into our
+   hop span (transitively into the coordinator's round root).  With
+   tracing off, the context that preceded this round passes through
+   unchanged so the hops beyond us still link up. *)
 let forward_downstream st ~kind ~round ~m onions =
-  st.inflight <- Some (round, kind);
-  (* Re-stamp the trace context per hop: downstream parents into our
-     hop span (transitively into the coordinator's round root).  With
-     tracing off, the context that preceded this round passes through
-     unchanged so the hops beyond us still link up. *)
   let ctx =
     match (st.tel, st.span) with
     | Some tel, Some (span, _) ->
         Some (Trace.context_of (Telemetry.trace tel) span)
     | _ -> st.pass_ctx
   in
-  Option.iter
-    (fun c ->
-      send_downstream st (Rpc.Trace_ctx { ctx = Trace.encode_context c }))
-    ctx;
-  Rpc.send_parts
-    ?chunk:(Config.part_chunk st.cfg.deployment)
-    ~emit:(fun ~seq ~last onions ->
-      send_downstream st (Rpc.part kind ~round ~m ~seq ~last onions))
-    (fun push -> push onions)
+  Option.iter (fun down -> Remote.forward down ~kind ~round ~m ?ctx onions)
+    st.downstream
 
 (* What fired faults ask of a daemon: over sockets a stall is real time,
    and a reset closes the upstream connection (the peer's reconnect
@@ -231,49 +219,38 @@ let ensure_hop st =
     let hop =
       Hop.create ?faults
         ~on_fire:(fun f -> on_fire st ~round:st.last_round f)
-        cfg.deployment ~position:cfg.index ~suffix_pks:st.suffix
+        cfg.deployment ~position:cfg.index ~suffix_pks:(suffix st)
     in
     st.hop <- Some hop;
     st.log
       (Printf.sprintf "server %d/%d ready (%d downstream key(s))" cfg.index
-         cfg.deployment.n_servers (List.length st.suffix));
+         cfg.deployment.n_servers (List.length (suffix st)));
     if st.hello_pending then begin
       st.hello_pending <- false;
       send_upstream st
         (Rpc.Chain_info
-           { pks = Server.public_key (Hop.server hop) :: st.suffix });
+           { pks = Server.public_key (Hop.server hop) :: suffix st });
       flush_outbox st
     end
   end
 
-(* Every downstream handshake after the first announces the suffix again
-   ([Conn] re-runs it on each reconnect).  A successor restarted without
-   its seed comes back with a fresh key, and onions wrapped to the old
-   one — our noise, the coordinator's clients' — would fail to
-   authenticate there and vanish as invalid.  So a changed suffix stops
-   this hop from running rounds until a handshake announces the keys in
-   use again. *)
-let check_suffix st pks =
-  let was = st.key_change in
-  st.key_change <-
-    Rpc.changed_keys ~first:(st.cfg.index + 1) ~in_use:st.suffix pks;
-  match (was, st.key_change) with
-  | None, Some detail ->
-      st.log ("downstream handshake: " ^ detail);
-      Telemetry.add_counter st.tel "vuvuzela_daemon_key_changes_total"
-  | Some _, None -> st.log "downstream keys back to those in use"
-  | _ -> ()
-
+(* A successor restarted without its seed comes back with a fresh key,
+   and onions wrapped to the old one — our noise, the coordinator's
+   clients' — would fail to authenticate there and vanish as invalid.
+   So while the downstream link reports a key change, this hop runs no
+   rounds. *)
 let key_change_status st ~round detail =
   Rpc.Status (Rpc.key_change ~round ~server:st.cfg.index ~detail)
 
 (* One [*_batch_part] frame — the only way a batch arrives — through the
-   hop state machine.  A fault that loses the batch is swallowed: the
-   coordinator's deadline notices.  While the downstream keys have
-   changed, a new round is answered at its first part and never run; the
-   hop ignores the parts after it, since no round of theirs is open. *)
+   hop state machine.  A fault that loses the batch is swallowed: after
+   a reset the link above answers the round when its grace ends, and
+   otherwise the coordinator's deadline notices.  While the downstream
+   keys have changed, a new round is answered at its first part and
+   never run; the hop ignores the parts after it, since no round of
+   theirs is open. *)
 let handle_part st hop ~raw msg (kind, round, m, seq) =
-  match st.key_change with
+  match key_change st with
   | Some detail when seq = 0 ->
       send_upstream st (key_change_status st ~round detail)
   | _ -> (
@@ -293,12 +270,9 @@ let handle_part st hop ~raw msg (kind, round, m, seq) =
 (* Frame handling                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let handle_downstream st hop ~raw msg =
-  let settle round =
-    match st.inflight with
-    | Some (r, _) when r = round -> st.inflight <- None
-    | _ -> ()
-  in
+(* Every reply from the downstream link, including the status it makes
+   up for a round whose link stayed lost past the grace. *)
+let handle_downstream st hop msg raw =
   match msg with
   | Rpc.Conv_results { round; _ } | Rpc.Dial_results { round; _ } ->
       let kind =
@@ -306,19 +280,17 @@ let handle_downstream st hop ~raw msg =
         | Rpc.Dial_results _ -> Round.Dialing
         | _ -> Round.Conversation
       in
-      settle round;
       (* Results that crossed a successor whose key changed mid-round
          carry nothing: every onion wrapped to the old key failed
          there. *)
       send_upstream st
-        (match (st.key_change, Hop.backward hop ~kind ~round ~msg raw) with
+        (match (key_change st, Hop.backward hop ~kind ~round ~msg raw) with
         | Some detail, _ -> key_change_status st ~round detail
         | None, Ok replies -> Rpc.results kind ~round replies
         | None, Error s -> Rpc.Status s);
       close_hop st
   | Rpc.Drop_contents _ -> send_upstream st msg
-  | Rpc.Status s ->
-      settle s.Rpc.round;
+  | Rpc.Status _ ->
       send_upstream st msg;
       close_hop st
   | _ -> ()
@@ -333,7 +305,7 @@ let handle_upstream st raw =
       | Some hop ->
           send_upstream st
             (Rpc.Chain_info
-               { pks = Server.public_key (Hop.server hop) :: st.suffix });
+               { pks = Server.public_key (Hop.server hop) :: suffix st });
           (* Frames owed from before the flap follow the handshake
              reply, in order: the reconnected peer's pending round can
              still complete. *)
@@ -350,8 +322,7 @@ let handle_upstream st raw =
   | Ok (Rpc.Abort { round; dialing }) ->
       let kind = if dialing then Round.Dialing else Round.Conversation in
       close_hop st;
-      if st.inflight = Some (round, kind) then st.inflight <- None;
-      send_downstream st (Rpc.Abort { round; dialing });
+      Option.iter (fun down -> Remote.abort down ~kind ~round) st.downstream;
       Option.iter (fun hop -> Hop.abort hop ~kind ~round) st.hop
   | Ok msg -> (
       match (st.hop, Rpc.part_header msg, msg) with
@@ -413,12 +384,9 @@ let run ?(log = fun _ -> ()) cfg =
         tel = telemetry;
         started_ms = Unix.gettimeofday () *. 1000.;
         hop = None;
-        suffix = [];
-        key_change = None;
         upstream = None;
         downstream = None;
         hello_pending = false;
-        inflight = None;
         outbox = Queue.create ();
         ctx = None;
         span = None;
@@ -476,7 +444,7 @@ let run ?(log = fun _ -> ()) cfg =
                  ("round", Json.Num (float_of_int st.last_round));
                  ("hops_done", Json.Num (float_of_int st.hops_done));
                  ("upstream_connected", Json.Bool (connected st.upstream));
-                 ("downstream_connected", Json.Bool (connected st.downstream));
+                 ("downstream_connected", Json.Bool (st.downstream <> None));
                  ("outbox_depth", Json.Num (float_of_int (Queue.length st.outbox)));
                  ( "uptime_ms",
                    Json.Num ((Unix.gettimeofday () *. 1000.) -. st.started_ms) );
@@ -531,7 +499,7 @@ let run ?(log = fun _ -> ()) cfg =
                 (fun s -> Printf.sprintf "%s-backoff-%d" s cfg.index)
                 cfg.deployment.seed
             in
-            let shaper =
+            let link =
               Option.map
                 (fun link ->
                   match cfg.deployment.seed with
@@ -543,52 +511,17 @@ let run ?(log = fun _ -> ()) cfg =
                 cfg.deployment.link
             in
             let down =
-              Transport.dial tp ~addr:next_addr
-                ~hello:(Rpc.encode (Rpc.Hello { index = cfg.index }))
-                ?backoff_seed ?shaper
-                ~on_established:(fun _ payload ->
-                  match Rpc.decode payload with
-                  | Ok (Rpc.Chain_info { pks }) ->
-                      if st.hop = None then begin
-                        st.suffix <- pks;
-                        ensure_hop st
-                      end
-                      else check_suffix st pks
-                  | Ok _ | Error _ ->
-                      st.log "malformed downstream handshake reply")
-                ~on_frame:(fun _ raw ->
-                  match (st.hop, Rpc.decode raw) with
-                  | Some hop, Ok msg -> handle_downstream st hop ~raw msg
-                  | _ -> ())
-                ~on_drop:(fun conn ->
-                  st.log "downstream link lost";
-                  (* Grace, not instant abort: the connection redials on
-                     its own, the successor holds our round's results in
-                     its outbox, and a link that heals inside
-                     [flap_grace_ms] lets the round complete.  Only a
-                     link still down (for the same in-flight round) when
-                     the grace expires abandons the round. *)
-                  let abandon inflight =
-                    if st.inflight = Some inflight then begin
-                      let round, kind = inflight in
-                      st.inflight <- None;
-                      send_upstream st
-                        (Rpc.Status
-                           (status st ~round ~stage:(Rpc.stage kind "batch")
-                              "downstream link lost"))
-                    end
-                  in
-                  let grace = cfg.deployment.flap_grace_ms in
-                  match st.inflight with
-                  | Some inflight when grace > 0. ->
-                      ignore
-                        (Evloop.after (Transport.loop tp) ~ms:grace (fun () ->
-                             if not (Conn.established conn) then
-                               abandon inflight))
-                  | Some inflight -> abandon inflight
-                  | None -> ())
-                ()
+              Remote.dial tp ~index:cfg.index ?telemetry ?backoff_seed ?link
+                ~flap_grace_ms:cfg.deployment.flap_grace_ms
+                ~log:(fun m -> st.log ("downstream " ^ m))
+                ~on_keys:(fun _ -> ensure_hop st)
+                ~on_reply:(fun msg raw ->
+                  Option.iter
+                    (fun hop -> handle_downstream st hop msg raw)
+                    st.hop)
+                ~addr:next_addr ()
             in
+            Remote.set_pipeline down (Config.part_chunk cfg.deployment);
             st.downstream <- Some down);
         while not st.stop do
           Transport.run_once tp
@@ -605,7 +538,7 @@ let run ?(log = fun _ -> ()) cfg =
             close_out oc
         | _ -> ());
         Option.iter (fun h -> Httpd.close h) httpd;
-        Option.iter Conn.close st.downstream;
+        Option.iter Remote.close st.downstream;
         Option.iter Conn.close st.upstream;
         Option.iter (fun hop -> Server.shutdown (Hop.server hop)) st.hop;
         Ok ())

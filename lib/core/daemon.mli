@@ -4,29 +4,32 @@
 
     Topology is the paper's §7 chain: the daemon listens for exactly
     one upstream peer (the coordinator, or the previous server) and —
-    unless it is the last server — maintains one dialed connection to
-    [next].  Key material assembles bottom-up at handshake time: the
-    last server derives its keys immediately; every other server dials
-    its successor, learns the downstream public keys from the
-    [Chain_info] reply, and only then creates its own {!Server} and
-    starts answering its own upstream handshake.  A restarted server
-    re-derives everything from its seed and rejoins the same way, which
-    is what lets the supervisor's retry outlast a crash.
+    unless it is the last server — dials [next] through a {!Remote}, the
+    same link end the coordinator dials the first server with.  Key
+    material assembles bottom-up at handshake time: the last server
+    derives its keys immediately; every other server learns the
+    downstream public keys from its link's first handshake, and only
+    then creates its own {!Server} and starts answering its own
+    upstream handshake.  A restarted server re-derives everything from
+    its seed and rejoins the same way, which is what lets the
+    supervisor's retry outlast a crash.
 
     A server restarted from another seed (or from none) rejoins with
     another key, which every onion already wrapped to the old one fails
-    against.  Each downstream re-handshake is therefore compared with
-    the keys in use: on a change the daemon logs it, counts it in
-    [vuvuzela_daemon_key_changes_total], and answers every later round
-    (and any round in flight) with the non-retryable {!Rpc.key_change}
-    instead of running it, until a handshake announces the keys in use
-    again.
+    against.  The link compares each re-handshake with the keys in use
+    and counts a change in [vuvuzela_daemon_key_changes_total]; while
+    it stands, the daemon answers every later round (and any round in
+    flight) with the non-retryable {!Rpc.key_change} instead of running
+    it.
 
     Churn resilience: frames owed upstream while that link is down wait
     in a bounded outbox and are flushed (after the handshake reply) when
-    the peer reconnects, and a lost downstream link gets [flap_grace_ms]
-    to heal before the in-flight round is abandoned — so a connection
-    flap that recovers inside the grace costs latency, not the round.
+    the peer reconnects.  The downstream link applies the coordinator's
+    grace rule: a round in flight when the link drops survives if its
+    reply arrives within [flap_grace_ms], and is otherwise answered
+    upstream with a retryable [transport] status when the grace ends —
+    so a flap costs latency, and a lost batch costs the grace and one
+    retry, not the coordinator's deadline.
 
     Batches arrive through the same {!Hop} state machine the in-process
     {!Chain} drives, so a [fault_plan] (entries must name
@@ -35,10 +38,11 @@
     A stall ([Delay_ms], [Slow_link], a [Flap] or [Partition] outage)
     sleeps for real, a reset ([Crash], [Flap], [Partition]) closes the
     upstream connection (after a [Flap] the reply waits in the outbox),
-    a lost batch ([Crash], [Drop_link], [Partition]) is swallowed for
-    the coordinator's deadline to notice, and a rejected part (frame
-    faults that break decoding, a [seq] gap) answers upstream with its
-    [Status].  Fired faults are counted in [/metrics]. *)
+    a lost batch ([Crash], [Drop_link], [Partition]) is swallowed — the
+    link above answers it when its grace ends after a reset, and the
+    coordinator's deadline notices a [Drop_link] — and a rejected part
+    (frame faults that break decoding, a [seq] gap) answers upstream
+    with its [Status].  Fired faults are counted in [/metrics]. *)
 
 type config = {
   listen : Unix.sockaddr;
@@ -53,10 +57,10 @@ type config = {
           bit-identical to an in-process chain from the same
           [Config.t].  The daemon also reads [fault_plan], [link] (the
           emulated WAN profile of the downstream link, jitter seeded per
-          link from [seed]), [flap_grace_ms] (grace for a lost
-          downstream link to heal before the in-flight round is
-          abandoned with a [Status]; [0.] aborts on the drop) and
-          [telemetry]. *)
+          link from [seed]), [flap_grace_ms] (how long after the
+          downstream link drops the round in flight may wait for its
+          reply before it is answered with a retryable [Status]; [0.]
+          answers on the drop) and [telemetry]. *)
   metrics_listen : Unix.sockaddr option;
       (** mount the scrape endpoints on this address (the
           [--metrics-listen] flag): [/metrics] is the daemon's own

@@ -61,8 +61,9 @@ type step =
           this status; the round's later parts are [Ignored] *)
   | Dropped of Rpc.status
       (** a fault lost the batch: in process the link reports this
-          status, a daemon says nothing and the coordinator's deadline
-          notices; the round's later parts are [Ignored] *)
+          status; a daemon says nothing, and the link above notices (its
+          grace after a reset, or the coordinator's deadline); the
+          round's later parts are [Ignored] *)
   | Ignored
       (** no round is open for this part: the tail of a batch already
           finished, rejected or dropped, or of a superseded round *)

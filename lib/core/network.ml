@@ -53,7 +53,6 @@ type t = {
   mutable m : int;  (** invitation drops for the next dialing round *)
   mutable auto_tune_m : bool;
   dial_kind : Dialing.kind;
-  cdn : Cdn.t option;  (** §5.5 distribution of invitation drops *)
   entry_chunk : int;  (** onions per entry chunk *)
   deadline_ms : float option;
       (** supervisor deadline per attempt, hedged by the link profile
@@ -126,7 +125,7 @@ let hedged_deadline_ms (cfg : Config.t) ~hops =
     cfg.round_deadline_ms
 
 (* The one constructor behind both backends. *)
-let make (cfg : Config.t) backend ~server_pks ~cdn =
+let make (cfg : Config.t) backend ~server_pks =
   install_ledger cfg;
   {
     backend;
@@ -144,7 +143,6 @@ let make (cfg : Config.t) backend ~server_pks ~cdn =
     m = 1;
     auto_tune_m = false;
     dial_kind = cfg.dial_kind;
-    cdn;
     max_retries = max 0 cfg.max_retries;
     m_history = [];
     last_fetched = Hashtbl.create 64;
@@ -153,16 +151,7 @@ let make (cfg : Config.t) backend ~server_pks ~cdn =
 
 let of_config (cfg : Config.t) =
   let chain = Chain.of_config cfg in
-  let cdn =
-    if cfg.cdn_edges > 0 then
-      Some
-        (Cdn.create ~edges:cfg.cdn_edges ~history:Server.invitation_history
-           ~fetch:(fun ~dial_round ~index ->
-             Chain.fetch_invitations chain ~dial_round ~index)
-           ())
-    else None
-  in
-  make cfg (Local chain) ~server_pks:(Chain.public_keys chain) ~cdn
+  make cfg (Local chain) ~server_pks:(Chain.public_keys chain)
 
 (* The coordinator of a multi-process deployment: same clients, same
    supervisor, but rounds cross a TCP connection to server 0.  [noise]
@@ -191,10 +180,10 @@ let of_config_tcp (cfg : Config.t) ~addr =
   | Error e -> Error e
   | Ok remote ->
       let t =
-        make cfg (Tcp remote) ~server_pks:(Remote.public_keys remote) ~cdn:None
+        make cfg (Tcp remote) ~server_pks:(Remote.public_keys remote)
       in
-      (* Over TCP the deadline also bounds the wait for each results
-         frame, so a silently dead link surfaces as a retryable
+      (* Over TCP the deadline also bounds the wait for each round's
+         results, so a silently dead link surfaces as a retryable
          transport status instead of blocking forever. *)
       Remote.set_deadline_ms remote t.deadline_ms;
       Remote.set_pipeline remote (Config.part_chunk cfg);
@@ -271,7 +260,6 @@ let dial_round t = t.dial_round
 let n_clients t = Hashtbl.length t.clients
 let set_invitation_drops t m = t.m <- max 1 m
 let set_auto_tune_drops t flag = t.auto_tune_m <- flag
-let cdn_stats t = Option.map Cdn.stats t.cdn
 let invitation_drops t = t.m
 let entry_chunk t = t.entry_chunk
 let set_admission_ms t w = t.admission_ms <- w
@@ -661,12 +649,12 @@ let run_conversation ?late ~participants (t : t) =
                     Some (c, Client.handle_conversation_replies c ~round replies))
               participants) ))
 
-(* The download/scan phase of a dialing round (unmixed; §5.5) — through
-   the CDN when one is deployed, straight from the last server
-   otherwise.  A client downloads every completed dialing round it has
-   not seen yet (each with that round's own [m]), so a client that was
-   blocked across dialing rounds still receives its invitations once it
-   participates again. *)
+(* The download/scan phase of a dialing round (unmixed; §5.5), straight
+   from the last server: as in the paper's prototype, no CDN stands in
+   between (the simulator prices one).  A client downloads every
+   completed dialing round it has not seen yet (each with that round's
+   own [m]), so a client that was blocked across dialing rounds still
+   receives its invitations once it participates again. *)
 let download_invitations t c =
   let pk = Client.public_key c in
   let upto = t.dial_round - 1 in
@@ -681,11 +669,7 @@ let download_invitations t c =
     | None -> ()  (* aborted round, or older than the retention window *)
     | Some m ->
         let index = Client.my_invitation_drop c ~m in
-        let drop =
-          match t.cdn with
-          | Some cdn -> Cdn.fetch cdn ~client_pk:pk ~dial_round:r ~index
-          | None -> chain_fetch_invitations t ~dial_round:r ~index
-        in
+        let drop = chain_fetch_invitations t ~dial_round:r ~index in
         events := !events @ Client.handle_invitations c drop
   done;
   Hashtbl.replace t.last_fetched pk upto;

@@ -49,11 +49,12 @@ val of_config_tcp : Config.t -> addr:Unix.sockaddr -> (t, string) result
     in the daemons ([--fault-plan]); [jobs] is inert (each daemon
     configures its own); {!set_auto_tune_drops} is inert (the wire
     protocol does not carry the last server's §5.4 recommendation); and
-    [round_deadline_ms] additionally bounds the wait for each results
-    frame, so a dead link surfaces as a retryable transport status
-    instead of blocking.  With [pipeline] set, no part leaving the
-    coordinator holds more than [pipeline_chunk] onions.  [Error] if the
-    chain cannot be reached within [handshake_timeout_ms]. *)
+    [round_deadline_ms] additionally bounds the wait for each round's
+    results, from the moment the round is sent, so a dead link
+    surfaces as a retryable transport status instead of blocking.  With
+    [pipeline] set, no part leaving the coordinator holds more than
+    [pipeline_chunk] onions.  [Error] if the chain cannot be reached
+    within [handshake_timeout_ms]. *)
 
 val chain : t -> Chain.t
 (** The in-process chain.
@@ -98,9 +99,6 @@ val set_admission_ms : t -> float option -> unit
     round — their requests arrive after it closed, and what they
     carried is requeued for the next round with a [Round_late] event.
     [None] admits everyone. *)
-
-val cdn_stats : t -> Cdn.stats option
-(** Present when the deployment was created with [cdn_edges > 0]. *)
 
 val entry_chunk : t -> int
 (** Onions per entry chunk (= [Config.pipeline_chunk]): every round's

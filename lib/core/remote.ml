@@ -1,12 +1,13 @@
-(* Coordinator-side remote chain; see the interface.
+(* The dialing end of a chain link; see the interface.
 
-   One round at a time: the batch leaves as part frames and one results
-   frame comes back, so the only asynchrony to handle is stale frames: a
-   results frame for a round the supervisor already abandoned (it timed
-   out, aborted, retried) can still arrive and must be discarded by
-   round number, or it would be taken for the retry's results. *)
+   A link carries one round at a time: the batch leaves as part frames
+   and one results frame comes back, so the only asynchrony to handle is
+   stale frames, which the owner discards by round number, and a dropped
+   connection, which is the link's to answer. *)
 
 module Transport = Vuvuzela_transport.Transport
+module Conn = Vuvuzela_transport.Conn
+module Evloop = Vuvuzela_transport.Evloop
 module Trace = Vuvuzela_telemetry.Trace
 module Telemetry = Vuvuzela_telemetry.Telemetry
 
@@ -17,137 +18,234 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type t = {
   tp : Transport.t;
-  client : Transport.client;
-  pks : bytes list;  (** the keys in use: clients wrap onions to them *)
+  conn : Conn.t;
+  index : int;  (** the dialer's chain position; -1 for the coordinator *)
   telemetry : Telemetry.t option;
-  mutable handshake : bytes;  (** the reply [key_change] was read from *)
+  log : string -> unit;
+  flap_grace_ms : float;
+  on_keys : bytes list -> unit;
+  mutable on_reply : Rpc.message -> bytes -> unit;
+  mutable pks : bytes list;
+      (** the keys in use, from position [index + 1] on: onions and
+          noise are wrapped to them.  [[]] until the first handshake *)
+  mutable malformed : bool;  (** a handshake reply was no key list *)
   mutable key_change : string option;
       (** set while the latest handshake announced keys other than
-          [pks]: rounds fail with {!Rpc.key_change} *)
-  dial_kind : Dialing.kind;
+          [pks] *)
+  mutable inflight : (Round.kind * int) option;
+      (** the round sent down whose reply is still owed *)
+  mutable grace : int option;  (** its grace timer, after a drop *)
+  mutable chunk : int option;  (** the part size; [None]: one per chunk *)
+  mutable dial_kind : Dialing.kind;
   mutable deadline_ms : float option;
-  mutable pipeline : int option;
-      (** [Some chunk]: no part leaving for server 0 holds more than
-          [chunk] onions, so it peels while the rest of the batch is
-          still crossing the wire; [None]: one part per producer chunk *)
-  flap_grace_ms : float;
-      (** on a mid-round drop, keep pumping this long for the healed
-          link to re-deliver the reply (the daemon's outbox holds it) *)
   mutable trace_ctx : Trace.context option;
       (** announced to the first hop ahead of the next batch so its hop
           span parents into the coordinator's round root *)
   mutable shut_down : bool;
 }
 
-let length t = List.length t.pks
 let public_keys t = t.pks
+let key_change t = t.key_change
 let set_deadline_ms t d = t.deadline_ms <- d
-let set_pipeline t p = t.pipeline <- Option.map (max 1) p
+let set_pipeline t p = t.chunk <- Option.map (max 1) p
 let stats t = Transport.stats t.tp
 let set_trace_ctx t c = t.trace_ctx <- c
+let send t msg = Conn.send t.conn (Rpc.encode msg)
+
+let settle t =
+  t.inflight <- None;
+  Option.iter (Evloop.cancel (Transport.loop t.tp)) t.grace;
+  t.grace <- None
+
+(* [Conn] re-runs the handshake on every reconnect, and the reply lists
+   the keys below again.  A server restarted without its seed announces
+   a key nobody wrapped to: every onion of a round would fail to
+   authenticate there.  So each reply after the first is compared with
+   the keys in use, and a change stands until one announces them
+   again. *)
+let established t payload =
+  match Rpc.decode payload with
+  | Ok (Rpc.Chain_info { pks }) when pks <> [] -> (
+      if t.pks = [] then begin
+        t.pks <- pks;
+        t.on_keys pks
+      end
+      else
+        let was = t.key_change in
+        t.key_change <-
+          Rpc.changed_keys ~first:(t.index + 1) ~in_use:t.pks pks;
+        match (was, t.key_change) with
+        | None, Some detail ->
+            t.log ("handshake: " ^ detail);
+            Telemetry.add_counter t.telemetry
+              (if t.index < 0 then "vuvuzela_remote_key_changes_total"
+               else "vuvuzela_daemon_key_changes_total")
+        | Some _, None -> t.log "keys back to those in use"
+        | _ -> ())
+  | Ok _ | Error _ ->
+      t.malformed <- true;
+      t.log "handshake reply malformed"
+
+let received t raw =
+  match Rpc.decode raw with
+  | Error _ -> ()
+  | Ok msg ->
+      (match (msg, t.inflight) with
+      | ( ( Rpc.Conv_results { round; _ }
+          | Rpc.Dial_results { round; _ }
+          | Rpc.Drop_contents { dial_round = round; _ }
+          | Rpc.Status { round; _ } ),
+          Some (_, r) )
+        when r = round ->
+          settle t
+      | _ -> ());
+      t.on_reply msg raw
+
+(* The grace rule, the same at every link end: a round in flight when
+   the link drops survives if its reply arrives within the grace, and
+   is answered with a retryable status when the grace ends. *)
+let dropped t =
+  t.log "link lost";
+  match t.inflight with
+  | None -> ()
+  | Some (_, round) ->
+      let lost () =
+        settle t;
+        let st =
+          Rpc.transport_error ~round ~server:(max 0 t.index)
+            ~detail:(Printf.sprintf "link to server %d lost" (t.index + 1))
+        in
+        t.on_reply (Rpc.Status st) (Rpc.encode (Rpc.Status st))
+      in
+      if t.flap_grace_ms <= 0. then lost ()
+      else if t.grace = None then
+        t.grace <-
+          Some
+            (Evloop.after (Transport.loop t.tp) ~ms:t.flap_grace_ms (fun () ->
+                 t.grace <- None;
+                 lost ()))
+
+let dial tp ~index ?telemetry ?backoff_seed ?link ?(flap_grace_ms = 0.) ~log
+    ~on_keys ~on_reply ~addr () =
+  let rec t =
+    lazy
+      {
+        tp;
+        conn =
+          Transport.dial tp ~addr ~hello:(Rpc.encode (Rpc.Hello { index }))
+            ?backoff_seed ?shaper:link
+            ~on_established:(fun _ payload -> established (Lazy.force t) payload)
+            ~on_frame:(fun _ raw -> received (Lazy.force t) raw)
+            ~on_drop:(fun _ -> dropped (Lazy.force t))
+            ();
+        index;
+        telemetry;
+        log;
+        flap_grace_ms = Float.max 0. flap_grace_ms;
+        on_keys;
+        on_reply;
+        pks = [];
+        malformed = false;
+        key_change = None;
+        inflight = None;
+        grace = None;
+        chunk = None;
+        dial_kind = Dialing.Plain;
+        deadline_ms = None;
+        trace_ctx = None;
+        shut_down = false;
+      }
+  in
+  Lazy.force t
+
+let start t ~kind ~round =
+  settle t;
+  t.inflight <- Some (kind, round)
+
+(* The trace context precedes the batch on the same ordered link, so the
+   next hop reads it before opening its hop span.  It is a pure control
+   frame: digests cover request/reply bytes only, so presence or absence
+   cannot perturb the transcript. *)
+let send_round t ~kind ~round ~m ?ctx ?(between = ignore) fill =
+  start t ~kind ~round;
+  Option.iter
+    (fun c -> send t (Rpc.Trace_ctx { ctx = Trace.encode_context c }))
+    ctx;
+  Rpc.send_parts ?chunk:t.chunk
+    ~emit:(fun ~seq ~last onions ->
+      send t (Rpc.part kind ~round ~m ~seq ~last onions);
+      if not last then between ())
+    fill
+
+let forward t ~kind ~round ~m ?ctx onions =
+  send_round t ~kind ~round ~m ?ctx (fun push -> push onions)
+
+let abort t ~kind ~round =
+  if t.inflight = Some (kind, round) then settle t;
+  if not t.shut_down then
+    send t (Rpc.Abort { round; dialing = Round.is_dialing kind })
+
+let close t =
+  settle t;
+  Conn.close t.conn
+
+(* ------------------------------------------------------------------ *)
+(* The coordinator: a wait on top of the link                          *)
+(* ------------------------------------------------------------------ *)
 
 let connect ?telemetry ?(dial_kind = Dialing.Plain)
-    ?(handshake_timeout_ms = 30_000.) ?backoff_seed ?link
-    ?(flap_grace_ms = 0.) ~addr () =
+    ?(handshake_timeout_ms = 30_000.) ?backoff_seed ?link ?flap_grace_ms
+    ~addr () =
   let tp = Transport.create ?telemetry () in
-  let client =
-    Transport.connect tp ~addr ~hello:(Rpc.encode (Rpc.Hello { index = -1 }))
-      ?backoff_seed ?shaper:link ()
+  let t =
+    dial tp ~index:(-1) ?telemetry ?backoff_seed ?link ?flap_grace_ms
+      ~log:(fun m -> Log.warn (fun f -> f "first-hop %s" m))
+      ~on_keys:ignore
+      ~on_reply:(fun _ _ -> ())
+      ~addr ()
   in
-  match Transport.handshake ~deadline_ms:handshake_timeout_ms tp client with
-  | Error `Timeout ->
-      Transport.close_client tp client;
-      Error
-        (Printf.sprintf "remote chain at %s: no handshake within %.0f ms"
-           (Vuvuzela_transport.Addr.to_string addr)
-           handshake_timeout_ms)
-  | Ok payload -> (
-      match Rpc.decode payload with
-      | Ok (Rpc.Chain_info { pks }) when pks <> [] ->
-          Ok
-            {
-              tp;
-              client;
-              pks;
-              telemetry;
-              handshake = payload;
-              key_change = None;
-              dial_kind;
-              deadline_ms = None;
-              pipeline = None;
-              flap_grace_ms = Float.max 0. flap_grace_ms;
-              trace_ctx = None;
-              shut_down = false;
-            }
-      | Ok _ | Error _ ->
-          Transport.close_client tp client;
-          Error "remote chain: malformed handshake reply")
-
-(* The transport re-runs the handshake on every reconnect, and the first
-   hop's reply lists the chain's keys again.  A first hop restarted
-   without its seed announces a key nobody wrapped to: every onion of a
-   round would fail to authenticate there.  So each new reply is
-   compared with the keys in use, and a change fails rounds until one
-   announces them again. *)
-let check_keys t =
-  match Transport.last_handshake t.client with
-  | Some payload when payload != t.handshake -> (
-      t.handshake <- payload;
-      match Rpc.decode payload with
-      | Ok (Rpc.Chain_info { pks }) -> (
-          let was = t.key_change in
-          t.key_change <- Rpc.changed_keys ~first:0 ~in_use:t.pks pks;
-          match (was, t.key_change) with
-          | None, Some detail ->
-              Log.warn (fun m -> m "first-hop handshake: %s" detail);
-              Telemetry.add_counter t.telemetry
-                "vuvuzela_remote_key_changes_total"
-          | _ -> ())
-      | Ok _ | Error _ -> ())
-  | _ -> ()
+  t.dial_kind <- dial_kind;
+  let fail e =
+    close t;
+    Error e
+  in
+  if
+    not
+      (Transport.run_until ~deadline_ms:handshake_timeout_ms tp (fun () ->
+           t.pks <> [] || t.malformed))
+  then
+    fail
+      (Printf.sprintf "remote chain at %s: no handshake within %.0f ms"
+         (Vuvuzela_transport.Addr.to_string addr)
+         handshake_timeout_ms)
+  else if t.pks = [] then fail "remote chain: malformed handshake reply"
+  else Ok t
 
 let key_change_status t ~round =
-  check_keys t;
   Option.map (fun detail -> Rpc.key_change ~round ~server:0 ~detail) t.key_change
 
-(* The trace context precedes the batch on the same ordered link, so
-   the first hop reads it before opening its hop span.  It is a pure
-   control frame: digests cover request/reply bytes only, so presence
-   or absence cannot perturb the transcript. *)
-let send_trace_ctx t =
-  match t.trace_ctx with
-  | Some c ->
-      Transport.send_batch t.client
-        (Rpc.encode (Rpc.Trace_ctx { ctx = Trace.encode_context c }))
-  | None -> ()
-
-(* Pump until the matching reply.  [expect] filters: [Some] for the
-   reply (or a status) of *this* round, [None] for anything stale. *)
-let await_reply t ~round ~expect =
-  let grace_ms = if t.flap_grace_ms > 0. then Some t.flap_grace_ms else None in
-  let rec await () =
-    match Transport.recv_batch ?deadline_ms:t.deadline_ms ?grace_ms t.tp t.client with
-    | Error `Timeout ->
-        Error
-          (Rpc.transport_error ~round ~server:0
-             ~detail:
-               (Printf.sprintf "no reply within %.0f ms"
-                  (Option.value ~default:0. t.deadline_ms)))
-    | Error `Dropped ->
-        Error
-          (Rpc.transport_error ~round ~server:0
-             ~detail:"connection to first hop lost")
-    | Ok payload -> (
-        match Rpc.decode payload with
-        | Error _ -> await () (* unparseable frame: skip, keep waiting *)
-        | Ok msg -> (
-            match expect msg with
-            | Some outcome ->
-                Transport.publish t.tp;
-                outcome
-            | None -> await ()))
-  in
-  await ()
+(* Send, then pump until [expect] picks this request's reply out of
+   the frames coming back ([None] for anything stale).  The deadline
+   runs from the moment the request is sent, whatever frames arrive in
+   the meantime. *)
+let exchange t ~round ~expect request =
+  let outcome = ref None in
+  t.on_reply <- (fun msg _ -> if !outcome = None then outcome := expect msg);
+  request ();
+  ignore
+    (Transport.run_until ?deadline_ms:t.deadline_ms t.tp (fun () ->
+         !outcome <> None));
+  t.on_reply <- (fun _ _ -> ());
+  match !outcome with
+  | Some outcome ->
+      Transport.publish t.tp;
+      outcome
+  | None ->
+      Error
+        (Rpc.transport_error ~round ~server:0
+           ~detail:
+             (Printf.sprintf "no reply within %.0f ms"
+                (Option.value ~default:0. t.deadline_ms)))
 
 let round_streamed t ~kind ~m ~round ~produce =
   let refused =
@@ -158,22 +256,12 @@ let round_streamed t ~kind ~m ~round ~produce =
   | Some st -> Error st
   | None -> (
       let expected =
-        Entry.request_len ~chain_len:(length t) ~dial_kind:t.dial_kind kind
+        Entry.request_len ~chain_len:(List.length t.pks) ~dial_kind:t.dial_kind
+          kind
       in
-      send_trace_ctx t;
-      (* The coordinator holds at most two chunks of onions: parts leave
-         as soon as the next one exists, and between parts the socket is
-         drained so the first hop peels early parts while the producer is
-         still wrapping later ones. *)
-      Rpc.send_parts ?chunk:t.pipeline
-        ~emit:(fun ~seq ~last onions ->
-          Transport.send_batch t.client
-            (Rpc.encode (Rpc.part kind ~round ~m ~seq ~last onions));
-          if not last then Transport.run_once ~max_wait_ms:0. t.tp)
-        (fun push ->
-          produce (fun chunk -> push (Entry.normalize ~expected chunk)));
       let outcome =
-        await_reply t ~round ~expect:(fun msg ->
+        exchange t ~round
+          ~expect:(fun msg ->
             match (kind, msg) with
             | Round.Conversation, Rpc.Conv_results { round = r; replies }
             | Round.Dialing, Rpc.Dial_results { round = r; replies }
@@ -181,6 +269,15 @@ let round_streamed t ~kind ~m ~round ~produce =
                 Some (Ok replies)
             | _, Rpc.Status st when st.Rpc.round = round -> Some (Error st)
             | _ -> None)
+          (fun () ->
+            (* The coordinator holds at most two chunks of onions: parts
+               leave as soon as the next one exists, and between parts
+               the socket is drained so the first hop peels early parts
+               while the producer is still wrapping later ones. *)
+            send_round t ~kind ~round ~m ?ctx:t.trace_ctx
+              ~between:(fun () -> Transport.run_once ~max_wait_ms:0. t.tp)
+              (fun push ->
+                produce (fun chunk -> push (Entry.normalize ~expected chunk))))
       in
       (* A reconnect mid-round to a first hop with a new key: whatever
          came back crossed a server that could peel none of it. *)
@@ -200,34 +297,31 @@ let conversation_round t ~round requests =
 let dialing_round t ~round ~m requests =
   dialing_round_streamed t ~round ~m ~produce:(fun feed -> feed requests)
 
-let abort t ~kind ~round =
-  if not t.shut_down then
-    Transport.send_batch t.client
-      (Rpc.encode (Rpc.Abort { round; dialing = Round.is_dialing kind }))
-
 let fetch_invitations t ~dial_round ~index =
   if t.shut_down then []
-  else begin
-    Transport.send_batch t.client
-      (Rpc.encode (Rpc.Fetch_drop { dial_round; index }));
+  else
     match
-      await_reply t ~round:dial_round ~expect:(function
-        | Rpc.Drop_contents { dial_round = r; index = i; invitations }
-          when r = dial_round && i = index -> Some (Ok invitations)
-        | Rpc.Status st when st.Rpc.round = dial_round -> Some (Error st)
-        | _ -> None)
+      exchange t ~round:dial_round
+        ~expect:(function
+          | Rpc.Drop_contents { dial_round = r; index = i; invitations }
+            when r = dial_round && i = index ->
+              Some (Ok invitations)
+          | Rpc.Status st when st.Rpc.round = dial_round -> Some (Error st)
+          | _ -> None)
+        (fun () ->
+          start t ~kind:Round.Dialing ~round:dial_round;
+          send t (Rpc.Fetch_drop { dial_round; index }))
     with
     | Ok invitations -> invitations
     | Error _ -> []
-  end
 
 let shutdown t =
   if not t.shut_down then begin
     t.shut_down <- true;
-    Transport.send_batch t.client (Rpc.encode Rpc.Bye);
+    send t Rpc.Bye;
     (* Give the Bye a beat to reach the wire before tearing down. *)
     for _ = 1 to 5 do
       Transport.run_once ~max_wait_ms:2. t.tp
     done;
-    Transport.close_client t.tp t.client
+    close t
   end

@@ -1,26 +1,79 @@
-(** The coordinator's view of a chain whose servers are separate
-    processes: the same round operations {!Chain} offers in-process,
-    carried over a framed TCP connection to the first hop.
+(** The dialing end of a chain link, and the coordinator's view of a
+    chain whose servers are separate processes.
 
-    The coordinator dials server 0 ([Hello] with index -1), learns the
-    full public-key list from the handshake reply ([Chain_info] — each
-    server learned its suffix the same way from its successor), then
-    drives one round at a time: send the batch as part frames, pump the
-    event loop until the results frame (or a typed [Status], or the
-    deadline) comes back.  Connection loss is never fatal here — the transport
-    redials under backoff while failures surface per round as retryable
-    {!Rpc.transport_error} statuses for the supervisor's existing
-    abort/retry machinery.
+    Every link of a multi-process chain is dialed by the tier above it:
+    the coordinator dials server 0 ([Hello] with index -1), and server
+    [i] dials server [i + 1] ([Hello] with index [i]).  This module is
+    that dialing end, for both.  It dials with callbacks on the owner's
+    {!Vuvuzela_transport.Transport.t}, learns the public keys of the
+    chain below from the handshake reply ([Chain_info]), sends each round
+    as a trace context and then part frames, and settles the round in
+    flight when its results, a status or an abort for it arrive.  Every
+    reply frame goes to the owner: a daemon relays it upstream
+    ({!dial}), and the coordinator waits for it ({!round_streamed}).
 
-    A re-handshake whose key list differs from the one learned at
-    connect (the first hop restarted from another seed) is a key
-    change: it is logged, counted in [vuvuzela_remote_key_changes_total],
-    and fails every later round, and the one in flight, with the
-    non-retryable {!Rpc.key_change}, until a handshake announces the old
-    keys again.  A change further down the chain is the first hop's to
-    report. *)
+    Connection loss is never fatal: the connection redials under backoff
+    on its own.  A round in flight when its link drops survives if its
+    reply arrives within [flap_grace_ms] of the drop (the peer parks it
+    in its outbox and re-sends it over the healed link).  Otherwise the
+    link answers the round itself when the grace ends, with the
+    retryable {!Rpc.transport_error} ["link to server N lost"], for the
+    supervisor's abort/retry machinery.
+
+    A re-handshake whose keys differ from those learned first (the
+    server below restarted from another seed) is a key change: it is
+    logged, counted in [vuvuzela_remote_key_changes_total] at the
+    coordinator and [vuvuzela_daemon_key_changes_total] at a daemon, and
+    reported by {!key_change} until a handshake announces the keys in
+    use again.  Meanwhile rounds, and the one in flight, are answered
+    with the non-retryable {!Rpc.key_change}.  A change further down is
+    the next daemon's to report. *)
 
 type t
+
+(** {2 A daemon's downstream link} *)
+
+val dial :
+  Vuvuzela_transport.Transport.t ->
+  index:int ->
+  ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
+  ?backoff_seed:string ->
+  ?link:Vuvuzela_transport.Shaper.config ->
+  ?flap_grace_ms:float ->
+  log:(string -> unit) ->
+  on_keys:(bytes list -> unit) ->
+  on_reply:(Rpc.message -> bytes -> unit) ->
+  addr:Unix.sockaddr ->
+  unit ->
+  t
+(** Start dialing [addr] as chain position [index]; returns at once.
+    [on_keys] receives the first handshake's keys (the next server's
+    and those below it); [on_reply] every decoded frame from the peer,
+    stale ones included, and the status of a round whose link stayed
+    lost.  [backoff_seed] seeds the reconnect backoff's jitter, [link]
+    emulates a WAN on the link, and [flap_grace_ms] (default [0.]: the
+    drop answers the round) is the grace above. *)
+
+val forward :
+  t ->
+  kind:Round.kind ->
+  round:int ->
+  m:int ->
+  ?ctx:Vuvuzela_telemetry.Trace.context ->
+  bytes array ->
+  unit
+(** Send a batch as the round in flight: the trace context, then part
+    frames of the size {!set_pipeline} set. *)
+
+val send : t -> Rpc.message -> unit
+(** Queue one frame for the peer (sent once the link is established). *)
+
+val key_change : t -> string option
+(** The detail of a standing key change, if any. *)
+
+val close : t -> unit
+
+(** {2 The coordinator} *)
 
 val connect :
   ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
@@ -32,28 +85,25 @@ val connect :
   addr:Unix.sockaddr ->
   unit ->
   (t, string) result
-(** Dial the first hop and wait (at most [handshake_timeout_ms],
-    default 30s) for the chain to assemble — the handshake reply only
-    arrives once every server downstream has its keys.  [dial_kind]
-    must match the daemons' (it sizes dialing batches).  Rounds wait
-    for results without a deadline until {!set_deadline_ms} sets one.
-    [backoff_seed] makes the reconnect backoff's full jitter
-    deterministic, [link] emulates WAN characteristics on the
-    coordinator → first-hop link, and [flap_grace_ms] (default [0.])
-    lets a round survive a mid-round connection flap: on a drop the
-    coordinator keeps pumping that long for the healed link to
-    re-deliver the reply the daemon parked in its outbox. *)
+(** Dial the first hop on a transport of its own and wait (at most
+    [handshake_timeout_ms], default 30s) for the chain to assemble —
+    the handshake reply only arrives once every server downstream has
+    its keys.  [dial_kind] must match the daemons' (it sizes dialing
+    batches).  Rounds wait for results without a deadline until
+    {!set_deadline_ms} sets one.  The other arguments are {!dial}'s. *)
 
-val length : t -> int
 val public_keys : t -> bytes list
+(** The keys in use below this link, in chain order: the whole chain's
+    at the coordinator. *)
 
 val set_deadline_ms : t -> float option -> unit
-(** Bound each round's wait for results; [None] waits forever. *)
+(** Bound each round's wait for results, timed from the moment the round
+    is sent; [None] waits forever. *)
 
 val set_pipeline : t -> int option -> unit
-(** [Some chunk] (clamped ≥ 1): no part leaving for the first hop holds
-    more than [chunk] onions (larger producer chunks are split), so it
-    peels early parts while later ones are still crossing the wire.
+(** [Some chunk] (clamped ≥ 1): no part leaving on this link holds more
+    than [chunk] onions (larger producer chunks are split), so the next
+    hop peels early parts while later ones are still crossing the wire.
     [None] (the default) sends one part per producer chunk — a
     materialized batch as one whole-batch part.  Results are
     bit-identical at any part size. *)
@@ -77,8 +127,8 @@ val round_streamed :
     part frames (see {!set_pipeline}) with one part of lookahead, so the
     final part carries [last] and the coordinator buffers at most two
     chunks while the first hop peels early parts.  [Error] is a typed
-    status: one a server sent in place of results, or a local
-    {!Rpc.transport_error}/deadline for a link that failed silently. *)
+    status: one a server sent in place of results, the lost-link status
+    above, or a {!Rpc.transport_error} for a deadline that passed. *)
 
 val conversation_round_streamed :
   t ->
@@ -102,9 +152,10 @@ val dialing_round :
   t -> round:int -> m:int -> bytes array -> (bytes array, Rpc.status) result
 
 val abort : t -> kind:Round.kind -> round:int -> unit
-(** Best-effort [Abort] frame, forwarded hop to hop; a link that is
-    down simply misses it (stale round state on a server is inert —
-    every retry uses a fresh round number). *)
+(** Settle the round if it is the one in flight, and send a best-effort
+    [Abort] frame, forwarded hop to hop; a link that is down simply
+    misses it (stale round state on a server is inert — every retry uses
+    a fresh round number). *)
 
 val fetch_invitations : t -> dial_round:int -> index:int -> bytes list
 (** Download one invitation drop from the last server (relayed down the
@@ -113,7 +164,7 @@ val fetch_invitations : t -> dial_round:int -> index:int -> bytes list
     client. *)
 
 val stats : t -> Vuvuzela_transport.Conn.stats
-(** Wire counters for this endpoint (bytes, frames, reconnects). *)
+(** Wire counters of the link's transport (bytes, frames, reconnects). *)
 
 val shutdown : t -> unit
 (** Send [Bye] down the chain and close.  Idempotent. *)

@@ -31,7 +31,7 @@ type message =
       (** backward pass *)
   | Dial_results of { round : int; replies : bytes array }
   | Fetch_drop of { dial_round : int; index : int }
-      (** client → last server (or CDN): download an invitation drop *)
+      (** client → last server: download an invitation drop *)
   | Drop_contents of { dial_round : int; index : int; invitations : bytes list }
   | Status of status
       (** error frame: a server rejected a batch (framing, size, or

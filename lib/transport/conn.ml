@@ -69,7 +69,6 @@ type t = {
 }
 
 let state t = t.st
-let established t = t.st = Established
 let reconnects t = t.reconnects
 
 let queued t =

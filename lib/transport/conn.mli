@@ -90,7 +90,6 @@ val send : t -> bytes -> unit
     @raise Invalid_argument if the payload exceeds {!Frame.max_payload}. *)
 
 val state : t -> state
-val established : t -> bool
 
 val queued : t -> int
 (** Buffers waiting to reach the wire (including any partial one).  A

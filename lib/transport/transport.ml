@@ -82,95 +82,3 @@ let dial t ~addr ~hello ?base_backoff_ms ?max_backoff_ms
   Conn.dial ~loop:t.loop ~addr ~hello ~stats:t.stats ?base_backoff_ms
     ?max_backoff_ms ?handshake_timeout_ms ?backoff_seed ?shaper
     ~on_established ~on_frame ~on_drop ()
-
-(* ------------------------------------------------------------------ *)
-(* Client style: synchronous lockstep exchange                         *)
-(* ------------------------------------------------------------------ *)
-
-type client = {
-  conn : Conn.t;
-  inbox : bytes Queue.t;
-  mutable last_handshake : bytes option;
-  mutable dropped : bool;  (** set on drop, cleared by the next recv *)
-}
-
-let connect t ~addr ~hello ?max_backoff_ms ?backoff_seed ?shaper () =
-  let inbox = Queue.create () in
-  let shaper =
-    match shaper with
-    | Some cfg when not (Shaper.is_transparent cfg) ->
-        Some (Shaper.create cfg)
-    | Some _ | None -> None
-  in
-  let rec client =
-    lazy
-      {
-        conn =
-          Conn.dial ~loop:t.loop ~addr ~hello ~stats:t.stats ?max_backoff_ms
-            ?backoff_seed ?shaper
-            ~on_established:(fun _ payload ->
-              let c = Lazy.force client in
-              c.last_handshake <- Some payload)
-            ~on_frame:(fun _ payload ->
-              Queue.push payload (Lazy.force client).inbox)
-            ~on_drop:(fun _ -> (Lazy.force client).dropped <- true)
-            ();
-        inbox;
-        last_handshake = None;
-        dropped = false;
-      }
-  in
-  Lazy.force client
-
-let last_handshake c = c.last_handshake
-
-let handshake ?deadline_ms t c =
-  if
-    run_until ?deadline_ms t (fun () ->
-        Conn.established c.conn && c.last_handshake <> None)
-  then Ok (Option.get c.last_handshake)
-  else Error `Timeout
-
-let send_batch c payload =
-  (* [dropped] means "dropped since the last send": a drop racing ahead
-     of the matching recv must not be erased by it. *)
-  c.dropped <- false;
-  Conn.send c.conn payload
-
-let recv_batch ?deadline_ms ?grace_ms t c =
-  (* [grace_ms] is flap tolerance: a drop while waiting does not fail
-     the round immediately — the connection keeps redialing, and a peer
-     that queued our reply in its outbox re-delivers it once the link
-     heals.  Only when the grace (or the overall deadline) runs out with
-     no frame do we report the drop. *)
-  let started = Clock.now_ms () in
-  let remaining () =
-    Option.map
-      (fun d -> Float.max 0. (d -. Clock.elapsed_ms ~since:started))
-      deadline_ms
-  in
-  let wait () =
-    if
-      run_until ?deadline_ms:(remaining ()) t (fun () ->
-          (not (Queue.is_empty c.inbox)) || c.dropped)
-    then
-      if not (Queue.is_empty c.inbox) then Ok (Queue.pop c.inbox)
-      else
-        match grace_ms with
-        | None -> Error `Dropped
-        | Some g ->
-            c.dropped <- false;
-            let g =
-              match remaining () with Some r -> Float.min g r | None -> g
-            in
-            if g <= 0. then Error `Dropped
-            else if
-              run_until ~deadline_ms:g t (fun () ->
-                  not (Queue.is_empty c.inbox))
-            then Ok (Queue.pop c.inbox)
-            else Error `Dropped
-    else Error `Timeout
-  in
-  wait ()
-
-let close_client _t c = Conn.close c.conn

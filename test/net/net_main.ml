@@ -14,7 +14,11 @@
      survived the same way;
    - a middle or first server restarted from another seed (so with
      another key) fails the next round with the key-change status;
-   - a trace context crosses a middle daemon that does not trace.
+   - a flap on the coordinator's or the middle link costs no attempt,
+     and a partition costs one retry after the grace, not the deadline;
+   - a trace context crosses a middle daemon that does not trace;
+   - a first hop that answers nothing cannot stretch a round past its
+     deadline by sending stale frames.
 
    Plain executable: forking is only safe in a process that never
    spawned a domain, so this cannot live inside the alcotest binary. *)
@@ -94,8 +98,8 @@ let fork_daemon cfg =
       Unix._exit 0
   | pid -> pid
 
-let spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed
-    ports =
+let spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards
+    ?flap_grace_ms ~seed ports =
   Array.to_list
     (Array.init chain_len (fun i ->
          (* last server first, so the handshake cascade settles fast;
@@ -108,13 +112,14 @@ let spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed
          in
          fork_daemon
            (daemon_cfg ~seed ~ports ~index ?fault_plan ?pipeline_chunk ?jobs
-              ?deaddrop_shards ())))
+              ?deaddrop_shards ?flap_grace_ms ())))
 
-let with_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed f =
+let with_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards
+    ?flap_grace_ms ~seed f =
   let ports = Daemon_spawn.free_ports chain_len in
   let pids =
-    spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards ~seed
-      ports
+    spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards
+      ?flap_grace_ms ~seed ports
   in
   Fun.protect
     ~finally:(fun () -> List.iter Daemon_spawn.stop_pid pids)
@@ -417,46 +422,70 @@ let test_kill_restart () =
           Network.shutdown net)
 
 (* ------------------------------------------------------------------ *)
-(* 5. Link flap mid-round: outbox + flap grace save the round          *)
+(* 5. Link loss: one grace rule at both link ends                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_flap_survival () =
-  print_endline "link flap at middle server, outbox re-delivery under grace:";
-  let plan = [ { Fault.round = 1; server = 1; kind = Fault.Flap 0 } ] in
-  with_chain ~seed:"net-flap" ~fault_plan_for:(1, plan) (fun ports ->
-      match
-        Network.of_config_tcp
-          Network.Config.(
-            tcp_config |> with_round_deadline_ms 20_000. |> with_max_retries 3
-            |> with_flap_grace_ms 5_000.)
-          ~addr:(Addr.loopback ~port:ports.(0))
-      with
-      | Error e -> check ("of_config_tcp: " ^ e) false
-      | Ok net ->
-          let a = Network.connect ~seed:"flap-a" net in
-          let b = Network.connect ~seed:"flap-b" net in
-          Client.start_conversation a ~peer_pk:(Client.public_key b);
-          Client.start_conversation b ~peer_pk:(Client.public_key a);
-          Client.send a "rides out the flap";
-          let r = Network.run ~kind:Round.Conversation net in
-          check "flapped round completed" (r.Network.failure = None);
-          (* The whole point: the link healed inside the grace, the
-             middle server's outbox re-delivered the reply, and the
-             round cost latency — not an abort + retry. *)
-          check "survived without a retry" (r.Network.attempts = 1);
-          check "no abort recorded" (r.Network.aborts = []);
-          let r2 = Network.run ~kind:Round.Conversation net in
-          check "delivery through the flap"
-            (List.exists
-               (fun (_, evs) ->
-                 List.exists
-                   (function
-                     | Client.Delivered { text; _ } ->
-                         text = "rides out the flap"
-                     | _ -> false)
-                   evs)
-               (r.Network.events @ r2.Network.events));
-          Network.shutdown net)
+(* A flap (the socket resets, the reply survives in the peer's outbox)
+   and a partition (the batch is lost with the socket) on the
+   coordinator's link ([@1:0]) and on the middle link ([@1:1]), with
+   500 ms graces at every link end and an 8 s deadline.  A flap costs
+   latency, not an attempt: the peer's outbox re-delivers the reply over
+   the healed link.  A partition costs the grace and one retry, at
+   either end: the dialing end answers the lost round when the grace
+   ends, instead of waiting for the deadline.  Either way the message
+   gets through. *)
+let test_link_loss () =
+  print_endline "link-loss matrix (500 ms graces, 8 s deadline):";
+  List.iter
+    (fun plan_s ->
+      let plan = Result.get_ok (Fault.parse plan_s) in
+      let site = (List.hd plan).Fault.server in
+      let partition =
+        match (List.hd plan).Fault.kind with
+        | Fault.Partition _ -> true
+        | _ -> false
+      in
+      with_chain ~flap_grace_ms:500. ~seed:"net-link-loss"
+        ~fault_plan_for:(site, plan) (fun ports ->
+          match
+            Network.of_config_tcp
+              Network.Config.(
+                tcp_config |> with_round_deadline_ms 8_000.
+                |> with_max_retries 2 |> with_flap_grace_ms 500.)
+              ~addr:(Addr.loopback ~port:ports.(0))
+          with
+          | Error e -> check ("of_config_tcp: " ^ e) false
+          | Ok net ->
+              let a = Network.connect ~seed:"loss-a" net in
+              let b = Network.connect ~seed:"loss-b" net in
+              Client.start_conversation a ~peer_pk:(Client.public_key b);
+              Client.start_conversation b ~peer_pk:(Client.public_key a);
+              Client.send a "across a lost link";
+              let t0 = Unix.gettimeofday () in
+              let r = Network.run ~kind:Round.Conversation net in
+              let ms = 1000. *. (Unix.gettimeofday () -. t0) in
+              let attempts = if partition then 2 else 1 in
+              check
+                (Printf.sprintf "%s: completed in %d attempt(s), %.0f ms%s"
+                   plan_s r.Network.attempts ms
+                   (if partition then " (< 3000)" else ""))
+                (r.Network.failure = None
+                && r.Network.attempts = attempts
+                && List.length r.Network.aborts = attempts - 1
+                && ((not partition) || ms < 3_000.));
+              let r2 = Network.run ~kind:Round.Conversation net in
+              check (plan_s ^ ": delivered")
+                (List.exists
+                   (fun (_, evs) ->
+                     List.exists
+                       (function
+                         | Client.Delivered { text; _ } ->
+                             text = "across a lost link"
+                         | _ -> false)
+                       evs)
+                   (r.Network.events @ r2.Network.events));
+              Network.shutdown net))
+    [ "flap(0)@1:0"; "flap(0)@1:1"; "partition(50)@1:0"; "partition(50)@1:1" ]
 
 (* ------------------------------------------------------------------ *)
 (* 6. Emulated WAN links: shaping delays frames, never changes them    *)
@@ -975,15 +1004,16 @@ let test_fault_parity () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* 9. A hostile first hop cannot crash the coordinator                 *)
+(* 9. Hostile first hops: no crash, no deadline stretched              *)
 (* ------------------------------------------------------------------ *)
 
 module Transport = Vuvuzela_transport.Transport
 module Conn = Vuvuzela_transport.Conn
 
-(* Answers the handshake like a 3-server chain, then every closing part
-   with an empty results batch. *)
-let fork_hostile_hop port =
+(* A fake first hop: it answers the handshake like a 3-server chain,
+   then hands every frame, the [Hello] included, to [answer] with the
+   loop and a way to reply. *)
+let fork_fake_hop port answer =
   match Unix.fork () with
   | 0 ->
       let tp = Transport.create () in
@@ -997,11 +1027,13 @@ let fork_hostile_hop port =
       let on_frame conn raw =
         let reply msg = Conn.send conn (Rpc.encode msg) in
         match Rpc.decode raw with
-        | Ok (Rpc.Hello _) -> reply (Rpc.Chain_info { pks })
-        | Ok (Rpc.Conv_batch_part { round; last = true; _ }) ->
-            reply (Rpc.Conv_results { round; replies = [||] })
         | Ok Rpc.Bye -> stop := true
-        | _ -> ()
+        | Ok msg ->
+            (match msg with
+            | Rpc.Hello _ -> reply (Rpc.Chain_info { pks })
+            | _ -> ());
+            answer (Transport.loop tp) reply msg
+        | Error _ -> ()
       in
       (match
          Transport.listen tp (Addr.loopback ~port)
@@ -1019,6 +1051,13 @@ let fork_hostile_hop port =
       | Error _ -> ());
       Unix._exit 0
   | pid -> pid
+
+(* Answers every closing part with an empty results batch. *)
+let fork_hostile_hop port =
+  fork_fake_hop port (fun _ reply -> function
+    | Rpc.Conv_batch_part { round; last = true; _ } ->
+        reply (Rpc.Conv_results { round; replies = [||] })
+    | _ -> ())
 
 let test_hostile_first_hop () =
   print_endline "hostile first hop answering empty results:";
@@ -1050,6 +1089,55 @@ let test_hostile_first_hop () =
                 && List.length r.Network.aborts = 3)
           | exception e ->
               check ("Network.run raised " ^ Printexc.to_string e) false);
+          Network.shutdown net)
+
+(* Answers no round, but after the handshake sends a stale [Status]
+   every 100 ms for 3 s. *)
+let fork_dribbling_hop port =
+  fork_fake_hop port (fun loop reply -> function
+    | Rpc.Hello _ ->
+        let stale =
+          Rpc.Status
+            { Rpc.round = 0; server = 0; stage = "conv-batch"; detail = "stale" }
+        in
+        for i = 1 to 30 do
+          ignore
+            (Vuvuzela_transport.Evloop.after loop ~ms:(100. *. float_of_int i)
+               (fun () -> reply stale))
+        done
+    | _ -> ())
+
+(* The deadline bounds the whole wait for a round's reply: frames that
+   are not the reply do not restart it. *)
+let test_dribbling_first_hop () =
+  print_endline "first hop dribbling stale statuses (500 ms deadline):";
+  let port = (Daemon_spawn.free_ports 1).(0) in
+  let pid = fork_dribbling_hop port in
+  Fun.protect
+    ~finally:(fun () -> Daemon_spawn.stop_pid pid)
+    (fun () ->
+      match
+        Network.of_config_tcp
+          Config.(
+            tcp_config |> with_round_deadline_ms 500. |> with_max_retries 0)
+          ~addr:(Addr.loopback ~port)
+      with
+      | Error e -> check ("of_config_tcp: " ^ e) false
+      | Ok net ->
+          let a = Network.connect ~seed:"dribble-a" net in
+          let b = Network.connect ~seed:"dribble-b" net in
+          Client.start_conversation a ~peer_pk:(Client.public_key b);
+          Client.start_conversation b ~peer_pk:(Client.public_key a);
+          let t0 = Unix.gettimeofday () in
+          let r = Network.run ~kind:Round.Conversation net in
+          let ms = 1000. *. (Unix.gettimeofday () -. t0) in
+          (match r.Network.failure with
+          | Some st ->
+              check_str "the round ends at its deadline"
+                "no reply within 500 ms" st.Rpc.detail;
+              check "the deadline status is retryable" (Rpc.retryable st)
+          | None -> check "the round failed" false);
+          check (Printf.sprintf "within 1.5 s (%.0f ms)" ms) (ms < 1_500.);
           Network.shutdown net)
 
 (* ------------------------------------------------------------------ *)
@@ -1152,13 +1240,14 @@ let () =
   run "restart" test_kill_restart;
   run "rekey-middle" (test_key_change ~victim:1);
   run "rekey-first" (test_key_change ~victim:0);
-  run "flap" test_flap_survival;
+  run "link-loss" test_link_loss;
   run "shaped" test_shaped_links;
   run "obs" test_observability;
   run "obs-parity" test_obs_transcript_parity;
   run "untraced-middle" test_untraced_middle;
   run "fault-parity" test_fault_parity;
   run "hostile" test_hostile_first_hop;
+  run "dribble" test_dribbling_first_hop;
   if !failures > 0 then begin
     Printf.printf "net: %d failure(s)\n%!" !failures;
     exit 1

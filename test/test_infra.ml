@@ -1,7 +1,6 @@
-(* Infrastructure tests: the RPC wire protocol and the §5.5 CDN. *)
+(* Infrastructure tests: the RPC wire protocol. *)
 
 open Vuvuzela_crypto
-open Vuvuzela_dp
 open Vuvuzela
 
 (* ------------------------------------------------------------------ *)
@@ -220,81 +219,6 @@ let test_rpc_status_pp () =
     "status formats" "round 3: server 1 [conv-batch]: x"
     (Format.asprintf "%a" Rpc.pp_status st)
 
-(* ------------------------------------------------------------------ *)
-(* CDN                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_cdn_caching () =
-  let origin_calls = ref 0 in
-  let fetch ~dial_round ~index =
-    incr origin_calls;
-    [ Bytes.of_string (Printf.sprintf "drop-%d-%d" dial_round index) ]
-  in
-  let cdn = Cdn.create ~edges:1 ~fetch () in
-  let pk = Bytes.make 32 'a' in
-  (* 50 clients on one edge fetch the same drop: origin hit once. *)
-  for _ = 1 to 50 do
-    match Cdn.fetch cdn ~client_pk:pk ~dial_round:1 ~index:0 with
-    | [ b ] -> Alcotest.(check string) "content" "drop-1-0" (Bytes.to_string b)
-    | _ -> Alcotest.fail "wrong contents"
-  done;
-  Alcotest.(check int) "origin touched once" 1 !origin_calls;
-  let s = Cdn.stats cdn in
-  Alcotest.(check int) "49 hits" 49 s.Cdn.edge_hits;
-  Alcotest.(check int) "1 miss" 1 s.Cdn.edge_misses
-
-let test_cdn_spread_and_eviction () =
-  let fetch ~dial_round ~index =
-    [ Bytes.of_string (Printf.sprintf "d%d.%d" dial_round index) ]
-  in
-  let cdn = Cdn.create ~edges:4 ~history:1 ~fetch () in
-  let rng = Drbg.of_string "cdn" in
-  (* Many clients across edges. *)
-  for _ = 1 to 100 do
-    ignore (Cdn.fetch cdn ~client_pk:(Drbg.generate rng 32) ~dial_round:1 ~index:0)
-  done;
-  let s = Cdn.stats cdn in
-  (* At most one miss per edge. *)
-  Alcotest.(check bool) "misses bounded by edges" true (s.Cdn.edge_misses <= 4);
-  (* Advance far: old round evicted, returns []. *)
-  ignore (Cdn.fetch cdn ~client_pk:(Drbg.generate rng 32) ~dial_round:5 ~index:0);
-  Alcotest.(check (list string)) "evicted round empty" []
-    (List.map Bytes.to_string
-       (Cdn.fetch cdn ~client_pk:(Drbg.generate rng 32) ~dial_round:1 ~index:0))
-
-let test_cdn_against_live_chain () =
-  (* The CDN fronts a real chain's invitation store: clients get exactly
-     what a direct fetch returns, while the origin serves each edge
-     once. *)
-  let net =
-    Network.of_config
-      Network.Config.(
-        default |> with_seed "cdn-live"
-        |> with_noise (Laplace.params ~mu:2. ~b:1.)
-        |> with_dial_noise (Laplace.params ~mu:2. ~b:1.)
-        |> with_noise_mode Noise.Deterministic)
-  in
-  let alice = Network.connect ~seed:"alice" net in
-  let bob = Network.connect ~seed:"bob" net in
-  Client.dial alice ~callee_pk:(Client.public_key bob);
-  ignore (Network.run ~kind:Round.Dialing net);
-  let chain = Network.chain net in
-  let cdn =
-    Cdn.create ~edges:2
-      ~fetch:(fun ~dial_round:_ ~index -> Chain.fetch_invitations chain ~index)
-      ()
-  in
-  let direct = Chain.fetch_invitations chain ~index:0 in
-  let via_cdn =
-    Cdn.fetch cdn ~client_pk:(Client.public_key bob) ~dial_round:1 ~index:0
-  in
-  Alcotest.(check int) "same count" (List.length direct) (List.length via_cdn);
-  Alcotest.(check bool) "same bytes" true
-    (List.for_all2 Bytes.equal direct via_cdn);
-  (* Bob can scan the CDN copy. *)
-  Alcotest.(check int) "bob finds his call" 1
-    (List.length (Dialing.scan ~identity:(Client.identity bob) via_cdn))
-
 (* Hand-assemble a [Conv_batch_part] frame whose batch header lies about
    its contents, bypassing the encoder's own checks. *)
 let raw_conv_batch_frame ~count ~item_len ~body_len =
@@ -368,39 +292,5 @@ let suite =
       tc "trace context wire fuzz" `Quick test_trace_ctx_wire;
       tc "rpc batch byte accounting" `Quick test_rpc_batch_bytes;
       tc "rpc status formatting" `Quick test_rpc_status_pp;
-      tc "cdn caching" `Quick test_cdn_caching;
-      tc "cdn spread and eviction" `Quick test_cdn_spread_and_eviction;
-      tc "cdn against live chain" `Quick test_cdn_against_live_chain;
     ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props )
-
-(* CDN integrated into the deployment's dialing downloads. *)
-let test_network_with_cdn () =
-  let net =
-    Network.of_config
-      Network.Config.(
-        default |> with_seed "net-cdn"
-        |> with_noise (Laplace.params ~mu:2. ~b:1.)
-        |> with_dial_noise (Laplace.params ~mu:2. ~b:1.)
-        |> with_noise_mode Noise.Deterministic |> with_cdn_edges 2)
-  in
-  let a = Network.connect ~seed:"a" net in
-  let b = Network.connect ~seed:"b" net in
-  let _extras =
-    List.init 6 (fun i -> Network.connect ~seed:(Printf.sprintf "x%d" i) net)
-  in
-  Client.dial a ~callee_pk:(Client.public_key b);
-  let events = (Network.run ~kind:Round.Dialing net).Network.events in
-  Alcotest.(check int) "call delivered through cdn" 1 (List.length events);
-  match Network.cdn_stats net with
-  | Some s ->
-      (* 8 clients fetched the (single) drop; origin served each edge at
-         most once. *)
-      Alcotest.(check int) "all fetches went through the cdn" 8
-        (s.Cdn.edge_hits + s.Cdn.edge_misses);
-      Alcotest.(check bool) "origin requests bounded by edges" true
-        (s.Cdn.origin_requests <= 2)
-  | None -> Alcotest.fail "cdn stats missing"
-
-let suite =
-  (fst suite, snd suite @ [ Alcotest.test_case "network with cdn" `Quick test_network_with_cdn ])

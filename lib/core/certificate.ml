@@ -103,8 +103,9 @@ let decode b =
 (* ------------------------------------------------------------------ *)
 
 (* Sealed plaintext: caller's conversation key followed by the
-   certificate.  All certified invitations are the same size; noise
-   invitations are random recipients' sealed boxes of the same length. *)
+   certificate.  All certified invitations are the same size; a noise
+   invitation is an ephemeral public key and uniform filler of the same
+   length (Dialing.noise_invitations). *)
 let certified_plain_len = 32 + encoded_len
 let certified_invitation_len = certified_plain_len + Box.anonymous_overhead
 

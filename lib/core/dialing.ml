@@ -52,30 +52,45 @@ let invite_certified ?rng ~identity:(id : Types.identity) ~cert ~callee_pk ~m
   let index = Deaddrop.Invitation.index_of ~m callee_pk in
   encode_payload ~index invitation
 
-(* An indistinguishable invitation-shaped blob sealed to a random key;
-   used for idle no-ops and server noise.  [kind] fixes the size.  It is
-   planned in two stages, so a server's noise can seal on the pool: the
-   draw takes every random input from the DRBG — the plaintext, then
-   the recipient key, then the ephemeral secret, the order the one-shot
-   seal always consumed them in — and the pure batched seal runs
-   after. *)
-let draw_blob ?rng ~kind () =
-  let pt = Drbg.bytes ?rng (invitation_len kind - Box.anonymous_overhead) in
-  let recipient_pk = Drbg.bytes ?rng Curve25519.key_len in
-  (Drbg.bytes ?rng Curve25519.scalar_len, recipient_pk, pt)
+(* One invitation's random draws, for the two invitations nobody opens:
+   an idle client's no-op and a server's noise.  Three DRBG calls, sized
+   and ordered as a sealed box's plaintext, recipient key and ephemeral
+   secret.  Each call starts a fresh stream whatever its length, so
+   every later draw — onion keys, shuffles, acks — is the one a sealed
+   box would leave.  The secret is drawn last; the filler is the first
+   [invitation_len - 32] bytes of the other two. *)
+type draw = { secret : bytes; filler : bytes }
 
-let blob ?rng ~kind () =
-  (Box.seal_anonymous_many [| draw_blob ?rng ~kind () |]).(0)
+let draw ?rng ~kind () =
+  let body = Drbg.bytes ?rng (invitation_len kind - Box.anonymous_overhead) in
+  let tail = Drbg.bytes ?rng Curve25519.key_len in
+  let filler =
+    Bytes.sub (Bytes.cat body tail) 0 (invitation_len kind - Curve25519.key_len)
+  in
+  { secret = Drbg.bytes ?rng Curve25519.scalar_len; filler }
 
-(* Idle clients write to the no-op drop (§5.2); byte-for-byte
-   indistinguishable from a real invitation before the last server. *)
+(* Noise invitations (server cover traffic, §5.3): a real ephemeral
+   public key, then the filler where a box's ciphertext and tag would
+   be.  Up to its trial decryption, which fails on both, a real
+   invitation is a key and pseudorandom bytes; so is noise.  The key
+   must be real: a random string has bit 255 set half the time and
+   lies on the twist half the time.  One base comb each, all of them
+   one batch, for one field inversion. *)
+let noise_invitations draws =
+  let epks =
+    Curve25519.batch (Array.map (fun d -> Curve25519.Base d.secret) draws)
+  in
+  Array.mapi (fun i d -> Bytes.cat epks.(i) d.filler) draws
+
+(* Idle clients write to the no-op drop (§5.2), which the last server
+   discards unread; before it, the request is inside onion layers.  So
+   nothing need be sealed: the invitation is the draws themselves. *)
 let noop ?rng ?(kind = Plain) () =
-  encode_payload ~index:Types.noop_drop (blob ?rng ~kind ())
+  let d = draw ?rng ~kind () in
+  encode_payload ~index:Types.noop_drop (Bytes.cat d.secret d.filler)
 
-(* A noise invitation addressed to a specific drop (server cover
-   traffic, §5.3): no client's trial decryption ever succeeds on it. *)
 let noise ?rng ?(kind = Plain) ~index () =
-  encode_payload ~index (blob ?rng ~kind ())
+  encode_payload ~index (noise_invitations [| draw ?rng ~kind () |]).(0)
 
 (* Which drop do I download? *)
 let my_drop ~identity:(id : Types.identity) ~m =

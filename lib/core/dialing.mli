@@ -31,30 +31,31 @@ val invite_certified :
   unit ->
   bytes
 
-val blob : ?rng:Vuvuzela_crypto.Drbg.t -> kind:kind -> unit -> bytes
-(** An invitation of [kind]'s size sealed to a random key: no client's
-    trial decryption ever opens it.  The body of {!noop} and {!noise}.
-    [blob ?rng ~kind ()] ≡
-    [(Box.seal_anonymous_many [| draw_blob ?rng ~kind () |]).(0)]. *)
+type draw
+(** One no-op's or noise invitation's random inputs. *)
 
-val draw_blob :
-  ?rng:Vuvuzela_crypto.Drbg.t ->
-  kind:kind ->
-  unit ->
-  bytes * bytes * bytes
-(** The random inputs of one {!blob}, as
-    {!Vuvuzela_crypto.Box.seal_anonymous_many} takes them: (ephemeral
-    secret, recipient key, plaintext), drawn plaintext first, then the
-    recipient key, then the secret.  A server draws its noise
-    invitations with it on the coordinating domain and seals them a
-    pool chunk at a time. *)
+val draw : ?rng:Vuvuzela_crypto.Drbg.t -> kind:kind -> unit -> draw
+(** Three DRBG calls, sized and ordered as a sealed box's plaintext,
+    recipient key and ephemeral secret, so the stream after them is the
+    one a sealed box leaves.  A server draws its noise invitations with
+    it on the coordinating domain and builds them a pool chunk at a
+    time. *)
+
+val noise_invitations : draw array -> bytes array
+(** Noise invitations of the draws' kind: each a real ephemeral public
+    key (bit 255 clear, on the curve, not its twist) followed by uniform
+    filler the length of a box's ciphertext and tag.  No client's trial
+    decryption opens one.  The keys' base combs run as one
+    {!Vuvuzela_crypto.Curve25519.batch}. *)
 
 val noop : ?rng:Vuvuzela_crypto.Drbg.t -> ?kind:kind -> unit -> bytes
-(** An idle client's request to the no-op drop. *)
+(** An idle client's request to the no-op drop: one {!draw}'s bytes,
+    unsealed, since the last server discards them unread. *)
 
 val noise :
   ?rng:Vuvuzela_crypto.Drbg.t -> ?kind:kind -> index:int -> unit -> bytes
-(** A server noise invitation for a specific drop (§5.3). *)
+(** A server noise invitation for a specific drop (§5.3):
+    {!noise_invitations} of one {!draw}, framed for drop [index]. *)
 
 val my_drop : identity:Types.identity -> m:int -> int
 

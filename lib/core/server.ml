@@ -315,10 +315,10 @@ let stream_collect t st =
 
 (* Noise is planned in two stages so its crypto can fan out: the
    coordinator draws every random input (payload bytes, a noise
-   invitation's sealed-box inputs, per-layer ephemeral secrets — in
+   invitation's [Dialing.draw], per-layer ephemeral secrets — in
    exactly the order the one-shot [Dialing.noise] and [Onion.wrap]
-   would have consumed the DRBG), then each pool chunk seals its
-   invitations ([Box.seal_anonymous_many]) and wraps its onions
+   would have consumed the DRBG), then each pool chunk builds its
+   invitations' keys ([Dialing.noise_invitations]) and wraps its onions
    ([Onion.wrap_many]), one batch, and so one field inversion, each.  A
    spec is one pending noise onion: its ephemeral secrets, drawn after
    its payload, and the payload. *)
@@ -519,14 +519,15 @@ let draw_dial_noise t ~m draw =
   done;
   !out
 
-(* Mixing-server noise: each invitation's box inputs, then its onion's
+(* Mixing-server noise: each invitation's draw, then its onion's
    ephemeral secrets, drawn on the coordinator; each pool chunk then
-   seals its boxes, frames them for their drops, and wraps them. *)
+   builds its invitations, frames them for their drops, and wraps
+   them. *)
 let dial_noise t ~round ~m =
   let specs =
     draw_dial_noise t ~m (fun index ->
-        let box = Dialing.draw_blob ~rng:t.rng ~kind:t.cfg.dial_kind () in
-        (index, noise_spec t box))
+        let d = Dialing.draw ~rng:t.rng ~kind:t.cfg.dial_kind () in
+        (index, noise_spec t d))
   in
   Telemetry.add_counter t.tel
     ~labels:[ ("kind", "invitation") ]
@@ -534,13 +535,13 @@ let dial_noise t ~round ~m =
     "vuvuzela_noise_onions_total";
   par_chunks t
     (fun chunk ->
-      let sealed =
-        Box.seal_anonymous_many (Array.map (fun (_, (_, box)) -> box) chunk)
+      let invitations =
+        Dialing.noise_invitations (Array.map (fun (_, (_, d)) -> d) chunk)
       in
       wrap_noise t ~round
         (Array.mapi
            (fun i (index, (eph_sks, _)) ->
-             (eph_sks, Dialing.encode_payload ~index sealed.(i)))
+             (eph_sks, Dialing.encode_payload ~index invitations.(i)))
            chunk))
     (Array.of_list specs)
 
@@ -601,18 +602,19 @@ let dial_finish_deliver t st ~m =
   Telemetry.stage t.tel ~name:"noise" ~round ~server:pos ~dialing:true
     (fun () ->
       let draw index =
-        (index, Dialing.draw_blob ~rng:t.rng ~kind:t.cfg.dial_kind ())
+        (index, Dialing.draw ~rng:t.rng ~kind:t.cfg.dial_kind ())
       in
-      let boxes = Array.of_list (List.rev (draw_dial_noise t ~m draw)) in
-      let sealed =
+      let draws = Array.of_list (List.rev (draw_dial_noise t ~m draw)) in
+      let invitations =
         par_chunks t
-          (fun chunk -> Box.seal_anonymous_many (Array.map snd chunk))
-          boxes
+          (fun chunk -> Dialing.noise_invitations (Array.map snd chunk))
+          draws
       in
       (* Filed in draw order, the order [fetch] serves. *)
       Array.iteri
-        (fun i (index, _) -> Deaddrop.Invitation.put store ~index sealed.(i))
-        boxes);
+        (fun i (index, _) ->
+          Deaddrop.Invitation.put store ~index invitations.(i))
+        draws);
   Telemetry.mark t.tel ~name:"shuffle" ~round ~server:pos ~dialing:true ();
   Telemetry.mark t.tel ~name:"unpeel" ~round ~server:pos ~dialing:true ();
   t.invitations <-

@@ -34,8 +34,9 @@ let invitation_len =
 (* Dialing request payload: 16-bit invitation-drop index + invitation. *)
 let dial_payload_len = 2 + invitation_len (* 82 *)
 
-(* The no-op invitation drop used by idle clients (§5.2); its contents are
-   never downloaded by anyone (§8.3). *)
+(* The no-op invitation drop used by idle clients (§5.2): the last server
+   files nothing there, so its contents are never downloaded by anyone
+   (§8.3), and a no-op's invitation is unsealed random bytes. *)
 let noop_drop = 0xffff
 
 (* Dialing requests are acknowledged with a fixed-size dummy result so

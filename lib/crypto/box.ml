@@ -6,10 +6,9 @@
      partners' keys (message payloads);
    - [seal_anonymous]/[open_anonymous] for dialing invitations, where the
      recipient must not learn anything before trial decryption succeeds
-     and invitations from different senders must be indistinguishable;
-     [seal_anonymous_many] seals a batch of them under pre-drawn
-     ephemeral secrets (a server's noise invitations), with one field
-     inversion for the batch. *)
+     and invitations from different senders must be indistinguishable.
+     A noise invitation, which nobody opens, is no sealed box: see
+     Dialing. *)
 
 let overhead = Aead.tag_len
 let anonymous_overhead = Curve25519.key_len + Aead.tag_len
@@ -19,8 +18,6 @@ let anonymous_overhead = Curve25519.key_len + Aead.tag_len
    (Vuvuzela derives direction from public-key order; see Conversation). *)
 let derive raw =
   Hkdf.derive ~ikm:raw ~info:(Bytes.of_string "vuvuzela-box-v1") Aead.key_len
-
-let precompute ~secret ~public = derive (Curve25519.shared ~secret ~public)
 
 let seal ~key ~nonce ?aad pt = Aead.seal ~key ~nonce ?aad pt
 let open_ ~key ~nonce ?aad ct = Aead.open_ ~key ~nonce ?aad ct
@@ -37,53 +34,46 @@ let open_into ~key ~nonce ?aad ~src ~src_off ~len ~dst ~dst_off () =
 let anon_nonce ~epk ~pk =
   Bytes.sub (Sha256.digest_list [ epk; pk ]) 0 Aead.nonce_len
 
-(* Seal each (ephemeral secret, recipient key, plaintext) with no RNG,
-   so a server's noise boxes can fan out across domains while the
-   coordinating domain keeps the single RNG stream.  A box costs one
-   base comb (its ephemeral public key) and one ladder (its DH toward a
-   one-off recipient key); all of them run as one batch, for one field
-   inversion. *)
-let seal_anonymous_many boxes =
-  (* dh.(2i) is box i's ephemeral public key, dh.(2i + 1) its DH. *)
-  let dh =
-    Curve25519.batch
-      (Array.init
-         (2 * Array.length boxes)
-         (fun j ->
-           let esk, recipient_pk, _ = boxes.(j / 2) in
-           if j mod 2 = 0 then Curve25519.Base esk
-           else Curve25519.Ladder { scalar = esk; point = recipient_pk }))
-  in
-  Array.mapi
-    (fun i (_, recipient_pk, pt) ->
-      let epk = dh.(2 * i) in
-      let key = derive dh.((2 * i) + 1) in
-      let nonce = anon_nonce ~epk ~pk:recipient_pk in
-      let len = Bytes.length pt in
-      let out = Bytes.create (Curve25519.key_len + len + Aead.tag_len) in
-      Bytes.blit epk 0 out 0 Curve25519.key_len;
-      Aead.seal_into ~key ~nonce ~src:pt ~src_off:0 ~len ~dst:out
-        ~dst_off:Curve25519.key_len ();
-      out)
-    boxes
-
 (* The ephemeral secret is drawn as [Drbg.keypair] draws it, so the
-   stream and the bytes are those of a keypair-then-seal. *)
+   stream and the bytes are those of a keypair-then-seal.  Its public
+   key (a base comb) and the DH toward the recipient (a ladder) run as
+   one batch, for one field inversion. *)
 let seal_anonymous ?rng ~recipient_pk pt =
   let esk = Drbg.bytes ?rng Curve25519.scalar_len in
-  (seal_anonymous_many [| (esk, recipient_pk, pt) |]).(0)
+  let dh =
+    Curve25519.batch
+      [|
+        Curve25519.Base esk;
+        Curve25519.Ladder { scalar = esk; point = recipient_pk };
+      |]
+  in
+  let epk = dh.(0) and key = derive dh.(1) in
+  let nonce = anon_nonce ~epk ~pk:recipient_pk in
+  let len = Bytes.length pt in
+  let out = Bytes.create (Curve25519.key_len + len + Aead.tag_len) in
+  Bytes.blit epk 0 out 0 Curve25519.key_len;
+  Aead.seal_into ~key ~nonce ~src:pt ~src_off:0 ~len ~dst:out
+    ~dst_off:Curve25519.key_len ();
+  out
 
+(* A low-order ephemeral key gives the all-zero DH whatever the
+   recipient's secret, so anyone could seal to it: rejected, as
+   RFC 7748 §6.1 recommends and as a peel does. *)
 let open_anonymous ~recipient_sk ~recipient_pk sealed =
   let n = Bytes.length sealed in
   if n < anonymous_overhead then None
   else begin
     let epk = Bytes.sub sealed 0 Curve25519.key_len in
-    let key = precompute ~secret:recipient_sk ~public:epk in
-    let nonce = anon_nonce ~epk ~pk:recipient_pk in
-    let pt = Bytes.create (n - anonymous_overhead) in
-    if
-      Aead.open_into ~key ~nonce ~src:sealed ~src_off:Curve25519.key_len
-        ~len:(n - Curve25519.key_len) ~dst:pt ~dst_off:0 ()
-    then Some pt
-    else None
+    let dh = Curve25519.shared ~secret:recipient_sk ~public:epk in
+    if Curve25519.is_zero dh then None
+    else begin
+      let key = derive dh in
+      let nonce = anon_nonce ~epk ~pk:recipient_pk in
+      let pt = Bytes.create (n - anonymous_overhead) in
+      if
+        Aead.open_into ~key ~nonce ~src:sealed ~src_off:Curve25519.key_len
+          ~len:(n - Curve25519.key_len) ~dst:pt ~dst_off:0 ()
+      then Some pt
+      else None
+    end
   end

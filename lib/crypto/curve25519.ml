@@ -16,22 +16,25 @@
 
    - scalarmult_base, the base point — every fresh ephemeral key:
      clients' onion layers, servers' noise onions, dialing's sealed
-     boxes, key generation;
+     boxes and noise invitations, key generation;
    - shared_static, a server's long-lived public key — the other DH of
      every wrapped onion layer, over a table memoised per key.
 
    So a wrapped layer costs two comb operations and no ladder; a sealed
    box costs a base comb and a ladder (its DH toward a one-off
-   recipient key); peels and conversation keys stay on the ladder.
+   recipient key), a noise invitation only the base comb of its key;
+   peels and conversation keys stay on the ladder.
    Clamped scalars have bit 255 clear, as the comb requires.
 
    Every operation stops at its u-coordinate as a fraction X/Z, so a
    [batch] pays one field inversion, ~265 multiplications and
    squarings, instead of one per operation (Montgomery's trick, in
-   Fe25519.batch_invert).  Three callers batch: Onion.wrap_many (a
+   Fe25519.batch_invert).  Four callers batch: Onion.wrap_many (a
    client's onion, a server's or load generator's chunk of wraps),
-   Box.seal_anonymous_many (a sealed box, a server's chunk of noise
-   invitations) and Onion.peel_many (a server's chunk of peels). *)
+   Box.seal_anonymous (a sealed box's base comb and ladder),
+   Dialing.noise_invitations (the ephemeral keys of a server's chunk of
+   noise invitations) and Onion.peel_many (a server's chunk of
+   peels). *)
 
 let key_len = 32
 let scalar_len = 32
@@ -219,3 +222,6 @@ let scalarmult_base scalar = single (Base scalar)
    as a symmetric key (see Box), matching best practice. *)
 let shared ~secret ~public = scalarmult ~scalar:secret ~point:public
 let shared_static ~secret ~public = single (Keyed { secret; public })
+
+let zero = Bytes.make key_len '\000'
+let is_zero dh = Bytes_util.ct_equal dh zero

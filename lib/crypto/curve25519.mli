@@ -12,8 +12,9 @@
     {!Edwards25519}'s constant-time comb mapped to the Montgomery
     u-coordinate: ~750 field multiplications against the ladder's
     ~2,560.  A wrapped layer therefore costs two comb operations and no
-    ladder, and a sealed box a base comb and a ladder; peels and
-    conversation keys run the ladder. *)
+    ladder, a sealed box a base comb and a ladder, and a noise
+    invitation a base comb; peels and conversation keys run the
+    ladder. *)
 
 val key_len : int
 (** 32. *)
@@ -37,6 +38,10 @@ val scalarmult_base : bytes -> bytes
 
 val shared : secret:bytes -> public:bytes -> bytes
 (** Raw shared point; derive symmetric keys via {!Hkdf} (see {!Box}). *)
+
+val is_zero : bytes -> bool
+(** Whether a DH result is all zero, as a low-order public key gives,
+    compared in constant time.  Callers reject it (RFC 7748 §6.1). *)
 
 val shared_static : secret:bytes -> public:bytes -> bytes
 (** [shared], bit for bit, for a [public] key that is used many times (a

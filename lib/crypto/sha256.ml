@@ -37,6 +37,8 @@ let init () =
     total = 0;
   }
 
+let copy t = { t with h = Array.copy t.h; buf = Bytes.copy t.buf }
+
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
 let compress h block off =

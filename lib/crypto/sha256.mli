@@ -10,6 +10,10 @@ type t
 val init : unit -> t
 val feed : t -> bytes -> unit
 
+val copy : t -> t
+(** An independent state with the same input so far: a prefix hashed
+    once, then resumed many times ({!Hmac.key}). *)
+
 val get : t -> bytes
 (** Finalize a {e copy} of the state and return the 32-byte digest; the
     state may continue to be fed afterwards. *)

@@ -105,8 +105,6 @@ let wrap ?rng ~server_pks ~round payload =
   wrap_with ~eph_sks:(draw_eph_sks ?rng ~chain_len:n ()) ~server_pks ~round
     payload
 
-let zero_point = Bytes.make Curve25519.key_len '\000'
-
 (* Server side: strip one layer from each onion, returning the inner
    onion and the layer secret to seal the reply with.  The DHs of every
    onion long enough to carry a layer run as one batch.  An all-zero DH
@@ -135,7 +133,7 @@ let peel_many ~server_sk ~round onions =
       else begin
         let dh = raw.(!next) in
         incr next;
-        if Bytes_util.ct_equal dh zero_point then None
+        if Curve25519.is_zero dh then None
         else begin
           let s = Box.derive dh in
           let inner = Bytes.create (n - layer_overhead) in

@@ -17,8 +17,51 @@ let gen_material rng =
   let big = Drbg.generate rng 257 in
   (key, nonce, aad, big)
 
+(* HMAC-SHA256 and HKDF from their definitions (RFC 2104, RFC 5869),
+   hashing every pad block on every call: the oracle for the pad states
+   [Hmac.key] and [Hkdf]'s default salt keep. *)
+let hmac_ref ~key data =
+  let pad c =
+    let block = Bytes.make 64 c in
+    Bytes_util.xor_into ~src:key ~dst:block (Bytes.length key);
+    block
+  in
+  Sha256.digest_list [ pad '\x5c'; Sha256.digest_list [ pad '\x36'; data ] ]
+
+let hkdf_ref ~ikm ~info len =
+  let prk = hmac_ref ~key:(Bytes.make 32 '\000') ikm in
+  let rec blocks t i acc =
+    if Bytes.length acc >= len then Bytes.sub acc 0 len
+    else
+      let t =
+        hmac_ref ~key:prk (Bytes_util.concat [ t; info; Bytes.make 1 (Char.chr i) ])
+      in
+      blocks t (i + 1) (Bytes.cat acc t)
+  in
+  blocks Bytes.empty 1 Bytes.empty
+
 let run () =
   Prop.suite "chacha20-poly1305 boundaries (aead / box / onion)";
+  (* Every derive without a salt resumes from the default salt's pad
+     states, hashed once at start-up: the same bytes as the definition,
+     as an explicit zero salt, and, for Box.derive, as its HKDF. *)
+  Prop.check ~name:"hkdf default-salt pads" ~count:200
+    (fun rng ->
+      let ikm = Drbg.generate rng (Drbg.uniform ~rng 100) in
+      let info = Drbg.generate rng (Drbg.uniform ~rng 40) in
+      (ikm, info, 1 + Drbg.uniform ~rng 100))
+    (fun (ikm, info, len) ->
+      let want = Bytes_util.to_hex (hkdf_ref ~ikm ~info len) in
+      Prop.check_hex ~what:"derive vs definition" want
+        (Bytes_util.to_hex (Hkdf.derive ~ikm ~info len));
+      Prop.check_hex ~what:"derive vs explicit zero salt" want
+        (Bytes_util.to_hex
+           (Hkdf.derive ~salt:(Bytes.make 32 '\000') ~ikm ~info len));
+      Prop.check_hex ~what:"Box.derive vs definition"
+        (Bytes_util.to_hex
+           (hkdf_ref ~ikm ~info:(Bytes.of_string "vuvuzela-box-v1")
+              Aead.key_len))
+        (Bytes_util.to_hex (Box.derive ikm)));
   Prop.check ~name:"aead roundtrip at block boundaries" ~count:100
     gen_material (fun (key, nonce, aad, big) ->
       List.iter
@@ -117,11 +160,11 @@ let run () =
       let big = Drbg.generate rng 257 in
       (ska, pka, skb, pkb, aad, big))
     (fun (ska, pka, skb, pkb, aad, big) ->
-      (* Both DH directions must agree on the precomputed key: this is
+      (* Both DH directions must agree on the derived key: this is
          the first consumer of the 51-bit shared-secret path. *)
-      let kab = Box.precompute ~secret:ska ~public:pkb in
-      let kba = Box.precompute ~secret:skb ~public:pka in
-      Prop.check_hex ~what:"precompute symmetry"
+      let kab = Box.derive (Curve25519.shared ~secret:ska ~public:pkb) in
+      let kba = Box.derive (Curve25519.shared ~secret:skb ~public:pka) in
+      Prop.check_hex ~what:"derived key symmetry"
         (Bytes_util.to_hex kab) (Bytes_util.to_hex kba);
       List.iteri
         (fun i len ->
@@ -158,72 +201,83 @@ let run () =
                 "sealed box len %d: roundtrip mismatch" len
           | None -> Prop.fail "sealed box len %d: rejected" len)
         [ 0; 1; 63; 64; 65 ]);
-  (* The batched builders a server's noise runs on the pool: k boxes
-     sealed as one batch are the k boxes sealed one by one under the
-     same drawn secrets, k onions wrapped as one batch are the k wrapped
-     one by one, and a low-order recipient key in the middle of a batch
-     seals as it does alone and spoils no other box. *)
-  Prop.check ~name:"batched sealed boxes and onion wraps" ~count:8
+  (* The batched builders a server's noise runs on the pool.  k noise
+     invitations built as one batch are the k built one by one from the
+     same draws.  Each is the first 32 bytes (the ephemeral key) of the
+     sealed box the same stream would have given, then that box's drawn
+     plaintext and recipient key as filler, and the stream after it is
+     the box's: the draws are the box's, call for call.  k onions
+     wrapped as one batch are the k wrapped one by one.  A box whose
+     ephemeral key has low order opens for nobody, even sealed under
+     the all-zero DH's key. *)
+  Prop.check ~name:"batched noise invitations and onion wraps" ~count:8
     (fun rng ->
       let seed = Drbg.generate rng 16 in
-      let recipients = Array.init 8 (fun _ -> Drbg.keypair ~rng ()) in
+      let recipient = Drbg.keypair ~rng () in
       let servers = Array.init 3 (fun _ -> snd (Drbg.keypair ~rng ())) in
       let chain_len = 1 + Drbg.uniform ~rng 3 in
-      let low_order =
-        Bytes_util.of_hex
-          (List.nth Prop_x25519.low_order_points
-             (Drbg.uniform ~rng (List.length Prop_x25519.low_order_points)))
-      in
-      (seed, recipients, servers, chain_len, low_order))
-    (fun (seed, recipients, servers, chain_len, low_order) ->
+      (seed, recipient, servers, chain_len))
+    (fun (seed, (sk, pk), servers, chain_len) ->
       let server_pks = Array.to_list (Array.sub servers 0 chain_len) in
       for k = 0 to 8 do
-        (* One stream for the batch's draws, a copy of it for the boxes
-           sealed one by one: each [seal_anonymous] draws its secret. *)
-        let draws = Drbg.create ~seed and alone = Drbg.create ~seed in
-        let boxes =
-          Array.init k (fun i ->
-              let pk = snd recipients.(i) in
-              let pt = Bytes.make (i * 9) (Char.chr (65 + i)) in
-              (Drbg.bytes ~rng:draws 32, pk, pt))
+        let kind = if k mod 2 = 0 then Vuvuzela.Dialing.Plain else Certified in
+        let len = Vuvuzela.Dialing.invitation_len kind in
+        (* One stream for the batch's draws, a copy for the invitations
+           built one by one, a copy for the sealed boxes. *)
+        let draws = Drbg.create ~seed
+        and alone = Drbg.create ~seed
+        and boxes = Drbg.create ~seed in
+        let batched =
+          Vuvuzela.Dialing.noise_invitations
+            (Array.init k (fun _ -> Vuvuzela.Dialing.draw ~rng:draws ~kind ()))
         in
-        let batched = Box.seal_anonymous_many boxes in
         Array.iteri
-          (fun i (esk, pk, pt) ->
-            let one = Box.seal_anonymous ~rng:alone ~recipient_pk:pk pt in
+          (fun i inv ->
+            let one =
+              Vuvuzela.Dialing.noise_invitations
+                [| Vuvuzela.Dialing.draw ~rng:alone ~kind () |]
+            in
             Prop.check_hex
-              ~what:(Printf.sprintf "box %d of %d, batched vs alone" i k)
-              (Bytes_util.to_hex one)
-              (Bytes_util.to_hex batched.(i));
+              ~what:(Printf.sprintf "invitation %d of %d, batched vs alone" i k)
+              (Bytes_util.to_hex one.(0)) (Bytes_util.to_hex inv);
+            let pt = Drbg.bytes ~rng:boxes (len - Box.anonymous_overhead) in
+            let rk = Drbg.bytes ~rng:boxes Curve25519.key_len in
+            let box = Box.seal_anonymous ~rng:boxes ~recipient_pk:rk pt in
             Prop.check_hex
-              ~what:(Printf.sprintf "box %d of %d, ephemeral key" i k)
-              (Bytes_util.to_hex (Curve25519.scalarmult_base esk))
-              (Bytes_util.to_hex (Bytes.sub batched.(i) 0 Curve25519.key_len));
-            match
-              Box.open_anonymous ~recipient_sk:(fst recipients.(i))
-                ~recipient_pk:pk batched.(i)
-            with
-            | Some pt' ->
-                Prop.require (Bytes.equal pt pt')
-                  "box %d of %d: roundtrip mismatch" i k
-            | None -> Prop.fail "box %d of %d: rejected" i k)
-          boxes;
-        if k > 0 then begin
-          let mid = k / 2 in
-          let esk, _, pt = boxes.(mid) in
-          let spoiled = Array.copy boxes in
-          spoiled.(mid) <- (esk, low_order, pt);
-          let got = Box.seal_anonymous_many spoiled in
-          let alone = Box.seal_anonymous_many [| spoiled.(mid) |] in
-          Array.iteri
-            (fun i _ ->
-              let want = if i = mid then alone.(0) else batched.(i) in
-              Prop.check_hex
-                ~what:
-                  (Printf.sprintf "box %d of %d, low-order key at %d" i k mid)
-                (Bytes_util.to_hex want) (Bytes_util.to_hex got.(i)))
-            spoiled
-        end;
+              ~what:(Printf.sprintf "invitation %d of %d vs sealed box" i k)
+              (Bytes_util.to_hex
+                 (Bytes_util.concat
+                    [
+                      Bytes.sub box 0 Curve25519.key_len;
+                      pt;
+                      Bytes.sub rk 0 Aead.tag_len;
+                    ]))
+              (Bytes_util.to_hex inv);
+            Prop.require
+              (Box.open_anonymous ~recipient_sk:sk ~recipient_pk:pk inv = None)
+              "invitation %d of %d opened" i k)
+          batched;
+        Prop.check_hex
+          ~what:(Printf.sprintf "stream after %d invitations vs boxes" k)
+          (Bytes_util.to_hex (Drbg.bytes ~rng:boxes 16))
+          (Bytes_util.to_hex (Drbg.bytes ~rng:draws 16));
+        List.iter
+          (fun point ->
+            let epk = Bytes_util.of_hex point in
+            let nonce =
+              Bytes.sub (Sha256.digest_list [ epk; pk ]) 0 Aead.nonce_len
+            in
+            let ct =
+              Aead.seal
+                ~key:(Box.derive (Bytes.make Curve25519.key_len '\000'))
+                ~nonce (Bytes.make k 'x')
+            in
+            Prop.require
+              (Box.open_anonymous ~recipient_sk:sk ~recipient_pk:pk
+                 (Bytes.cat epk ct)
+              = None)
+              "low-order ephemeral key %s opened" point)
+          Prop_x25519.low_order_points;
         let round = 7 + k in
         let specs =
           Array.init k (fun i ->

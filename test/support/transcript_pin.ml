@@ -24,7 +24,7 @@ let pinned_conv_digest =
   "f0a4328962790e997f48ca4e9b15e3f27665e12abacf58dfe90af0de7915b02d"
 
 let pinned_full_digest =
-  "29314874846a3d68a8bd449a79cc736a758e2ef32eeb722911ecb7b741700eab"
+  "adbcc26066142b304a5a9b7a5a899eaac9f9fac65357f89dc8e8978f202b14fc"
 
 let in_process ?telemetry ?(jobs = 1) ?pipeline_chunk ?(deaddrop_shards = 1)
     () =

@@ -47,4 +47,7 @@ val pinned_conv_digest : string
     backend must equal it forever. *)
 
 val pinned_full_digest : string
-(** Captured when the dialing-inclusive pin was introduced. *)
+(** Captured when the dialing-inclusive pin was introduced, and re-pinned
+    once since: when an idle client's no-op stopped being a sealed box,
+    the dialing requests' bytes after their first 32 moved, while those
+    32 bytes (the onions' ephemeral keys) and every ack stayed. *)

@@ -207,6 +207,34 @@ let test_dialing_noop_index () =
   | Ok (index, _) -> Alcotest.(check int) "noop drop" Types.noop_drop index
   | Error e -> Alcotest.fail e
 
+(* A low-order ephemeral key gives the all-zero DH whatever the
+   callee's secret, so anyone can seal an invitation that opens for
+   them: the key [Box.derive] makes of 32 zero bytes, under the
+   callee's nonce.  A scan drops it (RFC 7748 §6.1), in both formats. *)
+let test_dialing_low_order_key_dropped () =
+  let epk = Bytes.make Curve25519.key_len '\000' in
+  let forge plain =
+    let nonce =
+      Bytes.sub (Sha256.digest_list [ epk; bob.Types.public ]) 0 Aead.nonce_len
+    in
+    Bytes.cat epk
+      (Aead.seal ~key:(Box.derive (Bytes.make 32 '\000')) ~nonce plain)
+  in
+  let plain = forge alice.Types.public in
+  Alcotest.(check int) "plain size" Types.invitation_len (Bytes.length plain);
+  Alcotest.(check int) "plain scan" 0
+    (List.length (Dialing.scan ~identity:bob [ plain ]));
+  let signing_sk, _ = Ed25519.keypair ~rng:(Drbg.of_string "low-order") () in
+  let cert =
+    Certificate.self_signed ~signing_sk ~conversation_pk:alice.Types.public
+      ~name:"alice" ~expires:10
+  in
+  let certified = forge (Bytes.cat alice.Types.public (Certificate.encode cert)) in
+  Alcotest.(check int) "certified size" Certificate.certified_invitation_len
+    (Bytes.length certified);
+  Alcotest.(check int) "certified scan" 0
+    (List.length (Dialing.scan_certified ~identity:bob [ certified ]))
+
 (* ------------------------------------------------------------------ *)
 (* Dead drops                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -337,4 +365,5 @@ let suite =
       tc "invitation store" `Quick test_invitation_store;
       tc "invitation index stable" `Quick test_invitation_index_stable;
     ]
-    @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props )
+    @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props
+    @ [ tc "dialing low-order key dropped" `Quick test_dialing_low_order_key_dropped ] )

@@ -113,9 +113,9 @@ let test_transcript_observability_invariant () =
    clients, every drop hashed as [Chain.fetch_invitations] serves it.
    The mixing servers' noise reaches the store through the mix, the
    last server files its own directly, so both builders are covered;
-   the servers seal and wrap their noise a pool chunk at a time, so the
+   the servers build and wrap their noise a pool chunk at a time, so the
    round runs at several job counts against the same digests. *)
-let invitation_store_digest ~jobs kind =
+let invitation_store ~jobs kind =
   let open Vuvuzela in
   let open Vuvuzela_crypto in
   let chain =
@@ -146,22 +146,26 @@ let invitation_store_digest ~jobs kind =
       (List.map (fun c -> Client.dialing_request c ~dial_round ~m) clients)
   in
   ignore (Chain.dialing_round_exn chain ~round:dial_round ~m requests);
+  List.init m (fun index -> Chain.fetch_invitations chain ~index)
+
+let invitation_store_digest ~jobs kind =
+  let open Vuvuzela_crypto in
   let h = Sha256.init () and filed = ref 0 in
-  for index = 0 to m - 1 do
-    let drop = Chain.fetch_invitations chain ~index in
-    filed := !filed + List.length drop;
-    Sha256.feed h
-      (Bytes.of_string
-         (Printf.sprintf "drop %d: %d\n" index (List.length drop)));
-    List.iter (Sha256.feed h) drop
-  done;
+  List.iteri
+    (fun index drop ->
+      filed := !filed + List.length drop;
+      Sha256.feed h
+        (Bytes.of_string
+           (Printf.sprintf "drop %d: %d\n" index (List.length drop)));
+      List.iter (Sha256.feed h) drop)
+    (invitation_store ~jobs kind);
   (!filed, Bytes_util.to_hex (Sha256.get h))
 
 let pinned_plain_store =
-  (78, "5e4cabd6ed09107c8fe259823c634d0245c4511345ff7be37fafcf2ac1d37a59")
+  (78, "e5278432dfe70678c2a0cbd5cf5db31e82dab094db98410fa32e2125fb47de02")
 
 let pinned_certified_store =
-  (78, "9f7f553bc1b9062eae381786a7b3eb02c21d6ed5c68d7d60f59d5c98e8047c1c")
+  (78, "09f6c1c55249b17ad6e7607848fafbdc4c3d6433bacc283a67385b1c148162cb")
 
 let test_pinned_invitation_store () =
   List.iter
@@ -177,6 +181,28 @@ let test_pinned_invitation_store () =
           ("certified", Vuvuzela.Dialing.Certified, pinned_certified_store);
         ])
     [ 1; 2; 4 ]
+
+(* Every filed invitation, real or noise, starts with a real X25519
+   public key: bit 255 clear, and a point of the curve, not its twist.
+   A random 32-byte string fails each half the time, so noise built
+   that way would stand out in every drop. *)
+let test_filed_invitations_start_with_keys () =
+  List.iter
+    (fun (what, kind) ->
+      List.iteri
+        (fun index drop ->
+          List.iteri
+            (fun i inv ->
+              let key = Bytes.sub inv 0 Vuvuzela_crypto.Curve25519.key_len in
+              let what = Printf.sprintf "%s drop %d invitation %d" what index i in
+              Alcotest.(check int) (what ^ ": bit 255") 0
+                (Char.code (Bytes.get key 31) land 0x80);
+              Alcotest.(check bool) (what ^ ": on the curve") true
+                (Option.is_some
+                   (Vuvuzela_crypto.Edwards25519.of_montgomery_u key)))
+            drop)
+        (invitation_store ~jobs:1 kind))
+    [ ("plain", Vuvuzela.Dialing.Plain); ("certified", Vuvuzela.Dialing.Certified) ]
 
 let suite =
   ( "transcript",
@@ -195,4 +221,6 @@ let suite =
         test_transcript_observability_invariant;
       Alcotest.test_case "pinned invitation store" `Quick
         test_pinned_invitation_store;
+      Alcotest.test_case "filed invitations start with keys" `Quick
+        test_filed_invitations_start_with_keys;
     ] )

@@ -217,14 +217,15 @@ let posteriors () =
    16×16-bit limbs), one onion peel split into its ladder, HKDF and AEAD
    parts, a peel's share of a 128-onion batch and a 3-layer wrap, a
    sealed box alone and its share of a 10-box batch, the field kernels'
-   call times, AEAD seal/open and ChaCha20
-   throughput — written to BENCH_crypto.json so the numbers are diffable
+   call times, AEAD seal/open and ChaCha20 throughput, and the untagged
+   SHA-256 and Poly1305 against their tagged refs with one Box.derive —
+   written to BENCH_crypto.json so the numbers are diffable
    run-to-run — and, printed only, the per-message primitives of a
    client and a server.  Returns the ladder's rate, which the headline
    section rescales the cost model to. *)
 let crypto_bench () =
   section
-    "CRYPTO - 51-bit field + one-loop chacha vs seed (writes \
+    "CRYPTO - 51-bit field, untagged symmetric kernels vs seed (writes \
      BENCH_crypto.json)";
   let module T = Vuvuzela_telemetry in
   let rng = Drbg.of_string "bench-crypto" in
@@ -442,6 +443,34 @@ let crypto_bench () =
   Printf.printf "  chacha20 (16 KiB, seed) %10.1f MB/s (%.2fx)\n"
     (mb16 chacha_ref)
     (chacha_fast /. chacha_ref);
+  (* The untagged SHA-256 and Poly1305 against their retained tagged
+     implementations, each pair timed in alternation: one compression (an
+     aligned 64-byte feed) and one 1 KiB MAC.  CI checks both ratios.
+     Beside them, one Box.derive: a 32-byte HKDF, six compressions. *)
+  let block = Drbg.generate rng 64 in
+  let sha = Sha256.init () and sha_ref = Sha256_ref.init () in
+  let sha_rates =
+    interleaved
+      [|
+        (fun () -> Sha256.feed sha block);
+        (fun () -> Sha256_ref.feed sha_ref block);
+      |]
+  in
+  let sha_speedup = sha_rates.(0) /. sha_rates.(1) in
+  let poly_rates =
+    interleaved
+      [|
+        (fun () -> ignore (Poly1305.mac ~key msg));
+        (fun () -> ignore (Poly1305_ref.mac ~key msg));
+      |]
+  in
+  let poly_speedup = poly_rates.(0) /. poly_rates.(1) in
+  let hkdf_us = us (ops_per_sec (fun () -> ignore (Box.derive raw))) in
+  Printf.printf "  sha256 compression      %10.0f ns (%.2fx the tagged ref)\n"
+    (1e9 /. sha_rates.(0)) sha_speedup;
+  Printf.printf "  poly1305 (1 KiB)        %10.1f MB/s (%.2fx the tagged ref)\n"
+    (mb poly_rates.(0)) poly_speedup;
+  Printf.printf "  Box.derive (hkdf)       %10.2f us\n" hkdf_us;
   (* The per-message primitives, one line each. *)
   let msg240 = Drbg.generate rng 240 in
   let server_pks = List.init 3 (fun _ -> snd (Drbg.keypair ~rng ())) in
@@ -519,6 +548,13 @@ let crypto_bench () =
             ("fast_mb_per_sec", T.Json.Num (mb16 chacha_fast));
             ("seed_mb_per_sec", T.Json.Num (mb16 chacha_ref));
             ("speedup_vs_seed", T.Json.Num (chacha_fast /. chacha_ref));
+          ] );
+      ( "symmetric",
+        T.Json.Obj
+          [
+            ("sha256_speedup_vs_ref", T.Json.Num sha_speedup);
+            ("poly1305_speedup_vs_ref", T.Json.Num poly_speedup);
+            ("hkdf_us", T.Json.Num hkdf_us);
           ] );
     ];
   x_new

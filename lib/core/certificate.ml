@@ -115,12 +115,16 @@ let seal_certified ?rng ~caller_pk ~cert ~recipient_pk () =
   Box.seal_anonymous ?rng ~recipient_pk
     (Bytes.cat caller_pk (encode cert))
 
-let open_certified ~recipient_sk ~recipient_pk sealed =
-  match Box.open_anonymous ~recipient_sk ~recipient_pk sealed with
-  | None -> None
-  | Some plain when Bytes.length plain = certified_plain_len ->
+let of_plain = function
+  | Some plain when Bytes.length plain = certified_plain_len -> (
       let caller_pk = Bytes.sub plain 0 32 in
-      (match decode (Bytes.sub plain 32 encoded_len) with
+      match decode (Bytes.sub plain 32 encoded_len) with
       | Ok cert -> Some (caller_pk, cert)
       | Error _ -> None)
-  | Some _ -> None
+  | _ -> None
+
+let open_certified ~recipient_sk ~recipient_pk sealed =
+  of_plain (Box.open_anonymous ~recipient_sk ~recipient_pk sealed)
+
+let open_certified_many ~recipient_sk ~recipient_pk sealed =
+  Array.map of_plain (Box.open_anonymous_many ~recipient_sk ~recipient_pk sealed)

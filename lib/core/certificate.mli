@@ -53,3 +53,11 @@ val open_certified :
   recipient_sk:bytes -> recipient_pk:bytes -> bytes -> (bytes * t) option
 (** Trial-decrypt: [(caller_conversation_pk, certificate)].  The
     certificate still needs {!verify}. *)
+
+val open_certified_many :
+  recipient_sk:bytes ->
+  recipient_pk:bytes ->
+  bytes array ->
+  (bytes * t) option array
+(** {!open_certified} of each invitation, in order, their DHs run as one
+    batch ({!Box.open_anonymous_many}). *)

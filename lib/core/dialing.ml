@@ -96,29 +96,28 @@ let noise ?rng ?(kind = Plain) ~index () =
 let my_drop ~identity:(id : Types.identity) ~m =
   Deaddrop.Invitation.index_of ~m id.public
 
-(* Trial-decrypt every plain invitation in my drop; return the callers'
-   public keys (§5.1). *)
-let scan ~identity:(id : Types.identity) invitations =
-  List.filter_map
-    (fun inv ->
-      if Bytes.length inv <> Types.invitation_len then None
-      else
-        match
-          Box.open_anonymous ~recipient_sk:id.secret ~recipient_pk:id.public
-            inv
-        with
-        | Some caller_pk when Bytes.length caller_pk = Curve25519.key_len ->
-            Some caller_pk
-        | _ -> None)
-    invitations
+(* The invitations of a drop that have [len] bytes, as an array to open
+   in one batch. *)
+let sized len invitations =
+  Array.of_list (List.filter (fun inv -> Bytes.length inv = len) invitations)
 
-(* Trial-decrypt certified invitations: (caller key, certificate) pairs.
-   Certificate verification is the caller's business (trust policy). *)
+(* Trial-decrypt every plain invitation in my drop, every DH in one
+   batch (one field inversion for the drop); return the callers' public
+   keys in drop order (§5.1). *)
+let scan ~identity:(id : Types.identity) invitations =
+  Box.open_anonymous_many ~recipient_sk:id.secret ~recipient_pk:id.public
+    (sized Types.invitation_len invitations)
+  |> Array.to_list
+  |> List.filter_map (function
+       | Some caller_pk when Bytes.length caller_pk = Curve25519.key_len ->
+           Some caller_pk
+       | _ -> None)
+
+(* Trial-decrypt certified invitations, batched as [scan]: (caller key,
+   certificate) pairs.  Certificate verification is the caller's
+   business (trust policy). *)
 let scan_certified ~identity:(id : Types.identity) invitations =
-  List.filter_map
-    (fun inv ->
-      if Bytes.length inv <> Certificate.certified_invitation_len then None
-      else
-        Certificate.open_certified ~recipient_sk:id.secret
-          ~recipient_pk:id.public inv)
-    invitations
+  Certificate.open_certified_many ~recipient_sk:id.secret
+    ~recipient_pk:id.public
+    (sized Certificate.certified_invitation_len invitations)
+  |> Array.to_list |> List.filter_map Fun.id

@@ -60,9 +60,13 @@ val noise :
 val my_drop : identity:Types.identity -> m:int -> int
 
 val scan : identity:Types.identity -> bytes list -> bytes list
-(** Trial-decrypt a plain drop; returns callers' public keys. *)
+(** Trial-decrypt a plain drop; returns callers' public keys, in drop
+    order.  Every invitation's DH runs in one {!Curve25519.batch}, for
+    one field inversion per drop; what it returns is what
+    {!Box.open_anonymous} gives one invitation at a time. *)
 
 val scan_certified :
   identity:Types.identity -> bytes list -> (bytes * Certificate.t) list
-(** Trial-decrypt a certified drop; certificates still need
-    {!Certificate.verify} under the recipient's trust policy. *)
+(** Trial-decrypt a certified drop, batched as {!scan}; certificates
+    still need {!Certificate.verify} under the recipient's trust
+    policy. *)

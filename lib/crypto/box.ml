@@ -58,22 +58,44 @@ let seal_anonymous ?rng ~recipient_pk pt =
 
 (* A low-order ephemeral key gives the all-zero DH whatever the
    recipient's secret, so anyone could seal to it: rejected, as
-   RFC 7748 §6.1 recommends and as a peel does. *)
+   RFC 7748 §6.1 recommends and as a peel does.  The DHs of a drop's
+   boxes run as one batch: one field inversion for all of them. *)
+let open_anonymous_many ~recipient_sk ~recipient_pk boxes =
+  let epks =
+    Array.map
+      (fun b ->
+        if Bytes.length b < anonymous_overhead then None
+        else Some (Bytes.sub b 0 Curve25519.key_len))
+      boxes
+  in
+  let ladder point = Curve25519.Ladder { scalar = recipient_sk; point } in
+  let dhs =
+    Curve25519.batch
+      (Array.of_list
+         (List.filter_map (Option.map ladder) (Array.to_list epks)))
+  in
+  (* [Array.mapi] visits the boxes in order, so [next] walks [dhs]. *)
+  let next = ref 0 in
+  Array.mapi
+    (fun i sealed ->
+      match epks.(i) with
+      | None -> None
+      | Some epk ->
+          let dh = dhs.(!next) in
+          incr next;
+          if Curve25519.is_zero dh then None
+          else begin
+            let key = derive dh and nonce = anon_nonce ~epk ~pk:recipient_pk in
+            let n = Bytes.length sealed in
+            let pt = Bytes.create (n - anonymous_overhead) in
+            if
+              Aead.open_into ~key ~nonce ~src:sealed
+                ~src_off:Curve25519.key_len ~len:(n - Curve25519.key_len)
+                ~dst:pt ~dst_off:0 ()
+            then Some pt
+            else None
+          end)
+    boxes
+
 let open_anonymous ~recipient_sk ~recipient_pk sealed =
-  let n = Bytes.length sealed in
-  if n < anonymous_overhead then None
-  else begin
-    let epk = Bytes.sub sealed 0 Curve25519.key_len in
-    let dh = Curve25519.shared ~secret:recipient_sk ~public:epk in
-    if Curve25519.is_zero dh then None
-    else begin
-      let key = derive dh in
-      let nonce = anon_nonce ~epk ~pk:recipient_pk in
-      let pt = Bytes.create (n - anonymous_overhead) in
-      if
-        Aead.open_into ~key ~nonce ~src:sealed ~src_off:Curve25519.key_len
-          ~len:(n - Curve25519.key_len) ~dst:pt ~dst_off:0 ()
-      then Some pt
-      else None
-    end
-  end
+  (open_anonymous_many ~recipient_sk ~recipient_pk [| sealed |]).(0)

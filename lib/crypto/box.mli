@@ -54,4 +54,11 @@ val open_anonymous :
   recipient_sk:bytes -> recipient_pk:bytes -> bytes -> bytes option
 (** [None] unless the box authenticates, and for a low-order ephemeral
     key, whose DH is all zero whatever the recipient's secret
-    (RFC 7748 §6.1). *)
+    (RFC 7748 §6.1), rejected in constant time. *)
+
+val open_anonymous_many :
+  recipient_sk:bytes -> recipient_pk:bytes -> bytes array -> bytes option array
+(** {!open_anonymous} of each box, in order, with every box's DH run in
+    one {!Curve25519.batch}: one field inversion for the lot (a callee's
+    scan of its drop).  A box shorter than {!anonymous_overhead} is
+    [None] and takes no DH. *)

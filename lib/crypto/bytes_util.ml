@@ -1,5 +1,6 @@
-(* Byte-level helpers shared by all primitives: little/big-endian loads and
-   stores, hex codecs, xor, and constant-time comparison. *)
+(* Byte-level helpers shared by all primitives: little-endian loads and
+   stores, hex codecs, xor, and constant-time comparison.  The symmetric
+   kernels load and store machine words through {!Word} instead. *)
 
 let get_u8 b i = Char.code (Bytes.get b i)
 let set_u8 b i v = Bytes.set b i (Char.chr (v land 0xff))
@@ -23,82 +24,10 @@ let store_le64 b i v =
   store_le32 b i (v land 0xffffffff);
   store_le32 b (i + 4) ((v lsr 32) land 0xffffffff)
 
-(* Big-endian 32-bit load, used by SHA-256. *)
-let be32 b i =
-  (get_u8 b i lsl 24)
-  lor (get_u8 b (i + 1) lsl 16)
-  lor (get_u8 b (i + 2) lsl 8)
-  lor get_u8 b (i + 3)
-
-let store_be32 b i v =
-  set_u8 b i (v lsr 24);
-  set_u8 b (i + 1) (v lsr 16);
-  set_u8 b (i + 2) (v lsr 8);
-  set_u8 b (i + 3) v
-
-let store_be64 b i v =
-  store_be32 b i ((v lsr 32) land 0xffffffff);
-  store_be32 b (i + 4) (v land 0xffffffff)
-
-(* Unsafe accessors for hot loops whose bounds were validated up front
-   (ChaCha20 block XOR, Poly1305 absorption).  Keep every call site behind
-   an explicit range check. *)
-let unsafe_get_u8 b i = Char.code (Bytes.unsafe_get b i)
-let unsafe_set_u8 b i v = Bytes.unsafe_set b i (Char.unsafe_chr (v land 0xff))
-
-(* Unaligned 16-bit native-endian accessors: compiler primitives (no C
-   stub), returning plain untagged-friendly ints — two of these are
-   roughly half the instructions of four byte accesses. *)
-external unsafe_get16_ne : bytes -> int -> int = "%caml_bytes_get16u"
-external unsafe_set16_ne : bytes -> int -> int -> unit = "%caml_bytes_set16u"
-
-(* The primitives are native-endian; fall back to byte accesses on a
-   big-endian host (the branch on the constant [Sys.big_endian] is
-   perfectly predicted). *)
-let unsafe_le16 b i =
-  if Sys.big_endian then
-    unsafe_get_u8 b i lor (unsafe_get_u8 b (i + 1) lsl 8)
-  else unsafe_get16_ne b i
-
-let unsafe_store_le16 b i v =
-  if Sys.big_endian then begin
-    unsafe_set_u8 b i v;
-    unsafe_set_u8 b (i + 1) (v lsr 8)
-  end
-  else unsafe_set16_ne b i v
-
-let unsafe_le32 b i = unsafe_le16 b i lor (unsafe_le16 b (i + 2) lsl 16)
-
-let unsafe_store_le32 b i v =
-  unsafe_store_le16 b i v;
-  unsafe_store_le16 b (i + 2) (v lsr 16)
-
-(* The eight-byte little-endian helpers take the value as two 32-bit
-   halves (~lo, ~hi) rather than one 64-bit int: OCaml native ints are
-   63-bit, so a [le64]/[store_le64] round-trip silently zeroes bit 63 of
-   every eighth byte, and without flambda a boxed [Int64] path would
-   allocate on every load.  Two masked 32-bit words keep the whole
-   keystream XOR alloc-free and lossless. *)
-let unsafe_store64_le b i ~lo ~hi =
-  unsafe_store_le32 b i lo;
-  unsafe_store_le32 b (i + 4) hi
-
-let unsafe_xor64_le ~src ~src_off ~dst ~dst_off ~lo ~hi =
-  unsafe_store_le32 dst dst_off (unsafe_le32 src src_off lxor lo);
-  unsafe_store_le32 dst (dst_off + 4) (unsafe_le32 src (src_off + 4) lxor hi)
-
 let xor_into ~src ~dst len =
   for i = 0 to len - 1 do
     set_u8 dst i (get_u8 dst i lxor get_u8 src i)
   done
-
-let xor a b =
-  let n = min (Bytes.length a) (Bytes.length b) in
-  let out = Bytes.create n in
-  for i = 0 to n - 1 do
-    set_u8 out i (get_u8 a i lxor get_u8 b i)
-  done;
-  out
 
 (* Constant-time equality: accumulates differences so timing does not depend
    on where the first mismatch occurs.  Lengths are public. *)
@@ -114,6 +43,8 @@ let ct_equal a b =
 
 (* Constant-time equality over sub-ranges; bounds are checked eagerly so
    the loop can use unsafe accessors. *)
+let unsafe_get_u8 b i = Char.code (Bytes.unsafe_get b i)
+
 let ct_equal_sub a ~a_off b ~b_off ~len =
   if
     a_off < 0 || len < 0

@@ -1,6 +1,7 @@
-(** Byte-level helpers: endian loads/stores, hex codecs, xor, and
-    constant-time comparison.  Shared by every primitive in
-    {!Vuvuzela_crypto}. *)
+(** Byte-level helpers: little-endian loads/stores, hex codecs, xor,
+    and constant-time comparison.  Shared by every primitive in
+    {!Vuvuzela_crypto}; the symmetric kernels load and store machine
+    words through {!Word} instead. *)
 
 val get_u8 : bytes -> int -> int
 val set_u8 : bytes -> int -> int -> unit
@@ -12,37 +13,9 @@ val store_le32 : bytes -> int -> int -> unit
 val le64 : bytes -> int -> int
 val store_le64 : bytes -> int -> int -> unit
 
-val be32 : bytes -> int -> int
-(** Big-endian 32-bit load. *)
-
-val store_be32 : bytes -> int -> int -> unit
-val store_be64 : bytes -> int -> int -> unit
-
-val unsafe_get_u8 : bytes -> int -> int
-(** Unchecked byte load for hot loops whose bounds were validated up
-    front.  Callers must guard every range themselves. *)
-
-val unsafe_set_u8 : bytes -> int -> int -> unit
-val unsafe_le32 : bytes -> int -> int
-val unsafe_store_le32 : bytes -> int -> int -> unit
-
-val unsafe_store64_le : bytes -> int -> lo:int -> hi:int -> unit
-(** Store eight little-endian bytes given as two 32-bit words ([~lo]
-    first).  Two halves rather than one int because OCaml native ints
-    are 63-bit — a [le64] round-trip would zero bit 63 — and boxed
-    [Int64] would allocate without flambda. *)
-
-val unsafe_xor64_le :
-  src:bytes -> src_off:int -> dst:bytes -> dst_off:int -> lo:int -> hi:int -> unit
-(** XOR the 32-bit words [~lo]/[~hi] into eight bytes of [src] at
-    [src_off], storing into [dst] at [dst_off].  Unchecked. *)
-
 val xor_into : src:bytes -> dst:bytes -> int -> unit
 (** [xor_into ~src ~dst len] xors the first [len] bytes of [src] into
     [dst] in place. *)
-
-val xor : bytes -> bytes -> bytes
-(** Pointwise xor of the common prefix of the two buffers. *)
 
 val ct_equal : bytes -> bytes -> bool
 (** Constant-time equality.  Lengths are treated as public. *)

@@ -1,11 +1,11 @@
 (* ChaCha20 stream cipher (RFC 8439), rewritten for throughput: the
-   16-word state lives in unboxed native-int locals, one loop runs the
-   ten double rounds, and keystream is combined with the buffer eight
-   bytes at a time through the word helpers in {!Bytes_util}.  The seed
-   implementation survives verbatim as [Chacha20_ref] (test/oracles) and
-   is the differential oracle for this module (test/prop/prop_chacha.ml);
-   wire bytes are bit-identical by construction and by pinned transcript
-   digests. *)
+   16-word state lives in unboxed [nativeint] locals (see {!Word}), one
+   loop runs the ten double rounds, and keystream is combined with the
+   buffer eight bytes at a time through the 64-bit load and store
+   primitives.  The seed implementation survives verbatim as
+   [Chacha20_ref] (test/oracles) and is the differential oracle for this
+   module (test/prop/prop_chacha.ml); wire bytes are bit-identical by
+   construction and by pinned transcript digests. *)
 
 let mask32 = 0xffffffff
 let key_len = 32
@@ -35,55 +35,50 @@ let init_state ~key ~nonce ~counter =
   done;
   st
 
-(* [x] rotated left by [k], as a 32-bit word.  Inlined with a constant
-   [k], the two masks fold to constants below 2^31, which fit an x86
-   imm32 even after OCaml's tag bit (a [land 0xffffffff] needs a 10-byte
-   movabs per occurrence).  The masks read only bits 0..31, so the
-   result is exactly rot32(x land 2^32-1) whatever lies above. *)
+(* [x] rotated left by [k], as a 32-bit word: bits 32 and up of [x] are
+   masked off first, and the result's are junk. *)
 let[@inline] rotl x k =
-  ((x land ((1 lsl (32 - k)) - 1)) lsl k)
-  lor ((x lsr (32 - k)) land ((1 lsl k) - 1))
+  let open Word in
+  let x = x land 0xffffffffn in
+  (x lsl k) lor (x lsr Stdlib.( - ) 32 k)
 
 (* One block of keystream words for state [st] at block counter [ctr],
-   written into [ws].(0..15).  [st].(12) is ignored in favour of [ctr] so
-   the multi-block loops never write the state array back.
+   written into [ws].(0..15) as clean 32-bit words.  [st].(12) is ignored
+   in favour of [ctr] so the multi-block loops never write the state
+   array back.
 
-   The sixteen words are local refs, as in [Sha256.compress]: no closure
-   captures them, so they compile to unboxed native-int locals and the
-   loop allocates nothing.  Each pass of the loop is one double round,
-   the RFC 8439 quarter-rounds written out once: four column rounds,
-   then four diagonal rounds.
+   The sixteen words are [nativeint] refs local to this function: no
+   closure captures them, so they compile to unboxed registers and stack
+   slots and the loop allocates nothing.  Each pass of the loop is one
+   double round, the RFC 8439 quarter-rounds written out once: four
+   column rounds, then four diagonal rounds.
 
-   Additions are left unmasked, and no word is ever clamped.  The low 32
-   bits of a sum or an xor depend only on the low 32 bits of its
-   operands, and [rotl] reads nothing above them, so junk above bit 31
-   never reaches the keystream.  It stays small, too: the xor-rotate
-   steps hand back clean 32-bit words (x4..x7, x12..x15), so only the
-   add-accumulating words (x0..x3, x8..x11) grow, each by at most four
-   clean addends per double round.  Every word, the final state adds
-   included, stays below 42 * 2^32 < 2^38, far inside the 63-bit native
-   int.  Those final words stay dirty: every consumer of [ws] stores
-   through 16-bit primitives that truncate in hardware ({!Bytes_util}).
+   Additions are left unmasked.  The low 32 bits of a sum or an xor
+   depend only on the low 32 bits of its operands, and a 64-bit sum
+   wraps harmlessly, so junk above bit 31 never reaches the keystream:
+   [rotl], the one step that moves bits down, masks its operand first,
+   and the final words are masked once.
 
    The serialized keystream is bit-identical to [Chacha20_ref] (gated by
    test/prop/prop_chacha.ml). *)
 let block_words st ctr ws =
-  let x0 = ref (Array.unsafe_get st 0) in
-  let x1 = ref (Array.unsafe_get st 1) in
-  let x2 = ref (Array.unsafe_get st 2) in
-  let x3 = ref (Array.unsafe_get st 3) in
-  let x4 = ref (Array.unsafe_get st 4) in
-  let x5 = ref (Array.unsafe_get st 5) in
-  let x6 = ref (Array.unsafe_get st 6) in
-  let x7 = ref (Array.unsafe_get st 7) in
-  let x8 = ref (Array.unsafe_get st 8) in
-  let x9 = ref (Array.unsafe_get st 9) in
-  let x10 = ref (Array.unsafe_get st 10) in
-  let x11 = ref (Array.unsafe_get st 11) in
-  let x12 = ref ctr in
-  let x13 = ref (Array.unsafe_get st 13) in
-  let x14 = ref (Array.unsafe_get st 14) in
-  let x15 = ref (Array.unsafe_get st 15) in
+  let open Word in
+  let x0 = ref (of_int (Array.unsafe_get st 0)) in
+  let x1 = ref (of_int (Array.unsafe_get st 1)) in
+  let x2 = ref (of_int (Array.unsafe_get st 2)) in
+  let x3 = ref (of_int (Array.unsafe_get st 3)) in
+  let x4 = ref (of_int (Array.unsafe_get st 4)) in
+  let x5 = ref (of_int (Array.unsafe_get st 5)) in
+  let x6 = ref (of_int (Array.unsafe_get st 6)) in
+  let x7 = ref (of_int (Array.unsafe_get st 7)) in
+  let x8 = ref (of_int (Array.unsafe_get st 8)) in
+  let x9 = ref (of_int (Array.unsafe_get st 9)) in
+  let x10 = ref (of_int (Array.unsafe_get st 10)) in
+  let x11 = ref (of_int (Array.unsafe_get st 11)) in
+  let x12 = ref (of_int ctr) in
+  let x13 = ref (of_int (Array.unsafe_get st 13)) in
+  let x14 = ref (of_int (Array.unsafe_get st 14)) in
+  let x15 = ref (of_int (Array.unsafe_get st 15)) in
   for _ = 1 to 10 do
     (* column rounds *)
     x0 := !x0 + !x4;
@@ -152,32 +147,50 @@ let block_words st ctr ws =
     x9 := !x9 + !x14;
     x4 := rotl (!x4 lxor !x9) 7
   done;
-  Array.unsafe_set ws 0 (!x0 + Array.unsafe_get st 0);
-  Array.unsafe_set ws 1 (!x1 + Array.unsafe_get st 1);
-  Array.unsafe_set ws 2 (!x2 + Array.unsafe_get st 2);
-  Array.unsafe_set ws 3 (!x3 + Array.unsafe_get st 3);
-  Array.unsafe_set ws 4 (!x4 + Array.unsafe_get st 4);
-  Array.unsafe_set ws 5 (!x5 + Array.unsafe_get st 5);
-  Array.unsafe_set ws 6 (!x6 + Array.unsafe_get st 6);
-  Array.unsafe_set ws 7 (!x7 + Array.unsafe_get st 7);
-  Array.unsafe_set ws 8 (!x8 + Array.unsafe_get st 8);
-  Array.unsafe_set ws 9 (!x9 + Array.unsafe_get st 9);
-  Array.unsafe_set ws 10 (!x10 + Array.unsafe_get st 10);
-  Array.unsafe_set ws 11 (!x11 + Array.unsafe_get st 11);
-  Array.unsafe_set ws 12 (!x12 + ctr);
-  Array.unsafe_set ws 13 (!x13 + Array.unsafe_get st 13);
-  Array.unsafe_set ws 14 (!x14 + Array.unsafe_get st 14);
-  Array.unsafe_set ws 15 (!x15 + Array.unsafe_get st 15)
+  Array.unsafe_set ws 0
+    (to_int ((!x0 + of_int (Array.unsafe_get st 0)) land 0xffffffffn));
+  Array.unsafe_set ws 1
+    (to_int ((!x1 + of_int (Array.unsafe_get st 1)) land 0xffffffffn));
+  Array.unsafe_set ws 2
+    (to_int ((!x2 + of_int (Array.unsafe_get st 2)) land 0xffffffffn));
+  Array.unsafe_set ws 3
+    (to_int ((!x3 + of_int (Array.unsafe_get st 3)) land 0xffffffffn));
+  Array.unsafe_set ws 4
+    (to_int ((!x4 + of_int (Array.unsafe_get st 4)) land 0xffffffffn));
+  Array.unsafe_set ws 5
+    (to_int ((!x5 + of_int (Array.unsafe_get st 5)) land 0xffffffffn));
+  Array.unsafe_set ws 6
+    (to_int ((!x6 + of_int (Array.unsafe_get st 6)) land 0xffffffffn));
+  Array.unsafe_set ws 7
+    (to_int ((!x7 + of_int (Array.unsafe_get st 7)) land 0xffffffffn));
+  Array.unsafe_set ws 8
+    (to_int ((!x8 + of_int (Array.unsafe_get st 8)) land 0xffffffffn));
+  Array.unsafe_set ws 9
+    (to_int ((!x9 + of_int (Array.unsafe_get st 9)) land 0xffffffffn));
+  Array.unsafe_set ws 10
+    (to_int ((!x10 + of_int (Array.unsafe_get st 10)) land 0xffffffffn));
+  Array.unsafe_set ws 11
+    (to_int ((!x11 + of_int (Array.unsafe_get st 11)) land 0xffffffffn));
+  Array.unsafe_set ws 12
+    (to_int ((!x12 + of_int ctr) land 0xffffffffn));
+  Array.unsafe_set ws 13
+    (to_int ((!x13 + of_int (Array.unsafe_get st 13)) land 0xffffffffn));
+  Array.unsafe_set ws 14
+    (to_int ((!x14 + of_int (Array.unsafe_get st 14)) land 0xffffffffn));
+  Array.unsafe_set ws 15
+    (to_int ((!x15 + of_int (Array.unsafe_get st 15)) land 0xffffffffn))
 
-(* Keystream words of the block in [ws], serialized into [buf] (>= 64
-   bytes at [off], bounds already validated by the caller). *)
-let store_block ws buf off =
-  for i = 0 to 7 do
-    Bytes_util.unsafe_store64_le buf
-      (off + (8 * i))
-      ~lo:(Array.unsafe_get ws (2 * i))
-      ~hi:(Array.unsafe_get ws ((2 * i) + 1))
-  done
+(* Keystream words [2i] and [2i + 1] of [ws] as the eight little-endian
+   bytes they serialize to, in host order for [Word.get64u]/[set64u]. *)
+let[@inline] pair ws i =
+  let lo = Word.of_int (Array.unsafe_get ws (2 * i))
+  and hi = Word.of_int (Array.unsafe_get ws ((2 * i) + 1)) in
+  let x = Word.(to_int64 (lo lor (hi lsl 32))) in
+  if Word.big_endian () then Word.bswap64 x else x
+
+(* Byte [j] (0..63) of the block in [ws]. *)
+let[@inline] byte ws j =
+  (Array.unsafe_get ws (j lsr 2) lsr (8 * (j land 3))) land 0xff
 
 let check_range what b off len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
@@ -185,8 +198,8 @@ let check_range what b off len =
 
 (* XOR [len] keystream bytes (starting at block [counter]) into [dst] at
    [dst_off] from [src] at [src_off]; this is encryption and decryption.
-   Full blocks go eight bytes at a time; the sub-block tail serializes
-   one last block and finishes byte-wise.  The state-taking variant lets
+   Full blocks go eight bytes at a time; the sub-block tail is read
+   byte-wise off one last block's words.  The state-taking variant lets
    Aead reuse one [init_state] for poly-key derivation and the cipher
    stream; [st].(12) is ignored in favour of [counter]. *)
 let xor_with_state st ~counter ~src ~src_off ~dst ~dst_off ~len =
@@ -200,21 +213,19 @@ let xor_with_state st ~counter ~src ~src_off ~dst ~dst_off ~len =
     ctr := (!ctr + 1) land mask32;
     let so = src_off + !pos and dofs = dst_off + !pos in
     for i = 0 to 7 do
-      Bytes_util.unsafe_xor64_le ~src ~src_off:(so + (8 * i)) ~dst
-        ~dst_off:(dofs + (8 * i))
-        ~lo:(Array.unsafe_get ws (2 * i))
-        ~hi:(Array.unsafe_get ws ((2 * i) + 1))
+      Word.set64u dst
+        (dofs + (8 * i))
+        (Int64.logxor (Word.get64u src (so + (8 * i))) (pair ws i))
     done;
     pos := !pos + 64
   done;
   if !pos < len then begin
     block_words st !ctr ws;
-    let tail = Bytes.create 64 in
-    store_block ws tail 0;
     for i = !pos to len - 1 do
-      Bytes_util.unsafe_set_u8 dst (dst_off + i)
-        (Bytes_util.unsafe_get_u8 src (src_off + i)
-        lxor Bytes_util.unsafe_get_u8 tail (i - !pos))
+      Bytes.unsafe_set dst (dst_off + i)
+        (Char.unsafe_chr
+           (Char.code (Bytes.unsafe_get src (src_off + i))
+           lxor byte ws (i - !pos)))
     done
   end
 
@@ -233,14 +244,16 @@ let keystream_into ~key ~nonce ~counter buf ~off ~len =
   while len - !pos >= 64 do
     block_words st !ctr ws;
     ctr := (!ctr + 1) land mask32;
-    store_block ws buf (off + !pos);
+    for i = 0 to 7 do
+      Word.set64u buf (off + !pos + (8 * i)) (pair ws i)
+    done;
     pos := !pos + 64
   done;
   if !pos < len then begin
     block_words st !ctr ws;
-    let tail = Bytes.create 64 in
-    store_block ws tail 0;
-    Bytes.blit tail 0 buf (off + !pos) (len - !pos)
+    for i = !pos to len - 1 do
+      Bytes.unsafe_set buf (off + i) (Char.unsafe_chr (byte ws (i - !pos)))
+    done
   end
 
 let block ~key ~nonce ~counter =

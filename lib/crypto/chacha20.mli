@@ -1,8 +1,8 @@
 (** ChaCha20 stream cipher (RFC 8439), optimized hot path.
 
-    The 16-word state lives in unboxed native-int locals, one loop runs
-    the ten double rounds, and keystream is combined with buffers eight
-    bytes at a time.  Wire bytes are bit-identical to [Chacha20_ref]
+    The 16-word state lives in unboxed machine-word locals, one loop
+    runs the ten double rounds, and keystream is combined with buffers
+    eight bytes at a time.  Wire bytes are bit-identical to [Chacha20_ref]
     (the seed implementation, retained in test/oracles as a
     differential oracle),
     enforced by [test/prop/prop_chacha.ml] and the RFC 8439 vector
@@ -60,9 +60,7 @@ val init_state : key:bytes -> nonce:bytes -> counter:int -> int array
 val block_words : int array -> int -> int array -> unit
 (** [block_words st ctr ws] writes the keystream words of the block at
     counter [ctr] into [ws].(0..15) ([st].(12) is ignored in favour of
-    [ctr]).  The words carry garbage above bit 31 by design — consumers
-    must truncate (byte serialization does so in hardware); mask with
-    [0xffffffff] before arithmetic use. *)
+    [ctr]), each in [0, 2^32).  Allocates nothing. *)
 
 val xor_with_state :
   int array ->

@@ -55,8 +55,8 @@
    let-bound [nativeint] unboxed as long as it is only passed to
    primitives, so:
 
-     - the operators are the compiler's primitives (module [W] below),
-       never closures, and the loads are written inline;
+     - the operators are the compiler's primitives ({!Word}), never
+       closures, and the loads are written inline;
      - [reduce10] is [@inline]: an out-of-line call would box its ten
        word arguments (~30 words per call).
 
@@ -196,28 +196,15 @@ let sub (o : t) (a : t) (b : t) =
   Array.unsafe_set o 2 (Array.unsafe_get a 2 + two_pi - Array.unsafe_get b 2);
   Array.unsafe_set o 3 (Array.unsafe_get a 3 + two_pi - Array.unsafe_get b 3)
 
-(* Machine-word arithmetic for the kernels below, as the compiler's own
-   primitives (never closures), so let-bound results stay unboxed. *)
-module W = struct
-  external of_int : int -> nativeint = "%nativeint_of_int"
-  external to_int : nativeint -> int = "%nativeint_to_int"
-  external ( + ) : nativeint -> nativeint -> nativeint = "%nativeint_add"
-  external ( - ) : nativeint -> nativeint -> nativeint = "%nativeint_sub"
-  external ( * ) : nativeint -> nativeint -> nativeint = "%nativeint_mul"
-  external ( land ) : nativeint -> nativeint -> nativeint = "%nativeint_and"
-  external ( lor ) : nativeint -> nativeint -> nativeint = "%nativeint_or"
-  external ( lsl ) : nativeint -> int -> nativeint = "%nativeint_lsl"
-  external ( asr ) : nativeint -> int -> nativeint = "%nativeint_asr"
-
-  let mask26 = 0x3ffffffn
-end
+(* The kernels below run on {!Word}'s machine-word primitives. *)
+let mask26 = 0x3ffffffn
 
 (* Carry the ten radix-2^25.5 accumulators and recombine them into five
    51-bit limbs of [o], limb 4 (the one bounds-checked store) first.
    Shared by [mul], [square], and [mul_small]; inlined, because an
    out-of-line call would box its ten word arguments. *)
 let[@inline] reduce10 (o : t) h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 =
-  let open W in
+  let open Word in
   let c = h0 asr 26 in
   let h0 = h0 - (c lsl 26) and h1 = h1 + c in
   let c = h1 asr 25 in
@@ -247,7 +234,7 @@ let[@inline] reduce10 (o : t) h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 =
   Array.unsafe_set o 3 (to_int (h6 lor (h7 lsl 26)))
 
 let mul (o : t) (a : t) (b : t) =
-  let open W in
+  let open Word in
   let a4 = of_int a.(4) and b4 = of_int b.(4) in
   let a0 = of_int (Array.unsafe_get a 0)
   and a1 = of_int (Array.unsafe_get a 1)
@@ -328,7 +315,7 @@ let mul (o : t) (a : t) (b : t) =
    four squarings per scalar bit and [invert] does 254 in a row, so this
    is worth the duplication. *)
 let square (o : t) (a : t) =
-  let open W in
+  let open Word in
   let a4 = of_int a.(4) in
   let a0 = of_int (Array.unsafe_get a 0)
   and a1 = of_int (Array.unsafe_get a 1)
@@ -386,7 +373,7 @@ let square (o : t) (a : t) =
    could reach 2^54 * 2^17 = 2^71, so this also goes through
    half-limbs. *)
 let mul_small (o : t) (a : t) c =
-  let open W in
+  let open Word in
   let c = of_int c in
   let a4 = of_int a.(4) in
   let a0 = of_int (Array.unsafe_get a 0)

@@ -1,8 +1,13 @@
 (* HMAC-SHA256 (RFC 2104 / FIPS 198-1).  A key's two pad blocks are one
    SHA-256 compression each; [key] hashes them once, and every tag under
-   the key resumes from copies of the two states. *)
+   the key resumes from a copy of the inner state.  The inner digest is
+   written where the tag goes, fed from there to the same state reset to
+   the outer pad's, and overwritten by the tag: one state per tag, and no
+   digest buffer.  The key's states are only ever copied, so one key can
+   serve every domain. *)
 
 let block_size = 64
+let digest_len = 32
 
 type key = { inner : Sha256.t; outer : Sha256.t }
 
@@ -17,12 +22,20 @@ let key k =
   in
   { inner = pad '\x36'; outer = pad '\x5c' }
 
+let start key = Sha256.copy key.inner
+
+let finish_into key st dst ~off =
+  Sha256.get_into st dst ~off;
+  Sha256.blit ~src:key.outer ~dst:st;
+  Sha256.feed_sub st dst ~off ~len:digest_len;
+  Sha256.get_into st dst ~off
+
 let mac key data =
-  let inner = Sha256.copy key.inner in
-  Sha256.feed inner data;
-  let outer = Sha256.copy key.outer in
-  Sha256.feed outer (Sha256.get inner);
-  Sha256.get outer
+  let st = start key in
+  Sha256.feed st data;
+  let tag = Bytes.create digest_len in
+  finish_into key st tag ~off:0;
+  tag
 
 let sha256 ~key:k data = mac (key k) data
 let verify ~key ~tag data = Bytes_util.ct_equal tag (sha256 ~key data)

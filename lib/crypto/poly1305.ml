@@ -1,6 +1,18 @@
 (* Poly1305 one-time authenticator (RFC 8439), following the 26-bit limb
-   schedule of poly1305-donna-32.  Every intermediate fits a 63-bit native
-   int: h limbs stay below 2^27 and the five-term products below 2^58. *)
+   schedule of poly1305-donna-32, on untagged machine words.
+
+   One kernel, [absorb], takes every block: the bulk of a message, a
+   buffered block, the AEAD length block and the padded final block.  It
+   holds r, 5r and the accumulator in [nativeint] locals (see {!Word})
+   for the whole run, loads each block as two little-endian 64-bit
+   words, and allocates nothing.  Bounds: clamped, r's limbs are below
+   2^26, so 5r's are below 2^28.33.  An accumulator limb entering a block
+   is below 2^26 + 2^9 (limb 1 takes the last carry, below 2^8.1) and a
+   message limb below 2^26, so each of a column's five products is below
+   2^27.01 x 2^28.33 and a column below 2^58: far inside the signed
+   64-bit word, so every right shift acts on a nonnegative value.  The
+   tagged implementation this replaced survives as [Poly1305_ref]
+   (test/oracles), the differential oracle of test/prop/prop_symmetric.ml. *)
 
 let key_len = 32
 let tag_len = 16
@@ -10,7 +22,7 @@ type t = {
   r : int array; (* 5 clamped 26-bit limbs of r *)
   pad : int array; (* 4 32-bit words of s *)
   h : int array; (* 5 accumulator limbs *)
-  buf : bytes; (* partial block *)
+  buf : bytes; (* partial block, then room for the length block *)
   mutable buf_len : int;
 }
 
@@ -28,14 +40,13 @@ let init key =
       |];
     pad = [| le32 key 16; le32 key 20; le32 key 24; le32 key 28 |];
     h = Array.make 5 0;
-    buf = Bytes.create 16;
+    buf = Bytes.create 32;
     buf_len = 0;
   }
 
 (* Initialize straight from the eight little-endian 32-bit words of the
    key, ignoring bits above 31 (the AEAD derives its one-time key as
-   ChaCha20 block-0 keystream words, whose high bits are dirty by
-   design — see Chacha20.block_words).  Equivalent to [init] on the
+   ChaCha20 block-0 keystream words).  Equivalent to [init] on the
    serialized 32 bytes; the word-sliced clamping below is the byte-offset
    le32 reads of [init] rewritten on 32-bit word boundaries. *)
 let init_from_words ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 ~w7 =
@@ -55,124 +66,61 @@ let init_from_words ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 ~w7 =
       |];
     pad = [| w4 land m; w5 land m; w6 land m; w7 land m |];
     h = Array.make 5 0;
-    buf = Bytes.create 16;
+    buf = Bytes.create 32;
     buf_len = 0;
   }
 
-(* Absorb one block given its five 26-bit limb increments (the message
-   block plus the high bit, already sliced). *)
-let absorb_limbs t m0 m1 m2 m3 m4 =
-  let r0 = t.r.(0)
-  and r1 = t.r.(1)
-  and r2 = t.r.(2)
-  and r3 = t.r.(3)
-  and r4 = t.r.(4) in
-  let s1 = r1 * 5
-  and s2 = r2 * 5
-  and s3 = r3 * 5
-  and s4 = r4 * 5 in
-  let h0 = t.h.(0) + m0 in
-  let h1 = t.h.(1) + m1 in
-  let h2 = t.h.(2) + m2 in
-  let h3 = t.h.(3) + m3 in
-  let h4 = t.h.(4) + m4 in
-  let d0 = (h0 * r0) + (h1 * s4) + (h2 * s3) + (h3 * s2) + (h4 * s1) in
-  let d1 = (h0 * r1) + (h1 * r0) + (h2 * s4) + (h3 * s3) + (h4 * s2) in
-  let d2 = (h0 * r2) + (h1 * r1) + (h2 * r0) + (h3 * s4) + (h4 * s3) in
-  let d3 = (h0 * r3) + (h1 * r2) + (h2 * r1) + (h3 * r0) + (h4 * s4) in
-  let d4 = (h0 * r4) + (h1 * r3) + (h2 * r2) + (h3 * r1) + (h4 * r0) in
-  let c = d0 lsr 26 in
-  let h0 = d0 land limb_mask in
-  let d1 = d1 + c in
-  let c = d1 lsr 26 in
-  let h1 = d1 land limb_mask in
-  let d2 = d2 + c in
-  let c = d2 lsr 26 in
-  let h2 = d2 land limb_mask in
-  let d3 = d3 + c in
-  let c = d3 lsr 26 in
-  let h3 = d3 land limb_mask in
-  let d4 = d4 + c in
-  let c = d4 lsr 26 in
-  let h4 = d4 land limb_mask in
-  let h0 = h0 + (c * 5) in
-  let c = h0 lsr 26 in
-  let h0 = h0 land limb_mask in
-  let h1 = h1 + c in
-  t.h.(0) <- h0;
-  t.h.(1) <- h1;
-  t.h.(2) <- h2;
-  t.h.(3) <- h3;
-  t.h.(4) <- h4
+let[@inline] load_le64 b i =
+  let x = Word.get64u b i in
+  Word.of_int64 (if Word.big_endian () then Word.bswap64 x else x)
 
-(* Absorb one 16-byte block at [off]; [hibit] is [1 lsl 24] for full
-   blocks and [0] for the padded final partial block.  Unsafe loads:
-   every caller ([feed_sub] and the buffered paths) range-checks before
-   absorbing. *)
-let absorb_block t m off hibit =
-  let le32 = Bytes_util.unsafe_le32 in
-  absorb_limbs t
-    (le32 m off land limb_mask)
-    ((le32 m (off + 3) lsr 2) land limb_mask)
-    ((le32 m (off + 6) lsr 4) land limb_mask)
-    ((le32 m (off + 9) lsr 6) land limb_mask)
-    ((le32 m (off + 12) lsr 8) lor hibit)
-
-(* The bulk path: [nblocks] full blocks at [off], with r, s and the h
-   accumulator in locals for the whole run — the per-block cost is the
-   25 multiplies, not t.r/t.h traffic.  Caller range-checks. *)
-let absorb_blocks t m ~off ~nblocks =
-  let r0 = t.r.(0)
-  and r1 = t.r.(1)
-  and r2 = t.r.(2)
-  and r3 = t.r.(3)
-  and r4 = t.r.(4) in
-  let s1 = r1 * 5
-  and s2 = r2 * 5
-  and s3 = r3 * 5
-  and s4 = r4 * 5 in
-  let le32 = Bytes_util.unsafe_le32 in
-  let rec go h0 h1 h2 h3 h4 off n =
-    if n = 0 then begin
-      t.h.(0) <- h0;
-      t.h.(1) <- h1;
-      t.h.(2) <- h2;
-      t.h.(3) <- h3;
-      t.h.(4) <- h4
-    end
-    else begin
-      let h0 = h0 + (le32 m off land limb_mask) in
-      let h1 = h1 + ((le32 m (off + 3) lsr 2) land limb_mask) in
-      let h2 = h2 + ((le32 m (off + 6) lsr 4) land limb_mask) in
-      let h3 = h3 + ((le32 m (off + 9) lsr 6) land limb_mask) in
-      let h4 = h4 + ((le32 m (off + 12) lsr 8) lor (1 lsl 24)) in
-      let d0 = (h0 * r0) + (h1 * s4) + (h2 * s3) + (h3 * s2) + (h4 * s1) in
-      let d1 = (h0 * r1) + (h1 * r0) + (h2 * s4) + (h3 * s3) + (h4 * s2) in
-      let d2 = (h0 * r2) + (h1 * r1) + (h2 * r0) + (h3 * s4) + (h4 * s3) in
-      let d3 = (h0 * r3) + (h1 * r2) + (h2 * r1) + (h3 * r0) + (h4 * s4) in
-      let d4 = (h0 * r4) + (h1 * r3) + (h2 * r2) + (h3 * r1) + (h4 * r0) in
-      let c = d0 lsr 26 in
-      let h0 = d0 land limb_mask in
-      let d1 = d1 + c in
-      let c = d1 lsr 26 in
-      let h1 = d1 land limb_mask in
-      let d2 = d2 + c in
-      let c = d2 lsr 26 in
-      let h2 = d2 land limb_mask in
-      let d3 = d3 + c in
-      let c = d3 lsr 26 in
-      let h3 = d3 land limb_mask in
-      let d4 = d4 + c in
-      let c = d4 lsr 26 in
-      let h4 = d4 land limb_mask in
-      let h0 = h0 + (c * 5) in
-      let c = h0 lsr 26 in
-      let h0 = h0 land limb_mask in
-      let h1 = h1 + c in
-      go h0 h1 h2 h3 h4 (off + 16) (n - 1)
-    end
-  in
-  go t.h.(0) t.h.(1) t.h.(2) t.h.(3) t.h.(4) off nblocks
+(* Absorb [nblocks] 16-byte blocks of [m] at [off], adding [hibit] to
+   each block's top limb: 2^24 for a whole block, 0 for the padded final
+   one.  Unchecked loads: every caller range-checks first. *)
+let absorb t m off nblocks hibit =
+  let open Word in
+  let r = t.r and acc = t.h in
+  let r0 = of_int (Array.unsafe_get r 0)
+  and r1 = of_int (Array.unsafe_get r 1)
+  and r2 = of_int (Array.unsafe_get r 2)
+  and r3 = of_int (Array.unsafe_get r 3)
+  and r4 = of_int (Array.unsafe_get r 4) in
+  let s1 = r1 * 5n and s2 = r2 * 5n and s3 = r3 * 5n and s4 = r4 * 5n in
+  let h0 = ref (of_int (Array.unsafe_get acc 0))
+  and h1 = ref (of_int (Array.unsafe_get acc 1))
+  and h2 = ref (of_int (Array.unsafe_get acc 2))
+  and h3 = ref (of_int (Array.unsafe_get acc 3))
+  and h4 = ref (of_int (Array.unsafe_get acc 4)) in
+  let hibit = of_int hibit and pos = ref off in
+  for _ = 1 to nblocks do
+    let lo = load_le64 m !pos and hi = load_le64 m (Stdlib.( + ) !pos 8) in
+    let a0 = !h0 + (lo land 0x3ffffffn)
+    and a1 = !h1 + ((lo lsr 26) land 0x3ffffffn)
+    and a2 = !h2 + (((lo lsr 52) lor (hi lsl 12)) land 0x3ffffffn)
+    and a3 = !h3 + ((hi lsr 14) land 0x3ffffffn)
+    and a4 = !h4 + ((hi lsr 40) lor hibit) in
+    let d0 = (a0 * r0) + (a1 * s4) + (a2 * s3) + (a3 * s2) + (a4 * s1) in
+    let d1 = (a0 * r1) + (a1 * r0) + (a2 * s4) + (a3 * s3) + (a4 * s2) in
+    let d2 = (a0 * r2) + (a1 * r1) + (a2 * r0) + (a3 * s4) + (a4 * s3) in
+    let d3 = (a0 * r3) + (a1 * r2) + (a2 * r1) + (a3 * r0) + (a4 * s4) in
+    let d4 = (a0 * r4) + (a1 * r3) + (a2 * r2) + (a3 * r1) + (a4 * r0) in
+    let d1 = d1 + (d0 lsr 26) in
+    let d2 = d2 + (d1 lsr 26) in
+    let d3 = d3 + (d2 lsr 26) in
+    let d4 = d4 + (d3 lsr 26) in
+    let c0 = (d0 land 0x3ffffffn) + ((d4 lsr 26) * 5n) in
+    h0 := c0 land 0x3ffffffn;
+    h1 := (d1 land 0x3ffffffn) + (c0 lsr 26);
+    h2 := d2 land 0x3ffffffn;
+    h3 := d3 land 0x3ffffffn;
+    h4 := d4 land 0x3ffffffn;
+    pos := Stdlib.( + ) !pos 16
+  done;
+  Array.unsafe_set acc 0 (to_int !h0);
+  Array.unsafe_set acc 1 (to_int !h1);
+  Array.unsafe_set acc 2 (to_int !h2);
+  Array.unsafe_set acc 3 (to_int !h3);
+  Array.unsafe_set acc 4 (to_int !h4)
 
 let feed_sub t data ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length data then
@@ -185,13 +133,13 @@ let feed_sub t data ~off ~len =
     t.buf_len <- t.buf_len + want;
     pos := off + want;
     if t.buf_len = 16 then begin
-      absorb_block t t.buf 0 (1 lsl 24);
+      absorb t t.buf 0 1 (1 lsl 24);
       t.buf_len <- 0
     end
   end;
   let nblocks = (fin - !pos) lsr 4 in
   if nblocks > 0 then begin
-    absorb_blocks t data ~off:!pos ~nblocks;
+    absorb t data !pos nblocks (1 lsl 24);
     pos := !pos + (nblocks lsl 4)
   end;
   if !pos < fin then begin
@@ -201,36 +149,20 @@ let feed_sub t data ~off ~len =
 
 let feed t data = feed_sub t data ~off:0 ~len:(Bytes.length data)
 
-(* Absorb the AEAD length block — le64(aad_len) ‖ le64(ct_len) — without
-   materializing its 16 bytes.  Callers (Aead) are block-aligned here (it
-   follows a pad16), so the buffered path is only a cold fallback. *)
+(* Absorb the AEAD length block, le64(aad_len) ‖ le64(ct_len), built in
+   the second half of [buf], which holds nothing else. *)
 let absorb_lens t ~aad_len ~ct_len =
-  if t.buf_len <> 0 then begin
-    let lens = Bytes.create 16 in
-    Bytes_util.store_le64 lens 0 aad_len;
-    Bytes_util.store_le64 lens 8 ct_len;
-    feed t lens
-  end
-  else begin
-    let m = 0xffffffff in
-    let w0 = aad_len land m
-    and w1 = (aad_len lsr 32) land m
-    and w2 = ct_len land m
-    and w3 = (ct_len lsr 32) land m in
-    absorb_limbs t (w0 land limb_mask)
-      (((w0 lsr 26) lor (w1 lsl 6)) land limb_mask)
-      (((w1 lsr 20) lor (w2 lsl 12)) land limb_mask)
-      (((w2 lsr 14) lor (w3 lsl 18)) land limb_mask)
-      ((w3 lsr 8) lor (1 lsl 24))
-  end
+  Bytes_util.store_le64 t.buf 16 aad_len;
+  Bytes_util.store_le64 t.buf 24 ct_len;
+  feed_sub t t.buf ~off:16 ~len:16
 
 let finish_into t dst ~off =
   if t.buf_len > 0 then begin
-    (* Pad the final partial block with 0x01 then zeros; hibit = 0. *)
-    let block = Bytes.make 16 '\000' in
-    Bytes.blit t.buf 0 block 0 t.buf_len;
-    Bytes.set block t.buf_len '\x01';
-    absorb_block t block 0 0
+    (* Pad the final partial block in place with 0x01 then zeros;
+       hibit = 0. *)
+    Bytes.set t.buf t.buf_len '\x01';
+    Bytes.fill t.buf (t.buf_len + 1) (15 - t.buf_len) '\000';
+    absorb t t.buf 0 1 0
   end;
   (* Fully carry h. *)
   let h0 = ref t.h.(0)

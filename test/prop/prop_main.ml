@@ -10,6 +10,7 @@ let () =
   Prop_x25519.run ();
   Prop_ed25519.run ();
   Prop_chacha.run ();
+  Prop_symmetric.run ();
   Prop_aead.run ();
   Prop_pool.run ();
   Prop_deaddrop.run ();

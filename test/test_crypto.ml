@@ -416,7 +416,7 @@ let ref_seal ~key ~nonce ~aad pt =
     Bytes_util.concat
       [ aad; pad16 (Bytes.length aad); ct; pad16 (Bytes.length ct); lens ]
   in
-  let tag = Poly1305.mac ~key:(ref_poly_key ~key ~nonce) mac_data in
+  let tag = Poly1305_ref.mac ~key:(ref_poly_key ~key ~nonce) mac_data in
   Bytes_util.concat [ ct; tag ]
 
 (* A.5-direction AEAD vector.  The RFC prints A.5 as a decryption test
@@ -611,6 +611,24 @@ let test_chacha20_allocation () =
     Alcotest.failf
       "xor_with_state (1 KiB) allocates %.1f minor words per call, over 17" w
 
+(* The symmetric kernels' locals stay unboxed only while they reach
+   nothing but primitives: a SHA-256 compression (one aligned 64-byte
+   feed) and a Poly1305 block (one aligned 16-byte feed) allocate
+   nothing.  A [Box.derive] allocates its HMAC states, pad blocks and
+   output: 178 minor words, against 732 before the kernels' rewrite. *)
+let test_symmetric_allocation () =
+  let block = Bytes.init 64 Char.chr in
+  let sha = Sha256.init () in
+  Alcotest.(check (float 0.)) "sha256 compression minor words per call" 0.
+    (words_per_call 1000 (fun () -> Sha256.feed sha block));
+  let poly = Poly1305.init (Bytes.make Poly1305.key_len '\xff') in
+  Alcotest.(check (float 0.)) "poly1305 block minor words per call" 0.
+    (words_per_call 1000 (fun () -> Poly1305.feed_sub poly block ~off:0 ~len:16));
+  let raw = Bytes.make Curve25519.key_len 'r' in
+  let w = words_per_call 1000 (fun () -> ignore (Box.derive raw)) in
+  if w > 180. then
+    Alcotest.failf "Box.derive allocates %.1f minor words per call, over 180" w
+
 (* ------------------------------------------------------------------ *)
 (* DRBG                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -689,9 +707,7 @@ let test_endian () =
   let b = Bytes.create 8 in
   Bytes_util.store_le64 b 0 0x1122334455667788;
   Alcotest.(check int) "le64 roundtrip" 0x1122334455667788 (Bytes_util.le64 b 0);
-  Alcotest.(check int) "le32" 0x55667788 (Bytes_util.le32 b 0);
-  Bytes_util.store_be32 b 0 0xdeadbeef;
-  Alcotest.(check int) "be32 roundtrip" 0xdeadbeef (Bytes_util.be32 b 0)
+  Alcotest.(check int) "le32" 0x55667788 (Bytes_util.le32 b 0)
 
 let test_ct_equal () =
   Alcotest.(check bool) "equal" true
@@ -884,4 +900,6 @@ let suite =
           test_x25519_allocation;
         Alcotest.test_case "chacha20 core allocates nothing" `Quick
           test_chacha20_allocation;
+        Alcotest.test_case "sha256 and poly1305 blocks allocate nothing"
+          `Quick test_symmetric_allocation;
       ] )

@@ -235,6 +235,100 @@ let test_dialing_low_order_key_dropped () =
   Alcotest.(check int) "certified scan" 0
     (List.length (Dialing.scan_certified ~identity:bob [ certified ]))
 
+(* A scan runs its drop's DHs as one batch, and must return exactly what
+   opening each invitation alone gives, in drop order: over a drop of
+   real invitations (two for bob, one for charlie), noise invitations, a
+   forged low-order invitation and items of the wrong size, in both
+   formats. *)
+let test_dialing_scan_batched () =
+  let rng = Drbg.of_string "dial-scan-batch" in
+  let inv_of payload =
+    match Dialing.decode_payload payload with
+    | Ok (_, inv) -> inv
+    | Error e -> Alcotest.fail e
+  in
+  let epk = Bytes.make Curve25519.key_len '\000' in
+  let forge plain =
+    let nonce =
+      Bytes.sub (Sha256.digest_list [ epk; bob.Types.public ]) 0 Aead.nonce_len
+    in
+    Bytes.cat epk
+      (Aead.seal ~key:(Box.derive (Bytes.make 32 '\000')) ~nonce plain)
+  in
+  let invite ~from callee =
+    inv_of (Dialing.invite ~rng ~identity:from ~callee_pk:callee ~m:1 ())
+  in
+  let noise kind = inv_of (Dialing.noise ~rng ~kind ~index:0 ()) in
+  let plain_drop =
+    [
+      noise Dialing.Plain;
+      invite ~from:alice bob.Types.public;
+      forge alice.Types.public;
+      Bytes.make 10 'x';
+      invite ~from:alice charlie.Types.public;
+      Bytes.make (Types.invitation_len - 1) 'y';
+      noise Dialing.Plain;
+      invite ~from:charlie bob.Types.public;
+    ]
+  in
+  let one_by_one =
+    List.filter_map
+      (fun inv ->
+        if Bytes.length inv <> Types.invitation_len then None
+        else
+          match
+            Box.open_anonymous ~recipient_sk:bob.Types.secret
+              ~recipient_pk:bob.Types.public inv
+          with
+          | Some pk when Bytes.length pk = Curve25519.key_len -> Some pk
+          | _ -> None)
+      plain_drop
+  in
+  let hexes = List.map Bytes_util.to_hex in
+  Alcotest.(check (list string)) "plain scan = one by one" (hexes one_by_one)
+    (hexes (Dialing.scan ~identity:bob plain_drop));
+  Alcotest.(check (list string)) "alice, then charlie"
+    (hexes [ alice.Types.public; charlie.Types.public ])
+    (hexes one_by_one);
+  let signing_sk, _ = Ed25519.keypair ~rng () in
+  let cert_of (id : Types.identity) name =
+    Certificate.self_signed ~signing_sk ~conversation_pk:id.public ~name
+      ~expires:10
+  in
+  let invite_certified ~from name =
+    inv_of
+      (Dialing.invite_certified ~rng ~identity:from ~cert:(cert_of from name)
+         ~callee_pk:bob.Types.public ~m:1 ())
+  in
+  let certified_drop =
+    [
+      invite_certified ~from:charlie "charlie";
+      noise Dialing.Certified;
+      forge
+        (Bytes.cat alice.Types.public
+           (Certificate.encode (cert_of alice "alice")));
+      Bytes.make 10 'x';
+      invite_certified ~from:alice "alice";
+      invite ~from:alice bob.Types.public;
+    ]
+  in
+  let one_by_one =
+    List.filter_map
+      (fun inv ->
+        if Bytes.length inv <> Certificate.certified_invitation_len then None
+        else
+          Certificate.open_certified ~recipient_sk:bob.Types.secret
+            ~recipient_pk:bob.Types.public inv)
+      certified_drop
+  in
+  let callers = List.map (fun (pk, _) -> Bytes_util.to_hex pk) in
+  Alcotest.(check (list string)) "certified scan = one by one"
+    (callers one_by_one)
+    (callers (Dialing.scan_certified ~identity:bob certified_drop));
+  Alcotest.(check (list string)) "charlie, then alice"
+    (hexes [ charlie.Types.public; alice.Types.public ])
+    (callers one_by_one)
+
 (* ------------------------------------------------------------------ *)
 (* Dead drops                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -366,4 +460,8 @@ let suite =
       tc "invitation index stable" `Quick test_invitation_index_stable;
     ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props
-    @ [ tc "dialing low-order key dropped" `Quick test_dialing_low_order_key_dropped ] )
+    @ [
+        tc "dialing low-order key dropped" `Quick
+          test_dialing_low_order_key_dropped;
+        tc "dialing scan batched = one by one" `Quick test_dialing_scan_batched;
+      ] )

@@ -744,7 +744,8 @@ let workload_summary () =
    emulated RTT per link at jobs ∈ {1, 4}; how round latency degrades
    as the middle server's upstream link flaps more often (the daemon
    outbox + the link end's flap grace absorbing each outage without a
-   retry); and the reconnect-storm recovery time with latency applied. *)
+   retry); the reconnect-storm recovery time with latency applied; and
+   how long a chain takes from spawn to the coordinator's link. *)
 let churn_bench () =
   section "CHURN - emulated WAN links and flap rates (writes BENCH_churn.json)";
   let module T = Vuvuzela_telemetry in
@@ -925,6 +926,34 @@ let churn_bench () =
             dt r.Network.attempts;
           dt)
     in
+    (* Bring-up: from spawning a chain (last server first, as above) to
+       the coordinator's established link, the median of 5 chains.  Most
+       of it is links redialing daemons that do not listen yet. *)
+    let bringup_ms =
+      let once () =
+        let ports = Daemon_spawn.free_ports 3 in
+        let t0 = Unix.gettimeofday () in
+        let pids =
+          List.map (spawn_daemon ~jobs:1 ~seed:"bench-churn" ~ports) [ 2; 1; 0 ]
+        in
+        Fun.protect
+          ~finally:(fun () -> List.iter Daemon_spawn.stop_pid pids)
+          (fun () ->
+            match
+              Remote.connect ~handshake_timeout_ms:30_000.
+                ~addr:(Addr.loopback ~port:ports.(0)) ()
+            with
+            | Error e -> failwith ("churn bring-up: " ^ e)
+            | Ok remote ->
+                let ms = 1000. *. (Unix.gettimeofday () -. t0) in
+                Remote.shutdown remote;
+                ms)
+      in
+      let ms = List.nth (List.sort compare (List.init 5 (fun _ -> once ()))) 2 in
+      Printf.printf "  bring-up, spawn to coordinator link: %.1f ms (median of 5)\n"
+        ms;
+      ms
+    in
     write_artifact ~benchmark:"churn"
       [
         ("servers", T.Json.Num 3.);
@@ -933,6 +962,7 @@ let churn_bench () =
         ("wan_rows", T.Json.List wan_rows);
         ("flap_rows", T.Json.List flap_rows);
         ("reconnect_recovery_ms", T.Json.Num recovery_ms);
+        ("bringup_ms", T.Json.Num bringup_ms);
       ]
   end
 

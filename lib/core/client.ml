@@ -459,15 +459,20 @@ let abort_dial_round t ~dial_round =
 
 (* Scan a downloaded invitation drop; surface each caller exactly once.
    In certified deployments the (unverified) certificate rides along on
-   the event for the application's trust policy. *)
+   the event for the application's trust policy.  A caller whose key
+   derives no session (a low-order key) is dropped here, so answering a
+   call never reaches [start_conversation]'s refusal. *)
 let handle_invitations t invitations =
   t.stats.invitations_scanned <-
     t.stats.invitations_scanned + List.length invitations;
+  let callable caller = Conversation.accepts ~identity:t.identity ~peer_pk:caller in
   match t.dial_kind with
   | Dialing.Plain ->
       Dialing.scan ~identity:t.identity invitations
+      |> List.filter callable
       |> List.map (fun caller -> Incoming_call { caller; certificate = None })
   | Dialing.Certified ->
       Dialing.scan_certified ~identity:t.identity invitations
+      |> List.filter (fun (caller, _) -> callable caller)
       |> List.map (fun (caller, cert) ->
              Incoming_call { caller; certificate = Some cert })

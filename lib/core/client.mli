@@ -64,7 +64,10 @@ val peers : t -> bytes list
 
 val start_conversation : t -> peer_pk:bytes -> unit
 (** Enter a conversation.  Restarts an existing one with the same peer;
-    at capacity, the oldest conversation is ended to make room. *)
+    at capacity, the oldest conversation is ended to make room.
+    @raise Invalid_argument if [peer_pk] is a low-order key
+    ({!Conversation.derive}); the client's conversations are then
+    unchanged.  An [Incoming_call]'s caller never is one. *)
 
 val end_conversation : ?peer:bytes -> t -> unit
 (** End one conversation, or all when [peer] is omitted. *)
@@ -127,4 +130,6 @@ val abort_dial_round : t -> dial_round:int -> unit
     next dialing round sends a fresh invitation. *)
 
 val handle_invitations : t -> bytes list -> event list
-(** Trial-decrypt a downloaded invitation drop. *)
+(** Trial-decrypt a downloaded invitation drop.  A caller whose key
+    {!Conversation.derive} refuses is dropped (one X25519 operation per
+    invitation that decrypts). *)

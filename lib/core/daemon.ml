@@ -33,6 +33,15 @@ type config = {
       (** write this daemon's span trace (JSONL) here on shutdown *)
 }
 
+(* Where the upstream connection's handshake stands.  The dialer takes
+   the first frame it receives for the handshake reply, so nothing else
+   may reach the connection before it: until then, replies owed
+   upstream wait in the outbox. *)
+type handshake =
+  | Awaiting_hello
+  | Hello_pending  (** upstream said Hello before our own keys existed *)
+  | Answered  (** the Chain_info reply is sent; replies may follow *)
+
 type st = {
   cfg : config;
   tp : Transport.t;
@@ -42,13 +51,12 @@ type st = {
   mutable hop : Hop.t option;  (** once the downstream keys are known *)
   mutable upstream : Conn.t option;
   mutable downstream : Remote.t option;  (** [None] for the last server *)
-  mutable hello_pending : bool;
-      (** upstream said Hello before our own keys existed *)
+  mutable handshake : handshake;  (** of [upstream] *)
   outbox : bytes Queue.t;
-      (** upstream frames owed while the upstream link is down; flushed
-          (after the Chain_info reply) when the peer reconnects — a
-          round survives an upstream flap instead of silently losing its
-          results *)
+      (** upstream frames owed while the upstream link is down or its
+          handshake unanswered; flushed (after the Chain_info reply) when
+          the peer reconnects — a round survives an upstream flap
+          instead of silently losing its results *)
   mutable ctx : Trace.context option;
       (** trace context announced by the upstream peer for the next
           batch; taken when that batch's part 0 opens the hop *)
@@ -101,21 +109,27 @@ let outbox_gauge st =
   Telemetry.set_gauge st.tel "vuvuzela_daemon_outbox_depth"
     (float_of_int (Queue.length st.outbox))
 
+let answered st =
+  match st.upstream with
+  | Some up when st.handshake = Answered && Conn.state up <> Conn.Closed ->
+      Some up
+  | _ -> None
+
 let send_upstream st msg =
-  (match st.upstream with
-  | Some up when Conn.state up <> Conn.Closed -> Conn.send up (Rpc.encode msg)
-  | _ ->
+  (match answered st with
+  | Some up -> Conn.send up (Rpc.encode msg)
+  | None ->
       if Queue.length st.outbox >= outbox_cap then ignore (Queue.pop st.outbox);
       Queue.push (Rpc.encode msg) st.outbox);
   outbox_gauge st
 
 let flush_outbox st =
-  (match st.upstream with
-  | Some up when Conn.state up <> Conn.Closed ->
+  Option.iter
+    (fun up ->
       while not (Queue.is_empty st.outbox) do
         Conn.send up (Queue.pop st.outbox)
-      done
-  | _ -> ());
+      done)
+    (answered st);
   outbox_gauge st
 
 let send_downstream st msg =
@@ -210,6 +224,19 @@ let on_fire st ~round (f : Hop.fired) =
   end;
   if f.stall_ms > 0 then Unix.sleepf (float_of_int f.stall_ms /. 1000.)
 
+(* The handshake reply, then the frames owed from before a flap, in
+   order: the reconnected peer's pending round can still complete. *)
+let answer_hello st hop =
+  Option.iter
+    (fun up ->
+      Conn.send up
+        (Rpc.encode
+           (Rpc.Chain_info
+              { pks = Server.public_key (Hop.server hop) :: suffix st })))
+    st.upstream;
+  st.handshake <- Answered;
+  flush_outbox st
+
 (* Create the hop once the downstream suffix is known — immediately for
    the last server, after the first successful handshake otherwise. *)
 let ensure_hop st =
@@ -225,13 +252,7 @@ let ensure_hop st =
     st.log
       (Printf.sprintf "server %d/%d ready (%d downstream key(s))" cfg.index
          cfg.deployment.n_servers (List.length (suffix st)));
-    if st.hello_pending then begin
-      st.hello_pending <- false;
-      send_upstream st
-        (Rpc.Chain_info
-           { pks = Server.public_key (Hop.server hop) :: suffix st });
-      flush_outbox st
-    end
+    if st.handshake = Hello_pending then answer_hello st hop
   end
 
 (* A successor restarted without its seed comes back with a fresh key,
@@ -302,15 +323,8 @@ let handle_upstream st raw =
         (Rpc.Status (status st ~round:0 ~stage:"frame" e))
   | Ok (Rpc.Hello _) -> (
       match st.hop with
-      | Some hop ->
-          send_upstream st
-            (Rpc.Chain_info
-               { pks = Server.public_key (Hop.server hop) :: suffix st });
-          (* Frames owed from before the flap follow the handshake
-             reply, in order: the reconnected peer's pending round can
-             still complete. *)
-          flush_outbox st
-      | None -> st.hello_pending <- true)
+      | Some hop -> answer_hello st hop
+      | None -> st.handshake <- Hello_pending)
   | Ok (Rpc.Trace_ctx { ctx }) ->
       (* Tolerated-if-absent, ignored-if-malformed: a poisoned blob
          decodes to [None] and costs only the parent link. *)
@@ -386,7 +400,7 @@ let run ?(log = fun _ -> ()) cfg =
         hop = None;
         upstream = None;
         downstream = None;
-        hello_pending = false;
+        handshake = Awaiting_hello;
         outbox = Queue.create ();
         ctx = None;
         span = None;
@@ -407,6 +421,7 @@ let run ?(log = fun _ -> ()) cfg =
           (* The chain has exactly one upstream; a new connection
              replaces a dead (or superseded) predecessor. *)
           Option.iter Conn.close st.upstream;
+          st.handshake <- Awaiting_hello;
           let conn =
             Conn.of_fd ~loop:(Transport.loop tp) ~fd
               ~stats:(Transport.stats tp)

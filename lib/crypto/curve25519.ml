@@ -29,12 +29,13 @@
    Every operation stops at its u-coordinate as a fraction X/Z, so a
    [batch] pays one field inversion, ~265 multiplications and
    squarings, instead of one per operation (Montgomery's trick, in
-   Fe25519.batch_invert).  Four callers batch: Onion.wrap_many (a
+   Fe25519.batch_invert).  Five callers batch: Onion.wrap_many (a
    client's onion, a server's or load generator's chunk of wraps),
    Box.seal_anonymous (a sealed box's base comb and ladder),
    Dialing.noise_invitations (the ephemeral keys of a server's chunk of
-   noise invitations) and Onion.peel_many (a server's chunk of
-   peels). *)
+   noise invitations), Onion.peel_many (a server's chunk of peels) and
+   Box.open_anonymous_many (a callee's trial decryptions of one
+   invitation drop). *)
 
 let key_len = 32
 let scalar_len = 32

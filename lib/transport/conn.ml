@@ -14,6 +14,11 @@
 
 module Drbg = Vuvuzela_crypto.Drbg
 
+(* The redial schedule and the handshake bound; see the interface. *)
+let floor_ms = 1.
+let cap_ms = 1000.
+let handshake_timeout_ms = 5000.
+
 type state = Connecting | Handshaking | Established | Closed
 
 type stats = {
@@ -49,9 +54,6 @@ type t = {
   on_established : (t -> bytes -> unit) option;
   on_frame : t -> bytes -> unit;
   on_drop : t -> unit;
-  base_backoff_ms : float;
-  max_backoff_ms : float;
-  handshake_timeout_ms : float;
   backoff_rng : Drbg.t option;  (** full-jitter draws; [None] = lockstep *)
   shaper : Shaper.t option;
   rbuf : bytes;  (** read scratch *)
@@ -63,6 +65,7 @@ type t = {
   mutable woff : int;
   mutable backoff_ms : float;
   mutable timer : int option;  (** pending retry / handshake deadline *)
+  mutable up_since : float;  (** when the stream last became established *)
   mutable reconnects : int;
   mutable outage_since : float option;
       (** when an established stream was lost, until re-established *)
@@ -206,7 +209,7 @@ let rec start_connect t =
     (* The whole connect + handshake must finish inside the deadline. *)
     t.timer <-
       Some
-        (Evloop.after t.loop ~ms:t.handshake_timeout_ms (fun () ->
+        (Evloop.after t.loop ~ms:handshake_timeout_ms (fun () ->
              t.timer <- None;
              if t.st = Connecting || t.st = Handshaking then retry t));
     match Unix.connect fd addr with
@@ -224,7 +227,7 @@ and retry t =
     t.st <- Connecting;
     t.reconnects <- t.reconnects + 1;
     t.stats.reconnects <- t.stats.reconnects + 1;
-    (* Full jitter: draw uniformly in [base, cap) so a fleet of clients
+    (* Full jitter: draw uniformly in [floor, cap) so a fleet of clients
        redialing a restarted server spreads out instead of storming it
        in lockstep.  The draw comes from a per-connection DRBG, so a
        seeded run replays the same delays. *)
@@ -232,11 +235,9 @@ and retry t =
     let delay =
       match t.backoff_rng with
       | None -> cap
-      | Some rng ->
-          t.base_backoff_ms
-          +. (Drbg.float_unit ~rng () *. Float.max 0. (cap -. t.base_backoff_ms))
+      | Some rng -> floor_ms +. (Drbg.float_unit ~rng () *. (cap -. floor_ms))
     in
-    t.backoff_ms <- Float.min t.max_backoff_ms (cap *. 2.);
+    t.backoff_ms <- Float.min cap_ms (cap *. 2.);
     t.timer <-
       Some
         (Evloop.after t.loop ~ms:delay (fun () ->
@@ -245,12 +246,16 @@ and retry t =
   end
 
 (* An established stream died (EOF, reset, poisoned framing): notify,
-   then redial.  Queued frames survive; the half-written one does not. *)
+   then redial.  Queued frames survive; the half-written one does not.
+   Only a stream that stayed up for a whole cap redials from the floor:
+   a peer that answers the hello and hangs up at once is redialed on the
+   doubling schedule, not every [floor_ms]. *)
 and drop_established t =
   close_socket t;
   t.wbuf <- Bytes.empty;
   t.woff <- 0;
   t.st <- Connecting;
+  if Clock.elapsed_ms ~since:t.up_since >= cap_ms then t.backoff_ms <- floor_ms;
   if t.outage_since = None then t.outage_since <- Some (Clock.now_ms ());
   t.on_drop t;
   retry t
@@ -304,7 +309,7 @@ and drain_frames t fd =
       | Handshaking ->
           cancel_timer t;
           t.st <- Established;
-          t.backoff_ms <- t.base_backoff_ms;
+          t.up_since <- Clock.now_ms ();
           (match t.outage_since with
           | Some since ->
               t.outage_since <- None;
@@ -318,10 +323,8 @@ and drain_frames t fd =
       | Established | Connecting | Closed -> t.on_frame t payload);
       if t.st <> Closed && t.fd = Some fd then drain_frames t fd
 
-let dial ~loop ~addr ~hello ?(stats = fresh_stats ())
-    ?(base_backoff_ms = 25.) ?(max_backoff_ms = 1000.)
-    ?(handshake_timeout_ms = 5000.) ?backoff_seed ?shaper ~on_established
-    ~on_frame ~on_drop () =
+let dial ~loop ~addr ~hello ?(stats = fresh_stats ()) ?backoff_seed ?shaper
+    ~on_established ~on_frame ~on_drop () =
   let t =
     {
       loop;
@@ -331,9 +334,6 @@ let dial ~loop ~addr ~hello ?(stats = fresh_stats ())
       on_established = Some on_established;
       on_frame;
       on_drop;
-      base_backoff_ms;
-      max_backoff_ms;
-      handshake_timeout_ms;
       backoff_rng = Option.map Drbg.of_string backoff_seed;
       shaper;
       rbuf = Bytes.create 65536;
@@ -343,8 +343,9 @@ let dial ~loop ~addr ~hello ?(stats = fresh_stats ())
       dec = Frame.decoder ();
       wbuf = Bytes.empty;
       woff = 0;
-      backoff_ms = base_backoff_ms;
+      backoff_ms = floor_ms;
       timer = None;
+      up_since = 0.;
       reconnects = 0;
       outage_since = None;
     }
@@ -368,9 +369,6 @@ let of_fd ~loop ~fd ?(stats = fresh_stats ()) ?shaper ~on_frame ~on_drop () =
       on_established = None;
       on_frame;
       on_drop;
-      base_backoff_ms = 0.;
-      max_backoff_ms = 0.;
-      handshake_timeout_ms = 0.;
       backoff_rng = None;
       shaper;
       rbuf = Bytes.create 65536;
@@ -380,8 +378,9 @@ let of_fd ~loop ~fd ?(stats = fresh_stats ()) ?shaper ~on_frame ~on_drop () =
       dec = Frame.decoder ();
       wbuf = Bytes.empty;
       woff = 0;
-      backoff_ms = 0.;
+      backoff_ms = floor_ms;
       timer = None;
+      up_since = 0.;
       reconnects = 0;
       outage_since = None;
     }

@@ -7,9 +7,10 @@
       hello frame, wait for the peer's reply frame), then established.
       Any failure — refused, reset, EOF, handshake timeout, a poisoned
       frame stream — tears the socket down and redials under bounded
-      exponential backoff.  Frames sent while not established queue and
-      flush, in order, once the handshake completes, so a caller can
-      treat [send] as fire-and-forget across a peer restart.
+      exponential backoff (see {!dial}).  Frames sent while not
+      established queue and flush, in order, once the handshake
+      completes, so a caller can treat [send] as fire-and-forget across a
+      peer restart.
     - an {e accepted} connection ([of_fd]) wraps a socket from
       [Unix.accept]: established immediately, never reconnects; the
       acceptor interprets the peer's hello itself as the first frame.
@@ -46,9 +47,6 @@ val dial :
   addr:Unix.sockaddr ->
   hello:bytes ->
   ?stats:stats ->
-  ?base_backoff_ms:float ->
-  ?max_backoff_ms:float ->
-  ?handshake_timeout_ms:float ->
   ?backoff_seed:string ->
   ?shaper:Shaper.t ->
   on_established:(t -> bytes -> unit) ->
@@ -59,14 +57,22 @@ val dial :
 (** [on_established] receives the peer's handshake reply payload (each
     time the connection (re-)establishes); [on_frame] every later
     payload; [on_drop] fires when an {e established} connection is lost
-    (the redial loop continues on its own).  The backoff cap doubles
-    from [base_backoff_ms] (default 25) to [max_backoff_ms] (default
-    1000); a completed handshake resets it.  With [backoff_seed] each
-    retry sleeps a {e full-jitter} draw, uniform in [\[base, cap)] from
+    (the redial loop continues on its own).
+
+    The schedule is fixed.  Connect + hello/reply must finish within
+    5 s.  Each failure redials after the backoff cap, which starts at
+    1 ms and doubles per failure up to 1 s: a peer still starting is
+    retried within milliseconds, a dead one once a second.  The cap
+    returns to 1 ms only when an established stream that stayed up for
+    at least 1 s drops, not on a completed handshake, so a long-lived
+    link that flaps costs ~1 ms plus one handshake, while a peer that
+    answers the hello and hangs up at once is redialed ~11 times in the
+    first second and then once a second.  With [backoff_seed] each
+    retry sleeps a {e full-jitter} draw, uniform in [\[1 ms, cap)] from
     a DRBG seeded with it — reproducible, but a fleet of seeded dialers
     no longer redials a restarted server in lockstep.  Without a seed
-    the delay is exactly the cap (the legacy deterministic schedule).
-    [handshake_timeout_ms] (default 5000) bounds connect + hello/reply.
+    the delay is exactly the cap.
+
     [shaper] emulates this link's WAN characteristics: each outgoing
     frame (the hello excepted) is held back by {!Shaper.delay_ms} before
     it may reach the wire. *)

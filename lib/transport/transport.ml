@@ -70,8 +70,7 @@ let listen t addr ?(backlog = 8) ~on_accept () =
         (Printf.sprintf "listen %s: %s in %s" (Addr.to_string addr)
            (Unix.error_message err) fn)
 
-let dial t ~addr ~hello ?base_backoff_ms ?max_backoff_ms
-    ?handshake_timeout_ms ?backoff_seed ?shaper ~on_established ~on_frame
+let dial t ~addr ~hello ?backoff_seed ?shaper ~on_established ~on_frame
     ~on_drop () =
   let shaper =
     match shaper with
@@ -79,6 +78,5 @@ let dial t ~addr ~hello ?base_backoff_ms ?max_backoff_ms
         Some (Shaper.create cfg)
     | Some _ | None -> None
   in
-  Conn.dial ~loop:t.loop ~addr ~hello ~stats:t.stats ?base_backoff_ms
-    ?max_backoff_ms ?handshake_timeout_ms ?backoff_seed ?shaper
+  Conn.dial ~loop:t.loop ~addr ~hello ~stats:t.stats ?backoff_seed ?shaper
     ~on_established ~on_frame ~on_drop ()

@@ -48,9 +48,6 @@ val dial :
   t ->
   addr:Unix.sockaddr ->
   hello:bytes ->
-  ?base_backoff_ms:float ->
-  ?max_backoff_ms:float ->
-  ?handshake_timeout_ms:float ->
   ?backoff_seed:string ->
   ?shaper:Shaper.config ->
   on_established:(Conn.t -> bytes -> unit) ->
@@ -58,7 +55,10 @@ val dial :
   on_drop:(Conn.t -> unit) ->
   unit ->
   Conn.t
-(** {!Conn.dial} wired to this endpoint's loop and counters.
-    [backoff_seed] enables seeded full-jitter reconnect backoff;
-    [shaper] emulates the link's WAN characteristics (ignored when
-    {!Shaper.is_transparent}). *)
+(** {!Conn.dial} wired to this endpoint's loop and counters.  The
+    handshake bound and the redial schedule are {!Conn.dial}'s fixed
+    ones: a failed link is redialed within milliseconds and backs off
+    only while it keeps failing, and a link that hangs up soon after
+    its handshake keeps backing off.  [backoff_seed] enables seeded
+    full-jitter reconnect backoff; [shaper] emulates the link's WAN
+    characteristics (ignored when {!Shaper.is_transparent}). *)

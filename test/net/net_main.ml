@@ -8,6 +8,8 @@
      whole-batch part per link, and again with parts of 4 onions;
    - a full [Network.of_config_tcp] deployment delivers messages and
      confirms dialing acks over the supervisor;
+   - a chain whose daemons start upstream first still assembles and
+     delivers;
    - a crash fault at a middle server is survived by the supervisor's
      retry path within [max_retries];
    - a middle server killed with SIGKILL and restarted from its seed is
@@ -103,7 +105,8 @@ let spawn_chain ?fault_plan_for ?pipeline_chunk ?jobs ?deaddrop_shards
   Array.to_list
     (Array.init chain_len (fun i ->
          (* last server first, so the handshake cascade settles fast;
-            dial-with-backoff makes any order work *)
+            dial-with-backoff makes any order work (see
+            [test_upstream_first]) *)
          let index = chain_len - 1 - i in
          let fault_plan =
            match fault_plan_for with
@@ -331,6 +334,59 @@ let test_network_smoke () =
           let dial = Network.run ~kind:Round.Dialing net in
           check "dialing round completed" (dial.Network.failure = None);
           check "all 4 acks confirmed" (dial.Network.confirmed_acks = 4);
+          Network.shutdown net)
+
+(* The reverse of [spawn_chain]'s order: servers 0, 1 and 2, 50 ms
+   apart, so each daemon dials a successor that does not listen yet and
+   keeps redialing it until it does.  The chain must still assemble and
+   deliver. *)
+let test_upstream_first () =
+  print_endline "daemons spawned upstream first (0, 1, 2, 50 ms apart):";
+  let seed = "net-upstream-first" in
+  let ports = Daemon_spawn.free_ports chain_len in
+  let pids = ref [] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Daemon_spawn.stop_pid !pids)
+    (fun () ->
+      let t0 = Unix.gettimeofday () in
+      for index = 0 to chain_len - 1 do
+        if index > 0 then Unix.sleepf 0.05;
+        pids := fork_daemon (daemon_cfg ~seed ~ports ~index ()) :: !pids
+      done;
+      let t_last = Unix.gettimeofday () in
+      match
+        Network.of_config_tcp
+          Network.Config.(tcp_config |> with_round_deadline_ms 10_000.)
+          ~addr:(Addr.loopback ~port:ports.(0))
+      with
+      | Error e -> check ("of_config_tcp: " ^ e) false
+      | Ok net ->
+          let now = Unix.gettimeofday () in
+          Printf.printf
+            "  chain assembled %.1f ms after the first spawn, %.1f ms after \
+             the last\n%!"
+            (1000. *. (now -. t0))
+            (1000. *. (now -. t_last));
+          let a = Network.connect ~seed:"upstream-a" net in
+          let b = Network.connect ~seed:"upstream-b" net in
+          Client.start_conversation a ~peer_pk:(Client.public_key b);
+          Client.start_conversation b ~peer_pk:(Client.public_key a);
+          Client.send a "assembled from the top";
+          let reports = Network.run_rounds net 2 in
+          check "rounds completed in one attempt each"
+            (List.for_all
+               (fun r -> r.Network.failure = None && r.Network.attempts = 1)
+               reports);
+          check "delivered"
+            (List.exists
+               (fun (_, evs) ->
+                 List.exists
+                   (function
+                     | Client.Delivered { text; _ } ->
+                         text = "assembled from the top"
+                     | _ -> false)
+                   evs)
+               (Network.events_of reports));
           Network.shutdown net)
 
 (* ------------------------------------------------------------------ *)
@@ -1236,6 +1292,7 @@ let () =
   run "pipeline" test_transcript_parity_pipelined;
   run "scale" test_transcript_parity_scale_plane;
   run "smoke" test_network_smoke;
+  run "upstream-first" test_upstream_first;
   run "crash" test_crash_retry;
   run "restart" test_kill_restart;
   run "rekey-middle" (test_key_change ~victim:1);

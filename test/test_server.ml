@@ -190,6 +190,64 @@ let test_low_order_keys_fail_alone () =
         (Server.metrics (Chain.server chain 0)).Server.invalid_requests)
     [ 1; 2 ]
 
+(* A low-order peer key derives no session: its shared point is all
+   zero, so anyone could compute the dead drops and message keys.
+   [derive] and [start_conversation] refuse it, and a client's
+   conversations stay as they were. *)
+let test_low_order_peer_refused () =
+  let c = Client.create ~seed:"lo-alice" ~identity:alice ~server_pks:[] () in
+  Client.start_conversation c ~peer_pk:bob.Types.public;
+  Alcotest.(check bool) "bob accepted" true
+    (Conversation.accepts ~identity:alice ~peer_pk:bob.Types.public);
+  List.iter
+    (fun u ->
+      let peer_pk = Bytes_util.of_hex u in
+      Alcotest.(check bool) (u ^ " not accepted") false
+        (Conversation.accepts ~identity:alice ~peer_pk);
+      (match Conversation.derive ~identity:alice ~peer_pk with
+      | _ -> Alcotest.failf "derive accepted %s" u
+      | exception Invalid_argument _ -> ());
+      match Client.start_conversation c ~peer_pk with
+      | () -> Alcotest.failf "start_conversation accepted %s" u
+      | exception Invalid_argument _ ->
+          Alcotest.(check (list string)) "conversations unchanged"
+            [ Bytes_util.to_hex bob.Types.public ]
+            (List.map Bytes_util.to_hex (Client.peers c)))
+    low_order_points
+
+(* One dialing round carries a real invite from alice and one from a
+   caller under each low-order key, all to bob.  Every invitation opens
+   for bob, but only alice's rings: answering a low-order caller would
+   reach [start_conversation]'s refusal. *)
+let test_low_order_caller_dropped () =
+  let chain = make_chain () in
+  let server_pks = Chain.public_keys chain in
+  let round = 1 and m = 1 in
+  let callers =
+    Client.create ~seed:"lo-alice" ~identity:alice ~server_pks ()
+    :: List.mapi
+         (fun i u ->
+           Client.create ~seed:(Printf.sprintf "lo-%d" i)
+             ~identity:{ alice with Types.public = Bytes_util.of_hex u }
+             ~server_pks ())
+         low_order_points
+  in
+  List.iter (fun c -> Client.dial c ~callee_pk:bob.Types.public) callers;
+  ignore
+    (Chain.dialing_round_exn chain ~round ~m
+       (Array.of_list
+          (List.map (fun c -> Client.dialing_request c ~dial_round:round ~m) callers)));
+  let drop = Chain.fetch_invitations chain ~index:0 in
+  Alcotest.(check int) "every invite opens" (List.length callers)
+    (List.length (Dialing.scan ~identity:bob drop));
+  let callee = Client.create ~seed:"lo-bob" ~identity:bob ~server_pks () in
+  match Client.handle_invitations callee drop with
+  | [ Client.Incoming_call { caller; _ } ] ->
+      Alcotest.(check string) "alice rings"
+        (Bytes_util.to_hex alice.Types.public)
+        (Bytes_util.to_hex caller)
+  | evs -> Alcotest.failf "%d calls, want alice's alone" (List.length evs)
+
 let test_empty_round () =
   let chain = make_chain () in
   let results = Chain.conversation_round_exn chain ~round:1 [||] in
@@ -401,6 +459,10 @@ let suite =
       tc "invalid onion keeps alignment" `Quick test_invalid_onion_keeps_alignment;
       tc "low-order keys fail alone in a peel batch" `Quick
         test_low_order_keys_fail_alone;
+      tc "low-order peer key derives no session" `Quick
+        test_low_order_peer_refused;
+      tc "low-order caller surfaces no call" `Quick
+        test_low_order_caller_dropped;
       tc "empty round" `Quick test_empty_round;
       tc "single-server chain" `Quick test_single_server_chain;
       tc "rounds are independent (replay)" `Quick test_rounds_are_independent;

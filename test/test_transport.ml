@@ -3,11 +3,15 @@
    reassemble exactly — across 1-byte drips, length prefixes split at
    every offset, many frames coalesced into one read — and reject
    oversized or truncated input with a typed error, never an allocation
-   proportional to attacker-chosen lengths. *)
+   proportional to attacker-chosen lengths.  Then a dialed connection's
+   redial schedule, against loopback listeners on the test's own loop. *)
 
 open Vuvuzela_crypto
 module Frame = Vuvuzela_transport.Frame
 module Addr = Vuvuzela_transport.Addr
+module Conn = Vuvuzela_transport.Conn
+module Evloop = Vuvuzela_transport.Evloop
+module Clock = Vuvuzela_transport.Clock
 module Wire = Vuvuzela_mixnet.Wire
 open Vuvuzela
 
@@ -172,6 +176,124 @@ let test_addr_parse () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an address without a port"
 
+(* ------------------------------------------------------------------ *)
+(* The redial schedule                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [f] gets a fresh loop, a loopback address below the kernel's
+   ephemeral range (no connection can take it as its own local port),
+   and [listen], which starts listening there on the loop and hands each
+   accepted socket to [on_accept].  The socket is bound, so the port is
+   held, but refuses connections until [listen]. *)
+let with_listener_port f =
+  if not (Daemon_spawn.sockets_allowed ()) then Alcotest.skip ();
+  let port = (Daemon_spawn.free_ports 1).(0) in
+  let loop = Evloop.create () in
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let listen ~on_accept =
+    Unix.listen lfd 16;
+    Unix.set_nonblock lfd;
+    Evloop.add_fd loop lfd ~on_writable:ignore ~on_readable:(fun () ->
+        match Unix.accept lfd with
+        | fd, _ -> on_accept fd
+        | exception Unix.Unix_error _ -> ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close lfd)
+    (fun () ->
+      Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+      Unix.bind lfd (Addr.loopback ~port);
+      f ~loop ~addr:(Addr.loopback ~port) ~listen)
+
+let dial ~loop ~addr ?(on_established = fun _ _ -> ()) ?(on_drop = ignore) () =
+  Conn.dial ~loop ~addr ~hello:(Bytes.of_string "hello") ~on_established
+    ~on_frame:(fun _ _ -> ()) ~on_drop ()
+
+let run_for loop ms = ignore (Evloop.run_until ~deadline_ms:ms loop (fun () -> false))
+
+(* Nobody listens yet, so every connect is refused at once.  Unseeded,
+   each redial waits exactly the cap, which starts at 1 ms and doubles:
+   attempts at 0, 1, 3, 7, 15, 31, 63 and 127 ms make 8 refusals in the
+   first 200 ms (a 25 ms floor would make 4), and leave the cap at
+   256 ms or more.  A listener that appears later is found by the next
+   redial.  Once that link has stayed up for the 1 s cap, a drop
+   returns the backoff to the floor: the redial comes ~1 ms after the
+   drop, not a cap later. *)
+let test_redial_from_floor () =
+  with_listener_port (fun ~loop ~addr ~listen ->
+      let dropped_at = ref None in
+      let conn =
+        dial ~loop ~addr ~on_drop:(fun _ -> dropped_at := Some (Clock.now_ms ())) ()
+      in
+      let accepted = ref [] in
+      let hang_up () =
+        List.iter Conn.close !accepted;
+        accepted := []
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Conn.close conn;
+          hang_up ())
+        (fun () ->
+          run_for loop 200.;
+          let refused = Conn.reconnects conn in
+          if refused < 6 then
+            Alcotest.failf "%d refused dials in the first 200 ms, want >= 6"
+              refused;
+          listen ~on_accept:(fun fd ->
+              accepted :=
+                Conn.of_fd ~loop ~fd
+                  ~on_frame:(fun c _hello -> Conn.send c (Bytes.of_string "welcome"))
+                  ~on_drop:ignore ()
+                :: !accepted);
+          let established () = Conn.state conn = Conn.Established in
+          Alcotest.(check bool)
+            "established once a listener appears" true
+            (Evloop.run_until ~deadline_ms:3_000. loop established);
+          run_for loop 1_100.;
+          hang_up ();
+          Alcotest.(check bool)
+            "re-established after the drop" true
+            (Evloop.run_until ~deadline_ms:3_000. loop (fun () ->
+                 !dropped_at <> None && established ()));
+          let redial_ms = Clock.elapsed_ms ~since:(Option.get !dropped_at) in
+          if redial_ms > 150. then
+            Alcotest.failf
+              "a link up for 1 s came back %.0f ms after its drop, want < 150"
+              redial_ms))
+
+(* A peer that answers each hello, sends one more frame and hangs up.
+   Each link lives far less than the 1 s cap, so the backoff is not
+   reset and keeps doubling: connections at about 0, 1, 3, 7, ..., 511
+   ms, ~11 in the first second.  Resetting on every completed handshake
+   would make ~36 a second from a 25 ms floor, and ~600 from a 1 ms
+   one. *)
+let test_hangup_peer_backs_off () =
+  with_listener_port (fun ~loop ~addr ~listen ->
+      let accepts = ref 0 and established = ref 0 in
+      listen ~on_accept:(fun fd ->
+          incr accepts;
+          ignore
+            (Conn.of_fd ~loop ~fd
+               ~on_frame:(fun c _hello ->
+                 Conn.send c (Bytes.of_string "welcome");
+                 Conn.send c (Bytes.of_string "goodbye");
+                 Conn.close c)
+               ~on_drop:ignore ()));
+      let conn =
+        dial ~loop ~addr ~on_established:(fun _ _ -> incr established) ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Conn.close conn)
+        (fun () ->
+          run_for loop 1_000.;
+          if !accepts > 16 then
+            Alcotest.failf "%d connections in the dialer's first second, want <= 16"
+              !accepts;
+          if !established < 2 then
+            Alcotest.failf "established %d time(s): the dialer stopped redialing"
+              !established))
+
 let suite =
   ( "transport",
     [
@@ -188,4 +310,8 @@ let suite =
       Alcotest.test_case "Wire length limit" `Quick test_wire_limit;
       Alcotest.test_case "Rpc batch header limit" `Quick test_rpc_batch_limit;
       Alcotest.test_case "address parsing" `Quick test_addr_parse;
+      Alcotest.test_case "refused dial redials from 1 ms" `Quick
+        test_redial_from_floor;
+      Alcotest.test_case "hang-up peer is redialed on the backoff" `Quick
+        test_hangup_peer_backs_off;
     ] )

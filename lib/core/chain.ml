@@ -1,155 +1,95 @@
-(* The chain of Vuvuzela servers and round orchestration (§3).
-
-   All clients connect (through the entry server) to server 0; requests
-   travel down the chain, are resolved at the last server, and results
-   travel back up.  This module runs the whole in-process round trip,
-   calling each server in order — the same sequence of messages a
-   networked deployment would exchange. *)
+(* The chain of Vuvuzela servers in one process (§3, §7): one daemon per
+   server and the coordinator's link end on one in-memory transport, so
+   a round crosses exactly the links, frames and fault handling of a
+   multi-process deployment, on a virtual clock. *)
 
 module Pool = Vuvuzela_parallel.Pool
 module Fault = Vuvuzela_faults.Fault
-module Telemetry = Vuvuzela_telemetry.Telemetry
+module Transport = Vuvuzela_transport.Transport
+
+let log_src = Logs.Src.create "vuvuzela.chain" ~doc:"In-process chain servers"
+
+module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type t = {
-  hops : Hop.t array;  (** one per server, in chain order *)
+  tp : Transport.t;  (** the in-memory endpoint every link runs on *)
+  daemons : Daemon.t array;  (** one per server, in chain order *)
+  remote : Remote.t;  (** the coordinator's link to server 0 *)
   pool : Pool.t option;  (** shared by all servers; [None] ⇒ sequential *)
-  faults : Fault.injector option;  (** shared by all hops *)
-  tel : Telemetry.t option;
-      (** shared with the servers; [None] is the nil sink *)
-  part_chunk : int option;
-      (** onions per part on a relay link; [None]: one part per batch *)
+  faults : Fault.injector option;  (** shared by all servers *)
   mutable shut_down : bool;
-  delay_ms : float ref;
-      (** virtual link stall accumulated by fired faults during the round
-          in flight; reset when a round starts *)
 }
+
+(* Addresses are names on the chain's own endpoint. *)
+let addr i = Unix.ADDR_UNIX (Printf.sprintf "vuvuzela-server-%d" i)
 
 let of_config (cfg : Config.t) =
   if cfg.n_servers < 1 then
     invalid_arg "Chain.of_config: need at least one server";
   if cfg.jobs < 1 then invalid_arg "Chain.of_config: jobs must be >= 1";
-  (* The servers take turns (the in-process round trip is sequential
-     along the chain), so one pool serves them all. *)
+  let fail e = failwith ("Chain.of_config: " ^ e) in
+  let n = cfg.n_servers in
+  (* The servers take turns (a round crosses them one after another),
+     so one pool serves them all. *)
   let pool = if cfg.jobs > 1 then Some (Pool.create ~jobs:cfg.jobs) else None in
   let faults = Option.map Fault.injector cfg.fault_plan in
-  (* The in-process link has no socket to reset or clock to stall, so a
-     fired fault's stall becomes virtual delay for the supervisor's
-     deadline check. *)
-  let delay_ms = ref 0. in
-  let on_fire (f : Hop.fired) =
-    delay_ms := !delay_ms +. float_of_int f.stall_ms
-  in
-  (* Build from the last server backwards so each server knows the public
-     keys of its downstream suffix. *)
-  let rec build position below =
-    if position < 0 then below
-    else
-      let suffix_pks =
-        List.map (fun h -> Server.public_key (Hop.server h)) below
-      in
-      build (position - 1)
-        (Hop.create ?pool ?faults ?tap:cfg.tap ~on_fire cfg ~position
-           ~suffix_pks
-        :: below)
-  in
-  {
-    hops = Array.of_list (build (cfg.n_servers - 1) []);
-    pool;
-    faults;
-    tel = cfg.telemetry;
-    part_chunk = Config.part_chunk cfg;
-    shut_down = false;
-    delay_ms;
-  }
+  let tp = Transport.in_process ?telemetry:cfg.telemetry () in
+  (* Downstream first, so each server's dial finds its successor
+     listening; keys then assemble bottom-up over the handshakes. *)
+  let daemons = ref [] in
+  for i = n - 1 downto 0 do
+    match
+      Daemon.start tp ?pool ?faults
+        ~log:(fun m -> Log.debug (fun f -> f "server %d: %s" i m))
+        {
+          Daemon.listen = addr i;
+          next = (if i = n - 1 then None else Some (addr (i + 1)));
+          index = i;
+          deployment = cfg;
+          metrics_listen = None;
+          trace_out = None;
+        }
+    with
+    | Ok d -> daemons := d :: !daemons
+    | Error e -> fail e
+  done;
+  let daemons = Array.of_list !daemons in
+  let backoff_seed, link = Remote.link_of cfg ~tag:"coordinator" in
+  match
+    Remote.connect ~transport:tp ?telemetry:cfg.telemetry
+      ~dial_kind:cfg.dial_kind ~handshake_timeout_ms:cfg.handshake_timeout_ms
+      ?backoff_seed ?link ~flap_grace_ms:cfg.flap_grace_ms ~addr:(addr 0) ()
+  with
+  | Error e -> fail e
+  | Ok remote ->
+      Remote.set_pipeline remote (Config.part_chunk cfg);
+      (* The handshake reply comes only once every server has its keys,
+         so every daemon's server exists now. *)
+      { tp; daemons; remote; pool; faults; shut_down = false }
 
-let length t = Array.length t.hops
-let server t i = Hop.server t.hops.(i)
+let length t = Array.length t.daemons
+let server t i = Option.get (Daemon.server t.daemons.(i))
 let last t = server t (length t - 1)
+let remote t = t.remote
 let jobs t = match t.pool with Some p -> Pool.jobs p | None -> 1
 
 let shutdown t =
-  t.shut_down <- true;
-  Option.iter Pool.shutdown t.pool
+  if not t.shut_down then begin
+    t.shut_down <- true;
+    Remote.shutdown t.remote;
+    Array.iter Daemon.close t.daemons;
+    Option.iter Pool.shutdown t.pool
+  end
 
 let is_shut_down t = t.shut_down
-let last_round_delay_ms t = !(t.delay_ms)
 
 let pending_faults t =
   match t.faults with None -> 0 | Some inj -> Fault.pending inj
 
-(* Public keys in chain order — what clients onion-wrap against. *)
-let public_keys t =
-  Array.to_list (Array.map (fun h -> Server.public_key (Hop.server h)) t.hops)
+let public_keys t = Remote.public_keys t.remote
 
-(* Every frame that crosses a link is routed through the Rpc codec, so
-   the in-process chain exchanges exactly the bytes a networked
-   deployment would (framing, versioning, fixed item sizes).  A failure
-   becomes a typed [Rpc.status] — itself pushed through the codec, since
-   a real deployment would send it as a frame too. *)
-let status_frame st =
-  match Rpc.decode (Rpc.encode (Rpc.Status st)) with
-  | Ok (Rpc.Status st) -> st
-  | Ok _ | Error _ -> assert false (* the codec round-trips its own frames *)
-
-let ( let* ) = Result.bind
-
-(* One batch across the link into [server]: [fill push] pushes it in
-   slot-ordered chunks, which leave as part frames for the receiver's
-   hop.  Its first verdict is the link's outcome; once there is one, the
-   rest of the batch stays unsent. *)
-let cross t ~kind ~round ~m ~server fill =
-  let verdict = ref Hop.Absorbed in
-  Rpc.send_parts ?chunk:t.part_chunk
-    ~emit:(fun ~seq ~last onions ->
-      match !verdict with
-      | Hop.Absorbed ->
-          verdict :=
-            Hop.arrive t.hops.(server)
-              (Rpc.encode (Rpc.part kind ~round ~m ~seq ~last onions))
-      | _ -> ())
-    fill;
-  match !verdict with
-  | Hop.Finished out -> Ok out
-  | Hop.Rejected st | Hop.Dropped st -> Error (status_frame st)
-  | Hop.Absorbed | Hop.Ignored ->
-      Error
-        (Rpc.transport_error ~round ~server
-           ~detail:"batch ended without its last part")
-
-(* Everything from the link into [server] down: the batch crosses, the
-   receiver's output crosses the next link, and the results coming back
-   are sealed for upstream. *)
-let rec descend t ~kind ~round ~m ~server fill =
-  let* out = cross t ~kind ~round ~m ~server fill in
-  if server = length t - 1 then Ok out
-  else
-    let* below = descend t ~kind ~round ~m ~server:(server + 1) (fun push -> push out) in
-    Hop.backward t.hops.(server) ~kind ~round
-      (Rpc.encode (Rpc.results kind ~round below))
-    |> Result.map_error status_frame
-
-(* The one round path.  [produce feed] must call [feed chunk] with the
-   round's requests in slot-ordered chunks (the streaming [Entry]
-   collector does exactly this) and return once intake is complete;
-   each chunk is normalized by the entry ingress policy and crosses the
-   link into server 0 as it is fed, so neither the entry tier nor
-   server 0 ever holds the whole onion batch. *)
 let round_streamed t ~kind ~m ~round ~produce =
-  if t.shut_down then Error (status_frame (Rpc.chain_shutdown ~round))
-  else begin
-    t.delay_ms := 0.;
-    let expected =
-      Entry.request_len ~chain_len:(length t)
-        ~dial_kind:(Server.dial_kind (server t 0)) kind
-    in
-    let dialing = Round.is_dialing kind in
-    Telemetry.span t.tel
-      ~name:(if dialing then "dial-round" else "conv-round")
-      ~round ~dialing
-      (fun () ->
-        descend t ~kind ~round ~m ~server:0 (fun push ->
-            produce (fun chunk -> push (Entry.normalize ~expected chunk))))
-  end
+  Remote.round_streamed t.remote ~kind ~m ~round ~produce
 
 let conversation_round_streamed t ~round ~produce =
   round_streamed t ~kind:Round.Conversation ~m:0 ~round ~produce
@@ -172,18 +112,18 @@ let conversation_round_exn t ~round requests =
 let dialing_round_exn t ~round ~m requests =
   round_exn t ~kind:Round.Dialing ~m ~round requests
 
+(* A direct read of the last server: a client's download does not cross
+   the chain's links. *)
 let fetch_invitations ?dial_round t ~index =
   Server.fetch_invitations ?dial_round (last t) ~index
 
-(* ------------------------------------------------------------------ *)
-(* Round aborts                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Discard a failed round's state on every server so the supervisor's
-   retry (under a fresh round number) starts from a clean slate and each
-   server redraws its noise for the new attempt. *)
-
-let abort t ~kind ~round = Array.iter (fun h -> Hop.abort h ~kind ~round) t.hops
+(* The abort cascades hop to hop like any frame; pumping one dispatch
+   per link lands it on every server before this returns. *)
+let abort t ~kind ~round =
+  Remote.abort t.remote ~kind ~round;
+  for _ = 0 to length t do
+    Transport.run_once ~max_wait_ms:0. t.tp
+  done
 
 (* §5.4: "The first server then informs clients of the value of m for a
    given dialing round" — surfaced here for the coordinator. *)

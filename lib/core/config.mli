@@ -38,7 +38,8 @@ type t = {
   round_deadline_ms : float option;
       (** supervisor deadline per attempt; [None] disables the check *)
   max_retries : int;  (** extra attempts after the first (≥ 0) *)
-  handshake_timeout_ms : float;  (** TCP deployments only *)
+  handshake_timeout_ms : float;
+      (** how long the coordinator waits for the chain to assemble *)
   admission_ms : float option;
       (** entry-server admission window per round: clients whose
           (emulated) arrival exceeds it are excluded from the round and

@@ -1,20 +1,22 @@
-(* One chain server per process; see the interface for the topology and
-   the handshake cascade.
+(* One chain server on an event loop; see the interface for the
+   topology and the handshake cascade.
 
    Concurrency shape: everything runs on the transport's event loop in
    one thread.  Each link carries one round at a time (its batch as
    ordered parts down, one results frame up), so the daemon is a state
    machine over three events — upstream accept, upstream frame, and a
    reply from its downstream link — and batches arrive through its
-   {!Hop}, the state machine the in-process chain drives too.  The
-   downstream link is a {!Remote}, the coordinator's link end: it owns
-   the handshake's keys, the round in flight and the flap grace. *)
+   {!Hop}.  The downstream link is a {!Remote}, the coordinator's link
+   end: it owns the handshake's keys, the round in flight and the flap
+   grace.  The same code runs a server process on sockets ({!run}) and
+   each server of the in-process chain on the chain's shared loop
+   ({!start}). *)
 
 module Transport = Vuvuzela_transport.Transport
 module Conn = Vuvuzela_transport.Conn
-module Shaper = Vuvuzela_transport.Shaper
 module Httpd = Vuvuzela_transport.Httpd
 module Fault = Vuvuzela_faults.Fault
+module Pool = Vuvuzela_parallel.Pool
 module Telemetry = Vuvuzela_telemetry.Telemetry
 module Trace = Vuvuzela_telemetry.Trace
 module Metrics = Vuvuzela_telemetry.Metrics
@@ -42,11 +44,13 @@ type handshake =
   | Hello_pending  (** upstream said Hello before our own keys existed *)
   | Answered  (** the Chain_info reply is sent; replies may follow *)
 
-type st = {
+type t = {
   cfg : config;
   tp : Transport.t;
   log : string -> unit;
   tel : Telemetry.t option;
+  pool : Pool.t option;  (** shared with the other servers in process *)
+  faults : Fault.injector option;
   started_ms : float;
   mutable hop : Hop.t option;  (** once the downstream keys are known *)
   mutable upstream : Conn.t option;
@@ -69,6 +73,9 @@ type st = {
   mutable last_round : int;
   mutable hops_done : int;
   mutable stop : bool;
+  mutable reset_due : bool;
+      (** a fired reset, waiting for the round's batch to land *)
+  mutable httpd : Httpd.t option;
 }
 
 let is_last st = st.cfg.next = None
@@ -109,6 +116,8 @@ let outbox_gauge st =
   Telemetry.set_gauge st.tel "vuvuzela_daemon_outbox_depth"
     (float_of_int (Queue.length st.outbox))
 
+let uptime_ms st = Transport.now_ms st.tp -. st.started_ms
+
 let answered st =
   match st.upstream with
   | Some up when st.handshake = Answered && Conn.state up <> Conn.Closed ->
@@ -120,7 +129,8 @@ let send_upstream st msg =
   | Some up -> Conn.send up (Rpc.encode msg)
   | None ->
       if Queue.length st.outbox >= outbox_cap then ignore (Queue.pop st.outbox);
-      Queue.push (Rpc.encode msg) st.outbox);
+      Queue.push (Rpc.encode msg) st.outbox;
+      Telemetry.add_counter st.tel "vuvuzela_daemon_outbox_frames_total");
   outbox_gauge st
 
 let flush_outbox st =
@@ -210,19 +220,26 @@ let forward_downstream st ~kind ~round ~m onions =
   Option.iter (fun down -> Remote.forward down ~kind ~round ~m ?ctx onions)
     st.downstream
 
-(* What fired faults ask of a daemon: over sockets a stall is real time,
-   and a reset closes the upstream connection (the peer's reconnect
-   finds us again; after a [Flap] the round's reply waits in the
-   outbox). *)
+(* What fired faults ask of a daemon: a stall sleeps through the loop —
+   real time on sockets, skipped time on the in-process chain's virtual
+   clock — and a reset closes the upstream connection (the peer's
+   reconnect finds us again) once the round's batch has landed, so the
+   parts still in flight behind part 0 are not lost with it: after a
+   [Flap] nothing is lost but time, and the round's reply waits in the
+   outbox. *)
 let on_fire st ~round (f : Hop.fired) =
   st.log
     (Printf.sprintf "round %d: firing %s" round
        (String.concat "," (List.map (Format.asprintf "%a" Fault.pp_kind) f.kinds)));
-  if f.reset then begin
+  if f.reset then st.reset_due <- true;
+  Transport.sleep st.tp ~ms:(float_of_int f.stall_ms)
+
+let reset_upstream st =
+  if st.reset_due then begin
+    st.reset_due <- false;
     Option.iter Conn.close st.upstream;
     st.upstream <- None
-  end;
-  if f.stall_ms > 0 then Unix.sleepf (float_of_int f.stall_ms /. 1000.)
+  end
 
 (* The handshake reply, then the frames owed from before a flap, in
    order: the reconnected peer's pending round can still complete. *)
@@ -242,9 +259,8 @@ let answer_hello st hop =
 let ensure_hop st =
   if st.hop = None then begin
     let cfg = st.cfg in
-    let faults = Option.map Fault.injector cfg.deployment.fault_plan in
     let hop =
-      Hop.create ?faults
+      Hop.create ?pool:st.pool ?faults:st.faults ?tap:cfg.deployment.tap
         ~on_fire:(fun f -> on_fire st ~round:st.last_round f)
         cfg.deployment ~position:cfg.index ~suffix_pks:(suffix st)
     in
@@ -266,7 +282,8 @@ let key_change_status st ~round detail =
 (* One [*_batch_part] frame — the only way a batch arrives — through the
    hop state machine.  A fault that loses the batch is swallowed: after
    a reset the link above answers the round when its grace ends, and
-   otherwise the coordinator's deadline notices.  While the downstream
+   otherwise the coordinator's deadline notices (in process, also the
+   idle loop).  While the downstream
    keys have changed, a new round is answered at its first part and
    never run; the hop ignores the parts after it, since no round of
    theirs is open. *)
@@ -276,7 +293,9 @@ let handle_part st hop ~raw msg (kind, round, m, seq) =
       send_upstream st (key_change_status st ~round detail)
   | _ -> (
       if seq = 0 then open_hop st ~round ~dialing:(Round.is_dialing kind);
-      match Hop.arrive hop ~msg raw with
+      let step = Hop.arrive hop ~msg raw in
+      if step <> Hop.Absorbed then reset_upstream st;
+      match step with
       | Hop.Absorbed | Hop.Ignored -> ()
       | Hop.Finished replies when is_last st ->
           send_upstream st (Rpc.results kind ~round replies);
@@ -369,7 +388,87 @@ let handle_upstream st raw =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(log = fun _ -> ()) cfg =
+(* /healthz is rendered per request, so it always reflects live state:
+   chain position, peer liveness, round progress. *)
+let healthz st =
+  let connected = function
+    | Some c -> Conn.state c <> Conn.Closed
+    | None -> false
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("status", Json.Str (if st.hop <> None then "ok" else "starting"));
+         ("index", Json.Num (float_of_int st.cfg.index));
+         ("chain_len", Json.Num (float_of_int st.cfg.deployment.n_servers));
+         ("last", Json.Bool (is_last st));
+         ("round", Json.Num (float_of_int st.last_round));
+         ("hops_done", Json.Num (float_of_int st.hops_done));
+         ("upstream_connected", Json.Bool (connected st.upstream));
+         ("downstream_connected", Json.Bool (st.downstream <> None));
+         ("outbox_depth", Json.Num (float_of_int (Queue.length st.outbox)));
+         ("uptime_ms", Json.Num (uptime_ms st));
+       ])
+  ^ "\n"
+
+let routes st =
+  let x25519_published =
+    ref Vuvuzela_crypto.Curve25519.{ ladder = 0; base = 0; keyed = 0 }
+  in
+  fun path ->
+    match (path, st.tel) with
+    | "/healthz", _ -> Some ("application/json", healthz st)
+    | "/metrics", Some tel ->
+        (* Refresh the liveness gauges at scrape time so the exposition
+           is never empty: a freshly started daemon already reports
+           uptime, position, and queue depth. *)
+        publish_x25519_ops (Telemetry.metrics tel) x25519_published;
+        Telemetry.set_gauge st.tel "vuvuzela_daemon_uptime_ms" (uptime_ms st);
+        Telemetry.set_gauge st.tel "vuvuzela_daemon_chain_index"
+          (float_of_int st.cfg.index);
+        Telemetry.set_gauge st.tel "vuvuzela_daemon_outbox_depth"
+          (float_of_int (Queue.length st.outbox));
+        Telemetry.set_gauge st.tel "vuvuzela_daemon_round"
+          (float_of_int st.last_round);
+        Some
+          ( "text/plain; version=0.0.4",
+            Metrics.to_prometheus (Telemetry.metrics tel) )
+    | "/trace", Some tel ->
+        Some ("application/jsonl", Trace.to_jsonl (Telemetry.trace tel))
+    | _ -> None
+
+(* The chain has exactly one upstream; a new connection replaces a dead
+   (or superseded) predecessor. *)
+let accept_upstream st conn =
+  st.log "upstream connection";
+  Option.iter Conn.close st.upstream;
+  st.handshake <- Awaiting_hello;
+  st.upstream <- Some conn
+
+(* Physical equality: a Conn.t holds closures, and this conn may already
+   have been superseded by a newer accept. *)
+let upstream_dropped st conn =
+  match st.upstream with
+  | Some current when current == conn -> st.upstream <- None
+  | _ -> ()
+
+let dial_downstream st next =
+  let backoff_seed, link =
+    Remote.link_of st.cfg.deployment ~tag:(string_of_int st.cfg.index)
+  in
+  let down =
+    Remote.dial st.tp ~index:st.cfg.index ?telemetry:st.tel ?backoff_seed
+      ?link ~flap_grace_ms:st.cfg.deployment.flap_grace_ms
+      ~log:(fun m -> st.log ("downstream " ^ m))
+      ~on_keys:(fun _ -> ensure_hop st)
+      ~on_reply:(fun msg raw ->
+        Option.iter (fun hop -> handle_downstream st hop msg raw) st.hop)
+      ~addr:next ()
+  in
+  Remote.set_pipeline down (Config.part_chunk st.cfg.deployment);
+  st.downstream <- Some down
+
+let start tp ?pool ?faults ?(log = fun _ -> ()) cfg =
   let chain_len = cfg.deployment.n_servers in
   if cfg.index < 0 || cfg.index >= chain_len then
     Error
@@ -378,25 +477,15 @@ let run ?(log = fun _ -> ()) cfg =
   else if (cfg.next = None) <> (cfg.index = chain_len - 1) then
     Error "daemon: exactly the last server runs without --next"
   else begin
-    (* Scrape endpoints imply a sink: a daemon asked to expose /metrics
-       self-instruments even when the deployment carries none.  Origin
-       [index + 1] is the merge convention (0 is the coordinator). *)
-    let telemetry =
-      match cfg.deployment.telemetry with
-      | Some _ as tel -> tel
-      | None when cfg.metrics_listen <> None || cfg.trace_out <> None ->
-          Some (Telemetry.create ~origin:(cfg.index + 1) ())
-      | None -> None
-    in
-    let cfg = { cfg with deployment = { cfg.deployment with telemetry } } in
-    let tp = Transport.create ?telemetry () in
     let st =
       {
         cfg;
         tp;
         log;
-        tel = telemetry;
-        started_ms = Unix.gettimeofday () *. 1000.;
+        tel = cfg.deployment.telemetry;
+        pool;
+        faults;
+        started_ms = Transport.now_ms tp;
         hop = None;
         upstream = None;
         downstream = None;
@@ -408,153 +497,72 @@ let run ?(log = fun _ -> ()) cfg =
         last_round = 0;
         hops_done = 0;
         stop = false;
+        reset_due = false;
+        httpd = None;
       }
     in
     (* Listen before anything else: an upstream peer may dial while the
        downstream handshake is still assembling; its Hello waits. *)
-    let listener =
-      Transport.listen tp cfg.listen
-        ~on_accept:(fun fd peer ->
-          st.log
-            (Printf.sprintf "upstream connection from %s"
-               (Vuvuzela_transport.Addr.to_string peer));
-          (* The chain has exactly one upstream; a new connection
-             replaces a dead (or superseded) predecessor. *)
-          Option.iter Conn.close st.upstream;
-          st.handshake <- Awaiting_hello;
-          let conn =
-            Conn.of_fd ~loop:(Transport.loop tp) ~fd
-              ~stats:(Transport.stats tp)
-              ~on_frame:(fun _ raw -> handle_upstream st raw)
-              ~on_drop:(fun conn ->
-                (* physical equality: a Conn.t holds closures, and this
-                   conn may already have been superseded by a newer
-                   accept *)
-                match st.upstream with
-                | Some current when current == conn -> st.upstream <- None
-                | _ -> ())
-              ()
-          in
-          st.upstream <- Some conn)
-        ()
+    let ( let* ) = Result.bind in
+    let* _listener =
+      Transport.listen tp cfg.listen ~on_accept:(accept_upstream st)
+        ~on_frame:(fun _ raw -> handle_upstream st raw)
+        ~on_drop:(upstream_dropped st) ()
     in
-    match listener with
-    | Error e -> Error e
-    | Ok _listener -> (
-        (* /healthz is rendered per request, so it always reflects live
-           state: chain position, peer liveness, round progress. *)
-        let healthz () =
-          let connected = function
-            | Some c -> Conn.state c <> Conn.Closed
-            | None -> false
-          in
-          Json.to_string
-            (Json.Obj
-               [
-                 ( "status",
-                   Json.Str (if st.hop <> None then "ok" else "starting") );
-                 ("index", Json.Num (float_of_int cfg.index));
-                 ("chain_len", Json.Num (float_of_int chain_len));
-                 ("last", Json.Bool (is_last st));
-                 ("round", Json.Num (float_of_int st.last_round));
-                 ("hops_done", Json.Num (float_of_int st.hops_done));
-                 ("upstream_connected", Json.Bool (connected st.upstream));
-                 ("downstream_connected", Json.Bool (st.downstream <> None));
-                 ("outbox_depth", Json.Num (float_of_int (Queue.length st.outbox)));
-                 ( "uptime_ms",
-                   Json.Num ((Unix.gettimeofday () *. 1000.) -. st.started_ms) );
-               ])
-          ^ "\n"
-        in
-        let x25519_published =
-          ref Vuvuzela_crypto.Curve25519.{ ladder = 0; base = 0; keyed = 0 }
-        in
-        let routes path =
-          match (path, st.tel) with
-          | "/healthz", _ -> Some ("application/json", healthz ())
-          | "/metrics", Some tel ->
-              (* Refresh the liveness gauges at scrape time so the
-                 exposition is never empty: a freshly started daemon
-                 already reports uptime, position, and queue depth. *)
-              publish_x25519_ops (Telemetry.metrics tel) x25519_published;
-              Telemetry.set_gauge st.tel "vuvuzela_daemon_uptime_ms"
-                ((Unix.gettimeofday () *. 1000.) -. st.started_ms);
-              Telemetry.set_gauge st.tel "vuvuzela_daemon_chain_index"
-                (float_of_int cfg.index);
-              Telemetry.set_gauge st.tel "vuvuzela_daemon_outbox_depth"
-                (float_of_int (Queue.length st.outbox));
-              Telemetry.set_gauge st.tel "vuvuzela_daemon_round"
-                (float_of_int st.last_round);
-              Some
-                ( "text/plain; version=0.0.4",
-                  Metrics.to_prometheus (Telemetry.metrics tel) )
-          | "/trace", Some tel ->
-              Some ("application/jsonl", Trace.to_jsonl (Telemetry.trace tel))
-          | _ -> None
-        in
-        let httpd =
-          match cfg.metrics_listen with
-          | None -> Ok None
-          | Some addr -> (
-              match Httpd.serve (Transport.loop tp) ~addr ~routes with
-              | Ok h ->
-                  st.log (Printf.sprintf "scrape endpoints on port %d" (Httpd.port h));
-                  Ok (Some h)
-              | Error e -> Error e)
-        in
-        match httpd with
-        | Error e -> Error e
-        | Ok httpd ->
-        (match cfg.next with
-        | None ->
-            ensure_hop st (* last server: no suffix *)
-        | Some next_addr ->
-            let backoff_seed =
-              Option.map
-                (fun s -> Printf.sprintf "%s-backoff-%d" s cfg.index)
-                cfg.deployment.seed
-            in
-            let link =
-              Option.map
-                (fun link ->
-                  match cfg.deployment.seed with
-                  | Some s ->
-                      Shaper.with_seed
-                        (Printf.sprintf "%s-link-%d" s cfg.index)
-                        link
-                  | None -> link)
-                cfg.deployment.link
-            in
-            let down =
-              Remote.dial tp ~index:cfg.index ?telemetry ?backoff_seed ?link
-                ~flap_grace_ms:cfg.deployment.flap_grace_ms
-                ~log:(fun m -> st.log ("downstream " ^ m))
-                ~on_keys:(fun _ -> ensure_hop st)
-                ~on_reply:(fun msg raw ->
-                  Option.iter
-                    (fun hop -> handle_downstream st hop msg raw)
-                    st.hop)
-                ~addr:next_addr ()
-            in
-            Remote.set_pipeline down (Config.part_chunk cfg.deployment);
-            st.downstream <- Some down);
-        while not st.stop do
-          Transport.run_once tp
-        done;
-        (* Drain: let the forwarded Bye and any last replies flush. *)
-        for _ = 1 to 10 do
-          Transport.run_once ~max_wait_ms:5. tp
-        done;
-        close_hop st;
-        (match (cfg.trace_out, st.tel) with
-        | Some path, Some tel ->
-            let oc = open_out path in
-            output_string oc (Trace.to_jsonl (Telemetry.trace tel));
-            close_out oc
-        | _ -> ());
-        Option.iter (fun h -> Httpd.close h) httpd;
-        Option.iter Remote.close st.downstream;
-        Option.iter Conn.close st.upstream;
-        Option.iter (fun hop -> Server.shutdown (Hop.server hop)) st.hop;
-        Ok ())
+    let* () =
+      match cfg.metrics_listen with
+      | None -> Ok ()
+      | Some addr ->
+          let* h = Httpd.serve (Transport.loop tp) ~addr ~routes:(routes st) in
+          st.log (Printf.sprintf "scrape endpoints on port %d" (Httpd.port h));
+          st.httpd <- Some h;
+          Ok ()
+    in
+    (match cfg.next with
+    | None -> ensure_hop st (* last server: no suffix *)
+    | Some next -> dial_downstream st next);
+    Ok st
   end
+
+let server st = Option.map Hop.server st.hop
+
+let close st =
+  close_hop st;
+  (match (st.cfg.trace_out, st.tel) with
+  | Some path, Some tel ->
+      let oc = open_out path in
+      output_string oc (Trace.to_jsonl (Telemetry.trace tel));
+      close_out oc
+  | _ -> ());
+  Option.iter Httpd.close st.httpd;
+  st.httpd <- None;
+  Option.iter Remote.close st.downstream;
+  Option.iter Conn.close st.upstream;
+  Option.iter (fun hop -> Server.shutdown (Hop.server hop)) st.hop
+
+let run ?log cfg =
+  (* Scrape endpoints imply a sink: a daemon asked to expose /metrics
+     self-instruments even when the deployment carries none.  Origin
+     [index + 1] is the merge convention (0 is the coordinator). *)
+  let telemetry =
+    match cfg.deployment.telemetry with
+    | Some _ as tel -> tel
+    | None when cfg.metrics_listen <> None || cfg.trace_out <> None ->
+        Some (Telemetry.create ~origin:(cfg.index + 1) ())
+    | None -> None
+  in
+  let cfg = { cfg with deployment = { cfg.deployment with telemetry } } in
+  let tp = Transport.create ?telemetry () in
+  let faults = Option.map Fault.injector cfg.deployment.fault_plan in
+  match start tp ?faults ?log cfg with
+  | Error e -> Error e
+  | Ok st ->
+      while not st.stop do
+        Transport.run_once tp
+      done;
+      (* Drain: let the forwarded Bye and any last replies flush. *)
+      for _ = 1 to 10 do
+        Transport.run_once ~max_wait_ms:5. tp
+      done;
+      close st;
+      Ok ()

@@ -1,6 +1,7 @@
-(** One chain server as its own OS process: the engine behind the
+(** One chain server on an event loop: the engine behind the
     [vuvuzela-server] executable (and the forked processes of the
-    loopback tests).
+    loopback tests), and each server of the in-process {!Chain}, which
+    runs N of them on one in-memory {!Vuvuzela_transport.Transport}.
 
     Topology is the paper's §7 chain: the daemon listens for exactly
     one upstream peer (the coordinator, or the previous server) and —
@@ -31,18 +32,20 @@
     so a flap costs latency, and a lost batch costs the grace and one
     retry, not the coordinator's deadline.
 
-    Batches arrive through the same {!Hop} state machine the in-process
-    {!Chain} drives, so a [fault_plan] (entries must name
-    [server = index]) fires with the same semantics at this daemon's
-    incoming link; only the mapping onto sockets is the daemon's own.
-    A stall ([Delay_ms], [Slow_link], a [Flap] or [Partition] outage)
-    sleeps for real, a reset ([Crash], [Flap], [Partition]) closes the
-    upstream connection (after a [Flap] the reply waits in the outbox),
-    a lost batch ([Crash], [Drop_link], [Partition]) is swallowed — the
-    link above answers it when its grace ends after a reset, and the
-    coordinator's deadline notices a [Drop_link] — and a rejected part
-    (frame faults that break decoding, a [seq] gap) answers upstream
-    with its [Status].  Fired faults are counted in [/metrics]. *)
+    Batches arrive through the {!Hop} state machine, so a [fault_plan]
+    (a process's entries must name [server = index]) fires at this
+    daemon's incoming link.  A stall ([Delay_ms], [Slow_link], a [Flap]
+    or [Partition] outage) sleeps through the loop: real time on
+    sockets, skipped time on the in-process chain's virtual clock,
+    where all servers share the loop.  A reset ([Crash], [Flap],
+    [Partition]) closes the upstream connection once the batch has
+    landed (after a [Flap] the reply waits in the outbox, counted in
+    [vuvuzela_daemon_outbox_frames_total]).  A lost batch ([Crash],
+    [Drop_link], [Partition]) is swallowed: the link above answers it
+    when its grace ends after a reset, and the coordinator's deadline —
+    in process, the idle loop — notices a [Drop_link].  A rejected part
+    answers upstream with its [Status].  Fired faults are counted in
+    [/metrics]. *)
 
 type config = {
   listen : Unix.sockaddr;
@@ -55,7 +58,7 @@ type config = {
           part size ({!Config.part_chunk}) derive this position's
           server, so a multi-process chain with seed [s] is
           bit-identical to an in-process chain from the same
-          [Config.t].  The daemon also reads [fault_plan], [link] (the
+          [Config.t].  The daemon also reads [fault_plan], [tap], [link] (the
           emulated WAN profile of the downstream link, jitter seeded per
           link from [seed]), [flap_grace_ms] (how long after the
           downstream link drops the round in flight may wait for its
@@ -75,6 +78,28 @@ type config = {
       (** write the daemon's span trace (JSONL, one span per line) to
           this path on shutdown *)
 }
+
+type t
+(** A started daemon. *)
+
+val start :
+  Vuvuzela_transport.Transport.t ->
+  ?pool:Vuvuzela_parallel.Pool.t ->
+  ?faults:Vuvuzela_faults.Fault.injector ->
+  ?log:(string -> unit) ->
+  config ->
+  (t, string) result
+(** Listen on [listen] and dial [next] on this endpoint, and return: the
+    owner drives the loop.  [pool] and [faults] are shared by the
+    servers of one process (default: the server's own pool, from
+    [jobs], and no faults).  [Error] as {!run}'s startup failures. *)
+
+val server : t -> Server.t option
+(** The server, once the downstream keys are known. *)
+
+val close : t -> unit
+(** Close both links (and the scrape endpoints), write [trace_out], and
+    shut the server down. *)
 
 val run : ?log:(string -> unit) -> config -> (unit, string) result
 (** Run until a [Bye] arrives from upstream (forwarded down the chain

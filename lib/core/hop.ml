@@ -1,5 +1,5 @@
-(* One chain server's half of a round, shared by the in-process chain
-   and the daemons; see the interface. *)
+(* One chain server's half of a round, driven by each daemon; see the
+   interface. *)
 
 module Fault = Vuvuzela_faults.Fault
 module Telemetry = Vuvuzela_telemetry.Telemetry

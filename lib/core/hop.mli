@@ -1,9 +1,9 @@
-(** One chain server's half of a round (§3, §7), for both tiers: take
-    the predecessor's batch as part frames and peel it, then turn the
-    results coming back into the reply for upstream.  The in-process
-    {!Chain} drives it synchronously; each {!Daemon} drives it from its
-    event loop.  Being one state machine, the two tiers cannot disagree
-    about faults or framing.
+(** One chain server's half of a round (§3, §7): take the predecessor's
+    batch as part frames and peel it, then turn the results coming back
+    into the reply for upstream.  Each {!Daemon} drives it from its
+    event loop — over TCP, and in the in-process {!Chain}, which runs the
+    same daemons — so the two tiers cannot disagree about faults or
+    framing.
 
     At most one round arrives at a time.  Its faults fire once, when its
     part 0 arrives, against the whole logical batch: [Crash],
@@ -22,7 +22,9 @@ type fired = {
       (** the link stalls this long: [Delay_ms], [Slow_link], [Flap] and
           [Partition] summed *)
   reset : bool;
-      (** the upstream connection resets: [Crash], [Flap], [Partition] *)
+      (** the upstream connection resets: [Crash], [Flap], [Partition];
+          a daemon resets it once the batch has landed, so the parts
+          behind part 0 are not lost with it *)
 }
 (** What a round's fired faults ask of the driver. *)
 
@@ -60,10 +62,10 @@ type step =
           a [seq] gap) or the server refused it: answer upstream with
           this status; the round's later parts are [Ignored] *)
   | Dropped of Rpc.status
-      (** a fault lost the batch: in process the link reports this
-          status; a daemon says nothing, and the link above notices (its
-          grace after a reset, or the coordinator's deadline); the
-          round's later parts are [Ignored] *)
+      (** a fault lost the batch: the daemon says nothing, and the link
+          above notices (its grace after a reset, or the coordinator's
+          deadline — in process, the idle loop); the status only names
+          the fault; the round's later parts are [Ignored] *)
   | Ignored
       (** no round is open for this part: the tail of a batch already
           finished, rejected or dropped, or of a superseded round *)

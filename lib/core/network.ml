@@ -7,6 +7,11 @@
    decrypted here.  Tests, the examples, and the attack harness all run
    against this module.
 
+   Both constructors run every round, abort and invitation download
+   through the coordinator's [Remote]: in process it dials the
+   in-memory chain of daemons ([Chain]), over TCP the first
+   [vuvuzela-server] process.
+
    Fault handling: the coordinator is a round supervisor.  A round that
    fails — a typed [Rpc.status] from any link (crash, dropped or
    corrupted frame) or a deadline miss — is aborted everywhere: servers
@@ -29,23 +34,17 @@ module Trace = Vuvuzela_telemetry.Trace
 module Ledger = Vuvuzela_telemetry.Ledger
 module Drbg = Vuvuzela_crypto.Drbg
 module Shaper = Vuvuzela_transport.Shaper
+module Transport = Vuvuzela_transport.Transport
 module Config = Config
 
-(* Where the chain lives: in this process, or behind a TCP connection to
-   the first hop of a multi-process deployment (§7).  The supervisor is
-   backend-agnostic — both produce results-or-typed-status per round —
-   but a few capabilities are local-only: fault injection and [tap] live
-   inside the in-process chain, virtual [Delay_ms] accounting has no TCP
-   counterpart (socket delays are real and show up in wall clock), and
-   §5.4 auto-tuning needs the last server's [proposed_m], which the wire
-   protocol does not carry. *)
-type backend = Local of Chain.t | Tcp of Remote.t
-
 type t = {
-  backend : backend;
+  remote : Remote.t;  (** the link every round crosses, in either tier *)
+  local : Chain.t option;
+      (** the in-process chain behind [remote]; [None] over TCP.  Only
+          §5.4 auto-tuning reads it: the wire protocol does not carry
+          the last server's [proposed_m] *)
   tel : Telemetry.t option;
       (** shared with the chain and its servers; [None] is the nil sink *)
-  server_pks : bytes list;
   clients : (bytes, Client.t) Hashtbl.t;  (** keyed by public key *)
   mutable order : Client.t list;  (** connection order, for determinism *)
   mutable round : int;
@@ -54,9 +53,6 @@ type t = {
   mutable auto_tune_m : bool;
   dial_kind : Dialing.kind;
   entry_chunk : int;  (** onions per entry chunk *)
-  deadline_ms : float option;
-      (** supervisor deadline per attempt, hedged by the link profile
-          (see {!hedged_deadline_ms}); [None] disables the check *)
   max_retries : int;  (** extra attempts after the first *)
   admission_rng : Drbg.t;
       (** arrival-latency draws for the admission check, derived from
@@ -124,18 +120,22 @@ let hedged_deadline_ms (cfg : Config.t) ~hops =
       | None -> d)
     cfg.round_deadline_ms
 
-(* The one constructor behind both backends. *)
-let make (cfg : Config.t) backend ~server_pks =
+(* The one constructor behind both tiers: the remote bounds each round
+   by the (hedged) deadline, so a silently dead link surfaces as a
+   retryable status instead of blocking forever. *)
+let make (cfg : Config.t) ?local remote =
   install_ledger cfg;
+  Remote.set_deadline_ms remote
+    (hedged_deadline_ms cfg ~hops:(List.length (Remote.public_keys remote)));
+  Remote.set_pipeline remote (Config.part_chunk cfg);
   {
-    backend;
+    remote;
+    local;
     entry_chunk = max 1 cfg.pipeline_chunk;
-    deadline_ms = hedged_deadline_ms cfg ~hops:(List.length server_pks);
     admission_rng = admission_rng_of cfg;
     admission_ms = cfg.admission_ms;
     client_latency = cfg.client_latency;
     tel = cfg.telemetry;
-    server_pks;
     clients = Hashtbl.create 64;
     order = [];
     round = 1;
@@ -151,7 +151,7 @@ let make (cfg : Config.t) backend ~server_pks =
 
 let of_config (cfg : Config.t) =
   let chain = Chain.of_config cfg in
-  make cfg (Local chain) ~server_pks:(Chain.public_keys chain)
+  make cfg ~local:chain (Chain.remote chain)
 
 (* The coordinator of a multi-process deployment: same clients, same
    supervisor, but rounds cross a TCP connection to server 0.  [noise]
@@ -163,60 +163,37 @@ let of_config_tcp (cfg : Config.t) ~addr =
   (* The coordinator → first-hop link gets the same WAN profile the
      daemons put on their inter-server links, with its own derived
      jitter seed, plus deterministic reconnect backoff under a seed. *)
-  let link =
-    Option.map
-      (fun l ->
-        match cfg.seed with
-        | Some s -> Shaper.with_seed (s ^ "-link-coordinator") l
-        | None -> l)
-      cfg.link
-  in
-  match
-    Remote.connect ?telemetry:cfg.telemetry ~dial_kind:cfg.dial_kind
-      ~handshake_timeout_ms:cfg.handshake_timeout_ms
-      ?backoff_seed:(Option.map (fun s -> s ^ "-backoff-coordinator") cfg.seed)
-      ?link ~flap_grace_ms:cfg.flap_grace_ms ~addr ()
-  with
-  | Error e -> Error e
-  | Ok remote ->
-      let t =
-        make cfg (Tcp remote) ~server_pks:(Remote.public_keys remote)
-      in
-      (* Over TCP the deadline also bounds the wait for each round's
-         results, so a silently dead link surfaces as a retryable
-         transport status instead of blocking forever. *)
-      Remote.set_deadline_ms remote t.deadline_ms;
-      Remote.set_pipeline remote (Config.part_chunk cfg);
-      Ok t
+  let backoff_seed, link = Remote.link_of cfg ~tag:"coordinator" in
+  Remote.connect ?telemetry:cfg.telemetry ~dial_kind:cfg.dial_kind
+    ~handshake_timeout_ms:cfg.handshake_timeout_ms ?backoff_seed ?link
+    ~flap_grace_ms:cfg.flap_grace_ms ~addr ()
+  |> Result.map (make cfg)
 
 let chain t =
-  match t.backend with
-  | Local c -> c
-  | Tcp _ -> invalid_arg "Network.chain: TCP deployment has no in-process chain"
+  match t.local with
+  | Some c -> c
+  | None -> invalid_arg "Network.chain: TCP deployment has no in-process chain"
 
-let is_remote t = match t.backend with Local _ -> false | Tcp _ -> true
+let is_remote t = t.local = None
 let telemetry t = t.tel
-
-let jobs t =
-  match t.backend with Local c -> Chain.jobs c | Tcp _ -> 1
+let jobs t = match t.local with Some c -> Chain.jobs c | None -> 1
 
 let shutdown t =
   (* Finalize observability first: the scrape needs the daemons still
      answering, so it must precede the Bye cascade. *)
   Option.iter (fun obs -> Obs.finalize ?telemetry:t.tel obs) t.obs;
-  match t.backend with
-  | Local c -> Chain.shutdown c
-  | Tcp r -> Remote.shutdown r
+  match t.local with
+  | Some c -> Chain.shutdown c
+  | None -> Remote.shutdown t.remote
 
-let chain_length t = List.length t.server_pks
+let chain_length t = List.length (Remote.public_keys t.remote)
 
-(* The TCP counterpart of the chain's per-round root span
-   ([conv-round] / [dial-round], opened inside {!Chain} in-process):
-   the remote chain cannot open one in this process, so the coordinator
-   wraps the round trip itself and announces the span's wire context to
-   the first hop ahead of the batch — at merge time every daemon hop
-   span parents transitively into this root. *)
-let round_root t r ~kind ~round f =
+(* The per-round root span ([conv-round] / [dial-round]): the
+   coordinator wraps the round trip and announces the span's context to
+   the first hop ahead of the batch, so every daemon's hop span parents
+   into it — directly in process, where all share one tracer, and at
+   merge time over TCP. *)
+let round_root t ~kind ~round f =
   match t.tel with
   | None -> f ()
   | Some tel ->
@@ -224,37 +201,13 @@ let round_root t r ~kind ~round f =
       let name = if dialing then "dial-round" else "conv-round" in
       let tr = Telemetry.trace tel in
       let span = Trace.begin_span tr ~name ~round ~dialing () in
-      Remote.set_trace_ctx r (Some (Trace.context_of tr span));
+      Remote.set_trace_ctx t.remote (Some (Trace.context_of tr span));
       Fun.protect
         ~finally:(fun () ->
-          Remote.set_trace_ctx r None;
+          Remote.set_trace_ctx t.remote None;
           Trace.end_span tr span)
         f
 
-(* Backend dispatch for the round operations. *)
-let chain_round t ~kind ~m ~round ~produce =
-  match t.backend with
-  | Local c -> Chain.round_streamed c ~kind ~m ~round ~produce
-  | Tcp r ->
-      round_root t r ~kind ~round (fun () ->
-          Remote.round_streamed r ~kind ~m ~round ~produce)
-
-let chain_abort t ~kind ~round =
-  match t.backend with
-  | Local c -> Chain.abort c ~kind ~round
-  | Tcp r -> Remote.abort r ~kind ~round
-
-let chain_fetch_invitations t ~dial_round ~index =
-  match t.backend with
-  | Local c -> Chain.fetch_invitations c ~dial_round ~index
-  | Tcp r -> Remote.fetch_invitations r ~dial_round ~index
-
-(* Virtual injected delay is an in-process construct; socket-level
-   delays are real and already inside the wall clock. *)
-let chain_last_round_delay_ms t =
-  match t.backend with
-  | Local c -> Chain.last_round_delay_ms c
-  | Tcp _ -> 0.
 let round t = t.round
 let dial_round t = t.dial_round
 let n_clients t = Hashtbl.length t.clients
@@ -272,7 +225,8 @@ let connect ?seed ?window ?rtt ?max_conversations ?certified t =
   in
   let client =
     Client.create ?seed ?window ?rtt ?max_conversations
-      ~dial_kind:t.dial_kind ?certified ~identity ~server_pks:t.server_pks ()
+      ~dial_kind:t.dial_kind ?certified ~identity
+      ~server_pks:(Remote.public_keys t.remote) ()
   in
   Hashtbl.replace t.clients identity.Types.public client;
   t.order <- client :: t.order;
@@ -309,8 +263,8 @@ type round_report = {
       (** batch bytes on the entry → first-server link: items plus one
           batch header, whatever the part framing *)
   elapsed_ms : float;
-      (** wall clock for the last attempt's chain round trip, plus any
-          injected virtual link delay; the clients' build is not in it *)
+      (** the last attempt's round trip on the loop clock: wall time
+          plus skipped virtual time; the clients' build is not in it *)
   confirmed_acks : int;
       (** dialing rounds: acks that unwrapped to the expected fixed
           plaintext; [0] for conversation rounds *)
@@ -353,20 +307,14 @@ let pp_round_report ppf r =
       | Some st -> Format.fprintf ppf " (%a)" Rpc.pp_status st)
     r.failure
 
-(* The single monotonic-enough clock shared with the transport event
-   loop, so supervisor deadlines and socket deadlines measure time the
-   same way. *)
-let timed = Vuvuzela_transport.Clock.timed
-
-(* The supervisor's per-attempt deadline check.  Injected [Delay_ms]
-   faults stall a link virtually (the chain accumulates them instead of
-   sleeping), so the effective round time is wall clock plus virtual
-   delay — which keeps deadline misses deterministic under a seed. *)
-let check_deadline t ~round ~elapsed_ms outcome =
-  match (outcome, t.deadline_ms) with
-  | Ok _, Some deadline_ms when elapsed_ms > deadline_ms ->
-      Error (Rpc.deadline_exceeded ~round ~deadline_ms)
-  | _ -> outcome
+(* [f]'s result, its wall-clock ms, and its ms on the remote's loop
+   clock: the wall time plus whatever the loop skipped meanwhile (the
+   in-process chain's stalls, graces and redials). *)
+let timed t f =
+  let tp = Remote.transport t.remote in
+  let skipped = Transport.skipped_ms tp in
+  let v, wall_ms = Vuvuzela_transport.Clock.timed f in
+  (v, wall_ms, wall_ms +. (Transport.skipped_ms tp -. skipped))
 
 (* One conversation round for the whole deployment, supervised.  Clients
    in [blocked] stay silent (adversarial blocking or a flaky link).
@@ -391,11 +339,10 @@ let charge_attempt t ~participants ~dialing =
         ~labels:[ ("kind", if dialing then "dial" else "conv") ]
         "vuvuzela_round_attempts_total"
 
-(* Satellite of the fault layer: [Delay_ms] faults are virtual (the
-   chain accumulates them instead of sleeping), so latency metrics
-   record the *wall* time only — injected stall lives in its own
-   counter ([vuvuzela_injected_delay_ms_total]) and in [elapsed_ms],
-   which the deadline check uses. *)
+(* Latency metrics record the *wall* time only: time the in-process
+   loop skipped (injected stalls, graces) lives in [elapsed_ms], and
+   injected stall also in its own counter
+   ([vuvuzela_injected_delay_ms_total]). *)
 let observe_attempt t ~dialing ~wall_ms ~wire_bytes =
   match t.tel with
   | None -> ()
@@ -515,10 +462,10 @@ let check_results ~kind ~round ~batch_size = function
    split the participants at the admission window, charge the ledger
    (admitted only — stragglers publish nothing, and the redrawn noise
    of the retried/naturally-next round covers them), build every
-   participant's requests, time the chain call that streams the
-   admitted ones through the entry server, check the (hedged) deadline,
-   and either finish or abort + retry (bounded, and only for retryable
-   statuses).  The two kinds plug in their per-client request builder,
+   participant's requests, time the round trip that streams the
+   admitted ones through the entry server (the remote answers a missed
+   deadline), and either finish or abort + retry (bounded, and only for
+   retryable statuses).  The two kinds plug in their per-client request builder,
    requeue and success handler; [kind] selects the chain call and the
    abort, so the supervisor proper exists exactly once. *)
 let supervise t ~kind ~m ~late_pred ~participants ~next_round ~build ~requeue
@@ -548,18 +495,21 @@ let supervise t ~kind ~m ~late_pred ~participants ~next_round ~build ~requeue
        the chain's chunk feed, so the entry tier never holds more than
        [entry_chunk] onions while server 0 peels earlier chunks. *)
     let peak = ref 0 in
-    let outcome, wall_ms =
-      timed (fun () ->
-          chain_round t ~kind ~m ~round ~produce:(fun feed ->
-              let entry =
-                Entry.create_streaming ~round ~chunk:t.entry_chunk ~sink:feed ()
-              in
-              List.iter
-                (fun (id, r) ->
-                  ignore (Entry.submit entry id r : Entry.submit_status))
-                requests;
-              ignore (Entry.close_stream entry : _ array);
-              peak := Entry.peak_buffered entry))
+    let outcome, wall_ms, elapsed_ms =
+      timed t (fun () ->
+          round_root t ~kind ~round (fun () ->
+              Remote.round_streamed t.remote ~kind ~m ~round
+                ~produce:(fun feed ->
+                  let entry =
+                    Entry.create_streaming ~round ~chunk:t.entry_chunk
+                      ~sink:feed ()
+                  in
+                  List.iter
+                    (fun (id, r) ->
+                      ignore (Entry.submit entry id r : Entry.submit_status))
+                    requests;
+                  ignore (Entry.close_stream entry : _ array);
+                  peak := Entry.peak_buffered entry)))
     in
     (* Stragglers arrived after the round closed: onions are
        round-keyed, so joining a sealed round is impossible.  What they
@@ -574,7 +524,6 @@ let supervise t ~kind ~m ~late_pred ~participants ~next_round ~build ~requeue
     in
     let peak_buffered = !peak in
     let wire_bytes = wire_bytes t kind ~count:batch_size in
-    let elapsed_ms = wall_ms +. chain_last_round_delay_ms t in
     observe_attempt t ~dialing ~wall_ms ~wire_bytes;
     let report failure ~confirmed_acks events =
       { round; dialing; events; batch_size; peak_buffered;
@@ -582,16 +531,13 @@ let supervise t ~kind ~m ~late_pred ~participants ~next_round ~build ~requeue
         wire_bytes; elapsed_ms; confirmed_acks; attempts = n;
         aborts = List.rev !aborts; failure }
     in
-    match
-      check_deadline t ~round ~elapsed_ms
-        (check_results ~kind ~round ~batch_size outcome)
-    with
+    match check_results ~kind ~round ~batch_size outcome with
     | Error st ->
         (* Abort everywhere: servers drop the round's state (noise is
            redrawn on retry), admitted clients drop its reply secrets
            and requeue what the round carried.  Stragglers were already
            requeued above. *)
-        chain_abort t ~kind ~round;
+        Remote.abort t.remote ~kind ~round;
         List.iter (fun c -> requeue c ~round) admitted;
         aborts := st :: !aborts;
         if n <= t.max_retries && Rpc.retryable st then begin
@@ -669,7 +615,7 @@ let download_invitations t c =
     | None -> ()  (* aborted round, or older than the retention window *)
     | Some m ->
         let index = Client.my_invitation_drop c ~m in
-        let drop = chain_fetch_invitations t ~dial_round:r ~index in
+        let drop = Remote.fetch_invitations t.remote ~dial_round:r ~index in
         events := !events @ Client.handle_invitations c drop
   done;
   Hashtbl.replace t.last_fetched pk upto;
@@ -708,9 +654,9 @@ let run_dialing ?late ~participants (t : t) =
       (* §5.4: adopt the last server's m recommendation for the next
          round.  The wire protocol does not carry [proposed_m], so a
          TCP deployment keeps its configured m. *)
-      (match t.backend with
-      | Local c -> if t.auto_tune_m then t.m <- max 1 (Chain.proposed_m c)
-      | Tcp _ -> ());
+      (match t.local with
+      | Some c when t.auto_tune_m -> t.m <- max 1 (Chain.proposed_m c)
+      | _ -> ());
       (* Only completed rounds enter the download schedule; the bound
          matches the last server's invitation retention. *)
       t.m_history <-

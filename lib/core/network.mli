@@ -1,6 +1,9 @@
-(** A complete in-process deployment: chain + entry server + clients +
-    round clock, run by a supervisor with deadlines, bounded retries,
-    and fault injection for the active adversary. *)
+(** A complete deployment: chain + entry server + clients + round
+    clock, run by a supervisor with deadlines, bounded retries, and
+    fault injection for the active adversary.  The chain is in process
+    ({!of_config}) or a chain of server processes ({!of_config_tcp});
+    either way every round, abort and invitation download crosses the
+    coordinator's {!Remote}. *)
 
 module Config = Config
 (** The deployment configuration record; see {!Config.default} and the
@@ -16,11 +19,13 @@ val of_config : Config.t -> t
     [pipeline_chunk] onions (without it each link carries one part per
     batch); results are bit-identical at any job count and part size.
 
-    [fault_plan] arms deterministic fault injection at the chain's link
-    boundaries and [tap] observes every forward batch on the wire (see
-    {!Chain.of_config}).  [round_deadline_ms] ([None]: no deadline)
-    bounds each round attempt — the chain's wall clock plus any
-    injected virtual delay — and [max_retries] bounds how many times the
+    [fault_plan] arms deterministic fault injection at the servers'
+    incoming links, [tap] observes every forward batch on the wire, and
+    [link] and [flap_grace_ms] shape and guard every link, on the
+    chain's virtual clock (see {!Chain.of_config}).
+    [round_deadline_ms] ([None]: no deadline) bounds each round attempt
+    on that clock — wall time plus the time it skipped for stalls,
+    graces and redials — and [max_retries] bounds how many times the
     supervisor retries an aborted round before giving up.  The record
     fixes the supervisor for the deployment's lifetime; only the
     admission window can change later ({!set_admission_ms}).
@@ -29,8 +34,9 @@ val of_config : Config.t -> t
     servers): per-stage spans, round spans, client-build/client-decrypt
     spans, round latency/wire-byte/outcome metrics — latency histograms
     record the chain's wall clock only: the clients' [client-build]
-    span ends before the round span starts, and injected virtual delay
-    is kept in its own counter — and a privacy-budget ledger composing
+    span ends before the round span starts, and skipped virtual time is
+    left out (injected stall has its own counter) — and a privacy-budget
+    ledger composing
     the deployment's per-round guarantees under Theorem 2, charged per
     client per attempt.  [budget_warn] sets the ledger's cumulative-ε′
     warning threshold.  Instrumentation never draws from the RNG: a seeded
@@ -43,16 +49,19 @@ val of_config_tcp : Config.t -> addr:Unix.sockaddr -> (t, string) result
     shared deployment seed the rounds are bit-identical to
     {!of_config}'s.
 
-    Differences from the in-process deployment: [noise]/[dial_noise]
-    here only parameterise the privacy-budget ledger (the daemons own
-    the actual noise — pass their parameters); [fault_plan]/[tap] live
-    in the daemons ([--fault-plan]); [jobs] is inert (each daemon
-    configures its own); {!set_auto_tune_drops} is inert (the wire
-    protocol does not carry the last server's §5.4 recommendation); and
-    [round_deadline_ms] additionally bounds the wait for each round's
-    results, from the moment the round is sent, so a dead link
-    surfaces as a retryable transport status instead of blocking.  With
-    [pipeline] set, no part leaving the coordinator holds more than
+    The servers are the same daemons the in-process chain runs, so
+    rounds, faults, graces and deadlines behave alike.  Differences
+    from the in-process deployment: time is the wall clock (a stall or
+    a grace takes real time); [noise]/[dial_noise] here only
+    parameterise the privacy-budget ledger (the daemons own the actual
+    noise — pass their parameters); [fault_plan]/[link]/[flap_grace_ms]
+    of the daemons' links live in the daemons ([--fault-plan],
+    [--link-latency], [--flap-grace-ms]), and [tap] is not reachable;
+    [jobs] is inert (each daemon configures its own); and
+    {!set_auto_tune_drops} is inert (the wire protocol does not carry
+    the last server's §5.4 recommendation).  [link] and [flap_grace_ms]
+    still shape and guard the coordinator's own link.  With [pipeline]
+    set, no part leaving the coordinator holds more than
     [pipeline_chunk] onions.  [Error] if the chain cannot be reached
     within [handshake_timeout_ms]. *)
 
@@ -103,8 +112,8 @@ val set_admission_ms : t -> float option -> unit
 val entry_chunk : t -> int
 (** Onions per entry chunk (= [Config.pipeline_chunk]): every round's
     requests reach the chain through one streaming {!Entry} collector
-    that feeds it in chunks of this size ({!Chain.round_streamed} or
-    {!Remote.round_streamed}), so no tier ever holds the whole batch;
+    that feeds it in chunks of this size ({!Remote.round_streamed}), so
+    no tier ever holds the whole batch;
     the report's [peak_buffered] shows the bound. *)
 
 val connect :
@@ -147,9 +156,10 @@ type round_report = {
           ({!Rpc.conv_batch_bytes}/{!Rpc.dial_batch_bytes}): items plus
           one batch header, whatever the part framing *)
   elapsed_ms : float;
-      (** wall clock for the last attempt's chain round trip, plus any
-          injected virtual link delay; the clients' onion build comes
-          before it and is not counted *)
+      (** the last attempt's chain round trip on the coordinator's loop
+          clock: wall time, plus (in process) the time the virtual clock
+          skipped for stalls, graces and redials; the clients' onion
+          build comes before it and is not counted *)
   confirmed_acks : int;
       (** dialing rounds: acks that unwrapped to the expected fixed
           plaintext; [0] for conversation rounds *)

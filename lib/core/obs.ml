@@ -147,6 +147,7 @@ let parse_round_event json =
 type merged_span = {
   sname : string;
   sround : int;
+  sserver : int;
   sdialing : bool;
   sdur_ms : float;
   process : string;
@@ -163,6 +164,9 @@ let parse_merged_span json =
         {
           sname;
           sround;
+          sserver =
+            Option.value ~default:(-1)
+              (Option.bind (Json.member "server" json) Json.to_int);
           sdialing =
             Option.value ~default:false
               (Option.bind (Json.member "dialing" json) Json.to_bool);
@@ -189,9 +193,10 @@ let bar ~width ~scale v =
   in
   String.make (max 0 n) '#' ^ String.make (width - max 0 n) ' '
 
-(* Spans worth a waterfall line: round roots, daemon hops, the pipeline
-   stages under them, and the coordinator's client phases.  Timestamps
-   are per-process epochs and incomparable across the merge, so the
+(* Spans worth a waterfall line: round roots, server hops (named by
+   position: in process they share one label), the pipeline stages
+   under them, and the coordinator's client phases.  Timestamps are
+   per-process epochs and incomparable across the merge, so the
    waterfall renders durations only. *)
 let waterfall_names =
   [ "conv-round"; "dial-round"; "hop"; "client-build"; "client-decrypt" ]
@@ -221,7 +226,10 @@ let render_waterfall buf spans (ev : round_event) =
         (fun s ->
           Buffer.add_string buf
             (Printf.sprintf "%s%-14s %-14s %9.2f ms  |%s|\n"
-               (indent_of s.sname) s.process s.sname s.sdur_ms
+               (indent_of s.sname) s.process
+               (if s.sname = "hop" then Printf.sprintf "hop %d" s.sserver
+                else s.sname)
+               s.sdur_ms
                (bar ~width:30 ~scale s.sdur_ms)))
         mine
 

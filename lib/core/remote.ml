@@ -8,6 +8,7 @@
 module Transport = Vuvuzela_transport.Transport
 module Conn = Vuvuzela_transport.Conn
 module Evloop = Vuvuzela_transport.Evloop
+module Shaper = Vuvuzela_transport.Shaper
 module Trace = Vuvuzela_telemetry.Trace
 module Telemetry = Vuvuzela_telemetry.Telemetry
 
@@ -45,6 +46,7 @@ type t = {
 }
 
 let public_keys t = t.pks
+let transport t = t.tp
 let key_change t = t.key_change
 let set_deadline_ms t d = t.deadline_ms <- d
 let set_pipeline t p = t.chunk <- Option.map (max 1) p
@@ -125,6 +127,15 @@ let dropped t =
                  t.grace <- None;
                  lost ()))
 
+(* The deployment's seed derives each dialed link's jitter streams, so a
+   seeded chain replays its redials and emulated delays. *)
+let link_of (cfg : Config.t) ~tag =
+  let seed what =
+    Option.map (fun s -> Printf.sprintf "%s-%s-%s" s what tag) cfg.seed
+  in
+  let jitter l = Option.fold ~none:l ~some:(fun s -> Shaper.with_seed s l) in
+  (seed "backoff", Option.map (fun l -> jitter l (seed "link")) cfg.link)
+
 let dial tp ~index ?telemetry ?backoff_seed ?link ?(flap_grace_ms = 0.) ~log
     ~on_keys ~on_reply ~addr () =
   let rec t =
@@ -193,10 +204,14 @@ let close t =
 (* The coordinator: a wait on top of the link                          *)
 (* ------------------------------------------------------------------ *)
 
-let connect ?telemetry ?(dial_kind = Dialing.Plain)
+let connect ?transport ?telemetry ?(dial_kind = Dialing.Plain)
     ?(handshake_timeout_ms = 30_000.) ?backoff_seed ?link ?flap_grace_ms
     ~addr () =
-  let tp = Transport.create ?telemetry () in
+  let tp =
+    match transport with
+    | Some tp -> tp
+    | None -> Transport.create ?telemetry ()
+  in
   let t =
     dial tp ~index:(-1) ?telemetry ?backoff_seed ?link ?flap_grace_ms
       ~log:(fun m -> Log.warn (fun f -> f "first-hop %s" m))
@@ -226,26 +241,32 @@ let key_change_status t ~round =
 
 (* Send, then pump until [expect] picks this request's reply out of
    the frames coming back ([None] for anything stale).  The deadline
-   runs from the moment the request is sent, whatever frames arrive in
-   the meantime. *)
+   runs on the loop's clock from the moment the request starts to
+   leave, whatever frames arrive in the meantime; a reply that comes
+   back after it (a stall inside a dispatch skips past it) misses it
+   too.  An in-process loop that goes idle can never bring a reply. *)
 let exchange t ~round ~expect request =
   let outcome = ref None in
   t.on_reply <- (fun msg _ -> if !outcome = None then outcome := expect msg);
+  let t0 = Transport.now_ms t.tp in
   request ();
   ignore
-    (Transport.run_until ?deadline_ms:t.deadline_ms t.tp (fun () ->
-         !outcome <> None));
+    (Transport.run_until
+       ?deadline_ms:
+         (Option.map (fun d -> d -. (Transport.now_ms t.tp -. t0)) t.deadline_ms)
+       t.tp
+       (fun () -> !outcome <> None));
   t.on_reply <- (fun _ _ -> ());
-  match !outcome with
-  | Some outcome ->
+  let elapsed = Transport.now_ms t.tp -. t0 in
+  match (!outcome, t.deadline_ms) with
+  | Some _, Some d when elapsed > d ->
+      Error (Rpc.deadline_exceeded ~round ~deadline_ms:(Some d))
+  | Some outcome, _ ->
       Transport.publish t.tp;
       outcome
-  | None ->
-      Error
-        (Rpc.transport_error ~round ~server:0
-           ~detail:
-             (Printf.sprintf "no reply within %.0f ms"
-                (Option.value ~default:0. t.deadline_ms)))
+  | None, Some d when elapsed >= d ->
+      Error (Rpc.deadline_exceeded ~round ~deadline_ms:(Some d))
+  | None, _ -> Error (Rpc.deadline_exceeded ~round ~deadline_ms:None)
 
 let round_streamed t ~kind ~m ~round ~produce =
   let refused =

@@ -1,7 +1,8 @@
 (** The dialing end of a chain link, and the coordinator's view of a
-    chain whose servers are separate processes.
+    chain: both {!Network} constructors run every round through one.
 
-    Every link of a multi-process chain is dialed by the tier above it:
+    Every link of a chain, in process or multi-process, is dialed by
+    the tier above it:
     the coordinator dials server 0 ([Hello] with index -1), and server
     [i] dials server [i + 1] ([Hello] with index [i]).  This module is
     that dialing end, for both.  It dials with callbacks on the owner's
@@ -32,6 +33,11 @@
 type t
 
 (** {2 A daemon's downstream link} *)
+
+val link_of :
+  Config.t -> tag:string -> string option * Vuvuzela_transport.Shaper.config option
+(** One dialed link's [backoff_seed] and [link] from a deployment, both
+    seeded per dialer [tag] (["coordinator"], or a server's index). *)
 
 val dial :
   Vuvuzela_transport.Transport.t ->
@@ -76,6 +82,7 @@ val close : t -> unit
 (** {2 The coordinator} *)
 
 val connect :
+  ?transport:Vuvuzela_transport.Transport.t ->
   ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
   ?dial_kind:Dialing.kind ->
   ?handshake_timeout_ms:float ->
@@ -85,20 +92,26 @@ val connect :
   addr:Unix.sockaddr ->
   unit ->
   (t, string) result
-(** Dial the first hop on a transport of its own and wait (at most
-    [handshake_timeout_ms], default 30s) for the chain to assemble —
+(** Dial the first hop and wait (at most [handshake_timeout_ms],
+    default 30s, on the loop's clock) for the chain to assemble —
     the handshake reply only arrives once every server downstream has
     its keys.  [dial_kind] must match the daemons' (it sizes dialing
     batches).  Rounds wait for results without a deadline until
-    {!set_deadline_ms} sets one.  The other arguments are {!dial}'s. *)
+    {!set_deadline_ms} sets one.  [transport] is the endpoint to dial
+    from (default: one of its own on sockets); the in-process chain
+    passes its in-memory one.  The other arguments are {!dial}'s. *)
+
+val transport : t -> Vuvuzela_transport.Transport.t
+(** The endpoint the link dials from; its loop's clock times rounds. *)
 
 val public_keys : t -> bytes list
 (** The keys in use below this link, in chain order: the whole chain's
     at the coordinator. *)
 
 val set_deadline_ms : t -> float option -> unit
-(** Bound each round's wait for results, timed from the moment the round
-    is sent; [None] waits forever. *)
+(** Bound each round's wait for results on the loop's clock, timed from
+    the moment the round starts to leave; [None] waits for as long as a
+    reply can still come. *)
 
 val set_pipeline : t -> int option -> unit
 (** [Some chunk] (clamped ≥ 1): no part leaving on this link holds more
@@ -128,7 +141,9 @@ val round_streamed :
     final part carries [last] and the coordinator buffers at most two
     chunks while the first hop peels early parts.  [Error] is a typed
     status: one a server sent in place of results, the lost-link status
-    above, or a {!Rpc.transport_error} for a deadline that passed. *)
+    above, or the retryable {!Rpc.deadline_exceeded} when the reply was
+    not back by the deadline, came back after it, or — in process — can
+    never come because the loop went idle. *)
 
 val conversation_round_streamed :
   t ->

@@ -358,7 +358,10 @@ let deadline_exceeded ~round ~deadline_ms =
     round;
     server = 0;
     stage = deadline_stage;
-    detail = Printf.sprintf "exceeded %.0f ms round deadline" deadline_ms;
+    detail =
+      (match deadline_ms with
+      | Some d -> Printf.sprintf "exceeded %.0f ms round deadline" d
+      | None -> "no reply, and the chain is idle");
   }
 
 let is_chain_shutdown st = st.stage = shutdown_stage

@@ -136,14 +136,17 @@ val chain_shutdown : round:int -> status
 (** A round was attempted after {!Chain.shutdown} (stage
     ["chain-shutdown"]). *)
 
-val deadline_exceeded : round:int -> deadline_ms:float -> status
-(** The round exceeded the supervisor's deadline (stage ["deadline"]). *)
+val deadline_exceeded : round:int -> deadline_ms:float option -> status
+(** No reply in time (stage ["deadline"], retryable): with
+    [Some deadline_ms] the reply was not back by the round's deadline,
+    or came back after it; with [None] the in-process chain went idle
+    with no reply on its way, so none can come, deadline or not. *)
 
 val transport_error : round:int -> server:int -> detail:string -> status
-(** A TCP link failed mid-round — connection lost, peer unreachable, a
-    reply that never came (stage ["transport"]).  Retryable: the
-    transport's reconnect machinery restores the link while the
-    supervisor retries the round. *)
+(** A chain link failed mid-round — connection lost, peer unreachable,
+    a lost link's grace ended without the reply (stage ["transport"]).
+    Retryable: the transport's reconnect machinery restores the link
+    while the supervisor retries the round. *)
 
 val key_change : round:int -> server:int -> detail:string -> status
 (** A server came back from a reconnect with a different public key

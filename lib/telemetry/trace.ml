@@ -73,9 +73,14 @@ let begin_span t ~name ~round ?(server = -1) ?(dialing = false) () =
 
 let begin_remote_span t ~name ~round ?(server = -1) ?(dialing = false)
     ?remote () =
-  (* A remote-rooted span deliberately ignores the local open stack: its
-     parent lives in another process and is resolved at merge time. *)
-  mk_span t ~parent:None ~remote ~name ~round ~server ~dialing
+  (* A remote-rooted span ignores the local open stack: its parent is
+     the span the context names.  A context this tracer minted (the
+     in-process chain shares one tracer) names a local span; any other
+     is resolved at merge time. *)
+  match remote with
+  | Some c when c.trace = t.trace_id && c.origin = t.origin ->
+      mk_span t ~parent:(Some c.span) ~remote:None ~name ~round ~server ~dialing
+  | _ -> mk_span t ~parent:None ~remote ~name ~round ~server ~dialing
 
 (* A span rooted in another process propagates that process's trace id:
    the id the coordinator minted travels hop to hop, so every re-stamped

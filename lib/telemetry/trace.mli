@@ -54,11 +54,13 @@ val begin_span :
 val begin_remote_span :
   t -> name:string -> round:int -> ?server:int -> ?dialing:bool ->
   ?remote:context -> unit -> span
-(** Opens a span whose parent lives in another process: the local open
-    stack is ignored ([parent = None]) and [remote] — the context that
-    arrived on the wire, if any — is recorded for {!merge_jsonl} to
-    resolve.  The span still becomes the innermost open span, so local
-    stage spans nest under it as usual. *)
+(** Opens a span whose parent is named by the context that arrived on
+    the wire, not by the local open stack.  A context this tracer minted
+    (same trace id and origin: the servers of an in-process chain share
+    the coordinator's tracer) resolves to that local span as [parent].
+    Any other [remote] context is recorded, with [parent = None], for
+    {!merge_jsonl} to resolve.  The span still becomes the innermost
+    open span, so local stage spans nest under it as usual. *)
 
 val context_of : t -> span -> context
 (** The wire context that makes [span] the remote parent of spans opened

@@ -1,16 +1,19 @@
 (* Framed connection state machine; see the interface for the contract.
 
    Invariants:
-   - [fd = None] exactly in states Connecting (between retries) and
+   - [io = None] exactly in states Connecting (between retries) and
      Closed.
-   - [wbuf] holds the partially-written write buffer — one frame, or
-     several queued frames coalesced into a single buffer so a burst of
-     small frames (pipelined batch parts) costs one [write] instead of
-     one syscall each; complete frames wait in [outq].  On disconnect
-     [wbuf] is dropped (the peer's view of a half-sent buffer is
-     unknowable), [outq] is kept.
-   - the decoder is replaced on every new socket: frame boundaries do
-     not survive a reconnect. *)
+   - On a socket, [wbuf] holds the partially-written write buffer — one
+     frame, or several queued frames coalesced into a single buffer so a
+     burst of small frames (pipelined batch parts) costs one [write]
+     instead of one syscall each; complete frames wait in [outq].  On
+     disconnect [wbuf] is dropped (the peer's view of a half-sent buffer
+     is unknowable), [outq] is kept.  The decoder is replaced on every
+     new socket: frame boundaries do not survive a reconnect.
+   - On an in-memory link, [outq] holds payloads and each leaves as one
+     posted delivery to the peer end; a delivery, like the end-of-stream
+     that follows a close, only lands while the peer is still linked to
+     this end, so a reconnect loses what the old link had in flight. *)
 
 module Drbg = Vuvuzela_crypto.Drbg
 
@@ -49,6 +52,7 @@ let fresh_stats () =
 type t = {
   loop : Evloop.t;
   addr : Unix.sockaddr option;  (** [None] for accepted connections *)
+  hub : hub option;  (** [Some] for an in-memory link *)
   hello : bytes option;
   stats : stats;
   on_established : (t -> bytes -> unit) option;
@@ -56,13 +60,10 @@ type t = {
   on_drop : t -> unit;
   backoff_rng : Drbg.t option;  (** full-jitter draws; [None] = lockstep *)
   shaper : Shaper.t option;
-  rbuf : bytes;  (** read scratch *)
-  outq : bytes Queue.t;  (** complete encoded frames *)
-  mutable fd : Unix.file_descr option;
+  outq : bytes Queue.t;
+      (** complete encoded frames on a socket, payloads in memory *)
+  mutable io : io option;
   mutable st : state;
-  mutable dec : Frame.decoder;
-  mutable wbuf : bytes;  (** frame being written ([woff] consumed) *)
-  mutable woff : int;
   mutable backoff_ms : float;
   mutable timer : int option;  (** pending retry / handshake deadline *)
   mutable up_since : float;  (** when the stream last became established *)
@@ -71,23 +72,38 @@ type t = {
       (** when an established stream was lost, until re-established *)
 }
 
+and io = Socket of socket | Pipe of t  (** the other end of the link *)
+
+and socket = {
+  fd : Unix.file_descr;
+  rbuf : bytes;  (** read scratch *)
+  dec : Frame.decoder;
+  mutable wbuf : bytes;  (** frame being written ([woff] consumed) *)
+  mutable woff : int;
+}
+
+(* Listening addresses of an in-process network: each accepts a dialer
+   by creating the linked end. *)
+and hub = (Unix.sockaddr, t -> t) Hashtbl.t
+
+let hub () : hub = Hashtbl.create 8
 let state t = t.st
 let reconnects t = t.reconnects
 
 let queued t =
-  Queue.length t.outq + if Bytes.length t.wbuf > t.woff then 1 else 0
+  Queue.length t.outq
+  + match t.io with Some (Socket s) when Bytes.length s.wbuf > s.woff -> 1 | _ -> 0
 
 let cancel_timer t =
   Option.iter (Evloop.cancel t.loop) t.timer;
   t.timer <- None
 
-let close_socket t =
-  match t.fd with
-  | None -> ()
-  | Some fd ->
-      Evloop.remove_fd t.loop fd;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      t.fd <- None
+let socket fd =
+  { fd; rbuf = Bytes.create 65536; dec = Frame.decoder (); wbuf = Bytes.empty; woff = 0 }
+
+(* ------------------------------------------------------------------ *)
+(* Sockets                                                             *)
+(* ------------------------------------------------------------------ *)
 
 (* Pull the next write buffer off the queue, folding as many queued
    frames as fit under the budget into one buffer.  Capped so a slow
@@ -129,99 +145,200 @@ let next_write_buffer t =
 (* Write as much pending output as the socket accepts; toggle write
    interest accordingly.  Raises Unix_error on a dead peer — callers
    route that through their disconnect path. *)
-let rec flush_output t fd =
-  if Bytes.length t.wbuf = t.woff then
+let rec flush_socket t s =
+  if Bytes.length s.wbuf = s.woff then
     if
       (* Only an established (or still-handshaking hello) stream may pull
          queued frames; queued data otherwise waits for the handshake. *)
       t.st = Established && not (Queue.is_empty t.outq)
     then begin
-      t.wbuf <- next_write_buffer t;
-      t.woff <- 0;
-      flush_output t fd
+      s.wbuf <- next_write_buffer t;
+      s.woff <- 0;
+      flush_socket t s
     end
-    else Evloop.want_write t.loop fd false
+    else Evloop.want_write t.loop s.fd false
   else
-    let n = Bytes.length t.wbuf - t.woff in
-    match Unix.write fd t.wbuf t.woff n with
+    let n = Bytes.length s.wbuf - s.woff in
+    match Unix.write s.fd s.wbuf s.woff n with
     | written ->
         t.stats.bytes_out <- t.stats.bytes_out + written;
-        t.woff <- t.woff + written;
-        if written = n then flush_output t fd
-        else Evloop.want_write t.loop fd true
+        s.woff <- s.woff + written;
+        if written = n then flush_socket t s
+        else Evloop.want_write t.loop s.fd true
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        Evloop.want_write t.loop fd true
+        Evloop.want_write t.loop s.fd true
 
-let enqueue_frame t frame =
-  Queue.push frame t.outq;
-  match t.fd with
-  | Some fd when t.st = Established -> (
-      try flush_output t fd with Unix.Unix_error _ -> ())
-      (* a write error here also surfaces via on_readable EOF *)
-  | _ -> ()
+(* ------------------------------------------------------------------ *)
+(* In-memory links                                                     *)
+(* ------------------------------------------------------------------ *)
 
-let send t payload =
+let linked t peer = match t.io with Some (Pipe p) -> p == peer | _ -> false
+let on_socket t s = match t.io with Some (Socket s') -> s' == s | _ -> false
+
+(* One payload to the peer end, on the next dispatch: never inside the
+   sender's call.  Counted as the framed bytes a socket would carry. *)
+let deliver t peer payload ~receive =
+  let wire = Frame.header_len + Bytes.length payload in
+  t.stats.bytes_out <- t.stats.bytes_out + wire;
+  Evloop.post t.loop (fun () ->
+      if linked peer t && peer.st <> Closed then begin
+        peer.stats.bytes_in <- peer.stats.bytes_in + wire;
+        receive peer payload
+      end)
+
+(* The end-of-stream a close sends after everything queued before it. *)
+let hang_up t peer ~disconnected =
+  Evloop.post t.loop (fun () -> if linked peer t then disconnected peer)
+
+(* ------------------------------------------------------------------ *)
+(* Both media                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let close_io t ~disconnected =
+  match t.io with
+  | None -> ()
+  | Some (Socket s) ->
+      Evloop.remove_fd t.loop s.fd;
+      (try Unix.close s.fd with Unix.Unix_error _ -> ());
+      t.io <- None
+  | Some (Pipe peer) ->
+      t.io <- None;
+      hang_up t peer ~disconnected
+
+(* Push queued output onto the medium; only an established stream may
+   pull from the queue. *)
+let flush t ~receive =
+  match t.io with
+  | Some (Socket s) -> flush_socket t s
+  | Some (Pipe peer) when t.st = Established ->
+      while not (Queue.is_empty t.outq) do
+        deliver t peer (Queue.pop t.outq) ~receive
+      done
+  | Some (Pipe _) | None -> ()
+
+(* The bytes an outgoing item occupies on a socket: items are framed
+   already there, bare payloads in memory. *)
+let wire_len t item =
+  Bytes.length item + match t.hub with Some _ -> Frame.header_len | None -> 0
+
+(* ------------------------------------------------------------------ *)
+(* The state machine                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let rec enqueue t item =
+  Queue.push item t.outq;
+  if t.st = Established then
+    try flush t ~receive with Unix.Unix_error _ -> ()
+  (* a write error here also surfaces via on_readable EOF *)
+
+and send t payload =
   match t.st with
   | Closed -> ()
   | _ -> (
-      let frame = Frame.encode payload in
+      let item =
+        match t.hub with
+        | None -> Frame.encode payload
+        | Some _ ->
+            if Bytes.length payload > Frame.max_payload then
+              invalid_arg "Conn.send: payload exceeds Frame.max_payload";
+            payload
+      in
       t.stats.frames_out <- t.stats.frames_out + 1;
       match t.shaper with
-      | None -> enqueue_frame t frame
+      | None -> enqueue t item
       | Some sh ->
           (* Link emulation: hold the frame off the wire until its
              release instant.  Release times are monotonic per shaper,
              and the loop fires equal-deadline timers in registration
              order, so shaped frames keep their FIFO order. *)
           let delay =
-            Shaper.delay_ms sh ~now_ms:(Clock.now_ms ())
-              ~bytes:(Bytes.length frame)
+            Shaper.delay_ms sh ~now_ms:(Evloop.now_ms t.loop)
+              ~bytes:(wire_len t item)
           in
-          if delay <= 0. then enqueue_frame t frame
+          if delay <= 0. then enqueue t item
           else begin
             t.stats.shaped_frames <- t.stats.shaped_frames + 1;
             t.stats.shaped_delay_ms <- t.stats.shaped_delay_ms +. delay;
             ignore
               (Evloop.after t.loop ~ms:delay (fun () ->
-                   if t.st <> Closed then enqueue_frame t frame))
+                   if t.st <> Closed then enqueue t item))
           end)
+
+(* A payload that arrived: the handshake reply of a dialer, or a frame. *)
+and receive t payload =
+  t.stats.frames_in <- t.stats.frames_in + 1;
+  match t.st with
+  | Handshaking ->
+      cancel_timer t;
+      t.st <- Established;
+      t.up_since <- Evloop.now_ms t.loop;
+      (match t.outage_since with
+      | Some since ->
+          t.outage_since <- None;
+          t.stats.outages <- t.stats.outages + 1;
+          t.stats.last_outage_ms <- Evloop.now_ms t.loop -. since
+      | None -> ());
+      Option.iter (fun f -> f t payload) t.on_established;
+      (* Frames queued while disconnected flush now, in order. *)
+      if t.st = Established then (
+        try flush t ~receive with Unix.Unix_error _ -> ())
+  | Established | Connecting | Closed -> t.on_frame t payload
+
+(* The stream ended under us: an accepted end is done, a dialer redials. *)
+and disconnected t =
+  match t.addr with
+  | None ->
+      if t.st <> Closed then begin
+        t.st <- Closed;
+        close_io t ~disconnected;
+        t.on_drop t
+      end
+  | Some _ ->
+      if t.st = Established then drop_established t
+      else if t.st <> Closed then retry t
 
 (* ------------------------------------------------------------------ *)
 (* Dialer lifecycle                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let rec start_connect t =
+and start_connect t =
   cancel_timer t;
   if t.st <> Closed then begin
     let addr = Option.get t.addr in
-    let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-    Unix.set_nonblock fd;
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true
-     with Unix.Unix_error _ -> ());
-    t.fd <- Some fd;
     t.st <- Connecting;
-    t.dec <- Frame.decoder ();
-    t.wbuf <- Bytes.empty;
-    t.woff <- 0;
-    Evloop.add_fd t.loop fd
-      ~on_readable:(fun () -> on_readable t fd)
-      ~on_writable:(fun () -> on_writable t fd);
     (* The whole connect + handshake must finish inside the deadline. *)
     t.timer <-
       Some
         (Evloop.after t.loop ~ms:handshake_timeout_ms (fun () ->
              t.timer <- None;
              if t.st = Connecting || t.st = Handshaking then retry t));
-    match Unix.connect fd addr with
-    | () -> on_connected t fd
-    | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _)
-      ->
-        Evloop.want_write t.loop fd true
-    | exception Unix.Unix_error _ -> retry t
+    match t.hub with
+    | Some hub -> (
+        match Hashtbl.find_opt hub addr with
+        | None -> retry t (* refused: nobody listens there *)
+        | Some accept ->
+            t.io <- Some (Pipe (accept t));
+            on_connected t)
+    | None -> (
+        let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+        Unix.set_nonblock fd;
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true
+         with Unix.Unix_error _ -> ());
+        let s = socket fd in
+        t.io <- Some (Socket s);
+        Evloop.add_fd t.loop fd
+          ~on_readable:(fun () -> on_readable t s)
+          ~on_writable:(fun () -> on_writable t s);
+        match Unix.connect fd addr with
+        | () -> on_connected t
+        | exception
+            Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) ->
+            Evloop.want_write t.loop fd true
+        | exception Unix.Unix_error _ -> retry t)
   end
 
 and retry t =
-  close_socket t;
+  close_io t ~disconnected;
   cancel_timer t;
   if t.st <> Closed then begin
     t.st <- Connecting;
@@ -251,104 +368,85 @@ and retry t =
    a peer that answers the hello and hangs up at once is redialed on the
    doubling schedule, not every [floor_ms]. *)
 and drop_established t =
-  close_socket t;
-  t.wbuf <- Bytes.empty;
-  t.woff <- 0;
+  close_io t ~disconnected;
   t.st <- Connecting;
-  if Clock.elapsed_ms ~since:t.up_since >= cap_ms then t.backoff_ms <- floor_ms;
-  if t.outage_since = None then t.outage_since <- Some (Clock.now_ms ());
+  let now = Evloop.now_ms t.loop in
+  if now -. t.up_since >= cap_ms then t.backoff_ms <- floor_ms;
+  if t.outage_since = None then t.outage_since <- Some now;
   t.on_drop t;
   retry t
 
-and on_connected t fd =
+and on_connected t =
   t.st <- Handshaking;
-  (match t.hello with
-  | Some hello ->
-      t.wbuf <- Frame.encode hello;
-      t.woff <- 0;
-      t.stats.frames_out <- t.stats.frames_out + 1
-  | None -> ());
-  (try flush_output t fd with Unix.Unix_error _ -> retry t)
+  t.stats.frames_out <- t.stats.frames_out + 1;
+  match (t.io, t.hello) with
+  | Some (Socket s), Some hello -> (
+      s.wbuf <- Frame.encode hello;
+      s.woff <- 0;
+      try flush_socket t s with Unix.Unix_error _ -> retry t)
+  | Some (Pipe peer), Some hello -> deliver t peer hello ~receive
+  | _ -> ()
 
-and on_writable t fd =
+and on_writable t s =
   match t.st with
   | Connecting -> (
-      match Unix.getsockopt_error fd with
-      | None -> on_connected t fd
+      match Unix.getsockopt_error s.fd with
+      | None -> on_connected t
       | Some _ -> retry t)
   | Handshaking | Established -> (
-      try flush_output t fd
-      with Unix.Unix_error _ ->
-        if t.st = Established then drop_established t else retry t)
+      try flush_socket t s with Unix.Unix_error _ -> disconnected t)
   | Closed -> ()
 
-and on_readable t fd =
-  let disconnected () =
-    if t.st = Established then drop_established t
-    else if t.st <> Closed then retry t
-  in
-  match Unix.read fd t.rbuf 0 (Bytes.length t.rbuf) with
-  | 0 -> disconnected ()
+and on_readable t s =
+  match Unix.read s.fd s.rbuf 0 (Bytes.length s.rbuf) with
+  | 0 -> disconnected t
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error _ -> disconnected ()
+  | exception Unix.Unix_error _ -> disconnected t
   | n ->
       t.stats.bytes_in <- t.stats.bytes_in + n;
-      Frame.feed t.dec t.rbuf ~off:0 ~len:n;
-      drain_frames t fd
+      Frame.feed s.dec s.rbuf ~off:0 ~len:n;
+      drain_frames t s
 
-and drain_frames t fd =
-  match Frame.next t.dec with
+and drain_frames t s =
+  match Frame.next s.dec with
   | Error _ ->
       (* Oversized length prefix: the stream cannot be resynchronized. *)
-      if t.st = Established then drop_established t
-      else if t.st <> Closed then retry t
+      disconnected t
   | Ok None -> ()
   | Ok (Some payload) ->
-      t.stats.frames_in <- t.stats.frames_in + 1;
-      (match t.st with
-      | Handshaking ->
-          cancel_timer t;
-          t.st <- Established;
-          t.up_since <- Clock.now_ms ();
-          (match t.outage_since with
-          | Some since ->
-              t.outage_since <- None;
-              t.stats.outages <- t.stats.outages + 1;
-              t.stats.last_outage_ms <- Clock.elapsed_ms ~since
-          | None -> ());
-          Option.iter (fun f -> f t payload) t.on_established;
-          (* Frames queued while disconnected flush now, in order. *)
-          if t.st = Established then (
-            try flush_output t fd with Unix.Unix_error _ -> ())
-      | Established | Connecting | Closed -> t.on_frame t payload);
-      if t.st <> Closed && t.fd = Some fd then drain_frames t fd
+      receive t payload;
+      if t.st <> Closed && on_socket t s then drain_frames t s
 
-let dial ~loop ~addr ~hello ?(stats = fresh_stats ()) ?backoff_seed ?shaper
+let make ~loop ~addr ~hub ~hello ~stats ~on_established ~on_frame ~on_drop
+    ~backoff_rng ~shaper ~io ~st =
+  {
+    loop;
+    addr;
+    hub;
+    hello;
+    stats;
+    on_established;
+    on_frame;
+    on_drop;
+    backoff_rng;
+    shaper;
+    outq = Queue.create ();
+    io;
+    st;
+    backoff_ms = floor_ms;
+    timer = None;
+    up_since = 0.;
+    reconnects = 0;
+    outage_since = None;
+  }
+
+let dial ~loop ~addr ~hello ?hub ?(stats = fresh_stats ()) ?backoff_seed ?shaper
     ~on_established ~on_frame ~on_drop () =
   let t =
-    {
-      loop;
-      addr = Some addr;
-      hello = Some hello;
-      stats;
-      on_established = Some on_established;
-      on_frame;
-      on_drop;
-      backoff_rng = Option.map Drbg.of_string backoff_seed;
-      shaper;
-      rbuf = Bytes.create 65536;
-      outq = Queue.create ();
-      fd = None;
-      st = Connecting;
-      dec = Frame.decoder ();
-      wbuf = Bytes.empty;
-      woff = 0;
-      backoff_ms = floor_ms;
-      timer = None;
-      up_since = 0.;
-      reconnects = 0;
-      outage_since = None;
-    }
+    make ~loop ~addr:(Some addr) ~hub ~hello:(Some hello) ~stats
+      ~on_established:(Some on_established) ~on_frame ~on_drop
+      ~backoff_rng:(Option.map Drbg.of_string backoff_seed)
+      ~shaper ~io:None ~st:Connecting
   in
   start_connect t;
   t
@@ -360,74 +458,35 @@ let dial ~loop ~addr ~hello ?(stats = fresh_stats ()) ?backoff_seed ?shaper
 let of_fd ~loop ~fd ?(stats = fresh_stats ()) ?shaper ~on_frame ~on_drop () =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  let s = socket fd in
   let t =
-    {
-      loop;
-      addr = None;
-      hello = None;
-      stats;
-      on_established = None;
-      on_frame;
-      on_drop;
-      backoff_rng = None;
-      shaper;
-      rbuf = Bytes.create 65536;
-      outq = Queue.create ();
-      fd = Some fd;
-      st = Established;
-      dec = Frame.decoder ();
-      wbuf = Bytes.empty;
-      woff = 0;
-      backoff_ms = floor_ms;
-      timer = None;
-      up_since = 0.;
-      reconnects = 0;
-      outage_since = None;
-    }
-  in
-  let teardown () =
-    if t.st <> Closed then begin
-      t.st <- Closed;
-      close_socket t;
-      t.on_drop t
-    end
+    make ~loop ~addr:None ~hub:None ~hello:None ~stats ~on_established:None
+      ~on_frame ~on_drop ~backoff_rng:None ~shaper ~io:(Some (Socket s))
+      ~st:Established
   in
   Evloop.add_fd loop fd
-    ~on_readable:(fun () ->
-      match Unix.read fd t.rbuf 0 (Bytes.length t.rbuf) with
-      | 0 -> teardown ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ()
-      | exception Unix.Unix_error _ -> teardown ()
-      | n -> (
-          t.stats.bytes_in <- t.stats.bytes_in + n;
-          Frame.feed t.dec t.rbuf ~off:0 ~len:n;
-          let rec drain () =
-            match Frame.next t.dec with
-            | Error _ -> teardown ()
-            | Ok None -> ()
-            | Ok (Some payload) ->
-                t.stats.frames_in <- t.stats.frames_in + 1;
-                t.on_frame t payload;
-                if t.st <> Closed then drain ()
-          in
-          drain ()))
-    ~on_writable:(fun () ->
-      try flush_output t fd with Unix.Unix_error _ -> teardown ());
+    ~on_readable:(fun () -> on_readable t s)
+    ~on_writable:(fun () -> on_writable t s);
   t
+
+let serve hub ~loop ~addr ?(stats = fresh_stats ()) ~on_accept ~on_frame
+    ~on_drop () =
+  Hashtbl.replace hub addr (fun dialer ->
+      let t =
+        make ~loop ~addr:None ~hub:(Some hub) ~hello:None ~stats
+          ~on_established:None ~on_frame ~on_drop ~backoff_rng:None
+          ~shaper:None ~io:(Some (Pipe dialer)) ~st:Established
+      in
+      on_accept t;
+      t)
 
 let close t =
   if t.st <> Closed then begin
     cancel_timer t;
     (* Give a final best-effort push to anything already queued (Bye
        frames at shutdown); a blocked socket just loses it. *)
-    (match t.fd with
-    | Some fd when t.st = Established -> (
-        try flush_output t fd with Unix.Unix_error _ -> ())
-    | _ -> ());
+    (if t.st = Established then try flush t ~receive with Unix.Unix_error _ -> ());
     t.st <- Closed;
-    close_socket t;
-    Queue.clear t.outq;
-    t.wbuf <- Bytes.empty;
-    t.woff <- 0
+    close_io t ~disconnected;
+    Queue.clear t.outq
   end

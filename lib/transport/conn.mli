@@ -1,4 +1,15 @@
-(** One framed TCP connection, as a state machine on the {!Evloop}.
+(** One framed connection, as a state machine on the {!Evloop}.
+
+    A connection runs over a TCP socket or, in the in-process
+    deployment, over an in-memory link on a {!hub}.  The state machine
+    is the same on both: dial, handshake, redial schedule, shaper,
+    send queue and {!stats} behave alike.  Only the medium differs.  On
+    a socket a frame is length-prefixed ({!Frame}), read through a
+    decoder and written in coalesced buffers.  In memory the payload
+    [bytes] the sender passed are what the receiver gets, one posted
+    loop task per frame, never inside {!send}; {!stats} still count the
+    bytes a socket would have carried.  Closing one end is an EOF at
+    the other, after every frame sent before it.
 
     Two flavours share the type:
 
@@ -11,13 +22,15 @@
       established queue and flush, in order, once the handshake
       completes, so a caller can treat [send] as fire-and-forget across a
       peer restart.
-    - an {e accepted} connection ([of_fd]) wraps a socket from
-      [Unix.accept]: established immediately, never reconnects; the
-      acceptor interprets the peer's hello itself as the first frame.
+    - an {e accepted} connection ([of_fd], or the end {!serve} creates
+      for each dialer) is established immediately and never
+      reconnects; the acceptor interprets the peer's hello itself as
+      the first frame.
 
     All sockets get [TCP_NODELAY] (a round is latency-bound on small
     frames) and are non-blocking; all I/O happens inside loop
-    callbacks. *)
+    callbacks.  Every time the connection reads — handshake bound,
+    backoff, shaper, outage length — is the loop's clock. *)
 
 type t
 
@@ -32,8 +45,8 @@ type stats = {
   mutable outages : int;
       (** established → lost → re-established cycles completed *)
   mutable last_outage_ms : float;
-      (** wall time the most recent completed outage lasted — the
-          recovery latency of a reconnect storm *)
+      (** how long the most recent completed outage lasted on the
+          loop's clock — the recovery latency of a reconnect storm *)
   mutable shaped_frames : int;  (** frames the link shaper delayed *)
   mutable shaped_delay_ms : float;  (** total emulated delay injected *)
 }
@@ -42,10 +55,17 @@ type stats = {
 
 val fresh_stats : unit -> stats
 
+type hub
+(** An in-process network: the addresses listening on it, each linking
+    a dialer to a fresh accepted end in memory. *)
+
+val hub : unit -> hub
+
 val dial :
   loop:Evloop.t ->
   addr:Unix.sockaddr ->
   hello:bytes ->
+  ?hub:hub ->
   ?stats:stats ->
   ?backoff_seed:string ->
   ?shaper:Shaper.t ->
@@ -87,20 +107,36 @@ val of_fd :
   unit ->
   t
 
+val serve :
+  hub ->
+  loop:Evloop.t ->
+  addr:Unix.sockaddr ->
+  ?stats:stats ->
+  on_accept:(t -> unit) ->
+  on_frame:(t -> bytes -> unit) ->
+  on_drop:(t -> unit) ->
+  unit ->
+  unit
+(** Listen on [addr] of the hub: each dial there creates an accepted
+    end with these callbacks and hands it to [on_accept] before any
+    frame arrives.  A later [serve] on the same address replaces this
+    one. *)
+
 val send : t -> bytes -> unit
 (** Queue one payload (framed internally).  On a dialed connection the
     queue survives reconnects — only a frame already partially on the
     wire when the socket died is dropped (the peer's view of it is
     unknowable; recovery is the round supervisor's retry).  On a closed
     connection this is a no-op.
-    @raise Invalid_argument if the payload exceeds {!Frame.max_payload}. *)
+    @raise Invalid_argument if the payload exceeds {!Frame.max_payload},
+    on either medium. *)
 
 val state : t -> state
 
 val queued : t -> int
 (** Buffers waiting to reach the wire (including any partial one).  A
-    lower bound on frames: the write path coalesces bursts of queued
-    frames into single buffers. *)
+    lower bound on frames: a socket's write path coalesces bursts of
+    queued frames into single buffers. *)
 
 val reconnects : t -> int
 

@@ -6,16 +6,29 @@ type t = {
   loop : Evloop.t;
   stats : Conn.stats;
   tel : Telemetry.t option;
+  hub : Conn.hub option;  (** [Some] in process: links in memory *)
 }
 
 let create ?telemetry () =
   (* A dying peer must be an EPIPE on its connection, not a fatal
      signal.  Idempotent; Windows has no SIGPIPE, hence the try. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-  { loop = Evloop.create (); stats = Conn.fresh_stats (); tel = telemetry }
+  { loop = Evloop.create (); stats = Conn.fresh_stats (); tel = telemetry;
+    hub = None }
+
+let in_process ?telemetry () =
+  {
+    loop = Evloop.create ~virtual_clock:true ();
+    stats = Conn.fresh_stats ();
+    tel = telemetry;
+    hub = Some (Conn.hub ());
+  }
 
 let loop t = t.loop
 let stats t = t.stats
+let now_ms t = Evloop.now_ms t.loop
+let skipped_ms t = Evloop.skipped_ms t.loop
+let sleep t ~ms = Evloop.sleep t.loop ~ms
 let run_once ?max_wait_ms t = Evloop.run_once ?max_wait_ms t.loop
 let run_until ?deadline_ms t pred = Evloop.run_until ?deadline_ms t.loop pred
 
@@ -40,9 +53,15 @@ let publish t =
 (* Listening                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type listener = Unix.file_descr
+type listener = Unix.file_descr option
 
-let listen t addr ?(backlog = 8) ~on_accept () =
+let listen t addr ?(backlog = 8) ~on_accept ~on_frame ~on_drop () =
+  match t.hub with
+  | Some hub ->
+      Conn.serve hub ~loop:t.loop ~addr ~stats:t.stats ~on_accept ~on_frame
+        ~on_drop ();
+      Ok None
+  | None -> (
   match
     let lfd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
     (try
@@ -56,7 +75,9 @@ let listen t addr ?(backlog = 8) ~on_accept () =
     Evloop.add_fd t.loop lfd
       ~on_readable:(fun () ->
         match Unix.accept lfd with
-        | fd, peer -> on_accept fd peer
+        | fd, _ ->
+            on_accept
+              (Conn.of_fd ~loop:t.loop ~fd ~stats:t.stats ~on_frame ~on_drop ())
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
           ->
             ()
@@ -64,11 +85,11 @@ let listen t addr ?(backlog = 8) ~on_accept () =
       ~on_writable:(fun () -> ());
     lfd
   with
-  | l -> Ok l
+  | l -> Ok (Some l)
   | exception Unix.Unix_error (err, fn, _) ->
       Error
         (Printf.sprintf "listen %s: %s in %s" (Addr.to_string addr)
-           (Unix.error_message err) fn)
+           (Unix.error_message err) fn))
 
 let dial t ~addr ~hello ?backoff_seed ?shaper ~on_established ~on_frame
     ~on_drop () =
@@ -78,5 +99,5 @@ let dial t ~addr ~hello ?backoff_seed ?shaper ~on_established ~on_frame
         Some (Shaper.create cfg)
     | Some _ | None -> None
   in
-  Conn.dial ~loop:t.loop ~addr ~hello ~stats:t.stats ?backoff_seed ?shaper
-    ~on_established ~on_frame ~on_drop ()
+  Conn.dial ~loop:t.loop ~addr ~hello ?hub:t.hub ~stats:t.stats ?backoff_seed
+    ?shaper ~on_established ~on_frame ~on_drop ()

@@ -2,21 +2,44 @@
     connections, aggregated wire counters, and the telemetry bridge.
 
     One way to hold a connection: callbacks on the loop.  A chain server
-    [listen]s for its upstream hop, and every process that dials a hop
-    (a server its successor, the coordinator the first server) does so
+    [listen]s for its upstream hop, and every tier that dials a hop (a
+    server its successor, the coordinator the first server) does so
     with [dial], through the core library's [Remote].  Frames are
     handled in loop callbacks, and everything is driven with
-    [run_once]/[run_until]. *)
+    [run_once]/[run_until].
+
+    An endpoint is either on sockets and the wall clock ({!create}: one
+    per process of a multi-process chain) or {!in_process}: every
+    server of an in-process chain and its coordinator share one
+    endpoint whose links pass frames in memory and whose loop runs on a
+    virtual clock ({!Evloop}), so stalls, graces and redials cost no
+    wall time and replay from the seed.  The API is the same. *)
 
 type t
 
 val create : ?telemetry:Vuvuzela_telemetry.Telemetry.t -> unit -> t
-(** Also ignores [SIGPIPE] process-wide: a peer death must surface as a
-    write error on that connection, not kill the process. *)
+(** Sockets on the wall clock.  Also ignores [SIGPIPE] process-wide: a
+    peer death must surface as a write error on that connection, not
+    kill the process. *)
+
+val in_process : ?telemetry:Vuvuzela_telemetry.Telemetry.t -> unit -> t
+(** In-memory links on a virtual clock.  Addresses are names on this
+    endpoint only: [listen] binds nothing and [dial] reaches the
+    endpoint's own listeners ({!Conn.serve}). *)
 
 val loop : t -> Evloop.t
 val stats : t -> Conn.stats
-(** Aggregated over every connection this endpoint created. *)
+(** Aggregated over every connection this endpoint created or
+    accepted. *)
+
+val now_ms : t -> float
+(** The loop's clock ({!Evloop.now_ms}). *)
+
+val skipped_ms : t -> float
+(** Virtual time skipped so far ({!Evloop.skipped_ms}). *)
+
+val sleep : t -> ms:float -> unit
+(** {!Evloop.sleep}: block on sockets, skip the clock in process. *)
 
 val run_once : ?max_wait_ms:float -> t -> unit
 val run_until : ?deadline_ms:float -> t -> (unit -> bool) -> bool
@@ -36,13 +59,17 @@ val listen :
   t ->
   Unix.sockaddr ->
   ?backlog:int ->
-  on_accept:(Unix.file_descr -> Unix.sockaddr -> unit) ->
+  on_accept:(Conn.t -> unit) ->
+  on_frame:(Conn.t -> bytes -> unit) ->
+  on_drop:(Conn.t -> unit) ->
   unit ->
   (listener, string) result
-(** Bind ([SO_REUSEADDR]) + listen, non-blocking.  [on_accept] receives
-    each raw accepted socket — wrap it with {!Conn.of_fd} to join the
-    framed world.  [Error] carries the bind/listen failure (the caller
-    decides whether a sandbox without sockets is fatal). *)
+(** Listen on [addr]: on sockets, bind ([SO_REUSEADDR]) + listen,
+    non-blocking.  Each accepted connection ({!Conn.of_fd}, or the
+    in-memory end) gets [on_frame] and [on_drop] and is handed to
+    [on_accept] before its first frame.  [Error] carries the
+    bind/listen failure (the caller decides whether a sandbox without
+    sockets is fatal). *)
 
 val dial :
   t ->

@@ -8,8 +8,9 @@ open Vuvuzela_dp
 open Vuvuzela
 module Fault = Vuvuzela_faults.Fault
 
-let make_net ?fault_plan ?tap ?round_deadline_ms ?(max_retries = 2)
-    ?(noise_mode = Noise.Deterministic) ?(seed = "fault-tests") () =
+let make_net ?fault_plan ?tap ?round_deadline_ms ?flap_grace_ms ?telemetry
+    ?(max_retries = 2) ?(noise_mode = Noise.Deterministic)
+    ?(seed = "fault-tests") () =
   let opt f v cfg = match v with None -> cfg | Some v -> f v cfg in
   Network.of_config
     Network.Config.(
@@ -20,7 +21,9 @@ let make_net ?fault_plan ?tap ?round_deadline_ms ?(max_retries = 2)
       |> with_max_retries max_retries
       |> opt with_fault_plan fault_plan
       |> opt with_tap tap
-      |> opt with_round_deadline_ms round_deadline_ms)
+      |> opt with_round_deadline_ms round_deadline_ms
+      |> opt with_flap_grace_ms flap_grace_ms
+      |> opt with_telemetry telemetry)
 
 let pair net =
   let a = Network.connect ~seed:"a" net in
@@ -378,6 +381,83 @@ let test_dial_failure_does_not_lose_caller () =
   in
   Alcotest.(check bool) "invitation survived the failed round" true b_called
 
+(* ------------------------------------------------------------------ *)
+(* One relay: in process, faults act as on the daemons                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Round [n] of a fresh pair under [plan], with its time on the wall
+   clock and on the chain's loop clock (all attempts); rounds before it
+   run clean. *)
+let faulted_round ?flap_grace_ms ?telemetry plan_s ~n =
+  let plan = Result.get_ok (Fault.parse plan_s) in
+  let net = make_net ~fault_plan:plan ?flap_grace_ms ?telemetry () in
+  let a, b = pair net in
+  Client.send a "through the fault";
+  let before = Network.run_rounds net (n - 1) in
+  let loop_ms () =
+    Vuvuzela_transport.Transport.now_ms
+      (Remote.transport (Chain.remote (Network.chain net)))
+  in
+  let t0 = Unix.gettimeofday () and l0 = loop_ms () in
+  let r = Network.run ~kind:Round.Conversation net in
+  let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
+  let round_ms = loop_ms () -. l0 in
+  let after = Network.run_rounds net 2 in
+  Network.shutdown net;
+  Alcotest.(check (list string))
+    (plan_s ^ ": the text arrives") [ "through the fault" ]
+    (delivered_texts ~to_:b (before @ (r :: after)));
+  (r, wall_ms, round_ms)
+
+let test_flap_costs_nothing () =
+  let tel = Vuvuzela_telemetry.Telemetry.create () in
+  let r, _, _ = faulted_round ~telemetry:tel "flap(0)@1:1" ~n:1 in
+  Alcotest.(check int) "one attempt" 1 r.Network.attempts;
+  let parked =
+    Vuvuzela_telemetry.Metrics.(
+      counter_value
+        (counter
+           (Vuvuzela_telemetry.Telemetry.metrics tel)
+           "vuvuzela_daemon_outbox_frames_total"))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "the reply waited in the outbox (%g frames)" parked)
+    true (parked >= 1.)
+
+(* The report's [elapsed_ms] is the successful retry's; the round's
+   time on the loop clock covers the failed attempt's grace too. *)
+let test_partition_waits_out_the_grace () =
+  let r, _, round_ms =
+    faulted_round ~flap_grace_ms:500. "partition(50)@1:1" ~n:1
+  in
+  Alcotest.(check int) "two attempts" 2 r.Network.attempts;
+  (match r.Network.aborts with
+  | [ st ] ->
+      Alcotest.(check string) "the link above answers" "link to server 1 lost"
+        st.Rpc.detail
+  | _ -> Alcotest.fail "expected one abort");
+  if round_ms < 500. then
+    Alcotest.failf "the round took %.1f ms, under the 500 ms grace" round_ms
+
+let test_virtual_waits_cost_no_wall_time () =
+  List.iter
+    (fun (plan_s, attempts) ->
+      let r, wall_ms, _ = faulted_round plan_s ~n:2 in
+      Alcotest.(check int) (plan_s ^ ": attempts") attempts r.Network.attempts;
+      if wall_ms >= 1_000. then
+        Alcotest.failf "%s: round took %.0f ms of wall time" plan_s wall_ms)
+    [ ("delay(3600000)@2:1", 1); ("crash@2:1", 2) ]
+
+let test_drop_without_deadline_ends () =
+  let r, _, _ = faulted_round "drop@2:1" ~n:2 in
+  match r.Network.aborts with
+  | [ st ] ->
+      Alcotest.(check string) "answered as a missed deadline" "deadline"
+        st.Rpc.stage;
+      Alcotest.(check bool) "retryable" true (Rpc.retryable st);
+      Alcotest.(check int) "the retry recovers" 2 r.Network.attempts
+  | _ -> Alcotest.fail "expected one abort"
+
 let suite =
   let tc = Alcotest.test_case in
   ( "faults",
@@ -401,4 +481,12 @@ let suite =
         test_dial_requeued_after_abort;
       tc "failed dialing round does not lose the caller" `Quick
         test_dial_failure_does_not_lose_caller;
+      tc "flap(0): one attempt, reply through the outbox" `Quick
+        test_flap_costs_nothing;
+      tc "partition(50): the 500 ms grace answers" `Quick
+        test_partition_waits_out_the_grace;
+      tc "hour stall and 2 s grace cost no wall time" `Quick
+        test_virtual_waits_cost_no_wall_time;
+      tc "drop with no deadline ends, retryable" `Quick
+        test_drop_without_deadline_ends;
     ] )

@@ -431,9 +431,9 @@ let test_identical_with_and_without_telemetry () =
     [ 1; 2; 4 ]
 
 (* Every (round, server) pair shows all six pipeline stages (real or
-   zero-duration marker), hanging off that round's root span; the
-   coordinator contributes client-build/client-decrypt; and the whole
-   trace passes the JSONL schema checker. *)
+   zero-duration marker) and one hop span, all reaching that round's
+   root span; the coordinator contributes client-build/client-decrypt;
+   and the whole trace passes the JSONL schema checker. *)
 let test_stage_coverage () =
   let tel = Telemetry.create () in
   ignore (run_deployment ~telemetry:tel ~jobs:2 ());
@@ -481,21 +481,47 @@ let test_stage_coverage () =
   in
   check_coverage ~dialing:false conv_rounds;
   check_coverage ~dialing:true dial_rounds;
-  (* Stage spans parent into their round's root span. *)
-  let roots =
-    List.filter_map
-      (fun sp ->
-        if sp.Trace.name = "conv-round" || sp.Trace.name = "dial-round" then
-          Some sp.Trace.id
-        else None)
-      spans
+  (* Every server span reaches its round's root through its parents
+     (stages hang off their server's hop span, each hop off the one
+     upstream of it), and each server opens one hop span per round. *)
+  let by_id = Hashtbl.create 256 in
+  List.iter (fun sp -> Hashtbl.replace by_id sp.Trace.id sp) spans;
+  let is_root sp = sp.Trace.name = "conv-round" || sp.Trace.name = "dial-round" in
+  let rec root_of sp =
+    match Option.bind sp.Trace.parent (Hashtbl.find_opt by_id) with
+    | Some p when is_root p -> Some p
+    | Some p -> root_of p
+    | None -> None
   in
   List.iter
     (fun sp ->
       if sp.Trace.server >= 0 then
-        match sp.Trace.parent with
-        | Some p when List.mem p roots -> ()
-        | _ -> Alcotest.failf "stage %s not under a round root" sp.Trace.name)
+        match root_of sp with
+        | Some root
+          when root.Trace.round = sp.Trace.round
+               && root.Trace.dialing = sp.Trace.dialing ->
+            ()
+        | _ ->
+            Alcotest.failf "%s of server %d, round %d, not under its round root"
+              sp.Trace.name sp.Trace.server sp.Trace.round)
+    spans;
+  List.iter
+    (fun root ->
+      if is_root root then
+        for server = 0 to 2 do
+          let hops =
+            List.filter
+              (fun sp ->
+                sp.Trace.name = "hop" && sp.Trace.server = server
+                && sp.Trace.round = root.Trace.round
+                && sp.Trace.dialing = root.Trace.dialing)
+              spans
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "hop spans of server %d in %s %d" server
+               root.Trace.name root.Trace.round)
+            1 (List.length hops)
+        done)
     spans;
   (match Trace.validate_jsonl (Trace.to_jsonl (Telemetry.trace tel)) with
   | Ok () -> ()

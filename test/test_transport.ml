@@ -4,7 +4,9 @@
    every offset, many frames coalesced into one read — and reject
    oversized or truncated input with a typed error, never an allocation
    proportional to attacker-chosen lengths.  Then a dialed connection's
-   redial schedule, against loopback listeners on the test's own loop. *)
+   redial schedule, against loopback listeners on the test's own loop,
+   and the in-memory link of the in-process endpoint on its virtual
+   clock. *)
 
 open Vuvuzela_crypto
 module Frame = Vuvuzela_transport.Frame
@@ -12,6 +14,8 @@ module Addr = Vuvuzela_transport.Addr
 module Conn = Vuvuzela_transport.Conn
 module Evloop = Vuvuzela_transport.Evloop
 module Clock = Vuvuzela_transport.Clock
+module Transport = Vuvuzela_transport.Transport
+module Shaper = Vuvuzela_transport.Shaper
 module Wire = Vuvuzela_mixnet.Wire
 open Vuvuzela
 
@@ -294,6 +298,127 @@ let test_hangup_peer_backs_off () =
             Alcotest.failf "established %d time(s): the dialer stopped redialing"
               !established))
 
+(* ------------------------------------------------------------------ *)
+(* The in-memory link                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let mem_addr = Unix.ADDR_UNIX "mem-listener"
+
+(* An in-process endpoint whose listener answers each hello with
+   "welcome" and records what else arrives; [accepted] holds its ends,
+   newest first. *)
+let mem_endpoint () =
+  let tp = Transport.in_process () in
+  let accepted = ref [] and received = ref [] and drops = ref 0 in
+  let listen () =
+    ignore
+      (Transport.listen tp mem_addr
+         ~on_accept:(fun c -> accepted := c :: !accepted)
+         ~on_frame:(fun c payload ->
+           match Bytes.to_string payload with
+           | "hello" -> Conn.send c (Bytes.of_string "welcome")
+           | p -> received := p :: !received)
+         ~on_drop:(fun _ -> incr drops)
+         ())
+  in
+  (tp, listen, accepted, received, drops)
+
+let mem_dial ?shaper ?(on_frame = fun _ _ -> ()) ?(on_drop = ignore) tp =
+  Transport.dial tp ~addr:mem_addr ~hello:(Bytes.of_string "hello") ?shaper
+    ~on_established:(fun _ _ -> ()) ~on_frame ~on_drop ()
+
+(* Refused at once with nobody listening, then redialed at 1, 3, 7,
+   ..., 127 ms of virtual time: 8 refusals in the first 200 ms, as on a
+   socket, and no wall time spent waiting.  A listener that appears is
+   found by the next redial. *)
+let test_mem_redial_schedule () =
+  let tp, listen, _, _, _ = mem_endpoint () in
+  let t0 = Unix.gettimeofday () and l0 = Transport.now_ms tp in
+  let conn = mem_dial tp in
+  ignore (Transport.run_until ~deadline_ms:200. tp (fun () -> false));
+  Alcotest.(check int) "refusals in 200 ms" 8 (Conn.reconnects conn);
+  Alcotest.(check bool) "200 ms passed on the loop's clock" true
+    (Transport.now_ms tp -. l0 >= 200.);
+  if Unix.gettimeofday () -. t0 > 0.1 then
+    Alcotest.fail "the virtual clock slept on the wall clock";
+  listen ();
+  Alcotest.(check bool) "established once a listener appears" true
+    (Transport.run_until ~deadline_ms:1_000. tp (fun () ->
+         Conn.state conn = Conn.Established))
+
+(* Closing either end reaches the other as an EOF: an accepted end
+   drops, a dialer drops and redials. *)
+let test_mem_close_is_eof () =
+  let tp, listen, accepted, _, drops = mem_endpoint () in
+  listen ();
+  let dialer_drops = ref 0 in
+  let conn = mem_dial tp ~on_drop:(fun _ -> incr dialer_drops) in
+  let established () = Conn.state conn = Conn.Established in
+  Alcotest.(check bool) "established" true (Transport.run_until tp established);
+  Conn.close (List.hd !accepted);
+  Alcotest.(check bool) "the dialer sees the EOF" true
+    (Transport.run_until tp (fun () -> !dialer_drops = 1));
+  Alcotest.(check bool) "and redials" true
+    (Transport.run_until ~deadline_ms:1_000. tp established);
+  Alcotest.(check int) "a second accepted end" 2 (List.length !accepted);
+  Conn.close conn;
+  Alcotest.(check bool) "the accepted end sees the EOF" true
+    (Transport.run_until tp (fun () -> !drops = 1));
+  Alcotest.(check bool) "its state is closed" true
+    (Conn.state (List.hd !accepted) = Conn.Closed)
+
+(* Frames arrive in send order, each as the payload sent (no framing on
+   this medium), on a later dispatch: never inside [send]. *)
+let test_mem_ordered_never_inside_send () =
+  let tp, listen, _, received, _ = mem_endpoint () in
+  listen ();
+  let conn = mem_dial tp in
+  let sent = List.init 50 (fun i -> Printf.sprintf "frame %d" i) in
+  List.iter
+    (fun p ->
+      Conn.send conn (Bytes.of_string p);
+      Alcotest.(check int) "nothing delivered inside send" 0
+        (List.length !received))
+    sent;
+  Alcotest.(check bool) "all delivered" true
+    (Transport.run_until tp (fun () -> List.length !received = 50));
+  Alcotest.(check (list string)) "in order" sent (List.rev !received);
+  let s = Transport.stats tp in
+  Alcotest.(check int) "counted as framed socket bytes, both ways"
+    s.Conn.bytes_out s.Conn.bytes_in;
+  Alcotest.(check bool) "hello, welcome and 50 frames" true
+    (s.Conn.frames_in = 52 && s.Conn.frames_out = 52)
+
+(* A shaped link holds each frame back on the loop's virtual clock: the
+   frame lands 50 ms of loop time after it was sent, in no wall time. *)
+let test_mem_shaper_virtual () =
+  let tp = Transport.in_process () in
+  let arrived = ref None in
+  ignore
+    (Transport.listen tp mem_addr ~on_accept:ignore
+       ~on_frame:(fun c payload ->
+         if Bytes.to_string payload = "hello" then
+           Conn.send c (Bytes.of_string "welcome")
+         else arrived := Some (Transport.now_ms tp))
+       ~on_drop:ignore ());
+  let conn =
+    mem_dial tp ~shaper:(Shaper.config ~latency_ms:50. ())
+  in
+  Alcotest.(check bool) "established" true
+    (Transport.run_until tp (fun () -> Conn.state conn = Conn.Established));
+  let t0 = Unix.gettimeofday () and sent_at = Transport.now_ms tp in
+  Conn.send conn (Bytes.of_string "ping");
+  Alcotest.(check bool) "delivered" true
+    (Transport.run_until tp (fun () -> !arrived <> None));
+  let waited = Option.get !arrived -. sent_at in
+  if waited < 50. then
+    Alcotest.failf "the frame landed %.1f ms after its send, want >= 50" waited;
+  let s = Transport.stats tp in
+  Alcotest.(check int) "one frame shaped" 1 s.Conn.shaped_frames;
+  Alcotest.(check (float 1e-9)) "its 50 ms counted" 50. s.Conn.shaped_delay_ms;
+  if Unix.gettimeofday () -. t0 > 0.04 then
+    Alcotest.fail "the shaper's delay was spent on the wall clock"
+
 let suite =
   ( "transport",
     [
@@ -314,4 +439,12 @@ let suite =
         test_redial_from_floor;
       Alcotest.test_case "hang-up peer is redialed on the backoff" `Quick
         test_hangup_peer_backs_off;
+      Alcotest.test_case "in memory: refused dial redials on schedule" `Quick
+        test_mem_redial_schedule;
+      Alcotest.test_case "in memory: close is an EOF at the other end" `Quick
+        test_mem_close_is_eof;
+      Alcotest.test_case "in memory: ordered, never inside send" `Quick
+        test_mem_ordered_never_inside_send;
+      Alcotest.test_case "in memory: shaper on the virtual clock" `Quick
+        test_mem_shaper_virtual;
     ] )

@@ -154,7 +154,7 @@ let histogram (t : t) =
 
 module Invitation = struct
   type store = {
-    mutable drops : bytes list array; (* newest first *)
+    drops : bytes list array; (* each drop in serving order, reversed *)
     counts : int array;  (* per-index size, tracked at put so [size] is O(1) *)
     mutable total_invitations : int;
   }
@@ -186,6 +186,15 @@ module Invitation = struct
       s.counts.(index) <- s.counts.(index) + 1;
       s.total_invitations <- s.total_invitations + 1
     end
+
+  (* A drop filed in arrival order tells the public which path each of
+     its invitations took: a malicious previous hop that slips its own
+     noise between client onions learns which drop each client's
+     invitation reached.  Byte order shows nothing of arrival. *)
+  let seal s =
+    Array.iteri
+      (fun i drop -> s.drops.(i) <- List.sort (fun a b -> Bytes.compare b a) drop)
+      s.drops
 
   (* Clients download their whole drop and trial-decrypt (§5.1). *)
   let fetch s ~index =

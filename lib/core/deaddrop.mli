@@ -51,8 +51,16 @@ module Invitation : sig
   val put : store -> index:int -> bytes -> unit
   (** Append an invitation; writes to {!Types.noop_drop} are discarded. *)
 
+  val seal : store -> unit
+  (** Serve each drop in invitation byte order from now on: the order of
+      a published drop then reveals nothing of the order (or path) in
+      which its invitations arrived.  The last server seals each round's
+      store once it has filed everything, its own noise included.
+      Draws nothing from any DRBG. *)
+
   val fetch : store -> index:int -> bytes list
-  (** All invitations in arrival order (clients trial-decrypt each). *)
+  (** All invitations of a drop (clients trial-decrypt each): in byte
+      order once {!seal}ed, in arrival order before. *)
 
   val size : store -> index:int -> int
   (** O(1): per-index counts are tracked at {!put} time. *)

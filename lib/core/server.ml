@@ -610,11 +610,13 @@ let dial_finish_deliver t st ~m =
           (fun chunk -> Dialing.noise_invitations (Array.map snd chunk))
           draws
       in
-      (* Filed in draw order, the order [fetch] serves. *)
       Array.iteri
         (fun i (index, _) ->
           Deaddrop.Invitation.put store ~index invitations.(i))
         draws);
+  (* Once per round, everything filed: each drop is published in byte
+     order, whatever order its invitations arrived in. *)
+  Deaddrop.Invitation.seal store;
   Telemetry.mark t.tel ~name:"shuffle" ~round ~server:pos ~dialing:true ();
   Telemetry.mark t.tel ~name:"unpeel" ~round ~server:pos ~dialing:true ();
   t.invitations <-

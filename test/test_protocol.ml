@@ -394,6 +394,34 @@ let test_invitation_store () =
   Alcotest.check_raises "bad index" (Invalid_argument "Invitation.put: bad drop index")
     (fun () -> Deaddrop.Invitation.put s ~index:7 Bytes.empty)
 
+(* A malicious previous hop can file its own invitation [k] between two
+   client invitations.  Sealed, the drop is served in byte order whatever
+   the arrival order, so its position tells nothing: every arrival order
+   of the three serves the same list, sorted, and a permutation of what
+   was filed. *)
+let test_invitation_drop_canonical () =
+  let a = Bytes.of_string "\x10client-a"
+  and k = Bytes.of_string "\x80known"
+  and b = Bytes.of_string "\x33client-b" in
+  let served order =
+    let s = Deaddrop.Invitation.create ~m:2 in
+    List.iter (Deaddrop.Invitation.put s ~index:1) order;
+    Deaddrop.Invitation.put s ~index:0 (Bytes.of_string "other");
+    Deaddrop.Invitation.seal s;
+    Alcotest.(check (list string)) "the other drop" [ "other" ]
+      (List.map Bytes.to_string (Deaddrop.Invitation.fetch s ~index:0));
+    List.map Bytes.to_string (Deaddrop.Invitation.fetch s ~index:1)
+  in
+  let sorted = List.sort compare (List.map Bytes.to_string [ a; k; b ]) in
+  List.iter
+    (fun order ->
+      let got = served order in
+      Alcotest.(check (list string)) "served in byte order" sorted got;
+      Alcotest.(check (list string)) "a permutation of what was filed"
+        (List.sort compare (List.map Bytes.to_string order))
+        (List.sort compare got))
+    [ [ a; k; b ]; [ k; a; b ]; [ a; b; k ]; [ b; k; a ]; [ k; b; a ]; [ b; a; k ] ]
+
 let test_invitation_index_stable () =
   let m = 16 in
   let i1 = Deaddrop.Invitation.index_of ~m alice.Types.public in
@@ -457,6 +485,8 @@ let suite =
       tc "deaddrop triple access" `Quick test_deaddrop_triple_access;
       tc "deaddrop clear" `Quick test_deaddrop_clear;
       tc "invitation store" `Quick test_invitation_store;
+      tc "sealed drops served in byte order" `Quick
+        test_invitation_drop_canonical;
       tc "invitation index stable" `Quick test_invitation_index_stable;
     ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props

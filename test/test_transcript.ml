@@ -162,10 +162,10 @@ let invitation_store_digest ~jobs kind =
   (!filed, Bytes_util.to_hex (Sha256.get h))
 
 let pinned_plain_store =
-  (78, "e5278432dfe70678c2a0cbd5cf5db31e82dab094db98410fa32e2125fb47de02")
+  (78, "fe79de03e4d2ecfd9dd8cfca6f414e15d0be9df7a52ae796c77ff1bf090216a6")
 
 let pinned_certified_store =
-  (78, "09f6c1c55249b17ad6e7607848fafbdc4c3d6433bacc283a67385b1c148162cb")
+  (78, "a3adbcf3ff6421838a63a46fcfdd26db0f8070dd7042d1ac81016aa41c05e642")
 
 let test_pinned_invitation_store () =
   List.iter
@@ -204,6 +204,20 @@ let test_filed_invitations_start_with_keys () =
         (invitation_store ~jobs:1 kind))
     [ ("plain", Vuvuzela.Dialing.Plain); ("certified", Vuvuzela.Dialing.Certified) ]
 
+(* The last server seals each round's store: every drop a real dialing
+   round published is served in byte order. *)
+let test_published_drops_in_byte_order () =
+  List.iter
+    (fun (what, kind) ->
+      List.iteri
+        (fun index drop ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s drop %d in byte order" what index)
+            true
+            (drop = List.sort Bytes.compare drop))
+        (invitation_store ~jobs:1 kind))
+    [ ("plain", Vuvuzela.Dialing.Plain); ("certified", Vuvuzela.Dialing.Certified) ]
+
 let suite =
   ( "transcript",
     [
@@ -223,4 +237,6 @@ let suite =
         test_pinned_invitation_store;
       Alcotest.test_case "filed invitations start with keys" `Quick
         test_filed_invitations_start_with_keys;
+      Alcotest.test_case "published drops in byte order" `Quick
+        test_published_drops_in_byte_order;
     ] )

@@ -7,12 +7,7 @@ module Pool = Vuvuzela_parallel.Pool
 module Fault = Vuvuzela_faults.Fault
 module Transport = Vuvuzela_transport.Transport
 
-let log_src = Logs.Src.create "vuvuzela.chain" ~doc:"In-process chain servers"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type t = {
-  tp : Transport.t;  (** the in-memory endpoint every link runs on *)
   daemons : Daemon.t array;  (** one per server, in chain order *)
   remote : Remote.t;  (** the coordinator's link to server 0 *)
   pool : Pool.t option;  (** shared by all servers; [None] ⇒ sequential *)
@@ -40,7 +35,6 @@ let of_config (cfg : Config.t) =
   for i = n - 1 downto 0 do
     match
       Daemon.start tp ?pool ?faults
-        ~log:(fun m -> Log.debug (fun f -> f "server %d: %s" i m))
         {
           Daemon.listen = addr i;
           next = (if i = n - 1 then None else Some (addr (i + 1)));
@@ -65,7 +59,7 @@ let of_config (cfg : Config.t) =
       Remote.set_pipeline remote (Config.part_chunk cfg);
       (* The handshake reply comes only once every server has its keys,
          so every daemon's server exists now. *)
-      { tp; daemons; remote; pool; faults; shut_down = false }
+      { daemons; remote; pool; faults; shut_down = false }
 
 let length t = Array.length t.daemons
 let server t i = Option.get (Daemon.server t.daemons.(i))
@@ -117,13 +111,7 @@ let dialing_round_exn t ~round ~m requests =
 let fetch_invitations ?dial_round t ~index =
   Server.fetch_invitations ?dial_round (last t) ~index
 
-(* The abort cascades hop to hop like any frame; pumping one dispatch
-   per link lands it on every server before this returns. *)
-let abort t ~kind ~round =
-  Remote.abort t.remote ~kind ~round;
-  for _ = 0 to length t do
-    Transport.run_once ~max_wait_ms:0. t.tp
-  done
+let abort t ~kind ~round = Remote.abort t.remote ~kind ~round
 
 (* §5.4: "The first server then informs clients of the value of m for a
    given dialing round" — surfaced here for the coordinator. *)

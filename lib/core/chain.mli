@@ -111,10 +111,10 @@ val fetch_invitations : ?dial_round:int -> t -> index:int -> bytes list
     reaches any round inside the last server's retention window. *)
 
 val abort : t -> kind:Round.kind -> round:int -> unit
-(** Send the [Abort] down the chain ({!Remote.abort}) and let it land:
-    every server discards the round's state, so a retry (under a fresh
-    round number, with freshly drawn noise) starts clean; a dialing
-    round also loses its invitation store. *)
+(** Send the [Abort] down the chain ({!Remote.abort}): every server
+    discards the round's state before the next round's frames reach it,
+    so a retry (under a fresh round number, with freshly drawn noise)
+    starts clean; a dialing round also loses its invitation store. *)
 
 val proposed_m : t -> int
 (** The last server's recommended invitation-drop count (§5.4). *)

@@ -187,10 +187,9 @@ module Invitation = struct
       s.total_invitations <- s.total_invitations + 1
     end
 
-  (* A drop filed in arrival order tells the public which path each of
-     its invitations took: a malicious previous hop that slips its own
-     noise between client onions learns which drop each client's
-     invitation reached.  Byte order shows nothing of arrival. *)
+  (* In arrival order, a malicious previous hop that slips its own noise
+     between client onions would learn which drop each client's
+     invitation reached. *)
   let seal s =
     Array.iteri
       (fun i drop -> s.drops.(i) <- List.sort (fun a b -> Bytes.compare b a) drop)

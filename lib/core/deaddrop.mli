@@ -52,11 +52,9 @@ module Invitation : sig
   (** Append an invitation; writes to {!Types.noop_drop} are discarded. *)
 
   val seal : store -> unit
-  (** Serve each drop in invitation byte order from now on: the order of
-      a published drop then reveals nothing of the order (or path) in
-      which its invitations arrived.  The last server seals each round's
-      store once it has filed everything, its own noise included.
-      Draws nothing from any DRBG. *)
+  (** Serve each drop in invitation byte order from now on, so a
+      published drop reveals nothing of the order its invitations
+      arrived in.  Draws nothing from any DRBG. *)
 
   val fetch : store -> index:int -> bytes list
   (** All invitations of a drop (clients trial-decrypt each): in byte

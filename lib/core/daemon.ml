@@ -439,8 +439,10 @@ let routes st =
 
 (* The chain has exactly one upstream; a new connection replaces a dead
    (or superseded) predecessor. *)
-let accept_upstream st conn =
-  st.log "upstream connection";
+let accept_upstream st conn peer =
+  st.log
+    (Printf.sprintf "upstream connection from %s"
+       (Vuvuzela_transport.Addr.to_string peer));
   Option.iter Conn.close st.upstream;
   st.handshake <- Awaiting_hello;
   st.upstream <- Some conn

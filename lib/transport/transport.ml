@@ -58,8 +58,9 @@ type listener = Unix.file_descr option
 let listen t addr ?(backlog = 8) ~on_accept ~on_frame ~on_drop () =
   match t.hub with
   | Some hub ->
-      Conn.serve hub ~loop:t.loop ~addr ~stats:t.stats ~on_accept ~on_frame
-        ~on_drop ();
+      Conn.serve hub ~loop:t.loop ~addr ~stats:t.stats
+        ~on_accept:(fun c -> on_accept c addr)
+        ~on_frame ~on_drop ();
       Ok None
   | None -> (
   match
@@ -75,9 +76,10 @@ let listen t addr ?(backlog = 8) ~on_accept ~on_frame ~on_drop () =
     Evloop.add_fd t.loop lfd
       ~on_readable:(fun () ->
         match Unix.accept lfd with
-        | fd, _ ->
+        | fd, peer ->
             on_accept
               (Conn.of_fd ~loop:t.loop ~fd ~stats:t.stats ~on_frame ~on_drop ())
+              peer
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
           ->
             ()

@@ -59,7 +59,7 @@ val listen :
   t ->
   Unix.sockaddr ->
   ?backlog:int ->
-  on_accept:(Conn.t -> unit) ->
+  on_accept:(Conn.t -> Unix.sockaddr -> unit) ->
   on_frame:(Conn.t -> bytes -> unit) ->
   on_drop:(Conn.t -> unit) ->
   unit ->
@@ -67,7 +67,8 @@ val listen :
 (** Listen on [addr]: on sockets, bind ([SO_REUSEADDR]) + listen,
     non-blocking.  Each accepted connection ({!Conn.of_fd}, or the
     in-memory end) gets [on_frame] and [on_drop] and is handed to
-    [on_accept] before its first frame.  [Error] carries the
+    [on_accept] before its first frame, with the peer's address (in
+    memory, the listening one).  [Error] carries the
     bind/listen failure (the caller decides whether a sandbox without
     sockets is fatal). *)
 

@@ -1106,7 +1106,9 @@ let fork_fake_hop port answer =
         | Error _ -> ()
       in
       (match
-         Transport.listen tp (Addr.loopback ~port) ~on_accept:ignore ~on_frame
+         Transport.listen tp (Addr.loopback ~port)
+           ~on_accept:(fun _ _ -> ())
+           ~on_frame
            ~on_drop:(fun _ -> stop := true)
            ()
        with

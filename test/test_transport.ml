@@ -313,7 +313,7 @@ let mem_endpoint () =
   let listen () =
     ignore
       (Transport.listen tp mem_addr
-         ~on_accept:(fun c -> accepted := c :: !accepted)
+         ~on_accept:(fun c _ -> accepted := c :: !accepted)
          ~on_frame:(fun c payload ->
            match Bytes.to_string payload with
            | "hello" -> Conn.send c (Bytes.of_string "welcome")
@@ -395,7 +395,7 @@ let test_mem_shaper_virtual () =
   let tp = Transport.in_process () in
   let arrived = ref None in
   ignore
-    (Transport.listen tp mem_addr ~on_accept:ignore
+    (Transport.listen tp mem_addr ~on_accept:(fun _ _ -> ())
        ~on_frame:(fun c payload ->
          if Bytes.to_string payload = "hello" then
            Conn.send c (Bytes.of_string "welcome")

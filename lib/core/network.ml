@@ -40,9 +40,9 @@ module Config = Config
 type t = {
   remote : Remote.t;  (** the link every round crosses, in either tier *)
   local : Chain.t option;
-      (** the in-process chain behind [remote]; [None] over TCP.  Only
-          §5.4 auto-tuning reads it: the wire protocol does not carry
-          the last server's [proposed_m] *)
+      (** the in-process chain behind [remote] ([None] over TCP), for
+          [chain], [jobs], [shutdown] and §5.4 auto-tuning: the wire
+          protocol does not carry the last server's [proposed_m] *)
   tel : Telemetry.t option;
       (** shared with the chain and its servers; [None] is the nil sink *)
   clients : (bytes, Client.t) Hashtbl.t;  (** keyed by public key *)

@@ -82,20 +82,18 @@ let pending_faults t =
 
 let public_keys t = Remote.public_keys t.remote
 
-let round_streamed t ~kind ~m ~round ~produce =
-  Remote.round_streamed t.remote ~kind ~m ~round ~produce
-
 let conversation_round_streamed t ~round ~produce =
-  round_streamed t ~kind:Round.Conversation ~m:0 ~round ~produce
+  Remote.conversation_round_streamed t.remote ~round ~produce
 
 let dialing_round_streamed t ~round ~m ~produce =
-  round_streamed t ~kind:Round.Dialing ~m ~round ~produce
+  Remote.dialing_round_streamed t.remote ~round ~m ~produce
 
 (* Convenience for callers that hold the whole batch and treat a framing
    failure as fatal. *)
 let round_exn t ~kind ~m ~round requests =
   match
-    round_streamed t ~kind ~m ~round ~produce:(fun feed -> feed requests)
+    Remote.round_streamed t.remote ~kind ~m ~round
+      ~produce:(fun feed -> feed requests)
   with
   | Ok replies -> replies
   | Error st -> failwith (Format.asprintf "Chain: %a" Rpc.pp_status st)
@@ -110,8 +108,6 @@ let dialing_round_exn t ~round ~m requests =
    the chain's links. *)
 let fetch_invitations ?dial_round t ~index =
   Server.fetch_invitations ?dial_round (last t) ~index
-
-let abort t ~kind ~round = Remote.abort t.remote ~kind ~round
 
 (* §5.4: "The first server then informs clients of the value of m for a
    given dialing round" — surfaced here for the coordinator. *)

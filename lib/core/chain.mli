@@ -65,32 +65,12 @@ val pending_faults : t -> int
 val public_keys : t -> bytes list
 (** In chain order; clients wrap onions against these. *)
 
-val round_streamed :
-  t ->
-  kind:Round.kind ->
-  m:int ->
-  round:int ->
-  produce:((bytes array -> unit) -> unit) ->
-  (bytes array, Rpc.status) result
-(** {!Remote.round_streamed} on the chain's link, for either kind ([m]
-    invitation drops; ignored for conversation rounds): [produce feed]
-    pushes the batch as slot-ordered chunks (a streaming {!Entry}
-    collector's sink) and returns when the intake is complete.  Each
-    chunk is normalized by {!Entry.normalize} and leaves for server 0
-    as it is fed, and server 0 peels early parts while the producer
-    builds later ones, so no tier materializes the whole onion batch.
-    Results depend only on the chunk concatenation.  The result array
-    is slot-aligned with the fed requests; [Error] carries the typed
-    status a server or link answered with, or the retryable
-    {!Rpc.deadline_exceeded} when the loop went idle with no reply on
-    its way. *)
-
 val conversation_round_streamed :
   t ->
   round:int ->
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
-(** {!round_streamed} for a conversation round. *)
+(** {!Remote.conversation_round_streamed} on the chain's link. *)
 
 val dialing_round_streamed :
   t ->
@@ -98,6 +78,7 @@ val dialing_round_streamed :
   m:int ->
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
+(** {!Remote.dialing_round_streamed} on the chain's link. *)
 
 val conversation_round_exn : t -> round:int -> bytes array -> bytes array
 (** A conversation round on a materialized batch (one producer chunk),
@@ -109,12 +90,6 @@ val fetch_invitations : ?dial_round:int -> t -> index:int -> bytes list
 (** A direct read of the last server's store, not crossing the links.
     Defaults to the most recent dialing round's store; [?dial_round]
     reaches any round inside the last server's retention window. *)
-
-val abort : t -> kind:Round.kind -> round:int -> unit
-(** Send the [Abort] down the chain ({!Remote.abort}): every server
-    discards the round's state before the next round's frames reach it,
-    so a retry (under a fresh round number, with freshly drawn noise)
-    starts clean; a dialing round also loses its invitation store. *)
 
 val proposed_m : t -> int
 (** The last server's recommended invitation-drop count (§5.4). *)

@@ -5,12 +5,12 @@
    one thread.  Each link carries one round at a time (its batch as
    ordered parts down, one results frame up), so the daemon is a state
    machine over three events — upstream accept, upstream frame, and a
-   reply from its downstream link — and batches arrive through its
-   {!Hop}.  The downstream link is a {!Remote}, the coordinator's link
-   end: it owns the handshake's keys, the round in flight and the flap
-   grace.  The same code runs a server process on sockets ({!run}) and
-   each server of the in-process chain on the chain's shared loop
-   ({!start}). *)
+   reply from its downstream link — and a round's parts peel into its
+   one [ingress] as they land.  The downstream link is a {!Remote}, the
+   coordinator's link end: it owns the handshake's keys, the round in
+   flight and the flap grace.  The same code runs a server process on
+   sockets ({!run}) and each server of the in-process chain on the
+   chain's shared loop ({!start}). *)
 
 module Transport = Vuvuzela_transport.Transport
 module Conn = Vuvuzela_transport.Conn
@@ -44,6 +44,18 @@ type handshake =
   | Hello_pending  (** upstream said Hello before our own keys existed *)
   | Answered  (** the Chain_info reply is sent; replies may follow *)
 
+(* The round now arriving: its faults fired at part 0, and each part
+   peels into [stream] as it lands. *)
+type ingress = {
+  kind : Round.kind;
+  round : int;
+  m : int;  (** dialing rounds, as part 0 decoded; [0] for conversation *)
+  stream : Server.stream;
+  mutable seq : int;  (** the next part expected *)
+  mutable off : int;  (** onions fed so far = absolute slot of the next *)
+  mutable tampers : int list;  (** [Tamper] slots not yet reached *)
+}
+
 type t = {
   cfg : config;
   tp : Transport.t;
@@ -52,7 +64,8 @@ type t = {
   pool : Pool.t option;  (** shared with the other servers in process *)
   faults : Fault.injector option;
   started_ms : float;
-  mutable hop : Hop.t option;  (** once the downstream keys are known *)
+  mutable server : Server.t option;  (** once the downstream keys are known *)
+  mutable ingress : ingress option;  (** from part 0 to the last part *)
   mutable upstream : Conn.t option;
   mutable downstream : Remote.t option;  (** [None] for the last server *)
   mutable handshake : handshake;  (** of [upstream] *)
@@ -63,7 +76,7 @@ type t = {
           instead of silently losing its results *)
   mutable ctx : Trace.context option;
       (** trace context announced by the upstream peer for the next
-          batch; taken when that batch's part 0 opens the hop *)
+          batch; taken when that batch's part 0 opens the round *)
   mutable span : (Trace.span * (float * int)) option;
       (** the open per-round hop span, with the (shaped delay, outage
           count) transport-stats snapshot taken when it opened *)
@@ -80,7 +93,7 @@ type t = {
 
 let is_last st = st.cfg.next = None
 
-(* The downstream public keys in use, chain order: the hop wraps its
+(* The downstream public keys in use, chain order: the server wraps its
    noise to them, and the Chain_info reply announces them. *)
 let suffix st = Option.fold ~none:[] ~some:Remote.public_keys st.downstream
 let key_change st = Option.bind st.downstream Remote.key_change
@@ -220,20 +233,6 @@ let forward_downstream st ~kind ~round ~m onions =
   Option.iter (fun down -> Remote.forward down ~kind ~round ~m ?ctx onions)
     st.downstream
 
-(* What fired faults ask of a daemon: a stall sleeps through the loop —
-   real time on sockets, skipped time on the in-process chain's virtual
-   clock — and a reset closes the upstream connection (the peer's
-   reconnect finds us again) once the round's batch has landed, so the
-   parts still in flight behind part 0 are not lost with it: after a
-   [Flap] nothing is lost but time, and the round's reply waits in the
-   outbox. *)
-let on_fire st ~round (f : Hop.fired) =
-  st.log
-    (Printf.sprintf "round %d: firing %s" round
-       (String.concat "," (List.map (Format.asprintf "%a" Fault.pp_kind) f.kinds)));
-  if f.reset then st.reset_due <- true;
-  Transport.sleep st.tp ~ms:(float_of_int f.stall_ms)
-
 let reset_upstream st =
   if st.reset_due then begin
     st.reset_due <- false;
@@ -243,32 +242,51 @@ let reset_upstream st =
 
 (* The handshake reply, then the frames owed from before a flap, in
    order: the reconnected peer's pending round can still complete. *)
-let answer_hello st hop =
+let answer_hello st server =
   Option.iter
     (fun up ->
       Conn.send up
         (Rpc.encode
-           (Rpc.Chain_info
-              { pks = Server.public_key (Hop.server hop) :: suffix st })))
+           (Rpc.Chain_info { pks = Server.public_key server :: suffix st })))
     st.upstream;
   st.handshake <- Answered;
   flush_outbox st
 
-(* Create the hop once the downstream suffix is known — immediately for
-   the last server, after the first successful handshake otherwise. *)
-let ensure_hop st =
-  if st.hop = None then begin
-    let cfg = st.cfg in
-    let hop =
-      Hop.create ?pool:st.pool ?faults:st.faults ?tap:cfg.deployment.tap
-        ~on_fire:(fun f -> on_fire st ~round:st.last_round f)
-        cfg.deployment ~position:cfg.index ~suffix_pks:(suffix st)
+(* Create the server once the downstream suffix is known — immediately
+   for the last server, after the first successful handshake otherwise.
+   This is the one derivation of a position's server from a deployment:
+   its {!Server.config} comes from the [Config.t] and its RNG seed is
+   [seed ^ "-server-" ^ index], so a seeded daemon is bit-identical to
+   the same position of an in-process chain. *)
+let ensure_server st =
+  if st.server = None then begin
+    let cfg = st.cfg.deployment and position = st.cfg.index in
+    let rng_seed =
+      Option.map
+        (fun s -> Bytes.of_string (Printf.sprintf "%s-server-%d" s position))
+        cfg.seed
     in
-    st.hop <- Some hop;
+    let server =
+      Server.create ?rng_seed ?pool:st.pool ?telemetry:cfg.telemetry
+        ~suffix_pks:(suffix st)
+        ~cfg:
+          {
+            Server.position;
+            chain_len = cfg.n_servers;
+            noise = cfg.noise;
+            dial_noise = cfg.dial_noise;
+            noise_mode = cfg.noise_mode;
+            dial_kind = cfg.dial_kind;
+            jobs = cfg.jobs;
+            deaddrop_shards = cfg.deaddrop_shards;
+          }
+        ()
+    in
+    st.server <- Some server;
     st.log
-      (Printf.sprintf "server %d/%d ready (%d downstream key(s))" cfg.index
-         cfg.deployment.n_servers (List.length (suffix st)));
-    if st.handshake = Hello_pending then answer_hello st hop
+      (Printf.sprintf "server %d/%d ready (%d downstream key(s))" position
+         cfg.n_servers (List.length (suffix st)));
+    if st.handshake = Hello_pending then answer_hello st server
   end
 
 (* A successor restarted without its seed comes back with a fresh key,
@@ -279,32 +297,157 @@ let ensure_hop st =
 let key_change_status st ~round detail =
   Rpc.Status (Rpc.key_change ~round ~server:st.cfg.index ~detail)
 
-(* One [*_batch_part] frame — the only way a batch arrives — through the
-   hop state machine.  A fault that loses the batch is swallowed: after
-   a reset the link above answers the round when its grace ends, and
-   otherwise the coordinator's deadline notices (in process, also the
-   idle loop).  While the downstream
-   keys have changed, a new round is answered at its first part and
-   never run; the hop ignores the parts after it, since no round of
-   theirs is open. *)
-let handle_part st hop ~raw msg (kind, round, m, seq) =
+(* ------------------------------------------------------------------ *)
+(* A round's ingress                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every fired fault becomes a counter sample and an annotation on the
+   innermost open span (the hop span); stalls also feed their own
+   counters, so a degraded round is visible apart from its wall-clock
+   timings. *)
+let record_fault st k =
+  let tag = Fault.tag k in
+  Telemetry.add_counter st.tel ~labels:[ ("kind", tag) ]
+    "vuvuzela_faults_injected_total";
+  Telemetry.annotate st.tel ("fault." ^ tag)
+    (Printf.sprintf "server=%d" st.cfg.index);
+  List.iter
+    (function
+      | Fault.Delay ms ->
+          Telemetry.add_counter st.tel ~by:(float_of_int ms)
+            "vuvuzela_injected_delay_ms_total"
+      | Fault.Stall ms ->
+          Telemetry.add_counter st.tel ~labels:[ ("kind", tag) ]
+            "vuvuzela_link_stalls_total";
+          Telemetry.add_counter st.tel ~by:(float_of_int ms)
+            "vuvuzela_injected_delay_ms_total"
+      | Fault.Lose | Fault.Reset | Fault.Tamper _ | Fault.Edit_frame -> ())
+    (Fault.effects k)
+
+(* The round's part that broke the protocol (undecodable, wrong kind or
+   round, a [seq] gap) or that the server refused: answer upstream with
+   the status.  The round's later parts find no ingress and are
+   ignored. *)
+let reject st ~kind ~round detail =
+  st.ingress <- None;
+  reset_upstream st;
+  send_upstream st
+    (Rpc.Status (status st ~round ~stage:(Rpc.stage kind "batch") detail));
+  close_hop st
+
+(* One decoded part of the open round: check it, tamper the slots it
+   carries, peel it, and finish the round on the part that says [last]:
+   the last server's replies go upstream, a mixing server's batch goes
+   on down under the part's header as received ([m]). *)
+let feed st server g ~m msg =
+  match (Rpc.part_header msg, msg) with
+  | ( Some (kind, round, _, seq),
+      ( Rpc.Conv_batch_part { last; onions; _ }
+      | Rpc.Dial_batch_part { last; onions; _ } ) )
+    when kind = g.kind && round = g.round -> (
+      if seq <> g.seq then
+        (* Ordered link: a sequence gap is a protocol violation. *)
+        reject st ~kind ~round
+          (Printf.sprintf "part %d arrived, expected %d" seq g.seq)
+      else
+        let len = Array.length onions in
+        let onions, pending = Fault.tamper_part ~off:g.off g.tampers onions in
+        g.tampers <- pending;
+        Option.iter
+          (fun tap -> tap ~round ~server:st.cfg.index onions)
+          st.cfg.deployment.tap;
+        match Server.stream_feed server g.stream onions with
+        | exception e -> reject st ~kind ~round (Printexc.to_string e)
+        | () when not last ->
+            g.seq <- seq + 1;
+            g.off <- g.off + len
+        | () -> (
+            st.ingress <- None;
+            match Server.finish server g.stream ~m:g.m with
+            | exception e -> reject st ~kind ~round (Printexc.to_string e)
+            | out when is_last st ->
+                reset_upstream st;
+                send_upstream st (Rpc.results kind ~round out);
+                close_hop st
+            | out ->
+                reset_upstream st;
+                forward_downstream st ~kind ~round ~m out))
+  | _ -> reject st ~kind:g.kind ~round:g.round "unexpected message"
+
+(* Part 0 of a round: fire the site's faults and apply their effects
+   (see the interface), then open the round on the frame the faulty wire
+   delivered: a damaged part 0 that still decodes is checked and peeled
+   as decoded, [last] and [m] included. *)
+let open_round st server ~kind ~round ~m raw msg =
+  st.ingress <- None;
+  let kinds =
+    match st.faults with
+    | None -> []
+    | Some inj -> Fault.fire inj ~round ~server:st.cfg.index
+  in
+  let effects = List.concat_map Fault.effects kinds in
+  let stall_ms = function Fault.Delay ms | Fault.Stall ms -> ms | _ -> 0 in
+  if kinds <> [] then
+    st.log
+      (Printf.sprintf "round %d: firing %s" round
+         (String.concat ","
+            (List.map (Format.asprintf "%a" Fault.pp_kind) kinds)));
+  if List.mem Fault.Reset effects then st.reset_due <- true;
+  Transport.sleep st.tp
+    ~ms:(float_of_int (List.fold_left (fun ms e -> ms + stall_ms e) 0 effects));
+  List.iter (record_fault st) kinds;
+  if List.mem Fault.Lose effects then begin
+    reset_upstream st;
+    close_hop st
+  end
+  else
+    match
+      if List.mem Fault.Edit_frame effects then
+        Rpc.decode (List.fold_left Fault.apply_frame raw kinds)
+      else Ok msg
+    with
+    | Error detail -> reject st ~kind ~round detail
+    | Ok msg ->
+        let g =
+          {
+            kind;
+            round;
+            m =
+              (match Rpc.part_header msg with
+              | Some (_, _, m, _) -> m
+              | None -> 0);
+            stream = Server.stream server ~kind ~round;
+            seq = 0;
+            off = 0;
+            tampers =
+              List.filter_map
+                (function Fault.Tamper s -> Some s | _ -> None)
+                effects;
+          }
+        in
+        st.ingress <- Some g;
+        feed st server g ~m msg
+
+(* One [*_batch_part] frame — the only way a batch arrives.  While the
+   downstream keys have changed, a new round is answered at its first
+   part and never run; the parts after it find no ingress and are
+   ignored. *)
+let handle_part st server ~raw msg (kind, round, m, seq) =
   match key_change st with
   | Some detail when seq = 0 ->
       send_upstream st (key_change_status st ~round detail)
+  | _ when seq = 0 ->
+      open_hop st ~round ~dialing:(Round.is_dialing kind);
+      open_round st server ~kind ~round ~m raw msg
   | _ -> (
-      if seq = 0 then open_hop st ~round ~dialing:(Round.is_dialing kind);
-      let step = Hop.arrive hop ~msg raw in
-      if step <> Hop.Absorbed then reset_upstream st;
-      match step with
-      | Hop.Absorbed | Hop.Ignored -> ()
-      | Hop.Finished replies when is_last st ->
-          send_upstream st (Rpc.results kind ~round replies);
-          close_hop st
-      | Hop.Finished onions -> forward_downstream st ~kind ~round ~m onions
-      | Hop.Rejected s ->
-          send_upstream st (Rpc.Status s);
-          close_hop st
-      | Hop.Dropped _ -> close_hop st)
+      match st.ingress with
+      | Some g when g.kind = kind && g.round = round -> feed st server g ~m msg
+      | _ ->
+          (* The tail of a round already over, or of a stale round that
+             this part's round supersedes: the supervisor moved on (its
+             abort may have been lost with a link). *)
+          st.ingress <- None;
+          reset_upstream st)
 
 (* ------------------------------------------------------------------ *)
 (* Frame handling                                                      *)
@@ -312,22 +455,32 @@ let handle_part st hop ~raw msg (kind, round, m, seq) =
 
 (* Every reply from the downstream link, including the status it makes
    up for a round whose link stayed lost past the grace. *)
-let handle_downstream st hop msg raw =
+let handle_downstream st server msg =
   match msg with
-  | Rpc.Conv_results { round; _ } | Rpc.Dial_results { round; _ } ->
+  | Rpc.Conv_results { round; replies } | Rpc.Dial_results { round; replies }
+    ->
       let kind =
         match msg with
         | Rpc.Dial_results _ -> Round.Dialing
         | _ -> Round.Conversation
       in
+      (* Sealed even when a key change voids the results: [backward]
+         frees the round's state and makes its DRBG draws either way. *)
+      let reply =
+        match Server.backward server ~kind ~round replies with
+        | replies -> Rpc.results kind ~round replies
+        | exception e ->
+            Rpc.Status
+              (status st ~round ~stage:(Rpc.stage kind "results")
+                 (Printexc.to_string e))
+      in
       (* Results that crossed a successor whose key changed mid-round
          carry nothing: every onion wrapped to the old key failed
          there. *)
       send_upstream st
-        (match (key_change st, Hop.backward hop ~kind ~round ~msg raw) with
-        | Some detail, _ -> key_change_status st ~round detail
-        | None, Ok replies -> Rpc.results kind ~round replies
-        | None, Error s -> Rpc.Status s);
+        (match key_change st with
+        | Some detail -> key_change_status st ~round detail
+        | None -> reply);
       close_hop st
   | Rpc.Drop_contents _ -> send_upstream st msg
   | Rpc.Status _ ->
@@ -341,8 +494,8 @@ let handle_upstream st raw =
       send_upstream st
         (Rpc.Status (status st ~round:0 ~stage:"frame" e))
   | Ok (Rpc.Hello _) -> (
-      match st.hop with
-      | Some hop -> answer_hello st hop
+      match st.server with
+      | Some server -> answer_hello st server
       | None -> st.handshake <- Hello_pending)
   | Ok (Rpc.Trace_ctx { ctx }) ->
       (* Tolerated-if-absent, ignored-if-malformed: a poisoned blob
@@ -356,10 +509,20 @@ let handle_upstream st raw =
       let kind = if dialing then Round.Dialing else Round.Conversation in
       close_hop st;
       Option.iter (fun down -> Remote.abort down ~kind ~round) st.downstream;
-      Option.iter (fun hop -> Hop.abort hop ~kind ~round) st.hop
+      (* Discard the round: its open ingress, and its state on the
+         server. *)
+      (match st.ingress with
+      | Some g when g.kind = kind && g.round = round -> st.ingress <- None
+      | _ -> ());
+      Option.iter
+        (fun server ->
+          match kind with
+          | Round.Conversation -> Server.abort_conv_round server ~round
+          | Round.Dialing -> Server.abort_dial_round server ~round)
+        st.server
   | Ok msg -> (
-      match (st.hop, Rpc.part_header msg, msg) with
-      | Some hop, Some header, _ -> handle_part st hop ~raw msg header
+      match (st.server, Rpc.part_header msg, msg) with
+      | Some server, Some header, _ -> handle_part st server ~raw msg header
       | None, Some (_, _, _, seq), _ when seq > 0 -> ()
       | None, header, _ ->
           (* A batch before our keys exist can only mean the chain is
@@ -368,11 +531,9 @@ let handle_upstream st raw =
           let round = match header with Some (_, r, _, _) -> r | None -> 0 in
           send_upstream st
             (Rpc.Status (status st ~round ~stage:"transport" "server not ready"))
-      | Some hop, None, Rpc.Fetch_drop { dial_round; index } -> (
+      | Some server, None, Rpc.Fetch_drop { dial_round; index } -> (
           if is_last st then
-            match
-              Server.fetch_invitations ~dial_round (Hop.server hop) ~index
-            with
+            match Server.fetch_invitations ~dial_round server ~index with
             | invitations ->
                 send_upstream st
                   (Rpc.Drop_contents { dial_round; index; invitations })
@@ -398,14 +559,16 @@ let healthz st =
   Json.to_string
     (Json.Obj
        [
-         ("status", Json.Str (if st.hop <> None then "ok" else "starting"));
+         ("status", Json.Str (if st.server <> None then "ok" else "starting"));
          ("index", Json.Num (float_of_int st.cfg.index));
          ("chain_len", Json.Num (float_of_int st.cfg.deployment.n_servers));
          ("last", Json.Bool (is_last st));
          ("round", Json.Num (float_of_int st.last_round));
          ("hops_done", Json.Num (float_of_int st.hops_done));
          ("upstream_connected", Json.Bool (connected st.upstream));
-         ("downstream_connected", Json.Bool (st.downstream <> None));
+         ( "downstream_connected",
+           Json.Bool
+             (Option.fold ~none:false ~some:Remote.connected st.downstream) );
          ("outbox_depth", Json.Num (float_of_int (Queue.length st.outbox)));
          ("uptime_ms", Json.Num (uptime_ms st));
        ])
@@ -462,9 +625,9 @@ let dial_downstream st next =
     Remote.dial st.tp ~index:st.cfg.index ?telemetry:st.tel ?backoff_seed
       ?link ~flap_grace_ms:st.cfg.deployment.flap_grace_ms
       ~log:(fun m -> st.log ("downstream " ^ m))
-      ~on_keys:(fun _ -> ensure_hop st)
-      ~on_reply:(fun msg raw ->
-        Option.iter (fun hop -> handle_downstream st hop msg raw) st.hop)
+      ~on_keys:(fun _ -> ensure_server st)
+      ~on_reply:(fun msg ->
+        Option.iter (fun server -> handle_downstream st server msg) st.server)
       ~addr:next ()
   in
   Remote.set_pipeline down (Config.part_chunk st.cfg.deployment);
@@ -488,7 +651,8 @@ let start tp ?pool ?faults ?(log = fun _ -> ()) cfg =
         pool;
         faults;
         started_ms = Transport.now_ms tp;
-        hop = None;
+        server = None;
+        ingress = None;
         upstream = None;
         downstream = None;
         handshake = Awaiting_hello;
@@ -521,12 +685,12 @@ let start tp ?pool ?faults ?(log = fun _ -> ()) cfg =
           Ok ()
     in
     (match cfg.next with
-    | None -> ensure_hop st (* last server: no suffix *)
+    | None -> ensure_server st (* last server: no suffix *)
     | Some next -> dial_downstream st next);
     Ok st
   end
 
-let server st = Option.map Hop.server st.hop
+let server st = st.server
 
 let close st =
   close_hop st;
@@ -540,7 +704,7 @@ let close st =
   st.httpd <- None;
   Option.iter Remote.close st.downstream;
   Option.iter Conn.close st.upstream;
-  Option.iter (fun hop -> Server.shutdown (Hop.server hop)) st.hop
+  Option.iter Server.shutdown st.server
 
 let run ?log cfg =
   (* Scrape endpoints imply a sink: a daemon asked to expose /metrics

@@ -32,19 +32,24 @@
     so a flap costs latency, and a lost batch costs the grace and one
     retry, not the coordinator's deadline.
 
-    Batches arrive through the {!Hop} state machine, so a [fault_plan]
-    (a process's entries must name [server = index]) fires at this
-    daemon's incoming link.  A stall ([Delay_ms], [Slow_link], a [Flap]
-    or [Partition] outage) sleeps through the loop: real time on
-    sockets, skipped time on the in-process chain's virtual clock,
-    where all servers share the loop.  A reset ([Crash], [Flap],
-    [Partition]) closes the upstream connection once the batch has
-    landed (after a [Flap] the reply waits in the outbox, counted in
-    [vuvuzela_daemon_outbox_frames_total]).  A lost batch ([Crash],
-    [Drop_link], [Partition]) is swallowed: the link above answers it
-    when its grace ends after a reset, and the coordinator's deadline —
-    in process, the idle loop — notices a [Drop_link].  A rejected part
-    answers upstream with its [Status].  Fired faults are counted in
+    A batch arrives as part frames, one round at a time.  Part 0 fires
+    this daemon's faults ([fault_plan]; a process's entries must name
+    [server = index]) against the whole logical batch and opens the
+    round; each part is then sequence-checked, tampered at its absolute
+    slots, shown to [tap] and peeled as it lands, and the last part
+    finishes the round.  The daemon applies each fault's
+    {!Vuvuzela_faults.Fault.effects}: a delay or stall sleeps through the
+    loop (real time on sockets, skipped time on the in-process chain's
+    virtual clock, where all servers share the loop); a reset closes the
+    upstream connection once the batch has landed (after a [Flap] the
+    reply waits in the outbox, counted in
+    [vuvuzela_daemon_outbox_frames_total]); a lost batch is swallowed,
+    and the link above answers it when its grace ends after a reset, or
+    the coordinator's deadline — in process, the idle loop — notices; a
+    frame edit damages part 0, and the round runs on what it decodes
+    to.  A part that breaks the protocol (undecodable, of another kind
+    or round, a sequence gap) is answered upstream with a [Status], and
+    the round's later parts are ignored.  Fired faults are counted in
     [/metrics]. *)
 
 type config = {

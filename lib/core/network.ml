@@ -263,8 +263,9 @@ type round_report = {
       (** batch bytes on the entry → first-server link: items plus one
           batch header, whatever the part framing *)
   elapsed_ms : float;
-      (** the last attempt's round trip on the loop clock: wall time
-          plus skipped virtual time; the clients' build is not in it *)
+      (** every attempt's round trip on the loop clock, summed: wall
+          time plus skipped virtual time; the clients' build is not in
+          it *)
   confirmed_acks : int;
       (** dialing rounds: acks that unwrapped to the expected fixed
           plaintext; [0] for conversation rounds *)
@@ -472,6 +473,9 @@ let supervise t ~kind ~m ~late_pred ~participants ~next_round ~build ~requeue
     ~finish =
   let dialing = Round.is_dialing kind in
   let aborts = ref [] in
+  (* Every attempt's round trip on the loop clock, the failed ones'
+     graces and deadlines included. *)
+  let spent_ms = ref 0. in
   let rec attempt n =
     let round = next_round () in
     let admitted, stragglers = admission_split t ~late_pred ~participants in
@@ -522,13 +526,14 @@ let supervise t ~kind ~m ~late_pred ~participants ~next_round ~build ~requeue
           (c, [ Client.Round_late { round; next_round = round + 1; dialing } ]))
         stragglers
     in
+    spent_ms := !spent_ms +. elapsed_ms;
     let peak_buffered = !peak in
     let wire_bytes = wire_bytes t kind ~count:batch_size in
     observe_attempt t ~dialing ~wall_ms ~wire_bytes;
     let report failure ~confirmed_acks events =
       { round; dialing; events; batch_size; peak_buffered;
         admitted = List.length admitted; late = List.length stragglers;
-        wire_bytes; elapsed_ms; confirmed_acks; attempts = n;
+        wire_bytes; elapsed_ms = !spent_ms; confirmed_acks; attempts = n;
         aborts = List.rev !aborts; failure }
     in
     match check_results ~kind ~round ~batch_size outcome with

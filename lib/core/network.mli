@@ -156,10 +156,12 @@ type round_report = {
           ({!Rpc.conv_batch_bytes}/{!Rpc.dial_batch_bytes}): items plus
           one batch header, whatever the part framing *)
   elapsed_ms : float;
-      (** the last attempt's chain round trip on the coordinator's loop
-          clock: wall time, plus (in process) the time the virtual clock
-          skipped for stalls, graces and redials; the clients' onion
-          build comes before it and is not counted *)
+      (** every attempt's chain round trip on the coordinator's loop
+          clock, summed, so a retried round counts the time its failed
+          attempts took: wall time, plus (in process) the time the
+          virtual clock skipped for stalls, graces and redials; the
+          clients' onion build comes before each attempt and is not
+          counted *)
   confirmed_acks : int;
       (** dialing rounds: acks that unwrapped to the expected fixed
           plaintext; [0] for conversation rounds *)

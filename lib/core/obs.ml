@@ -145,6 +145,8 @@ let parse_round_event json =
   | _ -> None
 
 type merged_span = {
+  sid : int;
+  sparent : int option;
   sname : string;
   sround : int;
   sserver : int;
@@ -155,13 +157,16 @@ type merged_span = {
 
 let parse_merged_span json =
   match
-    ( Option.bind (Json.member "name" json) Json.to_str,
+    ( Option.bind (Json.member "id" json) Json.to_int,
+      Option.bind (Json.member "name" json) Json.to_str,
       Option.bind (Json.member "round" json) Json.to_int,
       Option.bind (Json.member "dur_ms" json) Json.to_float )
   with
-  | Some sname, Some sround, Some sdur_ms ->
+  | Some sid, Some sname, Some sround, Some sdur_ms ->
       Some
         {
+          sid;
+          sparent = Option.bind (Json.member "parent" json) Json.to_int;
           sname;
           sround;
           sserver =
@@ -197,15 +202,12 @@ let bar ~width ~scale v =
    position: in process they share one label), the pipeline stages
    under them, and the coordinator's client phases.  Timestamps are
    per-process epochs and incomparable across the merge, so the
-   waterfall renders durations only. *)
+   waterfall renders durations only, as a tree: each span's line, then
+   its children's, indented one step deeper.  Siblings keep the merged
+   trace's order, which is begin order within a process. *)
 let waterfall_names =
   [ "conv-round"; "dial-round"; "hop"; "client-build"; "client-decrypt" ]
   @ Telemetry.server_stages
-
-let indent_of = function
-  | "conv-round" | "dial-round" -> "  "
-  | "hop" | "client-build" | "client-decrypt" -> "    "
-  | _ -> "      "
 
 let render_waterfall buf spans (ev : round_event) =
   let dialing = ev.kind = "dial" in
@@ -222,15 +224,26 @@ let render_waterfall buf spans (ev : round_event) =
       let scale =
         List.fold_left (fun acc s -> Float.max acc s.sdur_ms) 0. mine
       in
+      let children parent =
+        List.filter (fun s -> s.sparent = parent) mine
+      in
+      let rec draw depth s =
+        Buffer.add_string buf
+          (Printf.sprintf "%s%-14s %-14s %9.2f ms  |%s|\n"
+             (String.make (2 * depth) ' ')
+             s.process
+             (if s.sname = "hop" then Printf.sprintf "hop %d" s.sserver
+              else s.sname)
+             s.sdur_ms
+             (bar ~width:30 ~scale s.sdur_ms));
+        List.iter (draw (depth + 1)) (children (Some s.sid))
+      in
+      (* A span whose parent draws no line of its own is a root. *)
       List.iter
         (fun s ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%-14s %-14s %9.2f ms  |%s|\n"
-               (indent_of s.sname) s.process
-               (if s.sname = "hop" then Printf.sprintf "hop %d" s.sserver
-                else s.sname)
-               s.sdur_ms
-               (bar ~width:30 ~scale s.sdur_ms)))
+          match s.sparent with
+          | Some p when List.exists (fun o -> o.sid = p) mine -> ()
+          | _ -> draw 1 s)
         mine
 
 let render_digest ~dir =

@@ -25,7 +25,7 @@ type t = {
   log : string -> unit;
   flap_grace_ms : float;
   on_keys : bytes list -> unit;
-  mutable on_reply : Rpc.message -> bytes -> unit;
+  mutable on_reply : Rpc.message -> unit;
   mutable pks : bytes list;
       (** the keys in use, from position [index + 1] on: onions and
           noise are wrapped to them.  [[]] until the first handshake *)
@@ -53,6 +53,7 @@ let set_pipeline t p = t.chunk <- Option.map (max 1) p
 let stats t = Transport.stats t.tp
 let set_trace_ctx t c = t.trace_ctx <- c
 let send t msg = Conn.send t.conn (Rpc.encode msg)
+let connected t = Conn.state t.conn = Conn.Established
 
 let settle t =
   t.inflight <- None;
@@ -101,7 +102,7 @@ let received t raw =
         when r = round ->
           settle t
       | _ -> ());
-      t.on_reply msg raw
+      t.on_reply msg
 
 (* The grace rule, the same at every link end: a round in flight when
    the link drops survives if its reply arrives within the grace, and
@@ -117,7 +118,7 @@ let dropped t =
           Rpc.transport_error ~round ~server:(max 0 t.index)
             ~detail:(Printf.sprintf "link to server %d lost" (t.index + 1))
         in
-        t.on_reply (Rpc.Status st) (Rpc.encode (Rpc.Status st))
+        t.on_reply (Rpc.Status st)
       in
       if t.flap_grace_ms <= 0. then lost ()
       else if t.grace = None then
@@ -216,7 +217,7 @@ let connect ?transport ?telemetry ?(dial_kind = Dialing.Plain)
     dial tp ~index:(-1) ?telemetry ?backoff_seed ?link ?flap_grace_ms
       ~log:(fun m -> Log.warn (fun f -> f "first-hop %s" m))
       ~on_keys:ignore
-      ~on_reply:(fun _ _ -> ())
+      ~on_reply:ignore
       ~addr ()
   in
   t.dial_kind <- dial_kind;
@@ -247,7 +248,7 @@ let key_change_status t ~round =
    too.  An in-process loop that goes idle can never bring a reply. *)
 let exchange t ~round ~expect request =
   let outcome = ref None in
-  t.on_reply <- (fun msg _ -> if !outcome = None then outcome := expect msg);
+  t.on_reply <- (fun msg -> if !outcome = None then outcome := expect msg);
   let t0 = Transport.now_ms t.tp in
   request ();
   ignore
@@ -256,7 +257,7 @@ let exchange t ~round ~expect request =
          (Option.map (fun d -> d -. (Transport.now_ms t.tp -. t0)) t.deadline_ms)
        t.tp
        (fun () -> !outcome <> None));
-  t.on_reply <- (fun _ _ -> ());
+  t.on_reply <- ignore;
   let elapsed = Transport.now_ms t.tp -. t0 in
   match (!outcome, t.deadline_ms) with
   | Some _, Some d when elapsed > d ->

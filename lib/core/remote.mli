@@ -48,7 +48,7 @@ val dial :
   ?flap_grace_ms:float ->
   log:(string -> unit) ->
   on_keys:(bytes list -> unit) ->
-  on_reply:(Rpc.message -> bytes -> unit) ->
+  on_reply:(Rpc.message -> unit) ->
   addr:Unix.sockaddr ->
   unit ->
   t
@@ -76,6 +76,10 @@ val send : t -> Rpc.message -> unit
 
 val key_change : t -> string option
 (** The detail of a standing key change, if any. *)
+
+val connected : t -> bool
+(** Whether the link's connection is established: dialed, and the
+    peer's handshake reply received. *)
 
 val close : t -> unit
 
@@ -135,15 +139,20 @@ val round_streamed :
   round:int ->
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
-(** Same contract as {!Chain.round_streamed}, including the entry
-    ingress policy ({!Entry.normalize}): each producer chunk leaves as
-    part frames (see {!set_pipeline}) with one part of lookahead, so the
-    final part carries [last] and the coordinator buffers at most two
-    chunks while the first hop peels early parts.  [Error] is a typed
-    status: one a server sent in place of results, the lost-link status
-    above, or the retryable {!Rpc.deadline_exceeded} when the reply was
-    not back by the deadline, came back after it, or — in process — can
-    never come because the loop went idle. *)
+(** One round through the link ([m] invitation drops; ignored for
+    conversation rounds): [produce feed] pushes the batch as slot-ordered
+    chunks (a streaming {!Entry} collector's sink) and returns when the
+    intake is complete.  Each chunk is normalized by {!Entry.normalize}
+    and leaves as part frames (see {!set_pipeline}) with one part of
+    lookahead, so the final part carries [last] and the coordinator
+    buffers at most two chunks while the first hop peels early parts;
+    no tier materializes the whole onion batch.  Results depend only on
+    the chunk concatenation and are slot-aligned with the fed requests.
+    [Error] is a typed status: one a server sent in place of results,
+    the lost-link status above, or the retryable
+    {!Rpc.deadline_exceeded} when the reply was not back by the
+    deadline, came back after it, or — in process — can never come
+    because the loop went idle. *)
 
 val conversation_round_streamed :
   t ->

@@ -22,6 +22,41 @@ type kind =
   | Flap of int
   | Partition of int
 
+type effect =
+  | Lose
+  | Delay of int
+  | Stall of int
+  | Reset
+  | Tamper of int
+  | Edit_frame
+
+(* What each kind does, written once: a daemon applies these and never
+   looks at the kind itself. *)
+let effects = function
+  | Crash -> [ Lose; Reset ]
+  | Drop_link -> [ Lose ]
+  | Corrupt_frame _ | Truncate_frame _ | Extend_frame _ -> [ Edit_frame ]
+  | Delay_ms ms -> [ Delay ms ]
+  | Tamper_slot slot -> [ Tamper slot ]
+  (* A congested link: the batch arrives, late. *)
+  | Slow_link ms -> [ Stall ms ]
+  (* A reset that heals: nothing is lost but time. *)
+  | Flap ms -> [ Stall ms; Reset ]
+  (* A cut link: the batch is lost and the heal takes [ms]. *)
+  | Partition ms -> [ Lose; Stall ms; Reset ]
+
+let tag = function
+  | Crash -> "crash"
+  | Drop_link -> "drop-link"
+  | Delay_ms _ -> "delay"
+  | Tamper_slot _ -> "tamper-slot"
+  | Corrupt_frame _ -> "corrupt-frame"
+  | Truncate_frame _ -> "truncate-frame"
+  | Extend_frame _ -> "extend-frame"
+  | Slow_link _ -> "slow-link"
+  | Flap _ -> "flap"
+  | Partition _ -> "partition"
+
 type fault = { round : int; server : int; kind : kind }
 type plan = fault list
 
@@ -43,10 +78,9 @@ let pp_fault ppf { round; server; kind } =
 let to_string plan =
   String.concat ";" (List.map (Format.asprintf "%a" pp_fault) plan)
 
-(* Frame-level fault semantics, shared by every link implementation (the
-   in-process chain and the TCP daemons): given the encoded frame a
-   sender emitted, what does the faulty wire deliver?  Control faults
-   (crash/drop/delay/tamper) act elsewhere and leave the frame alone. *)
+(* The [Edit_frame] effect: given the encoded frame a sender emitted,
+   what does the faulty wire deliver?  Every other kind leaves the frame
+   alone. *)
 let apply_frame frame = function
   | Corrupt_frame pos ->
       let frame = Bytes.copy frame in
@@ -63,11 +97,11 @@ let apply_frame frame = function
   | Partition _ ->
       frame
 
-(* Likewise the batch-level semantics of the §2.1 active adversary:
-   flip one byte of one onion so framing survives but authentication at
-   the receiving server does not.  A batch crosses a link as parts, so
-   slots are absolute: each part takes the slots that fall inside it and
-   hands the rest on; a slot past the end of the batch tampers nothing. *)
+(* The [Tamper] effect, the §2.1 active adversary: flip one byte of one
+   onion so framing survives but authentication at the receiving server
+   does not.  A batch crosses a link as parts, so slots are absolute:
+   each part takes the slots that fall inside it and hands the rest on;
+   a slot past the end of the batch tampers nothing. *)
 let tamper_part ~off slots part =
   let here, pending =
     List.partition (fun s -> s < off + Array.length part) slots

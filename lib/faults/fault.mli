@@ -16,34 +16,53 @@
     recovers), which is what lets a bounded retry policy make progress. *)
 
 type kind =
-  | Crash  (** the receiving server aborts the round *)
-  | Drop_link  (** the batch never arrives *)
+  | Crash  (** the receiving server crashes: [[Lose; Reset]] *)
+  | Drop_link  (** the batch never arrives: [[Lose]] *)
   | Corrupt_frame of int
-      (** XOR byte [pos mod frame length] of the encoded frame with 0xff;
-          positions 0-5 hit the magic/version/tag header and are
-          guaranteed to fail decoding *)
-  | Truncate_frame of int  (** cut the frame to its first [n] bytes *)
-  | Extend_frame of int  (** append [n] garbage bytes to the frame *)
+      (** [[Edit_frame]]: XOR byte [pos mod frame length] of the encoded
+          frame with 0xff; positions 0-5 hit the magic/version/tag
+          header and are guaranteed to fail decoding *)
+  | Truncate_frame of int
+      (** [[Edit_frame]]: cut the frame to its first [n] bytes *)
+  | Extend_frame of int  (** [[Edit_frame]]: append [n] garbage bytes *)
   | Delay_ms of int
-      (** the link stalls: virtual delay added to the round's elapsed
-          time, for exercising deadlines deterministically *)
+      (** the batch is held for [ms]: [[Delay ms]], for exercising
+          deadlines deterministically *)
   | Tamper_slot of int
-      (** the §2.1 active adversary: flip a byte of the onion at
-          absolute batch position [slot] (none if the batch is shorter);
-          framing survives but that request fails authentication at the
-          receiving server *)
+      (** the §2.1 active adversary, [[Tamper slot]]: flip a byte of
+          the onion at absolute batch position [slot] (none if the batch
+          is shorter); framing survives but that request fails
+          authentication at the receiving server *)
   | Slow_link of int
-      (** the link is congested for [ms]: the batch arrives intact but
-          late (virtual stall in-process, a real stall on daemons) —
-          survivable when the round deadline has slack *)
+      (** the link is congested for [ms]: [[Stall ms]], the batch lands
+          intact but late — survivable when the round deadline has
+          slack *)
   | Flap of int
-      (** the connection resets and heals after [ms]: no processed data
-          is lost — daemons reset the socket but keep the round's reply
-          in their outbox for the healed link; the in-process relay just
-          accounts the outage as stall time *)
+      (** the connection resets and heals after [ms]: [[Stall ms;
+          Reset]]; no processed data is lost, the round's reply waits in
+          the daemon's outbox for the healed link *)
   | Partition of int
-      (** the link is cut for [ms]: the in-flight batch is lost {e and}
-          the round stalls for the outage — a drop plus a slow heal *)
+      (** the link is cut for [ms]: [[Lose; Stall ms; Reset]], a drop
+          plus a slow heal *)
+
+type effect =
+  | Lose  (** the batch is lost: the server peels none, answers nothing *)
+  | Delay of int  (** the batch is held [ms]; the link stays healthy *)
+  | Stall of int  (** the link stalls [ms]; what it carries lands late *)
+  | Reset  (** the upstream connection resets once the batch has landed *)
+  | Tamper of int  (** the onion at this absolute slot flips ({!tamper_part}) *)
+  | Edit_frame  (** part 0's frame arrives as {!apply_frame} edits it *)
+(** What a fired fault does at the receiving server, once per round
+    against the whole logical batch.  A daemon applies the effects; which
+    kind has which is written only here. *)
+
+val effects : kind -> effect list
+(** The kind's effects, as its doc above lists them. *)
+
+val tag : kind -> string
+(** The kind's short tag: the [kind] label of
+    [vuvuzela_faults_injected_total] and [vuvuzela_link_stalls_total],
+    and the span annotation [fault.<tag>]. *)
 
 type fault = { round : int; server : int; kind : kind }
 (** [server] is the 0-based chain position whose incoming link the fault
@@ -75,21 +94,19 @@ val parse : string -> (plan, string) result
     firing per round).  Whitespace around tokens is ignored. *)
 
 val apply_frame : bytes -> kind -> bytes
-(** What the faulty wire delivers for the frame a sender emitted —
-    frame-level kinds mutate a copy ([Corrupt_frame] XORs one byte,
-    [Truncate_frame]/[Extend_frame] resize); control kinds return the
-    frame unchanged.  Shared by the in-process chain and the TCP
-    daemons so both deployments fail identically. *)
+(** The [Edit_frame] effect: what the faulty wire delivers for the frame
+    a sender emitted.  Frame-level kinds mutate a copy ([Corrupt_frame]
+    XORs one byte, [Truncate_frame]/[Extend_frame] resize); every other
+    kind returns the frame unchanged. *)
 
 val tamper_part : off:int -> int list -> bytes array -> bytes array * int list
-(** The §2.1 active adversary on one part of a batch: [tamper_part ~off
-    slots part], where [part] holds the batch's onions [off] to
+(** The [Tamper] effect on one part of a batch: [tamper_part ~off slots
+    part], where [part] holds the batch's onions [off] to
     [off + Array.length part - 1], flips byte 0 of each onion whose
     absolute slot is in [slots] (in a copy) and returns the slots past
     the part, still pending for later ones.  A slot past the end of the
     batch tampers nothing.  Framing survives; authentication at the
-    receiving server does not.  Shared by the in-process chain and the
-    TCP daemons. *)
+    receiving server does not. *)
 
 val random_plan :
   rng:Vuvuzela_crypto.Drbg.t ->

@@ -1289,6 +1289,47 @@ let test_key_change ~victim () =
           | None -> check "round refused after the key change" false);
           Network.shutdown net)
 
+(* ------------------------------------------------------------------ *)
+(* 11. /healthz reports the downstream link's state                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The middle daemon alone, its successor not listening yet: /healthz
+   says the downstream link is down, and says it is up once the
+   successor starts and the link's handshake completes. *)
+let test_healthz_downstream () =
+  print_endline "healthz downstream link (successor down, then up):";
+  let all = Daemon_spawn.free_ports (chain_len + 1) in
+  let ports = Array.sub all 0 chain_len in
+  let mport = all.(chain_len) in
+  let spawn index =
+    fork_daemon
+      (daemon_cfg ~seed:"net-healthz" ~ports ~index
+         ?metrics_port:(if index = 1 then Some mport else None)
+         ())
+  in
+  let pids = ref [ spawn 1 ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Daemon_spawn.stop_pid !pids)
+    (fun () ->
+      let downstream () =
+        match Httpd.get (Addr.loopback ~port:mport) "/healthz" with
+        | Ok (200, body) -> (
+            match T.Json.parse body with
+            | Ok json ->
+                Option.bind
+                  (T.Json.member "downstream_connected" json)
+                  T.Json.to_bool
+            | Error _ -> None)
+        | _ -> None
+      in
+      let rec wait want n =
+        downstream () = Some want
+        || (n > 0 && (Unix.sleepf 0.05; wait want (n - 1)))
+      in
+      check "successor down: downstream_connected false" (wait false 100);
+      pids := spawn 2 :: !pids;
+      check "successor up: downstream_connected true" (wait true 200))
+
 let () =
   if not (Daemon_spawn.sockets_allowed ()) then begin
     print_endline
@@ -1319,6 +1360,7 @@ let () =
   run "fault-parity" test_fault_parity;
   run "hostile" test_hostile_first_hop;
   run "dribble" test_dribbling_first_hop;
+  run "healthz" test_healthz_downstream;
   if !failures > 0 then begin
     Printf.printf "net: %d failure(s)\n%!" !failures;
     exit 1

@@ -88,6 +88,36 @@ let test_plan_syntax () =
       | Ok _ -> Alcotest.failf "accepted malformed plan %S" bad)
     [ "crash"; "explode@2"; "crash@0"; "crash@2x0"; "corrupt(x)@2"; "corrupt(3@2" ]
 
+(* What each kind does, for every kind: the one table a daemon applies. *)
+let test_effects_per_kind () =
+  let show = function
+    | Fault.Lose -> "lose"
+    | Fault.Delay ms -> Printf.sprintf "delay %d" ms
+    | Fault.Stall ms -> Printf.sprintf "stall %d" ms
+    | Fault.Reset -> "reset"
+    | Fault.Tamper s -> Printf.sprintf "tamper %d" s
+    | Fault.Edit_frame -> "edit-frame"
+  in
+  List.iter
+    (fun (kind, tag, effects) ->
+      let name = Format.asprintf "%a" Fault.pp_kind kind in
+      Alcotest.(check string) (name ^ ": tag") tag (Fault.tag kind);
+      Alcotest.(check (list string))
+        (name ^ ": effects") effects
+        (List.map show (Fault.effects kind)))
+    [
+      (Fault.Crash, "crash", [ "lose"; "reset" ]);
+      (Fault.Drop_link, "drop-link", [ "lose" ]);
+      (Fault.Corrupt_frame 5, "corrupt-frame", [ "edit-frame" ]);
+      (Fault.Truncate_frame 10, "truncate-frame", [ "edit-frame" ]);
+      (Fault.Extend_frame 7, "extend-frame", [ "edit-frame" ]);
+      (Fault.Delay_ms 1000, "delay", [ "delay 1000" ]);
+      (Fault.Tamper_slot 3, "tamper-slot", [ "tamper 3" ]);
+      (Fault.Slow_link 20, "slow-link", [ "stall 20" ]);
+      (Fault.Flap 0, "flap", [ "stall 0"; "reset" ]);
+      (Fault.Partition 50, "partition", [ "lose"; "stall 50"; "reset" ]);
+    ]
+
 let test_injector_one_shot () =
   let plan =
     match Fault.parse "crash@2:1;drop@2:1;delay(5)@3" with
@@ -386,32 +416,26 @@ let test_dial_failure_does_not_lose_caller () =
 (* ------------------------------------------------------------------ *)
 
 (* Round [n] of a fresh pair under [plan], with its time on the wall
-   clock and on the chain's loop clock (all attempts); rounds before it
-   run clean. *)
+   clock (all attempts); rounds before it run clean. *)
 let faulted_round ?flap_grace_ms ?telemetry plan_s ~n =
   let plan = Result.get_ok (Fault.parse plan_s) in
   let net = make_net ~fault_plan:plan ?flap_grace_ms ?telemetry () in
   let a, b = pair net in
   Client.send a "through the fault";
   let before = Network.run_rounds net (n - 1) in
-  let loop_ms () =
-    Vuvuzela_transport.Transport.now_ms
-      (Remote.transport (Chain.remote (Network.chain net)))
-  in
-  let t0 = Unix.gettimeofday () and l0 = loop_ms () in
+  let t0 = Unix.gettimeofday () in
   let r = Network.run ~kind:Round.Conversation net in
   let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
-  let round_ms = loop_ms () -. l0 in
   let after = Network.run_rounds net 2 in
   Network.shutdown net;
   Alcotest.(check (list string))
     (plan_s ^ ": the text arrives") [ "through the fault" ]
     (delivered_texts ~to_:b (before @ (r :: after)));
-  (r, wall_ms, round_ms)
+  (r, wall_ms)
 
 let test_flap_costs_nothing () =
   let tel = Vuvuzela_telemetry.Telemetry.create () in
-  let r, _, _ = faulted_round ~telemetry:tel "flap(0)@1:1" ~n:1 in
+  let r, _ = faulted_round ~telemetry:tel "flap(0)@1:1" ~n:1 in
   Alcotest.(check int) "one attempt" 1 r.Network.attempts;
   let parked =
     Vuvuzela_telemetry.Metrics.(
@@ -424,32 +448,31 @@ let test_flap_costs_nothing () =
     (Printf.sprintf "the reply waited in the outbox (%g frames)" parked)
     true (parked >= 1.)
 
-(* The report's [elapsed_ms] is the successful retry's; the round's
-   time on the loop clock covers the failed attempt's grace too. *)
+(* The report's [elapsed_ms] counts every attempt, so it covers the
+   failed attempt's grace too. *)
 let test_partition_waits_out_the_grace () =
-  let r, _, round_ms =
-    faulted_round ~flap_grace_ms:500. "partition(50)@1:1" ~n:1
-  in
+  let r, _ = faulted_round ~flap_grace_ms:500. "partition(50)@1:1" ~n:1 in
   Alcotest.(check int) "two attempts" 2 r.Network.attempts;
   (match r.Network.aborts with
   | [ st ] ->
       Alcotest.(check string) "the link above answers" "link to server 1 lost"
         st.Rpc.detail
   | _ -> Alcotest.fail "expected one abort");
-  if round_ms < 500. then
-    Alcotest.failf "the round took %.1f ms, under the 500 ms grace" round_ms
+  if r.Network.elapsed_ms < 500. then
+    Alcotest.failf "the report says %.1f ms, under the 500 ms grace"
+      r.Network.elapsed_ms
 
 let test_virtual_waits_cost_no_wall_time () =
   List.iter
     (fun (plan_s, attempts) ->
-      let r, wall_ms, _ = faulted_round plan_s ~n:2 in
+      let r, wall_ms = faulted_round plan_s ~n:2 in
       Alcotest.(check int) (plan_s ^ ": attempts") attempts r.Network.attempts;
       if wall_ms >= 1_000. then
         Alcotest.failf "%s: round took %.0f ms of wall time" plan_s wall_ms)
     [ ("delay(3600000)@2:1", 1); ("crash@2:1", 2) ]
 
 let test_drop_without_deadline_ends () =
-  let r, _, _ = faulted_round "drop@2:1" ~n:2 in
+  let r, _ = faulted_round "drop@2:1" ~n:2 in
   match r.Network.aborts with
   | [ st ] ->
       Alcotest.(check string) "answered as a missed deadline" "deadline"
@@ -489,4 +512,5 @@ let suite =
         test_virtual_waits_cost_no_wall_time;
       tc "drop with no deadline ends, retryable" `Quick
         test_drop_without_deadline_ends;
+      tc "each kind's tag and effects" `Quick test_effects_per_kind;
     ] )

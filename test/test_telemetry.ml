@@ -653,6 +653,70 @@ let test_retry_counters () =
            ~client:(Client.public_key (List.hd (Network.clients net))))
   | None -> Alcotest.fail "no ledger"
 
+(* The digest's waterfall is the merged trace's tree: each [hop N] line's
+   own block — the lines after it, deeper than it, outside the nested
+   hop's block — holds that server's six stages, once each, whenever
+   they began relative to the hops below. *)
+let test_waterfall_hops_hold_their_stages () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "vuvuzela-waterfall-%d" (Unix.getpid ()))
+  in
+  let net =
+    Network.of_config
+      Network.Config.(
+        default |> with_seed "waterfall" |> with_n_servers 3
+        |> with_telemetry (Telemetry.create ())
+        |> with_obs_dir dir)
+  in
+  let a = Network.connect ~seed:"a" net in
+  let b = Network.connect ~seed:"b" net in
+  Client.start_conversation a ~peer_pk:(Client.public_key b);
+  Client.start_conversation b ~peer_pk:(Client.public_key a);
+  Client.send a "drawn as a tree";
+  ignore (Network.run_rounds net 2);
+  ignore (Network.run ~kind:Round.Dialing net);
+  Network.shutdown net;
+  let path = Filename.concat dir "digest.txt" in
+  let digest = In_channel.with_open_bin path In_channel.input_all in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir;
+  let lines = String.split_on_char '\n' digest in
+  let depth l = String.length l - String.length (String.trim l) in
+  let words l = List.filter (( <> ) "") (String.split_on_char ' ' l) in
+  let rec skip d = function
+    | l :: rest when depth l > d -> skip d rest
+    | rest -> rest
+  in
+  (* The names in a line's own block: deeper lines up to the first that
+     is not, a nested hop's block left out. *)
+  let rec own_block d acc = function
+    | l :: rest when depth l > d -> (
+        match words l with
+        | _ :: "hop" :: _ -> own_block d acc (skip (depth l) rest)
+        | _ :: name :: _ -> own_block d (name :: acc) rest
+        | _ -> own_block d acc rest)
+    | _ -> acc
+  in
+  let rec check_hops n = function
+    | [] -> n
+    | l :: rest -> (
+        match words l with
+        | _ :: "hop" :: i :: _ ->
+            let names = own_block (depth l) [] rest in
+            List.iter
+              (fun stage ->
+                Alcotest.(check int)
+                  (Printf.sprintf "hop %s's block holds one %s" i stage)
+                  1
+                  (List.length (List.filter (( = ) stage) names)))
+              [ "peel"; "noise"; "exchange"; "shuffle"; "unpeel"; "reseal" ];
+            check_hops (n + 1) rest
+        | _ -> check_hops n rest)
+  in
+  Alcotest.(check int) "a hop line per server and round" 9 (check_hops 0 lines)
+
 let suite =
   let tc = Alcotest.test_case in
   ( "telemetry",
@@ -675,4 +739,6 @@ let suite =
       tc "injected delay excluded from latency" `Quick
         test_injected_delay_excluded_from_latency;
       tc "fault retry counters" `Quick test_retry_counters;
+      tc "waterfall hops hold their own stages" `Quick
+        test_waterfall_hops_hold_their_stages;
     ] )

@@ -139,12 +139,11 @@ let shutdown t =
 let par_mapi t f a =
   match t.pool with Some p -> Pool.mapi_array p f a | None -> Array.mapi f a
 
-(* The same, for an [f] over a whole chunk: one call per domain. *)
+(* The same, for an [f] over a whole pool chunk: one call per chunk. *)
 let par_chunks t f a =
   match t.pool with Some p -> Pool.map_chunks p f a | None -> f a
 
 let proposed_m t = t.proposed_m
-let dial_kind t = t.cfg.dial_kind
 
 (* How many past dialing rounds' invitation stores the last server keeps
    on hand, so a briefly-blocked client can still download the drops it
@@ -253,8 +252,8 @@ let stream_feed t st (onions : bytes array) =
       onions
   in
   (* Pass 2 (fan-out): the expensive DH + AEAD peel of the right-sized
-     onions, pure per onion, one batch (one field inversion) per
-     domain's chunk. *)
+     onions, pure per onion, one batch (one field inversion) per pool
+     chunk. *)
   let peeled =
     par_chunks t
       (Onion.peel_many ~server_sk:t.secret ~round:st.s_round)

@@ -61,8 +61,6 @@ val shutdown : t -> unit
 (** Join the server's own worker domains, if it created any.  A shared
     [?pool] is the chain's to shut down.  Idempotent. *)
 
-val dial_kind : t -> Dialing.kind
-val is_last : t -> bool
 val metrics : t -> metrics
 
 val last_histogram : t -> Deaddrop.histogram option

@@ -144,7 +144,7 @@ let feed_conversation ?pool t ~round ~server_pks ~chunk ~sink =
         (fun p -> (Onion.draw_eph_sks ~rng:t.eph_rng ~chain_len (), p))
         payloads
     in
-    (* One batch, and so one field inversion, per domain's chunk. *)
+    (* One batch, and so one field inversion, per pool chunk. *)
     let wrap = Onion.wrap_many ~server_pks ~round in
     let wrapped =
       match pool with

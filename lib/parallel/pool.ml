@@ -8,10 +8,19 @@
    single-threaded above us), so the queue only ever holds jobs of the
    current batch.
 
-   The chunked combinators write straight into one preallocated result
-   array: each domain owns a contiguous index range, so there are no
-   per-chunk intermediate arrays, no concatenation copy, and no per-item
-   closure or option box. *)
+   A batch is cut into several small chunks per domain, not one equal
+   share each.  The per-item cost on our hot paths is uniform
+   (fixed-size crypto), but a domain's speed is not: the hypervisor
+   takes a vCPU away, one domain runs a GC slice, a worker wakes late.
+   With one share per domain, the coordinator would sit idle until the
+   slow domain finished its half (3.5–13 ms a round on the benchmark's
+   2-vCPU VM).  With small chunks on one queue, every domain takes the
+   next chunk as soon as it is done with its last, so a faster domain
+   simply runs more of them.
+
+   The chunked combinators write straight into one result array: each
+   chunk owns a contiguous index range of it, so there are no per-item
+   closures or option boxes and no concatenation copy. *)
 
 type t = {
   jobs : int;
@@ -132,31 +141,42 @@ let run t thunks =
     Array.map Option.get results
   end
 
-(* Contiguous chunks, one per domain: the per-item cost on our hot
-   paths is uniform (fixed-size crypto), so equal splits balance well
-   and keep per-batch overhead at [jobs] closures.  [body c lo hi] fills
-   chunk [c] < [jobs], indices [lo, hi). *)
-let run_ranges t n body =
-  if n > 0 then begin
-    let chunks = min t.jobs n in
-    if chunks <= 1 then body 0 0 n
-    else
-      run_units t
-        (Array.init chunks (fun c ->
-             let lo = c * n / chunks and hi = (c + 1) * n / chunks in
-             fun () -> body c lo hi))
-  end
+(* How a batch of [n] items is cut: into [chunks_per_domain] chunks per
+   domain, but never into chunks of fewer than [min_chunk] items, so a
+   chunk that shares one field inversion among its items (the peels,
+   noise wrapping) keeps it a small share of the chunk's DH work — one
+   inversion is ~9 µs, four ladders ~0.5 ms.  A floor of 8 left the
+   benchmark's 8-onion noise batches and trailing parts on one domain,
+   for 2.5–7.5% fewer [conv-steady] msgs/s on a 2-vCPU VM (three 10 s
+   pairs).  The bounds depend on [n] and [jobs] alone, never on which
+   domain is faster. *)
+let chunks_per_domain = 8
+let min_chunk = 4
+
+(* [body lo hi] for every chunk [lo, hi) of [0, n), each chunk at least
+   one item long, all of them taken from the queue by whichever domain
+   is free; a batch of one chunk runs on the caller. *)
+let run_chunks t n body =
+  let chunks =
+    if t.jobs = 1 then 1 else min (t.jobs * chunks_per_domain) (n / min_chunk)
+  in
+  if chunks > 1 then
+    run_units t
+      (Array.init chunks (fun c ->
+           let lo = c * n / chunks and hi = (c + 1) * n / chunks in
+           fun () -> body lo hi))
+  else if n > 0 then body 0 n
 
 let mapi_array t f a =
   let n = Array.length a in
-  if t.jobs = 1 || n < 2 * t.jobs then Array.mapi f a
+  if n = 0 then [||]
   else begin
     (* Seed the output with element 0 (computed on the coordinator; [f]
        is pure, so evaluation order is unobservable), then let each
        chunk fill its own range in place — result [i] is written from
        input [i] whatever domain ran it. *)
     let out = Array.make n (f 0 a.(0)) in
-    run_ranges t n (fun _ lo hi ->
+    run_chunks t n (fun lo hi ->
         for i = max 1 lo to hi - 1 do
           out.(i) <- f i a.(i)
         done);
@@ -166,21 +186,25 @@ let mapi_array t f a =
 let map_array t f a = mapi_array t (fun _ x -> f x) a
 
 let iter_array t f a =
-  let n = Array.length a in
-  if t.jobs = 1 || n < 2 * t.jobs then Array.iter f a
-  else
-    run_ranges t n (fun _ lo hi ->
-        for i = lo to hi - 1 do
-          f a.(i)
-        done)
+  run_chunks t (Array.length a) (fun lo hi ->
+      for i = lo to hi - 1 do
+        f a.(i)
+      done)
 
 (* One call of [f] per chunk, for work that shares a cost across a
-   chunk (the peels' one field inversion). *)
+   chunk (the peels' one field inversion).  The first chunk to finish
+   allocates the result, seeded with its own first item, under the
+   pool's lock; every chunk then blits its range into it. *)
 let map_chunks t f a =
-  let parts = Array.make t.jobs [||] in
-  run_ranges t (Array.length a) (fun c lo hi ->
+  let n = Array.length a in
+  let out = ref [||] in
+  run_chunks t n (fun lo hi ->
       let r = f (Array.sub a lo (hi - lo)) in
       if Array.length r <> hi - lo then
         invalid_arg "Pool.map_chunks: a chunk's result has the wrong length";
-      parts.(c) <- r);
-  Array.concat (Array.to_list parts)
+      Mutex.lock t.lock;
+      if Array.length !out = 0 then out := Array.make n r.(0);
+      let o = !out in
+      Mutex.unlock t.lock;
+      Array.blit r 0 o lo (hi - lo));
+  !out

@@ -28,25 +28,39 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the hardware parallelism
     available to this process. *)
 
+(** {2 Chunks}
+
+    [map_array], [mapi_array], [map_chunks] and [iter_array] cut an
+    array of [n] items by one rule: into [8 * jobs] contiguous chunks,
+    but never chunks of fewer than 4 items (so [n / 4] chunks when that
+    is fewer, and the whole array on the calling domain when it is
+    under 8 items or [jobs = 1]).  The bounds depend on [n] and [jobs]
+    alone.  The chunks go on the pool's one queue and every domain, the
+    caller included, takes the next chunk when it finishes its last: a
+    domain the host slows down runs fewer chunks instead of holding the
+    batch. *)
+
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Chunked parallel [Array.map]: at most [jobs] tasks, each filling a
-    contiguous range of one preallocated result array in place — no
-    per-item closures, no intermediate chunk arrays, no concatenation
-    copy.  [f] must be pure (or at least domain-safe and
-    index-independent); exceptions raised by [f] are re-raised on the
-    calling domain after the batch drains. *)
+(** Chunked parallel [Array.map]: one task per chunk, each filling its
+    contiguous range of one result array in place — no per-item
+    closures, no intermediate chunk arrays, no concatenation copy.  [f]
+    must be pure (or at least domain-safe and index-independent);
+    exceptions raised by [f] are re-raised on the calling domain after
+    the batch drains. *)
 
 val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** Chunked parallel [Array.mapi]. *)
 
 val map_chunks : t -> ('a array -> 'b array) -> 'a array -> 'b array
-(** [map_chunks t f a] splits [a] into at most [jobs] contiguous chunks
-    and calls [f] once per chunk, one chunk per domain, for work that
-    shares a cost across its items (one field inversion per chunk of
-    peels).  Output [i] comes from input [i]: for an [f] that maps each
-    element on its own, the result is [f a] at every [jobs].  A call of
-    [f] that returns an array of another length than its chunk raises
-    [Invalid_argument]; [f] is never called on an empty chunk. *)
+(** [map_chunks t f a] cuts [a] into the chunks above and calls [f]
+    once per chunk, for work that shares a cost across its items (one
+    field inversion per chunk of peels, which the 4-item floor keeps a
+    small share of the chunk).  Each chunk's result is written into its
+    own range of one result array: output [i] comes from input [i], so
+    for an [f] that maps each element on its own, the result is [f a]
+    at every [jobs].  A call of [f] that returns an array of another
+    length than its chunk raises [Invalid_argument], at every [jobs];
+    [f] is never called on an empty chunk. *)
 
 val iter_array : t -> ('a -> unit) -> 'a array -> unit
 (** Chunked parallel [Array.iter].  Side effects of [f] run in no
@@ -54,7 +68,8 @@ val iter_array : t -> ('a -> unit) -> 'a array -> unit
     state without its own synchronization. *)
 
 val run : t -> (unit -> 'a) array -> 'a array
-(** Run independent thunks, one result slot each, in parallel. *)
+(** Run independent thunks, one task and one result slot each, in
+    parallel. *)
 
 val shutdown : t -> unit
 (** Join the worker domains.  The pool must not be used afterwards;

@@ -25,10 +25,11 @@ let shutdown_pools () =
   Hashtbl.reset pools
 
 (* A generated case: a job count, and an int array whose size sweeps
-   the awkward range around chunk boundaries. *)
+   the awkward range around chunk boundaries: below 8 (one chunk),
+   where the 4-item floor sets the count, and past [8 * jobs] chunks. *)
 let gen_case rng =
   let jobs = 1 + Drbg.uniform ~rng 4 in
-  let n = Drbg.uniform ~rng 97 in
+  let n = Drbg.uniform ~rng 301 in
   let arr = Array.init n (fun _ -> Drbg.uniform ~rng 1_000_000) in
   (jobs, arr)
 
@@ -80,18 +81,38 @@ let run () =
       end);
   (* A per-element [f] over chunks: equal to [f] over the whole array
      at every job count and length, each element tagged with its index
-     so a chunk concatenated out of order shows; and a chunk result of
-     the wrong length raises. *)
-  Prop.vector ~name:"map_chunks = f on the whole array (jobs 1-4, n 0-40)"
+     so a chunk written to the wrong range shows; [f] sees only
+     non-empty chunks, cut by the documented rule; and a chunk result
+     of the wrong length raises, at [jobs = 1] too. *)
+  Prop.vector ~name:"map_chunks = f on the whole array (jobs 1-4, n 0-300)"
     (fun () ->
       let per_element = Array.map (fun (i, x) -> (i, f i x)) in
+      let lock = Mutex.create () in
       List.iter
         (fun jobs ->
-          for n = 0 to 40 do
+          for n = 0 to 300 do
             let arr = Array.init n (fun i -> (i, (i * 7919) + jobs)) in
+            let lens = ref [] in
+            let recorded c =
+              Mutex.protect lock (fun () -> lens := Array.length c :: !lens);
+              per_element c
+            in
             Prop.require
-              (Pool.map_chunks (pool ~jobs) per_element arr = per_element arr)
+              (Pool.map_chunks (pool ~jobs) recorded arr = per_element arr)
               "jobs=%d n=%d: map_chunks diverged" jobs n;
+            let chunks =
+              if jobs = 1 || n = 0 then min n 1
+              else max 1 (min (8 * jobs) (n / 4))
+            in
+            let lens = !lens in
+            Prop.require
+              (List.length lens = chunks
+              && List.for_all
+                   (fun l -> l > 0 && (l = n / chunks || l = (n / chunks) + 1))
+                   lens)
+              "jobs=%d n=%d: chunks of %s items, expected %d" jobs n
+              (String.concat "," (List.map string_of_int lens))
+              chunks;
             if n > 0 then
               List.iter
                 (fun (what, wrong) ->

@@ -62,6 +62,44 @@ let test_pool_jobs_one_is_sequential () =
        (Array.make 16 ()));
   Alcotest.(check (list int)) "in order" (List.init 16 (fun i -> 15 - i)) !seen
 
+(* A domain the host stalls cannot hold a batch.  The first item a
+   worker domain takes sleeps 300 ms (a vCPU the hypervisor took away);
+   every item is ~0.5 ms of work.  The coordinator keeps taking chunks
+   from the queue meanwhile, so it runs at least three quarters of the
+   items, where a fixed half per domain would leave it idle. *)
+let test_pool_stalled_domain () =
+  let pool = Pool.create ~jobs:2 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let n = 64 in
+  let coordinator = Domain.self () in
+  let ran_on = Array.make n coordinator in
+  let stalled = Atomic.make false in
+  let work s =
+    let until = Unix.gettimeofday () +. s in
+    while Unix.gettimeofday () < until do
+      ()
+    done
+  in
+  let g i x = (i * 31) + x in
+  let f i x =
+    let self = Domain.self () in
+    ran_on.(i) <- self;
+    if self <> coordinator && Atomic.compare_and_set stalled false true then
+      Unix.sleepf 0.3;
+    work 0.0005;
+    g i x
+  in
+  let a = Array.init n (fun i -> 7 * i) in
+  Alcotest.(check (array int)) "result" (Array.mapi g a)
+    (Pool.mapi_array pool f a);
+  let mine =
+    Array.fold_left (fun k d -> if d = coordinator then k + 1 else k) 0 ran_on
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "coordinator ran %d of %d items (>= 3/4)" mine n)
+    true
+    (4 * mine >= 3 * n)
+
 (* ------------------------------------------------------------------ *)
 (* Deployment determinism across job counts                            *)
 (* ------------------------------------------------------------------ *)
@@ -178,6 +216,8 @@ let suite =
       tc "pool matches sequential" `Quick test_pool_matches_sequential;
       tc "pool run and exceptions" `Quick test_pool_run_and_exceptions;
       tc "pool jobs=1 sequential" `Quick test_pool_jobs_one_is_sequential;
+      tc "pool stalled domain cannot hold a batch" `Quick
+        test_pool_stalled_domain;
       tc "deployment bit-identical across jobs" `Quick
         test_deployment_determinism;
       tc "standalone server pool" `Quick test_standalone_server_pool;

@@ -111,6 +111,7 @@ let figure9 () =
         curves;
       print_newline ())
     xs;
+  (* The pipelined round model (Vuvuzela_sim.Pipeline's recurrence). *)
   Printf.printf
     "\ndiscrete-event pipeline (mu=300K): latency / round interval\n";
   List.iter

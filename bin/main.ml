@@ -348,7 +348,7 @@ let simulate_cmd =
   let users = Arg.(value & opt int 1_000_000 & info [ "users"; "n" ] ~doc:"Users.") in
   let servers = Arg.(value & opt int 3 & info [ "servers"; "s" ] ~doc:"Chain length.") in
   let mu = Arg.(value & opt float 300_000. & info [ "mu" ] ~doc:"Noise mean.") in
-  let des = Arg.(value & flag & info [ "des" ] ~doc:"Also run the event simulation.") in
+  let des = Arg.(value & flag & info [ "des" ] ~doc:"Also run the pipelined round model.") in
   Cmd.v
     (Cmd.info "simulate" ~doc:"performance from the calibrated cost model")
     Term.(const simulate $ users $ servers $ mu $ des)

@@ -254,33 +254,14 @@ let answer_hello st server =
 
 (* Create the server once the downstream suffix is known — immediately
    for the last server, after the first successful handshake otherwise.
-   This is the one derivation of a position's server from a deployment:
-   its {!Server.config} comes from the [Config.t] and its RNG seed is
-   [seed ^ "-server-" ^ index], so a seeded daemon is bit-identical to
-   the same position of an in-process chain. *)
+   {!Server.create} derives everything else from the deployment, so a
+   seeded daemon is bit-identical to the same position of an in-process
+   chain. *)
 let ensure_server st =
   if st.server = None then begin
     let cfg = st.cfg.deployment and position = st.cfg.index in
-    let rng_seed =
-      Option.map
-        (fun s -> Bytes.of_string (Printf.sprintf "%s-server-%d" s position))
-        cfg.seed
-    in
     let server =
-      Server.create ?rng_seed ?pool:st.pool ?telemetry:cfg.telemetry
-        ~suffix_pks:(suffix st)
-        ~cfg:
-          {
-            Server.position;
-            chain_len = cfg.n_servers;
-            noise = cfg.noise;
-            dial_noise = cfg.dial_noise;
-            noise_mode = cfg.noise_mode;
-            dial_kind = cfg.dial_kind;
-            jobs = cfg.jobs;
-            deaddrop_shards = cfg.deaddrop_shards;
-          }
-        ()
+      Server.create ?pool:st.pool cfg ~position ~suffix_pks:(suffix st)
     in
     st.server <- Some server;
     st.log
@@ -703,8 +684,7 @@ let close st =
   Option.iter Httpd.close st.httpd;
   st.httpd <- None;
   Option.iter Remote.close st.downstream;
-  Option.iter Conn.close st.upstream;
-  Option.iter Server.shutdown st.server
+  Option.iter Conn.close st.upstream
 
 let run ?log cfg =
   (* Scrape endpoints imply a sink: a daemon asked to expose /metrics
@@ -720,15 +700,21 @@ let run ?log cfg =
   let cfg = { cfg with deployment = { cfg.deployment with telemetry } } in
   let tp = Transport.create ?telemetry () in
   let faults = Option.map Fault.injector cfg.deployment.fault_plan in
-  match start tp ?faults ?log cfg with
-  | Error e -> Error e
-  | Ok st ->
-      while not st.stop do
-        Transport.run_once tp
-      done;
-      (* Drain: let the forwarded Bye and any last replies flush. *)
-      for _ = 1 to 10 do
-        Transport.run_once ~max_wait_ms:5. tp
-      done;
-      close st;
-      Ok ()
+  let jobs = cfg.deployment.jobs in
+  let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
+  let result =
+    match start tp ?pool ?faults ?log cfg with
+    | Error e -> Error e
+    | Ok st ->
+        while not st.stop do
+          Transport.run_once tp
+        done;
+        (* Drain: let the forwarded Bye and any last replies flush. *)
+        for _ = 1 to 10 do
+          Transport.run_once ~max_wait_ms:5. tp
+        done;
+        close st;
+        Ok ()
+  in
+  Option.iter Pool.shutdown pool;
+  result

@@ -96,19 +96,21 @@ val start :
   (t, string) result
 (** Listen on [listen] and dial [next] on this endpoint, and return: the
     owner drives the loop.  [pool] and [faults] are shared by the
-    servers of one process (default: the server's own pool, from
-    [jobs], and no faults).  [Error] as {!run}'s startup failures. *)
+    servers of one process (default: sequential, and no faults); the
+    owner joins the pool after {!close}.  [Error] as {!run}'s startup
+    failures. *)
 
 val server : t -> Server.t option
 (** The server, once the downstream keys are known. *)
 
 val close : t -> unit
-(** Close both links (and the scrape endpoints), write [trace_out], and
-    shut the server down. *)
+(** Close both links (and the scrape endpoints) and write
+    [trace_out]. *)
 
 val run : ?log:(string -> unit) -> config -> (unit, string) result
 (** Run until a [Bye] arrives from upstream (forwarded down the chain
-    first), then shut the server down and return.  [Error] only for
-    startup failures (bad config, cannot bind [listen]) — runtime link
-    failures are survived: upstream may disconnect and re-accept,
-    downstream redials under backoff. *)
+    first), then close and return.  The daemon's pool, of the
+    deployment's [jobs] domains, lives exactly as long as this call.
+    [Error] only for startup failures (bad config, cannot bind
+    [listen]) — runtime link failures are survived: upstream may
+    disconnect and re-accept, downstream redials under backoff. *)

@@ -127,7 +127,6 @@ let make (cfg : Config.t) ?local remote =
   install_ledger cfg;
   Remote.set_deadline_ms remote
     (hedged_deadline_ms cfg ~hops:(List.length (Remote.public_keys remote)));
-  Remote.set_pipeline remote (Config.part_chunk cfg);
   {
     remote;
     local;
@@ -167,7 +166,9 @@ let of_config_tcp (cfg : Config.t) ~addr =
   Remote.connect ?telemetry:cfg.telemetry ~dial_kind:cfg.dial_kind
     ~handshake_timeout_ms:cfg.handshake_timeout_ms ?backoff_seed ?link
     ~flap_grace_ms:cfg.flap_grace_ms ~addr ()
-  |> Result.map (make cfg)
+  |> Result.map (fun remote ->
+         Remote.set_pipeline remote (Config.part_chunk cfg);
+         make cfg remote)
 
 let chain t =
   match t.local with

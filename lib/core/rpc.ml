@@ -246,30 +246,6 @@ let decode b =
       | t -> raise (Wire.Error (Printf.sprintf "Rpc.decode: unknown tag %d" t)))
     b
 
-let equal_message a b =
-  match (a, b) with
-  | Conv_results x, Conv_results y -> x.round = y.round && x.replies = y.replies
-  | Dial_results x, Dial_results y -> x.round = y.round && x.replies = y.replies
-  | ( Fetch_drop { dial_round = r1; index = i1 },
-      Fetch_drop { dial_round = r2; index = i2 } ) -> r1 = r2 && i1 = i2
-  | Drop_contents x, Drop_contents y ->
-      x.dial_round = y.dial_round && x.index = y.index
-      && x.invitations = y.invitations
-  | Status x, Status y -> x = y
-  | Hello { index = i1 }, Hello { index = i2 } -> i1 = i2
-  | Chain_info { pks = p1 }, Chain_info { pks = p2 } -> p1 = p2
-  | ( Abort { round = r1; dialing = d1 },
-      Abort { round = r2; dialing = d2 } ) -> r1 = r2 && d1 = d2
-  | Bye, Bye -> true
-  | Conv_batch_part x, Conv_batch_part y ->
-      x.round = y.round && x.seq = y.seq && x.last = y.last
-      && x.onions = y.onions
-  | Dial_batch_part x, Dial_batch_part y ->
-      x.round = y.round && x.m = y.m && x.seq = y.seq && x.last = y.last
-      && x.onions = y.onions
-  | Trace_ctx { ctx = c1 }, Trace_ctx { ctx = c2 } -> c1 = c2
-  | _ -> false
-
 (* The frames of a round of either kind, so relays are written once. *)
 let part (kind : Round.kind) ~round ~m ~seq ~last onions =
   match kind with

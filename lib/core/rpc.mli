@@ -73,8 +73,6 @@ val decode : bytes -> (message, string) result
 (** Rejects bad magic, unknown versions/tags, absurd counts, batches of
     empty items, and truncated or trailing bytes. *)
 
-val equal_message : message -> message -> bool
-
 val part :
   Round.kind ->
   round:int ->

@@ -20,17 +20,6 @@ let log_src = Logs.Src.create "vuvuzela.server" ~doc:"Vuvuzela chain server"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type config = {
-  position : int;  (** 0-based index in the chain *)
-  chain_len : int;
-  noise : Laplace.params;  (** conversation noise (µ, b) *)
-  dial_noise : Laplace.params;  (** per-invitation-drop noise *)
-  noise_mode : Noise.mode;
-  dial_kind : Dialing.kind;  (** deployment-wide invitation format *)
-  jobs : int;  (** domains for the per-onion crypto hot paths *)
-  deaddrop_shards : int;  (** conversation dead-drop store shards (>= 1) *)
-}
-
 type slot = Valid of { index : int; secret : bytes } | Invalid
 (* [index] is the request's position in this server's outgoing batch
    before shuffling. *)
@@ -53,12 +42,12 @@ type metrics = {
 }
 
 type t = {
-  cfg : config;
+  cfg : Config.t;
+  position : int;  (** 0-based index in the chain *)
   secret : bytes;
   public : bytes;
   suffix_pks : bytes list;  (** public keys of the downstream servers *)
   pool : Pool.t option;  (** [None] ⇒ sequential *)
-  owns_pool : bool;  (** created here (vs. shared by the chain) *)
   rng : Drbg.t;
   conv_rounds : (int, round_state) Hashtbl.t;
   dial_rounds : (int, round_state) Hashtbl.t;
@@ -76,33 +65,26 @@ type t = {
       (** the deployment's telemetry sink; [None] is the nil sink *)
 }
 
-let create ?rng_seed ?pool ?telemetry ~cfg ~suffix_pks () =
+let create ?pool (cfg : Config.t) ~position ~suffix_pks =
   let rng =
-    match rng_seed with
-    | Some seed -> Drbg.create ~seed
+    match cfg.seed with
+    | Some seed ->
+        Drbg.create
+          ~seed:(Bytes.of_string (Printf.sprintf "%s-server-%d" seed position))
     | None -> Drbg.create_system ()
   in
   let secret, public = Drbg.keypair ~rng () in
-  if cfg.position < 0 || cfg.position >= cfg.chain_len then
+  if position < 0 || position >= cfg.n_servers then
     invalid_arg "Server.create: bad position";
-  if List.length suffix_pks <> cfg.chain_len - cfg.position - 1 then
+  if List.length suffix_pks <> cfg.n_servers - position - 1 then
     invalid_arg "Server.create: suffix length mismatch";
-  (* A chain shares one pool across its servers (they take turns, so
-     per-server pools would idle); a standalone server with [jobs > 1]
-     gets its own. *)
-  let pool, owns_pool =
-    match pool with
-    | Some p -> (Some p, false)
-    | None when cfg.jobs > 1 -> (Some (Pool.create ~jobs:cfg.jobs), true)
-    | None -> (None, false)
-  in
   {
     cfg;
+    position;
     secret;
     public;
     suffix_pks;
     pool;
-    owns_pool;
     rng;
     conv_rounds = Hashtbl.create 8;
     dial_rounds = Hashtbl.create 8;
@@ -120,16 +102,10 @@ let create ?rng_seed ?pool ?telemetry ~cfg ~suffix_pks () =
         noise_invitations = 0;
         rounds = 0;
       };
-    tel = telemetry;
+    tel = cfg.telemetry;
   }
 
 let public_key t = t.public
-let jobs t = t.cfg.jobs
-
-let shutdown t =
-  match t.pool with
-  | Some p when t.owns_pool -> Pool.shutdown p
-  | _ -> ()
 
 (* Fan a pure per-item function out over the pool (sequential when the
    server runs with jobs = 1).  The combinators write slot [i] of the
@@ -149,13 +125,13 @@ let proposed_m t = t.proposed_m
    on hand, so a briefly-blocked client can still download the drops it
    missed once it reconnects. *)
 let invitation_history = 8
-let is_last t = t.cfg.position = t.cfg.chain_len - 1
+let is_last t = t.position = t.cfg.n_servers - 1
 let metrics t = t.metrics
 let last_histogram t = t.last_histogram
 
 (* Number of downstream servers (those that still add reply layers under
    this server's results). *)
-let downstream t = t.cfg.chain_len - t.cfg.position - 1
+let downstream t = t.cfg.n_servers - t.position - 1
 
 (* ------------------------------------------------------------------ *)
 (* Streaming peel                                                      *)
@@ -188,12 +164,12 @@ type stream = {
    onion layer per remaining server. *)
 let conv_request_len t =
   Onion.request_size
-    ~chain_len:(t.cfg.chain_len - t.cfg.position)
+    ~chain_len:(t.cfg.n_servers - t.position)
     ~payload_len:Types.exchange_payload_len
 
 let dial_request_len t =
   Onion.request_size
-    ~chain_len:(t.cfg.chain_len - t.cfg.position)
+    ~chain_len:(t.cfg.n_servers - t.position)
     ~payload_len:(Dialing.payload_len t.cfg.dial_kind)
 
 let make_stream ~round ~dialing ~expected_len =
@@ -239,7 +215,7 @@ let stream t ~(kind : Round.kind) ~round =
      onions never share a secret. *)
 let stream_feed t st (onions : bytes array) =
   Telemetry.stage t.tel ~name:"peel" ~round:st.s_round
-    ~server:t.cfg.position ~dialing:st.s_dialing
+    ~server:t.position ~dialing:st.s_dialing
   @@ fun () ->
   (* Pass 1 (coordinator): the size check. *)
   let to_peel = ref [] in
@@ -292,7 +268,7 @@ let stream_feed t st (onions : bytes array) =
   match t.tel with
   | None -> ()
   | Some _ ->
-      let server = [ ("server", string_of_int t.cfg.position) ] in
+      let server = [ ("server", string_of_int t.position) ] in
       Telemetry.add_counter t.tel ~labels:server
         ~by:(float_of_int (Array.length onions))
         "vuvuzela_requests_total"
@@ -307,7 +283,7 @@ let stream_collect t st =
       let bad = st.s_n_in - st.s_n_valid in
       if bad > 0 then
         Telemetry.add_counter t.tel
-          ~labels:[ ("server", string_of_int t.cfg.position) ]
+          ~labels:[ ("server", string_of_int t.position) ]
           ~by:(float_of_int bad) "vuvuzela_rejected_requests_total");
   (slots, inners)
 
@@ -346,7 +322,7 @@ let shuffle_and_record t table ~round ~slots ~reply_payload_len batch =
    in slot order on the coordinator (sealing draws nothing, so the
    stream matches one interleaved loop); the AEAD seals then fan out. *)
 let reseal t ~round ~dialing ~payload_len slots payload =
-  Telemetry.stage t.tel ~name:"reseal" ~round ~server:t.cfg.position ~dialing
+  Telemetry.stage t.tel ~name:"reseal" ~round ~server:t.position ~dialing
   @@ fun () ->
   let dummy_len = payload_len + Onion.reply_overhead in
   let dummies =
@@ -372,7 +348,7 @@ let unshuffle_and_reply t table ~round ~dialing (results : bytes array) =
       if Array.length results <> st.n_forwarded then
         invalid_arg "Server: result batch size mismatch";
       let unshuffled =
-        Telemetry.stage t.tel ~name:"unpeel" ~round ~server:t.cfg.position
+        Telemetry.stage t.tel ~name:"unpeel" ~round ~server:t.position
           ~dialing (fun () -> Shuffle.unapply st.perm results)
       in
       reseal t ~round ~dialing ~payload_len:st.reply_payload_len st.slots
@@ -427,7 +403,7 @@ let conv_noise t ~round =
    with telemetry on or off, pipelined or not. *)
 let finish_forward t st table ~result_len make_noise =
   let round = st.s_round and dialing = st.s_dialing in
-  let pos = t.cfg.position in
+  let pos = t.position in
   let slots, inners = stream_collect t st in
   let noise =
     Telemetry.stage t.tel ~name:"noise" ~round ~server:pos ~dialing (fun () ->
@@ -436,7 +412,7 @@ let finish_forward t st table ~result_len make_noise =
   Telemetry.mark t.tel ~name:"exchange" ~round ~server:pos ~dialing ();
   Log.debug (fun m ->
       m "server %d: %s round %d fwd: %d in, %d valid, %d noise"
-        t.cfg.position
+        t.position
         (if dialing then "dial" else "conv")
         round st.s_n_in (Array.length inners) (Array.length noise));
   let reply_payload_len = result_len + (Onion.reply_overhead * downstream t) in
@@ -462,7 +438,7 @@ let conv_finish_exchange t st =
   if st.s_dialing then
     invalid_arg "Server.conv_finish_exchange: dialing stream";
   let round = st.s_round in
-  let pos = t.cfg.position in
+  let pos = t.position in
   let slots, inners = stream_collect t st in
   (* The last server adds no conversation noise and never shuffles (its
      output goes straight back up); zero-duration markers keep stage
@@ -490,7 +466,7 @@ let conv_finish_exchange t st =
   Log.debug (fun m ->
       let h = Deaddrop.histogram t.drops in
       m "server %d: round %d exchange: %d requests, m1=%d m2=%d"
-        t.cfg.position round (Array.length inners) h.Deaddrop.m1
+        t.position round (Array.length inners) h.Deaddrop.m1
         h.Deaddrop.m2);
   Telemetry.mark t.tel ~name:"unpeel" ~round ~server:pos ();
   reseal t ~round ~dialing:false ~payload_len:Types.exchange_result_len slots
@@ -564,7 +540,7 @@ let dial_finish_deliver t st ~m =
   if not st.s_dialing then
     invalid_arg "Server.dial_finish_deliver: conversation stream";
   let round = st.s_round in
-  let pos = t.cfg.position in
+  let pos = t.position in
   let slots, inners = stream_collect t st in
   let store = Deaddrop.Invitation.create ~m in
   Telemetry.stage t.tel ~name:"exchange" ~round ~server:pos ~dialing:true
@@ -586,7 +562,7 @@ let dial_finish_deliver t st ~m =
          ((chain_len−1)·µ per drop on average), which the last server
          subtracts out before applying m = n·f/µ. *)
       let mu = t.cfg.dial_noise.Vuvuzela_dp.Laplace.mu in
-      let upstream_noise = float_of_int ((t.cfg.chain_len - 1) * m) *. mu in
+      let upstream_noise = float_of_int ((t.cfg.n_servers - 1) * m) *. mu in
       let real_estimate =
         Float.max 0. (float_of_int !arrived -. upstream_noise)
       in
@@ -595,7 +571,7 @@ let dial_finish_deliver t st ~m =
           lm
             "server %d: dial round %d: %d arrivals, est. %.0f real, propose \
              m=%d"
-            t.cfg.position round !arrived real_estimate t.proposed_m));
+            t.position round !arrived real_estimate t.proposed_m));
   (* The last server's own per-drop noise goes straight into the store —
      it need not transit the mixnet (§5.3). *)
   Telemetry.stage t.tel ~name:"noise" ~round ~server:pos ~dialing:true

@@ -2,22 +2,6 @@
     unshuffle, seal on the way back.  The last server hosts dead drops
     and invitation drops. *)
 
-type config = {
-  position : int;
-  chain_len : int;
-  noise : Vuvuzela_dp.Laplace.params;
-  dial_noise : Vuvuzela_dp.Laplace.params;
-  noise_mode : Vuvuzela_dp.Noise.mode;
-  dial_kind : Dialing.kind;
-  jobs : int;
-      (** domains for the per-onion crypto hot paths; [1] = sequential.
-          Results are bit-identical at any job count. *)
-  deaddrop_shards : int;
-      (** conversation dead-drop store shards (>= 1); the exchange
-          pair-matches per shard over the pool, bit-identical for any
-          count *)
-}
-
 type metrics = {
   mutable requests_in : int;
   mutable invalid_requests : int;
@@ -31,35 +15,29 @@ type metrics = {
 type t
 
 val create :
-  ?rng_seed:bytes ->
   ?pool:Vuvuzela_parallel.Pool.t ->
-  ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
-  cfg:config ->
+  Config.t ->
+  position:int ->
   suffix_pks:bytes list ->
-  unit ->
   t
-(** [suffix_pks] are the public keys of the servers after this one in the
-    chain (needed to wrap noise requests).  [pool] shares a domain pool
-    with other servers (the chain does this — its servers take turns);
-    without it, [cfg.jobs > 1] creates a private pool owned by this
-    server.
+(** The server at [position] (0-based) of the deployment's chain.
+    [suffix_pks] are the public keys of the servers after it (needed to
+    wrap noise requests).  A seeded deployment derives the server's RNG
+    from [seed ^ "-server-" ^ position], so a daemon is bit-identical to
+    the same position of an in-process chain.  [pool] runs the
+    per-onion crypto (default: sequential); the tier that owns the
+    server's domains creates it, sized by [jobs], and joins it.
+    Results are bit-identical at any job count.
 
-    [telemetry] (default: the nil sink) records a span per pipeline
-    stage per round — [peel], [noise], [shuffle], [exchange], [reseal],
-    [unpeel]; stages that do not apply to this position appear as
-    zero-duration markers so coverage is total — and counts
+    The deployment's telemetry sink (default: none) records a span per
+    pipeline stage per round — [peel], [noise], [shuffle], [exchange],
+    [reseal], [unpeel]; stages that do not apply to this position
+    appear as zero-duration markers so coverage is total — and counts
     requests/noise into the registry.  Instrumentation never draws from
     the RNG, so rounds are bit-identical with telemetry on or off.
     @raise Invalid_argument on inconsistent position/suffix. *)
 
 val public_key : t -> bytes
-
-val jobs : t -> int
-(** The configured degree of parallelism. *)
-
-val shutdown : t -> unit
-(** Join the server's own worker domains, if it created any.  A shared
-    [?pool] is the chain's to shut down.  Idempotent. *)
 
 val metrics : t -> metrics
 

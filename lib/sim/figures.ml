@@ -83,8 +83,8 @@ let figure9 ?(model = Cost_model.paper) () =
       })
     fig9_mus
 
-(* The same curve measured by the discrete-event pipeline rather than
-   the closed form (they must agree; the DES additionally yields round
+(* The same curve from the pipelined round model rather than the closed
+   form (they must agree; the pipeline additionally yields round
    intervals and utilization). *)
 let figure9_des ?(model = Cost_model.paper) ?(mu = 300_000.) () =
   List.map

@@ -33,8 +33,8 @@ val figure9 : ?model:Cost_model.t -> unit -> latency_curve list
 
 val figure9_des :
   ?model:Cost_model.t -> ?mu:float -> unit -> (int * float * float) list
-(** The same sweep on the discrete-event pipeline:
-    (users, latency, round interval). *)
+(** The same sweep on the pipelined round model ({!Pipeline.run}, 6
+    rounds): (users, latency, round interval). *)
 
 val dial_noise_13k : Vuvuzela_dp.Laplace.params
 val figure10 : ?model:Cost_model.t -> unit -> latency_curve

@@ -1,16 +1,18 @@
-(* Discrete-event simulation of the Vuvuzela round pipeline.
+(* The Vuvuzela round pipeline.
 
-   Each server machine is an exclusive resource: it processes one
-   round's batch at a time ("to avoid leaking information about a
-   server's permutation of messages, one server cannot start processing
-   a round until the previous server finishes", §8.2).  Successive
-   rounds pipeline: while round r is at server 2, round r+1 can occupy
-   server 1.  The entry server opens a new round as soon as the first
-   chain server is free.
+   Each server machine processes one round's batch at a time ("to avoid
+   leaking information about a server's permutation of messages, one
+   server cannot start processing a round until the previous server
+   finishes", §8.2).  Successive rounds pipeline: while round r is at
+   server 2, round r+1 can occupy server 1.  The entry server opens a
+   new round a coordination gap after the first chain server finishes
+   the previous one.
 
-   This simulation produces the end-to-end latency of Figures 9-11 and
-   the emergent round interval behind §8.3's "4 messages per minute per
-   client". *)
+   With fixed stage times this FIFO chain is a max-plus recurrence:
+   round r starts at server i once round r has left server i-1 and
+   round r-1 has left server i.  It produces the end-to-end latency of
+   Figures 9-11 and the emergent round interval behind §8.3's "4
+   messages per minute per client". *)
 
 type result = {
   rounds_completed : int;
@@ -44,77 +46,66 @@ let stage_time (model : Cost_model.t) ~servers ~at ~batch ~cpu_requests =
 let run ?(model = Cost_model.paper) ~users ~servers ~noise ~rounds () =
   if servers < 1 then invalid_arg "Pipeline.run: need at least one server";
   if rounds < 1 then invalid_arg "Pipeline.run: need at least one round";
-  let sim = Event_sim.create () in
-  let machines =
-    Array.init servers (fun _ -> Event_sim.Resource.create sim)
-  in
+  let efficiency = model.Cost_model.pipeline_efficiency in
+  if not (efficiency > 0. && efficiency <= 1.) then
+    invalid_arg "Pipeline.run: pipeline_efficiency must be in (0, 1]";
   let noise_per_server = Cost_model.conv_noise_per_server noise in
   (* Peel work + noise-wrapping work at server i:
      (users + i·2µ) + 2µ·(s−1−i) = users + (s−1)·2µ for every i. *)
   let cpu_requests =
     Cost_model.conv_total_requests ~users ~servers ~noise
   in
-  let completed = ref [] in
-  let completions = ref [] in
-  (* Seize servers 1..s-1 in order after leaving server 0.  Each stage
-     time folds both directions of the batch into one busy period:
-     replies are cheap relative to the forward DH work, and the 1.9×
-     protocol overhead is calibrated against the paper's end-to-end
+  (* Each stage time folds both directions of the batch into one busy
+     period: replies are cheap relative to the forward DH work, and the
+     1.9× protocol overhead is calibrated against the paper's end-to-end
      numbers, which include the return path. *)
-  let rec stage ~start i =
-    if i = servers then begin
-      completed := (Event_sim.now sim -. start) :: !completed;
-      completions := Event_sim.now sim :: !completions
-    end
-    else begin
-      let batch =
-        float_of_int users +. (float_of_int i *. noise_per_server)
-      in
-      Event_sim.Resource.use machines.(i)
-        ~duration:(stage_time model ~servers ~at:i ~batch ~cpu_requests)
-        (fun () -> stage ~start (i + 1))
-    end
+  let d =
+    Array.init servers (fun i ->
+        let batch =
+          float_of_int users +. (float_of_int i *. noise_per_server)
+        in
+        stage_time model ~servers ~at:i ~batch ~cpu_requests)
   in
+  if not (Array.for_all (fun t -> t >= 0.) d) then
+    invalid_arg "Pipeline.run: negative stage time";
   (* The entry server opens round r+1 once server 0 has finished round r
      plus a coordination gap (the client collection window); latency is
      measured from the moment a round's batch enters server 0 — the
      paper's end-to-end round latency. *)
-  let coordination d = d *. ((1. /. model.Cost_model.pipeline_efficiency) -. 1.) in
-  let rec launch round =
-    if round < rounds then
-      Event_sim.Resource.acquire machines.(0) (fun release ->
-          let start = Event_sim.now sim in
-          let batch = float_of_int users in
-          let d = stage_time model ~servers ~at:0 ~batch ~cpu_requests in
-          Event_sim.schedule sim ~delay:d (fun () ->
-              release ();
-              Event_sim.schedule sim ~delay:(coordination d) (fun () ->
-                  launch (round + 1));
-              stage ~start 1))
-  in
-  Event_sim.schedule sim ~delay:0. (fun () -> launch 0);
-  Event_sim.run sim;
-  let latencies = List.rev !completed in
-  let n = List.length latencies in
-  let mean_latency =
-    List.fold_left ( +. ) 0. latencies /. float_of_int (max 1 n)
-  in
-  let times = List.sort compare !completions in
+  let gap = d.(0) *. ((1. /. efficiency) -. 1.) in
+  (* [finish.(i)]: when server i finished the latest round so far.
+     Busy time adds [stop -. start], the time the server was held, not
+     [d.(i)]: the two can differ in the last bit. *)
+  let finish = Array.make servers 0. in
+  let busy = Array.make servers 0. in
+  let latency_sum = ref 0. and first_done = ref 0. in
+  for r = 0 to rounds - 1 do
+    let entered = if r = 0 then 0. else finish.(0) +. gap in
+    let ready = ref entered in
+    for i = 0 to servers - 1 do
+      let start = Float.max !ready finish.(i) in
+      let stop = start +. d.(i) in
+      busy.(i) <- busy.(i) +. (stop -. start);
+      finish.(i) <- stop;
+      ready := stop
+    done;
+    latency_sum := !latency_sum +. (!ready -. entered);
+    if r = 0 then first_done := !ready
+  done;
+  let mean_latency = !latency_sum /. float_of_int rounds in
+  let last_done = finish.(servers - 1) in
   let round_interval =
-    match times with
-    | first :: _ :: _ ->
-        let last = List.nth times (List.length times - 1) in
-        (last -. first) /. float_of_int (List.length times - 1)
-    | _ -> mean_latency
+    if rounds = 1 then mean_latency
+    else (last_done -. !first_done) /. float_of_int (rounds - 1)
   in
-  let horizon = Event_sim.now sim in
+  (* The horizon is the last moment anything happens: the final round's
+     completion, or the entry server's gap after it, if that ends later. *)
+  let horizon = Float.max last_done (finish.(0) +. gap) in
   {
-    rounds_completed = n;
+    rounds_completed = rounds;
     mean_latency;
     round_interval;
     throughput = float_of_int users /. Float.max round_interval 1e-9;
     server_utilization =
-      Array.map
-        (fun r -> Event_sim.Resource.utilization r ~horizon)
-        machines;
+      Array.map (fun b -> if horizon <= 0. then 0. else b /. horizon) busy;
   }

@@ -9,8 +9,7 @@ open Vuvuzela
 
 let roundtrip msg =
   match Rpc.decode (Rpc.encode msg) with
-  | Ok m ->
-      if not (Rpc.equal_message msg m) then Alcotest.fail "rpc mismatch"
+  | Ok m -> if m <> msg then Alcotest.fail "rpc mismatch"
   | Error e -> Alcotest.fail e
 
 let test_rpc_roundtrips () =

@@ -187,28 +187,6 @@ let test_deployment_determinism () =
       Alcotest.(check (list string)) ("transcript " ^ label) ref_t t)
     [ (2, None); (4, None); (1, Some 1); (2, Some 3); (4, Some 4) ]
 
-let test_standalone_server_pool () =
-  (* A server created with jobs > 1 and no shared pool owns one, and
-     [shutdown] is idempotent. *)
-  let cfg =
-    {
-      Server.position = 0;
-      chain_len = 1;
-      noise = Laplace.params ~mu:2. ~b:1.;
-      dial_noise = Laplace.params ~mu:1. ~b:1.;
-      noise_mode = Noise.Deterministic;
-      dial_kind = Dialing.Plain;
-      jobs = 2;
-      deaddrop_shards = 1;
-    }
-  in
-  let s =
-    Server.create ~rng_seed:(Bytes.of_string "solo") ~cfg ~suffix_pks:[] ()
-  in
-  Alcotest.(check int) "server jobs" 2 (Server.jobs s);
-  Server.shutdown s;
-  Server.shutdown s
-
 let suite =
   let tc = Alcotest.test_case in
   ( "parallel",
@@ -220,5 +198,4 @@ let suite =
         test_pool_stalled_domain;
       tc "deployment bit-identical across jobs" `Quick
         test_deployment_determinism;
-      tc "standalone server pool" `Quick test_standalone_server_pool;
     ] )

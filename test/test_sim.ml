@@ -1,6 +1,6 @@
-(* Simulator tests: the DES engine itself, the calibrated cost model
-   against the paper's reported numbers, and the figure harnesses'
-   shape properties. *)
+(* Simulator tests: the pipeline's input checks and exact values, the
+   calibrated cost model against the paper's reported numbers, and the
+   figure harnesses' shape properties. *)
 
 open Vuvuzela_sim
 
@@ -18,90 +18,119 @@ let within msg ~pct expected actual =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Event_sim engine                                                    *)
+(* Pipeline: input checks and exact values                             *)
 (* ------------------------------------------------------------------ *)
 
-let test_event_ordering () =
-  let sim = Event_sim.create () in
-  let log = ref [] in
-  Event_sim.schedule sim ~delay:3. (fun () -> log := 3 :: !log);
-  Event_sim.schedule sim ~delay:1. (fun () -> log := 1 :: !log);
-  Event_sim.schedule sim ~delay:2. (fun () -> log := 2 :: !log);
-  Event_sim.run sim;
-  Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log);
-  feq "clock at last event" 3. (Event_sim.now sim);
-  Alcotest.(check int) "all processed" 3 (Event_sim.events_processed sim)
+let noise300k = Figures.conv_noise_of 300_000.
 
-let test_event_fifo_ties () =
-  (* Same-time events run in scheduling order. *)
-  let sim = Event_sim.create () in
-  let log = ref [] in
-  for i = 1 to 10 do
-    Event_sim.schedule sim ~delay:5. (fun () -> log := i :: !log)
-  done;
-  Event_sim.run sim;
-  Alcotest.(check (list int)) "fifo ties" (List.init 10 (fun i -> i + 1))
-    (List.rev !log)
+let test_pipeline_efficiency_range () =
+  (* Zero efficiency means an infinite coordination gap, and NaN or a
+     value above one a meaningless or negative one. *)
+  List.iter
+    (fun pipeline_efficiency ->
+      let model = { Cost_model.paper with pipeline_efficiency } in
+      Alcotest.check_raises
+        (Printf.sprintf "efficiency %g" pipeline_efficiency)
+        (Invalid_argument "Pipeline.run: pipeline_efficiency must be in (0, 1]")
+        (fun () ->
+          ignore
+            (Pipeline.run ~model ~users:1_000_000 ~servers:3 ~noise:noise300k
+               ~rounds:6 ())))
+    [ 0.; nan; 1.2; -0.5; infinity ]
 
-let test_event_nested_scheduling () =
-  let sim = Event_sim.create () in
-  let log = ref [] in
-  Event_sim.schedule sim ~delay:1. (fun () ->
-      log := "a" :: !log;
-      Event_sim.schedule sim ~delay:1. (fun () -> log := "c" :: !log));
-  Event_sim.schedule sim ~delay:1.5 (fun () -> log := "b" :: !log);
-  Event_sim.run sim;
-  Alcotest.(check (list string)) "nested" [ "a"; "b"; "c" ] (List.rev !log)
+let test_pipeline_input_range () =
+  let run ~users ~servers ~rounds () =
+    ignore (Pipeline.run ~users ~servers ~noise:noise300k ~rounds ())
+  in
+  Alcotest.check_raises "no server"
+    (Invalid_argument "Pipeline.run: need at least one server")
+    (run ~users:10 ~servers:0 ~rounds:6);
+  Alcotest.check_raises "no round"
+    (Invalid_argument "Pipeline.run: need at least one round")
+    (run ~users:10 ~servers:3 ~rounds:0);
+  Alcotest.check_raises "negative work"
+    (Invalid_argument "Pipeline.run: negative stage time")
+    (run ~users:(-100_000_000) ~servers:3 ~rounds:2)
 
-let test_event_until () =
-  let sim = Event_sim.create () in
-  let count = ref 0 in
-  for i = 1 to 10 do
-    Event_sim.schedule sim ~delay:(float_of_int i) (fun () -> incr count)
-  done;
-  Event_sim.run ~until:5.5 sim;
-  Alcotest.(check int) "only first five" 5 !count;
-  feq "clock clamped" 5.5 (Event_sim.now sim)
+(* Bit-exact pins (hex floats under [Float.equal]): a change to the
+   order of the pipeline's arithmetic moves a bit here even where the
+   tolerance checks below cannot see it. *)
+let exact msg expected actual =
+  if not (Float.equal expected actual) then
+    Alcotest.failf "%s: expected %h, got %h" msg expected actual
 
-let test_event_negative_delay () =
-  let sim = Event_sim.create () in
-  Alcotest.check_raises "negative delay"
-    (Invalid_argument "Event_sim.schedule: negative delay") (fun () ->
-      Event_sim.schedule sim ~delay:(-1.) ignore)
+let check_exact msg ~rounds ~latency ~interval ~throughput ~utilization
+    (r : Pipeline.result) =
+  Alcotest.(check int) (msg ^ ": rounds") rounds r.Pipeline.rounds_completed;
+  exact (msg ^ ": latency") latency r.Pipeline.mean_latency;
+  exact (msg ^ ": interval") interval r.Pipeline.round_interval;
+  exact (msg ^ ": throughput") throughput r.Pipeline.throughput;
+  Alcotest.(check int)
+    (msg ^ ": servers") (List.length utilization)
+    (Array.length r.Pipeline.server_utilization);
+  List.iteri
+    (fun i u ->
+      exact (Printf.sprintf "%s: utilization %d" msg i) u
+        r.Pipeline.server_utilization.(i))
+    utilization
 
-let test_resource_exclusion () =
-  let sim = Event_sim.create () in
-  let r = Event_sim.Resource.create sim in
-  let log = ref [] in
-  (* Three jobs of 2s each contend: completions at 2, 4, 6. *)
-  for i = 1 to 3 do
-    Event_sim.schedule sim ~delay:0. (fun () ->
-        Event_sim.Resource.use r ~duration:2. (fun () ->
-            log := (i, Event_sim.now sim) :: !log))
-  done;
-  Event_sim.run sim;
-  Alcotest.(check (list (pair int (float 0.001))))
-    "serialized completions"
-    [ (1, 2.); (2, 4.); (3, 6.) ]
-    (List.rev !log);
-  feq ~tol:1e-6 "fully utilized" 1.
-    (Event_sim.Resource.utilization r ~horizon:6.)
+let test_pipeline_figure9_exact () =
+  List.iter2
+    (fun (users, latency, interval) (u, l, i) ->
+      Alcotest.(check int) "users" users u;
+      exact (Printf.sprintf "latency at %d users" users) latency l;
+      exact (Printf.sprintf "interval at %d users" users) interval i)
+    [
+      (10, 0x1.52f735412aee1p+4, 0x1.f8eb10057ba86p+2);
+      (250_000, 0x1.9d8c42f16ec53p+4, 0x1.376fd50705d18p+3);
+      (500_000, 0x1.e8221426fe71bp+4, 0x1.726abca82d4c2p+3);
+      (750_000, 0x1.195bf2ae470efp+5, 0x1.ad65a44954c6ap+3);
+      (1_000_000, 0x1.3ea6db490ee51p+5, 0x1.e8608bea7c413p+3);
+      (1_500_000, 0x1.893cac7e9e918p+5, 0x1.2f2b2d96659b2p+4);
+      (2_000_000, 0x1.d3d27db42e3ddp+5, 0x1.6a2615378d15cp+4);
+    ]
+    (Figures.figure9_des ())
 
-let test_resource_heap_growth () =
-  (* Push enough events to force several heap reallocations. *)
-  let sim = Event_sim.create () in
-  let count = ref 0 in
-  for i = 1 to 1000 do
-    Event_sim.schedule sim ~delay:(float_of_int (1000 - i)) (fun () -> incr count)
-  done;
-  Event_sim.run sim;
-  Alcotest.(check int) "all 1000 ran" 1000 !count
+let test_pipeline_queueing_exact () =
+  (* With no coordination gap, the later (busier) hops are the
+     bottleneck: rounds queue there, so the mean latency over 6 rounds
+     (45.02 s) exceeds one round's (42.43 s). *)
+  let model = { Cost_model.paper with pipeline_efficiency = 1.0 } in
+  check_exact "queueing" ~rounds:6 ~latency:0x1.6831315af67b4p+5
+    ~interval:0x1.630fda596e212p+3 ~throughput:0x1.cd70cd634e485p-1
+    ~utilization:
+      [
+        0x1.3b9a8bf2b7c32p-1;
+        0x1.485ff3896efbap-1;
+        0x1.5337dc3c7dea1p-1;
+        0x1.5c22460be48e9p-1;
+      ]
+    (Pipeline.run ~model ~users:10 ~servers:4 ~noise:noise300k ~rounds:6 ())
+
+let test_pipeline_one_server_exact () =
+  check_exact "one server" ~rounds:6 ~latency:0x1.8a82d4c04564p+2
+    ~interval:0x1.d02172c41566ap+2 ~throughput:0x1.0d521a4e3686dp+17
+    ~utilization:[ 0x1.b333333333333p-1 ]
+    (Pipeline.run ~users:1_000_000 ~servers:1 ~noise:noise300k ~rounds:6 ())
+
+let test_pipeline_one_round_exact () =
+  check_exact "one round" ~rounds:1 ~latency:0x1.3ea6db490ee52p+5
+    ~interval:0x1.3ea6db490ee52p+5 ~throughput:0x1.884719a98742dp+14
+    ~utilization:
+      [ 0x1.4d8065c14cce6p-2; 0x1.55dc1e72a580ep-2; 0x1.5ca37bcc0db0cp-2 ]
+    (Pipeline.run ~users:1_000_000 ~servers:3 ~noise:noise300k ~rounds:1 ())
+
+let test_pipeline_paper_exact () =
+  (* The configuration the pipelining and utilization checks below use. *)
+  check_exact "1M users, 8 rounds" ~rounds:8 ~latency:0x1.3ea6db490ee51p+5
+    ~interval:0x1.e8608bea7c411p+3 ~throughput:0x1.ffe6442155ce9p+15
+    ~utilization:
+      [ 0x1.6a4b2fb2a3c78p-1; 0x1.735fa2d484f5p-1; 0x1.7abcd1d7cebb1p-1 ]
+    (Pipeline.run ~users:1_000_000 ~servers:3 ~noise:noise300k ~rounds:8 ())
 
 (* ------------------------------------------------------------------ *)
 (* Cost model vs the paper                                             *)
 (* ------------------------------------------------------------------ *)
-
-let noise300k = Figures.conv_noise_of 300_000.
 
 let test_paper_lower_bound () =
   (* §8.2: (3.2e6 × 3)/(3.4e5) ≈ 28 s. *)
@@ -309,13 +338,13 @@ let suite =
   let tc = Alcotest.test_case in
   ( "sim",
     [
-      tc "event ordering" `Quick test_event_ordering;
-      tc "event fifo ties" `Quick test_event_fifo_ties;
-      tc "nested scheduling" `Quick test_event_nested_scheduling;
-      tc "run until" `Quick test_event_until;
-      tc "negative delay" `Quick test_event_negative_delay;
-      tc "resource exclusion" `Quick test_resource_exclusion;
-      tc "heap growth" `Quick test_resource_heap_growth;
+      tc "pipeline efficiency in (0, 1]" `Quick test_pipeline_efficiency_range;
+      tc "pipeline input checks" `Quick test_pipeline_input_range;
+      tc "pipeline figure 9 sweep exact" `Quick test_pipeline_figure9_exact;
+      tc "pipeline queueing exact" `Quick test_pipeline_queueing_exact;
+      tc "pipeline one server exact" `Quick test_pipeline_one_server_exact;
+      tc "pipeline one round exact" `Quick test_pipeline_one_round_exact;
+      tc "pipeline paper config exact" `Quick test_pipeline_paper_exact;
       tc "paper lower bound (§8.2)" `Quick test_paper_lower_bound;
       tc "paper noise total" `Quick test_paper_noise_total;
       tc "paper latencies (fig 9 endpoints)" `Quick test_paper_latencies;

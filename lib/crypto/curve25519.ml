@@ -1,7 +1,12 @@
 (* X25519 scalar multiplication (RFC 7748) over the shared Fe25519 field
    arithmetic: a Montgomery ladder (constant sequence of field operations
    per scalar bit) for a variable base, and Edwards25519's constant-time
-   comb for a fixed one.
+   comb for a fixed one.  The ladder itself is Fe25519.ladder, beside the
+   field kernels it inlines: called from here, under dune's [-opaque],
+   each kernel would be a closure call (DESIGN.md §2b).  This module
+   clamps, counts operations by kind, memoises server keys' comb tables
+   and batches the inversions, and calls the ladder once per scalar
+   multiplication.
 
    This is the paper's dominant cost: every onion layer wrap/unwrap is one
    scalar multiplication (§8.2, "each 36-core machine can perform about
@@ -45,49 +50,6 @@ let clamp scalar =
   Bytes_util.set_u8 z 0 (Bytes_util.get_u8 z 0 land 248);
   Bytes_util.set_u8 z 31 ((Bytes_util.get_u8 z 31 land 127) lor 64);
   z
-
-(* The ladder proper over the clamped scalar [z] and input
-   u-coordinate [x], up to its projective result u = [x2] / [z2].  As in
-   RFC 7748 §5, the pairs stay swapped between bits and are swapped on
-   [prev lxor r], the change in bit, with one final swap after the
-   loop. *)
-let ladder z (x : Fe25519.t) ~x2 ~z2 =
-  let open Fe25519 in
-  let a = x2
-  and b = copy x
-  and c = z2
-  and d = one ()
-  and e = create ()
-  and f = create () in
-  blit ~src:d ~dst:a;
-  Array.fill c 0 5 0;
-  let prev = ref 0 in
-  for i = 254 downto 0 do
-    let r = (Bytes_util.get_u8 z (i lsr 3) lsr (i land 7)) land 1 in
-    cswap a b (!prev lxor r);
-    cswap c d (!prev lxor r);
-    prev := r;
-    add e a c;
-    sub a a c;
-    add c b d;
-    sub b b d;
-    square d e;
-    square f a;
-    mul a c a;
-    mul c b e;
-    add e a c;
-    sub a a c;
-    square b a;
-    sub c d f;
-    mul_small a c 121665;
-    add a a d;
-    mul c c a;
-    mul a d f;
-    mul d b x;
-    square b e
-  done;
-  cswap a b !prev;
-  cswap c d !prev
 
 (* Operations by kind, for tests and accounting; an uncontended atomic
    increment is noise beside a ~100 us scalar multiplication. *)
@@ -171,7 +133,7 @@ type op =
 let run_ladder ~scalar ~point ~num ~den =
   check_lengths ~scalar ~point;
   Atomic.incr ladder_ops;
-  ladder (clamp scalar) (Fe25519.unpack point) ~x2:num ~z2:den
+  Fe25519.ladder (clamp scalar) (Fe25519.unpack point) ~x2:num ~z2:den
 
 (* Run [op] up to its u-coordinate as the fraction [num] / [den], and
    count it by the kind that ran. *)

@@ -1,14 +1,14 @@
 (* Field arithmetic modulo 2^255 - 19 on 5 limbs of 51 bits in native
    OCaml ints (curve25519-donna's radix-2^51 representation), with lazy
-   carries.  Shared by X25519's Montgomery ladder and the Edwards-curve
-   arithmetic (Edwards25519: Ed25519 and the comb); this is the hottest
-   code in the system — every peeled onion layer costs one variable-base
-   scalar multiplication, i.e. ~2,560 calls into [mul]/[square] below
-   (2,295 in the ladder, 265 in [invert], which a batch of operations
-   shares: see [batch_invert]), and a freshly wrapped layer two comb
-   multiplications and no ladder (~750 calls each: the fresh key on the
-   base point's table, the DH on the server key's; see Edwards25519 and
-   Curve25519.shared_static).
+   carries, and X25519's Montgomery ladder over it.  Shared by Curve25519
+   and the Edwards-curve arithmetic (Edwards25519: Ed25519 and the comb);
+   this is the hottest code in the system — every peeled onion layer
+   costs one variable-base scalar multiplication, i.e. ~2,560 [mul]s and
+   [square]s (2,295 in [ladder] below, 265 in [invert], which a batch of
+   operations shares: see [batch_invert]), and a freshly wrapped layer
+   two comb multiplications and no ladder (~750 each: the fresh key on
+   the base point's table, the DH on the server key's; see Edwards25519
+   and Curve25519.shared_static).
 
    Representation and carry discipline
    -----------------------------------
@@ -58,7 +58,22 @@
      - the operators are the compiler's primitives ({!Word}), never
        closures, and the loads are written inline;
      - [reduce10] is [@inline]: an out-of-line call would box its ten
-       word arguments (~30 words per call).
+       word arguments (~30 words per call);
+     - the products are summed in let chains, three output half-limbs
+       at a time (see [mul_body]), so that the compiler does not spill
+       every product of a ten-term sum before adding it.
+
+   The ladder lives here, not in Curve25519, because libraries are
+   compiled [-opaque] under dune's default profile: a kernel called from
+   another module cannot be inlined and goes through [caml_applyN],
+   ~5,100 calls per scalar multiplication.  Here every kernel it runs is
+   inlined into its loop, which makes no call at all (CI checks the
+   object code for closure calls).  [add], [sub], [cswap] and
+   [mul_small] are [@inline] (small: [pack] and [batch_invert] take
+   their own copy of [cswap]); [mul] and [square] are inlined through
+   [mul_body] and [square_body], so the inversion chain keeps calling
+   one out-of-line copy.  Against the same loop calling the kernels
+   from another module, interleaved in one process: 1.07-1.10x.
 
    The kernels allocate nothing (a tier-1 test counts minor words).
    Bounds: each operand's limb 4 is read with a checked access first,
@@ -119,7 +134,7 @@ let carry (o : t) =
   o.(1) <- o.(1) + c
 
 (* Constant-time conditional swap when b = 1. *)
-let cswap (p : t) (q : t) b =
+let[@inline] cswap (p : t) (q : t) b =
   let c = lnot (b - 1) in
   let p4 = p.(4) and q4 = q.(4) in
   let t = c land (p4 lxor q4) in
@@ -177,7 +192,7 @@ let unpack (n : bytes) : t =
   done;
   o
 
-let add (o : t) (a : t) (b : t) =
+let[@inline] add (o : t) (a : t) (b : t) =
   o.(4) <- a.(4) + b.(4);
   Array.unsafe_set o 0 (Array.unsafe_get a 0 + Array.unsafe_get b 0);
   Array.unsafe_set o 1 (Array.unsafe_get a 1 + Array.unsafe_get b 1);
@@ -189,7 +204,7 @@ let add (o : t) (a : t) (b : t) =
 let two_p0 = (1 lsl 52) - 38
 let two_pi = (1 lsl 52) - 2
 
-let sub (o : t) (a : t) (b : t) =
+let[@inline] sub (o : t) (a : t) (b : t) =
   o.(4) <- a.(4) + two_pi - b.(4);
   Array.unsafe_set o 0 (Array.unsafe_get a 0 + two_p0 - Array.unsafe_get b 0);
   Array.unsafe_set o 1 (Array.unsafe_get a 1 + two_pi - Array.unsafe_get b 1);
@@ -233,7 +248,20 @@ let[@inline] reduce10 (o : t) h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 =
   Array.unsafe_set o 2 (to_int (h4 lor (h5 lsl 26)));
   Array.unsafe_set o 3 (to_int (h6 lor (h7 lsl 26)))
 
-let mul (o : t) (a : t) (b : t) =
+(* The products are summed three output half-limbs at a time (h0-h2,
+   h3-h5, h6-h8, then h9), as chains of [let]s, each group's products in
+   order of their left operand: each operand is loaded once per group,
+   and only the group's three sums stay live.  Written as one ten-term
+   sum per half-limb, each sum is evaluated right to left with every
+   product spilled first: twice the stack stores.  Word addition wraps
+   the same in any order, so the output limbs are unchanged.  Each line
+   adds f_i g_j to h_((i+j) mod 10), as f_i_2 when i and j are both odd
+   and as g_j_19 when i + j >= 10 (the header's schedule).
+
+   [mul_body] and [square_body] are inlined into [ladder]; every other
+   caller, in this module too, calls the out-of-line [mul] and [square],
+   so the ladder holds the only extra copies. *)
+let[@inline] mul_body (o : t) (a : t) (b : t) =
   let open Word in
   let a4 = of_int a.(4) and b4 = of_int b.(4) in
   let a0 = of_int (Array.unsafe_get a 0)
@@ -262,59 +290,115 @@ let mul (o : t) (a : t) (b : t) =
   let g1_19 = 19n * g1 and g2_19 = 19n * g2 and g3_19 = 19n * g3 in
   let g4_19 = 19n * g4 and g5_19 = 19n * g5 and g6_19 = 19n * g6 in
   let g7_19 = 19n * g7 and g8_19 = 19n * g8 and g9_19 = 19n * g9 in
-  let h0 =
-    (f0 * g0) + (f1_2 * g9_19) + (f2 * g8_19) + (f3_2 * g7_19)
-    + (f4 * g6_19) + (f5_2 * g5_19) + (f6 * g4_19) + (f7_2 * g3_19)
-    + (f8 * g2_19) + (f9_2 * g1_19)
-  in
-  let h1 =
-    (f0 * g1) + (f1 * g0) + (f2 * g9_19) + (f3 * g8_19) + (f4 * g7_19)
-    + (f5 * g6_19) + (f6 * g5_19) + (f7 * g4_19) + (f8 * g3_19)
-    + (f9 * g2_19)
-  in
-  let h2 =
-    (f0 * g2) + (f1_2 * g1) + (f2 * g0) + (f3_2 * g9_19) + (f4 * g8_19)
-    + (f5_2 * g7_19) + (f6 * g6_19) + (f7_2 * g5_19) + (f8 * g4_19)
-    + (f9_2 * g3_19)
-  in
-  let h3 =
-    (f0 * g3) + (f1 * g2) + (f2 * g1) + (f3 * g0) + (f4 * g9_19)
-    + (f5 * g8_19) + (f6 * g7_19) + (f7 * g6_19) + (f8 * g5_19)
-    + (f9 * g4_19)
-  in
-  let h4 =
-    (f0 * g4) + (f1_2 * g3) + (f2 * g2) + (f3_2 * g1) + (f4 * g0)
-    + (f5_2 * g9_19) + (f6 * g8_19) + (f7_2 * g7_19) + (f8 * g6_19)
-    + (f9_2 * g5_19)
-  in
-  let h5 =
-    (f0 * g5) + (f1 * g4) + (f2 * g3) + (f3 * g2) + (f4 * g1) + (f5 * g0)
-    + (f6 * g9_19) + (f7 * g8_19) + (f8 * g7_19) + (f9 * g6_19)
-  in
-  let h6 =
-    (f0 * g6) + (f1_2 * g5) + (f2 * g4) + (f3_2 * g3) + (f4 * g2)
-    + (f5_2 * g1) + (f6 * g0) + (f7_2 * g9_19) + (f8 * g8_19)
-    + (f9_2 * g7_19)
-  in
-  let h7 =
-    (f0 * g7) + (f1 * g6) + (f2 * g5) + (f3 * g4) + (f4 * g3) + (f5 * g2)
-    + (f6 * g1) + (f7 * g0) + (f8 * g9_19) + (f9 * g8_19)
-  in
-  let h8 =
-    (f0 * g8) + (f1_2 * g7) + (f2 * g6) + (f3_2 * g5) + (f4 * g4)
-    + (f5_2 * g3) + (f6 * g2) + (f7_2 * g1) + (f8 * g0) + (f9_2 * g9_19)
-  in
-  let h9 =
-    (f0 * g9) + (f1 * g8) + (f2 * g7) + (f3 * g6) + (f4 * g5) + (f5 * g4)
-    + (f6 * g3) + (f7 * g2) + (f8 * g1) + (f9 * g0)
-  in
+  let h0 = f0 * g0 in
+  let h1 = f0 * g1 in
+  let h2 = f0 * g2 in
+  let h0 = h0 + (f1_2 * g9_19) in
+  let h1 = h1 + (f1 * g0) in
+  let h2 = h2 + (f1_2 * g1) in
+  let h0 = h0 + (f2 * g8_19) in
+  let h1 = h1 + (f2 * g9_19) in
+  let h2 = h2 + (f2 * g0) in
+  let h0 = h0 + (f3_2 * g7_19) in
+  let h1 = h1 + (f3 * g8_19) in
+  let h2 = h2 + (f3_2 * g9_19) in
+  let h0 = h0 + (f4 * g6_19) in
+  let h1 = h1 + (f4 * g7_19) in
+  let h2 = h2 + (f4 * g8_19) in
+  let h0 = h0 + (f5_2 * g5_19) in
+  let h1 = h1 + (f5 * g6_19) in
+  let h2 = h2 + (f5_2 * g7_19) in
+  let h0 = h0 + (f6 * g4_19) in
+  let h1 = h1 + (f6 * g5_19) in
+  let h2 = h2 + (f6 * g6_19) in
+  let h0 = h0 + (f7_2 * g3_19) in
+  let h1 = h1 + (f7 * g4_19) in
+  let h2 = h2 + (f7_2 * g5_19) in
+  let h0 = h0 + (f8 * g2_19) in
+  let h1 = h1 + (f8 * g3_19) in
+  let h2 = h2 + (f8 * g4_19) in
+  let h0 = h0 + (f9_2 * g1_19) in
+  let h1 = h1 + (f9 * g2_19) in
+  let h2 = h2 + (f9_2 * g3_19) in
+  let h3 = f0 * g3 in
+  let h4 = f0 * g4 in
+  let h5 = f0 * g5 in
+  let h3 = h3 + (f1 * g2) in
+  let h4 = h4 + (f1_2 * g3) in
+  let h5 = h5 + (f1 * g4) in
+  let h3 = h3 + (f2 * g1) in
+  let h4 = h4 + (f2 * g2) in
+  let h5 = h5 + (f2 * g3) in
+  let h3 = h3 + (f3 * g0) in
+  let h4 = h4 + (f3_2 * g1) in
+  let h5 = h5 + (f3 * g2) in
+  let h3 = h3 + (f4 * g9_19) in
+  let h4 = h4 + (f4 * g0) in
+  let h5 = h5 + (f4 * g1) in
+  let h3 = h3 + (f5 * g8_19) in
+  let h4 = h4 + (f5_2 * g9_19) in
+  let h5 = h5 + (f5 * g0) in
+  let h3 = h3 + (f6 * g7_19) in
+  let h4 = h4 + (f6 * g8_19) in
+  let h5 = h5 + (f6 * g9_19) in
+  let h3 = h3 + (f7 * g6_19) in
+  let h4 = h4 + (f7_2 * g7_19) in
+  let h5 = h5 + (f7 * g8_19) in
+  let h3 = h3 + (f8 * g5_19) in
+  let h4 = h4 + (f8 * g6_19) in
+  let h5 = h5 + (f8 * g7_19) in
+  let h3 = h3 + (f9 * g4_19) in
+  let h4 = h4 + (f9_2 * g5_19) in
+  let h5 = h5 + (f9 * g6_19) in
+  let h6 = f0 * g6 in
+  let h7 = f0 * g7 in
+  let h8 = f0 * g8 in
+  let h6 = h6 + (f1_2 * g5) in
+  let h7 = h7 + (f1 * g6) in
+  let h8 = h8 + (f1_2 * g7) in
+  let h6 = h6 + (f2 * g4) in
+  let h7 = h7 + (f2 * g5) in
+  let h8 = h8 + (f2 * g6) in
+  let h6 = h6 + (f3_2 * g3) in
+  let h7 = h7 + (f3 * g4) in
+  let h8 = h8 + (f3_2 * g5) in
+  let h6 = h6 + (f4 * g2) in
+  let h7 = h7 + (f4 * g3) in
+  let h8 = h8 + (f4 * g4) in
+  let h6 = h6 + (f5_2 * g1) in
+  let h7 = h7 + (f5 * g2) in
+  let h8 = h8 + (f5_2 * g3) in
+  let h6 = h6 + (f6 * g0) in
+  let h7 = h7 + (f6 * g1) in
+  let h8 = h8 + (f6 * g2) in
+  let h6 = h6 + (f7_2 * g9_19) in
+  let h7 = h7 + (f7 * g0) in
+  let h8 = h8 + (f7_2 * g1) in
+  let h6 = h6 + (f8 * g8_19) in
+  let h7 = h7 + (f8 * g9_19) in
+  let h8 = h8 + (f8 * g0) in
+  let h6 = h6 + (f9_2 * g7_19) in
+  let h7 = h7 + (f9 * g8_19) in
+  let h8 = h8 + (f9_2 * g9_19) in
+  let h9 = f0 * g9 in
+  let h9 = h9 + (f1 * g8) in
+  let h9 = h9 + (f2 * g7) in
+  let h9 = h9 + (f3 * g6) in
+  let h9 = h9 + (f4 * g5) in
+  let h9 = h9 + (f5 * g4) in
+  let h9 = h9 + (f6 * g3) in
+  let h9 = h9 + (f7 * g2) in
+  let h9 = h9 + (f8 * g1) in
+  let h9 = h9 + (f9 * g0) in
   reduce10 o h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
+
+let mul o a b = mul_body o a b
 
 (* Dedicated squaring: the symmetric terms collapse 100 half-limb
    products to 55 (ref10's fe_sq schedule).  The Montgomery ladder does
    four squarings per scalar bit and [invert] does 254 in a row, so this
-   is worth the duplication. *)
-let square (o : t) (a : t) =
+   is worth the duplication.  Grouped as in [mul_body]. *)
+let[@inline] square_body (o : t) (a : t) =
   let open Word in
   let a4 = of_int a.(4) in
   let a0 = of_int (Array.unsafe_get a 0)
@@ -330,49 +414,70 @@ let square (o : t) (a : t) =
   let f4_2 = 2n * f4 and f5_2 = 2n * f5 and f6_2 = 2n * f6 and f7_2 = 2n * f7 in
   let f5_38 = 38n * f5 and f6_19 = 19n * f6 and f7_38 = 38n * f7 in
   let f8_19 = 19n * f8 and f9_38 = 38n * f9 in
-  let h0 =
-    (f0 * f0) + (f1_2 * f9_38) + (f2_2 * f8_19) + (f3_2 * f7_38)
-    + (f4_2 * f6_19) + (f5 * f5_38)
-  in
-  let h1 =
-    (f0_2 * f1) + (f2 * f9_38) + (f3_2 * f8_19) + (f4 * f7_38)
-    + (f5_2 * f6_19)
-  in
-  let h2 =
-    (f0_2 * f2) + (f1_2 * f1) + (f3_2 * f9_38) + (f4_2 * f8_19)
-    + (f5_2 * f7_38) + (f6 * f6_19)
-  in
-  let h3 =
-    (f0_2 * f3) + (f1_2 * f2) + (f4 * f9_38) + (f5_2 * f8_19) + (f6 * f7_38)
-  in
-  let h4 =
-    (f0_2 * f4) + (f1_2 * f3_2) + (f2 * f2) + (f5_2 * f9_38)
-    + (f6_2 * f8_19) + (f7 * f7_38)
-  in
-  let h5 =
-    (f0_2 * f5) + (f1_2 * f4) + (f2_2 * f3) + (f6 * f9_38) + (f7_2 * f8_19)
-  in
-  let h6 =
-    (f0_2 * f6) + (f1_2 * f5_2) + (f2_2 * f4) + (f3_2 * f3)
-    + (f7_2 * f9_38) + (f8 * f8_19)
-  in
-  let h7 =
-    (f0_2 * f7) + (f1_2 * f6) + (f2_2 * f5) + (f3_2 * f4) + (f8 * f9_38)
-  in
-  let h8 =
-    (f0_2 * f8) + (f1_2 * f7_2) + (f2_2 * f6) + (f3_2 * f5_2) + (f4 * f4)
-    + (f9 * f9_38)
-  in
-  let h9 =
-    (f0_2 * f9) + (f1_2 * f8) + (f2_2 * f7) + (f3_2 * f6) + (f4_2 * f5)
-  in
+  let h0 = f0 * f0 in
+  let h1 = f0_2 * f1 in
+  let h2 = f0_2 * f2 in
+  let h0 = h0 + (f1_2 * f9_38) in
+  let h2 = h2 + (f1_2 * f1) in
+  let h0 = h0 + (f2_2 * f8_19) in
+  let h1 = h1 + (f2 * f9_38) in
+  let h0 = h0 + (f3_2 * f7_38) in
+  let h1 = h1 + (f3_2 * f8_19) in
+  let h2 = h2 + (f3_2 * f9_38) in
+  let h0 = h0 + (f4_2 * f6_19) in
+  let h1 = h1 + (f4 * f7_38) in
+  let h2 = h2 + (f4_2 * f8_19) in
+  let h0 = h0 + (f5 * f5_38) in
+  let h1 = h1 + (f5_2 * f6_19) in
+  let h2 = h2 + (f5_2 * f7_38) in
+  let h2 = h2 + (f6 * f6_19) in
+  let h3 = f0_2 * f3 in
+  let h4 = f0_2 * f4 in
+  let h5 = f0_2 * f5 in
+  let h3 = h3 + (f1_2 * f2) in
+  let h4 = h4 + (f1_2 * f3_2) in
+  let h5 = h5 + (f1_2 * f4) in
+  let h4 = h4 + (f2 * f2) in
+  let h5 = h5 + (f2_2 * f3) in
+  let h3 = h3 + (f4 * f9_38) in
+  let h3 = h3 + (f5_2 * f8_19) in
+  let h4 = h4 + (f5_2 * f9_38) in
+  let h3 = h3 + (f6 * f7_38) in
+  let h4 = h4 + (f6_2 * f8_19) in
+  let h5 = h5 + (f6 * f9_38) in
+  let h4 = h4 + (f7 * f7_38) in
+  let h5 = h5 + (f7_2 * f8_19) in
+  let h6 = f0_2 * f6 in
+  let h7 = f0_2 * f7 in
+  let h8 = f0_2 * f8 in
+  let h6 = h6 + (f1_2 * f5_2) in
+  let h7 = h7 + (f1_2 * f6) in
+  let h8 = h8 + (f1_2 * f7_2) in
+  let h6 = h6 + (f2_2 * f4) in
+  let h7 = h7 + (f2_2 * f5) in
+  let h8 = h8 + (f2_2 * f6) in
+  let h6 = h6 + (f3_2 * f3) in
+  let h7 = h7 + (f3_2 * f4) in
+  let h8 = h8 + (f3_2 * f5_2) in
+  let h8 = h8 + (f4 * f4) in
+  let h6 = h6 + (f7_2 * f9_38) in
+  let h6 = h6 + (f8 * f8_19) in
+  let h7 = h7 + (f8 * f9_38) in
+  let h8 = h8 + (f9 * f9_38) in
+  let h9 = f0_2 * f9 in
+  let h9 = h9 + (f1_2 * f8) in
+  let h9 = h9 + (f2_2 * f7) in
+  let h9 = h9 + (f3_2 * f6) in
+  let h9 = h9 + (f4_2 * f5) in
   reduce10 o h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
+
+let square o a = square_body o a
 
 (* Multiply by a small nonnegative constant (c < 2^17 covers the
    ladder's curve constant 121665 = (A-2)/4).  A direct limb product
    could reach 2^54 * 2^17 = 2^71, so this also goes through
    half-limbs. *)
-let mul_small (o : t) (a : t) c =
+let[@inline] mul_small (o : t) (a : t) c =
   let open Word in
   let c = of_int c in
   let a4 = of_int a.(4) in
@@ -391,6 +496,48 @@ let mul_small (o : t) (a : t) c =
     ((a3 asr 26) * c)
     ((a4 land mask26) * c)
     ((a4 asr 26) * c)
+
+(* RFC 7748's Montgomery ladder, up to its projective result (see
+   fe25519.mli).  As in RFC 7748 §5, the pairs stay swapped between bits
+   and are swapped on [prev lxor r], the change in bit, with one final
+   swap after the loop.  Every kernel it runs is inlined into its loop,
+   which makes no call (see the header). *)
+let ladder z (x : t) ~x2 ~z2 =
+  let a = x2
+  and b = copy x
+  and c = z2
+  and d = one ()
+  and e = create ()
+  and f = create () in
+  blit ~src:d ~dst:a;
+  Array.fill c 0 5 0;
+  let prev = ref 0 in
+  for i = 254 downto 0 do
+    let r = (Char.code (Bytes.get z (i lsr 3)) lsr (i land 7)) land 1 in
+    cswap a b (!prev lxor r);
+    cswap c d (!prev lxor r);
+    prev := r;
+    add e a c;
+    sub a a c;
+    add c b d;
+    sub b b d;
+    square_body d e;
+    square_body f a;
+    mul_body a c a;
+    mul_body c b e;
+    add e a c;
+    sub a a c;
+    square_body b a;
+    sub c d f;
+    mul_small a c 121665;
+    add a a d;
+    mul_body c c a;
+    mul_body a d f;
+    mul_body d b x;
+    square_body b e
+  done;
+  cswap a b !prev;
+  cswap c d !prev
 
 (* [o <- a^(2^n)], n >= 1. *)
 let square_n (o : t) (a : t) n =

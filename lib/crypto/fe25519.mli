@@ -4,7 +4,9 @@
     words, because a 51×51-bit product overflows any word).  Shared by
     {!Curve25519} and {!Edwards25519}; differentially tested against the
     retained seed implementation [Fe25519_ref] (test/oracles) in
-    [test/prop/].
+    [test/prop/].  X25519's Montgomery ladder is here too, as {!ladder}:
+    libraries are compiled [-opaque], so only a loop in this module can
+    inline the kernels instead of making a closure call per operation.
 
     Operations write their result into the first argument; aliasing
     between output and inputs is allowed everywhere.  [mul], [square],
@@ -84,3 +86,13 @@ val pow2523 : t -> t -> unit
 
 val parity : t -> int
 val equal : t -> t -> bool
+
+val ladder : bytes -> t -> x2:t -> z2:t -> unit
+(** [ladder z x ~x2 ~z2] is RFC 7748's Montgomery ladder over the
+    clamped scalar [z] (32 bytes, little-endian; bits 254 down to 0 are
+    read) from the u-coordinate [x], stopped at its projective result:
+    it leaves u(z·x) as the fraction [x2] / [z2], carried, for the
+    caller to invert, alone or in a batch.  [x] is only read and must be
+    neither [x2] nor [z2].  The same sequence of field operations and
+    swaps for every scalar; it allocates only four field elements of
+    scratch. *)

@@ -12,8 +12,11 @@ open Vuvuzela_mixnet
 open Vuvuzela
 
 (* An order-8 point (one of the low-order points in prop_x25519.ml): its
-   multiples are the 8 points of order dividing 8. *)
-let order8 =
+   multiples are the 8 points of order dividing 8.  Decoded on use, not
+   when the module initialises: under a broken field the decode raises,
+   and at start-up it would abort the runner before the field properties
+   report their counterexamples. *)
+let order8 () =
   Option.get
     (Edwards25519.of_montgomery_u
        (Bytes_util.of_hex
@@ -21,6 +24,7 @@ let order8 =
 
 (* u(P + k·order8) for k = 0..7, where u = u(P). *)
 let orbit u =
+  let order8 = order8 () in
   let p = Option.get (Edwards25519.of_montgomery_u u) in
   List.init 8 (fun _ ->
       let v = Edwards25519.montgomery_u p in

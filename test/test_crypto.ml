@@ -553,7 +553,8 @@ let words_per_call n f =
   (Gc.minor_words () -. w0) /. float_of_int n
 
 (* The field kernels allocate nothing, and a scalar multiplication only
-   its scratch (at most 108 words for the ladder and 245 for a comb).
+   its scratch (24 words in [Fe25519.ladder] itself, at most 108 for a
+   whole ladder operation and 245 for a comb).
    A word boxed in an untagged kernel — [reduce10] called out of line,
    or a local that escapes — shows here before it shows in round times. *)
 let test_x25519_allocation () =
@@ -573,6 +574,12 @@ let test_x25519_allocation () =
       ("cswap", fun () -> Fe25519.cswap o a 1);
     ];
   let sk, _ = Drbg.keypair ~rng () and _, pk = Drbg.keypair ~rng () in
+  (* The ladder alone, with every kernel inlined into its loop: only its
+     scratch, four 5-limb field elements of 6 words each. *)
+  let z = Curve25519.clamp sk and x = Fe25519.unpack pk in
+  let x2 = Fe25519.create () and z2 = Fe25519.create () in
+  Alcotest.(check (float 0.)) "ladder minor words per call" 24.
+    (words_per_call 20 (fun () -> Fe25519.ladder z x ~x2 ~z2));
   List.iter
     (fun (name, most, f) ->
       let w = words_per_call 20 f in

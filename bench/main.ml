@@ -97,35 +97,36 @@ let figure9 () =
     "FIGURE 9 - conversation latency vs online users (paper, mu=300K: 20 s \
      at 10 users, 37 s at 1M, 55 s at 2M)";
   let curves = Vuvuzela_sim.Figures.figure9 () in
-  Printf.printf "%-12s" "users";
-  List.iter (fun c -> Printf.printf "%14s" c.Vuvuzela_sim.Figures.label) curves;
-  print_newline ();
-  let xs = List.map fst (List.hd curves).Vuvuzela_sim.Figures.points in
-  List.iteri
-    (fun i users ->
-      Printf.printf "%-12d" users;
-      List.iter
-        (fun c ->
-          Printf.printf "%12.1f s"
-            (snd (List.nth c.Vuvuzela_sim.Figures.points i)))
-        curves;
-      print_newline ())
-    xs;
-  (* The pipelined round model (Vuvuzela_sim.Pipeline's recurrence). *)
-  Printf.printf
-    "\ndiscrete-event pipeline (mu=300K): latency / round interval\n";
-  List.iter
-    (fun (u, lat, itv) -> Printf.printf "  %-10d %8.1f s %8.1f s\n" u lat itv)
-    (Vuvuzela_sim.Figures.figure9_des ())
+  (* One table per field of the same pipelined runs (Pipeline's
+     recurrence, 6 rounds). *)
+  let table title field =
+    Printf.printf "%s\n%-12s" title "users";
+    List.iter
+      (fun (c : Vuvuzela_sim.Figures.pipeline_curve) ->
+        Printf.printf "%14s" c.label)
+      curves;
+    print_newline ();
+    List.iteri
+      (fun i users ->
+        Printf.printf "%-12d" users;
+        List.iter
+          (fun (c : Vuvuzela_sim.Figures.pipeline_curve) ->
+            Printf.printf "%12.1f s" (field (snd (List.nth c.points i))))
+          curves;
+        print_newline ())
+      Vuvuzela_sim.Figures.fig9_users
+  in
+  table "end-to-end latency" (fun r -> r.Vuvuzela_sim.Pipeline.mean_latency);
+  table "\npipelined round interval" (fun r ->
+      r.Vuvuzela_sim.Pipeline.round_interval)
 
 let figure10 () =
   section
     "FIGURE 10 - dialing latency vs online users, mu=13K (paper: 13 s at 10 \
      users, 50 s at 2M)";
-  let c = Vuvuzela_sim.Figures.figure10 () in
   List.iter
     (fun (u, l) -> Printf.printf "  %-12d %8.1f s\n" u l)
-    c.Vuvuzela_sim.Figures.points
+    (Vuvuzela_sim.Figures.figure10 ())
 
 let figure11 () =
   section
@@ -218,7 +219,7 @@ let posteriors () =
    16×16-bit limbs), one onion peel split into its ladder, HKDF and AEAD
    parts, a peel's share of a 128-onion batch and a 3-layer wrap, a
    sealed box alone and its share of a 10-box batch, the field kernels'
-   call times, AEAD seal/open and ChaCha20 throughput, and the untagged
+   throughput, AEAD seal/open and ChaCha20 throughput, and the untagged
    SHA-256 and Poly1305 against their tagged refs with one Box.derive —
    written to BENCH_crypto.json so the numbers are diffable
    run-to-run — and, printed only, the per-message primitives of a
@@ -366,19 +367,33 @@ let crypto_bench () =
   let peel_part_us = peel.(4) /. float_of_int part and wrap_us = peel.(5) in
   let box_us = peel.(6) in
   let noise_part_us = peel.(7) /. float_of_int noise_chunk in
-  (* The field kernels, 1000 dependent calls per sample. *)
-  let fa = Fe25519.unpack (Drbg.generate rng 32)
-  and fb = Fe25519.unpack (Drbg.generate rng 32) in
-  let fe_ns f =
-    1e9
-    /. (1000.
-       *. ops_per_sec (fun () ->
-              for _ = 1 to 1000 do
-                f ()
-              done))
+  (* The field kernels' throughput: a sample runs a kernel over 128
+     independent operand pairs into 128 outputs, and the two kernels
+     are timed in alternation, so a square (55 half-limb products) and
+     a mul (100) compare within one load phase.  Each call goes
+     through caml_apply from this module. *)
+  let fe_batch = 128 in
+  let fe_operands () =
+    Array.init fe_batch (fun _ -> Fe25519.unpack (Drbg.generate rng 32))
   in
-  let fe_mul_ns = fe_ns (fun () -> Fe25519.mul fa fa fb) in
-  let fe_square_ns = fe_ns (fun () -> Fe25519.square fa fa) in
+  let fas = fe_operands () and fbs = fe_operands () in
+  let fouts = Array.init fe_batch (fun _ -> Fe25519.create ()) in
+  let fe_ns =
+    Array.map
+      (fun ops -> 1e9 /. (ops *. float_of_int fe_batch))
+      (interleaved
+         [|
+           (fun () ->
+             for i = 0 to fe_batch - 1 do
+               Fe25519.mul fouts.(i) fas.(i) fbs.(i)
+             done);
+           (fun () ->
+             for i = 0 to fe_batch - 1 do
+               Fe25519.square fouts.(i) fas.(i)
+             done);
+         |])
+  in
+  let fe_mul_ns = fe_ns.(0) and fe_square_ns = fe_ns.(1) in
   let speedup = x_new /. x_ref in
   Printf.printf "  x25519 (51-bit limbs)   %10.0f ops/s\n" x_new;
   Printf.printf "  x25519 (seed, 16-bit)   %10.0f ops/s\n" x_ref;

@@ -2,7 +2,7 @@
 
      vuvuzela demo      -- run an in-process deployment and chat
      vuvuzela analyze   -- privacy guarantees for given noise parameters
-     vuvuzela simulate  -- latency/throughput from the calibrated model
+     vuvuzela simulate  -- pipelined rounds on the calibrated cost model
      vuvuzela attack    -- run the disclosure attack (live or model)
      vuvuzela figures   -- regenerate a figure's data series
 *)
@@ -318,40 +318,33 @@ let analyze_cmd =
 (* simulate                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let simulate users servers mu des =
+let simulate users servers mu =
+  let open Vuvuzela_sim in
   let noise = Laplace.params ~mu ~b:(mu /. 21.7) in
-  let model = Vuvuzela_sim.Cost_model.paper in
+  let model = Cost_model.paper in
+  let r = Pipeline.run ~model ~users ~servers ~noise ~rounds:6 () in
   Printf.printf "%d users, %d servers, µ=%.0f (paper's testbed constants)\n"
     users servers mu;
-  Printf.printf "closed form: latency %.1f s, interval %.1f s, %.0f msg/s, \
-                 server bw %.0f MB/s\n"
-    (Vuvuzela_sim.Cost_model.conv_latency model ~users ~servers ~noise)
-    (Vuvuzela_sim.Cost_model.conv_round_interval model ~users ~servers ~noise)
-    (Vuvuzela_sim.Cost_model.conv_throughput model ~users ~servers ~noise)
-    (Vuvuzela_sim.Cost_model.server_bandwidth model ~users ~servers ~noise
-    /. 1e6);
-  if des then begin
-    let r = Vuvuzela_sim.Pipeline.run ~users ~servers ~noise ~rounds:6 () in
-    Printf.printf
-      "discrete-event: latency %.1f s, interval %.1f s, %.0f msg/s, \
-       utilization [%s]\n"
-      r.Vuvuzela_sim.Pipeline.mean_latency r.Vuvuzela_sim.Pipeline.round_interval
-      r.Vuvuzela_sim.Pipeline.throughput
-      (String.concat "; "
-         (Array.to_list
-            (Array.map (Printf.sprintf "%.2f")
-               r.Vuvuzela_sim.Pipeline.server_utilization)))
-  end;
+  Printf.printf
+    "pipeline: latency %.1f s, interval %.1f s, %.0f msg/s, server bw %.0f \
+     MB/s, utilization [%s]\n"
+    r.Pipeline.mean_latency r.Pipeline.round_interval r.Pipeline.throughput
+    (Cost_model.server_bandwidth model ~users ~servers ~noise
+       ~round_interval:r.Pipeline.round_interval
+    /. 1e6)
+    (String.concat "; "
+       (Array.to_list
+          (Array.map (Printf.sprintf "%.2f") r.Pipeline.server_utilization)));
   0
 
 let simulate_cmd =
   let users = Arg.(value & opt int 1_000_000 & info [ "users"; "n" ] ~doc:"Users.") in
   let servers = Arg.(value & opt int 3 & info [ "servers"; "s" ] ~doc:"Chain length.") in
   let mu = Arg.(value & opt float 300_000. & info [ "mu" ] ~doc:"Noise mean.") in
-  let des = Arg.(value & flag & info [ "des" ] ~doc:"Also run the pipelined round model.") in
   Cmd.v
-    (Cmd.info "simulate" ~doc:"performance from the calibrated cost model")
-    Term.(const simulate $ users $ servers $ mu $ des)
+    (Cmd.info "simulate"
+       ~doc:"six pipelined rounds on the calibrated cost model")
+    Term.(const simulate $ users $ servers $ mu)
 
 (* ------------------------------------------------------------------ *)
 (* attack                                                              *)
@@ -412,13 +405,18 @@ let figures which =
         curves
   | "9" ->
       List.iter
-        (fun (c : Vuvuzela_sim.Figures.latency_curve) ->
-          Printf.printf "# %s\n" c.label;
-          List.iter (fun (u, l) -> Printf.printf "%d\t%.2f\n" u l) c.points)
+        (fun (c : Vuvuzela_sim.Figures.pipeline_curve) ->
+          Printf.printf "# %s (users, latency s, round interval s)\n" c.label;
+          List.iter
+            (fun (u, (r : Vuvuzela_sim.Pipeline.result)) ->
+              Printf.printf "%d\t%.2f\t%.2f\n" u r.mean_latency
+                r.round_interval)
+            c.points)
         (Vuvuzela_sim.Figures.figure9 ())
   | "10" ->
-      let c = Vuvuzela_sim.Figures.figure10 () in
-      List.iter (fun (u, l) -> Printf.printf "%d\t%.2f\n" u l) c.points
+      List.iter
+        (fun (u, l) -> Printf.printf "%d\t%.2f\n" u l)
+        (Vuvuzela_sim.Figures.figure10 ())
   | "11" ->
       List.iter
         (fun (s, l) -> Printf.printf "%d\t%.2f\n" s l)

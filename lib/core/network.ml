@@ -211,7 +211,6 @@ let round_root t ~kind ~round f =
 
 let round t = t.round
 let dial_round t = t.dial_round
-let n_clients t = Hashtbl.length t.clients
 let set_invitation_drops t m = t.m <- max 1 m
 let set_auto_tune_drops t flag = t.auto_tune_m <- flag
 let invitation_drops t = t.m

@@ -89,7 +89,6 @@ val shutdown : t -> unit
 
 val round : t -> int
 val dial_round : t -> int
-val n_clients : t -> int
 
 val set_invitation_drops : t -> int -> unit
 (** Set [m] for subsequent dialing rounds (§5.4 tuning). *)

@@ -12,7 +12,9 @@
      (20 s at 10 users, 37 s at 1M, 55 s at 2M all give ≈ 1.9).
 
    The model reproduces the paper's own §8.2 arithmetic exactly and is
-   the substrate for regenerating Figures 9-11.
+   the substrate for regenerating Figures 9-11.  It says what each hop
+   of a round costs ([stage_time]); [Pipeline] says when rounds finish,
+   and every round interval and throughput comes from it.
 
    Calibration note: [dh_ops_per_sec] is an *all-cores* aggregate — the
    paper's 340K ops/s is what 36 cores deliver together.  The live
@@ -34,8 +36,11 @@ type t = {
   pipeline_efficiency : float;
       (** fraction of a server's time spent on round work when rounds are
           pipelined; the remainder is round coordination (the entry
-          server's collection window, §3.1).  Calibrated so 1M users at
-          µ=300K yields the paper's 68K msgs/s. *)
+          server's collection window, §3.1).  0.85 was fitted to the
+          paper's 68K msgs/s at 1M users and µ=300K through a closed-form
+          interval that left the batch's transfer time out; through
+          [Pipeline]'s recurrence it gives 65,523 msgs/s (−3.6%), and
+          0.882 would give 68K. *)
   dial_coschedule_latency : float;
       (** §8.1 runs dialing concurrently with a µ=300K conversation
           workload; dialing rounds inherit a fixed queueing delay behind
@@ -81,42 +86,42 @@ let reply_bytes ~servers ~at =
   Vuvuzela.Types.exchange_result_len
   + ((servers - at) * Vuvuzela_mixnet.Onion.reply_overhead)
 
-(* End-to-end conversation round latency: sequential CPU at each server
-   plus batch transfer time on each hop (both directions). *)
-let conv_latency t ~users ~servers ~noise =
+(* Time server [at] (0-based) holds one conversation round's batch: the
+   CPU of one DH per incoming request (peel) plus one per onion layer of
+   the cover traffic it generates — server i wraps 2µ noise requests for
+   the (s−1−i) downstream servers, so every server's DH count equals the
+   final batch size (§8.2: "each server must perform one Diffie-Hellman
+   operation for each of the 3.2 million messages") — and the transfer
+   of the batch present on its link, n + 2µ·i requests of shrinking
+   size and their replies.  Both directions fold into one busy period:
+   replies are cheap next to the forward DH work, and the 1.9× protocol
+   overhead is calibrated against the paper's end-to-end numbers, which
+   include the return path.  [Pipeline] chains these stage times over
+   rounds and servers. *)
+let stage_time t ~users ~servers ~noise ~at =
   let cpu =
-    conv_lower_bound t ~users ~servers ~noise *. t.protocol_overhead
+    conv_total_requests ~users ~servers ~noise
+    *. t.protocol_overhead /. t.dh_ops_per_sec
   in
-  let transfer =
-    (* Hop into server i carries the batch present at that point:
-       n + 2µ·i requests of shrinking size, and the same back. *)
-    let total = ref 0. in
-    for i = 0 to servers - 1 do
-      let batch =
-        float_of_int users
-        +. (float_of_int i *. conv_noise_per_server noise)
-      in
-      let bytes =
-        float_of_int
-          (request_bytes ~servers ~at:i + reply_bytes ~servers ~at:i
-         + (2 * t.rpc_overhead_bytes))
-      in
-      total := !total +. (batch *. bytes /. t.link_bandwidth)
-    done;
-    !total
+  let batch =
+    float_of_int users +. (float_of_int at *. conv_noise_per_server noise)
   in
-  cpu +. transfer
+  let bytes =
+    float_of_int
+      (request_bytes ~servers ~at + reply_bytes ~servers ~at
+      + (2 * t.rpc_overhead_bytes))
+  in
+  cpu +. (batch *. bytes /. t.link_bandwidth)
 
-(* Throughput in exchanged messages per second once rounds are
-   pipelined: each server is busy (total_requests / dh_rate) ×
-   overhead per round, so rounds complete at that interval and each
-   round carries [users] messages. *)
-let conv_round_interval t ~users ~servers ~noise =
-  conv_total_requests ~users ~servers ~noise
-  *. t.protocol_overhead /. t.dh_ops_per_sec /. t.pipeline_efficiency
-
-let conv_throughput t ~users ~servers ~noise =
-  float_of_int users /. conv_round_interval t ~users ~servers ~noise
+(* End-to-end conversation round latency: one round through an idle
+   chain, the stage times summed in chain order — bit for bit the
+   latency of [Pipeline.run ~rounds:1]. *)
+let conv_latency t ~users ~servers ~noise =
+  let total = ref 0. in
+  for at = 0 to servers - 1 do
+    total := !total +. stage_time t ~users ~servers ~noise ~at
+  done;
+  !total
 
 (* ------------------------------------------------------------------ *)
 (* Dialing (§5, Figure 10)                                             *)
@@ -141,18 +146,19 @@ let dial_latency t ~users ~servers ~m ~dial_noise =
 (* Bandwidth (§8.2-§8.3)                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Server bandwidth, averaged over a pipelined round interval.  Each
-   request and its reply pass through the server once; we count the
-   bytes of each message once per server (the paper's 166 MB/s at 1M
-   users is a per-NIC average under the same accounting, within ~20%). *)
-let server_bandwidth t ~users ~servers ~noise =
+(* Server bandwidth, averaged over a round interval (the pipelined
+   interval [Pipeline.run] reports).  Each request and its reply pass
+   through the server once; we count the bytes of each message once per
+   server (the paper's 166 MB/s at 1M users is a per-NIC average whose
+   accounting it does not state). *)
+let server_bandwidth t ~users ~servers ~noise ~round_interval =
   let batch = conv_total_requests ~users ~servers ~noise in
   let per_request =
     float_of_int
       (request_bytes ~servers ~at:1 + reply_bytes ~servers ~at:1
      + (2 * t.rpc_overhead_bytes))
   in
-  batch *. per_request /. conv_round_interval t ~users ~servers ~noise
+  batch *. per_request /. Float.max round_interval 1e-9
 
 (* Client dialing download (§8.3): one invitation drop per dialing
    round = noise from every server plus the real invitations that hash
@@ -169,15 +175,14 @@ let invitation_drop_bytes ~users ~servers ~m ~dial_fraction ~dial_noise =
 
 (* Average client bandwidth in bytes/sec: conversation request+reply per
    conversation round plus the dialing download per dialing round. *)
-let client_bandwidth t ~users ~servers ~noise ~m ~dial_fraction ~dial_noise
-    ~dial_interval =
+let client_bandwidth ~users ~servers ~m ~dial_fraction ~dial_noise
+    ~round_interval ~dial_interval =
   let conv_per_round =
     float_of_int
       (request_bytes ~servers ~at:0 + reply_bytes ~servers ~at:0)
   in
-  let conv_interval = conv_round_interval t ~users ~servers ~noise in
   let dial =
     invitation_drop_bytes ~users ~servers ~m ~dial_fraction ~dial_noise
     /. dial_interval
   in
-  (conv_per_round /. Float.max conv_interval 1e-9) +. dial
+  (conv_per_round /. Float.max round_interval 1e-9) +. dial

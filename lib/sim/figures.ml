@@ -62,12 +62,19 @@ let figure8 () =
 let fig9_users = [ 10; 250_000; 500_000; 750_000; 1_000_000; 1_500_000; 2_000_000 ]
 let fig9_mus = [ 100_000.; 200_000.; 300_000. ]
 
-type latency_curve = { label : string; points : (int * float) list }
+type pipeline_curve = { label : string; points : (int * Pipeline.result) list }
 
 (* The paper's experiments pin noise at exactly µ (§8.1), which the
-   closed-form model reflects by using the mean. *)
+   model reflects by using the mean. *)
 let conv_noise_of mu = Laplace.params ~mu ~b:(mu /. 21.7) (* b as in §6.4 ratio *)
 
+(* Rounds of every pipeline run behind a figure or headline, as many as
+   `vuvuzela simulate` runs: enough for three servers' rounds to
+   overlap. *)
+let rounds = 6
+
+(* Each point is a pipelined run: its mean latency is Figure 9's, and its
+   round interval the throughput behind §8.2's 68K msgs/s. *)
 let figure9 ?(model = Cost_model.paper) () =
   List.map
     (fun mu ->
@@ -77,24 +84,11 @@ let figure9 ?(model = Cost_model.paper) () =
           List.map
             (fun users ->
               ( users,
-                Cost_model.conv_latency model ~users ~servers:3
-                  ~noise:(conv_noise_of mu) ))
+                Pipeline.run ~model ~users ~servers:3 ~noise:(conv_noise_of mu)
+                  ~rounds () ))
             fig9_users;
       })
     fig9_mus
-
-(* The same curve from the pipelined round model rather than the closed
-   form (they must agree; the pipeline additionally yields round
-   intervals and utilization). *)
-let figure9_des ?(model = Cost_model.paper) ?(mu = 300_000.) () =
-  List.map
-    (fun users ->
-      let r =
-        Pipeline.run ~model ~users ~servers:3 ~noise:(conv_noise_of mu)
-          ~rounds:6 ()
-      in
-      (users, r.Pipeline.mean_latency, r.Pipeline.round_interval))
-    fig9_users
 
 (* ------------------------------------------------------------------ *)
 (* Figure 10: dialing latency vs users                                 *)
@@ -103,16 +97,12 @@ let figure9_des ?(model = Cost_model.paper) ?(mu = 300_000.) () =
 let dial_noise_13k = Laplace.params ~mu:13_000. ~b:770.
 
 let figure10 ?(model = Cost_model.paper) () =
-  {
-    label = "mu=13000";
-    points =
-      List.map
-        (fun users ->
-          ( users,
-            Cost_model.dial_latency model ~users ~servers:3 ~m:1
-              ~dial_noise:dial_noise_13k ))
-        fig9_users;
-  }
+  List.map
+    (fun users ->
+      ( users,
+        Cost_model.dial_latency model ~users ~servers:3 ~m:1
+          ~dial_noise:dial_noise_13k ))
+    fig9_users
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11: latency vs number of servers (1M users, µ=300K)          *)
@@ -170,27 +160,28 @@ let headlines ?(model = Cost_model.paper) () =
   let latency users =
     Cost_model.conv_latency model ~users ~servers:3 ~noise
   in
-  let interval =
-    Cost_model.conv_round_interval model ~users:1_000_000 ~servers:3 ~noise
+  let at_1m =
+    Pipeline.run ~model ~users:1_000_000 ~servers:3 ~noise ~rounds ()
   in
+  let round_interval = at_1m.Pipeline.round_interval in
   {
     latency_1m = latency 1_000_000;
     latency_2m = latency 2_000_000;
     latency_10 = latency 10;
-    throughput_1m =
-      Cost_model.conv_throughput model ~users:1_000_000 ~servers:3 ~noise;
+    throughput_1m = at_1m.Pipeline.throughput;
     lower_bound_2m =
       Cost_model.conv_lower_bound model ~users:2_000_000 ~servers:3 ~noise;
     noise_requests =
       2. *. Cost_model.conv_noise_per_server noise (* 2 mixing servers *);
     server_bandwidth_1m =
-      Cost_model.server_bandwidth model ~users:1_000_000 ~servers:3 ~noise;
+      Cost_model.server_bandwidth model ~users:1_000_000 ~servers:3 ~noise
+        ~round_interval;
     client_bandwidth =
-      Cost_model.client_bandwidth model ~users:1_000_000 ~servers:3 ~noise
-        ~m:1 ~dial_fraction:0.05 ~dial_noise:dial_noise_13k
+      Cost_model.client_bandwidth ~users:1_000_000 ~servers:3 ~m:1
+        ~dial_fraction:0.05 ~dial_noise:dial_noise_13k ~round_interval
         ~dial_interval:600.;
     drop_bytes =
       Cost_model.invitation_drop_bytes ~users:1_000_000 ~servers:3 ~m:1
         ~dial_fraction:0.05 ~dial_noise:dial_noise_13k;
-    messages_per_minute = 60. /. interval;
+    messages_per_minute = 60. /. round_interval;
   }

@@ -21,23 +21,24 @@ type privacy_curve = {
 val figure7 : unit -> privacy_curve list
 val figure8 : unit -> privacy_curve list
 
-type latency_curve = { label : string; points : (int * float) list }
+type pipeline_curve = {
+  label : string;
+  points : (int * Pipeline.result) list;
+}
 
 val conv_noise_of : float -> Vuvuzela_dp.Laplace.params
 (** Noise with the paper's µ/b ratio for a given mean. *)
 
 val fig9_users : int list
 
-val figure9 : ?model:Cost_model.t -> unit -> latency_curve list
-(** Closed-form latency vs users for µ = 100K/200K/300K. *)
-
-val figure9_des :
-  ?model:Cost_model.t -> ?mu:float -> unit -> (int * float * float) list
-(** The same sweep on the pipelined round model ({!Pipeline.run}, 6
-    rounds): (users, latency, round interval). *)
+val figure9 : ?model:Cost_model.t -> unit -> pipeline_curve list
+(** µ = 100K/200K/300K, each user count a 6-round {!Pipeline.run} on 3
+    servers: its mean latency is Figure 9's curve, its round interval
+    and throughput the pipelined rate. *)
 
 val dial_noise_13k : Vuvuzela_dp.Laplace.params
-val figure10 : ?model:Cost_model.t -> unit -> latency_curve
+val figure10 : ?model:Cost_model.t -> unit -> (int * float) list
+(** Dialing latency vs users at µ = 13K, m = 1, 3 servers. *)
 
 val figure11 : ?model:Cost_model.t -> unit -> (int * float) list
 (** Latency vs chain length at 1M users, µ = 300K. *)

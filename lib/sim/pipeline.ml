@@ -10,9 +10,11 @@
 
    With fixed stage times this FIFO chain is a max-plus recurrence:
    round r starts at server i once round r has left server i-1 and
-   round r-1 has left server i.  It produces the end-to-end latency of
-   Figures 9-11 and the emergent round interval behind §8.3's "4
-   messages per minute per client". *)
+   round r-1 has left server i; each stage time is
+   [Cost_model.stage_time].  Every round interval, throughput and
+   bandwidth the figures print comes from [run] (§8.2's 68K msgs/s,
+   §8.3's "4 messages per minute per client"); one round through an idle
+   chain is [Cost_model.conv_latency], the same sum. *)
 
 type result = {
   rounds_completed : int;
@@ -22,49 +24,15 @@ type result = {
   server_utilization : float array;
 }
 
-(* Per-server batch work.  CPU: one DH per incoming request (peel) plus
-   one DH per onion layer of generated cover traffic — server i wraps 2µ
-   noise requests for the (s−1−i) downstream servers, which is why every
-   server's DH count equals the final batch size (the paper's §8.2
-   accounting: "each server must perform one Diffie-Hellman operation
-   for each of the 3.2 million messages").  Transfer: the actual batch
-   present on the outgoing link. *)
-let stage_time (model : Cost_model.t) ~servers ~at ~batch ~cpu_requests =
-  let cpu =
-    cpu_requests *. model.Cost_model.protocol_overhead
-    /. model.Cost_model.dh_ops_per_sec
-  in
-  let bytes =
-    float_of_int
-      (Cost_model.request_bytes ~servers ~at
-      + Cost_model.reply_bytes ~servers ~at
-      + (2 * model.Cost_model.rpc_overhead_bytes))
-  in
-  let transfer = batch *. bytes /. model.Cost_model.link_bandwidth in
-  cpu +. transfer
-
 let run ?(model = Cost_model.paper) ~users ~servers ~noise ~rounds () =
   if servers < 1 then invalid_arg "Pipeline.run: need at least one server";
   if rounds < 1 then invalid_arg "Pipeline.run: need at least one round";
   let efficiency = model.Cost_model.pipeline_efficiency in
   if not (efficiency > 0. && efficiency <= 1.) then
     invalid_arg "Pipeline.run: pipeline_efficiency must be in (0, 1]";
-  let noise_per_server = Cost_model.conv_noise_per_server noise in
-  (* Peel work + noise-wrapping work at server i:
-     (users + i·2µ) + 2µ·(s−1−i) = users + (s−1)·2µ for every i. *)
-  let cpu_requests =
-    Cost_model.conv_total_requests ~users ~servers ~noise
-  in
-  (* Each stage time folds both directions of the batch into one busy
-     period: replies are cheap relative to the forward DH work, and the
-     1.9× protocol overhead is calibrated against the paper's end-to-end
-     numbers, which include the return path. *)
   let d =
-    Array.init servers (fun i ->
-        let batch =
-          float_of_int users +. (float_of_int i *. noise_per_server)
-        in
-        stage_time model ~servers ~at:i ~batch ~cpu_requests)
+    Array.init servers (fun at ->
+        Cost_model.stage_time model ~users ~servers ~noise ~at)
   in
   if not (Array.for_all (fun t -> t >= 0.) d) then
     invalid_arg "Pipeline.run: negative stage time";

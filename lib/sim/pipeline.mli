@@ -1,7 +1,8 @@
 (** The Vuvuzela round pipeline: each server processes one round's batch
     at a time, rounds flow down the chain, successive rounds overlap
     (§8.2-§8.3).  With fixed stage times the chain is a max-plus
-    recurrence over rounds and servers. *)
+    recurrence over rounds and servers, the one model of when rounds
+    finish. *)
 
 type result = {
   rounds_completed : int;
@@ -19,9 +20,11 @@ val run :
   rounds:int ->
   unit ->
   result
-(** Simulate [rounds] pipelined conversation rounds.  Latency agrees
-    with {!Cost_model.conv_latency} within a few percent; the round
-    interval and utilization are emergent.
+(** Run [rounds] pipelined conversation rounds through the chain of
+    {!Cost_model.stage_time}s.  With [~rounds:1] the latency is
+    {!Cost_model.conv_latency} bit for bit; the round interval, the
+    throughput and utilization are emergent, and are the only ones the
+    figures print.
     @raise Invalid_argument unless [servers >= 1], [rounds >= 1] and the
     model's [pipeline_efficiency] is in (0, 1], or when the model makes
     a server's stage time negative. *)

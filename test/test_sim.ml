@@ -50,7 +50,15 @@ let test_pipeline_input_range () =
     (run ~users:10 ~servers:3 ~rounds:0);
   Alcotest.check_raises "negative work"
     (Invalid_argument "Pipeline.run: negative stage time")
-    (run ~users:(-100_000_000) ~servers:3 ~rounds:2)
+    (run ~users:(-100_000_000) ~servers:3 ~rounds:2);
+  (* No users and no mixing server: rounds take no time, and what is
+     averaged over the interval is 0, not NaN. *)
+  let r = Pipeline.run ~users:0 ~servers:1 ~noise:noise300k ~rounds:6 () in
+  Alcotest.(check (float 0.)) "empty chain throughput" 0. r.Pipeline.throughput;
+  Alcotest.(check (float 0.))
+    "empty chain server bandwidth" 0.
+    (Cost_model.server_bandwidth Cost_model.paper ~users:0 ~servers:1
+       ~noise:noise300k ~round_interval:r.Pipeline.round_interval)
 
 (* Bit-exact pins (hex floats under [Float.equal]): a change to the
    order of the pipeline's arithmetic moves a bit here even where the
@@ -89,7 +97,13 @@ let test_pipeline_figure9_exact () =
       (1_500_000, 0x1.893cac7e9e918p+5, 0x1.2f2b2d96659b2p+4);
       (2_000_000, 0x1.d3d27db42e3ddp+5, 0x1.6a2615378d15cp+4);
     ]
-    (Figures.figure9_des ())
+    (match Figures.figure9 () with
+    | [ _; _; mu300k ] ->
+        Alcotest.(check string) "µ" "mu=300000" mu300k.Figures.label;
+        List.map
+          (fun (u, r) -> (u, r.Pipeline.mean_latency, r.Pipeline.round_interval))
+          mu300k.Figures.points
+    | _ -> Alcotest.fail "unexpected curve count")
 
 let test_pipeline_queueing_exact () =
   (* With no coordination gap, the later (busier) hops are the
@@ -153,9 +167,9 @@ let test_paper_latencies () =
   within "2M users" ~pct:10. 55. (lat 2_000_000)
 
 let test_paper_throughput () =
+  (* 65,523 msgs/s, −3.6%: [Cost_model.paper] says why. *)
   within "68K msgs/s at 1M users" ~pct:10. 68_000.
-    (Cost_model.conv_throughput Cost_model.paper ~users:1_000_000 ~servers:3
-       ~noise:noise300k)
+    (Figures.headlines ()).Figures.throughput_1m
 
 let test_paper_client_costs () =
   let h = Figures.headlines () in
@@ -241,6 +255,9 @@ let test_figure8_supported_rounds () =
 let test_figure9_shape () =
   let curves = Figures.figure9 () in
   Alcotest.(check int) "three noise levels" 3 (List.length curves);
+  let latencies (c : Figures.pipeline_curve) =
+    List.map (fun (u, r) -> (u, r.Pipeline.mean_latency)) c.Figures.points
+  in
   List.iter
     (fun c ->
       let rec mono = function
@@ -250,7 +267,7 @@ let test_figure9_shape () =
             mono rest
         | _ -> ()
       in
-      mono c.Figures.points)
+      mono (latencies c))
     curves;
   (* Higher µ ⇒ higher latency at every x. *)
   match curves with
@@ -258,17 +275,17 @@ let test_figure9_shape () =
       List.iter2
         (fun (_, l1) (_, l2) ->
           if l1 >= l2 then Alcotest.fail "µ=100K should be below µ=200K")
-        c100.Figures.points c200.Figures.points;
+        (latencies c100) (latencies c200);
       List.iter2
         (fun (_, l2) (_, l3) ->
           if l2 >= l3 then Alcotest.fail "µ=200K should be below µ=300K")
-        c200.Figures.points c300.Figures.points
+        (latencies c200) (latencies c300)
   | _ -> Alcotest.fail "unexpected curve count"
 
 let test_figure10_shape () =
-  let c = Figures.figure10 () in
-  let first = snd (List.hd c.Figures.points) in
-  let last = snd (List.nth c.Figures.points (List.length c.Figures.points - 1)) in
+  let points = Figures.figure10 () in
+  let first = snd (List.hd points) in
+  let last = snd (List.nth points (List.length points - 1)) in
   within "13 s at 10 users" ~pct:10. 13. first;
   within "50 s at 2M users" ~pct:10. 50. last
 
@@ -278,34 +295,16 @@ let test_figure11_quadratic () =
   if r2 < 0.98 then Alcotest.failf "latency vs servers² fit R²=%.3f" r2;
   within "~140 s at 6 servers" ~pct:10. 140. (snd (List.nth points 5))
 
-let test_des_matches_closed_form () =
-  (* The pipeline DES and the closed-form model must agree on latency. *)
-  List.iter
-    (fun users ->
-      let closed =
-        Cost_model.conv_latency Cost_model.paper ~users ~servers:3
-          ~noise:noise300k
-      in
-      let r = Pipeline.run ~users ~servers:3 ~noise:noise300k ~rounds:4 () in
-      within
-        (Printf.sprintf "DES vs closed form at %d users" users)
-        ~pct:3. closed r.Pipeline.mean_latency)
-    [ 10; 500_000; 2_000_000 ]
-
-let test_des_pipelining () =
+let test_pipeline_overlaps_rounds () =
   (* Rounds overlap: the interval between completions is well below the
      end-to-end latency once the pipe is full. *)
   let r = Pipeline.run ~users:1_000_000 ~servers:3 ~noise:noise300k ~rounds:8 () in
   Alcotest.(check int) "all rounds completed" 8 r.Pipeline.rounds_completed;
   if r.Pipeline.round_interval >= r.Pipeline.mean_latency /. 2. then
     Alcotest.failf "no pipelining: interval %.1f vs latency %.1f"
-      r.Pipeline.round_interval r.Pipeline.mean_latency;
-  within "throughput near closed form" ~pct:15.
-    (Cost_model.conv_throughput Cost_model.paper ~users:1_000_000 ~servers:3
-       ~noise:noise300k)
-    r.Pipeline.throughput
+      r.Pipeline.round_interval r.Pipeline.mean_latency
 
-let test_des_utilization () =
+let test_pipeline_utilization () =
   let r = Pipeline.run ~users:1_000_000 ~servers:3 ~noise:noise300k ~rounds:8 () in
   (* Every server works; none exceeds full utilization. *)
   Array.iteri
@@ -328,10 +327,21 @@ let qcheck_props =
       (int_range 1 2_000_000)
       (fun users ->
         let tp =
-          Cost_model.conv_throughput Cost_model.paper ~users ~servers:3
-            ~noise:noise300k
+          (Pipeline.run ~users ~servers:3 ~noise:noise300k ~rounds:6 ())
+            .Pipeline.throughput
         in
         tp > 0. && tp < Cost_model.paper.Cost_model.dh_ops_per_sec);
+    (* One round through an idle chain is the stage times' sum, in the
+       same order, so the two agree in every bit. *)
+    Test.make ~name:"conv_latency is one pipeline round" ~count:200
+      (triple (int_range 0 2_000_000) (int_range 1 6)
+         (float_range 100_000. 300_000.))
+      (fun (users, servers, mu) ->
+        let noise = Figures.conv_noise_of mu in
+        Float.equal
+          (Cost_model.conv_latency Cost_model.paper ~users ~servers ~noise)
+          (Pipeline.run ~users ~servers ~noise ~rounds:1 ())
+            .Pipeline.mean_latency);
   ]
 
 let suite =
@@ -360,9 +370,8 @@ let suite =
       tc "figure 9 shape" `Quick test_figure9_shape;
       tc "figure 10 endpoints" `Quick test_figure10_shape;
       tc "figure 11 quadratic" `Quick test_figure11_quadratic;
-      tc "DES matches closed form" `Quick test_des_matches_closed_form;
-      tc "DES pipelines rounds" `Quick test_des_pipelining;
-      tc "DES utilization sane" `Quick test_des_utilization;
+      tc "pipeline overlaps rounds" `Quick test_pipeline_overlaps_rounds;
+      tc "pipeline utilization sane" `Quick test_pipeline_utilization;
     ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props )
 

@@ -326,7 +326,7 @@ let simulate users servers mu =
   Printf.printf "%d users, %d servers, µ=%.0f (paper's testbed constants)\n"
     users servers mu;
   Printf.printf
-    "pipeline: latency %.1f s, interval %.1f s, %.0f msg/s, server bw %.0f \
+    "pipeline: latency %.3g s, interval %.3g s, %.0f msg/s, server bw %.0f \
      MB/s, utilization [%s]\n"
     r.Pipeline.mean_latency r.Pipeline.round_interval r.Pipeline.throughput
     (Cost_model.server_bandwidth model ~users ~servers ~noise

@@ -84,12 +84,6 @@ let model_attack ?rng ~noise ~talking ~rounds ~prior () =
   likelihood_verdict ~noise_pmf:(pmf m2_noise ~max_k) ~base:0 ~prior
     ~truth:talking observations
 
-(* The per-round log-likelihood-ratio is bounded by the per-round ε; the
-   expected total is bounded by k·ε (and concentrates around the KL
-   divergence, which is much smaller).  Exposed for tests. *)
-let per_round_eps_bound (noise : Laplace.params) =
-  (Mechanism.conversation noise).Mechanism.eps
-
 (* ------------------------------------------------------------------ *)
 (* Attack against the live implementation                              *)
 (* ------------------------------------------------------------------ *)

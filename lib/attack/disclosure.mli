@@ -6,9 +6,6 @@ val pmf : Vuvuzela_dp.Laplace.params -> max_k:int -> float array
 (** Probability mass function of [⌈max(0, Laplace(µ, b))⌉] on
     [0..max_k]. *)
 
-val convolve : float array -> float array -> float array
-val self_convolve : float array -> int -> float array
-
 type verdict = {
   rounds : int;
   log_lr : float;  (** accumulated log likelihood ratio *)
@@ -17,15 +14,6 @@ type verdict = {
 }
 
 val pp_verdict : Format.formatter -> verdict -> unit
-
-val likelihood_verdict :
-  noise_pmf:float array ->
-  base:int ->
-  prior:float ->
-  truth:bool ->
-  int list ->
-  verdict
-(** Run the optimal test over a series of observed m2 values. *)
 
 val model_attack :
   ?rng:Vuvuzela_crypto.Drbg.t ->
@@ -36,10 +24,6 @@ val model_attack :
   unit ->
   verdict
 (** Closed-form simulation: one honest server's noise hides the pair. *)
-
-val per_round_eps_bound : Vuvuzela_dp.Laplace.params -> float
-(** Theorem 1's per-round ε — the budget the realized log-LR must
-    respect outside δ events. *)
 
 val network_attack :
   ?idle_users:int ->

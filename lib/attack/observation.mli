@@ -8,20 +8,9 @@ type action =
   | Send_x  (** unreciprocated exchange toward x *)
   | Send_y
 
-val action_name : action -> string
-
-val histogram : action -> int * int
-(** [(m1, m2)] contributed by the modeled drops under this action of
-    Alice's (partners b and c always have standing requests). *)
-
 val delta : real:action -> cover:action -> int * int
-(** One Figure 6 cell: [histogram real − histogram cover]. *)
-
-val reals : action list
-(** Figure 6's columns. *)
-
-val covers : action list
-(** Figure 6's rows. *)
+(** One Figure 6 cell: the modeled drops' [(m1, m2)] under [real]
+    minus those under [cover]. *)
 
 val sensitivity_table : unit -> (action * (int * int) list) list
 val max_sensitivity : unit -> int * int
@@ -32,5 +21,4 @@ val pp_table : Format.formatter -> unit -> unit
 type round_view = { m1 : int; m2 : int }
 (** What the adversary records from a live round. *)
 
-val of_histogram : Vuvuzela.Deaddrop.histogram -> round_view
 val observe_chain : Vuvuzela.Chain.t -> round_view option

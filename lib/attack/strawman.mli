@@ -8,16 +8,11 @@ type behavior = Offline | Idle_cover | Talking_to of user
 type round_log = { accesses : (user * string) list }
 (** The compromised server's complete view: who accessed which drop. *)
 
-val pair_drop : user -> user -> round:int -> string
-val idle_drop : user -> round:int -> string
-
 val run_round :
   round:int -> users:user list -> behavior:(user -> behavior) -> round_log
 
 val communicating_pairs : round_log -> (user * user) list
 (** The trivial attack: drops accessed by exactly two users. *)
-
-val are_talking : round_log -> u:user -> v:user -> bool
 
 val confirmation_attack :
   round:int ->

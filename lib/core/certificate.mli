@@ -10,9 +10,6 @@ type t = {
   signature : bytes;
 }
 
-val encoded_len : int
-(** 168 bytes. *)
-
 val issue :
   issuer_sk:bytes -> subject_pk:bytes -> name:string -> expires:int -> t
 

@@ -88,22 +88,6 @@ let conversation_round_streamed t ~round ~produce =
 let dialing_round_streamed t ~round ~m ~produce =
   Remote.dialing_round_streamed t.remote ~round ~m ~produce
 
-(* Convenience for callers that hold the whole batch and treat a framing
-   failure as fatal. *)
-let round_exn t ~kind ~m ~round requests =
-  match
-    Remote.round_streamed t.remote ~kind ~m ~round
-      ~produce:(fun feed -> feed requests)
-  with
-  | Ok replies -> replies
-  | Error st -> failwith (Format.asprintf "Chain: %a" Rpc.pp_status st)
-
-let conversation_round_exn t ~round requests =
-  round_exn t ~kind:Round.Conversation ~m:0 ~round requests
-
-let dialing_round_exn t ~round ~m requests =
-  round_exn t ~kind:Round.Dialing ~m ~round requests
-
 (* A direct read of the last server: a client's download does not cross
    the chain's links. *)
 let fetch_invitations ?dial_round t ~index =

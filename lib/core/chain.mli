@@ -41,7 +41,6 @@ val of_config : Config.t -> t
     bit-identical with telemetry on or off.
     @raise Invalid_argument on [n_servers < 1] or [jobs < 1]. *)
 
-val length : t -> int
 val server : t -> int -> Server.t
 
 val jobs : t -> int
@@ -79,12 +78,6 @@ val dialing_round_streamed :
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
 (** {!Remote.dialing_round_streamed} on the chain's link. *)
-
-val conversation_round_exn : t -> round:int -> bytes array -> bytes array
-(** A conversation round on a materialized batch (one producer chunk),
-    raising [Failure] on a status frame. *)
-
-val dialing_round_exn : t -> round:int -> m:int -> bytes array -> bytes array
 
 val fetch_invitations : ?dial_round:int -> t -> index:int -> bytes list
 (** A direct read of the last server's store, not crossing the links.

@@ -35,19 +35,6 @@ type event =
           entry server excluded it and what it carried was requeued for
           [next_round] *)
 
-let pp_event fmt = function
-  | Delivered { text; _ } -> Format.fprintf fmt "Delivered %S" text
-  | Acked { seq; _ } -> Format.fprintf fmt "Acked %d" seq
-  | Incoming_call _ -> Format.fprintf fmt "Incoming_call"
-  | Round_failed { round; dialing; status } ->
-      Format.fprintf fmt "Round_failed %s%d [%s]"
-        (if dialing then "dial " else "")
-        round status.Rpc.stage
-  | Round_late { round; next_round; dialing } ->
-      Format.fprintf fmt "Round_late %s%d->%d"
-        (if dialing then "dial " else "")
-        round next_round
-
 type unacked = { seq : int; text : string; mutable last_sent : int }
 
 type conv_state = {
@@ -153,10 +140,7 @@ let create ?seed ?(window = 4) ?(rtt = 2) ?(max_conversations = 1) ?dial_kind
 let identity t = t.identity
 let public_key t = t.identity.Types.public
 let stats t = t.stats
-let max_conversations t = t.max_conversations
-let in_conversation t = t.convs <> []
 let peers t = List.map (fun c -> c.cpeer) t.convs
-let peer t = match t.convs with [] -> None | c :: _ -> Some c.cpeer
 
 let find_conv t peer_pk =
   List.find_opt (fun c -> Bytes.equal c.cpeer peer_pk) t.convs
@@ -280,15 +264,6 @@ let conversation_requests t ~round =
         { secrets = wrapped.secrets; conv; fake };
       wrapped.onion)
 
-(* Single-conversation convenience (the prototype configuration). *)
-let conversation_request t ~round =
-  match conversation_requests t ~round with
-  | [ r ] -> r
-  | _ ->
-      invalid_arg
-        "Client.conversation_request: client has max_conversations > 1; \
-         use conversation_requests"
-
 (* Process an ack from the peer: everything <= ack is delivered. *)
 let process_ack c ~ack =
   let acked, live = List.partition (fun u -> u.seq <= ack) c.inflight in
@@ -352,9 +327,6 @@ let handle_slot_reply t ~round ~slot reply =
 
 let handle_conversation_replies t ~round replies =
   List.concat (List.mapi (fun slot r -> handle_slot_reply t ~round ~slot r) replies)
-
-let handle_conversation_reply t ~round reply =
-  handle_slot_reply t ~round ~slot:0 reply
 
 (* ------------------------------------------------------------------ *)
 (* Dialing rounds                                                      *)

@@ -17,8 +17,6 @@ type event =
           server excluded it and whatever it carried was requeued for
           [next_round]; cover traffic for the slot is redrawn noise *)
 
-val pp_event : Format.formatter -> event -> unit
-
 type stats = {
   mutable rounds : int;
   mutable data_sent : int;
@@ -56,10 +54,7 @@ val create :
 val identity : t -> Types.identity
 val public_key : t -> bytes
 val stats : t -> stats
-val max_conversations : t -> int
 
-val in_conversation : t -> bool
-val peer : t -> bytes option
 val peers : t -> bytes list
 
 val start_conversation : t -> peer_pk:bytes -> unit
@@ -86,16 +81,9 @@ val conversation_requests : t -> round:int -> bytes list
 (** The onions to submit this round — always exactly
     [max_conversations] of them, active or idle. *)
 
-val conversation_request : t -> round:int -> bytes
-(** Single-conversation convenience.
-    @raise Invalid_argument when [max_conversations > 1]. *)
-
 val handle_conversation_replies : t -> round:int -> bytes list -> event list
 (** Process the round's replies (slot-aligned with
     {!conversation_requests}); returns deliveries and acks in order. *)
-
-val handle_conversation_reply : t -> round:int -> bytes -> event list
-(** Single-slot convenience (slot 0). *)
 
 val dial : t -> callee_pk:bytes -> unit
 (** Request a conversation at the next dialing round. *)

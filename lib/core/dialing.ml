@@ -89,9 +89,6 @@ let noop ?rng ?(kind = Plain) () =
   let d = draw ?rng ~kind () in
   encode_payload ~index:Types.noop_drop (Bytes.cat d.secret d.filler)
 
-let noise ?rng ?(kind = Plain) ~index () =
-  encode_payload ~index (noise_invitations [| draw ?rng ~kind () |]).(0)
-
 (* Which drop do I download? *)
 let my_drop ~identity:(id : Types.identity) ~m =
   Deaddrop.Invitation.index_of ~m id.public

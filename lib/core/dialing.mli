@@ -52,11 +52,6 @@ val noop : ?rng:Vuvuzela_crypto.Drbg.t -> ?kind:kind -> unit -> bytes
 (** An idle client's request to the no-op drop: one {!draw}'s bytes,
     unsealed, since the last server discards them unread. *)
 
-val noise :
-  ?rng:Vuvuzela_crypto.Drbg.t -> ?kind:kind -> index:int -> unit -> bytes
-(** A server noise invitation for a specific drop (§5.3):
-    {!noise_invitations} of one {!draw}, framed for drop [index]. *)
-
 val my_drop : identity:Types.identity -> m:int -> int
 
 val scan : identity:Types.identity -> bytes list -> bytes list

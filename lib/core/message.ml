@@ -22,13 +22,6 @@ type t =
   | Empty of { ack : int }
   | Data of { seq : int; ack : int; text : string }
 
-let ack = function Empty { ack } -> ack | Data { ack; _ } -> ack
-
-let pp fmt = function
-  | Empty { ack } -> Format.fprintf fmt "Empty{ack=%d}" ack
-  | Data { seq; ack; text } ->
-      Format.fprintf fmt "Data{seq=%d; ack=%d; %S}" seq ack text
-
 let equal a b =
   match (a, b) with
   | Empty { ack = a1 }, Empty { ack = a2 } -> a1 = a2

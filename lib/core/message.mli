@@ -10,8 +10,6 @@ type t =
       (** cover/keepalive; still carries the transport ack *)
   | Data of { seq : int; ack : int; text : string }
 
-val ack : t -> int
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
 val encode : t -> bytes

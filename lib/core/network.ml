@@ -176,7 +176,6 @@ let chain t =
   | None -> invalid_arg "Network.chain: TCP deployment has no in-process chain"
 
 let is_remote t = t.local = None
-let telemetry t = t.tel
 let jobs t = match t.local with Some c -> Chain.jobs c | None -> 1
 
 let shutdown t =
@@ -688,16 +687,3 @@ let run ?(blocked = fun _ -> false) ?late ~kind (t : t) =
 (* Convenience: run n conversation rounds, collecting the reports. *)
 let run_rounds ?blocked ?late t n =
   List.init n (fun _ -> run ?blocked ?late ~kind:Round.Conversation t)
-
-(* The deployment schedule of §8.1: conversation rounds run continuously
-   and a dialing round fires every [dial_every] conversation rounds (the
-   paper's prototype uses 10-minute dialing rounds against tens of
-   seconds per conversation round). *)
-let run_schedule ?blocked ?late ?(dial_every = 10) t ~rounds =
-  let acc = ref [] in
-  for i = 1 to rounds do
-    if i mod dial_every = 0 then
-      acc := run ?blocked ?late ~kind:Round.Dialing t :: !acc;
-    acc := run ?blocked ?late ~kind:Round.Conversation t :: !acc
-  done;
-  List.rev !acc

@@ -73,9 +73,6 @@ val chain : t -> Chain.t
 val is_remote : t -> bool
 (** [true] iff this deployment came from {!of_config_tcp}. *)
 
-val telemetry : t -> Vuvuzela_telemetry.Telemetry.t option
-(** The sink the deployment was created with, if any. *)
-
 val jobs : t -> int
 (** The chain's crypto parallelism ([1] for a TCP deployment — the
     daemons configure their own). *)
@@ -126,7 +123,6 @@ val connect :
 (** Add a client; with [seed], its identity and randomness are
     deterministic. *)
 
-val clients : t -> Client.t list
 val find_client : t -> bytes -> Client.t option
 
 type round_report = {
@@ -227,13 +223,3 @@ val run_rounds :
   t ->
   int ->
   round_report list
-
-val run_schedule :
-  ?blocked:(Client.t -> bool) ->
-  ?late:(Client.t -> bool) ->
-  ?dial_every:int ->
-  t ->
-  rounds:int ->
-  round_report list
-(** Interleave conversation rounds with a dialing round every
-    [dial_every] rounds (default 10), as a deployment would (§8.1). *)

@@ -44,8 +44,6 @@ let create ~dir ?(scrape = []) () =
   | Unix.Unix_error (e, fn, arg) ->
       Error (Printf.sprintf "obs: %s %s: %s" fn arg (Unix.error_message e))
 
-let dir t = t.dir
-
 let record_event t json =
   if not t.finalized then begin
     output_string t.events (Json.to_string json);

@@ -28,12 +28,6 @@ val create :
     — each daemon's [--metrics-listen] address — collected at
     {!finalize}. *)
 
-val dir : t -> string
-
-val record_event : t -> Vuvuzela_telemetry.Json.t -> unit
-(** Append one raw event line (flushed immediately); dropped after
-    {!finalize}. *)
-
 val record_round :
   t ->
   kind:string ->

@@ -313,12 +313,6 @@ let conversation_round_streamed t ~round ~produce =
 let dialing_round_streamed t ~round ~m ~produce =
   round_streamed t ~kind:Round.Dialing ~m ~round ~produce
 
-let conversation_round t ~round requests =
-  conversation_round_streamed t ~round ~produce:(fun feed -> feed requests)
-
-let dialing_round t ~round ~m requests =
-  dialing_round_streamed t ~round ~m ~produce:(fun feed -> feed requests)
-
 let fetch_invitations t ~dial_round ~index =
   if t.shut_down then []
   else

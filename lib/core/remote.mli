@@ -168,13 +168,6 @@ val dialing_round_streamed :
   produce:((bytes array -> unit) -> unit) ->
   (bytes array, Rpc.status) result
 
-val conversation_round :
-  t -> round:int -> bytes array -> (bytes array, Rpc.status) result
-(** A materialized batch fed as one producer chunk. *)
-
-val dialing_round :
-  t -> round:int -> m:int -> bytes array -> (bytes array, Rpc.status) result
-
 val abort : t -> kind:Round.kind -> round:int -> unit
 (** Settle the round if it is the one in flight, and send a best-effort
     [Abort] frame, forwarded hop to hop; a link that is down simply

@@ -9,7 +9,3 @@
 type kind = Conversation | Dialing
 
 let is_dialing = function Conversation -> false | Dialing -> true
-
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with Conversation -> "conversation" | Dialing -> "dialing")

@@ -4,4 +4,3 @@
 type kind = Conversation | Dialing
 
 val is_dialing : kind -> bool
-val pp_kind : Format.formatter -> kind -> unit

@@ -291,8 +291,8 @@ let stream_collect t st =
 (* Noise is planned in two stages so its crypto can fan out: the
    coordinator draws every random input (payload bytes, a noise
    invitation's [Dialing.draw], per-layer ephemeral secrets — in
-   exactly the order the one-shot [Dialing.noise] and [Onion.wrap]
-   would have consumed the DRBG), then each pool chunk builds its
+   exactly the order that building and wrapping one noise onion at a
+   time would consume the DRBG), then each pool chunk builds its
    invitations' keys ([Dialing.noise_invitations]) and wraps its onions
    ([Onion.wrap_many]), one batch, and so one field inversion, each.  A
    spec is one pending noise onion: its ephemeral secrets, drawn after

@@ -11,8 +11,7 @@ let drop_id_len = 16
    length) followed by up to [text_capacity] bytes of user text, padded to
    a fixed size. *)
 let message_plain_len = 240
-let message_header_len = 11
-let text_capacity = message_plain_len - message_header_len (* 229 *)
+let text_capacity = message_plain_len - 11 (* 229 *)
 
 (* Sealed conversation message as stored in a dead drop. *)
 let sealed_message_len = message_plain_len + Vuvuzela_crypto.Aead.tag_len
@@ -27,12 +26,9 @@ let exchange_result_len = sealed_message_len (* 256 *)
 
 (* Dialing: an invitation is the caller's 32-byte public key in a sealed
    box (anonymous: fresh ephemeral key + tag = 48 bytes of overhead). *)
-let invitation_plain_len = Vuvuzela_crypto.Curve25519.key_len
 let invitation_len =
-  invitation_plain_len + Vuvuzela_crypto.Box.anonymous_overhead (* 80 *)
-
-(* Dialing request payload: 16-bit invitation-drop index + invitation. *)
-let dial_payload_len = 2 + invitation_len (* 82 *)
+  Vuvuzela_crypto.Curve25519.key_len + Vuvuzela_crypto.Box.anonymous_overhead
+(* = 80 *)
 
 (* The no-op invitation drop used by idle clients (§5.2): the last server
    files nothing there, so its contents are never downloaded by anyone
@@ -44,9 +40,6 @@ let noop_drop = 0xffff
 let dial_result_len = 1
 
 type drop_id = bytes (* exactly [drop_id_len] bytes *)
-
-let pp_drop_id fmt id =
-  Format.pp_print_string fmt (Vuvuzela_crypto.Bytes_util.to_hex id)
 
 (* A user identity: long-term X25519 keypair.  Public keys double as user
    identifiers, as in the paper (§3.1: "each user (identified by the

@@ -1,16 +1,16 @@
 (* Public-key authenticated encryption in the NaCl "box" style:
    X25519 -> HKDF -> ChaCha20-Poly1305.  Vuvuzela uses:
 
-   - [seal]/[open_] between a client's per-layer ephemeral key and a
-     server's long-term key (onion layers), and between conversation
-     partners' keys (message payloads);
+   - [derive], the key that [Aead] seals with, between a client's
+     per-layer ephemeral key and a server's long-term key (onion
+     layers), and between conversation partners' keys (message
+     payloads);
    - [seal_anonymous]/[open_anonymous] for dialing invitations, where the
      recipient must not learn anything before trial decryption succeeds
      and invitations from different senders must be indistinguishable.
      A noise invitation, which nobody opens, is no sealed box: see
      Dialing. *)
 
-let overhead = Aead.tag_len
 let anonymous_overhead = Curve25519.key_len + Aead.tag_len
 
 (* Shared symmetric key for the (secret, public) pair.  Both directions of
@@ -18,15 +18,6 @@ let anonymous_overhead = Curve25519.key_len + Aead.tag_len
    (Vuvuzela derives direction from public-key order; see Conversation). *)
 let derive raw =
   Hkdf.derive ~ikm:raw ~info:(Bytes.of_string "vuvuzela-box-v1") Aead.key_len
-
-let seal ~key ~nonce ?aad pt = Aead.seal ~key ~nonce ?aad pt
-let open_ ~key ~nonce ?aad ct = Aead.open_ ~key ~nonce ?aad ct
-
-let seal_into ~key ~nonce ?aad ~src ~src_off ~len ~dst ~dst_off () =
-  Aead.seal_into ~key ~nonce ?aad ~src ~src_off ~len ~dst ~dst_off ()
-
-let open_into ~key ~nonce ?aad ~src ~src_off ~len ~dst ~dst_off () =
-  Aead.open_into ~key ~nonce ?aad ~src ~src_off ~len ~dst ~dst_off ()
 
 (* Sealed (anonymous) box: a fresh ephemeral keypair per message; the
    ephemeral public key rides in front of the ciphertext.  The nonce is

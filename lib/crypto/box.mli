@@ -1,9 +1,6 @@
 (** Public-key authenticated encryption (X25519 + HKDF +
     ChaCha20-Poly1305), in the NaCl "box" style. *)
 
-val overhead : int
-(** Bytes added by {!seal} (16). *)
-
 val anonymous_overhead : int
 (** Bytes added by {!seal_anonymous} (48): ephemeral public key + tag.
     An 80-byte Vuvuzela invitation is a 32-byte sender key under this
@@ -12,36 +9,7 @@ val anonymous_overhead : int
 val derive : bytes -> bytes
 (** The symmetric key of an X25519 shared point, via HKDF: both sides of
     a DH pair, [derive (Curve25519.shared ~secret ~public)], obtain the
-    same key. *)
-
-val seal : key:bytes -> nonce:bytes -> ?aad:bytes -> bytes -> bytes
-val open_ : key:bytes -> nonce:bytes -> ?aad:bytes -> bytes -> bytes option
-
-val seal_into :
-  key:bytes ->
-  nonce:bytes ->
-  ?aad:bytes ->
-  src:bytes ->
-  src_off:int ->
-  len:int ->
-  dst:bytes ->
-  dst_off:int ->
-  unit ->
-  unit
-(** Allocation-lean variants re-exported from {!Aead}; see
-    {!Aead.seal_into}/{!Aead.open_into} for range and overlap rules. *)
-
-val open_into :
-  key:bytes ->
-  nonce:bytes ->
-  ?aad:bytes ->
-  src:bytes ->
-  src_off:int ->
-  len:int ->
-  dst:bytes ->
-  dst_off:int ->
-  unit ->
-  bool
+    same key, for {!Aead.seal} and {!Aead.open_}. *)
 
 val seal_anonymous : ?rng:Drbg.t -> recipient_pk:bytes -> bytes -> bytes
 (** Sealed box: fresh ephemeral key per message; the recipient can open it

@@ -267,8 +267,6 @@ let encrypt ?(counter = 1) ~key ~nonce src =
   xor_into ~key ~nonce ~counter ~src ~src_off:0 ~dst ~dst_off:0 ~len;
   dst
 
-let decrypt = encrypt
-
 let keystream ~key ~nonce ~counter len =
   let dst = Bytes.create len in
   keystream_into ~key ~nonce ~counter dst ~off:0 ~len;

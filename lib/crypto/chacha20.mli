@@ -8,9 +8,6 @@
     enforced by [test/prop/prop_chacha.ml] and the RFC 8439 vector
     tables in [test/test_crypto.ml]. *)
 
-val key_len : int
-(** 32. *)
-
 val nonce_len : int
 (** 12. *)
 
@@ -39,10 +36,8 @@ val keystream_into :
     with no intermediate zero buffer. *)
 
 val encrypt : ?counter:int -> key:bytes -> nonce:bytes -> bytes -> bytes
-(** Encrypt (= decrypt) with initial block counter [counter]
+(** Encrypt, and so decrypt, with initial block counter [counter]
     (default 1, per the RFC's AEAD usage). *)
-
-val decrypt : ?counter:int -> key:bytes -> nonce:bytes -> bytes -> bytes
 
 val keystream : key:bytes -> nonce:bytes -> counter:int -> int -> bytes
 (** [keystream ~key ~nonce ~counter len] is [len] raw keystream bytes. *)

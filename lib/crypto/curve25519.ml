@@ -72,11 +72,6 @@ let check_lengths ~scalar ~point =
   if Bytes.length point <> key_len then
     invalid_arg "Curve25519: bad point length"
 
-let base_point =
-  let b = Bytes.make 32 '\000' in
-  Bytes.set b 0 '\x09';
-  b
-
 (* Comb tables for long-lived public keys, memoised by their encoding.
    [table = None] marks a key with no Edwards point (the twist), which
    stays on the ladder; whether a key has a table depends on the public

@@ -29,12 +29,9 @@ val scalarmult : scalar:bytes -> point:bytes -> bytes
 (** [scalarmult ~scalar ~point] is X25519(scalar, point).  The scalar is
     clamped internally. *)
 
-val base_point : bytes
-(** The u-coordinate 9. *)
-
 val scalarmult_base : bytes -> bytes
-(** Public key from a 32-byte secret: [scalarmult ~scalar ~point:base_point],
-    bit for bit.  The scalar is clamped internally. *)
+(** Public key from a 32-byte secret: {!scalarmult} on the base point
+    u = 9, bit for bit.  The scalar is clamped internally. *)
 
 val shared : secret:bytes -> public:bytes -> bytes
 (** Raw shared point; derive symmetric keys via {!Hkdf} (see {!Box}). *)

@@ -30,6 +30,3 @@ val float_unit : ?rng:t -> unit -> float
 
 val keypair : ?rng:t -> unit -> bytes * bytes
 (** Fresh X25519 [(secret, public)] pair. *)
-
-val os_entropy : int -> bytes
-(** Raw bytes from [/dev/urandom]. *)

@@ -3,15 +3,6 @@
     Used by {!Vuvuzela.Certificate} for the §9 PKI extension (binding a
     caller's conversation key to a long-term signing identity). *)
 
-val public_key_len : int
-(** 32. *)
-
-val secret_key_len : int
-(** 32 (the RFC 8032 seed). *)
-
-val signature_len : int
-(** 64. *)
-
 val keypair : ?rng:Drbg.t -> unit -> bytes * bytes
 (** Fresh [(seed, public_key)]. *)
 

@@ -4,9 +4,5 @@ val extract : ?salt:bytes -> bytes -> bytes
 (** [extract ?salt ikm] is the 32-byte pseudorandom key.  [salt] defaults
     to 32 zero bytes per the RFC. *)
 
-val expand : prk:bytes -> ?info:bytes -> int -> bytes
-(** [expand ~prk ?info len] expands [prk] to [len] bytes ([len] at most
-    [255 * 32]). *)
-
 val derive : ?salt:bytes -> ikm:bytes -> ?info:bytes -> int -> bytes
 (** Extract-then-expand in one call. *)

@@ -21,6 +21,3 @@ val finish_into : key -> Sha256.t -> bytes -> off:int -> unit
 
 val sha256 : key:bytes -> bytes -> bytes
 (** [sha256 ~key data] is the 32-byte HMAC-SHA256 tag of [data]. *)
-
-val verify : key:bytes -> tag:bytes -> bytes -> bool
-(** Constant-time tag verification. *)

@@ -174,4 +174,3 @@ let digest_list datas =
   List.iter (feed t) datas;
   get t
 
-let digest_string s = digest (Bytes.unsafe_of_string s)

@@ -1,13 +1,5 @@
 (** SHA-512 (FIPS 180-4), pure OCaml; the hash inside {!Ed25519}. *)
 
-type t
-
-val init : unit -> t
-val feed : t -> bytes -> unit
-
-val get : t -> bytes
-(** Finalize a copy of the state; 64-byte digest. *)
-
 val digest : bytes -> bytes
 val digest_list : bytes list -> bytes
-val digest_string : string -> bytes
+(** The digest of the parts' concatenation, fed one part at a time. *)

@@ -12,9 +12,6 @@ let posterior ~prior ~eps =
   let lift = prior *. exp eps in
   lift /. (lift +. (1. -. prior))
 
-(* The multiplicative bound on the posterior/prior odds ratio. *)
-let max_odds_ratio ~eps = exp eps
-
 (* Bayesian update from an explicit likelihood ratio
    L = Pr[obs | talking] / Pr[obs | cover story]; DP guarantees
    e^{-ε} ≤ L ≤ e^ε (up to δ). *)

@@ -4,9 +4,6 @@
 val posterior : prior:float -> eps:float -> float
 (** Worst-case posterior [p·e^ε / (p·e^ε + 1 − p)] (δ tail ignored). *)
 
-val max_odds_ratio : eps:float -> float
-(** [e^ε]: the most any observation can multiply the adversary's odds. *)
-
 val update : prior:float -> likelihood_ratio:float -> float
 (** Exact Bayesian update for a concrete likelihood ratio (used by the
     attack simulations to measure realized adversary confidence). *)

@@ -8,15 +8,13 @@ val compose : k:int -> d:float -> Mechanism.guarantee -> Mechanism.guarantee
 val default_d : float
 (** 1e-5, the paper's choice (§6.4). *)
 
-val default_target : Mechanism.guarantee
-(** ε′ = ln 2, δ′ = 1e-4 — the paper's recommended deployment target. *)
-
 val satisfies : target:Mechanism.guarantee -> Mechanism.guarantee -> bool
 
 val max_rounds :
   ?d:float -> ?target:Mechanism.guarantee -> Mechanism.guarantee -> int
 (** Largest [k] whose composition still satisfies [target] (binary
-    search; ε′ and δ′ are monotone in [k]). *)
+    search; ε′ and δ′ are monotone in [k]).  [target] defaults to the
+    paper's recommended deployment target, ε′ = ln 2 and δ′ = 1e-4. *)
 
 type protocol = Conversation | Dialing
 

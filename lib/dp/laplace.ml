@@ -17,8 +17,6 @@ let sample ?rng { mu; b } =
   let s = if u < 0. then -1. else 1. in
   mu -. (b *. s *. log (1. -. (2. *. Float.abs u)))
 
-let mean { mu; _ } = mu
-
 let stddev { b; _ } = b *. sqrt 2.
 
 (* The noise count a Vuvuzela server adds: Laplace capped below at zero,
@@ -27,9 +25,6 @@ let stddev { b; _ } = b *. sqrt 2.
 let truncated_sample ?rng p =
   let x = sample ?rng p in
   int_of_float (Float.ceil (Float.max 0. x))
-
-(* Probability density, used by the attack module's likelihood ratios. *)
-let pdf { mu; b } x = exp (-.Float.abs (x -. mu) /. b) /. (2. *. b)
 
 (* CDF of the (untruncated) Laplace distribution. *)
 let cdf { mu; b } x =

@@ -13,9 +13,7 @@ val truncated_sample : ?rng:Vuvuzela_crypto.Drbg.t -> params -> int
 (** [⌈max(0, Laplace(µ, b))⌉] — the number of noise requests a server
     adds.  Always non-negative. *)
 
-val mean : params -> float
 val stddev : params -> float
 (** [b·√2], the standard deviation of the untruncated distribution. *)
 
-val pdf : params -> float -> float
 val cdf : params -> float -> float

@@ -7,11 +7,6 @@
 
 type guarantee = { eps : float; delta : float }
 
-(* Lemma 3: noise ⌈max(0, Laplace(µ, b))⌉ on a single counter with
-   sensitivity t gives ε = t/b and δ = ½·exp((t − µ)/b). *)
-let lemma3 ~sensitivity:(t : float) (p : Laplace.params) =
-  { eps = t /. p.b; delta = 0.5 *. exp ((t -. p.mu) /. p.b) }
-
 (* Theorem 1 (conversation protocol): noise Laplace(µ, b) on m1 (|∆m1| ≤ 2)
    and Laplace(µ/2, b/2) on m2 (|∆m2| ≤ 1) compose to
      ε = 4/b,   δ = exp((2 − µ)/b). *)
@@ -39,6 +34,5 @@ let dialing_noise_for { eps; delta } =
    (Theorem 1): m1 gets Laplace(µ, b), m2 gets Laplace(µ/2, b/2).
    Algorithm 2 realizes exactly this by drawing n1, n2 ~ Laplace(µ, b)
    capped at 0 and adding ⌈n1⌉ singles and ⌈n2/2⌉ pairs. *)
-let m1_noise (p : Laplace.params) = p
 let m2_noise (p : Laplace.params) =
   Laplace.params ~mu:(p.mu /. 2.) ~b:(p.b /. 2.)

@@ -3,10 +3,6 @@
 
 type guarantee = { eps : float; delta : float }
 
-val lemma3 : sensitivity:float -> Laplace.params -> guarantee
-(** Lemma 3: one counter with sensitivity [t] noised by
-    [⌈max(0, Laplace(µ,b))⌉] is [(t/b, ½·e^{(t−µ)/b})]-DP. *)
-
 val conversation : Laplace.params -> guarantee
 (** Theorem 1: [(4/b, e^{(2−µ)/b})]-DP per conversation round. *)
 
@@ -18,8 +14,6 @@ val conversation_noise_for : guarantee -> Laplace.params
 
 val dialing_noise_for : guarantee -> Laplace.params
 
-val m1_noise : Laplace.params -> Laplace.params
-(** Noise distribution on the dead-drops-accessed-once counter. *)
-
 val m2_noise : Laplace.params -> Laplace.params
-(** Noise on the accessed-twice counter: [Laplace(µ/2, b/2)]. *)
+(** Noise on the accessed-twice counter: [Laplace(µ/2, b/2)]; the
+    accessed-once counter gets [Laplace(µ, b)] itself. *)

@@ -14,7 +14,6 @@ type mode =
 
 type plan = { singles : int; pairs : int }
 
-let total_requests { singles; pairs } = singles + (2 * pairs)
 
 let conversation ?rng ~mode (p : Laplace.params) =
   match mode with

@@ -9,10 +9,6 @@ type plan = { singles : int; pairs : int }
 (** Noise requests one server adds in a conversation round: [singles]
     lone accesses and [pairs] double accesses to random dead drops. *)
 
-val total_requests : plan -> int
-(** [singles + 2·pairs] — on average 2µ per server, giving the paper's
-    1.2M noise requests for a 3-server chain at µ = 300K. *)
-
 val conversation :
   ?rng:Vuvuzela_crypto.Drbg.t -> mode:mode -> Laplace.params -> plan
 

@@ -8,8 +8,6 @@
    policy can outlast, which is exactly the availability model of the
    paper (a crashed server restarts, a lossy link recovers). *)
 
-open Vuvuzela_crypto
-
 type kind =
   | Crash
   | Drop_link
@@ -199,45 +197,6 @@ let parse s =
   |> go []
 
 (* ------------------------------------------------------------------ *)
-(* Chaos schedules                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Parameters are chosen so each drawn fault misbehaves decisively:
-   corruption hits the 6-byte magic/version/tag header (decode always
-   fails, never a silent payload flip), delays are an hour (past any
-   deadline a test would set). *)
-let random_plan ~rng ~rounds ~n_servers ?(faults = 4) () =
-  List.init faults (fun _ ->
-      let round = 1 + Drbg.uniform ~rng rounds in
-      let server = Drbg.uniform ~rng n_servers in
-      let kind =
-        match Drbg.uniform ~rng 5 with
-        | 0 -> Crash
-        | 1 -> Drop_link
-        | 2 -> Corrupt_frame (Drbg.uniform ~rng 6)
-        | 3 -> Delay_ms 3_600_000
-        | _ -> Tamper_slot (Drbg.uniform ~rng 8)
-      in
-      { round; server; kind })
-
-(* Churn-only schedule: the link misbehaves but always heals — flaps
-   (connection resets that lose no processed batch), bounded slowdowns,
-   short partitions.  Distinct from [random_plan] on purpose: existing
-   chaos seeds pin that generator's draw sequence, and churn scenarios
-   need every fault to be survivable inside a sane round deadline. *)
-let random_churn_plan ~rng ~rounds ~n_servers ?(faults = 6) () =
-  List.init faults (fun _ ->
-      let round = 1 + Drbg.uniform ~rng rounds in
-      let server = Drbg.uniform ~rng n_servers in
-      let kind =
-        match Drbg.uniform ~rng 3 with
-        | 0 -> Flap (Drbg.uniform ~rng 30)
-        | 1 -> Slow_link (10 + Drbg.uniform ~rng 40)
-        | _ -> Partition (50 + Drbg.uniform ~rng 100)
-      in
-      { round; server; kind })
-
-(* ------------------------------------------------------------------ *)
 (* Injection                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -255,4 +214,3 @@ let fire inj ~round ~server =
   List.map (fun f -> f.kind) hit
 
 let pending inj = List.length inj.pending_faults
-let exhausted inj = inj.pending_faults = []

@@ -72,7 +72,6 @@ type fault = { round : int; server : int; kind : kind }
 type plan = fault list
 
 val pp_kind : Format.formatter -> kind -> unit
-val pp_fault : Format.formatter -> fault -> unit
 
 val to_string : plan -> string
 (** Render a plan in the grammar [parse] accepts. *)
@@ -108,32 +107,6 @@ val tamper_part : off:int -> int list -> bytes array -> bytes array * int list
     batch tampers nothing.  Framing survives; authentication at the
     receiving server does not. *)
 
-val random_plan :
-  rng:Vuvuzela_crypto.Drbg.t ->
-  rounds:int ->
-  n_servers:int ->
-  ?faults:int ->
-  unit ->
-  plan
-(** A chaos schedule: [faults] (default 4) faults drawn from the seeded
-    [rng], with rounds in [1, rounds], servers in [0, n_servers), and
-    parameters chosen so every kind misbehaves decisively (header-byte
-    corruption that always breaks decoding, delays far past any sane
-    deadline).  Same [rng] state, same plan. *)
-
-val random_churn_plan :
-  rng:Vuvuzela_crypto.Drbg.t ->
-  rounds:int ->
-  n_servers:int ->
-  ?faults:int ->
-  unit ->
-  plan
-(** A churn schedule: [faults] (default 6) faults drawn only from the
-    healing kinds — [Flap] (0–30 ms), [Slow_link] (10–50 ms),
-    [Partition] (50–150 ms) — so every failure is survivable inside a
-    sane round deadline.  A separate generator from {!random_plan}: its
-    draw sequence is pinned by existing chaos seeds. *)
-
 (** {2 Injection} *)
 
 type injector
@@ -147,5 +120,3 @@ val fire : injector -> round:int -> server:int -> kind list
 
 val pending : injector -> int
 (** Faults not yet fired. *)
-
-val exhausted : injector -> bool

@@ -80,7 +80,6 @@ let create ?(seed = "loadgen") ~n () =
     secrets_round = -1;
   }
 
-let size t = t.n
 let pairs t = t.n / 2
 
 (* Both partners hash the same base, so both send the same id — which

@@ -27,11 +27,6 @@ val create : ?seed:string -> n:int -> unit -> t
 (** A deterministic population of [n] clients.
     @raise Invalid_argument if [n < 1]. *)
 
-val size : t -> int
-
-val pairs : t -> int
-(** Conversing pairs ([n / 2]). *)
-
 val feed_conversation :
   ?pool:Vuvuzela_parallel.Pool.t ->
   t ->

@@ -173,6 +173,3 @@ let unwrap_reply ~secrets ~round reply =
 
 let request_size ~chain_len ~payload_len =
   payload_len + (chain_len * layer_overhead)
-
-let reply_size ~chain_len ~payload_len =
-  payload_len + (chain_len * reply_overhead)

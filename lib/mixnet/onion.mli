@@ -83,4 +83,3 @@ val unwrap_reply : secrets:bytes array -> round:int -> bytes -> bytes option
 (** Client side: strip all reply layers. *)
 
 val request_size : chain_len:int -> payload_len:int -> int
-val reply_size : chain_len:int -> payload_len:int -> int

@@ -21,18 +21,6 @@ let random_permutation ?rng n =
   done;
   p
 
-let is_permutation p =
-  let n = Array.length p in
-  let seen = Array.make n false in
-  Array.for_all
-    (fun x ->
-      if x < 0 || x >= n || seen.(x) then false
-      else begin
-        seen.(x) <- true;
-        true
-      end)
-    p
-
 (* [apply p a] is the array b with b.(i) = a.(p.(i)). *)
 let apply p a =
   let n = Array.length a in

@@ -6,12 +6,8 @@ val random_permutation :
   ?rng:Vuvuzela_crypto.Drbg.t -> int -> permutation
 (** Uniform permutation via Fisher-Yates over the DRBG. *)
 
-val is_permutation : permutation -> bool
-
 val apply : permutation -> 'a array -> 'a array
 (** [apply p a] is [b] with [b.(i) = a.(p.(i))]. *)
-
-val invert : permutation -> permutation
 
 val unapply : permutation -> 'a array -> 'a array
 (** [unapply p (apply p a) = a]. *)

@@ -183,14 +183,6 @@ let mapi_array t f a =
     out
   end
 
-let map_array t f a = mapi_array t (fun _ x -> f x) a
-
-let iter_array t f a =
-  run_chunks t (Array.length a) (fun lo hi ->
-      for i = lo to hi - 1 do
-        f a.(i)
-      done)
-
 (* One call of [f] per chunk, for work that shares a cost across a
    chunk (the peels' one field inversion).  The first chunk to finish
    allocates the result, seeded with its own first item, under the

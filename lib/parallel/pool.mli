@@ -7,10 +7,10 @@
     pool fans an array of such pure computations out over [jobs - 1]
     worker domains plus the calling domain.
 
-    Determinism contract: [map_array]/[mapi_array]/[map_chunks] write
-    result [i] from input [i] regardless of which domain computed it,
-    so for a pure [f] the output is bit-identical to [Array.map f] at
-    every [jobs] value.  Anything stateful — RNG draws, metrics, hash
+    Determinism contract: [mapi_array] and [map_chunks] write result
+    [i] from input [i] regardless of which domain computed it, so for a
+    pure [f] the output is bit-identical to [Array.mapi f] at every
+    [jobs] value.  Anything stateful — RNG draws, metrics, hash
     tables — must stay on the coordinating domain; only pure per-item
     crypto belongs in [f]. *)
 
@@ -30,26 +30,22 @@ val default_jobs : unit -> int
 
 (** {2 Chunks}
 
-    [map_array], [mapi_array], [map_chunks] and [iter_array] cut an
-    array of [n] items by one rule: into [8 * jobs] contiguous chunks,
-    but never chunks of fewer than 4 items (so [n / 4] chunks when that
-    is fewer, and the whole array on the calling domain when it is
-    under 8 items or [jobs = 1]).  The bounds depend on [n] and [jobs]
+    [mapi_array] and [map_chunks] cut an array of [n] items by one
+    rule: into [8 * jobs] contiguous chunks, but never chunks of fewer
+    than 4 items (so [n / 4] chunks when that is fewer, and the whole
+    array on the calling domain when it is under 8 items or
+    [jobs = 1]).  The bounds depend on [n] and [jobs]
     alone.  The chunks go on the pool's one queue and every domain, the
     caller included, takes the next chunk when it finishes its last: a
     domain the host slows down runs fewer chunks instead of holding the
     batch. *)
 
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Chunked parallel [Array.map]: one task per chunk, each filling its
+val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
+(** Chunked parallel [Array.mapi]: one task per chunk, each filling its
     contiguous range of one result array in place — no per-item
     closures, no intermediate chunk arrays, no concatenation copy.  [f]
-    must be pure (or at least domain-safe and index-independent);
-    exceptions raised by [f] are re-raised on the calling domain after
-    the batch drains. *)
-
-val mapi_array : t -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** Chunked parallel [Array.mapi]. *)
+    must be pure (or at least domain-safe); exceptions raised by [f] are
+    re-raised on the calling domain after the batch drains. *)
 
 val map_chunks : t -> ('a array -> 'b array) -> 'a array -> 'b array
 (** [map_chunks t f a] cuts [a] into the chunks above and calls [f]
@@ -61,11 +57,6 @@ val map_chunks : t -> ('a array -> 'b array) -> 'a array -> 'b array
     at every [jobs].  A call of [f] that returns an array of another
     length than its chunk raises [Invalid_argument], at every [jobs];
     [f] is never called on an empty chunk. *)
-
-val iter_array : t -> ('a -> unit) -> 'a array -> unit
-(** Chunked parallel [Array.iter].  Side effects of [f] run in no
-    particular order across chunks; [f] must not touch shared mutable
-    state without its own synchronization. *)
 
 val run : t -> (unit -> 'a) array -> 'a array
 (** Run independent thunks, one task and one result slot each, in

@@ -8,11 +8,9 @@
    scaling metadata-private messaging "about 100× higher than prior
    systems".
 
-   This module provides (a) cost models for the two baseline families on
-   the same hardware constants as the Vuvuzela model, and (b) a small
-   *functional* broadcast messenger — trivially metadata-private, since
-   everyone receives everything — to validate the model's shape at
-   laptop scale.  The bench prints the crossover table. *)
+   This module provides cost models for the two baseline families on the
+   same hardware constants as the Vuvuzela model.  The bench prints the
+   crossover table. *)
 
 (* ------------------------------------------------------------------ *)
 (* Cost models                                                         *)
@@ -78,89 +76,3 @@ let comparison_table ?(model = Cost_model.paper) ~noise users_list =
           pir_round_latency ~users ~msg_bytes:Vuvuzela.Types.sealed_message_len;
       })
     users_list
-
-(* ------------------------------------------------------------------ *)
-(* Functional broadcast messenger (toy Dissent)                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Everyone's sealed message is delivered to everyone; recipients
-   trial-decrypt.  Metadata-private against any observer by
-   construction, but per-round work is n² message transfers and n²
-   trial decryptions across the population — the measured shape the
-   cost model predicts. *)
-module Broadcast = struct
-  open Vuvuzela_crypto
-
-  type user = {
-    identity : Vuvuzela.Types.identity;
-    mutable inbox : (bytes * string) list;  (** (sender pk, text) *)
-    mutable trial_decryptions : int;
-  }
-
-  type t = { users : user array; mutable deliveries : int }
-
-  let create ~n ~seed =
-    {
-      users =
-        Array.init n (fun i ->
-            {
-              identity =
-                Vuvuzela.Types.identity_of_seed
-                  (Bytes.of_string (Printf.sprintf "%s-bc-%d" seed i));
-              inbox = [];
-              trial_decryptions = 0;
-            });
-      deliveries = 0;
-    }
-
-    (* Each sender seals (sender_pk || text) to the recipient; every user
-       receives every ciphertext and trial-decrypts. *)
-  let run_round ?rng t ~sends =
-    let blobs =
-      List.map
-        (fun (sender, recipient, text) ->
-          let s = t.users.(sender) and r = t.users.(recipient) in
-          Box.seal_anonymous ?rng
-            ~recipient_pk:r.identity.Vuvuzela.Types.public
-            (Bytes.cat s.identity.Vuvuzela.Types.public (Bytes.of_string text)))
-        sends
-    in
-    (* Idle users still contribute cover blobs so send-rate is uniform. *)
-    let cover =
-      Array.to_list
-        (Array.map
-           (fun u ->
-             ignore u;
-             Box.seal_anonymous ?rng
-               ~recipient_pk:(Drbg.bytes ?rng 32)
-               (Drbg.bytes ?rng 40))
-           t.users)
-    in
-    let all = blobs @ cover in
-    (* Broadcast: every user scans every blob. *)
-    Array.iter
-      (fun u ->
-        List.iter
-          (fun blob ->
-            u.trial_decryptions <- u.trial_decryptions + 1;
-            match
-              Box.open_anonymous
-                ~recipient_sk:u.identity.Vuvuzela.Types.secret
-                ~recipient_pk:u.identity.Vuvuzela.Types.public blob
-            with
-            | Some plain when Bytes.length plain >= 32 ->
-                let sender = Bytes.sub plain 0 32 in
-                let text =
-                  Bytes.to_string (Bytes.sub plain 32 (Bytes.length plain - 32))
-                in
-                u.inbox <- (sender, text) :: u.inbox;
-                t.deliveries <- t.deliveries + 1
-            | _ -> ())
-          all)
-      t.users;
-    List.length all
-
-  let inbox t i = List.rev t.users.(i).inbox
-  let trial_decryptions t =
-    Array.fold_left (fun a u -> a + u.trial_decryptions) 0 t.users
-end

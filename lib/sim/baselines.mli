@@ -27,23 +27,3 @@ val comparison_table :
   noise:Vuvuzela_dp.Laplace.params ->
   int list ->
   comparison_row list
-
-(** A functional toy broadcast messenger (everyone receives everything;
-    trivially metadata-private, quadratically expensive) used to
-    validate the model's shape at laptop scale. *)
-module Broadcast : sig
-  type t
-
-  val create : n:int -> seed:string -> t
-
-  val run_round :
-    ?rng:Vuvuzela_crypto.Drbg.t -> t -> sends:(int * int * string) list -> int
-  (** Run one round with [(sender, recipient, text)] sends; every user
-      also emits cover.  Returns the number of broadcast blobs. *)
-
-  val inbox : t -> int -> (bytes * string) list
-  (** Delivered (sender public key, text) pairs, oldest first. *)
-
-  val trial_decryptions : t -> int
-  (** Total trial decryptions across the population — grows as n². *)
-end

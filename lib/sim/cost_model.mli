@@ -31,9 +31,6 @@ val conv_lower_bound :
 (** §8.2's bare-crypto bound: one DH per request per server, strictly
     sequential servers. *)
 
-val request_bytes : servers:int -> at:int -> int
-val reply_bytes : servers:int -> at:int -> int
-
 val stage_time :
   t ->
   users:int ->
@@ -51,13 +48,6 @@ val conv_latency :
 (** End-to-end conversation round latency (Figures 9 and 11): the stage
     times summed in chain order, bit for bit the latency of
     [Pipeline.run ~rounds:1]. *)
-
-val dial_total_requests :
-  users:int ->
-  servers:int ->
-  m:int ->
-  dial_noise:Vuvuzela_dp.Laplace.params ->
-  float
 
 val dial_latency :
   t ->

@@ -6,8 +6,6 @@ open Vuvuzela_dp
 
 type point = { x : float; y : float }
 
-let series f xs = List.map (fun x -> { x; y = f x }) xs
-
 (* ------------------------------------------------------------------ *)
 (* Figure 7: ε′ and δ′ vs k, conversation noise                        *)
 (* ------------------------------------------------------------------ *)

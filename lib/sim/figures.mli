@@ -3,14 +3,6 @@
 
 type point = { x : float; y : float }
 
-val series : (float -> float) -> float list -> point list
-
-val fig7_params : (float * float) list
-(** (µ, b) triples of Figure 7: (150K, 7300), (300K, 13800),
-    (450K, 20000). *)
-
-val fig8_params : (float * float) list
-
 type privacy_curve = {
   mu : float;
   b : float;

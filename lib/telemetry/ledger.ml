@@ -86,10 +86,3 @@ let worst t =
 
 let over_budget t =
   List.fold_left (fun n e -> if e.warned then n + 1 else n) 0 t.order
-
-let iter t f =
-  List.iter
-    (fun e ->
-      f ~client:e.client ~conv:e.conv_rounds ~dial:e.dial_rounds
-        ~spent:(spent_of t ~conv_rounds:e.conv_rounds ~dial_rounds:e.dial_rounds))
-    (List.rev t.order)

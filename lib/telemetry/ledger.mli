@@ -39,13 +39,6 @@ val rounds : t -> client:bytes -> int * int
 (** (conversation, dialing) rounds charged so far; (0, 0) for a client
     never seen. *)
 
-val spent_of : t -> conv_rounds:int -> dial_rounds:int ->
-  Vuvuzela_dp.Mechanism.guarantee
-(** The pure composition rule: Theorem 2 over each protocol's charged
-    rounds (a protocol with zero rounds contributes exactly (0, 0)),
-    then summed.  Exposed so tests can pin the ledger against
-    {!Vuvuzela_dp.Composition} directly. *)
-
 val spent : t -> client:bytes -> Vuvuzela_dp.Mechanism.guarantee
 (** [spent_of] applied to the client's charged rounds. *)
 
@@ -56,8 +49,3 @@ val worst : t -> Vuvuzela_dp.Mechanism.guarantee
 
 val over_budget : t -> int
 (** Clients whose cumulative ε′ has crossed [warn_eps] (0 when unset). *)
-
-val iter :
-  t -> (client:bytes -> conv:int -> dial:int ->
-        spent:Vuvuzela_dp.Mechanism.guarantee -> unit) -> unit
-(** Visit every charged client, in first-charge order. *)

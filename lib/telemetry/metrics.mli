@@ -38,12 +38,10 @@ val histogram :
   registry -> ?help:string -> ?labels:(string * string) list ->
   ?buckets:float array -> string -> histogram
 (** [buckets] are increasing finite upper bounds; an implicit [+inf]
-    bucket is always appended.  Defaults to {!default_ms_buckets}.
+    bucket is always appended.  Defaults to log-spaced bounds from
+    0.05 ms to 10 s, sized for round and stage latencies.
     Re-registering the same (name, labels) with different buckets raises
     [Invalid_argument]. *)
-
-val default_ms_buckets : float array
-(** Log-spaced from 0.05 ms to 10 s — sized for round/stage latencies. *)
 
 val observe : histogram -> float -> unit
 

@@ -41,9 +41,6 @@ let create ?(clock = Unix.gettimeofday) ?trace_id ?(origin = 0) () =
   { clock; epoch = clock (); trace_id; origin; spans = []; next_id = 0;
     stack = [] }
 
-let trace_id t = t.trace_id
-let origin t = t.origin
-
 let now_ms t = (t.clock () -. t.epoch) *. 1000.
 
 let mk_span t ~parent ~remote ~name ~round ~server ~dialing =

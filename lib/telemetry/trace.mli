@@ -42,9 +42,6 @@ val create : ?clock:(unit -> float) -> ?trace_id:int -> ?origin:int -> unit -> t
     derived value; [origin] identifies the process in a merged trace
     (convention: 0 = coordinator, [i + 1] = chain server [i]). *)
 
-val trace_id : t -> int
-val origin : t -> int
-
 val begin_span :
   t -> name:string -> round:int -> ?server:int -> ?dialing:bool -> unit ->
   span
@@ -70,9 +67,6 @@ val context_of : t -> span -> context
     contexts along a chain all name the root trace. *)
 
 (** {2 Wire codec} *)
-
-val context_len : int
-(** Encoded size in bytes (20). *)
 
 val encode_context : context -> bytes
 
@@ -105,10 +99,6 @@ val spans : t -> span list
 val span_count : t -> int
 
 (** {2 Export} *)
-
-val span_to_json : ?origin:int -> ?trace:int -> span -> Json.t
-(** [origin]/[trace] stamp the process identity onto the line; when
-    present, a remote parent is emitted as a ["ctx"] sub-object. *)
 
 val to_jsonl : t -> string
 (** One span per line, in begin order:

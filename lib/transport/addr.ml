@@ -29,7 +29,3 @@ let to_string = function
   | Unix.ADDR_INET (ip, port) ->
       Printf.sprintf "%s:%d" (Unix.string_of_inet_addr ip) port
   | Unix.ADDR_UNIX path -> path
-
-let port_of = function
-  | Unix.ADDR_INET (_, port) -> port
-  | Unix.ADDR_UNIX _ -> invalid_arg "Addr.port_of: not an IP address"

@@ -7,6 +7,3 @@ val parse : string -> (Unix.sockaddr, string) result
 val loopback : port:int -> Unix.sockaddr
 
 val to_string : Unix.sockaddr -> string
-
-val port_of : Unix.sockaddr -> int
-(** @raise Invalid_argument on a non-IP address. *)

@@ -10,8 +10,5 @@ val now_ms : unit -> float
 (** Wall-clock milliseconds since the Unix epoch.  Only differences are
     meaningful; callers never interpret the absolute value. *)
 
-val elapsed_ms : since:float -> float
-(** [now_ms () -. since], clamped to [>= 0] against clock steps. *)
-
 val timed : (unit -> 'a) -> 'a * float
 (** Run the thunk and also return its wall-clock duration in ms. *)

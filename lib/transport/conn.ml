@@ -90,10 +90,6 @@ let hub () : hub = Hashtbl.create 8
 let state t = t.st
 let reconnects t = t.reconnects
 
-let queued t =
-  Queue.length t.outq
-  + match t.io with Some (Socket s) when Bytes.length s.wbuf > s.woff -> 1 | _ -> 0
-
 let cancel_timer t =
   Option.iter (Evloop.cancel t.loop) t.timer;
   t.timer <- None

@@ -133,11 +133,6 @@ val send : t -> bytes -> unit
 
 val state : t -> state
 
-val queued : t -> int
-(** Buffers waiting to reach the wire (including any partial one).  A
-    lower bound on frames: a socket's write path coalesces bursts of
-    queued frames into single buffers. *)
-
 val reconnects : t -> int
 
 val close : t -> unit

@@ -1,6 +1,6 @@
 (* Chaos suite: randomized multi-fault schedules under fixed seeds.
 
-   A seeded [Fault.random_plan] drives crashes, dropped links, corrupted
+   A seeded [random_plan] drives crashes, dropped links, corrupted
    frames, hour-long stalls, and tampered onions into a live deployment
    while pairs of clients keep talking.  The invariants are the
    supervisor's contract:
@@ -44,8 +44,27 @@ let normalize_report (r : Network.round_report) =
             String.sub (Bytes_util.to_hex (Client.public_key c)) 0 8
             ^ ":"
             ^ String.concat ","
-                (List.map (Format.asprintf "%a" Client.pp_event) evs))
+                (List.map (Format.asprintf "%a" Harness.pp_event) evs))
           r.events))
+
+(* A chaos schedule: [faults] faults drawn from the seeded [rng], with
+   rounds in [1, rounds] and servers in [0, n_servers).  Each drawn
+   fault misbehaves decisively: corruption hits the 6-byte
+   magic/version/tag header (decode always fails, never a silent payload
+   flip), delays are an hour (past any deadline a test would set). *)
+let random_plan ~rng ~rounds ~n_servers ~faults =
+  List.init faults (fun _ ->
+      let round = 1 + Drbg.uniform ~rng rounds in
+      let server = Drbg.uniform ~rng n_servers in
+      let kind =
+        match Drbg.uniform ~rng 5 with
+        | 0 -> Fault.Crash
+        | 1 -> Drop_link
+        | 2 -> Corrupt_frame (Drbg.uniform ~rng 6)
+        | 3 -> Delay_ms 3_600_000
+        | _ -> Tamper_slot (Drbg.uniform ~rng 8)
+      in
+      { Fault.round; server; kind })
 
 (* One full chaos run: returns the normalized reports plus everything
    the invariants need. *)
@@ -54,9 +73,9 @@ let scenario ?pipeline_chunk ?plan ~seed ~jobs () =
     match plan with
     | Some plan -> plan
     | None ->
-        Fault.random_plan
+        random_plan
           ~rng:(Drbg.of_string ("chaos-plan-" ^ seed))
-          ~rounds:10 ~n_servers:3 ~faults:6 ()
+          ~rounds:10 ~n_servers:3 ~faults:6
   in
   let wire = Hashtbl.create 4096 in
   let duplicates = ref 0 in
@@ -98,7 +117,7 @@ let scenario ?pipeline_chunk ?plan ~seed ~jobs () =
     done
   done;
   (* The faulted window, then a quiet drain so retransmissions finish. *)
-  let reports = Network.run_schedule ~dial_every:4 net ~rounds:12 in
+  let reports = Harness.run_schedule ~dial_every:4 net ~rounds:12 in
   let reports = reports @ Network.run_rounds net 14 in
   Network.shutdown net;
   let delivered = Hashtbl.create 16 in

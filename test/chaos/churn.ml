@@ -2,7 +2,7 @@
 
    Where [chaos.ml] drives crashes and corruption, this suite drives the
    churn fault family — [Flap], [Slow_link], [Partition] from
-   [Fault.random_churn_plan] — together with the admission window
+   [random_churn_plan] — together with the admission window
    (stragglers excluded per round) and client flaps (blocked clients),
    all drawn from fixed seeds.  The invariants are graceful degradation,
    not perfection:
@@ -46,17 +46,32 @@ let normalize_report (r : Network.round_report) =
             String.sub (Bytes_util.to_hex (Client.public_key c)) 0 8
             ^ ":"
             ^ String.concat ","
-                (List.map (Format.asprintf "%a" Client.pp_event) evs))
+                (List.map (Format.asprintf "%a" Harness.pp_event) evs))
           r.events))
+
+(* A churn schedule: [faults] faults drawn only from the healing kinds —
+   [Flap] (0–30 ms), [Slow_link] (10–50 ms), [Partition] (50–150 ms) —
+   so every failure is survivable inside a sane round deadline. *)
+let random_churn_plan ~rng ~rounds ~n_servers ~faults =
+  List.init faults (fun _ ->
+      let round = 1 + Drbg.uniform ~rng rounds in
+      let server = Drbg.uniform ~rng n_servers in
+      let kind =
+        match Drbg.uniform ~rng 3 with
+        | 0 -> Fault.Flap (Drbg.uniform ~rng 30)
+        | 1 -> Slow_link (10 + Drbg.uniform ~rng 40)
+        | _ -> Partition (50 + Drbg.uniform ~rng 100)
+      in
+      { Fault.round; server; kind })
 
 (* One full churn run.  The churn window runs server faults + admission
    + client flaps; the drain phase is quiet (links healed, window off)
    so retransmissions can finish. *)
 let scenario ~seed ~jobs () =
   let plan =
-    Fault.random_churn_plan
+    random_churn_plan
       ~rng:(Drbg.of_string ("churn-plan-" ^ seed))
-      ~rounds:churn_rounds ~n_servers:3 ~faults:6 ()
+      ~rounds:churn_rounds ~n_servers:3 ~faults:6
   in
   let wire = Hashtbl.create 4096 in
   let duplicates = ref 0 in

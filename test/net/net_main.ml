@@ -143,24 +143,7 @@ let test_transcript_parity () =
       | Error e -> check ("remote connect: " ^ e) false
       | Ok remote ->
           Remote.set_deadline_ms remote (Some 30_000.);
-          let fail_status st =
-            failwith (Format.asprintf "%a" Rpc.pp_status st)
-          in
-          let backend =
-            {
-              Transcript_pin.pks = Remote.public_keys remote;
-              conversation_round =
-                (fun ~round requests ->
-                  match Remote.conversation_round remote ~round requests with
-                  | Ok replies -> replies
-                  | Error st -> fail_status st);
-              dialing_round =
-                (fun ~round ~m requests ->
-                  match Remote.dialing_round remote ~round ~m requests with
-                  | Ok acks -> acks
-                  | Error st -> fail_status st);
-            }
-          in
+          let backend = Transcript_pin.of_remote remote in
           check "3 server public keys over handshake"
             (List.length backend.Transcript_pin.pks = chain_len);
           let tcp_digest = Transcript_pin.full_digest backend in
@@ -195,24 +178,7 @@ let test_transcript_parity_pipelined () =
       | Ok remote ->
           Remote.set_deadline_ms remote (Some 30_000.);
           Remote.set_pipeline remote (Some 4);
-          let fail_status st =
-            failwith (Format.asprintf "%a" Rpc.pp_status st)
-          in
-          let backend =
-            {
-              Transcript_pin.pks = Remote.public_keys remote;
-              conversation_round =
-                (fun ~round requests ->
-                  match Remote.conversation_round remote ~round requests with
-                  | Ok replies -> replies
-                  | Error st -> fail_status st);
-              dialing_round =
-                (fun ~round ~m requests ->
-                  match Remote.dialing_round remote ~round ~m requests with
-                  | Ok acks -> acks
-                  | Error st -> fail_status st);
-            }
-          in
+          let backend = Transcript_pin.of_remote remote in
           let tcp_digest = Transcript_pin.full_digest backend in
           check_str "pipelined loopback digest = pinned digest"
             Transcript_pin.pinned_full_digest tcp_digest;
@@ -570,25 +536,8 @@ let test_shaped_links () =
       | Error e -> check ("remote connect: " ^ e) false
       | Ok remote ->
           Remote.set_deadline_ms remote (Some 30_000.);
-          let fail_status st =
-            failwith (Format.asprintf "%a" Rpc.pp_status st)
-          in
           let t0 = Unix.gettimeofday () in
-          let backend =
-            {
-              Transcript_pin.pks = Remote.public_keys remote;
-              conversation_round =
-                (fun ~round requests ->
-                  match Remote.conversation_round remote ~round requests with
-                  | Ok replies -> replies
-                  | Error st -> fail_status st);
-              dialing_round =
-                (fun ~round ~m requests ->
-                  match Remote.dialing_round remote ~round ~m requests with
-                  | Ok acks -> acks
-                  | Error st -> fail_status st);
-            }
-          in
+          let backend = Transcript_pin.of_remote remote in
           let digest = Transcript_pin.full_digest backend in
           let elapsed_ms = 1000. *. (Unix.gettimeofday () -. t0) in
           check_str "shaped-link digest = pinned digest"
@@ -853,9 +802,6 @@ let test_obs_transcript_parity () =
           | Ok remote ->
               Remote.set_deadline_ms remote (Some 30_000.);
               Remote.set_pipeline remote (Some 4);
-              let fail_status st =
-                failwith (Format.asprintf "%a" Rpc.pp_status st)
-              in
               let tr = T.Telemetry.trace tel in
               (* The coordinator side of the tentpole, as [Network]
                  wires it: a root span per round, its context announced
@@ -871,24 +817,17 @@ let test_obs_transcript_parity () =
                   f
               in
               let backend =
+                let b = Transcript_pin.of_remote remote in
                 {
-                  Transcript_pin.pks = Remote.public_keys remote;
+                  b with
                   conversation_round =
                     (fun ~round requests ->
                       traced "conv-round" ~round ~dialing:false (fun () ->
-                          match
-                            Remote.conversation_round remote ~round requests
-                          with
-                          | Ok replies -> replies
-                          | Error st -> fail_status st));
+                          b.conversation_round ~round requests));
                   dialing_round =
                     (fun ~round ~m requests ->
                       traced "dial-round" ~round ~dialing:true (fun () ->
-                          match
-                            Remote.dialing_round remote ~round ~m requests
-                          with
-                          | Ok acks -> acks
-                          | Error st -> fail_status st));
+                          b.dialing_round ~round ~m requests));
                 }
               in
               let digest = Transcript_pin.full_digest backend in

@@ -172,8 +172,8 @@ let run () =
           let nonce = Aead.nonce_of ~domain:0x0b0b ~counter:i in
           List.iter
             (fun aad ->
-              let ct = Box.seal ~key:kab ~nonce ~aad pt in
-              match Box.open_ ~key:kba ~nonce ~aad ct with
+              let ct = Aead.seal ~key:kab ~nonce ~aad pt in
+              match Aead.open_ ~key:kba ~nonce ~aad ct with
               | Some pt' ->
                   Prop.require (Bytes.equal pt pt')
                     "box len %d: roundtrip mismatch" len

@@ -45,27 +45,6 @@ let run () =
       let got = Pool.mapi_array (pool ~jobs) f arr in
       Prop.require (got = expected) "jobs=%d n=%d: mapi_array diverged" jobs
         (Array.length arr));
-  Prop.check ~name:"map_array = Array.map" ~count:60 gen_case
-    (fun (jobs, arr) ->
-      let g x = f 0 x in
-      let expected = Array.map g arr in
-      let got = Pool.map_array (pool ~jobs) g arr in
-      Prop.require (got = expected) "jobs=%d n=%d: map_array diverged" jobs
-        (Array.length arr));
-  Prop.check ~name:"iter_array visits every element once" ~count:40 gen_case
-    (fun (jobs, arr) ->
-      let n = Array.length arr in
-      (* Tag each element with its index so the visit counter does not
-         depend on which domain runs which chunk. *)
-      let tagged = Array.mapi (fun i x -> (i, x)) arr in
-      let seen = Array.make n 0 in
-      (* Disjoint chunks touch disjoint slots, so unsynchronized writes
-         are safe here. *)
-      Pool.iter_array (pool ~jobs) (fun (i, _) -> seen.(i) <- seen.(i) + 1)
-        tagged;
-      Prop.require
-        (Array.for_all (fun c -> c = 1) seen)
-        "jobs=%d n=%d: some element visited != once" jobs n);
   Prop.check ~name:"exceptions reach the caller" ~count:20 gen_case
     (fun (jobs, arr) ->
       let n = Array.length arr in
@@ -128,7 +107,6 @@ let run () =
         (fun jobs ->
           Prop.require
             (Pool.mapi_array (pool ~jobs) f [||] = [||])
-            "jobs=%d: empty mapi_array not empty" jobs;
-          Pool.iter_array (pool ~jobs) (fun _ -> assert false) [||])
+            "jobs=%d: empty mapi_array not empty" jobs)
         [ 1; 2; 3; 4 ]);
   shutdown_pools ()

@@ -51,7 +51,7 @@ type case = {
 let gen_case rng =
   let chains = Lazy.force chains in
   let chain = List.nth chains (Drbg.uniform ~rng (List.length chains)) in
-  let position = Drbg.uniform ~rng (Chain.length chain) in
+  let position = Drbg.uniform ~rng (List.length (Chain.public_keys chain)) in
   let kind =
     if Drbg.uniform ~rng 2 = 0 then Round.Conversation else Round.Dialing
   in

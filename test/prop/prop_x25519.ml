@@ -32,7 +32,7 @@ let fixed_base_agrees scalar =
     (hex fixed);
   Prop.check_hex
     ~what:(Printf.sprintf "scalarmult_base(%s) vs general" (hex scalar))
-    (hex (Curve25519.scalarmult ~scalar ~point:Curve25519.base_point))
+    (hex (Curve25519.scalarmult ~scalar ~point:Curve25519_ref.base_point))
     (hex fixed)
 
 (* Scalars (before clamping) whose digits hit the recoding's corners:
@@ -125,8 +125,8 @@ let run_keyed () =
         Fun.protect
           ~finally:(fun () -> Pool.shutdown pool)
           (fun () ->
-            Pool.map_array pool
-              (fun secret -> Curve25519.shared_static ~secret ~public:key)
+            Pool.mapi_array pool
+              (fun _ secret -> Curve25519.shared_static ~secret ~public:key)
               scalars)
       in
       Array.iteri
@@ -277,7 +277,10 @@ let run () =
       let parallel =
         Fun.protect
           ~finally:(fun () -> Pool.shutdown pool)
-          (fun () -> Pool.map_array pool Curve25519.scalarmult_base scalars)
+          (fun () ->
+            Pool.mapi_array pool
+              (fun _ s -> Curve25519.scalarmult_base s)
+              scalars)
       in
       Array.iteri
         (fun i scalar ->

@@ -37,7 +37,7 @@ let () =
   Client.start_conversation a ~peer_pk:(Client.public_key b);
   Client.start_conversation b ~peer_pk:(Client.public_key a);
   Client.send a "smoke";
-  let reports = Network.run_schedule ~dial_every:3 net ~rounds:3 in
+  let reports = Harness.run_schedule ~dial_every:3 net ~rounds:3 in
   Network.shutdown net;
   if List.exists (fun r -> r.Network.failure <> None) reports then
     fail "a round failed";

@@ -26,6 +26,17 @@ let pinned_conv_digest =
 let pinned_full_digest =
   "adbcc26066142b304a5a9b7a5a899eaac9f9fac65357f89dc8e8978f202b14fc"
 
+let of_remote remote =
+  {
+    pks = Remote.public_keys remote;
+    conversation_round =
+      (fun ~round requests ->
+        Harness.round_exn remote ~kind:Round.Conversation ~round requests);
+    dialing_round =
+      (fun ~round ~m requests ->
+        Harness.round_exn remote ~kind:Round.Dialing ~m ~round requests);
+  }
+
 let in_process ?telemetry ?(jobs = 1) ?pipeline_chunk ?(deaddrop_shards = 1)
     () =
   let chain =
@@ -43,12 +54,7 @@ let in_process ?telemetry ?(jobs = 1) ?pipeline_chunk ?(deaddrop_shards = 1)
         | None -> Fun.id
         | Some chunk -> with_pipeline ~chunk true)
   in
-  ( {
-      pks = Chain.public_keys chain;
-      conversation_round = Chain.conversation_round_exn chain;
-      dialing_round = Chain.dialing_round_exn chain;
-    },
-    fun () -> Chain.shutdown chain )
+  (of_remote (Chain.remote chain), fun () -> Chain.shutdown chain)
 
 (* 4 seeded clients in two conversing pairs; a[0] and c[2] have queued
    messages, the others send cover drops. *)
@@ -75,13 +81,16 @@ let feed_conv_rounds h backend clients =
   for round = 1 to 3 do
     let requests =
       Array.of_list
-        (List.map (fun c -> Client.conversation_request c ~round) clients)
+        (List.concat_map
+           (fun c -> Client.conversation_requests c ~round)
+           clients)
     in
     Array.iter (Sha256.feed h) requests;
     let replies = backend.conversation_round ~round requests in
     Array.iter (Sha256.feed h) replies;
     List.iteri
-      (fun i c -> ignore (Client.handle_conversation_reply c ~round replies.(i)))
+      (fun i c ->
+        ignore (Client.handle_conversation_replies c ~round [ replies.(i) ]))
       clients
   done
 

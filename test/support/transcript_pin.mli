@@ -20,6 +20,10 @@ val noise : Vuvuzela_dp.Laplace.params
 val dial_noise : Vuvuzela_dp.Laplace.params
 (** Chain parameters every backend must use ([Deterministic] noise). *)
 
+val of_remote : Vuvuzela.Remote.t -> backend
+(** A backend over a coordinator's link to server 0: each round is
+    {!Harness.round_exn}. *)
+
 val in_process :
   ?telemetry:Vuvuzela_telemetry.Telemetry.t ->
   ?jobs:int ->

@@ -76,7 +76,9 @@ let test_certified_sizes_uniform () =
       ~callee_pk:callee.Types.public ~m:2 ()
   in
   let idle = Dialing.noop ~rng ~kind:Dialing.Certified () in
-  let noise = Dialing.noise ~rng ~kind:Dialing.Certified ~index:0 () in
+  let noise =
+    Harness.noise_payload ~rng ~kind:Dialing.Certified ~index:0 ()
+  in
   Alcotest.(check int) "real = payload_len"
     (Dialing.payload_len Dialing.Certified)
     (Bytes.length real);
@@ -110,7 +112,10 @@ let test_plain_invitation_rejected_in_certified_deployment () =
        ~round:77 payload)
       .Vuvuzela_mixnet.Onion.onion
   in
-  let acks = Chain.dialing_round_exn chain ~round:77 ~m:1 [| onion |] in
+  let acks =
+    Harness.round_exn (Chain.remote chain) ~kind:Round.Dialing ~m:1 ~round:77
+      [| onion |]
+  in
   Alcotest.(check int) "still acked (alignment kept)" 1 (Array.length acks);
   (* The undersized onion is dropped at the FIRST server (size
      uniformity at ingress), before it can be traced through the mix. *)

@@ -180,7 +180,7 @@ let test_end_conversation_stops_delivery () =
   let events = Network.events_of @@ Network.run_rounds net 4 in
   Alcotest.(check (list string)) "no delivery after hangup" []
     (texts_for b events);
-  Alcotest.(check bool) "bob idle" false (Client.in_conversation b)
+  Alcotest.(check bool) "bob idle" true (Client.peers b = [])
 
 let test_conversation_switch () =
   (* Bob hangs up on Alice and talks to Charlie instead; Alice's messages
@@ -197,7 +197,7 @@ let test_conversation_switch () =
   Alcotest.(check (list string)) "bob hears charlie" [ "hello from charlie" ]
     (texts_for b events);
   Alcotest.(check bool) "bob's peer is charlie" true
-    (Client.peer b = Some (Client.public_key c))
+    (Client.peers b = [ Client.public_key c ])
 
 (* ------------------------------------------------------------------ *)
 (* Dialing through the network                                         *)

@@ -58,10 +58,13 @@ let test_truncated_sample_mean () =
   let mean = float_of_int !sum /. float_of_int n in
   feq ~tol:2. "mean ≈ µ (+0.5 for ceil)" 300.5 mean
 
+(* The Laplace density, the oracle the cdf is integrated against. *)
+let pdf { Laplace.mu; b } x = exp (-.Float.abs (x -. mu) /. b) /. (2. *. b)
+
 let test_laplace_cdf_pdf () =
   let p = Laplace.params ~mu:0. ~b:1. in
   feq "cdf at mean" 0.5 (Laplace.cdf p 0.);
-  feq "pdf at mean" 0.5 (Laplace.pdf p 0.);
+  feq "pdf at mean" 0.5 (pdf p 0.);
   feq ~tol:1e-6 "cdf symmetry" 1.
     (Laplace.cdf p 3. +. Laplace.cdf p (-3.));
   (* CDF is consistent with numerically integrated PDF. *)
@@ -69,7 +72,7 @@ let test_laplace_cdf_pdf () =
   let dx = 0.001 in
   let x = ref (-20.) in
   while !x < 1.5 do
-    integral := !integral +. (Laplace.pdf p (!x +. (dx /. 2.)) *. dx);
+    integral := !integral +. (pdf p (!x +. (dx /. 2.)) *. dx);
     x := !x +. dx
   done;
   feq ~tol:1e-3 "cdf = ∫pdf" (Laplace.cdf p 1.5) !integral
@@ -86,12 +89,17 @@ let test_theorem1 () =
     (exp ((2. -. 300_000.) /. 13_800.))
     g.delta
 
+(* Lemma 3: noise ⌈max(0, Laplace(µ, b))⌉ on a single counter with
+   sensitivity t gives ε = t/b and δ = ½·exp((t − µ)/b). *)
+let lemma3 ~sensitivity:t (p : Laplace.params) =
+  { Mechanism.eps = t /. p.b; delta = 0.5 *. exp ((t -. p.mu) /. p.b) }
+
 let test_lemma3_composition_identity () =
   (* Theorem 1 is Lemma 3 applied to m1 (sens 2, noise (µ,b)) and m2
      (sens 1, noise (µ/2, b/2)): ε adds, δ adds. *)
   let p = Laplace.params ~mu:1000. ~b:50. in
-  let g1 = Mechanism.lemma3 ~sensitivity:2. (Mechanism.m1_noise p) in
-  let g2 = Mechanism.lemma3 ~sensitivity:1. (Mechanism.m2_noise p) in
+  let g1 = lemma3 ~sensitivity:2. p in
+  let g2 = lemma3 ~sensitivity:1. (Mechanism.m2_noise p) in
   let g = Mechanism.conversation p in
   feq "eps adds" g.eps (g1.eps +. g2.eps);
   feq ~tol:1e-15 "delta adds" g.delta (g1.delta +. g2.delta)
@@ -203,7 +211,7 @@ let test_mu_scaling_laws () =
   (* §6.4: µ grows ∝ √k for fixed (ε′, δ′). *)
   let mu_for k =
     (Composition.noise_for_target ~protocol:Composition.Conversation ~k
-       Composition.default_target)
+       { Mechanism.eps = log 2.; delta = 1e-4 })
       .mu
   in
   let r1 = mu_for 40_000 /. mu_for 10_000 in
@@ -225,15 +233,17 @@ let test_mu_scaling_laws () =
 (* Noise plans (Algorithm 2 step 2)                                    *)
 (* ------------------------------------------------------------------ *)
 
+let total_requests { Noise.singles; pairs } = singles + (2 * pairs)
+
 let test_noise_deterministic () =
   let p = Laplace.params ~mu:300_000. ~b:13_800. in
   let plan = Noise.conversation ~mode:Noise.Deterministic p in
   Alcotest.(check int) "singles = µ" 300_000 plan.singles;
   Alcotest.(check int) "pairs = µ/2" 150_000 plan.pairs;
   (* 2µ requests per noising server; 2 servers → the paper's 1.2M. *)
-  Alcotest.(check int) "2µ per server" 600_000 (Noise.total_requests plan);
+  Alcotest.(check int) "2µ per server" 600_000 (total_requests plan);
   Alcotest.(check int) "1.2M for 2 noising servers" 1_200_000
-    (2 * Noise.total_requests plan)
+    (2 * total_requests plan)
 
 let test_noise_sampled_statistics () =
   let rng = Drbg.of_string "noise-sampled" in
@@ -241,7 +251,7 @@ let test_noise_sampled_statistics () =
   let n = 2000 in
   let sum = ref 0 in
   for _ = 1 to n do
-    sum := !sum + Noise.total_requests (Noise.conversation ~rng ~mode:Noise.Sampled p)
+    sum := !sum + total_requests (Noise.conversation ~rng ~mode:Noise.Sampled p)
   done;
   let mean = float_of_int !sum /. float_of_int n in
   (* E[singles + 2·pairs] ≈ µ + 2·(µ/2) = 2µ (pair rounding adds ≤ 1). *)
@@ -269,8 +279,7 @@ let test_bayes_paper_examples () =
   feq ~tol:0.005 "prior 50%, ε=ln3 → 75%" 0.75
     (Bayes.posterior ~prior:0.5 ~eps:(log 3.));
   feq ~tol:0.002 "prior 1%, ε=ln3 → ~3%" 0.0294
-    (Bayes.posterior ~prior:0.01 ~eps:(log 3.));
-  feq "odds ratio bound" 2. (Bayes.max_odds_ratio ~eps:(log 2.))
+    (Bayes.posterior ~prior:0.01 ~eps:(log 3.))
 
 let test_bayes_update () =
   feq "likelihood 1 leaves prior" 0.3

@@ -83,7 +83,7 @@ let onions h ~round n =
           ~identity:(Types.identity_of_seed (Bytes.of_string seed))
           ~server_pks:[ pk ] ()
       in
-      Client.conversation_request c ~round)
+      List.hd (Client.conversation_requests c ~round))
 
 (* Send one part frame and return what came back up for it. *)
 let send h ~round ~seq ~last onions =

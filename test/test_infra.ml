@@ -132,11 +132,14 @@ let test_rpc_fuzz () =
    one is rejected at the frame layer with a clean [Error] — no input
    reachable from the wire may raise, because a raise would take the
    daemon's round down with it. *)
+(* A trace context's fixed wire size. *)
+let context_len = 20
+
 let test_trace_ctx_wire () =
   let module Trace = Vuvuzela_telemetry.Trace in
   let ctx = { Trace.trace = 0x12345678; origin = 2; span = 41 } in
   let enc = Trace.encode_context ctx in
-  Alcotest.(check int) "context length" Trace.context_len (Bytes.length enc);
+  Alcotest.(check int) "context length" context_len (Bytes.length enc);
   (match Trace.decode_context enc with
   | Some c -> Alcotest.(check bool) "context roundtrip" true (c = ctx)
   | None -> Alcotest.fail "valid context failed to decode");
@@ -147,17 +150,17 @@ let test_trace_ctx_wire () =
       let bad = Bytes.make len '\x41' in
       match Rpc.decode (Rpc.encode (Rpc.Trace_ctx { ctx = bad })) with
       | Ok (Rpc.Trace_ctx { ctx }) ->
-          if len <> Trace.context_len then
+          if len <> context_len then
             Alcotest.(check bool)
               (Printf.sprintf "%d-byte context decodes to None" len)
               true
               (Trace.decode_context ctx = None)
       | Ok _ -> Alcotest.fail "trace ctx decoded to another message"
       | Error e -> Alcotest.failf "%d-byte context rejected at frame: %s" len e)
-    [ 0; 1; Trace.context_len - 1; Trace.context_len; Trace.context_len + 1; 64 ];
+    [ 0; 1; context_len - 1; context_len; context_len + 1; 64 ];
   (* Negative ids and out-of-range origins are poisoned, not fatal. *)
   Alcotest.(check bool) "all-ones context decodes to None" true
-    (Trace.decode_context (Bytes.make Trace.context_len '\xff') = None);
+    (Trace.decode_context (Bytes.make context_len '\xff') = None);
   (* The frame-layer cap on absurd contexts fails cleanly (and the
      daemon answers an undecodable frame with a round-0 status the
      round-filtered coordinator ignores). *)
@@ -176,7 +179,7 @@ let test_trace_ctx_wire () =
     | Ok _ -> Alcotest.fail "trace ctx decoded to another message"
     | Error _ -> ());
     let flipped = Bytes.copy enc in
-    let i = Drbg.uniform ~rng Trace.context_len in
+    let i = Drbg.uniform ~rng context_len in
     Bytes.set flipped i
       (Char.chr (Char.code (Bytes.get flipped i) lxor (1 lsl Drbg.uniform ~rng 8)));
     ignore (Trace.decode_context flipped : Trace.context option)

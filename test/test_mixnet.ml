@@ -61,11 +61,23 @@ let test_wire_fixed_size_check () =
 (* Shuffle                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let is_permutation p =
+  let n = Array.length p in
+  let seen = Array.make n false in
+  Array.for_all
+    (fun x ->
+      if x < 0 || x >= n || seen.(x) then false
+      else begin
+        seen.(x) <- true;
+        true
+      end)
+    p
+
 let test_shuffle_permutation () =
   let rng = Drbg.of_string "shuffle" in
   for n = 0 to 20 do
     let p = Shuffle.random_permutation ~rng n in
-    if not (Shuffle.is_permutation p) then
+    if not (is_permutation p) then
       Alcotest.failf "not a permutation at n=%d" n
   done
 
@@ -74,9 +86,7 @@ let test_shuffle_inverse () =
   let a = Array.init 100 Fun.id in
   let p = Shuffle.random_permutation ~rng 100 in
   let shuffled = Shuffle.apply p a in
-  Alcotest.(check (array int)) "unapply inverts" a (Shuffle.unapply p shuffled);
-  Alcotest.(check (array int)) "invert twice is id" p
-    (Shuffle.invert (Shuffle.invert p))
+  Alcotest.(check (array int)) "unapply inverts" a (Shuffle.unapply p shuffled)
 
 let test_shuffle_uniformity () =
   (* Chi-squared-ish sanity check: over many draws of S_3, each of the 6
@@ -146,7 +156,7 @@ let test_onion_roundtrip () =
       reply secrets_srv
   in
   Alcotest.(check int) "reply size"
-    (Onion.reply_size ~chain_len:3 ~payload_len:6)
+    (6 + (3 * Onion.reply_overhead))
     (Bytes.length sealed);
   match Onion.unwrap_reply ~secrets:wrapped.secrets ~round:7 sealed with
   | Some r -> Alcotest.(check string) "reply recovered" "reply!" (Bytes.to_string r)

@@ -135,7 +135,7 @@ let test_blocked_client_spans_dialing_rounds () =
   (* a dials b during the outage; the schedule spans two dialing
      rounds that b misses entirely. *)
   Client.dial a ~callee_pk:(Client.public_key b);
-  let outage = Network.run_schedule ~blocked ~dial_every:2 net ~rounds:4 in
+  let outage = Harness.run_schedule ~blocked ~dial_every:2 net ~rounds:4 in
   Alcotest.(check int) "b heard nothing while blocked" 0
     (List.length
        (List.filter (fun (c, _) -> c == b) (Network.events_of outage)));
@@ -171,7 +171,7 @@ let test_blocked_client_spans_dialing_rounds () =
 let test_run_schedule_round_counts () =
   let net = make_net () in
   let _ = Network.connect ~seed:"lone" net in
-  ignore (Network.run_schedule net ~dial_every:3 ~rounds:9);
+  ignore (Harness.run_schedule net ~dial_every:3 ~rounds:9);
   Alcotest.(check int) "9 conversation rounds" 10 (Network.round net);
   Alcotest.(check int) "3 dialing rounds" 4 (Network.dial_round net)
 

@@ -21,17 +21,7 @@ let test_pool_matches_sequential () =
       let f i x = (i * 31) + x in
       Alcotest.(check (array int))
         (Printf.sprintf "mapi %d" n)
-        (Array.mapi f a) (Pool.mapi_array pool f a);
-      let g x = x * x in
-      Alcotest.(check (array int))
-        (Printf.sprintf "map %d" n)
-        (Array.map g a) (Pool.map_array pool g a);
-      (* iter_array visits every index exactly once. *)
-      let hits = Array.make n 0 in
-      Pool.iter_array pool (fun i -> hits.(i) <- hits.(i) + 1) a;
-      Alcotest.(check (array int))
-        (Printf.sprintf "iter %d" n)
-        (Array.make n 1) hits)
+        (Array.mapi f a) (Pool.mapi_array pool f a))
     [ 0; 1; 2; 3; 7; 8; 64; 1000 ]
 
 let test_pool_run_and_exceptions () =
@@ -42,11 +32,11 @@ let test_pool_run_and_exceptions () =
   (* A worker's exception reaches the caller; the pool survives it. *)
   Alcotest.check_raises "exception propagates" Exit (fun () ->
       ignore
-        (Pool.map_array pool
-           (fun x -> if x = 777 then raise Exit else x)
+        (Pool.mapi_array pool
+           (fun _ x -> if x = 777 then raise Exit else x)
            (Array.init 1000 Fun.id)));
   Alcotest.(check (array int)) "pool still usable" [| 0; 2; 4 |]
-    (Pool.map_array pool (fun x -> 2 * x) [| 0; 1; 2 |])
+    (Pool.mapi_array pool (fun _ x -> 2 * x) [| 0; 1; 2 |])
 
 let test_pool_jobs_one_is_sequential () =
   let pool = Pool.create ~jobs:1 in
@@ -159,7 +149,7 @@ let run_deployment ?pipeline_chunk ~jobs () =
                     (fun e ->
                       Vuvuzela_crypto.Bytes_util.to_hex (Client.public_key c)
                       ^ ":"
-                      ^ Format.asprintf "%a" Client.pp_event e)
+                      ^ Format.asprintf "%a" Harness.pp_event e)
                     evs)
                 r.Network.events)))
       (dial_report :: reports)

@@ -16,6 +16,15 @@ let make_chain ?(n = 3) ?(noise = tiny_noise) ?(mode = Noise.Deterministic)
       |> with_noise noise |> with_dial_noise tiny_dial_noise
       |> with_noise_mode mode |> with_jobs jobs)
 
+(* One round of a materialized batch through the chain's link. *)
+let conv_round chain ~round requests =
+  Harness.round_exn (Chain.remote chain) ~kind:Round.Conversation ~round
+    requests
+
+let dial_round chain ~round ~m requests =
+  Harness.round_exn (Chain.remote chain) ~kind:Round.Dialing ~m ~round
+    requests
+
 let alice = Types.identity_of_seed (Bytes.of_string "srv-alice")
 let bob = Types.identity_of_seed (Bytes.of_string "srv-bob")
 
@@ -42,7 +51,7 @@ let test_chain_exchange_two_users () =
   let mb = Message.Data { seq = 1; ack = 0; text = "from bob" } in
   let sa, wa = request ~rng ~chain ~round ~peer:bob.Types.public alice ma in
   let sb, wb = request ~rng ~chain ~round ~peer:alice.Types.public bob mb in
-  let results = Chain.conversation_round_exn chain ~round [| wa.onion; wb.onion |] in
+  let results = conv_round chain ~round [| wa.onion; wb.onion |] in
   Alcotest.(check int) "slot-aligned results" 2 (Array.length results);
   let open_result s (w : Vuvuzela_mixnet.Onion.wrapped) r =
     match Vuvuzela_mixnet.Onion.unwrap_reply ~secrets:w.secrets ~round r with
@@ -61,7 +70,7 @@ let test_chain_idle_user_gets_nothing () =
   let rng = Drbg.of_string "t2" in
   let round = 3 in
   let s, w = request ~rng ~chain ~round alice (Message.Empty { ack = 0 }) in
-  let results = Chain.conversation_round_exn chain ~round [| w.onion |] in
+  let results = conv_round chain ~round [| w.onion |] in
   match Vuvuzela_mixnet.Onion.unwrap_reply ~secrets:w.secrets ~round results.(0) with
   | None -> Alcotest.fail "reply unwrap failed"
   | Some result ->
@@ -74,7 +83,7 @@ let test_histogram_includes_noise () =
   let round = 1 in
   let _, wa = request ~rng ~chain ~round ~peer:bob.Types.public alice (Message.Empty { ack = 0 }) in
   let _, wb = request ~rng ~chain ~round ~peer:alice.Types.public bob (Message.Empty { ack = 0 }) in
-  ignore (Chain.conversation_round_exn chain ~round [| wa.onion; wb.onion |]);
+  ignore (conv_round chain ~round [| wa.onion; wb.onion |]);
   match Chain.observed_histogram chain with
   | None -> Alcotest.fail "no histogram"
   | Some h ->
@@ -85,7 +94,7 @@ let test_histogram_includes_noise () =
 
 let test_noise_metrics () =
   let chain = make_chain ~n:3 () in
-  ignore (Chain.conversation_round_exn chain ~round:1 [||]);
+  ignore (conv_round chain ~round:1 [||]);
   (* Mixing servers add noise; the last does not (conversation). *)
   let m0 = Server.metrics (Chain.server chain 0) in
   let m1 = Server.metrics (Chain.server chain 1) in
@@ -109,7 +118,7 @@ let test_invalid_onion_keeps_alignment () =
   let _, wb = request ~rng ~chain ~round ~peer:alice.Types.public bob mb in
   let junk = Drbg.generate rng (Bytes.length wa.onion) in
   let results =
-    Chain.conversation_round_exn chain ~round [| wa.onion; junk; wb.onion |]
+    conv_round chain ~round [| wa.onion; junk; wb.onion |]
   in
   Alcotest.(check int) "three results" 3 (Array.length results);
   (* The real pair still exchanges despite the junk slot between them. *)
@@ -164,7 +173,7 @@ let test_low_order_keys_fail_alone () =
           low_order_points
       in
       let results =
-        Chain.conversation_round_exn chain ~round
+        conv_round chain ~round
           (Array.of_list ((wa.onion :: hostile) @ [ wb.onion ]))
       in
       Chain.shutdown chain;
@@ -234,7 +243,7 @@ let test_low_order_caller_dropped () =
   in
   List.iter (fun c -> Client.dial c ~callee_pk:bob.Types.public) callers;
   ignore
-    (Chain.dialing_round_exn chain ~round ~m
+    (dial_round chain ~round ~m
        (Array.of_list
           (List.map (fun c -> Client.dialing_request c ~dial_round:round ~m) callers)));
   let drop = Chain.fetch_invitations chain ~index:0 in
@@ -250,7 +259,7 @@ let test_low_order_caller_dropped () =
 
 let test_empty_round () =
   let chain = make_chain () in
-  let results = Chain.conversation_round_exn chain ~round:1 [||] in
+  let results = conv_round chain ~round:1 [||] in
   Alcotest.(check int) "no client results" 0 (Array.length results)
 
 let test_single_server_chain () =
@@ -262,7 +271,7 @@ let test_single_server_chain () =
   let mb = Message.Data { seq = 1; ack = 0; text = "b" } in
   let sa, wa = request ~rng ~chain ~round ~peer:bob.Types.public alice ma in
   let _, wb = request ~rng ~chain ~round ~peer:alice.Types.public bob mb in
-  let results = Chain.conversation_round_exn chain ~round [| wa.onion; wb.onion |] in
+  let results = conv_round chain ~round [| wa.onion; wb.onion |] in
   match Vuvuzela_mixnet.Onion.unwrap_reply ~secrets:wa.secrets ~round results.(0) with
   | None -> Alcotest.fail "unwrap failed"
   | Some result -> (
@@ -276,8 +285,8 @@ let test_rounds_are_independent () =
   (* A request wrapped for round 1 replayed in round 2 must die at the
      first server (nonce mismatch): its reply slot is garbage. *)
   let _, w = request ~rng ~chain ~round:1 ~peer:bob.Types.public alice (Message.Empty { ack = 0 }) in
-  ignore (Chain.conversation_round_exn chain ~round:1 [| w.onion |]);
-  let results = Chain.conversation_round_exn chain ~round:2 [| w.onion |] in
+  ignore (conv_round chain ~round:1 [| w.onion |]);
+  let results = conv_round chain ~round:2 [| w.onion |] in
   Alcotest.(check bool) "replayed onion yields no readable reply" true
     (Vuvuzela_mixnet.Onion.unwrap_reply ~secrets:w.secrets ~round:2 results.(0) = None)
 
@@ -303,7 +312,7 @@ let test_dialing_end_to_end () =
   in
   let invite = wrap (Dialing.invite ~rng ~identity:alice ~callee_pk:bob.Types.public ~m ()) in
   let idle = wrap (Dialing.noop ~rng ()) in
-  let acks = Chain.dialing_round_exn chain ~round ~m [| invite; idle |] in
+  let acks = dial_round chain ~round ~m [| invite; idle |] in
   Alcotest.(check int) "both acked" 2 (Array.length acks);
   (* Bob downloads his drop and finds Alice. *)
   let index = Deaddrop.Invitation.index_of ~m bob.Types.public in
@@ -330,7 +339,7 @@ let test_dialing_noop_not_delivered () =
        ~round:1 payload)
       .Vuvuzela_mixnet.Onion.onion
   in
-  ignore (Chain.dialing_round_exn chain ~round:1 ~m [| wrap (Dialing.noop ~rng ()) |]);
+  ignore (dial_round chain ~round:1 ~m [| wrap (Dialing.noop ~rng ()) |]);
   (* No real invitation anywhere: scans find nothing. *)
   for i = 0 to m - 1 do
     let drop = Chain.fetch_invitations chain ~index:i in
@@ -343,13 +352,13 @@ let test_dialing_out_of_range_index_dropped () =
   let rng = Drbg.of_string "t9" in
   let m = 2 in
   (* An adversarial client addresses drop 7 with m=2: discarded. *)
-  let payload = Dialing.noise ~rng ~index:7 () in
+  let payload = Harness.noise_payload ~rng ~index:7 () in
   let onion =
     (Vuvuzela_mixnet.Onion.wrap ~rng ~server_pks:(Chain.public_keys chain)
        ~round:1 payload)
       .Vuvuzela_mixnet.Onion.onion
   in
-  let acks = Chain.dialing_round_exn chain ~round:1 ~m [| onion |] in
+  let acks = dial_round chain ~round:1 ~m [| onion |] in
   Alcotest.(check int) "still acked (uniform replies)" 1 (Array.length acks)
 
 (* X25519 operations by kind over one round: every wrapped layer runs
@@ -392,7 +401,7 @@ let test_x25519_ops_by_kind () =
   let c1 = Curve25519.op_counts () in
   Alcotest.check ops "client wraps: (ladder, base, keyed)"
     (0, 3 * n, 3 * n) (delta c0 c1);
-  ignore (Chain.conversation_round_exn chain ~round onions);
+  ignore (conv_round chain ~round onions);
   let c2 = Curve25519.op_counts () in
   let noise i =
     let m = Server.metrics (Chain.server chain i) in
@@ -430,7 +439,7 @@ let test_x25519_ops_by_kind () =
             onion)
       in
       let c0 = Curve25519.op_counts () in
-      ignore (Chain.dialing_round_exn chain ~round ~m onions);
+      ignore (dial_round chain ~round ~m onions);
       let c1 = Curve25519.op_counts () in
       let nu i =
         (Server.metrics (Chain.server chain i)).Server.noise_invitations
@@ -486,7 +495,7 @@ let test_replay_dedup () =
   let _, wb = request ~rng ~chain ~round ~peer:alice.Types.public bob mb in
   (* The adversary injects an exact copy of Alice's onion. *)
   let results =
-    Chain.conversation_round_exn chain ~round [| wa.onion; wb.onion; wa.onion |]
+    conv_round chain ~round [| wa.onion; wb.onion; wa.onion |]
   in
   (match Chain.observed_histogram chain with
   | Some h ->
@@ -538,7 +547,7 @@ let test_aliased_replay_dedup () =
       Bytes.blit (alias (Bytes.sub wa.onion 0 Curve25519.key_len)) 0 copy 0
         Curve25519.key_len;
       let results =
-        Chain.conversation_round_exn chain ~round [| wa.onion; wb.onion; copy |]
+        conv_round chain ~round [| wa.onion; wb.onion; copy |]
       in
       let count i =
         (Server.metrics (Chain.server chain i)).Server.duplicate_requests
@@ -567,7 +576,7 @@ let test_size_uniformity_ingress () =
   let _, wa = request ~rng ~chain ~round ~peer:bob.Types.public alice (Message.Empty { ack = 0 }) in
   let short = Drbg.generate rng (Bytes.length wa.onion - 1) in
   let long = Drbg.generate rng (Bytes.length wa.onion + 48) in
-  let results = Chain.conversation_round_exn chain ~round [| short; wa.onion; long |] in
+  let results = conv_round chain ~round [| short; wa.onion; long |] in
   Alcotest.(check int) "all slots answered" 3 (Array.length results);
   Alcotest.(check int) "both rejected at server 0" 2
     (Server.metrics (Chain.server chain 0)).Server.invalid_requests
@@ -607,7 +616,7 @@ let qcheck_observable_invariant =
         let _, w = request ~rng ~chain ~round u (Message.Empty { ack = 0 }) in
         requests := w.onion :: !requests
       done;
-      ignore (Chain.conversation_round_exn chain ~round (Array.of_list !requests));
+      ignore (conv_round chain ~round (Array.of_list !requests));
       match Chain.observed_histogram chain with
       | Some h ->
           (* tiny_noise µ=5: 2 noising servers × 5 singles, × 3 pairs. *)

@@ -417,30 +417,10 @@ let test_baseline_crossover_claim () =
   if factor < 10. then
     Alcotest.failf "scaling factor only %.0f× over baselines" factor
 
-let test_functional_broadcast () =
-  let rng = Vuvuzela_crypto.Drbg.of_string "bc-test" in
-  let bc = Baselines.Broadcast.create ~n:6 ~seed:"bc" in
-  let blobs =
-    Baselines.Broadcast.run_round ~rng bc ~sends:[ (0, 1, "hi one"); (2, 3, "hi three") ]
-  in
-  (* 2 real + 6 cover blobs broadcast to 6 users. *)
-  Alcotest.(check int) "blob count" 8 blobs;
-  Alcotest.(check int) "n^2 trial decryptions" (8 * 6)
-    (Baselines.Broadcast.trial_decryptions bc);
-  (match Baselines.Broadcast.inbox bc 1 with
-  | [ (_, text) ] -> Alcotest.(check string) "delivered" "hi one" text
-  | l -> Alcotest.failf "inbox 1 has %d entries" (List.length l));
-  (match Baselines.Broadcast.inbox bc 3 with
-  | [ (_, text) ] -> Alcotest.(check string) "delivered" "hi three" text
-  | l -> Alcotest.failf "inbox 3 has %d entries" (List.length l));
-  Alcotest.(check int) "bystander got nothing" 0
-    (List.length (Baselines.Broadcast.inbox bc 5))
-
 let suite =
   ( fst suite,
     snd suite
     @ [
         Alcotest.test_case "baseline scaling shapes" `Quick test_baseline_scaling_shapes;
         Alcotest.test_case "baseline crossover (100x claim)" `Quick test_baseline_crossover_claim;
-        Alcotest.test_case "functional broadcast messenger" `Quick test_functional_broadcast;
       ] )

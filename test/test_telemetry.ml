@@ -374,7 +374,7 @@ let run_deployment ?telemetry ~jobs () =
   Client.start_conversation b ~peer_pk:(Client.public_key a);
   Client.send a "telemetry must not perturb";
   Client.send b "the byte stream";
-  let reports = Network.run_schedule ~dial_every:2 net ~rounds:4 in
+  let reports = Harness.run_schedule ~dial_every:2 net ~rounds:4 in
   let histogram =
     match Chain.observed_histogram (Network.chain net) with
     | Some h -> (h.Deaddrop.m1, h.Deaddrop.m2)
@@ -393,7 +393,7 @@ let run_deployment ?telemetry ~jobs () =
                     (fun e ->
                       Vuvuzela_crypto.Bytes_util.to_hex (Client.public_key c)
                       ^ ":"
-                      ^ Format.asprintf "%a" Client.pp_event e)
+                      ^ Format.asprintf "%a" Harness.pp_event e)
                     evs)
                 r.Network.events)))
       reports
@@ -548,7 +548,7 @@ let test_deployment_ledger () =
   let net = make_net ~telemetry:tel ~budget_warn:1e-3 ~jobs:1 () in
   let a = Network.connect ~seed:"a" net in
   let _b = Network.connect ~seed:"b" net in
-  ignore (Network.run_schedule ~dial_every:2 net ~rounds:4);
+  ignore (Harness.run_schedule ~dial_every:2 net ~rounds:4);
   Network.shutdown net;
   let ledger =
     match Telemetry.ledger tel with
@@ -628,7 +628,7 @@ let test_retry_counters () =
     | Error e -> Alcotest.fail e
   in
   let net = make_net ~telemetry:tel ~fault_plan:plan ~jobs:1 () in
-  let _a = Network.connect ~seed:"a" net in
+  let a = Network.connect ~seed:"a" net in
   let _b = Network.connect ~seed:"b" net in
   let report = Network.run ~kind:Round.Conversation net in
   Network.shutdown net;
@@ -650,7 +650,7 @@ let test_retry_counters () =
   | Some ledger ->
       Alcotest.(check (pair int int)) "two conv charges" (2, 0)
         (Ledger.rounds ledger
-           ~client:(Client.public_key (List.hd (Network.clients net))))
+           ~client:(Client.public_key a))
   | None -> Alcotest.fail "no ledger"
 
 (* The digest's waterfall is the merged trace's tree: each [hop N] line's

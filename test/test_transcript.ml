@@ -145,7 +145,9 @@ let invitation_store ~jobs kind =
     Array.of_list
       (List.map (fun c -> Client.dialing_request c ~dial_round ~m) clients)
   in
-  ignore (Chain.dialing_round_exn chain ~round:dial_round ~m requests);
+  ignore
+    (Harness.round_exn (Chain.remote chain) ~kind:Round.Dialing ~m
+       ~round:dial_round requests);
   List.init m (fun index -> Chain.fetch_invitations chain ~index)
 
 let invitation_store_digest ~jobs kind =

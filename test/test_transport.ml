@@ -174,7 +174,8 @@ let test_addr_parse () =
   | Ok a -> Alcotest.(check string) "ip round-trip" "127.0.0.1:7000" (Addr.to_string a)
   | Error e -> Alcotest.fail e);
   (match Addr.parse ":7000" with
-  | Ok a -> Alcotest.(check int) "bare port" 7000 (Addr.port_of a)
+  | Ok (Unix.ADDR_INET (_, port)) -> Alcotest.(check int) "bare port" 7000 port
+  | Ok _ -> Alcotest.fail "bare port parsed to a non-IP address"
   | Error e -> Alcotest.fail e);
   match Addr.parse "no-port" with
   | Error _ -> ()
@@ -260,7 +261,7 @@ let test_redial_from_floor () =
             "re-established after the drop" true
             (Evloop.run_until ~deadline_ms:3_000. loop (fun () ->
                  !dropped_at <> None && established ()));
-          let redial_ms = Clock.elapsed_ms ~since:(Option.get !dropped_at) in
+          let redial_ms = Clock.now_ms () -. Option.get !dropped_at in
           if redial_ms > 150. then
             Alcotest.failf
               "a link up for 1 s came back %.0f ms after its drop, want < 150"

@@ -369,8 +369,8 @@ let crypto_bench () =
   let noise_part_us = peel.(7) /. float_of_int noise_chunk in
   (* The field kernels' throughput: a sample runs a kernel over 128
      independent operand pairs into 128 outputs, and the two kernels
-     are timed in alternation, so a square (55 half-limb products) and
-     a mul (100) compare within one load phase.  Each call goes
+     are timed in alternation, so a square (45 half-limb products) and
+     a mul (75) compare within one load phase.  Each call goes
      through caml_apply from this module. *)
   let fe_batch = 128 in
   let fe_operands () =

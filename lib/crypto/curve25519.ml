@@ -15,9 +15,9 @@
    test/oracles/curve25519_ref as the differential-testing oracle.
 
    Two kinds of point are fixed, and both work on the birationally
-   equivalent Edwards curve by the comb (~750 field multiplications and
-   squarings against the ladder's ~2,560), mapped back to
-   u = (1 + y)/(1 - y) with the same canonical encoding:
+   equivalent Edwards curve by the comb (448 field multiplications and
+   an inversion a batch shares, against the ladder's ~2,560), mapped
+   back to u = (1 + y)/(1 - y) with the same canonical encoding:
 
    - scalarmult_base, the base point — every fresh ephemeral key:
      clients' onion layers, servers' noise onions, dialing's sealed
@@ -79,10 +79,12 @@ let check_lengths ~scalar ~point =
 
    Bounded: every deployment wraps toward at most 3 keys per process (a
    client or the load generator toward the chain's 3, a mixing server
-   toward its suffix, which is a subset of them), so 8 entries (~240 KB)
-   never evict in steady state.  Past the cap the oldest entry goes, and
-   a thrashing caller pays one table build (~3 ladders) per miss: a
-   chain longer than 8 servers would pay it on every layer.
+   toward its suffix, which is a subset of them), so 8 entries (61 KB
+   each, ~490 KB) never evict in steady state.  Past the cap the oldest
+   entry goes, and a thrashing caller pays one table build per miss
+   (BENCH_crypto.json's keyed_table_ms, 0.40 ms on a 2-vCPU Xeon VM,
+   about six ladders): a chain
+   longer than 8 servers would pay it on every layer.
 
    Shared across domains without a lock: the memo is an immutable list
    in an [Atomic.t], so a hit is a read and a scan of at most 8 keys.

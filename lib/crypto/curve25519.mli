@@ -10,8 +10,8 @@
     clients and servers alike — and [shared_static] — the DH of every
     wrapped onion layer toward a server's long-lived key — are
     {!Edwards25519}'s constant-time comb mapped to the Montgomery
-    u-coordinate: ~750 field multiplications against the ladder's
-    ~2,560.  A wrapped layer therefore costs two comb operations and no
+    u-coordinate: 448 field multiplications and an inversion a batch
+    shares, against the ladder's ~2,560.  A wrapped layer therefore costs two comb operations and no
     ladder, a sealed box a base comb and a ladder, and a noise
     invitation a base comb; peels and conversation keys run the
     ladder. *)
@@ -52,7 +52,9 @@ val shared_static : secret:bytes -> public:bytes -> bytes
     would evict a server key and cost a table build. *)
 
 val static_keys_cap : int
-(** 8: the most keys {!shared_static} keeps tables for (~30 KB each). *)
+(** 8: the most keys {!shared_static} keeps tables for (61 KB each, each
+    built in BENCH_crypto.json's [keyed_table_ms], 0.40 ms on a 2-vCPU
+    Xeon VM: about six ladders). *)
 
 (** One X25519 operation of a {!batch}, by the kind {!op_counts} counts
     it under. *)

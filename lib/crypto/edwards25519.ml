@@ -11,24 +11,24 @@
    Comb (ref10's ge_scalarmult_base, over any fixed point)
    -------------------------------------------------------
    A scalar k < 2^255 is recoded into 64 signed radix-16 digits
-   -8 <= e_i <= 8 with k = sum e_i 16^i, and
-
-     kP = 16 * sum_i e_(2i+1) 256^i P  +  sum_i e_(2i) 256^i P.
-
-   Row i of P's table holds j * 256^i * P for j = 1..8 in affine
+   -8 <= e_i <= 8 with k = sum e_i 16^i, so kP = sum_i e_i 16^i P.  Row
+   i of P's table holds j * 16^i * P for j = 1..8 in affine
    (y+x, y-x, 2dxy) form, so each digit costs one mixed addition of a
-   row entry (negated for a negative digit), and the whole multiplication
-   64 mixed additions and 4 doublings: with the final inversion, ~750
-   field multiplications and squarings against the ladder's ~2,560.
-   Building a table costs about three ladders, so it pays for a point
+   row entry (negated for a negative digit), and the whole
+   multiplication 64 mixed additions and no doubling: 448 field
+   multiplications, plus the inversion to leave projective coordinates
+   (~265, or a share of one in a batch), against the ladder's ~2,560.
+   The loop itself is Fe25519.comb, beside the field kernels it inlines
+   (DESIGN.md §2b); this module builds the tables and wraps the loop's
+   output in a point.  Building a table costs about six ladders
+   (BENCH_crypto.json's keyed_table_ms, 0.40 ms on a 2-vCPU Xeon VM),
+   so it pays for a point
    that is multiplied many times: the base point B, and (Curve25519) a
    server's long-lived public key.
 
    Constant time: the recoding is arithmetic only, every row is scanned
    in full and the entry is picked with masks (the row index is public),
-   and negation is a masked swap.  The scan is the comb's inner loop, so
-   it computes its masks once per digit and reads the table unchecked
-   between two checked reads that bound the row.  B's table is built
+   and negation is a masked swap (Fe25519.comb).  B's table is built
    eagerly at module initialisation, never lazily: OCaml 5 raises
    CamlinternalLazy.Undefined when two domains force one lazy value,
    and servers wrap noise onions from pool domains.  Every table is
@@ -39,8 +39,8 @@
    explicitly [carry]ed sum), and every multiplication's operands stay
    inside Fe25519's input bound (limbs < 2^53.1).  Most are at most one
    lazy add/sub away from carried values; the exception is G = D + C in
-   [add] and [madd], two stacked adds with D = 2Z lazy, whose limbs stay
-   below 3 (2^51 + 2^36) < 2^52.6. *)
+   [add] (and Fe25519.comb's mixed addition), two stacked adds with
+   D = 2Z lazy, whose limbs stay below 3 (2^51 + 2^36) < 2^52.6. *)
 
 type point = { x : Fe25519.t; y : Fe25519.t; z : Fe25519.t; t : Fe25519.t }
 
@@ -79,9 +79,8 @@ let base_point () =
 let copy_point p =
   Fe25519.{ x = copy p.x; y = copy p.y; z = copy p.z; t = copy p.t }
 
-(* Temporaries of the point formulas, and the comb entry [select] picks
-   (yp, ym, xy2d = y+x, y-x, 2dxy; [neg] holds -xy2d).  Allocated once
-   per scalar multiplication, so the per-digit loop allocates nothing. *)
+(* Temporaries of the point formulas, allocated once per scalar
+   multiplication or table, so a loop of formulas allocates nothing. *)
 type scratch = {
   a : Fe25519.t;
   b : Fe25519.t;
@@ -90,10 +89,6 @@ type scratch = {
   f : Fe25519.t;
   g : Fe25519.t;
   h : Fe25519.t;
-  yp : Fe25519.t;
-  ym : Fe25519.t;
-  xy2d : Fe25519.t;
-  neg : Fe25519.t;
 }
 
 let scratch () =
@@ -106,10 +101,6 @@ let scratch () =
       f = create ();
       g = create ();
       h = create ();
-      yp = create ();
-      ym = create ();
-      xy2d = create ();
-      neg = create ();
     }
 
 (* o <- (EF, GH, FG, EH): the last step every formula below shares.
@@ -139,21 +130,6 @@ let add_with s p q =
   add s.g s.g s.c (* G = D + C *);
   finish s p
 
-(* o <- p + q for the affine comb entry q = (s.yp, s.ym, s.xy2d). *)
-let madd s o p =
-  let open Fe25519 in
-  add s.a p.y p.x;
-  mul s.a s.a s.yp (* A = (Y+X)(y+x) *);
-  sub s.b p.y p.x;
-  mul s.b s.b s.ym (* B = (Y-X)(y-x) *);
-  mul s.c s.xy2d p.t (* C = 2dxy T *);
-  sub s.e s.a s.b (* E = A - B *);
-  add s.h s.a s.b (* H = A + B *);
-  add s.g p.z p.z (* D = 2Z *);
-  sub s.f s.g s.c (* F = D - C *);
-  add s.g s.g s.c (* G = D + C *);
-  finish s o
-
 (* o <- 2p. *)
 let double s o p =
   let open Fe25519 in
@@ -171,42 +147,49 @@ let double s o p =
   sub s.f s.c s.g (* F = C - G *);
   finish s o
 
-(* P's comb table: entry j of row i, (j+1) 256^i P as carried
-   (y+x, y-x, 2dxy), is 15 ints at [entry_off i j].  Built with one
-   batched inversion of the 256 Z coordinates (Fe25519.batch_invert). *)
+(* P's comb table, in the layout Fe25519.comb reads: entry j of row i,
+   (j+1) 16^i P as carried (y+x, y-x, 2dxy), is 15 ints at
+   15 (8 i + j).  Each row takes seven additions of its base to a
+   running point, and the next row's base is 16^(i+1) P = 2 (8 16^i P),
+   one doubling of the row's last entry.  Until one batched inversion
+   of the 512 Z coordinates (Fe25519.batch_invert) makes them affine,
+   each entry's X and Y wait in its own slot of the table. *)
 type table = int array
-
-let entry_off row j = 15 * ((8 * row) + j)
 
 let table_of_point p : table =
   let open Fe25519 in
-  let n = 32 * 8 in
-  let s = scratch () in
-  let pts = Array.make n (identity ()) in
-  let row_base = copy_point p in
-  for row = 0 to 31 do
-    pts.(8 * row) <- copy_point row_base;
-    for j = 1 to 7 do
-      let p = copy_point pts.((8 * row) + j - 1) in
-      add_with s p row_base;
-      pts.((8 * row) + j) <- p
+  let n = 64 * 8 in
+  let s = scratch () and tbl = Array.make (15 * n) 0 in
+  let zi = Array.make n [||] (* not from a young value: see batch_invert *) in
+  let row_base = copy_point p and q = identity () in
+  for row = 0 to 63 do
+    for j = 0 to 7 do
+      let i = (8 * row) + j in
+      if j = 0 then begin
+        blit ~src:row_base.x ~dst:q.x;
+        blit ~src:row_base.y ~dst:q.y;
+        blit ~src:row_base.z ~dst:q.z;
+        blit ~src:row_base.t ~dst:q.t
+      end
+      else add_with s q row_base;
+      Array.blit q.x 0 tbl (15 * i) 5;
+      Array.blit q.y 0 tbl ((15 * i) + 5) 5;
+      zi.(i) <- copy q.z
     done;
-    for _ = 1 to 8 do
-      double s row_base row_base
-    done
+    double s row_base q
   done;
-  let zi = Array.map (fun p -> copy p.z) pts in
   batch_invert zi;
-  let tbl = Array.make (15 * n) 0 in
   let x = create () and y = create () and v = create () in
   let store off =
     carry v;
     Array.blit v 0 tbl off 5
   in
   for i = 0 to n - 1 do
-    mul x pts.(i).x zi.(i);
-    mul y pts.(i).y zi.(i);
     let off = 15 * i in
+    Array.blit tbl off x 0 5;
+    Array.blit tbl (off + 5) y 0 5;
+    mul x x zi.(i);
+    mul y y zi.(i);
     add v y x;
     store off;
     sub v y x;
@@ -219,80 +202,9 @@ let table_of_point p : table =
 
 let base_table = table_of_point (base_point ())
 
-(* All ones iff a = b, for 0 <= a, b < 16: (0 - 1) lsr 62 = 1 and
-   (1..15 - 1) lsr 62 = 0. *)
-let[@inline] eq_mask a b = -(((a lxor b) - 1) lsr 62)
-
-(* Limb [off] of the one row entry whose mask is all ones (0 if none
-   is), reading all eight: entry j's limb sits 15 j ints further on. *)
-let[@inline] pick table off m1 m2 m3 m4 m5 m6 m7 m8 =
-  (m1 land Array.unsafe_get table off)
-  lor (m2 land Array.unsafe_get table (off + 15))
-  lor (m3 land Array.unsafe_get table (off + 30))
-  lor (m4 land Array.unsafe_get table (off + 45))
-  lor (m5 land Array.unsafe_get table (off + 60))
-  lor (m6 land Array.unsafe_get table (off + 75))
-  lor (m7 land Array.unsafe_get table (off + 90))
-  lor (m8 land Array.unsafe_get table (off + 105))
-
-(* Constant time: s.(yp, ym, xy2d) <- b 256^row P for a signed digit
-   -8 <= b <= 8 (the identity (1, 1, 0) for b = 0).  All eight entries
-   of the row are read and the match is picked by mask; the masks are
-   computed once, and each limb is gathered in a local and stored once.
-   The row spans ints [off, off + 120): two checked reads, of its first
-   and its last, bound the unchecked ones. *)
-let select table s row b =
-  let neg = b lsr 62 (* 1 iff b < 0 *) in
-  let babs = b - ((-neg land b) lsl 1) in
-  let m0 = eq_mask babs 0 and m1 = eq_mask babs 1 and m2 = eq_mask babs 2 in
-  let m3 = eq_mask babs 3 and m4 = eq_mask babs 4 and m5 = eq_mask babs 5 in
-  let m6 = eq_mask babs 6 and m7 = eq_mask babs 7 and m8 = eq_mask babs 8 in
-  let off = entry_off row 0 in
-  ignore (Sys.opaque_identity (table.(off) + table.(off + 119)));
-  for k = 0 to 4 do
-    let id = m0 land Bool.to_int (k = 0) (* limb k of the identity's 1 *) in
-    let o = off + k in
-    s.yp.(k) <- pick table o m1 m2 m3 m4 m5 m6 m7 m8 lor id;
-    s.ym.(k) <- pick table (o + 5) m1 m2 m3 m4 m5 m6 m7 m8 lor id;
-    s.xy2d.(k) <- pick table (o + 10) m1 m2 m3 m4 m5 m6 m7 m8
-  done;
-  (* -(x, y) = (-x, y): swap y+x and y-x, negate 2dxy. *)
-  Fe25519.cswap s.yp s.ym neg;
-  Fe25519.sub s.neg fe_zero s.xy2d;
-  Fe25519.cswap s.xy2d s.neg neg
-
-(* p <- p + sum_i e_(2i + parity) 256^i P: a function, not a closure
-   in [comb], so a comb allocates only its scratch. *)
-let add_digits table s e p parity =
-  for i = 0 to 31 do
-    select table s i e.((2 * i) + parity);
-    madd s p p
-  done
-
 let comb table k =
-  (* Bit 255 is clear for every caller (clamped scalars, scalars reduced
-     mod L), so this check branches on no bit a valid scalar can vary. *)
-  if Bytes.length k <> 32 || Bytes_util.get_u8 k 31 > 127 then
-    invalid_arg "Edwards25519.comb: scalar must be < 2^255";
-  let e = Array.make 64 0 in
-  for i = 0 to 31 do
-    let v = Bytes_util.get_u8 k i in
-    e.(2 * i) <- v land 15;
-    e.((2 * i) + 1) <- v lsr 4
-  done;
-  (* Signed recoding: carry (e_i + 8) / 16 into the next digit, leaving
-     -8 <= e_i <= 7; the top digit ends at most 7 + 1 = 8. *)
-  for i = 0 to 62 do
-    let c = (e.(i) + 8) asr 4 in
-    e.(i) <- e.(i) - (c lsl 4);
-    e.(i + 1) <- e.(i + 1) + c
-  done;
-  let s = scratch () and p = identity () in
-  add_digits table s e p 1;
-  for _ = 1 to 4 do
-    double s p p
-  done;
-  add_digits table s e p 0;
+  let p = Fe25519.{ x = create (); y = create (); z = create (); t = create () } in
+  Fe25519.comb table k ~x:p.x ~y:p.y ~z:p.z ~t:p.t;
   p
 
 let scalarmult_base k = comb base_table k

@@ -13,20 +13,20 @@ val base_point : unit -> point
 val add : point -> point -> unit
 (** [add p q] is [p <- p + q] (complete: any points, [p == q] allowed). *)
 
-type table
-(** A point's comb table: [j * 256^i * P] for [j = 1..8], [i = 0..31],
-    in affine form (30 KB).  Read-only once built, so it may be shared
-    across domains. *)
+type table = private int array
+(** A point's comb table: [j * 16^i * P] for [j = 1..8], [i = 0..63],
+    in affine form, in the layout {!Fe25519.comb} reads (61 KB).
+    Read-only once built, so it may be shared across domains. *)
 
 val table_of_point : point -> table
-(** Build [P]'s table: ~15 additions per row and one batched inversion,
-    taking about as long as three ladders. *)
+(** Build [P]'s table: 7 additions and a doubling per row and one
+    batched inversion (BENCH_crypto.json's [keyed_table_ms]). *)
 
 val comb : table -> bytes -> point
 (** [kP] for [P]'s table, in constant time in [k], by the signed
-    radix-16 comb.  The scalar must be below 2^255 (bit 255 clear), as
-    clamped and mod-L-reduced scalars are; otherwise
-    [Invalid_argument]. *)
+    radix-16 comb ({!Fe25519.comb}, into a fresh point).  The scalar
+    must be below 2^255 (bit 255 clear), as clamped and mod-L-reduced
+    scalars are; otherwise [Invalid_argument]. *)
 
 val scalarmult_base : bytes -> point
 (** [kB]: {!comb} over the base point's table, built at module

@@ -1,14 +1,16 @@
 (* Field arithmetic modulo 2^255 - 19 on 5 limbs of 51 bits in native
    OCaml ints (curve25519-donna's radix-2^51 representation), with lazy
-   carries, and X25519's Montgomery ladder over it.  Shared by Curve25519
-   and the Edwards-curve arithmetic (Edwards25519: Ed25519 and the comb);
-   this is the hottest code in the system — every peeled onion layer
+   carries, and the two X25519 loops over it: the Montgomery ladder and
+   the fixed-base comb.  Shared by Curve25519 and the Edwards-curve
+   arithmetic (Edwards25519: Ed25519 and the comb's tables); this is
+   the hottest code in the system — every peeled onion layer
    costs one variable-base scalar multiplication, i.e. ~2,560 [mul]s and
    [square]s (2,295 in [ladder] below, 265 in [invert], which a batch of
    operations shares: see [batch_invert]), and a freshly wrapped layer
-   two comb multiplications and no ladder (~750 each: the fresh key on
-   the base point's table, the DH on the server key's; see Edwards25519
-   and Curve25519.shared_static).
+   two comb multiplications and no ladder (448 [mul]s each in [comb]
+   below, plus the inversion: the fresh key on the base point's table,
+   the DH on the server key's; see Edwards25519 and
+   Curve25519.shared_static).
 
    Representation and carry discipline
    -----------------------------------
@@ -30,15 +32,40 @@
    ----------------------------
    The product of two 51-bit limbs needs 102 bits, which no machine word
    has, so [mul]/[square] split each limb at bit 26 and work on ten
-   half-limbs in radix 2^25.5 (ref10's fe10 schedule, weights
-   w(i) = ceil(25.5 i)): the term f_i*g_j lands on half-limb (i+j) mod 10
-   with coefficient 2 when i and j are both odd (w(i)+w(j) = w(i+j)+1)
-   and 19 when i+j >= 10 (2^255 = 19 mod p).  Worst-case accumulators
-   stay below 2^62: at the input bound (odd half-limbs < 2^27.1), h0 is
-   bounded by five (odd,odd) terms of 38·2^27.1·2^27.1 plus four
-   (even,even) terms of 19·2^26·2^26 and f0·g0, about 2^61.9, and every
-   other half-limb by less.  The interleaved carry chain then rebuilds
-   the five 51-bit limbs.
+   half-limbs in radix 2^25.5 (ref10's fe10 weights,
+   w(i) = ceil(25.5 i)).  The half-limb product f_i g_j belongs to
+   half-limb (i+j) mod 10, with coefficient 2 when i and j are both odd
+   (w(i)+w(j) = w(i+j)+1) and 19 when i+j >= 10 (2^255 = 19 mod p);
+   summing those 100 terms straight into ten accumulators h0..h9 is the
+   schoolbook schedule (kept as test/oracles/fe25519_schoolbook).
+
+   [mul] sums the same ten accumulators by Karatsuba on the even/odd
+   split.  The even half-limbs sit at weights 51k and the odd ones at
+   51k + 26, so with X = 2^51, f = F_e(X) + 2^26 F_o(X) for
+   F_e = sum f_2k X^k and F_o = sum f_2k+1 X^k.  Three 5x5 products
+   mod X^5 - 19, P1 = F_e G_e, P2 = F_o G_o and
+   P3 = (F_e + F_o)(G_e + G_o), give
+
+     h_2k   = P1[k] + 2 P2[k-1]    (h0 = P1[0] + 38 P2[4])
+     h_2k+1 = P3[k] - P1[k] - P2[k]
+
+   since 2^26 2^26 = 2 X and X^5 = 19.  Term by term this is the
+   schoolbook's sum: an (even, even) term lands in P1 at (i+j)/2, times
+   19 past X^5; an (odd, odd) one in P2, shifted up one X and doubled,
+   so times 2, or 38 when it wraps; and P3 - P1 - P2 is exactly the
+   (even, odd) and (odd, even) cross terms.  So every h is the same
+   integer as the schoolbook's, and the output limbs are the same, not
+   just their field value: 75 half-limb products instead of 100.  A
+   square takes 45 instead of 55, each 5x5 square needing 15.
+
+   Accumulators stay below 2^62: at the input bound (odd half-limbs
+   < 2^27.1), h0 is bounded by five (odd,odd) terms of 38·2^27.1·2^27.1
+   plus four (even,even) terms of 19·2^26·2^26 and f0·g0, about 2^61.9,
+   and every other half-limb by less.  The one new intermediate, P3,
+   multiplies sums of an even and an odd half-limb (< 2^27.66), and its
+   largest coefficient, P3[0], has one plain and four 19-fold terms:
+   < 77·2^55.32, about 2^61.6.  The interleaved carry chain then
+   rebuilds the five 51-bit limbs.
 
    Untagged kernels
    ----------------
@@ -59,21 +86,23 @@
        closures, and the loads are written inline;
      - [reduce10] is [@inline]: an out-of-line call would box its ten
        word arguments (~30 words per call);
-     - the products are summed in let chains, three output half-limbs
-       at a time (see [mul_body]), so that the compiler does not spill
-       every product of a ten-term sum before adding it.
+     - the products are summed in let chains, one coefficient of P1,
+       P2 and P3 at a time (see [mul_body]), so that the compiler does
+       not spill every product of a sum before adding it.
 
    The ladder lives here, not in Curve25519, because libraries are
    compiled [-opaque] under dune's default profile: a kernel called from
    another module cannot be inlined and goes through [caml_applyN],
    ~5,100 calls per scalar multiplication.  Here every kernel it runs is
    inlined into its loop, which makes no call at all (CI checks the
-   object code for closure calls).  [add], [sub], [cswap] and
-   [mul_small] are [@inline] (small: [pack] and [batch_invert] take
-   their own copy of [cswap]); [mul] and [square] are inlined through
-   [mul_body] and [square_body], so the inversion chain keeps calling
-   one out-of-line copy.  Against the same loop calling the kernels
-   from another module, interleaved in one process: 1.07-1.10x.
+   object code for closure calls).  The fixed-base comb's loop lives
+   here for the same reason ([comb]: it made ~870 such calls from
+   Edwards25519).  [add], [sub], [cswap] and [mul_small] are [@inline]
+   (small: [pack] and [batch_invert] take their own copy of [cswap]);
+   [mul] and [square] are inlined through [mul_body] and [square_body],
+   so the inversion chain keeps calling one out-of-line copy.  Against
+   the same loop calling the kernels from another module, interleaved
+   in one process: the ladder 1.07-1.10x.
 
    The kernels allocate nothing (a tier-1 test counts minor words).
    Bounds: each operand's limb 4 is read with a checked access first,
@@ -86,7 +115,8 @@
    Intel Xeon VM (three runs): [mul] 1.42x, [square] 1.06-1.26x, the
    ladder 1.42-1.44x.
    Differentially tested against Fe25519_ref over thousands of seeded
-   cases, at the input bound too (test/prop/prop_fe.ml). *)
+   cases, at the input bound too, and limb for limb against the
+   schoolbook kernels (test/prop/prop_fe.ml). *)
 
 type t = int array (* 5 limbs, radix 2^51 *)
 
@@ -147,7 +177,8 @@ let[@inline] cswap (p : t) (q : t) b =
     Array.unsafe_set q i (qi lxor t)
   done
 
-let pack (n : t) =
+(* A fully reduced copy of [n]: limbs < 2^51, value < p. *)
+let canonical (n : t) =
   let t = Array.copy n in
   carry t;
   carry t;
@@ -168,6 +199,10 @@ let pack (n : t) =
     (* Keep m (the subtracted value) unless the subtraction borrowed. *)
     cswap t m (1 - b)
   done;
+  t
+
+let pack (n : t) =
+  let t = canonical n in
   let o = Bytes.create 32 in
   for i = 0 to 31 do
     let bit = 8 * i in
@@ -248,19 +283,20 @@ let[@inline] reduce10 (o : t) h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 =
   Array.unsafe_set o 2 (to_int (h4 lor (h5 lsl 26)));
   Array.unsafe_set o 3 (to_int (h6 lor (h7 lsl 26)))
 
-(* The products are summed three output half-limbs at a time (h0-h2,
-   h3-h5, h6-h8, then h9), as chains of [let]s, each group's products in
-   order of their left operand: each operand is loaded once per group,
-   and only the group's three sums stay live.  Written as one ten-term
-   sum per half-limb, each sum is evaluated right to left with every
-   product spilled first: twice the stack stores.  Word addition wraps
-   the same in any order, so the output limbs are unchanged.  Each line
-   adds f_i g_j to h_((i+j) mod 10), as f_i_2 when i and j are both odd
-   and as g_j_19 when i + j >= 10 (the header's schedule).
+(* Karatsuba on the even/odd split (see the header): the three 5x5
+   products mod X^5 - 19, P1 = F_e G_e, P2 = F_o G_o and
+   P3 = (F_e + F_o)(G_e + G_o), one coefficient k at a time, k = 4
+   first: P1[4] waits for h8 and P2[4] for h0, and otherwise only
+   P2[k-1] stays live from one k to the next.  Each coefficient is a
+   chain of [let]s, the three products' chains interleaved in order of
+   their left operand, so that the compiler does not spill every
+   product of a sum before adding it; word addition wraps the same in
+   any order, so the output limbs are unchanged.  A wrapped term
+   (i + j >= 5) takes its right operand times 19.
 
-   [mul_body] and [square_body] are inlined into [ladder]; every other
-   caller, in this module too, calls the out-of-line [mul] and [square],
-   so the ladder holds the only extra copies. *)
+   [mul_body] and [square_body] are inlined into [ladder] and [comb];
+   every other caller, in this module too, calls the out-of-line [mul]
+   and [square], so those two loops hold the only extra copies. *)
 let[@inline] mul_body (o : t) (a : t) (b : t) =
   let open Word in
   let a4 = of_int a.(4) and b4 = of_int b.(4) in
@@ -274,7 +310,9 @@ let[@inline] mul_body (o : t) (a : t) (b : t) =
   and b3 = of_int (Array.unsafe_get b 3) in
   (* Split into half-limbs (arithmetic shift: a negative limb yields a
      negative high half and a nonnegative low half, which the signed
-     accumulators absorb). *)
+     accumulators absorb).  f_2k and g_2k are F_e's and G_e's
+     coefficients, f_2k+1 and g_2k+1 F_o's and G_o's, and s_k and t_k
+     those of F_e + F_o and G_e + G_o. *)
   let f0 = a0 land mask26 and f1 = a0 asr 26 in
   let f2 = a1 land mask26 and f3 = a1 asr 26 in
   let f4 = a2 land mask26 and f5 = a2 asr 26 in
@@ -285,119 +323,119 @@ let[@inline] mul_body (o : t) (a : t) (b : t) =
   let g4 = b2 land mask26 and g5 = b2 asr 26 in
   let g6 = b3 land mask26 and g7 = b3 asr 26 in
   let g8 = b4 land mask26 and g9 = b4 asr 26 in
-  let f1_2 = 2n * f1 and f3_2 = 2n * f3 and f5_2 = 2n * f5 and f7_2 = 2n * f7 in
-  let f9_2 = 2n * f9 in
-  let g1_19 = 19n * g1 and g2_19 = 19n * g2 and g3_19 = 19n * g3 in
-  let g4_19 = 19n * g4 and g5_19 = 19n * g5 and g6_19 = 19n * g6 in
-  let g7_19 = 19n * g7 and g8_19 = 19n * g8 and g9_19 = 19n * g9 in
-  let h0 = f0 * g0 in
-  let h1 = f0 * g1 in
-  let h2 = f0 * g2 in
-  let h0 = h0 + (f1_2 * g9_19) in
-  let h1 = h1 + (f1 * g0) in
-  let h2 = h2 + (f1_2 * g1) in
-  let h0 = h0 + (f2 * g8_19) in
-  let h1 = h1 + (f2 * g9_19) in
-  let h2 = h2 + (f2 * g0) in
-  let h0 = h0 + (f3_2 * g7_19) in
-  let h1 = h1 + (f3 * g8_19) in
-  let h2 = h2 + (f3_2 * g9_19) in
-  let h0 = h0 + (f4 * g6_19) in
-  let h1 = h1 + (f4 * g7_19) in
-  let h2 = h2 + (f4 * g8_19) in
-  let h0 = h0 + (f5_2 * g5_19) in
-  let h1 = h1 + (f5 * g6_19) in
-  let h2 = h2 + (f5_2 * g7_19) in
-  let h0 = h0 + (f6 * g4_19) in
-  let h1 = h1 + (f6 * g5_19) in
-  let h2 = h2 + (f6 * g6_19) in
-  let h0 = h0 + (f7_2 * g3_19) in
-  let h1 = h1 + (f7 * g4_19) in
-  let h2 = h2 + (f7_2 * g5_19) in
-  let h0 = h0 + (f8 * g2_19) in
-  let h1 = h1 + (f8 * g3_19) in
-  let h2 = h2 + (f8 * g4_19) in
-  let h0 = h0 + (f9_2 * g1_19) in
-  let h1 = h1 + (f9 * g2_19) in
-  let h2 = h2 + (f9_2 * g3_19) in
-  let h3 = f0 * g3 in
-  let h4 = f0 * g4 in
-  let h5 = f0 * g5 in
-  let h3 = h3 + (f1 * g2) in
-  let h4 = h4 + (f1_2 * g3) in
-  let h5 = h5 + (f1 * g4) in
-  let h3 = h3 + (f2 * g1) in
-  let h4 = h4 + (f2 * g2) in
-  let h5 = h5 + (f2 * g3) in
-  let h3 = h3 + (f3 * g0) in
-  let h4 = h4 + (f3_2 * g1) in
-  let h5 = h5 + (f3 * g2) in
-  let h3 = h3 + (f4 * g9_19) in
-  let h4 = h4 + (f4 * g0) in
-  let h5 = h5 + (f4 * g1) in
-  let h3 = h3 + (f5 * g8_19) in
-  let h4 = h4 + (f5_2 * g9_19) in
-  let h5 = h5 + (f5 * g0) in
-  let h3 = h3 + (f6 * g7_19) in
-  let h4 = h4 + (f6 * g8_19) in
-  let h5 = h5 + (f6 * g9_19) in
-  let h3 = h3 + (f7 * g6_19) in
-  let h4 = h4 + (f7_2 * g7_19) in
-  let h5 = h5 + (f7 * g8_19) in
-  let h3 = h3 + (f8 * g5_19) in
-  let h4 = h4 + (f8 * g6_19) in
-  let h5 = h5 + (f8 * g7_19) in
-  let h3 = h3 + (f9 * g4_19) in
-  let h4 = h4 + (f9_2 * g5_19) in
-  let h5 = h5 + (f9 * g6_19) in
-  let h6 = f0 * g6 in
-  let h7 = f0 * g7 in
-  let h8 = f0 * g8 in
-  let h6 = h6 + (f1_2 * g5) in
-  let h7 = h7 + (f1 * g6) in
-  let h8 = h8 + (f1_2 * g7) in
-  let h6 = h6 + (f2 * g4) in
-  let h7 = h7 + (f2 * g5) in
-  let h8 = h8 + (f2 * g6) in
-  let h6 = h6 + (f3_2 * g3) in
-  let h7 = h7 + (f3 * g4) in
-  let h8 = h8 + (f3_2 * g5) in
-  let h6 = h6 + (f4 * g2) in
-  let h7 = h7 + (f4 * g3) in
-  let h8 = h8 + (f4 * g4) in
-  let h6 = h6 + (f5_2 * g1) in
-  let h7 = h7 + (f5 * g2) in
-  let h8 = h8 + (f5_2 * g3) in
-  let h6 = h6 + (f6 * g0) in
-  let h7 = h7 + (f6 * g1) in
-  let h8 = h8 + (f6 * g2) in
-  let h6 = h6 + (f7_2 * g9_19) in
-  let h7 = h7 + (f7 * g0) in
-  let h8 = h8 + (f7_2 * g1) in
-  let h6 = h6 + (f8 * g8_19) in
-  let h7 = h7 + (f8 * g9_19) in
-  let h8 = h8 + (f8 * g0) in
-  let h6 = h6 + (f9_2 * g7_19) in
-  let h7 = h7 + (f9 * g8_19) in
-  let h8 = h8 + (f9_2 * g9_19) in
-  let h9 = f0 * g9 in
-  let h9 = h9 + (f1 * g8) in
-  let h9 = h9 + (f2 * g7) in
-  let h9 = h9 + (f3 * g6) in
-  let h9 = h9 + (f4 * g5) in
-  let h9 = h9 + (f5 * g4) in
-  let h9 = h9 + (f6 * g3) in
-  let h9 = h9 + (f7 * g2) in
-  let h9 = h9 + (f8 * g1) in
-  let h9 = h9 + (f9 * g0) in
+  let s0 = f0 + f1 and s1 = f2 + f3 and s2 = f4 + f5 in
+  let s3 = f6 + f7 and s4 = f8 + f9 in
+  let t0 = g0 + g1 and t1 = g2 + g3 and t2 = g4 + g5 in
+  let t3 = g6 + g7 and t4 = g8 + g9 in
+  let g2_19 = 19n * g2 and g3_19 = 19n * g3 and g4_19 = 19n * g4 in
+  let g5_19 = 19n * g5 and g6_19 = 19n * g6 and g7_19 = 19n * g7 in
+  let g8_19 = 19n * g8 and g9_19 = 19n * g9 in
+  let t1_19 = g2_19 + g3_19 and t2_19 = g4_19 + g5_19 in
+  let t3_19 = g6_19 + g7_19 and t4_19 = g8_19 + g9_19 in
+  (* k = 4 *)
+  let p1 = f0 * g8 in
+  let p2 = f1 * g9 in
+  let p3 = s0 * t4 in
+  let p1 = p1 + (f2 * g6) in
+  let p2 = p2 + (f3 * g7) in
+  let p3 = p3 + (s1 * t3) in
+  let p1 = p1 + (f4 * g4) in
+  let p2 = p2 + (f5 * g5) in
+  let p3 = p3 + (s2 * t2) in
+  let p1 = p1 + (f6 * g2) in
+  let p2 = p2 + (f7 * g3) in
+  let p3 = p3 + (s3 * t1) in
+  let p1 = p1 + (f8 * g0) in
+  let p2 = p2 + (f9 * g1) in
+  let p3 = p3 + (s4 * t0) in
+  let h9 = p3 - p1 - p2 and p1_4 = p1 and p2_4 = p2 in
+  (* k = 0 *)
+  let p1 = f0 * g0 in
+  let p2 = f1 * g1 in
+  let p3 = s0 * t0 in
+  let p1 = p1 + (f2 * g8_19) in
+  let p2 = p2 + (f3 * g9_19) in
+  let p3 = p3 + (s1 * t4_19) in
+  let p1 = p1 + (f4 * g6_19) in
+  let p2 = p2 + (f5 * g7_19) in
+  let p3 = p3 + (s2 * t3_19) in
+  let p1 = p1 + (f6 * g4_19) in
+  let p2 = p2 + (f7 * g5_19) in
+  let p3 = p3 + (s3 * t2_19) in
+  let p1 = p1 + (f8 * g2_19) in
+  let p2 = p2 + (f9 * g3_19) in
+  let p3 = p3 + (s4 * t1_19) in
+  let h0 = p1 + (38n * p2_4) and h1 = p3 - p1 - p2 and p2_prev = p2 in
+  (* k = 1 *)
+  let p1 = f0 * g2 in
+  let p2 = f1 * g3 in
+  let p3 = s0 * t1 in
+  let p1 = p1 + (f2 * g0) in
+  let p2 = p2 + (f3 * g1) in
+  let p3 = p3 + (s1 * t0) in
+  let p1 = p1 + (f4 * g8_19) in
+  let p2 = p2 + (f5 * g9_19) in
+  let p3 = p3 + (s2 * t4_19) in
+  let p1 = p1 + (f6 * g6_19) in
+  let p2 = p2 + (f7 * g7_19) in
+  let p3 = p3 + (s3 * t3_19) in
+  let p1 = p1 + (f8 * g4_19) in
+  let p2 = p2 + (f9 * g5_19) in
+  let p3 = p3 + (s4 * t2_19) in
+  let h2 = p1 + (2n * p2_prev) and h3 = p3 - p1 - p2 and p2_prev = p2 in
+  (* k = 2 *)
+  let p1 = f0 * g4 in
+  let p2 = f1 * g5 in
+  let p3 = s0 * t2 in
+  let p1 = p1 + (f2 * g2) in
+  let p2 = p2 + (f3 * g3) in
+  let p3 = p3 + (s1 * t1) in
+  let p1 = p1 + (f4 * g0) in
+  let p2 = p2 + (f5 * g1) in
+  let p3 = p3 + (s2 * t0) in
+  let p1 = p1 + (f6 * g8_19) in
+  let p2 = p2 + (f7 * g9_19) in
+  let p3 = p3 + (s3 * t4_19) in
+  let p1 = p1 + (f8 * g6_19) in
+  let p2 = p2 + (f9 * g7_19) in
+  let p3 = p3 + (s4 * t3_19) in
+  let h4 = p1 + (2n * p2_prev) and h5 = p3 - p1 - p2 and p2_prev = p2 in
+  (* k = 3 *)
+  let p1 = f0 * g6 in
+  let p2 = f1 * g7 in
+  let p3 = s0 * t3 in
+  let p1 = p1 + (f2 * g4) in
+  let p2 = p2 + (f3 * g5) in
+  let p3 = p3 + (s1 * t2) in
+  let p1 = p1 + (f4 * g2) in
+  let p2 = p2 + (f5 * g3) in
+  let p3 = p3 + (s2 * t1) in
+  let p1 = p1 + (f6 * g0) in
+  let p2 = p2 + (f7 * g1) in
+  let p3 = p3 + (s3 * t0) in
+  let p1 = p1 + (f8 * g8_19) in
+  let p2 = p2 + (f9 * g9_19) in
+  let p3 = p3 + (s4 * t4_19) in
+  let h6 = p1 + (2n * p2_prev) and h7 = p3 - p1 - p2 in
+  let h8 = p1_4 + (2n * p2) in
   reduce10 o h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
 
 let mul o a b = mul_body o a b
 
-(* Dedicated squaring: the symmetric terms collapse 100 half-limb
-   products to 55 (ref10's fe_sq schedule).  The Montgomery ladder does
-   four squarings per scalar bit and [invert] does 254 in a row, so this
-   is worth the duplication.  Grouped as in [mul_body]. *)
+(* Dedicated squaring: the same split, with each 5x5 square taking 15
+   half-limb products, the middle F_e F_o + F_o F_e as
+   (F_e + F_o)^2 - F_e^2 - F_o^2, and 45 products in all.  The
+   Montgomery ladder does four squarings per scalar bit and [invert]
+   does 254 in a row, so this is worth the duplication.  The three
+   squares S_e, S_o and S_s are grouped by coefficient as in
+   [mul_body]; for inputs a_0..a_4 = (f0, f2, .., f8), (f1, f3, .., f9)
+   and (s0, .., s4), each coefficient is its square terms plus twice
+   its cross terms, doubled once per sum rather than per operand, which
+   keeps fewer multiples live:
+
+     S[0] = a0 a0 + 2 (a1 19a4 + a2 19a3)   S[3] = a4 19a4 + 2 (a0 a3 + a1 a2)
+     S[1] = a3 19a3 + 2 (a0 a1 + a2 19a4)   S[4] = a2 a2 + 2 (a0 a4 + a1 a3)
+     S[2] = a1 a1 + 2 (a0 a2 + a3 19a4) *)
 let[@inline] square_body (o : t) (a : t) =
   let open Word in
   let a4 = of_int a.(4) in
@@ -410,65 +448,67 @@ let[@inline] square_body (o : t) (a : t) =
   let f4 = a2 land mask26 and f5 = a2 asr 26 in
   let f6 = a3 land mask26 and f7 = a3 asr 26 in
   let f8 = a4 land mask26 and f9 = a4 asr 26 in
-  let f0_2 = 2n * f0 and f1_2 = 2n * f1 and f2_2 = 2n * f2 and f3_2 = 2n * f3 in
-  let f4_2 = 2n * f4 and f5_2 = 2n * f5 and f6_2 = 2n * f6 and f7_2 = 2n * f7 in
-  let f5_38 = 38n * f5 and f6_19 = 19n * f6 and f7_38 = 38n * f7 in
-  let f8_19 = 19n * f8 and f9_38 = 38n * f9 in
-  let h0 = f0 * f0 in
-  let h1 = f0_2 * f1 in
-  let h2 = f0_2 * f2 in
-  let h0 = h0 + (f1_2 * f9_38) in
-  let h2 = h2 + (f1_2 * f1) in
-  let h0 = h0 + (f2_2 * f8_19) in
-  let h1 = h1 + (f2 * f9_38) in
-  let h0 = h0 + (f3_2 * f7_38) in
-  let h1 = h1 + (f3_2 * f8_19) in
-  let h2 = h2 + (f3_2 * f9_38) in
-  let h0 = h0 + (f4_2 * f6_19) in
-  let h1 = h1 + (f4 * f7_38) in
-  let h2 = h2 + (f4_2 * f8_19) in
-  let h0 = h0 + (f5 * f5_38) in
-  let h1 = h1 + (f5_2 * f6_19) in
-  let h2 = h2 + (f5_2 * f7_38) in
-  let h2 = h2 + (f6 * f6_19) in
-  let h3 = f0_2 * f3 in
-  let h4 = f0_2 * f4 in
-  let h5 = f0_2 * f5 in
-  let h3 = h3 + (f1_2 * f2) in
-  let h4 = h4 + (f1_2 * f3_2) in
-  let h5 = h5 + (f1_2 * f4) in
-  let h4 = h4 + (f2 * f2) in
-  let h5 = h5 + (f2_2 * f3) in
-  let h3 = h3 + (f4 * f9_38) in
-  let h3 = h3 + (f5_2 * f8_19) in
-  let h4 = h4 + (f5_2 * f9_38) in
-  let h3 = h3 + (f6 * f7_38) in
-  let h4 = h4 + (f6_2 * f8_19) in
-  let h5 = h5 + (f6 * f9_38) in
-  let h4 = h4 + (f7 * f7_38) in
-  let h5 = h5 + (f7_2 * f8_19) in
-  let h6 = f0_2 * f6 in
-  let h7 = f0_2 * f7 in
-  let h8 = f0_2 * f8 in
-  let h6 = h6 + (f1_2 * f5_2) in
-  let h7 = h7 + (f1_2 * f6) in
-  let h8 = h8 + (f1_2 * f7_2) in
-  let h6 = h6 + (f2_2 * f4) in
-  let h7 = h7 + (f2_2 * f5) in
-  let h8 = h8 + (f2_2 * f6) in
-  let h6 = h6 + (f3_2 * f3) in
-  let h7 = h7 + (f3_2 * f4) in
-  let h8 = h8 + (f3_2 * f5_2) in
-  let h8 = h8 + (f4 * f4) in
-  let h6 = h6 + (f7_2 * f9_38) in
-  let h6 = h6 + (f8 * f8_19) in
-  let h7 = h7 + (f8 * f9_38) in
-  let h8 = h8 + (f9 * f9_38) in
-  let h9 = f0_2 * f9 in
-  let h9 = h9 + (f1_2 * f8) in
-  let h9 = h9 + (f2_2 * f7) in
-  let h9 = h9 + (f3_2 * f6) in
-  let h9 = h9 + (f4_2 * f5) in
+  let s0 = f0 + f1 and s1 = f2 + f3 and s2 = f4 + f5 in
+  let s3 = f6 + f7 and s4 = f8 + f9 in
+  let f6_19 = 19n * f6 and f7_19 = 19n * f7 in
+  let f8_19 = 19n * f8 and f9_19 = 19n * f9 in
+  let s3_19 = f6_19 + f7_19 and s4_19 = f8_19 + f9_19 in
+  (* k = 4 *)
+  let p1 = f0 * f8 in
+  let p2 = f1 * f9 in
+  let p3 = s0 * s4 in
+  let p1 = p1 + (f2 * f6) in
+  let p2 = p2 + (f3 * f7) in
+  let p3 = p3 + (s1 * s3) in
+  let p1 = (2n * p1) + (f4 * f4) in
+  let p2 = (2n * p2) + (f5 * f5) in
+  let p3 = (2n * p3) + (s2 * s2) in
+  let h9 = p3 - p1 - p2 and p1_4 = p1 and p2_4 = p2 in
+  (* k = 0 *)
+  let p1 = f2 * f8_19 in
+  let p2 = f3 * f9_19 in
+  let p3 = s1 * s4_19 in
+  let p1 = p1 + (f4 * f6_19) in
+  let p2 = p2 + (f5 * f7_19) in
+  let p3 = p3 + (s2 * s3_19) in
+  let p1 = (2n * p1) + (f0 * f0) in
+  let p2 = (2n * p2) + (f1 * f1) in
+  let p3 = (2n * p3) + (s0 * s0) in
+  let h0 = p1 + (38n * p2_4) and h1 = p3 - p1 - p2 and p2_prev = p2 in
+  (* k = 1 *)
+  let p1 = f0 * f2 in
+  let p2 = f1 * f3 in
+  let p3 = s0 * s1 in
+  let p1 = p1 + (f4 * f8_19) in
+  let p2 = p2 + (f5 * f9_19) in
+  let p3 = p3 + (s2 * s4_19) in
+  let p1 = (2n * p1) + (f6 * f6_19) in
+  let p2 = (2n * p2) + (f7 * f7_19) in
+  let p3 = (2n * p3) + (s3 * s3_19) in
+  let h2 = p1 + (2n * p2_prev) and h3 = p3 - p1 - p2 and p2_prev = p2 in
+  (* k = 2 *)
+  let p1 = f0 * f4 in
+  let p2 = f1 * f5 in
+  let p3 = s0 * s2 in
+  let p1 = p1 + (f6 * f8_19) in
+  let p2 = p2 + (f7 * f9_19) in
+  let p3 = p3 + (s3 * s4_19) in
+  let p1 = (2n * p1) + (f2 * f2) in
+  let p2 = (2n * p2) + (f3 * f3) in
+  let p3 = (2n * p3) + (s1 * s1) in
+  let h4 = p1 + (2n * p2_prev) and h5 = p3 - p1 - p2 and p2_prev = p2 in
+  (* k = 3 *)
+  let p1 = f0 * f6 in
+  let p2 = f1 * f7 in
+  let p3 = s0 * s3 in
+  let p1 = p1 + (f2 * f4) in
+  let p2 = p2 + (f3 * f5) in
+  let p3 = p3 + (s1 * s2) in
+  let p1 = (2n * p1) + (f8 * f8_19) in
+  let p2 = (2n * p2) + (f9 * f9_19) in
+  let p3 = (2n * p3) + (s4 * s4_19) in
+  let h6 = p1 + (2n * p2_prev) and h7 = p3 - p1 - p2 in
+  let h8 = p1_4 + (2n * p2) in
   reduce10 o h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
 
 let square o a = square_body o a
@@ -539,6 +579,104 @@ let ladder z (x : t) ~x2 ~z2 =
   cswap a b !prev;
   cswap c d !prev
 
+(* All ones iff a = b, for 0 <= a, b < 16: (0 - 1) lsr 62 = 1 and
+   (1..15 - 1) lsr 62 = 0. *)
+let[@inline] eq_mask a b = -(((a lxor b) - 1) lsr 62)
+
+(* Limb [off] of the one row entry whose mask is all ones (0 if none
+   is), reading all eight: entry j's limb sits 15 j ints further on. *)
+let[@inline] pick table off m1 m2 m3 m4 m5 m6 m7 m8 =
+  (m1 land Array.unsafe_get table off)
+  lor (m2 land Array.unsafe_get table (off + 15))
+  lor (m3 land Array.unsafe_get table (off + 30))
+  lor (m4 land Array.unsafe_get table (off + 45))
+  lor (m5 land Array.unsafe_get table (off + 60))
+  lor (m6 land Array.unsafe_get table (off + 75))
+  lor (m7 land Array.unsafe_get table (off + 90))
+  lor (m8 land Array.unsafe_get table (off + 105))
+
+let comb_rows = 64
+
+(* Edwards25519's fixed-base comb (see fe25519.mli), here beside the
+   ladder for the same reason: every kernel it runs is inlined into its
+   loop, which makes no call.  One pass over the 64 rows, low to high,
+   each a signed digit's constant-time row select and one mixed
+   addition (ref10's ge_madd) of the selected entry; no doubling.
+
+   The digits are recoded as the loop reaches them: digit i is nibble
+   i plus the carry from below, less 16 times the carry it passes on,
+   (d + 8) / 16, so -8 <= b <= 7, and the top digit keeps its carry
+   (b <= 7 + 1).  Arithmetic only.  The select reads all eight entries
+   of the row and picks the match by masks computed once per digit;
+   negation, -(x, y) = (-x, y), swaps y+x and y-x and takes 2p - 2dxy
+   limb-wise (what [sub] from zero gives), under the sign mask.  One
+   checked read of the table's last int bounds every unchecked read.
+   The point's [sub]s subtract only mul outputs, which are carried. *)
+let comb (table : int array) k ~x ~y ~z ~t =
+  (* Bit 255 is clear for every caller (clamped scalars, scalars reduced
+     mod L), so this check branches on no bit a valid scalar can vary. *)
+  if Bytes.length k <> 32 || Char.code (Bytes.get k 31) > 127 then
+    invalid_arg "Edwards25519.comb: scalar must be < 2^255";
+  ignore (Sys.opaque_identity table.((120 * comb_rows) - 1));
+  let a = create ()
+  and b = create ()
+  and c = create ()
+  and e = create ()
+  and f = create ()
+  and g = create ()
+  and h = create ()
+  and yp = create ()
+  and ym = create ()
+  and xy2d = create () in
+  Array.fill x 0 5 0;
+  Array.fill y 0 5 0;
+  Array.fill z 0 5 0;
+  Array.fill t 0 5 0;
+  y.(0) <- 1;
+  z.(0) <- 1;
+  let carry = ref 0 in
+  for i = 0 to comb_rows - 1 do
+    let d =
+      ((Char.code (Bytes.unsafe_get k (i lsr 1)) lsr ((i land 1) lsl 2))
+      land 15)
+      + !carry
+    in
+    carry := if i < comb_rows - 1 then (d + 8) asr 4 else 0;
+    let digit = d - (!carry lsl 4) in
+    (* (yp, ym, xy2d) <- digit 16^i P, the identity (1, 1, 0) for 0. *)
+    let neg = -(digit lsr 62) (* all ones iff digit < 0 *) in
+    let babs = digit - ((neg land digit) lsl 1) in
+    let m0 = eq_mask babs 0 and m1 = eq_mask babs 1 and m2 = eq_mask babs 2 in
+    let m3 = eq_mask babs 3 and m4 = eq_mask babs 4 and m5 = eq_mask babs 5 in
+    let m6 = eq_mask babs 6 and m7 = eq_mask babs 7 and m8 = eq_mask babs 8 in
+    for l = 0 to 4 do
+      let off = (120 * i) + l in
+      let id = m0 land Bool.to_int (l = 0) (* limb l of the identity's 1 *) in
+      let p = pick table off m1 m2 m3 m4 m5 m6 m7 m8 lor id in
+      let m = pick table (off + 5) m1 m2 m3 m4 m5 m6 m7 m8 lor id in
+      let xy = pick table (off + 10) m1 m2 m3 m4 m5 m6 m7 m8 in
+      let swap = neg land (p lxor m) in
+      let two_p = if l = 0 then two_p0 else two_pi in
+      Array.unsafe_set yp l (p lxor swap);
+      Array.unsafe_set ym l (m lxor swap);
+      Array.unsafe_set xy2d l (xy lxor (neg land (xy lxor (two_p - xy))))
+    done;
+    add a y x;
+    mul_body a a yp (* A = (Y+X)(y+x) *);
+    sub b y x;
+    mul_body b b ym (* B = (Y-X)(y-x) *);
+    mul_body c xy2d t (* C = 2dxy T *);
+    sub e a b (* E = A - B *);
+    add h a b (* H = A + B *);
+    add g z z (* D = 2Z *);
+    sub f g c (* F = D - C *);
+    add g g c (* G = D + C *);
+    mul_body x e f;
+    mul_body y g h;
+    mul_body z f g;
+    mul_body t e h
+  done
+
 (* [o <- a^(2^n)], n >= 1. *)
 let square_n (o : t) (a : t) n =
   square o a;
@@ -583,28 +721,30 @@ let invert (o : t) (a : t) =
 (* Montgomery's trick: one [invert] of the product of all elements, then
    three multiplications per element (the running product, and two on
    the way back).  A zero would zero the product, so it is detected on
-   its canonical encoding (any limb representation of 0 or p), swapped
-   for 1 under a mask before the product, and its result masked back to
-   0 afterwards: one zero, say a hostile key's, spoils no other element.
-   No branch depends on a value. *)
+   its canonical limbs (any limb representation of 0 or p reduces to
+   0), swapped for 1 under a mask before the product, and its result
+   masked back to 0 afterwards: one zero, say a hostile key's, spoils
+   no other element.  No branch depends on a value. *)
 let batch_invert (a : t array) =
   let n = Array.length a in
   if n = 1 then invert a.(0) a.(0)
   else if n > 1 then begin
     let is_zero = Array.make n 0 and t = create () in
     for i = 0 to n - 1 do
-      let enc = pack a.(i) and bits = ref 0 in
-      for j = 0 to 31 do
-        bits := !bits lor Bytes_util.get_u8 enc j
-      done;
-      (* (0 - 1) lsr 62 = 1; (1..255 - 1) lsr 62 = 0. *)
-      let z = (!bits - 1) lsr 62 in
+      let c = canonical a.(i) in
+      let bits = c.(0) lor c.(1) lor c.(2) lor c.(3) lor c.(4) in
+      (* bits < 2^51: (0 - 1) lsr 62 = 1, and (bits - 1) lsr 62 = 0
+         for any other. *)
+      let z = (bits - 1) lsr 62 in
       is_zero.(i) <- z;
       blit ~src:fe_one ~dst:t;
       cswap a.(i) t z
     done;
-    (* prefix.(i) = a_0 ... a_i *)
-    let prefix = Array.make n a.(0) in
+    (* prefix.(i) = a_0 ... a_i.  Made from [||], not from a.(0): an
+       array of more than 256 elements made from a young value forces a
+       minor collection (caml_make_vect). *)
+    let prefix = Array.make n [||] in
+    prefix.(0) <- a.(0);
     for i = 1 to n - 1 do
       let p = create () in
       mul p prefix.(i - 1) a.(i);

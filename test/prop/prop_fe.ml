@@ -107,6 +107,44 @@ let check_at_bound (x, y) =
         (oracle2 Fe25519_ref.mul y (Fe25519.of_limbs [| c; 0; 0; 0; 0 |])))
     [ 121665; (1 lsl 17) - 1 ]
 
+(* An operand for the limb-exact check: [gen_operand]'s mix of lazy,
+   carried and at-the-bound values, or limbs drawn uniformly below the
+   input bound. *)
+let gen_limb_operand rng =
+  if Drbg.uniform ~rng 4 = 0 then
+    Array.init 5 (fun _ -> Drbg.uniform ~rng sub_bound)
+  else gen_operand rng
+
+(* [mul] and [square] against the schoolbook kernels they replaced
+   (Fe25519_schoolbook): the Karatsuba schedule sums the same ten
+   accumulators, so it must write the same five limbs, not just the same
+   field value, with its output aliasing either operand or both. *)
+let check_limbs (x, y) =
+  let what op = Printf.sprintf "%s(%s; %s)" op (limbs_hex x) (limbs_hex y) in
+  let same op expect got =
+    Prop.require (expect = got) "%s: limbs %s, schoolbook %s" (what op)
+      (limbs_hex got) (limbs_hex expect)
+  in
+  let fresh kernel =
+    let o = Fe25519.create () in
+    kernel o;
+    o
+  in
+  let in_place v kernel =
+    let o = Fe25519.copy v in
+    kernel o;
+    o
+  in
+  let xy = fresh (fun o -> Fe25519_schoolbook.mul o x y) in
+  let xx = fresh (fun o -> Fe25519_schoolbook.mul o x x) in
+  let sq = fresh (fun o -> Fe25519_schoolbook.square o x) in
+  same "mul" xy (fresh (fun o -> Fe25519.mul o x y));
+  same "square" sq (fresh (fun o -> Fe25519.square o x));
+  same "mul o=a" xy (in_place x (fun o -> Fe25519.mul o o y));
+  same "mul o=b" xy (in_place y (fun o -> Fe25519.mul o x o));
+  same "mul o=a=b" xx (in_place x (fun o -> Fe25519.mul o o o));
+  same "square o=a" sq (in_place x (fun o -> Fe25519.square o o))
+
 (* A batch of 1-40 elements for [batch_invert]: random values, lazy
    operands up to the input bound, and encodings of zero (0, and p and
    2p limb-wise), so that zeros sit anywhere, alone or in runs. *)
@@ -176,6 +214,23 @@ let run () =
           (sub_bound, carried_max);
           (g_bound, carried_max) ];
       check_at_bound (carried_max, Array.make 5 sub_bound));
+  Prop.check ~name:"fe mul/square = schoolbook, limb for limb"
+    (Prop.gen_pair gen_limb_operand gen_limb_operand)
+    check_limbs;
+  Prop.vector ~name:"fe mul/square = schoolbook at the limb maxima"
+    (fun () ->
+      let edges =
+        [ 0; 1; (1 lsl 51) - 1; carried_bound - 1; g_bound; sub_bound ]
+      in
+      let alternating l r = [| l; r; l; r; l |] in
+      List.iter
+        (fun l ->
+          List.iter
+            (fun r ->
+              check_limbs (Array.make 5 l, Array.make 5 r);
+              check_limbs (alternating l r, alternating r l))
+            edges)
+        edges);
   Prop.check ~name:"fe invert" Prop.gen_fe_bytes
     (differential1 ~what:"invert" Fe25519.invert Fe25519_ref.invert);
   (* The addition chain on fixed edges: 0, 1, p - 1, the non-canonical

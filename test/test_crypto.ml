@@ -554,8 +554,9 @@ let words_per_call n f =
   (Gc.minor_words () -. w0) /. float_of_int n
 
 (* The field kernels allocate nothing, and a scalar multiplication only
-   its scratch (24 words in [Fe25519.ladder] itself, at most 108 for a
-   whole ladder operation and 245 for a comb).
+   its scratch: 24 words in [Fe25519.ladder] itself and 60 in
+   [Fe25519.comb] (ten field elements), at most 108 for a whole ladder
+   operation and 160 for a comb.
    A word boxed in an untagged kernel — [reduce10] called out of line,
    or a local that escapes — shows here before it shows in round times. *)
 let test_x25519_allocation () =
@@ -581,6 +582,52 @@ let test_x25519_allocation () =
   let x2 = Fe25519.create () and z2 = Fe25519.create () in
   Alcotest.(check (float 0.)) "ladder minor words per call" 24.
     (words_per_call 20 (fun () -> Fe25519.ladder z x ~x2 ~z2));
+  (* The comb loop alone, likewise: ten field elements. *)
+  let base = Edwards25519.(table_of_point (base_point ())) in
+  let keyed =
+    Edwards25519.table_of_point
+      (Option.get (Edwards25519.of_montgomery_u pk))
+  in
+  let cx = Fe25519.create () and cy = Fe25519.create () in
+  let cz = Fe25519.create () and ct = Fe25519.create () in
+  Alcotest.(check (float 0.)) "comb loop minor words per call" 60.
+    (words_per_call 20 (fun () ->
+         Fe25519.comb (base :> int array) z ~x:cx ~y:cy ~z:cz ~t:ct));
+  (* Each allocates the same for every scalar: a fixed and a random one,
+     and the comb's extreme signed radix-16 digits.  Below the top digit
+     they lie in -8..7, so +8 occurs only on top: every digit 0 (k = 0),
+     every digit +7 (0x77..77), and every digit -8 but a top +8
+     (nibbles 8, 7, .., 7). *)
+  let random = Drbg.generate rng 32 in
+  Bytes_util.set_u8 random 31 (Bytes_util.get_u8 random 31 land 0x7f);
+  let sevens = Bytes.make 32 '\x77' in
+  let minus_eights = Bytes.make 32 '\x77' in
+  Bytes_util.set_u8 minus_eights 0 0x78;
+  let scalars =
+    [
+      ("a fixed scalar", z);
+      ("a random scalar", random);
+      ("digits all 0", Bytes.make 32 '\000');
+      ("digits all +7", sevens);
+      ("digits all -8, top +8", minus_eights);
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      let words =
+        List.map (fun (_, k) -> words_per_call 20 (fun () -> run k)) scalars
+      in
+      List.iter2
+        (fun (what, _) w ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s minor words for %s" name what)
+            (List.hd words) w)
+        scalars words)
+    [
+      ("ladder", fun k -> Fe25519.ladder k x ~x2 ~z2);
+      ("base comb", fun k -> ignore (Edwards25519.scalarmult_base k));
+      ("keyed comb", fun k -> ignore (Edwards25519.comb keyed k));
+    ];
   List.iter
     (fun (name, most, f) ->
       let w = words_per_call 20 f in
@@ -592,10 +639,10 @@ let test_x25519_allocation () =
         108.,
         fun () -> ignore (Curve25519.scalarmult ~scalar:sk ~point:pk) );
       ( "scalarmult_base",
-        245.,
+        160.,
         fun () -> ignore (Curve25519.scalarmult_base sk) );
       ( "shared_static",
-        245.,
+        160.,
         fun () -> ignore (Curve25519.shared_static ~secret:sk ~public:pk) );
     ]
 

@@ -210,10 +210,10 @@ let posteriors () =
     cases
 
 (* ------------------------------------------------------------------ *)
-(* Crypto: 51-bit field rewrite vs the retained seed implementation    *)
+(* Crypto: the field rewrite vs the retained seed implementation       *)
 (* ------------------------------------------------------------------ *)
 
-(* Throughput of the rewritten X25519 (5×51-bit limbs; the fixed base and
+(* Throughput of the rewritten X25519 (ten radix-2^25.5 words; the fixed base and
    memoised server keys via the Edwards comb, with the cost of one
    server-key table) against the retained seed ladder (Curve25519_ref,
    16×16-bit limbs), one onion peel split into its ladder, HKDF and AEAD
@@ -227,7 +227,7 @@ let posteriors () =
    section rescales the cost model to. *)
 let crypto_bench () =
   section
-    "CRYPTO - 51-bit field, untagged symmetric kernels vs seed (writes \
+    "CRYPTO - radix-2^25.5 field, untagged symmetric kernels vs seed (writes \
      BENCH_crypto.json)";
   let module T = Vuvuzela_telemetry in
   let rng = Drbg.of_string "bench-crypto" in
@@ -369,8 +369,8 @@ let crypto_bench () =
   let noise_part_us = peel.(7) /. float_of_int noise_chunk in
   (* The field kernels' throughput: a sample runs a kernel over 128
      independent operand pairs into 128 outputs, and the two kernels
-     are timed in alternation, so a square (45 half-limb products) and
-     a mul (75) compare within one load phase.  Each call goes
+     are timed in alternation, so a square (45 word products) and a
+     mul (75) compare within one load phase.  Each call goes
      through caml_apply from this module. *)
   let fe_batch = 128 in
   let fe_operands () =
@@ -395,7 +395,7 @@ let crypto_bench () =
   in
   let fe_mul_ns = fe_ns.(0) and fe_square_ns = fe_ns.(1) in
   let speedup = x_new /. x_ref in
-  Printf.printf "  x25519 (51-bit limbs)   %10.0f ops/s\n" x_new;
+  Printf.printf "  x25519 (ladder)         %10.0f ops/s\n" x_new;
   Printf.printf "  x25519 (seed, 16-bit)   %10.0f ops/s\n" x_ref;
   Printf.printf "  x25519 fixed-base       %10.0f ops/s\n" x_base;
   Printf.printf "  x25519 keyed (memoised) %10.0f ops/s  (%.2fx ladder)\n"

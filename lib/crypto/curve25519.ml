@@ -11,8 +11,9 @@
    This is the paper's dominant cost: every onion layer wrap/unwrap is one
    scalar multiplication (§8.2, "each 36-core machine can perform about
    340,000 Curve25519 Diffie-Hellman operations per second").  The field
-   is the 51-bit-limb Fe25519; the seed ladder is retained verbatim in
-   test/oracles/curve25519_ref as the differential-testing oracle.
+   is Fe25519, ten untagged radix-2^25.5 words per element; the seed
+   ladder is retained verbatim in test/oracles/curve25519_ref as the
+   differential-testing oracle.
 
    Two kinds of point are fixed, and both work on the birationally
    equivalent Edwards curve by the comb (448 field multiplications and
@@ -82,7 +83,7 @@ let check_lengths ~scalar ~point =
    toward its suffix, which is a subset of them), so 8 entries (61 KB
    each, ~490 KB) never evict in steady state.  Past the cap the oldest
    entry goes, and a thrashing caller pays one table build per miss
-   (BENCH_crypto.json's keyed_table_ms, 0.40 ms on a 2-vCPU Xeon VM,
+   (BENCH_crypto.json's keyed_table_ms, 0.52 ms on a 2-vCPU Xeon VM,
    about six ladders): a chain
    longer than 8 servers would pay it on every layer.
 
@@ -156,8 +157,8 @@ let fraction op ~num ~den =
    denominators (Montgomery's trick; a zero denominator, from a
    low-order key, stays zero and spoils no other), then u = num / den. *)
 let batch ops =
-  let nums = Array.map (fun _ -> Fe25519.create ()) ops in
-  let dens = Array.map (fun _ -> Fe25519.create ()) ops in
+  let n = Array.length ops in
+  let nums = Fe25519.create_array n and dens = Fe25519.create_array n in
   Array.iteri (fun i op -> fraction op ~num:nums.(i) ~den:dens.(i)) ops;
   Fe25519.batch_invert dens;
   Array.mapi

@@ -1,5 +1,5 @@
 (** X25519 Diffie-Hellman scalar multiplication (RFC 7748), pure OCaml
-    over the 51-bit-limb {!Fe25519} (the seed's 16-bit-limb ladder lives
+    over {!Fe25519}'s radix-2^25.5 words (the seed's 16-bit-limb ladder lives
     on in [Curve25519_ref], test/oracles, as the differential-testing
     oracle).
 
@@ -53,7 +53,7 @@ val shared_static : secret:bytes -> public:bytes -> bytes
 
 val static_keys_cap : int
 (** 8: the most keys {!shared_static} keeps tables for (61 KB each, each
-    built in BENCH_crypto.json's [keyed_table_ms], 0.40 ms on a 2-vCPU
+    built in BENCH_crypto.json's [keyed_table_ms], 0.52 ms on a 2-vCPU
     Xeon VM: about six ladders). *)
 
 (** One X25519 operation of a {!batch}, by the kind {!op_counts} counts

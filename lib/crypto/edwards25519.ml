@@ -21,7 +21,7 @@
    The loop itself is Fe25519.comb, beside the field kernels it inlines
    (DESIGN.md §2b); this module builds the tables and wraps the loop's
    output in a point.  Building a table costs about six ladders
-   (BENCH_crypto.json's keyed_table_ms, 0.40 ms on a 2-vCPU Xeon VM),
+   (BENCH_crypto.json's keyed_table_ms, 0.52 ms on a 2-vCPU Xeon VM),
    so it pays for a point
    that is multiplied many times: the base point B, and (Curve25519) a
    server's long-lived public key.
@@ -36,16 +36,18 @@
 
    Carry discipline: the contract in fe25519.mli.  [sub]'s second
    argument is always carried (a mul/square output, a table entry, or an
-   explicitly [carry]ed sum), and every multiplication's operands stay
-   inside Fe25519's input bound (limbs < 2^53.1).  Most are at most one
-   lazy add/sub away from carried values; the exception is G = D + C in
-   [add] (and Fe25519.comb's mixed addition), two stacked adds with
-   D = 2Z lazy, whose limbs stay below 3 (2^51 + 2^36) < 2^52.6. *)
+   explicitly [carry]ed value), and every multiplication's operands stay
+   inside Fe25519's input bound (even words < 2^28, odd words
+   < 2^27 + 2^13).  Most are at most one lazy add/sub away from carried
+   values; the exceptions are G = D + C and F = D - C in [add] (and
+   Fe25519.comb's mixed addition) and F = C - G in [double], with
+   D = 2Z and C = 2Z^2 lazy: G's even words stay below 3 * 2^26, and
+   F's, a sub whose minuend is a lazy add, below 2^28. *)
 
 type point = { x : Fe25519.t; y : Fe25519.t; z : Fe25519.t; t : Fe25519.t }
 
 (* Curve constants as canonical little-endian encodings, independent of
-   Fe25519's limb representation: d = -121665/121666, 2d, I = sqrt(-1),
+   Fe25519's representation: d = -121665/121666, 2d, I = sqrt(-1),
    and the base point B = (x, 4/5).  test/prop re-derives them
    algebraically. *)
 let fe_of_hex h = Fe25519.unpack (Bytes_util.of_hex h)
@@ -149,7 +151,8 @@ let double s o p =
 
 (* P's comb table, in the layout Fe25519.comb reads: entry j of row i,
    (j+1) 16^i P as carried (y+x, y-x, 2dxy), is 15 ints at
-   15 (8 i + j).  Each row takes seven additions of its base to a
+   15 (8 i + j), each coordinate as five radix-2^51 limbs
+   (Fe25519.to_limbs).  Each row takes seven additions of its base to a
    running point, and the next row's base is 16^(i+1) P = 2 (8 16^i P),
    one doubling of the row's last entry.  Until one batched inversion
    of the 512 Z coordinates (Fe25519.batch_invert) makes them affine,
@@ -160,7 +163,7 @@ let table_of_point p : table =
   let open Fe25519 in
   let n = 64 * 8 in
   let s = scratch () and tbl = Array.make (15 * n) 0 in
-  let zi = Array.make n [||] (* not from a young value: see batch_invert *) in
+  let zi = create_array n in
   let row_base = copy_point p and q = identity () in
   for row = 0 to 63 do
     for j = 0 to 7 do
@@ -172,9 +175,10 @@ let table_of_point p : table =
         blit ~src:row_base.t ~dst:q.t
       end
       else add_with s q row_base;
-      Array.blit q.x 0 tbl (15 * i) 5;
-      Array.blit q.y 0 tbl ((15 * i) + 5) 5;
-      zi.(i) <- copy q.z
+      (* X and Y are mul outputs (or P's own, carried), so carried. *)
+      to_limbs tbl (15 * i) q.x;
+      to_limbs tbl ((15 * i) + 5) q.y;
+      blit ~src:q.z ~dst:zi.(i)
     done;
     double s row_base q
   done;
@@ -182,12 +186,12 @@ let table_of_point p : table =
   let x = create () and y = create () and v = create () in
   let store off =
     carry v;
-    Array.blit v 0 tbl off 5
+    to_limbs tbl off v
   in
   for i = 0 to n - 1 do
     let off = 15 * i in
-    Array.blit tbl off x 0 5;
-    Array.blit tbl (off + 5) y 0 5;
+    of_limbs x tbl off;
+    of_limbs y tbl (off + 5);
     mul x x zi.(i);
     mul y y zi.(i);
     add v y x;

@@ -3,7 +3,7 @@
    16 bits in native ints (every intermediate stays far below OCaml's
    63-bit limit).
 
-   The production field is {!Fe25519} (5×51-bit limbs); `test/prop/`
+   The production field is {!Fe25519} (ten radix-2^25.5 words); `test/prop/`
    checks every Fe25519 operation against this module over thousands of
    seeded cases, and `bench/main.exe` §Crypto measures the speedup of the
    replacement against this baseline.  Do not optimise this module — its

@@ -1,6 +1,6 @@
 (** The seed field arithmetic modulo [2^255 - 19] (16×16-bit limbs,
     TweetNaCl schedule), retained as the differential-testing oracle for
-    the fast 51-bit {!Fe25519} that replaced it on the hot path.  Used
+    the fast {!Fe25519} that replaced it on the hot path.  Used
     only by [test/prop/] and the crypto benchmark.
 
     Operations write their result into the first argument; aliasing

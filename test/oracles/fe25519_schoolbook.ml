@@ -1,16 +1,14 @@
-(* The radix-2^25.5 schoolbook multiplication and squaring that
-   Fe25519's Karatsuba kernels replaced, verbatim but for their names:
-   100 and 55 half-limb products summed straight into the ten
-   accumulators (ref10's fe10 schedule).  The Karatsuba kernels compute
-   the same ten accumulators by another route, so their output limbs
-   must equal these limb for limb, not just as field values; test/prop's
-   prop_fe checks that.  Test code only. *)
+(* ref10's radix-2^25.5 schoolbook multiplication and squaring (fe_mul,
+   fe_sq) on Fe25519's ten words: 100 and 55 word products summed
+   straight into the ten accumulators, then the carry chain Fe25519
+   runs.  Fe25519's Karatsuba kernels compute the same ten accumulators
+   by another route, so their output words must equal these word for
+   word, not just as field values; test/prop's prop_fe checks that.
+   Test code only. *)
 
-let mask26 = 0x3ffffffn
-
-(* Carry the ten radix-2^25.5 accumulators and recombine them into five
-   51-bit limbs of [o], limb 4 first. *)
-let[@inline] reduce10 (o : Fe25519.t) h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 =
+(* Carry the ten accumulators, h0 to h9, the carry out of h9 times 19
+   back into h0, and once more from h0 into h1: the ten output words. *)
+let[@inline] reduce10 h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 =
   let open Word in
   let c = h0 asr 26 in
   let h0 = h0 - (c lsl 26) and h1 = h1 + c in
@@ -34,39 +32,21 @@ let[@inline] reduce10 (o : Fe25519.t) h0 h1 h2 h3 h4 h5 h6 h7 h8 h9 =
   let h9 = h9 - (c lsl 25) and h0 = h0 + (19n * c) in
   let c = h0 asr 26 in
   let h0 = h0 - (c lsl 26) and h1 = h1 + c in
-  o.(4) <- to_int (h8 lor (h9 lsl 26));
-  Array.unsafe_set o 0 (to_int (h0 lor (h1 lsl 26)));
-  Array.unsafe_set o 1 (to_int (h2 lor (h3 lsl 26)));
-  Array.unsafe_set o 2 (to_int (h4 lor (h5 lsl 26)));
-  Array.unsafe_set o 3 (to_int (h6 lor (h7 lsl 26)))
+  Array.map to_int [| h0; h1; h2; h3; h4; h5; h6; h7; h8; h9 |]
 
 (* Each line adds f_i g_j to h_((i+j) mod 10), as f_i_2 when i and j
-   are both odd and as g_j_19 when i + j >= 10, three output half-limbs
+   are both odd and as g_j_19 when i + j >= 10, three output words
    at a time. *)
-let mul (o : Fe25519.t) (a : Fe25519.t) (b : Fe25519.t) =
+let mul (a : int array) (b : int array) =
   let open Word in
-  let a4 = of_int a.(4) and b4 = of_int b.(4) in
-  let a0 = of_int (Array.unsafe_get a 0)
-  and a1 = of_int (Array.unsafe_get a 1)
-  and a2 = of_int (Array.unsafe_get a 2)
-  and a3 = of_int (Array.unsafe_get a 3)
-  and b0 = of_int (Array.unsafe_get b 0)
-  and b1 = of_int (Array.unsafe_get b 1)
-  and b2 = of_int (Array.unsafe_get b 2)
-  and b3 = of_int (Array.unsafe_get b 3) in
-  (* Split into half-limbs (arithmetic shift: a negative limb yields a
-     negative high half and a nonnegative low half, which the signed
-     accumulators absorb). *)
-  let f0 = a0 land mask26 and f1 = a0 asr 26 in
-  let f2 = a1 land mask26 and f3 = a1 asr 26 in
-  let f4 = a2 land mask26 and f5 = a2 asr 26 in
-  let f6 = a3 land mask26 and f7 = a3 asr 26 in
-  let f8 = a4 land mask26 and f9 = a4 asr 26 in
-  let g0 = b0 land mask26 and g1 = b0 asr 26 in
-  let g2 = b1 land mask26 and g3 = b1 asr 26 in
-  let g4 = b2 land mask26 and g5 = b2 asr 26 in
-  let g6 = b3 land mask26 and g7 = b3 asr 26 in
-  let g8 = b4 land mask26 and g9 = b4 asr 26 in
+  let f0 = of_int a.(0) and f1 = of_int a.(1) and f2 = of_int a.(2) in
+  let f3 = of_int a.(3) and f4 = of_int a.(4) and f5 = of_int a.(5) in
+  let f6 = of_int a.(6) and f7 = of_int a.(7) and f8 = of_int a.(8) in
+  let f9 = of_int a.(9) in
+  let g0 = of_int b.(0) and g1 = of_int b.(1) and g2 = of_int b.(2) in
+  let g3 = of_int b.(3) and g4 = of_int b.(4) and g5 = of_int b.(5) in
+  let g6 = of_int b.(6) and g7 = of_int b.(7) and g8 = of_int b.(8) in
+  let g9 = of_int b.(9) in
   let f1_2 = 2n * f1 and f3_2 = 2n * f3 and f5_2 = 2n * f5 and f7_2 = 2n * f7 in
   let f9_2 = 2n * f9 in
   let g1_19 = 19n * g1 and g2_19 = 19n * g2 and g3_19 = 19n * g3 in
@@ -172,22 +152,16 @@ let mul (o : Fe25519.t) (a : Fe25519.t) (b : Fe25519.t) =
   let h9 = h9 + (f7 * g2) in
   let h9 = h9 + (f8 * g1) in
   let h9 = h9 + (f9 * g0) in
-  reduce10 o h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
+  reduce10 h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
 
-(* The symmetric terms collapse 100 half-limb products to 55 (ref10's
+(* The symmetric terms collapse 100 word products to 55 (ref10's
    fe_sq schedule). *)
-let square (o : Fe25519.t) (a : Fe25519.t) =
+let square (a : int array) =
   let open Word in
-  let a4 = of_int a.(4) in
-  let a0 = of_int (Array.unsafe_get a 0)
-  and a1 = of_int (Array.unsafe_get a 1)
-  and a2 = of_int (Array.unsafe_get a 2)
-  and a3 = of_int (Array.unsafe_get a 3) in
-  let f0 = a0 land mask26 and f1 = a0 asr 26 in
-  let f2 = a1 land mask26 and f3 = a1 asr 26 in
-  let f4 = a2 land mask26 and f5 = a2 asr 26 in
-  let f6 = a3 land mask26 and f7 = a3 asr 26 in
-  let f8 = a4 land mask26 and f9 = a4 asr 26 in
+  let f0 = of_int a.(0) and f1 = of_int a.(1) and f2 = of_int a.(2) in
+  let f3 = of_int a.(3) and f4 = of_int a.(4) and f5 = of_int a.(5) in
+  let f6 = of_int a.(6) and f7 = of_int a.(7) and f8 = of_int a.(8) in
+  let f9 = of_int a.(9) in
   let f0_2 = 2n * f0 and f1_2 = 2n * f1 and f2_2 = 2n * f2 and f3_2 = 2n * f3 in
   let f4_2 = 2n * f4 and f5_2 = 2n * f5 and f6_2 = 2n * f6 and f7_2 = 2n * f7 in
   let f5_38 = 38n * f5 and f6_19 = 19n * f6 and f7_38 = 38n * f7 in
@@ -247,4 +221,4 @@ let square (o : Fe25519.t) (a : Fe25519.t) =
   let h9 = h9 + (f2_2 * f7) in
   let h9 = h9 + (f3_2 * f6) in
   let h9 = h9 + (f4_2 * f5) in
-  reduce10 o h0 h1 h2 h3 h4 h5 h6 h7 h8 h9
+  reduce10 h0 h1 h2 h3 h4 h5 h6 h7 h8 h9

@@ -47,26 +47,29 @@ let report_failure name ~case ~count ~seed msg =
 (* Run [prop] over [count] generated cases; stops a test at its first
    counterexample (later cases of the same test rarely add signal) but
    keeps running the remaining tests so one regression doesn't mask
-   another. *)
+   another.  A generator that raises is that case's failure too: under
+   a broken field a generator can raise as well as a property. *)
 let check ~name ?(count = 1000) (gen : 'a gen) (prop : 'a -> unit) =
   incr tests;
   let failed = ref false in
+  let fail_case i seed msg =
+    report_failure name ~case:i ~count ~seed msg;
+    failed := true;
+    raise Exit
+  in
   (try
      for i = 0 to count - 1 do
        let seed = case_seed ~name i in
        let rng = Drbg.of_string seed in
-       let x = gen rng in
+       let x =
+         try gen rng
+         with e ->
+           fail_case i seed ("generator raised: " ^ Printexc.to_string e)
+       in
        incr cases;
        try prop x with
-       | Counterexample msg ->
-           report_failure name ~case:i ~count ~seed msg;
-           failed := true;
-           raise Exit
-       | e ->
-           report_failure name ~case:i ~count ~seed
-             ("unexpected exception: " ^ Printexc.to_string e);
-           failed := true;
-           raise Exit
+       | Counterexample msg -> fail_case i seed msg
+       | e -> fail_case i seed ("unexpected exception: " ^ Printexc.to_string e)
      done
    with Exit -> ());
   if not !failed then Printf.printf "  ok   %-46s %5d cases\n%!" name count
@@ -100,3 +103,5 @@ let exit_summary () =
     (if !failures = 1 then "" else "s")
     master_seed;
   if !failures > 0 then exit 1
+
+let failures () = !failures

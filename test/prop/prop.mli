@@ -26,7 +26,9 @@ val suite : string -> unit
 
 val check : name:string -> ?count:int -> 'a gen -> ('a -> unit) -> unit
 (** Run the property over [count] (default 1000) generated cases.  Each
-    case [i] regenerates from [Drbg.of_string (case_seed ~name i)]. *)
+    case [i] regenerates from [Drbg.of_string (case_seed ~name i)].  A
+    case whose generator or property raises fails the test, reported
+    with its seed, and the runner goes on to the next test. *)
 
 val vector : name:string -> (unit -> unit) -> unit
 (** A single deterministic case (RFC vectors, fixed edge inputs). *)
@@ -36,6 +38,9 @@ val gen_fe_bytes : bytes gen
 (** 32 random bytes — a (possibly non-canonical) field-element encoding. *)
 
 val gen_pair : 'a gen -> 'b gen -> ('a * 'b) gen
+
+val failures : unit -> int
+(** Failed tests so far. *)
 
 val exit_summary : unit -> unit
 (** Print totals; exit nonzero if any test failed. *)

@@ -1,4 +1,4 @@
-(* Ed25519 over the 51-bit field: RFC 8032 §7.1 vectors, algebraic
+(* Ed25519 over the radix-2^25.5 field: RFC 8032 §7.1 vectors, algebraic
    re-derivation of the curve constants (which edwards25519.ml states as
    canonical byte encodings), the fixed-base comb against double-and-add,
    and rejection tests for non-canonical s, small-order and
@@ -142,8 +142,7 @@ let run () =
       (* d * 121666 + 121665 = 0 *)
       let t = create () in
       mul_small t d 121666;
-      let c121665 = create () in
-      c121665.(0) <- 121665;
+      let c121665 = of_words [| 121665; 0; 0; 0; 0; 0; 0; 0; 0; 0 |] in
       add t t c121665;
       Prop.require (equal t (zero ())) "d <> -121665/121666";
       (* 2d = d + d *)

@@ -1,8 +1,10 @@
-(* Differential field suites: every Fe25519 (5×51-bit limbs) operation is
-   checked against the retained seed implementation Fe25519_ref
-   (TweetNaCl 16×16-bit limbs) over ≥1000 seeded cases per op.  Both
-   sides unpack the same 32-byte encoding, apply the same op, and must
-   pack to identical canonical bytes. *)
+(* Differential field suites: every Fe25519 (ten radix-2^25.5 words)
+   operation is checked against the retained seed implementation
+   Fe25519_ref (TweetNaCl 16×16-bit limbs) over ≥1000 seeded cases per
+   op.  Both sides unpack the same 32-byte encoding, apply the same op,
+   and must pack to identical canonical bytes.  [mul] and [square] are
+   also checked word for word against ref10's schoolbook schedule
+   (Fe25519_schoolbook). *)
 
 open Vuvuzela_crypto
 
@@ -31,21 +33,44 @@ let differential1 ~what op_new op_ref ba =
 
 let gen2 = Prop.(gen_pair gen_fe_bytes gen_fe_bytes)
 
-(* Operands at the input bound the multiplication kernels are sized for
-   (fe25519.mli's carry contract): limbs up to 2^53.1, where an
-   accumulator comes closest to 2^62, so where a 63-bit int and a 64-bit
-   word could first disagree and a retagged limb could drop a bit. *)
-let sub_bound = int_of_float (2. ** 53.1) - 2 (* just below 2^53.1 *)
-let carried_bound = (1 lsl 51) + (1 lsl 36)
-let g_bound = 3 * carried_bound (* G = D + C, D = 2Z *)
+(* fe25519.mli's bounds, word by word: the input bound the
+   multiplication kernels are sized for (even words below 2^28, odd
+   below 2^27 + 2^13), where an accumulator comes closest to 2^63; the
+   carried range; and the Edwards formulas' stacked lazy values,
+   G = D + C and F = D - C with D = 2Z. *)
+let input_bound i = if i land 1 = 0 then 1 lsl 28 else (1 lsl 27) + (1 lsl 13)
 
-let limbs_hex (a : Fe25519.t) =
-  String.concat "," (Array.to_list (Array.map (Printf.sprintf "%x") a))
+let carried_bound i =
+  if i = 1 then (1 lsl 25) + (1 lsl 12)
+  else if i land 1 = 0 then 1 lsl 26
+  else 1 lsl 25
 
-(* One operand: every limb just below 2^53.1, every limb at the stacked
-   G bound, a lazy add or sub of carried values (a sub's minuend may be
-   a lazy add, its subtrahend is carried), G = (Z + Z) + C itself, or a
-   carried value, so that pairs mix lazy and carried operands. *)
+let two_p i =
+  if i = 0 then (1 lsl 27) - 38
+  else if i land 1 = 0 then (1 lsl 27) - 2
+  else (1 lsl 26) - 2
+
+let carried_max = Array.init 10 (fun i -> carried_bound i - 1)
+let g_max = Array.init 10 (fun i -> 3 * (carried_bound i - 1))
+let f_max = Array.init 10 (fun i -> (2 * (carried_bound i - 1)) + two_p i)
+let bound_max = Array.init 10 (fun i -> input_bound i - 1)
+let words_hex (a : Fe25519.t) =
+  Fe25519.words a |> Array.map (Printf.sprintf "%x") |> Array.to_list
+  |> String.concat ","
+
+let require_carried what (o : Fe25519.t) =
+  Array.iteri
+    (fun i w ->
+      Prop.require
+        (0 <= w && w < carried_bound i)
+        "%s: output word %d = %x is not carried" what i w)
+    (Fe25519.words o)
+
+(* One operand: every word just below the input bound, the stacked G
+   and F bounds, a lazy add or sub of carried values (a sub's minuend
+   may be a lazy add, its subtrahend is carried), G = (Z + Z) + C and
+   F = (Z + Z) - C themselves, or a carried value, so that pairs mix
+   lazy and carried operands. *)
 let gen_operand rng =
   let fe () = Fe25519.unpack (Prop.gen_fe_bytes rng) in
   let lazy_op op a b =
@@ -53,20 +78,27 @@ let gen_operand rng =
     op o a b;
     o
   in
-  match Drbg.uniform ~rng 7 with
-  | 0 -> Array.init 5 (fun _ -> sub_bound - Drbg.uniform ~rng (1 lsl 30))
-  | 1 -> Array.make 5 g_bound
-  | 2 -> lazy_op Fe25519.add (fe ()) (fe ())
-  | 3 -> lazy_op Fe25519.sub (fe ()) (fe ())
-  | 4 -> lazy_op Fe25519.sub (lazy_op Fe25519.add (fe ()) (fe ())) (fe ())
-  | 5 ->
+  match Drbg.uniform ~rng 9 with
+  | 0 ->
+      Fe25519.of_words
+        (Array.init 10 (fun i ->
+             input_bound i - 1 - Drbg.uniform ~rng (1 lsl 12)))
+  | 1 -> Fe25519.of_words g_max
+  | 2 -> Fe25519.of_words f_max
+  | 3 -> lazy_op Fe25519.add (fe ()) (fe ())
+  | 4 -> lazy_op Fe25519.sub (fe ()) (fe ())
+  | 5 -> lazy_op Fe25519.sub (lazy_op Fe25519.add (fe ()) (fe ())) (fe ())
+  | 6 ->
       let z = fe () in
       lazy_op Fe25519.add (lazy_op Fe25519.add z z) (fe ())
+  | 7 ->
+      let z = fe () in
+      lazy_op Fe25519.sub (lazy_op Fe25519.add z z) (fe ())
   | _ -> fe ()
 
 (* [mul], [square] and [mul_small] of raw operands against the same
    operation on [carry]ed copies and against Fe25519_ref on the packed
-   values; every output limb must be carried. *)
+   values; every output word must be carried. *)
 let check_at_bound (x, y) =
   let carried v =
     let c = Fe25519.copy v in
@@ -75,16 +107,11 @@ let check_at_bound (x, y) =
   in
   let to_ref v = Fe25519_ref.unpack (Fe25519.pack v) in
   let check op kernel oracle =
-    let what = Printf.sprintf "%s(%s; %s)" op (limbs_hex x) (limbs_hex y) in
+    let what = Printf.sprintf "%s(%s; %s)" op (words_hex x) (words_hex y) in
     let o = Fe25519.create () and oc = Fe25519.create () in
     kernel o x y;
     kernel oc (carried x) (carried y);
-    Array.iter
-      (fun l ->
-        Prop.require
-          (0 <= l && l < carried_bound)
-          "%s: output limb %x is not carried" what l)
-      o;
+    require_carried what o;
     Prop.check_hex ~what:(what ^ " vs carried operands")
       (hex (Fe25519.pack oc))
       (hex (Fe25519.pack o));
@@ -101,29 +128,35 @@ let check_at_bound (x, y) =
     (oracle2 (fun o a _ -> Fe25519_ref.square o a) x x);
   List.iter
     (fun c ->
+      let small = Array.make 10 0 in
+      small.(0) <- c land 0x3ffffff;
+      small.(1) <- c lsr 26;
       check
         (Printf.sprintf "mul_small %d" c)
         (fun o _ b -> Fe25519.mul_small o b c)
-        (oracle2 Fe25519_ref.mul y (Fe25519.of_limbs [| c; 0; 0; 0; 0 |])))
+        (oracle2 Fe25519_ref.mul y (Fe25519.of_words small)))
     [ 121665; (1 lsl 17) - 1 ]
 
-(* An operand for the limb-exact check: [gen_operand]'s mix of lazy,
-   carried and at-the-bound values, or limbs drawn uniformly below the
+(* An operand for the word-exact check: [gen_operand]'s mix of lazy,
+   carried and at-the-bound values, or words drawn uniformly below the
    input bound. *)
-let gen_limb_operand rng =
+let gen_word_operand rng =
   if Drbg.uniform ~rng 4 = 0 then
-    Array.init 5 (fun _ -> Drbg.uniform ~rng sub_bound)
+    Fe25519.of_words
+      (Array.init 10 (fun i -> Drbg.uniform ~rng (input_bound i)))
   else gen_operand rng
 
-(* [mul] and [square] against the schoolbook kernels they replaced
-   (Fe25519_schoolbook): the Karatsuba schedule sums the same ten
-   accumulators, so it must write the same five limbs, not just the same
-   field value, with its output aliasing either operand or both. *)
-let check_limbs (x, y) =
-  let what op = Printf.sprintf "%s(%s; %s)" op (limbs_hex x) (limbs_hex y) in
+(* [mul] and [square] against ref10's schoolbook (Fe25519_schoolbook):
+   the Karatsuba schedule sums the same ten accumulators and runs the
+   same carry chain, so it must write the same ten words, not just the
+   same field value, with its output aliasing either operand or both. *)
+let check_words (x, y) =
+  let what op = Printf.sprintf "%s(%s; %s)" op (words_hex x) (words_hex y) in
   let same op expect got =
-    Prop.require (expect = got) "%s: limbs %s, schoolbook %s" (what op)
-      (limbs_hex got) (limbs_hex expect)
+    Prop.require
+      (expect = Fe25519.words got)
+      "%s: words %s, schoolbook %s" (what op) (words_hex got)
+      (words_hex (Fe25519.of_words expect))
   in
   let fresh kernel =
     let o = Fe25519.create () in
@@ -135,9 +168,10 @@ let check_limbs (x, y) =
     kernel o;
     o
   in
-  let xy = fresh (fun o -> Fe25519_schoolbook.mul o x y) in
-  let xx = fresh (fun o -> Fe25519_schoolbook.mul o x x) in
-  let sq = fresh (fun o -> Fe25519_schoolbook.square o x) in
+  let xw = Fe25519.words x and yw = Fe25519.words y in
+  let xy = Fe25519_schoolbook.mul xw yw in
+  let xx = Fe25519_schoolbook.mul xw xw in
+  let sq = Fe25519_schoolbook.square xw in
   same "mul" xy (fresh (fun o -> Fe25519.mul o x y));
   same "square" sq (fresh (fun o -> Fe25519.square o x));
   same "mul o=a" xy (in_place x (fun o -> Fe25519.mul o o y));
@@ -146,19 +180,18 @@ let check_limbs (x, y) =
   same "square o=a" sq (in_place x (fun o -> Fe25519.square o o))
 
 (* A batch of 1-40 elements for [batch_invert]: random values, lazy
-   operands up to the input bound, and encodings of zero (0, and p and
-   2p limb-wise), so that zeros sit anywhere, alone or in runs. *)
+   operands up to the input bound, and representations of zero (0, and
+   p and 2p word-wise), so that zeros sit anywhere, alone or in runs. *)
 let gen_batch rng =
-  let m51 = (1 lsl 51) - 1 and m52 = (1 lsl 52) - 2 in
-  let p_limbs = [| m51 - 18; m51; m51; m51; m51 |]
-  and two_p = [| m52 - 36; m52; m52; m52; m52 |] in
+  let p_words = Array.init 10 (fun i -> two_p i / 2) in
+  let two_p_words = Array.init 10 two_p in
   Array.init
     (1 + Drbg.uniform ~rng 40)
     (fun _ ->
       match Drbg.uniform ~rng 8 with
       | 0 -> Fe25519.create ()
-      | 1 -> Array.copy p_limbs
-      | 2 -> Array.copy two_p
+      | 1 -> Fe25519.of_words p_words
+      | 2 -> Fe25519.of_words two_p_words
       | 3 | 4 -> gen_operand rng
       | _ -> Fe25519.unpack (Prop.gen_fe_bytes rng))
 
@@ -171,18 +204,13 @@ let check_batch_invert xs =
     (fun i x ->
       let what =
         Printf.sprintf "batch_invert element %d of %d (%s)" i
-          (Array.length xs) (limbs_hex x)
+          (Array.length xs) (words_hex x)
       in
       let alone = Fe25519.create () in
       Fe25519.invert alone x;
       let o' = Fe25519_ref.create () in
       Fe25519_ref.invert o' (Fe25519_ref.unpack (Fe25519.pack x));
-      Array.iter
-        (fun l ->
-          Prop.require
-            (0 <= l && l < carried_bound)
-            "%s: output limb %x is not carried" what l)
-        batch.(i);
+      require_carried what batch.(i);
       Prop.check_hex ~what:(what ^ " vs invert")
         (hex (Fe25519.pack alone))
         (hex (Fe25519.pack batch.(i)));
@@ -191,8 +219,52 @@ let check_batch_invert xs =
         (hex (Fe25519.pack batch.(i))))
     xs
 
+(* An encoding for the pack/unpack check: random bytes, an encoding of
+   p .. 2^255 - 1 (the ones at or above p), or either with the top bit
+   set, which both sides must ignore. *)
+let gen_encoding rng =
+  let b = Prop.gen_fe_bytes rng in
+  (match Drbg.uniform ~rng 3 with
+  | 0 -> ()
+  | _ ->
+      Bytes.fill b 0 32 '\xff';
+      Bytes_util.set_u8 b 0 (0xed + Drbg.uniform ~rng 19);
+      Bytes_util.set_u8 b 31 0x7f);
+  if Drbg.uniform ~rng 2 = 0 then
+    Bytes_util.set_u8 b 31 (Bytes_util.get_u8 b 31 lor 0x80);
+  b
+
+(* [unpack] and [pack] against Fe25519_ref: the encoding itself, and a
+   lazy value from it (a sum and a difference with a random element,
+   and a stacked G), which [pack] must reduce the same way; [unpack]'s
+   words must be carried. *)
+let check_pack (ba, bb) =
+  let what op = Printf.sprintf "%s(%s, %s)" op (hex ba) (hex bb) in
+  let a = Fe25519.unpack ba and b = Fe25519.unpack bb in
+  let a' = Fe25519_ref.unpack ba and b' = Fe25519_ref.unpack bb in
+  require_carried (what "unpack") a;
+  Prop.check_hex ~what:(what "pack unpack")
+    (hex (Fe25519_ref.pack a'))
+    (hex (Fe25519.pack a));
+  List.iter
+    (fun (name, op, op_ref) ->
+      let o = Fe25519.create () and o' = Fe25519_ref.create () in
+      op o a b;
+      op_ref o' a' b';
+      Prop.check_hex ~what:(what name) (hex (Fe25519_ref.pack o'))
+        (hex (Fe25519.pack o)))
+    [ ("add", Fe25519.add, Fe25519_ref.add);
+      ("sub", Fe25519.sub, Fe25519_ref.sub);
+      ( "g",
+        (fun o a b ->
+          Fe25519.add o a a;
+          Fe25519.add o o b),
+        fun o a b ->
+          Fe25519_ref.add o a a;
+          Fe25519_ref.add o o b ) ]
+
 let run () =
-  Prop.suite "fe25519 (51-bit limbs) vs fe25519_ref (seed, 16-bit limbs)";
+  Prop.suite "fe25519 (radix-2^25.5 words) vs fe25519_ref (seed, 16-bit limbs)";
   Prop.check ~name:"fe add" gen2
     (differential2 ~what:"add" Fe25519.add Fe25519_ref.add);
   Prop.check ~name:"fe sub" gen2
@@ -204,39 +276,41 @@ let run () =
   Prop.check ~name:"fe mul/square/mul_small at the input bound"
     (Prop.gen_pair gen_operand gen_operand)
     check_at_bound;
-  Prop.vector ~name:"fe kernels at the limb maxima" (fun () ->
-      let carried_max = Fe25519.unpack (Bytes.make 32 '\xff') in
-      List.iter
-        (fun (l, r) -> check_at_bound (Array.make 5 l, r))
-        [ (sub_bound, Array.make 5 sub_bound);
-          (g_bound, Array.make 5 g_bound);
-          (3 * ((1 lsl 51) + (1 lsl 15)), Array.make 5 sub_bound);
-          (sub_bound, carried_max);
-          (g_bound, carried_max) ];
-      check_at_bound (carried_max, Array.make 5 sub_bound));
-  Prop.check ~name:"fe mul/square = schoolbook, limb for limb"
-    (Prop.gen_pair gen_limb_operand gen_limb_operand)
-    check_limbs;
-  Prop.vector ~name:"fe mul/square = schoolbook at the limb maxima"
+  Prop.vector ~name:"fe kernels at the word maxima" (fun () ->
+      let carried = Fe25519.of_words carried_max in
+      let at_bound = Fe25519.of_words bound_max in
+      let g = Fe25519.of_words g_max and f = Fe25519.of_words f_max in
+      List.iter check_at_bound
+        [ (at_bound, at_bound); (g, g); (f, f); (f, g); (f, at_bound);
+          (at_bound, carried); (g, carried); (carried, at_bound) ]);
+  Prop.check ~name:"fe mul/square = schoolbook, word for word"
+    (Prop.gen_pair gen_word_operand gen_word_operand)
+    check_words;
+  Prop.vector ~name:"fe mul/square = schoolbook at the word maxima"
     (fun () ->
       let edges =
-        [ 0; 1; (1 lsl 51) - 1; carried_bound - 1; g_bound; sub_bound ]
+        [ Array.make 10 0; Array.make 10 1; carried_max; g_max; f_max;
+          bound_max ]
       in
-      let alternating l r = [| l; r; l; r; l |] in
+      let alternating l r =
+        Array.init 10 (fun i -> if i land 1 = 0 then l.(i) else r.(i))
+      in
       List.iter
         (fun l ->
           List.iter
             (fun r ->
-              check_limbs (Array.make 5 l, Array.make 5 r);
-              check_limbs (alternating l r, alternating r l))
+              check_words (Fe25519.of_words l, Fe25519.of_words r);
+              check_words
+                ( Fe25519.of_words (alternating l r),
+                  Fe25519.of_words (alternating r l) ))
             edges)
         edges);
   Prop.check ~name:"fe invert" Prop.gen_fe_bytes
     (differential1 ~what:"invert" Fe25519.invert Fe25519_ref.invert);
   (* The addition chain on fixed edges: 0, 1, p - 1, the non-canonical
      p (= 0) and p + 1 (= 1), with 0 and p mapping to 0; and
-     lazily-carried add/sub outputs (limbs above 2^51), which the chain's
-     first squaring must absorb. *)
+     lazily-carried add/sub outputs (words above 26 or 25 bits), which
+     the chain's first squaring must absorb. *)
   Prop.vector ~name:"fe invert edge inputs" (fun () ->
       let near_p low =
         let b = Bytes.make 32 '\xff' in
@@ -314,8 +388,11 @@ let run () =
         ~what:(Printf.sprintf "pack idempotent on %s" (hex ba))
         (hex p_new)
         (hex (Fe25519.pack (Fe25519.unpack p_new))));
+  Prop.check ~name:"fe pack/unpack = oracle (>= p, top bit set, lazy)"
+    (Prop.gen_pair gen_encoding gen_encoding)
+    check_pack;
   (* The lazy-carry path: add/sub results are packed without an explicit
-     carry, exercising pack's reduction of unreduced limbs; parity and
+     carry, exercising pack's reduction of unreduced words; parity and
      equal must agree with the oracle on those values too. *)
   Prop.check ~name:"fe parity/equal on lazy values" gen2 (fun (ba, bb) ->
       let s = Fe25519.create () in

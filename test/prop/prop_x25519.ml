@@ -249,7 +249,7 @@ let check_batch ops =
 
 let run () =
   Prop.suite
-    "x25519 (51-bit ladder, Edwards comb) vs curve25519_ref (seed ladder)";
+    "x25519 (ladder, Edwards comb) vs curve25519_ref (seed ladder)";
   (* ≥200 full ladder agreements over arbitrary scalar/point bytes. *)
   Prop.check ~name:"x25519 ladder agreement" ~count:200
     Prop.(gen_pair (gen_bytes 32) (gen_bytes 32))

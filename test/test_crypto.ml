@@ -554,15 +554,27 @@ let words_per_call n f =
   (Gc.minor_words () -. w0) /. float_of_int n
 
 (* The field kernels allocate nothing, and a scalar multiplication only
-   its scratch: 24 words in [Fe25519.ladder] itself and 60 in
-   [Fe25519.comb] (ten field elements), at most 108 for a whole ladder
-   operation and 160 for a comb.
-   A word boxed in an untagged kernel — [reduce10] called out of line,
-   or a local that escapes — shows here before it shows in round times. *)
+   its field elements and a few small values, counted in elements of
+   [fe_words] words each (80 bytes: a header and eleven words): 4 in
+   [Fe25519.ladder] itself and 10 in [Fe25519.comb].  A whole ladder
+   operation makes 13 (its fraction's two, the unpacked point, the
+   ladder's four, the inversion's five and [pack]'s one) and a comb
+   operation 22 (its fraction's two, the point's four, the comb's ten,
+   the inversion's five and [pack]'s one), beside the clamped scalar
+   and the encoding (6 words each), the operation's constructor (3
+   words for [Ladder] and [Keyed], 2 for [Base]) and the comb's point
+   record (5).  A word boxed in an untagged kernel — [reduce10] called
+   out of line, or a local that escapes — shows here before it shows in
+   round times. *)
+let fe_words = 12.
+
 let test_x25519_allocation () =
   let rng = Drbg.of_string "alloc" in
   let fe () = Fe25519.unpack (Drbg.generate rng 32) in
   let a = fe () and b = fe () and o = Fe25519.create () in
+  Alcotest.(check (float 0.)) "one field element's minor words" fe_words
+    (words_per_call 1000 (fun () ->
+         ignore (Sys.opaque_identity (Fe25519.create ()))));
   List.iter
     (fun (name, f) ->
       Alcotest.(check (float 0.)) (name ^ " minor words per call") 0.
@@ -577,12 +589,12 @@ let test_x25519_allocation () =
     ];
   let sk, _ = Drbg.keypair ~rng () and _, pk = Drbg.keypair ~rng () in
   (* The ladder alone, with every kernel inlined into its loop: only its
-     scratch, four 5-limb field elements of 6 words each. *)
+     scratch. *)
   let z = Curve25519.clamp sk and x = Fe25519.unpack pk in
   let x2 = Fe25519.create () and z2 = Fe25519.create () in
-  Alcotest.(check (float 0.)) "ladder minor words per call" 24.
+  Alcotest.(check (float 0.)) "ladder minor words per call" (4. *. fe_words)
     (words_per_call 20 (fun () -> Fe25519.ladder z x ~x2 ~z2));
-  (* The comb loop alone, likewise: ten field elements. *)
+  (* The comb loop alone, likewise. *)
   let base = Edwards25519.(table_of_point (base_point ())) in
   let keyed =
     Edwards25519.table_of_point
@@ -590,7 +602,8 @@ let test_x25519_allocation () =
   in
   let cx = Fe25519.create () and cy = Fe25519.create () in
   let cz = Fe25519.create () and ct = Fe25519.create () in
-  Alcotest.(check (float 0.)) "comb loop minor words per call" 60.
+  Alcotest.(check (float 0.)) "comb loop minor words per call"
+    (10. *. fe_words)
     (words_per_call 20 (fun () ->
          Fe25519.comb (base :> int array) z ~x:cx ~y:cy ~z:cz ~t:ct));
   (* Each allocates the same for every scalar: a fixed and a random one,
@@ -612,37 +625,56 @@ let test_x25519_allocation () =
       ("digits all -8, top +8", minus_eights);
     ]
   in
+  let same_for_every name run classes =
+    let words =
+      List.map (fun (_, k) -> words_per_call 20 (fun () -> run k)) classes
+    in
+    List.iter2
+      (fun (what, _) w ->
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%s minor words for %s" name what)
+          (List.hd words) w)
+      classes words
+  in
   List.iter
-    (fun (name, run) ->
-      let words =
-        List.map (fun (_, k) -> words_per_call 20 (fun () -> run k)) scalars
-      in
-      List.iter2
-        (fun (what, _) w ->
-          Alcotest.(check (float 0.))
-            (Printf.sprintf "%s minor words for %s" name what)
-            (List.hd words) w)
-        scalars words)
+    (fun (name, run) -> same_for_every name run scalars)
     [
       ("ladder", fun k -> Fe25519.ladder k x ~x2 ~z2);
       ("base comb", fun k -> ignore (Edwards25519.scalarmult_base k));
       ("keyed comb", fun k -> ignore (Edwards25519.comb keyed k));
     ];
+  (* A batch inversion allocates the same whether or not an element is
+     zero (0 itself, or p, which reduces to it). *)
+  let randoms = Array.init 8 (fun _ -> fe ()) in
+  let with_zero = Array.map Fe25519.copy randoms in
+  with_zero.(2) <- Fe25519.zero ();
+  with_zero.(5) <-
+    Fe25519.unpack
+      (hex "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  let batch = Fe25519.create_array 8 in
+  same_for_every "batch_invert"
+    (fun src ->
+      Array.iteri (fun i v -> Fe25519.blit ~src:v ~dst:batch.(i)) src;
+      Fe25519.batch_invert batch)
+    [ ("no zero element", randoms); ("two zero elements", with_zero) ];
   List.iter
-    (fun (name, most, f) ->
-      let w = words_per_call 20 f in
-      if w > most then
-        Alcotest.failf "%s allocates %.1f minor words per call, over %.0f" name
-          w most)
+    (fun (name, elements, others, f) ->
+      Alcotest.(check (float 0.))
+        (name ^ " minor words per call")
+        ((elements *. fe_words) +. others)
+        (words_per_call 20 f))
     [
       ( "scalarmult",
-        108.,
+        13.,
+        15.,
         fun () -> ignore (Curve25519.scalarmult ~scalar:sk ~point:pk) );
       ( "scalarmult_base",
-        160.,
+        22.,
+        19.,
         fun () -> ignore (Curve25519.scalarmult_base sk) );
       ( "shared_static",
-        160.,
+        22.,
+        20.,
         fun () -> ignore (Curve25519.shared_static ~secret:sk ~public:pk) );
     ]
 
